@@ -342,16 +342,28 @@ def take_rows(x: Tensor, idx) -> Tensor:
 
 
 def take_cols(x: Tensor, idx) -> Tensor:
-    """Gather along axis 1; adjoint scatter-adds."""
+    """Gather along axis 1; adjoint scatter-adds.
+
+    Without repeated indices the adjoint is itself a gather, from ``g``
+    padded with one zero column for the columns ``idx`` misses; that is
+    several times faster than ``np.add.at`` on wide inputs.
+    """
     idx = np.asarray(idx)
-    out = x.value[:, idx]
+    out = np.take(x.value, idx, axis=1)
     if not x.requires_grad:
         return Tensor(out)
+    if np.unique(idx).size < idx.size:
+        def vjp(g):
+            gx = np.zeros_like(x.value)
+            np.add.at(gx, (slice(None), idx), g)
+            return (gx,)
+    else:
+        source = np.full(x.value.shape[1], idx.size)
+        source[idx] = np.arange(idx.size)
 
-    def vjp(g):
-        gx = np.zeros_like(x.value)
-        np.add.at(gx, (slice(None), idx), g)
-        return (gx,)
+        def vjp(g):
+            padded = np.concatenate([g, np.zeros((g.shape[0], 1))], axis=1)
+            return (np.take(padded, source, axis=1),)
 
     return Tensor(out, True, (x,), vjp)
 

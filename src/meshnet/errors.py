@@ -26,6 +26,12 @@ class IndexRangeError(MeshValidationError):
         )
 
 
+class NonFiniteVertexError(MeshValidationError):
+    def __init__(self, vertex):
+        self.vertex = vertex
+        super().__init__(f"vertex {vertex} has a non-finite coordinate")
+
+
 class DegenerateFaceError(MeshValidationError):
     def __init__(self, face, reason="repeated vertex indices"):
         self.face = face

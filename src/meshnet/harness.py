@@ -45,6 +45,7 @@ __all__ = ["build_id", "model_logits", "equivariance_gap", "train", "evaluate",
            "generate_config_mesh", "features_report"]
 
 _CKPT_MAGIC = b"MNET"
+_CKPT_VERSION = 1
 
 
 def build_id() -> str:
@@ -353,7 +354,7 @@ def save_checkpoint(model: Model, path: str, cfg_hash: str):
     hash_bytes = cfg_hash.encode()
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<II", 1, len(hash_bytes)))
+        fh.write(struct.pack("<II", _CKPT_VERSION, len(hash_bytes)))
         fh.write(hash_bytes)
         fh.write(struct.pack("<Q", flat.size))
         fh.write(flat.astype("<f8").tobytes())
@@ -367,25 +368,36 @@ def save_checkpoint(model: Model, path: str, cfg_hash: str):
         json.dump(sidecar, fh, indent=2)
 
 
+def _read_exact(fh, n: int, path: str, what: str) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise CheckpointError(f"{path}: truncated {what}")
+    return data
+
+
 def load_checkpoint(model: Model, path: str, expect_hash: str | None = None):
     try:
         with open(path, "rb") as fh:
             magic = fh.read(4)
             if magic != _CKPT_MAGIC:
                 raise CheckpointError(f"{path}: not a checkpoint file")
-            _version, hash_len = struct.unpack("<II", fh.read(8))
-            stored_hash = fh.read(hash_len).decode()
-            (count,) = struct.unpack("<Q", fh.read(8))
-            flat = np.frombuffer(fh.read(count * 8), dtype="<f8").copy()
-    except OSError as exc:
+            version, hash_len = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
+            if version != _CKPT_VERSION:
+                raise CheckpointError(
+                    f"{path}: checkpoint version {version} is not supported "
+                    f"(expected {_CKPT_VERSION})"
+                )
+            stored_hash = _read_exact(fh, hash_len, path, "config hash").decode()
+            (count,) = struct.unpack("<Q", _read_exact(fh, 8, path, "parameter count"))
+            flat = np.frombuffer(_read_exact(fh, count * 8, path, "parameter record"),
+                                 dtype="<f8").copy()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if expect_hash is not None and stored_hash != expect_hash:
         raise CheckpointError(
             f"checkpoint was written for config {stored_hash}, "
             f"current config hashes to {expect_hash}"
         )
-    if flat.size != count:
-        raise CheckpointError(f"{path}: truncated parameter record")
     model.load_flat_parameters(flat)
     return stored_hash
 

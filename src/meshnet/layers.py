@@ -1,10 +1,17 @@
 """Gauge-equivariant neural layers: convolution, attention, bias, nonlinearity.
 
 All layers consume an :class:`EdgeGeometry` (directed edges plus the two
-per-edge angles) and per-vertex coordinate features.  Kernels are evaluated
-through their harmonic decomposition: the coefficient vector maps linearly
-to a stack of constant matrices, one per ``cos(h * theta)`` / ``sin(h *
-theta)`` term, so a whole mesh's messages reduce to a few dense matmuls.
+per-edge angles) and per-vertex coordinate features.  A neighbor kernel is
+never evaluated at an edge angle.  The gauge constraint gives
+``K(theta) = rho_out(theta) K(0) rho_in(-theta)``, so the message from q to
+p along an edge with angle theta and transport angle g is
+
+    rho_out(theta) K(0) rho_in(g - theta) f_q:
+
+one per-edge rotation of the gathered neighbor features, one dense matmul
+by the constant matrix ``K(0)`` for the whole mesh, and one per-edge
+rotation of the result.  ``K(0)`` is a fixed linear map of the learnable
+basis coefficients.
 
 Equivariance ingredients:
 
@@ -44,7 +51,7 @@ from .representations import (
     EquivariantKernel,
     FeatureType,
     init_coefficients,
-    kernel_term_map,
+    kernel_matrix_map,
 )
 from .tangent import FrameField, TransportData, transport_data
 
@@ -61,7 +68,7 @@ BIAS_MODES = ("angular", "additive", "none")
 
 
 class EdgeGeometry:
-    """Directed-edge arrays plus cached trigonometry for the layers.
+    """Directed-edge arrays plus cached rotation tables for the layers.
 
     Layers only ever touch ``src``/``dst``/``degrees`` and the two angle
     arrays, so tests can hand-construct instances for degenerate cases.
@@ -76,7 +83,6 @@ class EdgeGeometry:
         self.degrees = np.asarray(degrees, dtype=np.int64)
         self.n_vertices = int(n_vertices)
         self.frame_token = frame_token
-        self._theta_terms = {}
         self._rotation_tables = {}
 
     @classmethod
@@ -90,32 +96,41 @@ class EdgeGeometry:
                    transport.transport, mesh.degrees, mesh.n_vertices,
                    frames.token)
 
-    def theta_table(self, terms) -> np.ndarray:
-        """(E, n_terms) values of each (kind, harmonic) term at every edge."""
-        cols = []
-        for kind, h in terms:
-            key = (kind, h)
-            if key not in self._theta_terms:
-                f = np.cos if kind == "c" else np.sin
-                self._theta_terms[key] = f(h * self.theta)
-            cols.append(self._theta_terms[key])
-        return np.stack(cols, axis=1)
+    def rotation_tables(self, ftype: FeatureType, side: str):
+        """Per-dim cos / signed-sin tables of the per-edge rotation of ``ftype``.
 
-    def rotation_tables(self, ftype: FeatureType):
-        """Per-dim cos / signed-sin tables for applying the transport rotation."""
-        key = ftype.orders
+        ``side="in"`` rotates by ``transport - theta`` (neighbor features
+        into the receiving frame, then to the edge direction), ``side="out"``
+        by ``theta`` (kernel outputs back from the edge direction).  Built on
+        first use, so geometry that never meets a layer computes none.
+        """
+        key = (side, ftype.orders)
         if key not in self._rotation_tables:
-            phase = self.transport[:, None] * ftype.order_of_dim[None, :]
+            angle = self.transport - self.theta if side == "in" else self.theta
+            phase = angle[:, None] * ftype.order_of_dim[None, :]
             cosm = np.cos(phase)
             sinm = np.sin(phase) * ftype.partner_sign[None, :]
             self._rotation_tables[key] = (cosm, sinm)
         return self._rotation_tables[key]
 
 
-def _transport_rotate(x_src: Tensor, ftype: FeatureType, geom: EdgeGeometry) -> Tensor:
-    """Rotate gathered source features into the receiving frame."""
-    cosm, sinm = geom.rotation_tables(ftype)
-    return x_src * cosm + take_cols(x_src, ftype.partner) * sinm
+def _rotate(x: Tensor, ftype: FeatureType, geom: EdgeGeometry, side: str) -> Tensor:
+    """Apply ``rho(angle_e)`` of ``ftype`` to row e of an (E, dim) tensor."""
+    cosm, sinm = geom.rotation_tables(ftype, side)
+    return x * cosm + take_cols(x, ftype.partner) * sinm
+
+
+def _neighbor_messages(x: Tensor, geom: EdgeGeometry, in_type: FeatureType,
+                       kernels, out_type: FeatureType) -> Tensor:
+    """Messages of neighbor kernels sharing one input, stacked by columns.
+
+    Row e is ``rho_out(theta_e) K(0) rho_in(g_e - theta_e) x[src_e]``, with
+    ``K(0)`` the kernels' matrices stacked by rows and ``out_type`` the sum
+    of their output types.
+    """
+    u = _rotate(take_rows(x, geom.src), in_type, geom, "in")
+    W = concat([k.matrix() for k in kernels])
+    return _rotate(u @ W.T, out_type, geom, "out")
 
 
 class _Kernel:
@@ -124,27 +139,12 @@ class _Kernel:
     def __init__(self, in_type, out_type, kind, rng):
         self.in_type, self.out_type, self.kind = in_type, out_type, kind
         self.coeffs = parameter(init_coefficients(in_type, out_type, kind, rng))
-        self.terms, self.smat = kernel_term_map(in_type, out_type, kind)
-
-    def matrices(self) -> Tensor:
-        """Stack of harmonic matrices, shape (n_terms, out_dim, in_dim)."""
-        return sparse_matmul(
-            self.smat, self.coeffs,
-            (len(self.terms), self.out_type.dim, self.in_type.dim),
-        )
+        self.smat = kernel_matrix_map(in_type, out_type, kind)
 
     def matrix(self) -> Tensor:
-        """Constant matrix of a self-kind kernel."""
+        """K(0): a self kernel's matrix, a neighbor kernel's at angle 0."""
         return sparse_matmul(self.smat, self.coeffs,
                              (self.out_type.dim, self.in_type.dim))
-
-    def messages(self, u: Tensor, geom: EdgeGeometry) -> Tensor:
-        """Apply K(theta_e) to each row of ``u``: (E, in) -> (E, out)."""
-        W = self.matrices()
-        T, Co, Ci = len(self.terms), self.out_type.dim, self.in_type.dim
-        P = (u @ W.reshape(T * Co, Ci).T).reshape((-1, T, Co))
-        tt = geom.theta_table(self.terms)
-        return (P * tt[:, :, None]).sum(axis=1)
 
     def as_domain_kernel(self) -> EquivariantKernel:
         """View as the plain (non-autodiff) kernel object for residual checks."""
@@ -218,8 +218,8 @@ class GemConvLayer:
 
     def forward(self, x: Tensor, geom: EdgeGeometry) -> Tensor:
         _check_input(self, x, geom)
-        u = _transport_rotate(take_rows(x, geom.src), self.in_type, geom)
-        msg = self.neigh_kernel.messages(u, geom)
+        msg = _neighbor_messages(x, geom, self.in_type, [self.neigh_kernel],
+                                 self.out_type)
         agg = segment_sum(msg, geom.dst, geom.n_vertices)
         y = x @ self.self_kernel.matrix().T + agg
         return self.bias.apply(y)
@@ -303,6 +303,7 @@ class EmanAttentionLayer:
         self.query_kernel = _Kernel(in_type, self.att_type, "self", rng)
         self.key_kernel = _Kernel(in_type, self.att_type, "neigh", rng)
         self.value_kernel = _Kernel(in_type, out_type, "neigh", rng)
+        self._kv_type = self.att_type + out_type
         if self_contribution:
             self.self_key_kernel = _Kernel(in_type, self.att_type, "self", rng)
             self.self_value_kernel = _Kernel(in_type, out_type, "self", rng)
@@ -318,9 +319,11 @@ class EmanAttentionLayer:
     # -- internals -----------------------------------------------------------
 
     def _qkv(self, x: Tensor, geom: EdgeGeometry):
-        u = _transport_rotate(take_rows(x, geom.src), self.in_type, geom)
-        K = self.key_kernel.messages(u, geom)
-        V = self.value_kernel.messages(u, geom)
+        KV = _neighbor_messages(x, geom, self.in_type,
+                                [self.key_kernel, self.value_kernel], self._kv_type)
+        catt = self.att_type.dim
+        K = take_cols(KV, np.arange(catt))
+        V = take_cols(KV, np.arange(catt, self._kv_type.dim))
         Q = x @ self.query_kernel.matrix().T
         return Q, K, V
 

@@ -16,6 +16,7 @@ from .errors import (
     DegreeError,
     IndexRangeError,
     MeshParseError,
+    NonFiniteVertexError,
     NonManifoldError,
     NonManifoldVertexError,
     OrientationError,
@@ -68,6 +69,9 @@ class Mesh:
         self.faces = np.ascontiguousarray(faces, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise ValueError("vertex array must have shape (V, 3)")
+        if not np.isfinite(self.vertices).all():
+            bad = ~np.isfinite(self.vertices).all(axis=1)
+            raise NonFiniteVertexError(int(np.argmax(bad)))
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise ValueError("face array must have shape (F, 3)")
         self._validate_faces()

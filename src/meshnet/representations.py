@@ -16,9 +16,14 @@ gauge equivariant.
 Basis elements are stored symbolically as sparse lists of
 ``(row, col, kind, harmonic, sign)`` entries with ``kind`` one of
 ``"c"``/``"s"`` (cosine / sine of ``harmonic * theta``; the constant entry is
-cosine with harmonic 0).  The same symbolic form drives both the explicit
-per-angle assembly used by oracles and the vectorized harmonic path used by
-the layers.
+cosine with harmonic 0).  The same symbolic form drives the explicit
+per-angle assembly used by oracles and the coefficient-to-``K(0)`` map used
+by the layers.  Setting ``g = theta`` in the constraint gives
+
+    K_neigh(theta) = rho_out(theta) K_neigh(0) rho_in(-theta),
+
+so the layers never evaluate a kernel at an edge angle: they rotate the
+neighbor feature, apply the constant matrix ``K(0)`` and rotate the result.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ __all__ = [
     "coefficient_count",
     "assemble_kernel",
     "constraint_residual",
-    "kernel_term_map",
+    "kernel_matrix_map",
     "init_coefficients",
     "identity_coefficients",
 ]
@@ -306,7 +311,7 @@ class EquivariantKernel:
 
     Coefficients are laid out row-major over (output component, input
     component) with the basis index fastest, matching
-    :func:`kernel_term_map` and the optimizer's flat parameter order.
+    :func:`kernel_matrix_map` and the optimizer's flat parameter order.
     """
 
     in_type: FeatureType
@@ -351,47 +356,31 @@ def constraint_residual(kernel: EquivariantKernel, theta, g) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Harmonic term map (vectorized assembly used by the layers)
+# Kernel at angle 0 (the linear map used by the layers)
 # ---------------------------------------------------------------------------
 
-def kernel_term_map(in_type: FeatureType, out_type: FeatureType, kind: str):
-    """Linear map from coefficients to stacked harmonic matrices.
+def kernel_matrix_map(in_type: FeatureType, out_type: FeatureType, kind: str):
+    """Sparse linear map from coefficients to the kernel matrix at angle 0.
 
-    Returns ``(terms, smat)`` where ``terms`` is an ordered list of
-    ``(kind, harmonic)`` pairs and ``smat`` is a sparse matrix such that
-    ``(smat @ coeffs).reshape(len(terms), out_dim, in_dim)`` stacked against
-    the per-edge values of each term reproduces ``assemble_kernel`` at every
-    edge angle:
+    ``(smat @ coeffs).reshape(out_dim, in_dim)`` equals
+    ``assemble_kernel(kernel, 0.0)``: only cosine entries survive there.  A
+    self kernel is this matrix at every angle; a neighbor kernel follows from
+    it by the gauge constraint at ``g = theta``,
 
-        K(theta) = sum_t term_t(theta) * M_t
+        K(theta) = rho_out(theta) K(0) rho_in(-theta).
     """
-    harmonics = set()
-    for *_rest, basis in _block_pairs(in_type, out_type, kind):
-        for elem in basis:
-            for _r, _c, k, h, _s in elem.entries:
-                harmonics.add((k, h))
-    terms = [("c", 0)] if ("c", 0) in harmonics else []
-    for h in sorted({h for _k, h in harmonics if h > 0}):
-        for k in ("c", "s"):
-            if (k, h) in harmonics:
-                terms.append((k, h))
-    term_index = {t: i for i, t in enumerate(terms)}
-
     rows, cols, data = [], [], []
-    block = out_type.dim * in_type.dim
     pos = 0
     for _i, _j, ro, co, basis in _block_pairs(in_type, out_type, kind):
         for elem in basis:
-            for r, c, k, h, s in elem.entries:
-                t = term_index[(k, h)]
-                rows.append(t * block + (ro + r) * in_type.dim + (co + c))
-                cols.append(pos)
-                data.append(s)
+            for r, c, k, _h, s in elem.entries:
+                if k == "c":
+                    rows.append((ro + r) * in_type.dim + co + c)
+                    cols.append(pos)
+                    data.append(s)
             pos += 1
-    smat = sp.csr_matrix(
-        (data, (rows, cols)), shape=(len(terms) * block, pos)
-    )
-    return terms, smat
+    return sp.csr_matrix((data, (rows, cols)),
+                         shape=(out_type.dim * in_type.dim, pos))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Everything here evaluates the layer equations by explicit per-edge matrix
 construction (``assemble_kernel`` + dense representation matrices), looping
-over vertices in Python.  None of it shares code with the harmonic fast
-path inside the layers.
+over vertices in Python.  None of it shares code with the factorised
+``rho_out(theta) K(0) rho_in(g - theta)`` message path inside the layers.
 """
 
 import numpy as np

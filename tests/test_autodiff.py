@@ -116,17 +116,18 @@ class TestOperatorGradients:
 
     def test_gather_scatter(self):
         rng = self.rng
-        x = parameter(rng.standard_normal((6, 3)))
         rows = rng.integers(0, 6, 10)
-        cols = np.array([2, 0, 1])
         seg = np.sort(rng.integers(0, 4, 10))
+        # a permutation, a strict subset and repeated columns
+        for cols in ([2, 0, 1], [2, 0], [1, 1, 0, 2]):
+            x = parameter(rng.standard_normal((6, 3)))
 
-        def loss():
-            g = take_rows(x, rows)
-            g = take_cols(g, cols)
-            return (segment_sum(g, seg, 4) ** 2).sum()
+            def loss():
+                g = take_rows(x, rows)
+                g = take_cols(g, cols)
+                return (segment_sum(g, seg, 4) ** 2).sum()
 
-        check_gradients(loss, [x], rng)
+            check_gradients(loss, [x], rng)
 
     def test_take_pairs(self):
         rng = self.rng

@@ -7,6 +7,7 @@ from meshnet.errors import (
     DegreeError,
     IndexRangeError,
     MeshParseError,
+    NonFiniteVertexError,
     NonManifoldError,
     OrientationError,
 )
@@ -107,6 +108,19 @@ class TestValidation:
         faces = [[0, 1, 2], [1, 3, 2], [0, 1, 3]]  # 0->1 traversed twice
         with pytest.raises(OrientationError):
             Mesh(verts, faces)
+
+    def test_non_finite_vertex_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            verts = np.eye(3)
+            verts[1, 2] = bad
+            with pytest.raises(NonFiniteVertexError) as info:
+                Mesh(verts, [[0, 1, 2]])
+            assert info.value.vertex == 1
+        ico = generate_icosphere(1)
+        verts = ico.vertices.copy()
+        verts[7, 0] = np.nan
+        with pytest.raises(NonFiniteVertexError):
+            ico.with_vertices(verts)
 
     def test_isolated_vertex_rejected(self):
         verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 5]]

@@ -13,7 +13,7 @@ from meshnet.representations import (
     identity_coefficients,
     init_coefficients,
     kernel_basis,
-    kernel_term_map,
+    kernel_matrix_map,
     rep_block_diag,
     rho_matrix,
 )
@@ -279,8 +279,10 @@ class TestConstraintResidual:
         assert worst > 1e-3
 
 
-class TestTermMap:
+class TestMatrixMap:
     def test_reproduces_assembly(self):
+        # K(theta) = rho_out(theta) K(0) rho_in(-theta), the identity the
+        # layers evaluate every neighbor kernel through
         rng = np.random.default_rng(7)
         tin = FeatureType.parse("rho0+rho1+rho2")
         tout = FeatureType.parse("2xrho0+rho1")
@@ -288,13 +290,12 @@ class TestTermMap:
             src = tin if kind == "neigh" else tout
             k = EquivariantKernel(src, tout, kind,
                                   rng.standard_normal(coefficient_count(src, tout, kind)))
-            terms, smat = kernel_term_map(src, tout, kind)
-            W = (smat @ k.coefficients).reshape(len(terms), tout.dim, src.dim)
+            K0 = (kernel_matrix_map(src, tout, kind) @ k.coefficients).reshape(
+                tout.dim, src.dim)
             for th in rng.uniform(-np.pi, np.pi, 4):
-                tv = np.array([np.cos(h * th) if kd == "c" else np.sin(h * th)
-                               for kd, h in terms])
-                npt.assert_allclose(np.einsum("t,tij->ij", tv, W),
-                                    assemble_kernel(k, th), atol=1e-13)
+                npt.assert_allclose(
+                    rep_block_diag(tout, th) @ K0 @ rep_block_diag(src, -th),
+                    assemble_kernel(k, th), atol=1e-13)
 
 
 class TestInitialization:
