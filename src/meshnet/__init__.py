@@ -56,8 +56,6 @@ from .transforms import (
     Permutation,
     apply_ambient,
     apply_permutation,
-    pushforward_features,
-    pushforward_frames,
     random_transform_suite,
 )
 from .config import RunConfig, config_hash, default_config, load_config, parse_config

@@ -38,6 +38,23 @@ def _str_list(text):
     return tuple(x.strip() for x in items if x.strip())
 
 
+def _checked(parse, ok, what):
+    def check(text):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"must be {what}, got {value!r}")
+        return value
+    return check
+
+
+def _at_least(parse, low):
+    return _checked(parse, lambda v: v >= low, f">= {low}")
+
+
+def _positive(parse):
+    return _checked(parse, lambda v: v > 0, "> 0")
+
+
 def _enum(*allowed):
     def parse(text):
         t = text.strip()
@@ -49,7 +66,7 @@ def _enum(*allowed):
 
 _SCHEMA = {
     "run": {
-        "seed": (int, 0),
+        "seed": (_at_least(int, 0), 0),
         "task": (_enum("segmentation", "classification"), "segmentation"),
         "checkpoint": (str, ""),
     },
@@ -61,47 +78,47 @@ _SCHEMA = {
         "hidden_type": (str, "16x(rho0+rho1+rho2)"),
         "final_type": (str, "16xrho0"),
         "attention_type": (str, ""),
-        "dense_hidden": (int, 256),
-        "dropout": (float, 0.5),
-        "heads": (int, 1),
+        "dense_hidden": (_at_least(int, 1), 256),
+        "dropout": (_checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"), 0.5),
+        "heads": (_at_least(int, 1), 1),
         "self_contribution": (_bool, False),
-        "target_dim": (int, 10),
+        "target_dim": (_at_least(int, 1), 10),
     },
     "mesh": {
         "generator": (_enum("icosphere", "grid_patch"), "icosphere"),
-        "subdivisions": (int, 1),
-        "rows": (int, 8),
-        "cols": (int, 8),
+        "subdivisions": (_at_least(int, 0), 1),
+        "rows": (_at_least(int, 2), 8),
+        "cols": (_at_least(int, 2), 8),
         "noise": (float, 0.0),
         "dump_frames": (_bool, False),
     },
     "data": {
         "source": (_enum("synthetic", "files"), "synthetic"),
-        "train_meshes": (int, 10),
-        "test_meshes": (int, 5),
-        "subdivisions": (int, 1),
+        "train_meshes": (_at_least(int, 1), 10),
+        "test_meshes": (_at_least(int, 0), 5),
+        "subdivisions": (_at_least(int, 0), 1),
         "bump_amplitude": (float, 0.3),
         "noise": (float, 0.05),
-        "n_meshes": (int, 20),
+        "n_meshes": (_at_least(int, 1), 20),
         "mesh_dir": (str, ""),
     },
     "training": {
-        "learning_rate": (float, 0.01),
-        "epochs": (int, 100),
-        "batch_size": (int, 1),
+        "learning_rate": (_positive(float), 0.01),
+        "epochs": (_at_least(int, 0), 100),
+        "batch_size": (_at_least(int, 1), 1),
     },
     "transforms": {
         "families": (_str_list, ("gauge", "rot_tr_scale", "perm")),
-        "samples_per_mesh": (int, 1),
-        "translation_range": (float, 10.0),
-        "scale_min": (float, 0.1),
-        "scale_max": (float, 10.0),
+        "samples_per_mesh": (_at_least(int, 1), 1),
+        "translation_range": (_at_least(float, 0.0), 10.0),
+        "scale_min": (_positive(float), 0.1),
+        "scale_max": (_positive(float), 10.0),
     },
     "timing": {
-        "repetitions": (int, 20),
-        "warmups": (int, 3),
-        "rows": (int, 20),
-        "cols": (int, 20),
+        "repetitions": (_at_least(int, 1), 20),
+        "warmups": (_at_least(int, 0), 3),
+        "rows": (_at_least(int, 2), 20),
+        "cols": (_at_least(int, 2), 20),
     },
 }
 
@@ -151,9 +168,9 @@ def parse_config(text: str) -> RunConfig:
     env_seed = os.environ.get("MESHNET_SEED")
     if env_seed is not None:
         try:
-            resolved["run"]["seed"] = int(env_seed)
+            resolved["run"]["seed"] = _SCHEMA["run"]["seed"][0](env_seed)
         except ValueError as exc:
-            raise ConfigError(f"MESHNET_SEED must be an integer: {env_seed!r}") from exc
+            raise ConfigError(f"bad value for MESHNET_SEED: {exc}") from exc
     return RunConfig(resolved)
 
 

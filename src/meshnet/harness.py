@@ -40,9 +40,9 @@ from .transforms import (
     random_transform_suite,
 )
 
-__all__ = ["build_id", "model_logits", "equivariance_gap", "train", "evaluate",
-           "time_layers", "save_checkpoint", "load_checkpoint",
-           "generate_config_mesh", "features_report"]
+__all__ = ["build_id", "model_logits", "transformed_logits", "equivariance_gap",
+           "train", "evaluate", "time_layers", "save_checkpoint",
+           "load_checkpoint", "generate_config_mesh", "features_report"]
 
 _CKPT_MAGIC = b"MNET"
 _CKPT_VERSION = 1
@@ -103,30 +103,26 @@ def _ambient_for_family(family: str, suite) -> AmbientTransform:
     raise ValueError(f"not an ambient family: {family}")
 
 
-def _gap_for_mesh(model: Model, mesh: Mesh, family: str, suite) -> float:
+def transformed_logits(model: Model, mesh: Mesh, family: str, suite) -> np.ndarray:
+    """Logits of ``mesh`` under ``suite``'s member of ``family``.
+
+    Rows stay in the original vertex order, so they compare directly with
+    :func:`model_logits` of the untransformed mesh.  The gauge family
+    rotates the frames built for ``mesh`` rather than re-selecting
+    reference neighbors, which isolates gauge sensitivity.
+    """
     spec = model.spec
-    frames, geom, field = mesh_pipeline(mesh, spec.features, spec.reltan_powers)
-    logits0 = model.forward(field, geom).value
     if family == "gauge":
-        # rotate the existing frames rather than re-selecting reference
-        # neighbors: isolates gauge sensitivity
-        frames2, transport2 = regauge(frames, suite.gauge[: mesh.n_vertices])
-        geom2 = EdgeGeometry.from_frames(frames2, transport2)
-        field2 = compute_features(spec.features, mesh, frames2, spec.reltan_powers)
-        logits1 = model.forward(field2, geom2).value
-        ref = logits0
-    elif family == "perm":
-        perm = suite.perm
-        mesh2 = apply_permutation(mesh, perm)
-        logits1 = model_logits(model, mesh2)
+        frames, transport = regauge(build_frames(mesh), suite.gauge)
+        geom = EdgeGeometry.from_frames(frames, transport)
+        field = compute_features(spec.features, mesh, frames, spec.reltan_powers)
+        return model.forward(field, geom).value
+    if family == "perm":
+        logits = model_logits(model, apply_permutation(mesh, suite.perm))
         if spec.task == "segmentation":
-            logits1 = perm.unpermute_rows(logits1)
-        ref = logits0
-    else:
-        mesh2 = apply_ambient(mesh, _ambient_for_family(family, suite))
-        logits1 = model_logits(model, mesh2)
-        ref = logits0
-    return float(np.mean((logits1 - ref) ** 2))
+            return suite.perm.unpermute_rows(logits)
+        return logits
+    return model_logits(model, apply_ambient(mesh, _ambient_for_family(family, suite)))
 
 
 def equivariance_gap(cfg: RunConfig) -> dict:
@@ -140,13 +136,15 @@ def equivariance_gap(cfg: RunConfig) -> dict:
     gaps = {f: [] for f in families}
     rng = np.random.default_rng(seed + 1)
     for mesh in meshes:
+        logits0 = model_logits(model, mesh)
         for _ in range(tr["samples_per_mesh"]):
             suite = random_transform_suite(
                 mesh.n_vertices, rng, tr["translation_range"],
                 tr["scale_min"], tr["scale_max"],
             )
             for family in families:
-                gaps[family].append(_gap_for_mesh(model, mesh, family, suite))
+                logits1 = transformed_logits(model, mesh, family, suite)
+                gaps[family].append(float(np.mean((logits1 - logits0) ** 2)))
     report = _report_header(cfg)
     report.update({
         "kind": spec.kind,
@@ -167,32 +165,17 @@ def _accuracy(model: Model, samples, transform=None, rng=None) -> float:
     correct = 0
     total = 0
     for s in samples:
-        mesh, label = s.mesh, s.label
-        if transform == "gauge":
-            frames, geom, field = mesh_pipeline(
-                mesh, model.spec.features, model.spec.reltan_powers)
-            frames2, transport2 = regauge(
-                frames, rng.uniform(-np.pi, np.pi, mesh.n_vertices))
-            geom = EdgeGeometry.from_frames(frames2, transport2)
-            field = compute_features(model.spec.features, mesh, frames2,
-                                     model.spec.reltan_powers)
-            logits = model.forward(field, geom).value
-        elif transform == "rot_tr_scale":
-            suite = random_transform_suite(mesh.n_vertices, rng)
-            logits = model_logits(model, apply_ambient(mesh, suite.ambient))
-        elif transform == "perm":
-            suite = random_transform_suite(mesh.n_vertices, rng)
-            logits = model_logits(model, apply_permutation(mesh, suite.perm))
-            if model.spec.task == "segmentation":
-                label = suite.perm.permute_rows(label)
+        if transform is None:
+            logits = model_logits(model, s.mesh)
         else:
-            logits = model_logits(model, mesh)
+            suite = random_transform_suite(s.mesh.n_vertices, rng)
+            logits = transformed_logits(model, s.mesh, transform, suite)
         pred = logits.argmax(axis=1)
         if model.spec.task == "segmentation":
-            correct += int((pred == label).sum())
-            total += len(label)
+            correct += int((pred == s.label).sum())
+            total += len(s.label)
         else:
-            correct += int(pred[0] == label)
+            correct += int(pred[0] == s.label)
             total += 1
     return 100.0 * correct / total
 
@@ -212,7 +195,7 @@ def train(cfg: RunConfig, dataset: Dataset | None = None):
     model = build_model(spec, seed)
     opt = Adam([t for _n, t in model.parameters()], lr=cfg.training["learning_rate"])
     drop_rng = np.random.default_rng(seed + 2)
-    batch_size = max(1, cfg.training["batch_size"])
+    batch_size = cfg.training["batch_size"]
 
     # geometry and features never change during training: precompute
     prepared = []
@@ -398,7 +381,10 @@ def load_checkpoint(model: Model, path: str, expect_hash: str | None = None):
             f"checkpoint was written for config {stored_hash}, "
             f"current config hashes to {expect_hash}"
         )
-    model.load_flat_parameters(flat)
+    try:
+        model.load_flat_parameters(flat)
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     return stored_hash
 
 

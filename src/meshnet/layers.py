@@ -46,7 +46,6 @@ from .errors import (
     FeatureTypeError,
     FrameBindingError,
 )
-from .features import GeometricFeatureField
 from .representations import (
     EquivariantKernel,
     FeatureType,
@@ -190,13 +189,13 @@ class _Bias:
         return [] if self.b is None else [("bias", self.b)]
 
 
-def _check_input(layer, x: Tensor, geom: EdgeGeometry):
+def _check_input(layer, x: Tensor, geom: EdgeGeometry, empty_ok: bool = False):
     if x.shape[1] != layer.in_type.dim:
         raise FeatureTypeError(
             f"layer expects type {layer.in_type} (dim {layer.in_type.dim}), "
             f"got feature dim {x.shape[1]}"
         )
-    if (geom.degrees == 0).any():
+    if not empty_ok and (geom.degrees == 0).any():
         raise EmptyNeighborhoodError(int(np.where(geom.degrees == 0)[0][0]))
 
 
@@ -224,27 +223,10 @@ class GemConvLayer:
         y = x @ self.self_kernel.matrix().T + agg
         return self.bias.apply(y)
 
-    def apply_field(self, field: GeometricFeatureField,
-                    geom: EdgeGeometry) -> GeometricFeatureField:
-        _check_field(self, field, geom)
-        out = self.forward(Tensor(field.values), geom)
-        return GeometricFeatureField(self.out_type, out.value, geom.frame_token)
-
     def parameters(self):
         return [("self_kernel", self.self_kernel.coeffs),
                 ("neigh_kernel", self.neigh_kernel.coeffs),
                 *self.bias.parameters()]
-
-
-def _check_field(layer, field: GeometricFeatureField, geom: EdgeGeometry):
-    if field.ftype != layer.in_type:
-        raise FeatureTypeError(
-            f"layer expects type {layer.in_type}, field has type {field.ftype}"
-        )
-    if field.frame_token not in (-1, geom.frame_token):
-        raise FrameBindingError(
-            "feature field and edge geometry come from different frame fields"
-        )
 
 
 def _head_type(out_type: FeatureType, heads: int) -> FeatureType:
@@ -283,10 +265,10 @@ class EmanAttentionLayer:
     products of same-type features, so the weights are gauge-invariant
     scalars.
 
-    ``self_contribution`` adds a self column to the softmax (and switches
-    the normalizer to ``N_p + 1``); ``heads > 1`` runs projected attention
-    per head and mixes the concatenated heads with an output matrix, all
-    projections being self-kind kernels.
+    ``self_contribution`` adds each vertex's own key and value to its
+    neighborhood (so the normalizer is ``N_p + 1``); ``heads > 1`` runs the
+    same attention on per-head projections and mixes the concatenated heads
+    with an output matrix, all projections being self-kind kernels.
     """
 
     def __init__(self, in_type: FeatureType, out_type: FeatureType,
@@ -316,93 +298,57 @@ class EmanAttentionLayer:
             self.out_mix = _Kernel(heads * ht, out_type, "self", rng)
         self.bias = _Bias(out_type, bias, rng)
 
-    # -- internals -----------------------------------------------------------
+    def _attend(self, Q, K, V, geom, dim, self_kv=None):
+        """Scores, segment softmax and aggregation of one attention head.
 
-    def _qkv(self, x: Tensor, geom: EdgeGeometry):
+        Returns the segment size times the attention-weighted value sum, and
+        the weights.  ``self_kv`` adds each vertex's own key and value as an
+        extra segment entry placed ahead of the edges, so the size is
+        ``N_p + 1``.
+        """
+        n = geom.n_vertices
+        seg = geom.dst
+        if self_kv is not None:
+            K, V = concat([self_kv[0], K]), concat([self_kv[1], V])
+            seg = np.concatenate([np.arange(n), seg])
+        s = (K * take_rows(Q, seg)).sum(axis=1) * (1.0 / np.sqrt(dim))
+        alpha = segment_softmax(s, seg, n)
+        size = np.bincount(seg, minlength=n).astype(np.float64)[:, None]
+        out = segment_sum(V * alpha.reshape(-1, 1), seg, n)
+        return out * size, alpha
+
+    def _heads(self, x: Tensor, geom: EdgeGeometry):
+        """``(output, weights)`` of every head."""
+        _check_input(self, x, geom, empty_ok=self.self_contribution)
         KV = _neighbor_messages(x, geom, self.in_type,
                                 [self.key_kernel, self.value_kernel], self._kv_type)
         catt = self.att_type.dim
         K = take_cols(KV, np.arange(catt))
         V = take_cols(KV, np.arange(catt, self._kv_type.dim))
         Q = x @ self.query_kernel.matrix().T
-        return Q, K, V
-
-    def _attend(self, Q, K, V, geom, scale_dim, out_scale):
-        s = (K * take_rows(Q, geom.dst)).sum(axis=1) * (1.0 / np.sqrt(scale_dim))
-        alpha = segment_softmax(s, geom.dst, geom.n_vertices)
-        out = segment_sum(V * alpha.reshape(-1, 1), geom.dst, geom.n_vertices)
-        return out * out_scale, alpha
+        self_kv = None
+        if self.self_contribution:
+            self_kv = (x @ self.self_key_kernel.matrix().T,
+                       x @ self.self_value_kernel.matrix().T)
+        if self.heads == 1:
+            return [self._attend(Q, K, V, geom, catt, self_kv)]
+        return [self._attend(Q @ q.matrix().T, K @ k.matrix().T, V @ v.matrix().T,
+                             geom, self.head_type.dim)
+                for q, k, v in zip(self.head_query, self.head_key, self.head_value)]
 
     def forward(self, x: Tensor, geom: EdgeGeometry) -> Tensor:
-        if not self.self_contribution:
-            _check_input(self, x, geom)
-        elif x.shape[1] != self.in_type.dim:
-            raise FeatureTypeError(
-                f"layer expects type {self.in_type} (dim {self.in_type.dim}), "
-                f"got feature dim {x.shape[1]}"
-            )
-        Q, K, V = self._qkv(x, geom)
-        degrees = geom.degrees.astype(np.float64)[:, None]
-        catt = self.att_type.dim
-        if self.self_contribution:
-            return self._forward_with_self(x, Q, K, V, geom, degrees)
-        if self.heads > 1:
-            return self._forward_multi_head(Q, K, V, geom, degrees)
-        out, _ = self._attend(Q, K, V, geom, catt, degrees)
-        return self.bias.apply(out)
-
-    def _forward_with_self(self, x, Q, K, V, geom, degrees):
-        n, E = geom.n_vertices, geom.src.shape[0]
-        Kself = x @ self.self_key_kernel.matrix().T
-        Vself = x @ self.self_value_kernel.matrix().T
-        scale = 1.0 / np.sqrt(self.att_type.dim)
-        s_edge = (K * take_rows(Q, geom.dst)).sum(axis=1) * scale
-        s_self = (Kself * Q).sum(axis=1) * scale
-        seg = np.concatenate([np.arange(n), geom.dst])  # self column first
-        alpha = segment_softmax(concat([s_self, s_edge]), seg, n)
-        a_self = take_rows(alpha, np.arange(n))
-        a_edge = take_rows(alpha, n + np.arange(E))
-        out = segment_sum(V * a_edge.reshape(-1, 1), geom.dst, n)
-        out = out + Vself * a_self.reshape(-1, 1)
-        return self.bias.apply(out * (degrees + 1.0))
-
-    def _forward_multi_head(self, Q, K, V, geom, degrees):
-        d = self.head_type.dim
-        outs = []
-        for i in range(self.heads):
-            Qh = Q @ self.head_query[i].matrix().T
-            Kh = K @ self.head_key[i].matrix().T
-            Vh = V @ self.head_value[i].matrix().T
-            out, _ = self._attend(Qh, Kh, Vh, geom, d, degrees)
-            outs.append(out)
-        mixed = concat(outs, axis=1) @ self.out_mix.matrix().T
-        return self.bias.apply(mixed)
-
-    # -- public helpers --------------------------------------------------------
+        outs = [out for out, _alpha in self._heads(x, geom)]
+        if self.heads == 1:
+            return self.bias.apply(outs[0])
+        return self.bias.apply(concat(outs, axis=1) @ self.out_mix.matrix().T)
 
     def attention_coefficients(self, x: Tensor, geom: EdgeGeometry) -> np.ndarray:
-        """Softmax weights aligned with the directed-edge order.
+        """Softmax weights, one row per head, aligned with the edge order.
 
-        With self contribution, the first ``V`` entries are the self
-        weights and the remaining ``E`` follow edge order.
+        With self contribution, the first ``V`` entries of a row are the
+        self weights and the remaining ``E`` follow edge order.
         """
-        Q, K, V = self._qkv(x, geom)
-        scale = 1.0 / np.sqrt(self.att_type.dim)
-        if self.self_contribution:
-            n, E = geom.n_vertices, geom.src.shape[0]
-            Kself = x @ self.self_key_kernel.matrix().T
-            s_edge = (K * take_rows(Q, geom.dst)).sum(axis=1) * scale
-            s_self = (Kself * Q).sum(axis=1) * scale
-            seg = np.concatenate([np.arange(n), geom.dst])
-            return segment_softmax(concat([s_self, s_edge]), seg, n).value
-        s = (K * take_rows(Q, geom.dst)).sum(axis=1) * scale
-        return segment_softmax(s, geom.dst, geom.n_vertices).value
-
-    def apply_field(self, field: GeometricFeatureField,
-                    geom: EdgeGeometry) -> GeometricFeatureField:
-        _check_field(self, field, geom)
-        out = self.forward(Tensor(field.values), geom)
-        return GeometricFeatureField(self.out_type, out.value, geom.frame_token)
+        return np.stack([alpha.value for _out, alpha in self._heads(x, geom)])
 
     def parameters(self):
         params = [("query_kernel", self.query_kernel.coeffs),
@@ -451,10 +397,6 @@ class GaugeNonlinearity:
             pieces.append(vec * take_cols(gate, np.repeat(np.arange(k), 2)))
         out = pieces[0] if len(pieces) == 1 else concat(pieces, axis=1)
         return take_cols(out, self._restore)
-
-    def apply_field(self, field: GeometricFeatureField) -> GeometricFeatureField:
-        out = self.forward(Tensor(field.values))
-        return GeometricFeatureField(field.ftype, out.value, field.frame_token)
 
     def parameters(self):
         return [] if self.c is None else [("gate_offset", self.c)]

@@ -28,6 +28,7 @@ neighbor feature, apply the constant matrix ``K(0)`` and rotate the result.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -248,40 +249,42 @@ def _element(out_dim, in_dim, entries):
     return BasisElement(out_dim, in_dim, tuple(e for e in entries if e is not None))
 
 
-def kernel_basis(n_in: int, n_out: int, kind: str):
+@functools.lru_cache(maxsize=None)
+def kernel_basis(n_in: int, n_out: int, kind: str) -> tuple:
     """Linearly independent solutions of the angular kernel constraint.
 
     For ``kind="neigh"`` the basis depends on the edge angle; for
     ``kind="self"`` solutions exist only between components of equal order
-    (the empty list is returned otherwise, including the order-0 to
-    order-n pairs).
+    (the empty tuple is returned otherwise, including the order-0 to
+    order-n pairs).  Bases are cached: every block of every kernel of a
+    model asks for one.
     """
     if kind == "self":
         if n_in != n_out:
-            return []
+            return ()
         if n_in == 0:
-            return [_element(1, 1, [_cos_entry(0, 0, 0)])]
-        return [
+            return (_element(1, 1, [_cos_entry(0, 0, 0)]),)
+        return (
             _element(2, 2, [_cos_entry(0, 0, 0), _cos_entry(1, 1, 0)]),
             _element(2, 2, [_cos_entry(0, 1, 0), _cos_entry(1, 0, 0, -1.0)]),
-        ]
+        )
     if kind != "neigh":
         raise ValueError(f"unknown kernel kind {kind!r}")
     n, m = n_in, n_out
     if n == 0 and m == 0:
-        return [_element(1, 1, [_cos_entry(0, 0, 0)])]
+        return (_element(1, 1, [_cos_entry(0, 0, 0)]),)
     if m == 0:
-        return [
+        return (
             _element(1, 2, [_cos_entry(0, 0, n), _sin_entry(0, 1, n)]),
             _element(1, 2, [_sin_entry(0, 0, n), _cos_entry(0, 1, n, -1.0)]),
-        ]
+        )
     if n == 0:
-        return [
+        return (
             _element(2, 1, [_cos_entry(0, 0, m), _sin_entry(1, 0, m)]),
             _element(2, 1, [_sin_entry(0, 0, m), _cos_entry(1, 0, m, -1.0)]),
-        ]
+        )
     a, b = m - n, m + n
-    return [
+    return (
         _element(2, 2, [_cos_entry(0, 0, a), _sin_entry(0, 1, a, -1.0),
                         _sin_entry(1, 0, a), _cos_entry(1, 1, a)]),
         _element(2, 2, [_sin_entry(0, 0, a), _cos_entry(0, 1, a),
@@ -290,7 +293,7 @@ def kernel_basis(n_in: int, n_out: int, kind: str):
                         _sin_entry(1, 0, b), _cos_entry(1, 1, b, -1.0)]),
         _element(2, 2, [_sin_entry(0, 0, b, -1.0), _cos_entry(0, 1, b),
                         _cos_entry(1, 0, b), _sin_entry(1, 1, b)]),
-    ]
+    )
 
 
 def _block_pairs(in_type: FeatureType, out_type: FeatureType, kind: str):
@@ -393,16 +396,13 @@ def init_coefficients(in_type: FeatureType, out_type: FeatureType, kind: str,
 
     Keeps pre-activation variance bounded across the chosen type sizes.
     """
-    out = np.zeros(coefficient_count(in_type, out_type, kind))
-    pos = 0
-    fan_in = in_type.dim
+    pieces = [np.zeros(0)]
     for *_rest, basis in _block_pairs(in_type, out_type, kind):
         nb = len(basis)
         if nb:
-            s = 1.0 / np.sqrt(fan_in * nb)
-            out[pos:pos + nb] = rng.uniform(-s, s, size=nb)
-            pos += nb
-    return out
+            s = 1.0 / np.sqrt(in_type.dim * nb)
+            pieces.append(rng.uniform(-s, s, size=nb))
+    return np.concatenate(pieces)
 
 
 def identity_coefficients(ftype: FeatureType) -> np.ndarray:

@@ -105,32 +105,23 @@ class FrameField:
             a.flags.writeable = False
 
 
-def build_frames(mesh: Mesh, normals=None, strategy="first_neighbor",
-                 reference=None) -> FrameField:
+def build_frames(mesh: Mesh) -> FrameField:
     """Construct a gauge at every vertex.
 
-    ``first_neighbor`` aligns e1 with the log-map image of the first
-    neighbor (in stored ring order) whose log map is defined.  ``custom``
-    uses ``reference[p]`` as the reference neighbor instead.  In both cases
-    ``e2 = n x e1``.
+    e1 is the unit log-map image of the first neighbor (in stored ring
+    order) whose log map is defined, and ``e2 = n x e1``.  Any other choice
+    of gauge is a :func:`regauge` of these frames.
 
     Raises
     ------
     FrameConstructionError
-        If every candidate neighbor of some vertex projects to zero.
+        If every neighbor of some vertex projects to zero.
     """
-    if normals is None:
-        normals = vertex_normals(mesh)
+    normals = vertex_normals(mesh)
     V = mesh.n_vertices
     e1 = np.zeros((V, 3))
     for p in range(V):
-        if strategy == "first_neighbor":
-            candidates = mesh.neighbors[p]
-        elif strategy == "custom":
-            candidates = [reference[p]]
-        else:
-            raise ValueError(f"unknown frame strategy {strategy!r}")
-        for q in candidates:
+        for q in mesh.neighbors[p]:
             try:
                 v = log_map(mesh.vertices[p], mesh.vertices[int(q)], normals[p])
             except UndefinedLogMapError:
@@ -257,8 +248,8 @@ def transport_data(frames: FrameField) -> TransportData:
     return TransportData(mesh, theta, g, frames.token)
 
 
-def regauge(frames: FrameField, angles, with_transport=True):
-    """Rotate every gauge by its angle; returns new frames (+ transport).
+def regauge(frames: FrameField, angles):
+    """Rotate every gauge by its angle; returns the new frames and transport.
 
     The new first axis is ``cos(g) e1 + sin(g) e2`` and the second is
     recomputed as ``n x e1'``, so the frame invariants hold exactly.
@@ -267,6 +258,4 @@ def regauge(frames: FrameField, angles, with_transport=True):
     e1 = np.cos(angles) * frames.e1 + np.sin(angles) * frames.e2
     e2 = np.cross(frames.normals, e1)
     out = FrameField(frames.mesh, frames.normals, e1, e2)
-    if not with_transport:
-        return out
     return out, transport_data(out)

@@ -1,14 +1,12 @@
-"""The five transformation families and their pushforwards.
+"""Transformation families: ambient similarities, permutations, gauges.
 
-Ambient similarity transforms (rotation, translation, positive scaling) act
-on vertex positions; gauges rotate per-vertex frames in place; permutations
-relabel vertices.  Pushforwards carry frames and feature coordinate vectors
-along so that equivariance statements become executable equalities:
-
-* rotations rotate frames, translations and scalings leave them unchanged
-  (frames stay unit length);
-* feature coordinate vectors are copied verbatim under ambient transforms
-  (the frames carry the geometry) and row-permuted under permutations.
+Ambient similarity transforms (rotation, translation, positive scaling)
+move vertex positions and permutations relabel vertices; both return a new
+:class:`Mesh`, from which frames, transport and features are rebuilt.  A
+gauge transform rotates the per-vertex frames in place and is applied by
+:func:`meshnet.tangent.regauge`; here only its angles are drawn.
+:func:`random_transform_suite` samples one member of every family for a
+given vertex count.
 """
 
 from __future__ import annotations
@@ -17,19 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import GeometricFeatureField
 from .mesh import Mesh
-from .tangent import FrameField
 
 __all__ = [
     "AmbientTransform",
     "Permutation",
     "TransformSuite",
     "apply_ambient",
-    "pushforward_frames",
-    "pushforward_features",
     "apply_permutation",
-    "permute_field",
     "random_rotation",
     "random_transform_suite",
 ]
@@ -57,14 +50,6 @@ class AmbientTransform:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return self.scale * points @ self.rotation.T + self.translation
-
-    def compose(self, first: "AmbientTransform") -> "AmbientTransform":
-        """Transform equal to applying ``first``, then ``self``."""
-        return AmbientTransform(
-            rotation=self.rotation @ first.rotation,
-            translation=self.scale * self.rotation @ first.translation + self.translation,
-            scale=self.scale * first.scale,
-        )
 
 
 @dataclass(frozen=True)
@@ -95,21 +80,6 @@ def apply_ambient(mesh: Mesh, t: AmbientTransform) -> Mesh:
     return mesh.with_vertices(t.apply(mesh.vertices))
 
 
-def pushforward_frames(frames: FrameField, t: AmbientTransform,
-                       mesh_t: Mesh) -> FrameField:
-    """Frames on the transformed mesh: rotated axes, unit length kept."""
-    R = t.rotation
-    return FrameField(mesh_t, frames.normals @ R.T, frames.e1 @ R.T,
-                      frames.e2 @ R.T)
-
-
-def pushforward_features(features: GeometricFeatureField,
-                         new_frames: FrameField) -> GeometricFeatureField:
-    """Same coordinate vectors, rebound to the pushed frames."""
-    return GeometricFeatureField(features.ftype, features.values.copy(),
-                                 new_frames.token)
-
-
 def apply_permutation(mesh: Mesh, perm: Permutation) -> Mesh:
     """Relabel vertices, preserving stored neighbor-ring order exactly."""
     new_vertices = perm.permute_rows(mesh.vertices)
@@ -118,13 +88,6 @@ def apply_permutation(mesh: Mesh, perm: Permutation) -> Mesh:
     for p in range(mesh.n_vertices):
         new_neighbors[perm.forward[p]] = perm.forward[mesh.neighbors[p]]
     return Mesh(new_vertices, new_faces, neighbors=new_neighbors)
-
-
-def permute_field(features: GeometricFeatureField, perm: Permutation,
-                  frame_token) -> GeometricFeatureField:
-    return GeometricFeatureField(
-        features.ftype, perm.permute_rows(features.values), frame_token
-    )
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

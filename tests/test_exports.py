@@ -1,0 +1,29 @@
+"""Every exported name exists, so a deletion cannot leave a dangling export."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import meshnet
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(meshnet.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_names_exist(name):
+    module = importlib.import_module(f"meshnet.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing
+
+
+def test_package_imports_exist():
+    tree = ast.parse(Path(meshnet.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"meshnet.{node.module}")
+        missing = [a.name for a in node.names if not hasattr(module, a.name)]
+        assert not missing, node.module

@@ -110,7 +110,7 @@ class TestRelTan:
         npt.assert_array_equal(field.values[:, 0], 0.0)  # scalar slots zero
         npt.assert_array_equal(field.values[:, 3], 0.0)
         g = rng.uniform(-np.pi, np.pi, mesh.n_vertices)
-        fr2 = regauge(fr, g, with_transport=False)
+        fr2, _td2 = regauge(fr, g)
         field2 = reltan_features(mesh, fr2, RelTanConfig((0.5, 0.7)))
         npt.assert_allclose(field2.values,
                             regauge_coords(field.values, field.ftype, g),
@@ -152,7 +152,7 @@ class TestGet:
         fr = build_frames(mesh)
         field = get_features(mesh, fr)
         g = rng.uniform(-np.pi, np.pi, mesh.n_vertices)
-        fr2 = regauge(fr, g, with_transport=False)
+        fr2, _td2 = regauge(fr, g)
         field2 = get_features(mesh, fr2)
         npt.assert_allclose(field2.values,
                             regauge_coords(field.values, field.ftype, g),
@@ -170,7 +170,7 @@ class TestXyz:
         mesh = generate_icosphere(0)
         fr = build_frames(mesh)
         a = xyz_features(mesh, fr).values
-        fr2 = regauge(fr, np.full(mesh.n_vertices, 0.9), with_transport=False)
+        fr2, _td2 = regauge(fr, np.full(mesh.n_vertices, 0.9))
         b = xyz_features(mesh, fr2).values
         npt.assert_array_equal(a, b)
 

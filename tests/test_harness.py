@@ -4,9 +4,19 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from meshnet.errors import CheckpointError
-from meshnet.harness import load_checkpoint, save_checkpoint
+from meshnet.autodiff import Tensor
+from meshnet.config import parse_config
+from meshnet.errors import CheckpointError, EmptyNeighborhoodError
+from meshnet.harness import (
+    equivariance_gap,
+    evaluate,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+)
+from meshnet.layers import EdgeGeometry, EmanAttentionLayer, GemConvLayer
 from meshnet.model import ModelSpec, build_model
+from meshnet.representations import FeatureType
 
 SPEC = ModelSpec(target_dim=3, hidden_type="rho0+rho1", final_type="2xrho0",
                  dense_hidden=4, residual_blocks=1)
@@ -56,3 +66,97 @@ def test_unknown_version_rejected(saved, tmp_path):
         fh.write(data[:4] + struct.pack("<I", 2) + data[8:])
     with pytest.raises(CheckpointError, match="version 2"):
         load_checkpoint(build_model(SPEC), other)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_wrong_parameter_count_rejected(saved, tmp_path, delta):
+    # a self-consistent record with one float too few or too many
+    _path, flat, data = saved
+    resized = np.concatenate([flat, [0.5]]) if delta > 0 else flat[:-1]
+    path = str(tmp_path / "resized.ckpt")
+    with open(path, "wb") as fh:
+        fh.write(data[:4 + 8 + len("cfg")] + struct.pack("<Q", resized.size)
+                 + resized.astype("<f8").tobytes())
+    model = build_model(SPEC, seed=2)
+    before = model.flat_parameters()
+    with pytest.raises(CheckpointError, match="model needs"):
+        load_checkpoint(model, path)
+    npt.assert_array_equal(model.flat_parameters(), before)
+
+
+# -- equivariance gap, evaluation, degenerate neighborhoods ------------------
+
+ALL_FAMILIES = ("gauge", "rot_tr_scale", "rot", "translate", "scale", "perm")
+SMALL = """
+[model]
+hidden_type = 2x(rho0+rho1+rho2)
+final_type = 2xrho0
+dense_hidden = 8
+{extra}
+[data]
+n_meshes = 2
+train_meshes = 2
+test_meshes = 2
+[training]
+epochs = 1
+[transforms]
+families = {families}
+"""
+
+
+def _small_config(extra="", families=", ".join(ALL_FAMILIES)):
+    return parse_config(SMALL.format(extra=extra, families=families))
+
+
+@pytest.mark.parametrize("extra", ["kind = eman", "kind = gem",
+                                   "self_contribution = true", "heads = 2"])
+def test_equivariant_models_have_noise_level_gaps(extra):
+    gaps = equivariance_gap(_small_config(extra))["gaps"]
+    assert set(gaps) == set(ALL_FAMILIES)
+    for family, gap in gaps.items():
+        assert gap < 1e-20, (family, gap)
+
+
+@pytest.mark.parametrize("extra, family", [("bias = additive", "gauge"),
+                                           ("features = xyz", "rot_tr_scale")])
+def test_negative_controls_break_their_family(extra, family):
+    gaps = equivariance_gap(_small_config(extra, family))["gaps"]
+    assert gaps[family] > 1e-6
+
+
+def test_evaluate_reports_every_accuracy():
+    cfg = _small_config()
+    model, _metrics = train(cfg)
+    accuracy = evaluate(cfg, model=model)["accuracy"]
+    assert set(accuracy) == {"train", "test", "gauge", "rot_tr_scale", "perm"}
+    for value in accuracy.values():
+        assert 0.0 <= value <= 100.0
+
+
+def _isolated_vertex_geometry():
+    # vertices 0 and 1 exchange an edge; vertex 2 has no neighbors
+    return EdgeGeometry(src=[1, 0], dst=[0, 1], theta=[0.3, -1.2],
+                        transport=[0.1, 0.4], degrees=[1, 1, 0], n_vertices=3,
+                        frame_token=-1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda t, rng: GemConvLayer(t, t, rng=rng),
+    lambda t, rng: EmanAttentionLayer(t, t, rng=rng),
+])
+def test_empty_neighborhood_rejected(make):
+    t = FeatureType.parse("rho0+rho1")
+    layer = make(t, np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).standard_normal((3, t.dim)))
+    with pytest.raises(EmptyNeighborhoodError):
+        layer.forward(x, _isolated_vertex_geometry())
+
+
+def test_self_contribution_accepts_empty_neighborhood():
+    t = FeatureType.parse("rho0+rho1")
+    layer = EmanAttentionLayer(t, t, self_contribution=True,
+                               rng=np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).standard_normal((3, t.dim)))
+    out = layer.forward(x, _isolated_vertex_geometry()).value
+    assert out.shape == (3, t.dim)
+    assert np.isfinite(out).all()

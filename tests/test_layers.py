@@ -15,6 +15,7 @@ from oracles import (
     dense_gem_forward,
     dense_multihead_forward,
     random_test_mesh,
+    regauge_coords,
 )
 from test_autodiff import check_gradients
 
@@ -88,3 +89,25 @@ def test_whole_layer_gradients(cls):
 
     params = [t for _name, t in layer.parameters()] + [x]
     check_gradients(loss, params, rng)
+
+
+@pytest.mark.parametrize("options", [{}, {"self_contribution": True}, {"heads": 2}])
+def test_attention_coefficients(options):
+    """Each head's weights form a softmax per neighborhood and are gauge invariant."""
+    rng = np.random.default_rng(60)
+    layer = EmanAttentionLayer(HIDDEN, 2 * HIDDEN, rng=rng, **options)
+    mesh = random_test_mesh(rng)
+    frames = build_frames(mesh)
+    g = rng.uniform(-np.pi, np.pi, mesh.n_vertices)
+    frames2, td2 = regauge(frames, g)
+    f = rng.standard_normal((mesh.n_vertices, HIDDEN.dim))
+    alpha = layer.attention_coefficients(Tensor(f), EdgeGeometry.from_frames(frames))
+    seg = mesh.edge_dst
+    if layer.self_contribution:
+        seg = np.concatenate([np.arange(mesh.n_vertices), seg])
+    assert alpha.shape == (layer.heads, seg.size)
+    for row in alpha:
+        npt.assert_allclose(np.bincount(seg, weights=row), 1.0, rtol=0, atol=TOL)
+    alpha2 = layer.attention_coefficients(Tensor(regauge_coords(f, HIDDEN, g)),
+                                          EdgeGeometry.from_frames(frames2, td2))
+    npt.assert_allclose(alpha2, alpha, rtol=0, atol=TOL)

@@ -140,8 +140,8 @@ class TestKernelBasis:
         npt.assert_array_equal(b[0](0.0), np.eye(2))
         npt.assert_array_equal(b[1](0.0), [[0, 1], [-1, 0]])
         # no solutions between distinct orders
-        assert kernel_basis(0, 1, "self") == []
-        assert kernel_basis(2, 1, "self") == []
+        assert kernel_basis(0, 1, "self") == ()
+        assert kernel_basis(2, 1, "self") == ()
 
     def test_batched_angle_evaluation(self):
         basis = kernel_basis(1, 1, "neigh")
