@@ -3,13 +3,21 @@
 Minimal tape: every ``Tensor`` remembers its parents and a vector-Jacobian
 closure; ``backward()`` on a scalar root walks the graph once in reverse
 topological order.  The op set is exactly what the mesh layers need
-(matmul, gather/scatter, segment sums, elementwise math, reductions,
-concatenation); no higher-order derivatives.
+(matmul, gather/scatter, segment sums, the per-edge rotation
+``rotate_pairs``, elementwise math, reductions, concatenation); no
+higher-order derivatives.
+
+Scatters (the adjoint of ``take_rows``, the forward of ``segment_sum`` and
+the adjoint of ``take_cols`` with repeated indices) are products with a
+sparse 0/1 incidence matrix.  Its rows list their entries in index order,
+so every sum is accumulated in the same order as ``np.add.at`` would, and
+the results are bit-identical to it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import AutodiffError
 
@@ -20,6 +28,7 @@ __all__ = [
     "take_rows",
     "take_cols",
     "take_pairs",
+    "rotate_pairs",
     "segment_sum",
     "segment_softmax",
     "sparse_matmul",
@@ -36,6 +45,22 @@ def _unbroadcast(g, shape):
         if ss == 1 and gs != 1:
             g = g.sum(axis=i, keepdims=True)
     return g
+
+
+def _scatter_rows(g, idx, n):
+    """Sum row k of ``g`` into row ``idx[k]`` of an n-row zero array.
+
+    A product with the n x len(idx) incidence matrix, whose row i lists the
+    k with ``idx[k] == i`` in ascending order (a stable sort), so each row
+    adds its entries in the order ``np.add.at`` does.
+    """
+    order = np.argsort(idx, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(idx, minlength=n), out=indptr[1:])
+    incidence = sp.csr_matrix((np.ones(idx.size), order, indptr),
+                              shape=(n, idx.size))
+    out = incidence @ g.reshape(idx.size, -1)
+    return out.reshape((n,) + g.shape[1:])
 
 
 def _val(x):
@@ -332,13 +357,8 @@ def take_rows(x: Tensor, idx) -> Tensor:
     out = x.value[idx]
     if not x.requires_grad:
         return Tensor(out)
-
-    def vjp(g):
-        gx = np.zeros_like(x.value)
-        np.add.at(gx, idx, g)
-        return (gx,)
-
-    return Tensor(out, True, (x,), vjp)
+    n = x.value.shape[0]
+    return Tensor(out, True, (x,), lambda g: (_scatter_rows(g, idx, n),))
 
 
 def take_cols(x: Tensor, idx) -> Tensor:
@@ -346,17 +366,17 @@ def take_cols(x: Tensor, idx) -> Tensor:
 
     Without repeated indices the adjoint is itself a gather, from ``g``
     padded with one zero column for the columns ``idx`` misses; that is
-    several times faster than ``np.add.at`` on wide inputs.
+    several times faster than a scatter on wide inputs.
     """
     idx = np.asarray(idx)
     out = np.take(x.value, idx, axis=1)
     if not x.requires_grad:
         return Tensor(out)
     if np.unique(idx).size < idx.size:
+        n = x.value.shape[1]
+
         def vjp(g):
-            gx = np.zeros_like(x.value)
-            np.add.at(gx, (slice(None), idx), g)
-            return (gx,)
+            return (_scatter_rows(g.T, idx, n).T,)
     else:
         source = np.full(x.value.shape[1], idx.size)
         source[idx] = np.arange(idx.size)
@@ -383,11 +403,27 @@ def take_pairs(x: Tensor, rows, cols) -> Tensor:
     return Tensor(out, True, (x,), vjp)
 
 
+def rotate_pairs(x: Tensor, cosm, sinm, partner) -> Tensor:
+    """``x * cosm + x[:, partner] * sinm`` for constant tables, as one node.
+
+    Row e of ``x`` is rotated by the per-row 2x2 rotations that ``cosm``
+    and the signed ``sinm`` hold per column; ``partner`` maps every column
+    to the other column of its 2-dimensional component (a scalar column to
+    itself, where ``sinm`` is 0).  ``partner`` is an involution, so the
+    adjoint of the gather is the same gather:
+    ``g * cosm + (g * sinm)[:, partner]``.
+    """
+    out = x.value * cosm + np.take(x.value, partner, axis=1) * sinm
+    if not x.requires_grad:
+        return Tensor(out)
+    return Tensor(out, True, (x,),
+                  lambda g: (g * cosm + np.take(g * sinm, partner, axis=1),))
+
+
 def segment_sum(x: Tensor, segments, n_segments: int) -> Tensor:
     """Sum rows of ``x`` into their segment; adjoint gathers."""
     segments = np.asarray(segments)
-    out = np.zeros((n_segments,) + x.value.shape[1:], dtype=x.value.dtype)
-    np.add.at(out, segments, x.value)
+    out = _scatter_rows(x.value, segments, n_segments)
     if not x.requires_grad:
         return Tensor(out)
     return Tensor(out, True, (x,), lambda g: (g[segments],))

@@ -34,6 +34,7 @@ from .autodiff import (
     Tensor,
     concat,
     parameter,
+    rotate_pairs,
     segment_softmax,
     segment_sum,
     sparse_matmul,
@@ -116,7 +117,7 @@ class EdgeGeometry:
 def _rotate(x: Tensor, ftype: FeatureType, geom: EdgeGeometry, side: str) -> Tensor:
     """Apply ``rho(angle_e)`` of ``ftype`` to row e of an (E, dim) tensor."""
     cosm, sinm = geom.rotation_tables(ftype, side)
-    return x * cosm + take_cols(x, ftype.partner) * sinm
+    return rotate_pairs(x, cosm, sinm, ftype.partner)
 
 
 def _neighbor_messages(x: Tensor, geom: EdgeGeometry, in_type: FeatureType,
@@ -389,12 +390,11 @@ class GaugeNonlinearity:
         if t.scalar_dims.size:
             pieces.append(take_cols(x, t.scalar_dims).relu())
         if t.vector_dims.size:
-            vec = take_cols(x, t.vector_dims)
             k = t.vector_dims.size // 2
-            sq = (vec * vec).reshape(-1, k, 2).sum(axis=2)
-            nrm = (sq + 1e-60).sqrt()
+            vec = take_cols(x, t.vector_dims).reshape(-1, k, 2)
+            nrm = ((vec * vec).sum(axis=2) + 1e-60).sqrt()
             gate = (nrm + self.c).sigmoid() / (nrm + self.EPS)
-            pieces.append(vec * take_cols(gate, np.repeat(np.arange(k), 2)))
+            pieces.append((vec * gate.reshape(-1, k, 1)).reshape(-1, 2 * k))
         out = pieces[0] if len(pieces) == 1 else concat(pieces, axis=1)
         return take_cols(out, self._restore)
 

@@ -266,34 +266,77 @@ def load_mesh(path, fmt=None) -> Mesh:
 
 
 def _parse_off(path):
+    """Read an OFF file line by line; every record is one whole line.
+
+    The counts (vertices, faces, edges) follow the ``OFF`` keyword on its
+    own line or on the next one; then one ``x y z`` line per vertex and one
+    ``3 a b c`` line per face, and nothing after the last face.  ``#``
+    starts a comment.
+    """
+    lines, numbers = [], []
     with open(path) as fh:
-        tokens = []
-        for line in fh:
+        for ln, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if line:
-                tokens.extend(line.split())
-    if not tokens or tokens[0] != "OFF":
+                lines.append(line)
+                numbers.append(ln)
+    if not lines or lines[0].split()[0] != "OFF":
         raise MeshParseError(f"{path}: missing OFF header")
+    if lines[0] == "OFF":
+        del lines[0], numbers[0]
+    else:
+        lines[0] = lines[0][3:]
+    if not lines:
+        raise MeshParseError(f"{path}: missing OFF counts line")
+    nv, nf, _ne = _off_rows(path, lines[:1], numbers, "nv nf ne", int)[0]
+    end = 1 + nv + nf
+    if min(nv, nf) < 0 or len(lines) < end:
+        raise MeshParseError(
+            f"{path}: OFF counts on line {numbers[0]} ask for {nv} vertices and "
+            f"{nf} faces, the file holds {len(lines) - 1} lines after them"
+        )
+    if len(lines) > end:
+        raise MeshParseError(f"{path}:{numbers[end]}: data after the last face")
+    vertices = _off_rows(path, lines[1:1 + nv], numbers[1:], "x y z", float)
+    faces = _off_rows(path, lines[1 + nv:], numbers[1 + nv:], "3 a b c", int)
+    polygons = np.flatnonzero(faces[:, 0] != 3)
+    if polygons.size:
+        i = 1 + nv + polygons[0]
+        raise _off_line_error(path, numbers[i], "3 a b c", lines[i])
+    return vertices, faces[:, 1:]
+
+
+def _off_rows(path, lines, numbers, form, convert):
+    """One row of numbers per line, each line shaped like ``form``."""
+    width = len(form.split())
+    tokens = []
+    for line, ln in zip(lines, numbers):
+        toks = line.split()
+        if len(toks) != width:
+            raise _off_line_error(path, ln, form, line)
+        tokens += toks
     try:
-        nv, nf = int(tokens[1]), int(tokens[2])
-        pos = 4  # skip edge count
-        vertices = np.array(
-            [float(t) for t in tokens[pos:pos + 3 * nv]], dtype=np.float64
-        ).reshape(nv, 3)
-        pos += 3 * nv
-        faces = []
-        for _ in range(nf):
-            cnt = int(tokens[pos])
-            if cnt != 3:
-                raise MeshParseError(f"{path}: only triangle faces supported, got {cnt}-gon")
-            faces.append([int(tokens[pos + 1]), int(tokens[pos + 2]), int(tokens[pos + 3])])
-            pos += 4
-    except (ValueError, IndexError) as exc:
-        raise MeshParseError(f"{path}: malformed OFF data ({exc})") from exc
-    return vertices, np.array(faces, dtype=np.int64).reshape(nf, 3)
+        values = [convert(t) for t in tokens]
+    except ValueError:
+        for line, ln in zip(lines, numbers):
+            try:
+                [convert(t) for t in line.split()]
+            except ValueError:
+                raise _off_line_error(path, ln, form, line) from None
+        raise
+    return np.array(values, dtype=convert).reshape(len(lines), width)
+
+
+def _off_line_error(path, ln, form, line):
+    return MeshParseError(f"{path}:{ln}: expected an OFF line {form!r}, got {line.strip()!r}")
 
 
 def _parse_obj(path):
+    """Read ``v`` and ``f`` records of an OBJ file.
+
+    A face index counts from 1; a negative one counts back from the last
+    vertex read so far (-1 is that vertex), as the format defines.
+    """
     vertices = []
     faces = []
     with open(path) as fh:
@@ -312,9 +355,15 @@ def _parse_obj(path):
                 for tok in parts[1:]:
                     head = tok.split("/", 1)[0]
                     try:
-                        idx.append(int(head) - 1)
+                        i = int(head)
                     except ValueError as exc:
                         raise MeshParseError(f"{path}:{ln}: bad face index {tok!r}") from exc
+                    if i == 0 or i < -len(vertices):
+                        raise MeshParseError(
+                            f"{path}:{ln}: face index {i} does not name one of the "
+                            f"{len(vertices)} vertices read so far"
+                        )
+                    idx.append(i - 1 if i > 0 else len(vertices) + i)
                 faces.append(idx)
             # every other record type (vt, vn, usemtl, ...) is ignored
     if not vertices:

@@ -362,6 +362,7 @@ def constraint_residual(kernel: EquivariantKernel, theta, g) -> float:
 # Kernel at angle 0 (the linear map used by the layers)
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def kernel_matrix_map(in_type: FeatureType, out_type: FeatureType, kind: str):
     """Sparse linear map from coefficients to the kernel matrix at angle 0.
 
@@ -371,6 +372,9 @@ def kernel_matrix_map(in_type: FeatureType, out_type: FeatureType, kind: str):
     it by the gauge constraint at ``g = theta``,
 
         K(theta) = rho_out(theta) K(0) rho_in(-theta).
+
+    Cached per type pair and kind, so every caller shares one matrix; its
+    arrays are read-only.
     """
     rows, cols, data = [], [], []
     pos = 0
@@ -382,8 +386,11 @@ def kernel_matrix_map(in_type: FeatureType, out_type: FeatureType, kind: str):
                     cols.append(pos)
                     data.append(s)
             pos += 1
-    return sp.csr_matrix((data, (rows, cols)),
-                         shape=(out_type.dim * in_type.dim, pos))
+    smat = sp.csr_matrix((data, (rows, cols)),
+                        shape=(out_type.dim * in_type.dim, pos))
+    for arr in (smat.data, smat.indices, smat.indptr):
+        arr.flags.writeable = False
+    return smat
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ Everything here evaluates the layer equations by explicit per-edge matrix
 construction (``assemble_kernel`` + dense representation matrices), looping
 over vertices in Python.  None of it shares code with the factorised
 ``rho_out(theta) K(0) rho_in(g - theta)`` message path inside the layers.
+``scatter_add`` is the ``np.add.at`` reference for the tape's sparse
+incidence scatters.
 """
 
 import numpy as np
@@ -17,6 +19,13 @@ def regauge_coords(values, ftype, angles):
     out = np.empty_like(values)
     for p in range(values.shape[0]):
         out[p] = rep_block_diag(ftype, -angles[p]) @ values[p]
+    return out
+
+
+def scatter_add(values, idx, n):
+    """``np.add.at`` reference for the tape's scatters: row k into row idx[k]."""
+    out = np.zeros((n,) + values.shape[1:])
+    np.add.at(out, idx, values)
     return out
 
 

@@ -9,6 +9,7 @@ from meshnet.autodiff import (
     concat,
     nll_loss,
     parameter,
+    rotate_pairs,
     segment_softmax,
     segment_sum,
     sparse_matmul,
@@ -17,6 +18,9 @@ from meshnet.autodiff import (
     take_rows,
 )
 from meshnet.errors import AutodiffError
+from meshnet.mesh import generate_icosphere
+from meshnet.representations import FeatureType
+from oracles import scatter_add
 
 
 def central_difference(make_loss, param, k, eps=1e-6):
@@ -183,6 +187,83 @@ class TestOperatorGradients:
             return (sparse_matmul(S, w, (3, 4)) ** 2).sum()
 
         check_gradients(loss, [w], rng)
+
+
+def rotation_tables(ftype, angles):
+    phase = angles[:, None] * ftype.order_of_dim[None, :]
+    return np.cos(phase), np.sin(phase) * ftype.partner_sign[None, :]
+
+
+class TestRotatePairs:
+    ftype = FeatureType.parse("rho0+2xrho1+rho2")
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(11)
+        self.cosm, self.sinm = rotation_tables(self.ftype, self.rng.uniform(-np.pi, np.pi, 9))
+
+    def test_gradient(self):
+        rng = self.rng
+        x = parameter(rng.standard_normal((9, self.ftype.dim)))
+        w = rng.standard_normal((9, self.ftype.dim))
+
+        def loss():
+            return (rotate_pairs(x, self.cosm, self.sinm, self.ftype.partner) ** 2 * w).sum()
+
+        check_gradients(loss, [x], rng, samples=20)
+
+    def test_matches_node_chain_exactly(self):
+        # the fused node must round exactly like x*cosm + take_cols(x, partner)*sinm
+        rng = self.rng
+        g = rng.standard_normal((9, self.ftype.dim))
+        x_value = rng.standard_normal((9, self.ftype.dim))
+        results = []
+        for fused in (True, False):
+            x = parameter(x_value)
+            if fused:
+                y = rotate_pairs(x, self.cosm, self.sinm, self.ftype.partner)
+            else:
+                y = x * self.cosm + take_cols(x, self.ftype.partner) * self.sinm
+            (y * g).sum().backward()
+            results.append((y.value, x.grad))
+        (y_fused, gx_fused), (y_chain, gx_chain) = results
+        assert np.array_equal(y_fused, y_chain)
+        assert np.array_equal(gx_fused, gx_chain)
+
+
+class TestScattersMatchAddAt:
+    """The sparse-incidence scatters equal ``np.add.at`` bit for bit."""
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(5)
+        mesh = generate_icosphere(1)
+        n = mesh.n_vertices
+        # edges into the last vertex are dropped, so one segment is empty
+        dst = mesh.edge_dst[mesh.edge_dst != n - 1]
+        # self contributions ahead of the edges (the self-contribution
+        # layout of the attention layer): the segments are unsorted
+        self.cases = [(dst, n), (np.concatenate([np.arange(n - 1), dst]), n)]
+
+    def test_take_rows_adjoint(self):
+        for idx, n in self.cases:
+            x = parameter(self.rng.standard_normal((n, 7)))
+            g = self.rng.standard_normal((idx.size, 7))
+            (take_rows(x, idx) * g).sum().backward()
+            assert np.array_equal(x.grad, scatter_add(g, idx, n))
+
+    def test_segment_sum(self):
+        for idx, n in self.cases:
+            for shape in ((idx.size,), (idx.size, 7)):
+                values = self.rng.standard_normal(shape)
+                out = segment_sum(Tensor(values), idx, n).value
+                assert np.array_equal(out, scatter_add(values, idx, n))
+                assert not out[n - 1].any()
+
+    def test_take_cols_repeated_adjoint(self):
+        for idx, n in self.cases:
+            x = parameter(self.rng.standard_normal((6, n)))
+            g = self.rng.standard_normal((6, idx.size))
+            (take_cols(x, idx) * g).sum().backward()
+            assert np.array_equal(x.grad, scatter_add(g.T, idx, n).T)
 
 
 class TestNll:

@@ -58,6 +58,38 @@ def test_load_off_bad_header(tmp_path):
         load_mesh(path)
 
 
+TETRA_VERTICES = "0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    # a counts line without its edge count
+    ("OFF\n4 2\n" + TETRA_VERTICES + "3 0 1 2\n3 0 2 3\n", 2),
+    # trailing tokens on the last face
+    ("OFF\n4 2 0\n" + TETRA_VERTICES + "3 0 1 2\n3 0 3 1 5 5\n", 8),
+    # trailing tokens on an earlier face
+    ("OFF\n4 2 0\n" + TETRA_VERTICES + "3 0 1 2 9\n3 0 2 3\n", 7),
+], ids=["no_edge_count", "trailing_on_last_face", "trailing_on_earlier_face"])
+def test_load_off_malformed_line_named(tmp_path, text, line):
+    path = tmp_path / "bad.off"
+    path.write_text(text)
+    with pytest.raises(MeshParseError, match=f"bad.off:{line}:"):
+        load_mesh(path)
+
+
+def test_load_obj_relative_face_indices(tmp_path):
+    path = tmp_path / "rel.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf -4 -3 -2\nf 1 -2 -1\n")
+    mesh = load_mesh(path)
+    assert mesh.faces.tolist() == [[0, 1, 2], [0, 2, 3]]
+
+
+def test_load_obj_zero_index_rejected(tmp_path):
+    path = tmp_path / "zero.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\n")
+    with pytest.raises(MeshParseError, match="zero.obj:4:"):
+        load_mesh(path)
+
+
 def test_icosahedron_off_degrees(tmp_path):
     # every icosahedron vertex touches exactly five edges
     path = tmp_path / "ico.off"
