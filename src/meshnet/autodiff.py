@@ -12,9 +12,20 @@ the adjoint of ``take_cols`` with repeated indices) are products with a
 sparse 0/1 incidence matrix.  Its rows list their entries in index order,
 so every sum is accumulated in the same order as ``np.add.at`` would, and
 the results are bit-identical to it.
+
+Allocator policy: importing this module (and so ``meshnet``) sets two
+process-wide glibc malloc thresholds, ``M_MMAP_THRESHOLD`` to 32 MiB and
+``M_TRIM_THRESHOLD`` to 1 GiB; see ``_keep_freed_memory_mapped``.  A
+training step frees its whole tape at the end of backward, and with glibc's
+default thresholds that memory went back to the kernel and was page-faulted
+in again by the next step: a median of 42-46k minor faults (about 170 MB)
+per warm step of the default model at E=3840, against a median of 0 and at
+most 220 with these thresholds.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,6 +46,32 @@ __all__ = [
     "nll_loss",
     "Adam",
 ]
+
+
+def _keep_freed_memory_mapped():
+    """Let freed tape memory stay mapped for reuse by the next step.
+
+    glibc serves blocks above ``M_MMAP_THRESHOLD`` with their own mmap and
+    returns the top of the heap to the kernel once more than
+    ``M_TRIM_THRESHOLD`` of it is free.  By default both follow the largest
+    block freed so far (trim at twice it, about 10 MiB for a default model),
+    far below the hundreds of MiB a tape frees at once, so every step
+    unmapped its tape and faulted it back in.  This sets the mmap threshold
+    to 32 MiB, its 64-bit maximum, and the trim threshold to 1 GiB, for the
+    whole process.  Where the C library has no ``mallopt`` (macOS, Windows)
+    nothing is set.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_memory_mapped()
 
 
 def _unbroadcast(g, shape):
@@ -140,8 +177,9 @@ class Tensor:
             for parent, pg in zip(node._parents, node._vjp(g)):
                 if not parent.requires_grad or pg is None:
                     continue
+                # out of place: a VJP may hand one array to several parents
                 if id(parent) in grads:
-                    grads[id(parent)] += pg
+                    grads[id(parent)] = grads[id(parent)] + pg
                 else:
                     grads[id(parent)] = pg
 
@@ -364,21 +402,35 @@ def take_rows(x: Tensor, idx) -> Tensor:
 def take_cols(x: Tensor, idx) -> Tensor:
     """Gather along axis 1; adjoint scatter-adds.
 
-    Without repeated indices the adjoint is itself a gather, from ``g``
-    padded with one zero column for the columns ``idx`` misses; that is
-    several times faster than a scatter on wide inputs.
+    A contiguous ascending ``idx`` is a column slice, whose adjoint writes
+    ``g`` into a zero block.  Otherwise, without repeated indices the
+    adjoint is itself a gather, from ``g`` padded with one zero column for
+    the columns ``idx`` misses; that is several times faster than a scatter
+    on wide inputs.
     """
     idx = np.asarray(idx)
+    n = x.value.shape[1]
+    a = idx[0] if idx.size else 0
+    if 0 <= a <= n - idx.size and np.array_equal(idx, np.arange(a, a + idx.size)):
+        cols = slice(a, a + idx.size)
+        out = x.value[:, cols]
+        if not x.requires_grad:
+            return Tensor(out)
+
+        def vjp(g):
+            gx = np.zeros_like(x.value)
+            gx[:, cols] = g
+            return (gx,)
+
+        return Tensor(out, True, (x,), vjp)
     out = np.take(x.value, idx, axis=1)
     if not x.requires_grad:
         return Tensor(out)
     if np.unique(idx).size < idx.size:
-        n = x.value.shape[1]
-
         def vjp(g):
             return (_scatter_rows(g.T, idx, n).T,)
     else:
-        source = np.full(x.value.shape[1], idx.size)
+        source = np.full(n, idx.size)
         source[idx] = np.arange(idx.size)
 
         def vjp(g):

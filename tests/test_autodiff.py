@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -17,9 +19,15 @@ from meshnet.autodiff import (
     take_pairs,
     take_rows,
 )
+from meshnet.config import default_config, model_spec_from_config
+from meshnet.datasets import segmentation_spheres
 from meshnet.errors import AutodiffError
+from meshnet.features import compute_features
+from meshnet.layers import EdgeGeometry
 from meshnet.mesh import generate_icosphere
+from meshnet.model import build_model
 from meshnet.representations import FeatureType
+from meshnet.tangent import build_frames
 from oracles import scatter_add
 
 
@@ -82,6 +90,14 @@ class TestBackwardBasics:
         (x * 2).backward()
         (x * 3).backward()
         npt.assert_allclose(x.grad, 5.0)
+
+    def test_shared_vjp_output_accumulates_per_parent(self):
+        # the VJP of ``+`` hands one array to both parents; adding a later
+        # contribution in place must not change the one queued for the other
+        for combine in (lambda a, b: (a + b) + a, lambda a, b: a + (a + b)):
+            p = parameter(np.ones(3))
+            combine(p * 1.0, p * 1.0).sum().backward()
+            assert np.array_equal(p.grad, np.full(3, 3.0))
 
 
 class TestOperatorGradients:
@@ -266,6 +282,22 @@ class TestScattersMatchAddAt:
             assert np.array_equal(x.grad, scatter_add(g.T, idx, n).T)
 
 
+class TestTakeColsSlice:
+    """A contiguous column range is a slice, equal to the gather bit for bit."""
+
+    def test_matches_gather(self):
+        rng = np.random.default_rng(8)
+        x_value = rng.standard_normal((7, 10))
+        for cols in (np.arange(4), np.arange(6, 10), np.arange(10)):
+            x = parameter(x_value)
+            g = rng.standard_normal((7, cols.size))
+            y = take_cols(x, cols)
+            (y * g).sum().backward()
+            assert np.shares_memory(y.value, x.value)  # the slice path ran
+            assert np.array_equal(y.value, np.take(x_value, cols, axis=1))
+            assert np.array_equal(x.grad, scatter_add(g.T, cols, 10).T)
+
+
 class TestNll:
     def test_uniform_logits(self):
         loss = nll_loss(Tensor(np.zeros((5, 8))), np.arange(5) % 8)
@@ -363,3 +395,39 @@ def test_deterministic_loss_trajectory():
         return losses
 
     assert run() == run()
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="needs glibc mallopt")
+def test_warm_training_step_reuses_tape_memory():
+    # a warm step must find the memory the previous tape freed still mapped
+    resource = pytest.importorskip("resource")
+    config = default_config()
+    data = segmentation_spheres(1, 0, 1, seed=3)
+    spec = model_spec_from_config(config, target_dim=data.target_dim, task=data.task)
+    model = build_model(spec, 3)
+    sample = data.train[0]
+    frames = build_frames(sample.mesh)
+    geom = EdgeGeometry.from_frames(frames)
+    field = compute_features(config.model["features"], sample.mesh, frames,
+                             config.model["reltan_powers"])
+    opt = Adam([t for _n, t in model.parameters()], lr=1e-3)
+    rng = np.random.default_rng(3)
+
+    def step():
+        nll_loss(model.forward(field, geom, train=True, rng=rng), sample.label).backward()
+        opt.step()
+        opt.zero_grad()
+
+    step()
+    step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    step()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 500, faults
