@@ -8,21 +8,19 @@ from .mesh import (
     face_geometry,
     generate_grid_patch,
     generate_icosphere,
-    generate_mesh,
     load_mesh,
     save_mesh,
     vertex_normals,
 )
 from .tangent import (
+    EdgeGeometry,
     FrameField,
-    TransportData,
     build_frames,
     log_map,
     regauge,
     tangent_projector,
     theta_angle,
     transport_angle,
-    transport_data,
     wrap_angle,
 )
 from .representations import (
@@ -36,7 +34,6 @@ from .representations import (
 )
 from .features import (
     GeometricFeatureField,
-    RelTanConfig,
     compute_features,
     get_features,
     reltan_features,
@@ -44,12 +41,7 @@ from .features import (
     xyz_features,
 )
 from .autodiff import Adam, Tensor, nll_loss, parameter
-from .layers import (
-    EdgeGeometry,
-    EmanAttentionLayer,
-    GaugeNonlinearity,
-    GemConvLayer,
-)
+from .layers import EmanAttentionLayer, GaugeNonlinearity, GemConvLayer
 from .model import Model, ModelSpec, build_model
 from .transforms import (
     AmbientTransform,
@@ -59,4 +51,4 @@ from .transforms import (
     random_transform_suite,
 )
 from .config import RunConfig, config_hash, default_config, load_config, parse_config
-from .harness import equivariance_gap, evaluate, time_layers, train
+from .harness import equivariance_gap, evaluate, train

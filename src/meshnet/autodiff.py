@@ -129,9 +129,6 @@ class Tensor:
         if self.grad is not None:
             self.grad[...] = 0.0
 
-    def detach(self):
-        return Tensor(self.value)
-
     def item(self):
         return float(self.value)
 

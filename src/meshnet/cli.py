@@ -1,10 +1,11 @@
 """Command line entry point.
 
-Subcommands: ``gen-mesh``, ``features``, ``eqgap``, ``train``, ``eval``,
-``time``.  All take ``--config <path>`` (key=value file with [section]
-headers; omitted means all defaults) and ``--out <path>``.  On failure a
-machine-readable error JSON is printed to stdout and the exit code is
-nonzero.  ``MESHNET_SEED`` overrides the configured seed.
+Subcommands: ``gen-mesh``, ``features``, ``eqgap``, ``train`` and ``eval``.
+All take ``--config <path>`` (key=value file with [section] headers; omitted
+means all defaults) and ``--out <path>``.  On failure -- a library error or
+a file that cannot be written -- a machine-readable error JSON is printed to
+stdout and the exit code is nonzero.  ``MESHNET_SEED`` overrides the
+configured seed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .harness import (
     features_report,
     generate_config_mesh,
     save_checkpoint,
-    time_layers,
     train,
 )
 from .mesh import save_mesh
@@ -39,7 +39,7 @@ def _write_json(payload: dict, out: str | None):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="meshnet",
-        description="gauge-equivariant mesh networks: reports, training, timing",
+        description="gauge-equivariant mesh networks: reports, training, evaluation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, descr in [
@@ -48,7 +48,6 @@ def main(argv=None) -> int:
         ("eqgap", "equivariance-gap report for a randomly initialized model"),
         ("train", "train on the configured dataset; writes metrics + checkpoint"),
         ("eval", "accuracy table of a trained checkpoint under transformations"),
-        ("time", "per-layer forward+backward timings"),
     ]:
         p = sub.add_parser(name, help=descr)
         p.add_argument("--config", help="path to the config file")
@@ -85,9 +84,7 @@ def main(argv=None) -> int:
                     "eval needs --checkpoint or [run] checkpoint in the config"
                 )
             _write_json(evaluate(cfg, checkpoint=ckpt), args.out)
-        elif args.command == "time":
-            _write_json(time_layers(cfg), args.out)
-    except MeshNetError as exc:
+    except (MeshNetError, OSError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(error))
         if args.out and args.command != "gen-mesh":

@@ -28,16 +28,6 @@ def _bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _float_list(text):
-    items = text.strip().strip("[]").split(",")
-    return tuple(float(x) for x in items if x.strip())
-
-
-def _str_list(text):
-    items = text.strip().strip("[]").split(",")
-    return tuple(x.strip() for x in items if x.strip())
-
-
 def _checked(parse, ok, what):
     def check(text):
         value = parse(text)
@@ -64,6 +54,14 @@ def _enum(*allowed):
     return parse
 
 
+def _list(parse):
+    """Comma-separated items, each read by ``parse``; at least one."""
+    def parse_list(text):
+        items = (x.strip() for x in text.strip().strip("[]").split(","))
+        return tuple(parse(x) for x in items if x)
+    return _checked(parse_list, bool, "a non-empty list")
+
+
 _SCHEMA = {
     "run": {
         "seed": (_at_least(int, 0), 0),
@@ -74,7 +72,7 @@ _SCHEMA = {
         "kind": (_enum("gem", "eman"), "eman"),
         "bias": (_enum("angular", "additive", "none"), "angular"),
         "features": (_enum("xyz", "get", "reltan"), "reltan"),
-        "reltan_powers": (_float_list, (0.7,)),
+        "reltan_powers": (_list(float), (0.7,)),
         "hidden_type": (str, "16x(rho0+rho1+rho2)"),
         "final_type": (str, "16xrho0"),
         "attention_type": (str, ""),
@@ -108,21 +106,15 @@ _SCHEMA = {
         "batch_size": (_at_least(int, 1), 1),
     },
     "transforms": {
-        "families": (_str_list, ("gauge", "rot_tr_scale", "perm")),
+        "families": (_list(_enum("gauge", "rot_tr_scale", "rot", "translate",
+                                 "scale", "perm")),
+                     ("gauge", "rot_tr_scale", "perm")),
         "samples_per_mesh": (_at_least(int, 1), 1),
         "translation_range": (_at_least(float, 0.0), 10.0),
         "scale_min": (_positive(float), 0.1),
         "scale_max": (_positive(float), 10.0),
     },
-    "timing": {
-        "repetitions": (_at_least(int, 1), 20),
-        "warmups": (_at_least(int, 0), 3),
-        "rows": (_at_least(int, 2), 20),
-        "cols": (_at_least(int, 2), 20),
-    },
 }
-
-_KNOWN_FAMILIES = ("gauge", "rot_tr_scale", "rot", "translate", "scale", "perm")
 
 
 class RunConfig:
@@ -162,9 +154,6 @@ def parse_config(text: str) -> RunConfig:
                 resolved[section][key] = parse_fn(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
-    for family in resolved["transforms"]["families"]:
-        if family not in _KNOWN_FAMILIES:
-            raise ConfigError(f"unknown transform family {family!r}")
     env_seed = os.environ.get("MESHNET_SEED")
     if env_seed is not None:
         try:

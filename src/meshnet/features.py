@@ -28,7 +28,6 @@ from .tangent import FrameField
 
 __all__ = [
     "GeometricFeatureField",
-    "RelTanConfig",
     "reltan_features",
     "reltan_vectors",
     "get_features",
@@ -62,17 +61,6 @@ class GeometricFeatureField:
     @property
     def n_vertices(self):
         return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class RelTanConfig:
-    """Relative powers used for the tangent summary (one channel group each)."""
-
-    powers: tuple = (0.7,)
-
-    def __post_init__(self):
-        if not self.powers:
-            raise ValueError("need at least one relative power")
 
 
 def reltan_vectors(mesh: Mesh, frames: FrameField, power: float) -> np.ndarray:
@@ -114,14 +102,14 @@ def reltan_vectors(mesh: Mesh, frames: FrameField, power: float) -> np.ndarray:
 
 
 def reltan_features(mesh: Mesh, frames: FrameField,
-                    cfg: RelTanConfig = RelTanConfig()) -> GeometricFeatureField:
-    """Tangent-summary features, one (rho0 + rho1) group per power.
+                    powers=(0.7,)) -> GeometricFeatureField:
+    """Tangent-summary features, one (rho0 + rho1) group per relative power.
 
     The rho1 slot holds the frame coordinates of the summary vector; the
     rho0 slot is identically zero.
     """
     groups = []
-    for r in cfg.powers:
+    for r in powers:
         v3 = reltan_vectors(mesh, frames, r)
         coords = np.stack(
             [np.zeros(mesh.n_vertices),
@@ -130,7 +118,7 @@ def reltan_features(mesh: Mesh, frames: FrameField,
             axis=1,
         )
         groups.append(coords)
-    ftype = len(cfg.powers) * FeatureType([0, 1])
+    ftype = len(groups) * FeatureType([0, 1])
     return GeometricFeatureField(ftype, np.concatenate(groups, axis=1), frames.token)
 
 
@@ -170,7 +158,7 @@ def compute_features(family: str, mesh: Mesh, frames: FrameField,
                      powers=(0.7,)) -> GeometricFeatureField:
     """Dispatch on family name (``reltan`` honors ``powers``)."""
     if family == "reltan":
-        return reltan_features(mesh, frames, RelTanConfig(tuple(powers)))
+        return reltan_features(mesh, frames, powers)
     if family == "get":
         return get_features(mesh, frames)
     if family == "xyz":

@@ -1,4 +1,4 @@
-"""Experiment harness: equivariance-gap reports, toy training, eval, timing.
+"""Experiment harness: equivariance-gap reports, toy training, evaluation.
 
 The equivariance gap of a model under a transformation family is the mean
 squared difference between the logits of the transformed input and the
@@ -9,7 +9,7 @@ under the corresponding family.
 
 Every report embeds the config hash, a build identifier (hash of the
 installed package sources), and the seed, so identical inputs reproduce
-identical JSON apart from wall-clock timings.
+identical JSON.
 """
 
 from __future__ import annotations
@@ -18,21 +18,18 @@ import hashlib
 import json
 import os
 import struct
-import time
 
 import numpy as np
 
 from . import __version__
-from .autodiff import Adam, Tensor, nll_loss
+from .autodiff import Adam, nll_loss
 from .config import RunConfig, config_hash, model_spec_from_config
 from .datasets import Dataset, dataset_from_config, eqgap_meshes
 from .errors import CheckpointError, ConfigError, TrainingDivergedError
 from .features import compute_features
-from .layers import EdgeGeometry, EmanAttentionLayer, GemConvLayer
 from .mesh import Mesh, generate_grid_patch, generate_icosphere
 from .model import Model, build_model
-from .representations import FeatureType
-from .tangent import build_frames, regauge
+from .tangent import EdgeGeometry, build_frames, regauge
 from .transforms import (
     AmbientTransform,
     apply_ambient,
@@ -41,7 +38,7 @@ from .transforms import (
 )
 
 __all__ = ["build_id", "model_logits", "transformed_logits", "equivariance_gap",
-           "train", "evaluate", "time_layers", "save_checkpoint",
+           "train", "evaluate", "save_checkpoint",
            "load_checkpoint", "generate_config_mesh", "features_report"]
 
 _CKPT_MAGIC = b"MNET"
@@ -113,8 +110,7 @@ def transformed_logits(model: Model, mesh: Mesh, family: str, suite) -> np.ndarr
     """
     spec = model.spec
     if family == "gauge":
-        frames, transport = regauge(build_frames(mesh), suite.gauge)
-        geom = EdgeGeometry.from_frames(frames, transport)
+        frames, geom = regauge(build_frames(mesh), suite.gauge)
         field = compute_features(spec.features, mesh, frames, spec.reltan_powers)
         return model.forward(field, geom).value
     if family == "perm":
@@ -123,6 +119,13 @@ def transformed_logits(model: Model, mesh: Mesh, family: str, suite) -> np.ndarr
             return suite.perm.unpermute_rows(logits)
         return logits
     return model_logits(model, apply_ambient(mesh, _ambient_for_family(family, suite)))
+
+
+def _transform_suite(cfg: RunConfig, n_vertices: int, rng):
+    """One transform of every family, drawn within the configured ranges."""
+    tr = cfg.transforms
+    return random_transform_suite(n_vertices, rng, tr["translation_range"],
+                                  tr["scale_min"], tr["scale_max"])
 
 
 def equivariance_gap(cfg: RunConfig) -> dict:
@@ -138,10 +141,7 @@ def equivariance_gap(cfg: RunConfig) -> dict:
     for mesh in meshes:
         logits0 = model_logits(model, mesh)
         for _ in range(tr["samples_per_mesh"]):
-            suite = random_transform_suite(
-                mesh.n_vertices, rng, tr["translation_range"],
-                tr["scale_min"], tr["scale_max"],
-            )
+            suite = _transform_suite(cfg, mesh.n_vertices, rng)
             for family in families:
                 logits1 = transformed_logits(model, mesh, family, suite)
                 gaps[family].append(float(np.mean((logits1 - logits0) ** 2)))
@@ -160,16 +160,13 @@ def equivariance_gap(cfg: RunConfig) -> dict:
 # Training / evaluation
 # ---------------------------------------------------------------------------
 
-def _accuracy(model: Model, samples, transform=None, rng=None) -> float:
-    """Fraction of correct predictions, optionally under a transformation."""
-    correct = 0
-    total = 0
-    for s in samples:
-        if transform is None:
-            logits = model_logits(model, s.mesh)
-        else:
-            suite = random_transform_suite(s.mesh.n_vertices, rng)
-            logits = transformed_logits(model, s.mesh, transform, suite)
+def _accuracy(model: Model, samples, family=None, suites=None) -> float:
+    """Fraction of correct predictions, optionally under ``family`` with one
+    transform suite per sample."""
+    correct = total = 0
+    for i, s in enumerate(samples):
+        logits = (model_logits(model, s.mesh) if family is None
+                  else transformed_logits(model, s.mesh, family, suites[i]))
         pred = logits.argmax(axis=1)
         if model.spec.task == "segmentation":
             correct += int((pred == s.label).sum())
@@ -251,79 +248,13 @@ def evaluate(cfg: RunConfig, model: Model | None = None,
         load_checkpoint(model, checkpoint, expect_hash=config_hash(cfg))
     seed = cfg.run["seed"]
     report = _report_header(cfg)
-    report["accuracy"] = {
-        "train": _accuracy(model, dataset.train),
-        "test": _accuracy(model, dataset.test),
-        "gauge": _accuracy(model, dataset.test, "gauge",
-                           np.random.default_rng(seed + 10)),
-        "rot_tr_scale": _accuracy(model, dataset.test, "rot_tr_scale",
-                                  np.random.default_rng(seed + 11)),
-        "perm": _accuracy(model, dataset.test, "perm",
-                          np.random.default_rng(seed + 12)),
-    }
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Timing
-# ---------------------------------------------------------------------------
-
-def _time_layer(layer, x, geom, repetitions, warmups) -> float:
-    def run():
-        out = layer.forward(Tensor(x), geom)
-        loss = (out * out).sum()
-        loss.backward()
-
-    for _ in range(warmups):
-        run()
-    times = []
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
-
-
-def time_layers(cfg: RunConfig) -> dict:
-    """Median forward+backward wall time of single hidden layers.
-
-    Times both layer kinds on a grid mesh and again on a grid with roughly
-    twice the edges, to expose the edge-linear scaling.
-    """
-    t = cfg.timing
-    hidden = FeatureType.parse(cfg.model["hidden_type"])
-    rng = np.random.default_rng(cfg.run["seed"])
-    report = _report_header(cfg)
-    report["layers"] = {}
-    meshes = {
-        "base": generate_grid_patch(t["rows"], t["cols"], 0.1, cfg.run["seed"]),
-        "double_edges": generate_grid_patch(t["rows"], 2 * t["cols"] - 1, 0.1,
-                                            cfg.run["seed"]),
-    }
-    geoms = {}
-    feats = {}
-    for name, mesh in meshes.items():
-        frames = build_frames(mesh)
-        geoms[name] = EdgeGeometry.from_frames(frames)
-        feats[name] = rng.standard_normal((mesh.n_vertices, hidden.dim))
-        report["layers"][name] = {"edges": int(mesh.n_edges)}
-    for kind in ("gem", "eman"):
-        for name in meshes:
-            if kind == "gem":
-                layer = GemConvLayer(hidden, hidden, rng=rng)
-            else:
-                layer = EmanAttentionLayer(hidden, hidden, rng=rng)
-            seconds = _time_layer(layer, feats[name], geoms[name],
-                                  t["repetitions"], t["warmups"])
-            report["layers"][name][kind + "_seconds"] = seconds
-    base = report["layers"]["base"]
-    dbl = report["layers"]["double_edges"]
-    report["eman_gem_ratio"] = base["eman_seconds"] / base["gem_seconds"]
-    report["edge_scaling_ratio"] = {
-        "gem": dbl["gem_seconds"] / base["gem_seconds"],
-        "eman": dbl["eman_seconds"] / base["eman_seconds"],
-        "edge_factor": dbl["edges"] / base["edges"],
-    }
+    accuracy = {"train": _accuracy(model, dataset.train),
+                "test": _accuracy(model, dataset.test)}
+    for offset, family in enumerate(("gauge", "rot_tr_scale", "perm"), 10):
+        rng = np.random.default_rng(seed + offset)
+        suites = [_transform_suite(cfg, s.mesh.n_vertices, rng) for s in dataset.test]
+        accuracy[family] = _accuracy(model, dataset.test, family, suites)
+    report["accuracy"] = accuracy
     return report
 
 

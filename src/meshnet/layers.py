@@ -1,8 +1,9 @@
 """Gauge-equivariant neural layers: convolution, attention, bias, nonlinearity.
 
-All layers consume an :class:`EdgeGeometry` (directed edges plus the two
-per-edge angles) and per-vertex coordinate features.  A neighbor kernel is
-never evaluated at an edge angle.  The gauge constraint gives
+All layers consume a :class:`meshnet.tangent.EdgeGeometry` (directed edges
+plus the two per-edge angles) and per-vertex coordinate features.  A
+neighbor kernel is never evaluated at an edge angle.  The gauge constraint
+gives
 ``K(theta) = rho_out(theta) K(0) rho_in(-theta)``, so the message from q to
 p along an edge with angle theta and transport angle g is
 
@@ -41,22 +42,16 @@ from .autodiff import (
     take_cols,
     take_rows,
 )
-from .errors import (
-    ConfigError,
-    EmptyNeighborhoodError,
-    FeatureTypeError,
-    FrameBindingError,
-)
+from .errors import ConfigError, EmptyNeighborhoodError, FeatureTypeError
 from .representations import (
     EquivariantKernel,
     FeatureType,
     init_coefficients,
     kernel_matrix_map,
 )
-from .tangent import FrameField, TransportData, transport_data
+from .tangent import EdgeGeometry
 
 __all__ = [
-    "EdgeGeometry",
     "GemConvLayer",
     "EmanAttentionLayer",
     "GaugeNonlinearity",
@@ -65,53 +60,6 @@ __all__ = [
 ]
 
 BIAS_MODES = ("angular", "additive", "none")
-
-
-class EdgeGeometry:
-    """Directed-edge arrays plus cached rotation tables for the layers.
-
-    Layers only ever touch ``src``/``dst``/``degrees`` and the two angle
-    arrays, so tests can hand-construct instances for degenerate cases.
-    """
-
-    def __init__(self, src, dst, theta, transport, degrees, n_vertices,
-                 frame_token):
-        self.src = np.asarray(src, dtype=np.int64)
-        self.dst = np.asarray(dst, dtype=np.int64)
-        self.theta = np.asarray(theta, dtype=np.float64)
-        self.transport = np.asarray(transport, dtype=np.float64)
-        self.degrees = np.asarray(degrees, dtype=np.int64)
-        self.n_vertices = int(n_vertices)
-        self.frame_token = frame_token
-        self._rotation_tables = {}
-
-    @classmethod
-    def from_frames(cls, frames: FrameField, transport: TransportData | None = None):
-        if transport is None:
-            transport = transport_data(frames)
-        if transport.frame_token != frames.token:
-            raise FrameBindingError("transport data was computed for different frames")
-        mesh = frames.mesh
-        return cls(mesh.edge_src, mesh.edge_dst, transport.theta,
-                   transport.transport, mesh.degrees, mesh.n_vertices,
-                   frames.token)
-
-    def rotation_tables(self, ftype: FeatureType, side: str):
-        """Per-dim cos / signed-sin tables of the per-edge rotation of ``ftype``.
-
-        ``side="in"`` rotates by ``transport - theta`` (neighbor features
-        into the receiving frame, then to the edge direction), ``side="out"``
-        by ``theta`` (kernel outputs back from the edge direction).  Built on
-        first use, so geometry that never meets a layer computes none.
-        """
-        key = (side, ftype.orders)
-        if key not in self._rotation_tables:
-            angle = self.transport - self.theta if side == "in" else self.theta
-            phase = angle[:, None] * ftype.order_of_dim[None, :]
-            cosm = np.cos(phase)
-            sinm = np.sin(phase) * ftype.partner_sign[None, :]
-            self._rotation_tables[key] = (cosm, sinm)
-        return self._rotation_tables[key]
 
 
 def _rotate(x: Tensor, ftype: FeatureType, geom: EdgeGeometry, side: str) -> Tensor:

@@ -4,9 +4,19 @@ A mesh is an oriented triangulated surface embedded in R^3.  Construction
 validates manifoldness and orientation, and stores for every vertex the
 neighbor ring in the cyclic order induced by the oriented face fan, so that
 all downstream per-neighbor sums have a reproducible order.
+
+A mesh derived from another one -- new vertex positions
+(:meth:`Mesh.with_vertices`) or a relabelling of its vertices
+(:func:`meshnet.transforms.apply_permutation`) -- goes through one private
+path that reuses the source's faces and rings.  Those were validated when
+the source was built and stay valid under new positions or a bijective
+relabelling, so the path checks only the new vertex array and the size of
+the relabelling, and walks no face again.
 """
 
 from __future__ import annotations
+
+import io
 
 import numpy as np
 
@@ -16,6 +26,7 @@ from .errors import (
     DegreeError,
     IndexRangeError,
     MeshParseError,
+    MeshValidationError,
     NonFiniteVertexError,
     NonManifoldError,
     NonManifoldVertexError,
@@ -31,7 +42,6 @@ __all__ = [
     "vertex_normals",
     "generate_icosphere",
     "generate_grid_patch",
-    "generate_mesh",
 ]
 
 
@@ -44,10 +54,6 @@ class Mesh:
         Vertex positions.
     faces : array_like, shape (F, 3)
         Vertex-index triples, counter-clockwise when seen from outside.
-    neighbors : list of arrays, optional
-        Trusted per-vertex neighbor rings.  When given, validation of the
-        rings is skipped; used by permutation pushforwards to preserve the
-        stored summation order exactly.
 
     Attributes
     ----------
@@ -64,34 +70,36 @@ class Mesh:
         CSR-style offsets of each vertex's edge block.
     """
 
-    def __init__(self, vertices, faces, neighbors=None):
-        self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
+    def __init__(self, vertices, faces):
+        self._set_vertices(vertices)
         self.faces = np.ascontiguousarray(faces, dtype=np.int64)
+        if self.faces.ndim != 2 or self.faces.shape[1] != 3:
+            raise ValueError("face array must have shape (F, 3)")
+        self._validate_faces()
+        self.faces.flags.writeable = False
+        self._set_rings(self._build_neighbor_rings())
+        for p, d in enumerate(self.degrees):
+            if d < 2:
+                raise DegreeError(p, int(d))
+
+    def _set_vertices(self, vertices):
+        self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise ValueError("vertex array must have shape (V, 3)")
         if not np.isfinite(self.vertices).all():
             bad = ~np.isfinite(self.vertices).all(axis=1)
             raise NonFiniteVertexError(int(np.argmax(bad)))
-        if self.faces.ndim != 2 or self.faces.shape[1] != 3:
-            raise ValueError("face array must have shape (F, 3)")
-        self._validate_faces()
-        if neighbors is None:
-            self.neighbors = self._build_neighbor_rings()
-        else:
-            self.neighbors = [np.asarray(nb, dtype=np.int64) for nb in neighbors]
-        self.degrees = np.array([len(nb) for nb in self.neighbors], dtype=np.int64)
-        for p, d in enumerate(self.degrees):
-            if d < 2:
-                raise DegreeError(p, int(d))
+        self.vertices.flags.writeable = False
+
+    def _set_rings(self, neighbors):
+        self.neighbors = neighbors
+        self.degrees = np.array([len(nb) for nb in neighbors], dtype=np.int64)
         self.edge_offsets = np.concatenate([[0], np.cumsum(self.degrees)])
         self.edge_dst = np.repeat(np.arange(self.n_vertices), self.degrees)
         self.edge_src = (
-            np.concatenate(self.neighbors)
-            if self.neighbors
-            else np.zeros(0, dtype=np.int64)
+            np.concatenate(neighbors) if neighbors else np.zeros(0, dtype=np.int64)
         )
-        for a in (self.vertices, self.faces, self.degrees, self.edge_offsets,
-                  self.edge_dst, self.edge_src):
+        for a in (self.degrees, self.edge_offsets, self.edge_dst, self.edge_src):
             a.flags.writeable = False
 
     @property
@@ -174,7 +182,40 @@ class Mesh:
 
     def with_vertices(self, vertices):
         """Same combinatorics, new vertex positions (keeps stored rings)."""
-        return Mesh(vertices, self.faces, neighbors=self.neighbors)
+        return self._derived(vertices)
+
+    def _derived(self, vertices, forward=None):
+        """This mesh's combinatorics with new positions, optionally relabelled.
+
+        ``vertices`` holds the new position of every vertex under its current
+        label and ``forward[old] = new`` relabels them.  Only this new input
+        is checked; the read-only combinatorics are shared, or mapped through
+        the relabelling with every ring kept in order.
+        """
+        V = self.n_vertices
+        vertices = np.asarray(vertices, dtype=np.float64)
+        if vertices.shape != (V, 3):
+            raise ValueError(f"vertex array must have shape ({V}, 3), got {vertices.shape}")
+        out = Mesh.__new__(Mesh)
+        out.__dict__.update(self.__dict__)
+        if forward is None:
+            out._set_vertices(vertices)
+            return out
+        if forward.shape != (V,):
+            raise MeshValidationError(
+                f"a relabelling of {forward.size} vertices does not fit a mesh "
+                f"with {V} vertices"
+            )
+        relabelled = np.empty_like(vertices)
+        relabelled[forward] = vertices
+        out._set_vertices(relabelled)
+        out.faces = forward[self.faces]
+        out.faces.flags.writeable = False
+        rings = [None] * V
+        for p, ring in enumerate(self.neighbors):
+            rings[forward[p]] = forward[ring]
+        out._set_rings(rings)
+        return out
 
     def __repr__(self):
         return f"Mesh(V={self.n_vertices}, F={self.n_faces})"
@@ -253,16 +294,30 @@ def load_mesh(path, fmt=None) -> Mesh:
     texture/normal indices.
     """
     path = str(path)
-    if fmt is None:
-        fmt = path.rsplit(".", 1)[-1].lower()
-    fmt = fmt.lower()
-    if fmt == "off":
-        vertices, faces = _parse_off(path)
-    elif fmt == "obj":
-        vertices, faces = _parse_obj(path)
-    else:
+    parse = _parse_off if _mesh_format(path, fmt) == "off" else _parse_obj
+    return Mesh(*parse(path))
+
+
+def _mesh_format(path, fmt):
+    """``fmt``, or else the extension of ``path``, when it is OFF or OBJ."""
+    fmt = (path.rsplit(".", 1)[-1] if fmt is None else fmt).lower()
+    if fmt not in ("off", "obj"):
         raise MeshParseError(f"unknown mesh format {fmt!r} for {path}")
-    return Mesh(vertices, faces)
+    return fmt
+
+
+def _read_lines(path):
+    """Lines of a UTF-8 text file in any newline convention; a file that
+    cannot be read or decoded is a MeshParseError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except OSError as exc:
+        raise MeshParseError(f"cannot read mesh file {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        ln = data.count(b"\n", 0, exc.start) + 1
+        raise MeshParseError(f"{path}:{ln}: not UTF-8 text") from exc
 
 
 def _parse_off(path):
@@ -274,12 +329,11 @@ def _parse_off(path):
     starts a comment.
     """
     lines, numbers = [], []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if line:
-                lines.append(line)
-                numbers.append(ln)
+    for ln, line in enumerate(_read_lines(path), 1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            lines.append(line)
+            numbers.append(ln)
     if not lines or lines[0].split()[0] != "OFF":
         raise MeshParseError(f"{path}: missing OFF header")
     if lines[0] == "OFF":
@@ -339,33 +393,36 @@ def _parse_obj(path):
     """
     vertices = []
     faces = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if parts[0] == "v":
-                if len(parts) < 4:
-                    raise MeshParseError(f"{path}:{ln}: short vertex record")
+    for ln, line in enumerate(_read_lines(path), 1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if parts[0] == "v":
+            if len(parts) < 4:
+                raise MeshParseError(f"{path}:{ln}: short vertex record")
+            try:
                 vertices.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                if len(parts) != 4:
-                    raise MeshParseError(f"{path}:{ln}: only triangle faces supported")
-                idx = []
-                for tok in parts[1:]:
-                    head = tok.split("/", 1)[0]
-                    try:
-                        i = int(head)
-                    except ValueError as exc:
-                        raise MeshParseError(f"{path}:{ln}: bad face index {tok!r}") from exc
-                    if i == 0 or i < -len(vertices):
-                        raise MeshParseError(
-                            f"{path}:{ln}: face index {i} does not name one of the "
-                            f"{len(vertices)} vertices read so far"
-                        )
-                    idx.append(i - 1 if i > 0 else len(vertices) + i)
-                faces.append(idx)
-            # every other record type (vt, vn, usemtl, ...) is ignored
+            except ValueError as exc:
+                raise MeshParseError(
+                    f"{path}:{ln}: bad vertex coordinate in {line.strip()!r}") from exc
+        elif parts[0] == "f":
+            if len(parts) != 4:
+                raise MeshParseError(f"{path}:{ln}: only triangle faces supported")
+            idx = []
+            for tok in parts[1:]:
+                head = tok.split("/", 1)[0]
+                try:
+                    i = int(head)
+                except ValueError as exc:
+                    raise MeshParseError(f"{path}:{ln}: bad face index {tok!r}") from exc
+                if i == 0 or i < -len(vertices):
+                    raise MeshParseError(
+                        f"{path}:{ln}: face index {i} does not name one of the "
+                        f"{len(vertices)} vertices read so far"
+                    )
+                idx.append(i - 1 if i > 0 else len(vertices) + i)
+            faces.append(idx)
+        # every other record type (vt, vn, usemtl, ...) is ignored
     if not vertices:
         raise MeshParseError(f"{path}: no vertex records")
     return (
@@ -381,9 +438,7 @@ def save_mesh(mesh: Mesh, path, fmt=None):
     written with 17 significant digits).
     """
     path = str(path)
-    if fmt is None:
-        fmt = path.rsplit(".", 1)[-1].lower()
-    fmt = fmt.lower()
+    fmt = _mesh_format(path, fmt)
     with open(path, "w") as fh:
         if fmt == "off":
             fh.write("OFF\n")
@@ -392,13 +447,11 @@ def save_mesh(mesh: Mesh, path, fmt=None):
                 fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
             for a, b, c in mesh.faces:
                 fh.write(f"3 {a} {b} {c}\n")
-        elif fmt == "obj":
+        else:
             for x, y, z in mesh.vertices:
                 fh.write(f"v {x:.17g} {y:.17g} {z:.17g}\n")
             for a, b, c in mesh.faces:
                 fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
-        else:
-            raise MeshParseError(f"unknown mesh format {fmt!r} for {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +540,3 @@ def generate_grid_patch(rows: int, cols: int, height_noise_amplitude: float = 0.
             faces.append([a, d, c])
     return Mesh(verts, np.array(faces, dtype=np.int64))
 
-
-def generate_mesh(kind: str, **params) -> Mesh:
-    """Dispatch on generator name: ``icosphere`` or ``grid_patch``."""
-    if kind == "icosphere":
-        return generate_icosphere(**params)
-    if kind == "grid_patch":
-        return generate_grid_patch(**params)
-    raise ValueError(f"unknown mesh generator {kind!r}")

@@ -18,14 +18,9 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ConfigError, FeatureTypeError, FrameBindingError
 from .features import GeometricFeatureField, feature_type_for
-from .layers import (
-    DenseLayer,
-    EdgeGeometry,
-    EmanAttentionLayer,
-    GaugeNonlinearity,
-    GemConvLayer,
-)
+from .layers import DenseLayer, EmanAttentionLayer, GaugeNonlinearity, GemConvLayer
 from .representations import FeatureType
+from .tangent import EdgeGeometry
 
 __all__ = ["ModelSpec", "Model", "build_model"]
 
@@ -127,16 +122,12 @@ class Model:
 
     def parameters(self):
         """Deterministically ordered (name, tensor) pairs."""
-        out = [("entry." + n, t) for n, t in self.entry.parameters()]
-        out += [("entry_nl." + n, t) for n, t in self.entry_nl.parameters()]
-        for bi, (conv1, nl1, conv2, nl2) in enumerate(self.blocks):
-            for tag, part in (("conv0", conv1), ("nl0", nl1),
-                              ("conv1", conv2), ("nl1", nl2)):
-                out += [(f"block{bi}.{tag}.{n}", t) for n, t in part.parameters()]
-        out += [("final." + n, t) for n, t in self.final.parameters()]
-        out += [("dense1." + n, t) for n, t in self.dense1.parameters()]
-        out += [("dense2." + n, t) for n, t in self.dense2.parameters()]
-        return out
+        parts = [("entry", self.entry), ("entry_nl", self.entry_nl)]
+        for bi, block in enumerate(self.blocks):
+            parts += zip((f"block{bi}.{tag}" for tag in ("conv0", "nl0", "conv1", "nl1")),
+                         block)
+        parts += [("final", self.final), ("dense1", self.dense1), ("dense2", self.dense2)]
+        return [(f"{tag}.{n}", t) for tag, part in parts for n, t in part.parameters()]
 
     def n_parameters(self):
         return sum(t.value.size for _n, t in self.parameters())

@@ -50,7 +50,6 @@ __all__ = [
     "constraint_residual",
     "kernel_matrix_map",
     "init_coefficients",
-    "identity_coefficients",
 ]
 
 MAX_IRREP_ORDER = 8
@@ -411,14 +410,3 @@ def init_coefficients(in_type: FeatureType, out_type: FeatureType, kind: str,
             pieces.append(rng.uniform(-s, s, size=nb))
     return np.concatenate(pieces)
 
-
-def identity_coefficients(ftype: FeatureType) -> np.ndarray:
-    """Self-kind coefficients assembling to the identity matrix."""
-    out = np.zeros(coefficient_count(ftype, ftype, "self"))
-    pos = 0
-    for i, j, _ro, _co, basis in _block_pairs(ftype, ftype, "self"):
-        nb = len(basis)
-        if nb and i == j:
-            out[pos] = 1.0  # first element of every self basis is the identity
-        pos += nb
-    return out

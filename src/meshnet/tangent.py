@@ -2,14 +2,15 @@
 
 Every vertex carries an orthonormal frame (e1, e2) of its tangent plane such
 that (e1, e2, n) is positively oriented.  Features are expressed in these
-frames; the per-edge angles computed here are what the equivariant layers
-consume:
+frames.  An :class:`EdgeGeometry` carries, for every directed edge q -> p,
+the two angles the equivariant layers consume:
 
 * ``theta``   -- angle of the neighbor's log-map image in the frame at p,
 * ``transport`` -- frame-alignment angle after rotating the neighbor's
   tangent plane onto p's about the axis ``n_q x n_p``.
 
-All angles live in (-pi, pi].
+It records the token of the frames it was computed in, so a model can reject
+features bound to another gauge.  All angles live in (-pi, pi].
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from .errors import (
     AmbiguousTransportError,
+    FrameBindingError,
     FrameConstructionError,
     UndefinedLogMapError,
 )
@@ -27,13 +29,12 @@ from .mesh import Mesh, vertex_normals
 
 __all__ = [
     "FrameField",
-    "TransportData",
+    "EdgeGeometry",
     "tangent_projector",
     "log_map",
     "build_frames",
     "theta_angle",
     "transport_angle",
-    "transport_data",
     "regauge",
     "wrap_angle",
 ]
@@ -180,76 +181,111 @@ def transport_angle(p_idx, q_idx, frames: FrameField):
     )
 
 
-class TransportData:
+class EdgeGeometry:
     """Per-directed-edge angles, aligned with ``mesh.edge_src/edge_dst``.
+
+    The layers only ever touch ``src``/``dst``/``degrees`` and the two angle
+    arrays, so tests can hand-construct instances for degenerate cases.
 
     Attributes
     ----------
+    src, dst : ndarray, shape (E,)
+        Directed edges q -> p: ``src`` is q, ``dst`` the receiving p.
     theta : ndarray, shape (E,)
         Neighbor angle of q in the frame at p for each edge q -> p.
     transport : ndarray, shape (E,)
         Frame alignment angle g for each edge q -> p.
+    degrees : ndarray, shape (V,)
+    n_vertices : int
     frame_token : int
         Token of the FrameField these angles refer to.
     """
 
-    def __init__(self, mesh, theta, transport, frame_token):
-        self.mesh = mesh
-        self.theta = theta
-        self.transport = transport
+    def __init__(self, src, dst, theta, transport, degrees, n_vertices,
+                 frame_token):
+        self.src = np.asarray(src, dtype=np.int64)
+        self.dst = np.asarray(dst, dtype=np.int64)
+        self.theta = np.asarray(theta, dtype=np.float64)
+        self.transport = np.asarray(transport, dtype=np.float64)
+        self.degrees = np.asarray(degrees, dtype=np.int64)
+        self.n_vertices = int(n_vertices)
         self.frame_token = frame_token
-        self.theta.flags.writeable = False
-        self.transport.flags.writeable = False
+        self._rotation_tables = {}
 
+    @classmethod
+    def from_frames(cls, frames: FrameField, geometry: EdgeGeometry | None = None):
+        """Theta and transport angles of every directed edge at once.
 
-def transport_data(frames: FrameField) -> TransportData:
-    """Compute theta and transport angles for every directed edge at once."""
-    mesh = frames.mesh
-    src, dst = mesh.edge_src, mesh.edge_dst
-    pp = mesh.vertices[dst]
-    qq = mesh.vertices[src]
-    npm = frames.normals[dst]
-    e1p, e2p = frames.e1[dst], frames.e2[dst]
+        A given ``geometry`` is checked against ``frames`` and returned.
 
-    d = qq - pp
-    w = d - npm * np.einsum("ij,ij->i", npm, d)[:, None]
-    wn = np.linalg.norm(w, axis=1)
-    dn = np.linalg.norm(d, axis=1)
-    bad = np.where(wn <= _PROJECTION_TOL * np.maximum(dn, 1e-300))[0]
-    if bad.size:
-        e = int(bad[0])
-        raise UndefinedLogMapError(int(dst[e]), int(src[e]))
-    theta = np.arctan2(np.einsum("ij,ij->i", e2p, w), np.einsum("ij,ij->i", e1p, w))
+        Raises
+        ------
+        FrameBindingError
+            If ``geometry`` was computed for different frames.
+        """
+        if geometry is not None:
+            if geometry.frame_token != frames.token:
+                raise FrameBindingError("edge geometry was computed for different frames")
+            return geometry
+        mesh = frames.mesh
+        src, dst = mesh.edge_src, mesh.edge_dst
+        npm = frames.normals[dst]
+        e1p, e2p = frames.e1[dst], frames.e2[dst]
 
-    nq = frames.normals[src]
-    c = np.einsum("ij,ij->i", nq, npm)
-    anti = np.where(c < -1.0 + _ANTIPODAL_TOL)[0]
-    if anti.size:
-        e = int(anti[0])
-        raise AmbiguousTransportError(int(dst[e]), int(src[e]))
-    axis = np.cross(nq, npm)
-    s = np.linalg.norm(axis, axis=1)
-    safe = np.maximum(s, 1e-300)
-    k = axis / safe[:, None]
-    flat = s < 1e-15
+        d = mesh.vertices[src] - mesh.vertices[dst]
+        w = d - npm * np.einsum("ij,ij->i", npm, d)[:, None]
+        wn = np.linalg.norm(w, axis=1)
+        dn = np.linalg.norm(d, axis=1)
+        bad = np.where(wn <= _PROJECTION_TOL * np.maximum(dn, 1e-300))[0]
+        if bad.size:
+            e = int(bad[0])
+            raise UndefinedLogMapError(int(dst[e]), int(src[e]))
+        theta = np.arctan2(np.einsum("ij,ij->i", e2p, w), np.einsum("ij,ij->i", e1p, w))
 
-    def rotate(v):
-        out = (
-            v * c[:, None]
-            + np.cross(k, v) * s[:, None]
-            + k * (np.einsum("ij,ij->i", k, v) * (1.0 - c))[:, None]
+        nq = frames.normals[src]
+        c = np.einsum("ij,ij->i", nq, npm)
+        anti = np.where(c < -1.0 + _ANTIPODAL_TOL)[0]
+        if anti.size:
+            e = int(anti[0])
+            raise AmbiguousTransportError(int(dst[e]), int(src[e]))
+        axis = np.cross(nq, npm)
+        s = np.linalg.norm(axis, axis=1)
+        k = axis / np.maximum(s, 1e-300)[:, None]
+        # Rodrigues rotation of q's first axis about k; identity for equal normals
+        e1q = frames.e1[src]
+        re1 = (
+            e1q * c[:, None]
+            + np.cross(k, e1q) * s[:, None]
+            + k * (np.einsum("ij,ij->i", k, e1q) * (1.0 - c))[:, None]
         )
-        return np.where(flat[:, None], v, out)
+        re1 = np.where((s < 1e-15)[:, None], e1q, re1)
+        g = np.arctan2(
+            np.einsum("ij,ij->i", re1, e2p), np.einsum("ij,ij->i", re1, e1p)
+        )
+        theta.flags.writeable = g.flags.writeable = False  # rotation tables cache them
+        return cls(src, dst, theta, g, mesh.degrees, mesh.n_vertices, frames.token)
 
-    re1 = rotate(frames.e1[src])
-    g = np.arctan2(
-        np.einsum("ij,ij->i", re1, e2p), np.einsum("ij,ij->i", re1, e1p)
-    )
-    return TransportData(mesh, theta, g, frames.token)
+    def rotation_tables(self, ftype, side: str):
+        """Per-dim cos / signed-sin tables of the per-edge rotation of ``ftype``.
+
+        ``side="in"`` rotates by ``transport - theta`` (neighbor features
+        into the receiving frame, then to the edge direction), ``side="out"``
+        by ``theta`` (kernel outputs back from the edge direction).  Built on
+        first use, so geometry that never meets a layer computes none.
+        """
+        key = (side, ftype.orders)
+        if key not in self._rotation_tables:
+            angle = self.transport - self.theta if side == "in" else self.theta
+            phase = angle[:, None] * ftype.order_of_dim[None, :]
+            cosm = np.cos(phase)
+            sinm = np.sin(phase) * ftype.partner_sign[None, :]
+            self._rotation_tables[key] = (cosm, sinm)
+        return self._rotation_tables[key]
 
 
 def regauge(frames: FrameField, angles):
-    """Rotate every gauge by its angle; returns the new frames and transport.
+    """Rotate every gauge by its angle; returns the new frames and their
+    :class:`EdgeGeometry`.
 
     The new first axis is ``cos(g) e1 + sin(g) e2`` and the second is
     recomputed as ``n x e1'``, so the frame invariants hold exactly.
@@ -258,4 +294,4 @@ def regauge(frames: FrameField, angles):
     e1 = np.cos(angles) * frames.e1 + np.sin(angles) * frames.e2
     e2 = np.cross(frames.normals, e1)
     out = FrameField(frames.mesh, frames.normals, e1, e2)
-    return out, transport_data(out)
+    return out, EdgeGeometry.from_frames(out)

@@ -81,13 +81,11 @@ def apply_ambient(mesh: Mesh, t: AmbientTransform) -> Mesh:
 
 
 def apply_permutation(mesh: Mesh, perm: Permutation) -> Mesh:
-    """Relabel vertices, preserving stored neighbor-ring order exactly."""
-    new_vertices = perm.permute_rows(mesh.vertices)
-    new_faces = perm.forward[mesh.faces]
-    new_neighbors = [None] * mesh.n_vertices
-    for p in range(mesh.n_vertices):
-        new_neighbors[perm.forward[p]] = perm.forward[mesh.neighbors[p]]
-    return Mesh(new_vertices, new_faces, neighbors=new_neighbors)
+    """Relabel vertices, preserving stored neighbor-ring order exactly.
+
+    A permutation of another size raises :class:`MeshValidationError`.
+    """
+    return mesh._derived(mesh.vertices, perm.forward)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -111,12 +109,11 @@ class TransformSuite:
     perm: Permutation
 
 
-def random_transform_suite(n_vertices: int, rng, translation_range: float = 10.0,
-                           scale_min: float = 0.1, scale_max: float = 10.0) -> TransformSuite:
+def random_transform_suite(n_vertices: int, rng: np.random.Generator,
+                           translation_range: float, scale_min: float,
+                           scale_max: float) -> TransformSuite:
     """Gauge angles uniform in (-pi, pi], uniform rotation, uniform box
     translation, log-uniform scale, uniform permutation."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     gauge = rng.uniform(-np.pi, np.pi, n_vertices)
     ambient = AmbientTransform(
         rotation=random_rotation(rng),

@@ -3,6 +3,23 @@ import json
 import pytest
 
 from meshnet.cli import main
+from meshnet.mesh import load_mesh
+
+TINY = """
+[model]
+hidden_type = rho0+rho1
+final_type = 2xrho0
+dense_hidden = 8
+[mesh]
+subdivisions = 0
+[data]
+subdivisions = 0
+train_meshes = 2
+test_meshes = 1
+n_meshes = 1
+[training]
+epochs = 1
+"""
 
 
 @pytest.mark.parametrize("command, text, key", [
@@ -10,6 +27,9 @@ from meshnet.cli import main
     ("gen-mesh", "[mesh]\nsubdivisions = -1\n", "[mesh] subdivisions"),
     ("eqgap", "[model]\nheads = 0\n", "[model] heads"),
     ("train", "[model]\ndropout = 1.0\n", "[model] dropout"),
+    ("features", "[model]\nreltan_powers =\n", "[model] reltan_powers"),
+    ("eqgap", "[transforms]\nfamilies =\n", "[transforms] families"),
+    ("eqgap", "[timing]\nrepetitions = 20\n", "[timing]"),
 ])
 def test_out_of_range_config_value(tmp_path, capsys, command, text, key):
     cfg = tmp_path / "run.cfg"
@@ -27,3 +47,41 @@ def test_negative_seed_from_environment(monkeypatch, capsys):
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "ConfigError"
     assert "MESHNET_SEED" in error["message"]
+
+
+def test_every_subcommand_succeeds(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY)
+    off = tmp_path / "mesh.off"
+    assert main(["gen-mesh", "--config", str(cfg), "--out", str(off)]) == 0
+    assert load_mesh(off).n_vertices == 12
+    for command in ("features", "eqgap", "train"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["config_hash"] and report["build_id"]
+    checkpoint = json.loads((tmp_path / "train.json").read_text())["checkpoint"]
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--config", str(cfg), "--checkpoint", checkpoint,
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config_hash"] and report["build_id"]
+    assert set(report["accuracy"]) == {"train", "test", "gauge", "rot_tr_scale", "perm"}
+
+
+@pytest.mark.parametrize("command", ["gen-mesh", "features", "train"])
+def test_unwritable_out_is_a_json_error(tmp_path, capsys, command):
+    # train fails on its checkpoint, written before the report
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY)
+    out = tmp_path / "missing" / "out.json"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "FileNotFoundError"
+    assert "missing" in error["message"]
+
+
+def test_time_is_not_a_subcommand(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["time"])
+    assert info.value.code == 2

@@ -5,7 +5,6 @@ import pytest
 from meshnet.errors import ZeroDistanceError
 from meshnet.features import (
     GeometricFeatureField,
-    RelTanConfig,
     compute_features,
     feature_type_for,
     get_features,
@@ -105,13 +104,13 @@ class TestRelTan:
         rng = np.random.default_rng(10)
         mesh = generate_icosphere(1)
         fr = build_frames(mesh)
-        field = reltan_features(mesh, fr, RelTanConfig((0.5, 0.7)))
+        field = reltan_features(mesh, fr, (0.5, 0.7))
         assert field.ftype == FeatureType([0, 1, 0, 1])
         npt.assert_array_equal(field.values[:, 0], 0.0)  # scalar slots zero
         npt.assert_array_equal(field.values[:, 3], 0.0)
         g = rng.uniform(-np.pi, np.pi, mesh.n_vertices)
         fr2, _td2 = regauge(fr, g)
-        field2 = reltan_features(mesh, fr2, RelTanConfig((0.5, 0.7)))
+        field2 = reltan_features(mesh, fr2, (0.5, 0.7))
         npt.assert_allclose(field2.values,
                             regauge_coords(field.values, field.ftype, g),
                             atol=1e-10)

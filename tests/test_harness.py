@@ -160,3 +160,14 @@ def test_self_contribution_accepts_empty_neighborhood():
     out = layer.forward(x, _isolated_vertex_geometry()).value
     assert out.shape == (3, t.dim)
     assert np.isfinite(out).all()
+
+
+def test_evaluate_honours_transform_ranges():
+    # GET features do not change under a rotation about the origin, so with
+    # translation and scaling ruled out by the config the rot_tr_scale
+    # accuracy is the untransformed one
+    text = SMALL.format(extra="features = get", families="rot_tr_scale")
+    cfg = parse_config(text + "translation_range = 0\nscale_min = 1\nscale_max = 1\n")
+    model, _metrics = train(cfg)
+    accuracy = evaluate(cfg, model=model)["accuracy"]
+    assert accuracy["rot_tr_scale"] == accuracy["test"]

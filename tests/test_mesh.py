@@ -7,6 +7,7 @@ from meshnet.errors import (
     DegreeError,
     IndexRangeError,
     MeshParseError,
+    MeshValidationError,
     NonFiniteVertexError,
     NonManifoldError,
     OrientationError,
@@ -16,12 +17,11 @@ from meshnet.mesh import (
     face_geometry,
     generate_grid_patch,
     generate_icosphere,
-    generate_mesh,
     load_mesh,
     save_mesh,
     vertex_normals,
 )
-from meshnet.transforms import random_rotation
+from meshnet.transforms import Permutation, apply_permutation, random_rotation
 
 from oracles import random_test_mesh
 
@@ -90,6 +90,30 @@ def test_load_obj_zero_index_rejected(tmp_path):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("name, data, where", [
+    ("coord.obj", b"v 0 0 0\nv 1 0x 0\nv 0 1 0\nf 1 2 3\n", "coord.obj:2:"),
+    ("latin1.off", b"OFF\n3 1 0\n0 0 0\n1 0 0 # caf\xe9\n0 1 0\n3 0 1 2\n",
+     "latin1.off:4:"),
+], ids=["obj_non_numeric_coordinate", "non_utf8_bytes"])
+def test_load_bad_content_named(tmp_path, name, data, where):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(MeshParseError, match=where):
+        load_mesh(path)
+
+
+def test_load_missing_file(tmp_path):
+    with pytest.raises(MeshParseError, match="absent.off"):
+        load_mesh(tmp_path / "absent.off")
+
+
+def test_save_unknown_format_writes_nothing(tmp_path):
+    path = tmp_path / "mesh.ply"
+    with pytest.raises(MeshParseError, match="ply"):
+        save_mesh(generate_icosphere(0), path)
+    assert not path.exists()
+
+
 def test_icosahedron_off_degrees(tmp_path):
     # every icosahedron vertex touches exactly five edges
     path = tmp_path / "ico.off"
@@ -153,6 +177,32 @@ class TestValidation:
         verts[7, 0] = np.nan
         with pytest.raises(NonFiniteVertexError):
             ico.with_vertices(verts)
+
+    def test_derived_meshes_check_only_new_input(self, monkeypatch):
+        mesh = generate_icosphere(1)
+
+        def walk(_self):
+            raise AssertionError("faces walked again")
+
+        monkeypatch.setattr(Mesh, "_validate_faces", walk)
+        moved = mesh.with_vertices(2.0 * mesh.vertices)
+        assert moved.neighbors is mesh.neighbors and moved.faces is mesh.faces
+        perm = Permutation(np.random.default_rng(0).permutation(mesh.n_vertices))
+        permuted = apply_permutation(mesh, perm)
+        npt.assert_array_equal(permuted.vertices, perm.permute_rows(mesh.vertices))
+        for p, ring in enumerate(mesh.neighbors):
+            npt.assert_array_equal(permuted.neighbors[perm.forward[p]], perm.forward[ring])
+        verts = mesh.vertices.copy()
+        verts[5, 1] = np.inf
+        with pytest.raises(NonFiniteVertexError):
+            mesh.with_vertices(verts)
+        with pytest.raises(NonFiniteVertexError):
+            mesh._derived(verts, perm.forward)  # the relabelling branch
+        with pytest.raises(ValueError):
+            mesh.with_vertices(mesh.vertices[:-1])
+        for size in (mesh.n_vertices - 1, mesh.n_vertices + 1):
+            with pytest.raises(MeshValidationError, match=str(size)):
+                apply_permutation(mesh, Permutation(np.arange(size)))
 
     def test_isolated_vertex_rejected(self):
         verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 5]]
@@ -237,12 +287,6 @@ class TestGenerators:
         a = generate_grid_patch(4, 5, 0.3, 7)
         b = generate_grid_patch(4, 5, 0.3, 7)
         npt.assert_array_equal(a.vertices, b.vertices)
-
-    def test_generate_mesh_dispatch(self):
-        assert generate_mesh("icosphere", subdivisions=0).n_vertices == 12
-        assert generate_mesh("grid_patch", rows=3, cols=3).n_vertices == 9
-        with pytest.raises(ValueError):
-            generate_mesh("dodecahedron")
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

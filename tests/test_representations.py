@@ -10,7 +10,6 @@ from meshnet.representations import (
     assemble_kernel,
     coefficient_count,
     constraint_residual,
-    identity_coefficients,
     init_coefficients,
     kernel_basis,
     kernel_matrix_map,
@@ -233,11 +232,6 @@ class TestAssembleKernel:
             for th in rng.uniform(-np.pi, np.pi, 5):
                 npt.assert_allclose(assemble_kernel(k, th),
                                     _entrywise_oracle(k, th), atol=1e-14)
-
-    def test_identity_coefficients(self):
-        t = FeatureType.parse("2x(rho0+rho1+rho2)")
-        k = EquivariantKernel(t, t, "self", identity_coefficients(t))
-        npt.assert_allclose(assemble_kernel(k), np.eye(t.dim), atol=1e-15)
 
 
 class TestConstraintResidual:

@@ -3,9 +3,14 @@ import numpy.testing as npt
 import pytest
 from scipy.spatial.transform import Rotation
 
-from meshnet.errors import AmbiguousTransportError, UndefinedLogMapError
+from meshnet.errors import (
+    AmbiguousTransportError,
+    FrameBindingError,
+    UndefinedLogMapError,
+)
 from meshnet.mesh import Mesh, generate_icosphere, vertex_normals
 from meshnet.tangent import (
+    EdgeGeometry,
     FrameField,
     build_frames,
     log_map,
@@ -13,7 +18,6 @@ from meshnet.tangent import (
     tangent_projector,
     theta_angle,
     transport_angle,
-    transport_data,
     wrap_angle,
 )
 from meshnet.transforms import random_rotation
@@ -167,7 +171,7 @@ class TestTransportAngle:
         rng = np.random.default_rng(22)
         mesh = generate_icosphere(1)
         fr = build_frames(mesh)
-        td = transport_data(fr)
+        td = EdgeGeometry.from_frames(fr)
         for e in rng.integers(0, mesh.n_edges, size=10):
             p, q = int(mesh.edge_dst[e]), int(mesh.edge_src[e])
             v = np.cross(fr.normals[q], rng.standard_normal(3))
@@ -198,7 +202,7 @@ class TestGaugeShiftLaw:
         for _ in range(5):
             mesh = random_test_mesh(rng)
             fr = build_frames(mesh)
-            td = transport_data(fr)
+            td = EdgeGeometry.from_frames(fr)
             g = rng.uniform(-np.pi, np.pi, mesh.n_vertices)
             _fr2, td2 = regauge(fr, g)
             src, dst = mesh.edge_src, mesh.edge_dst
@@ -224,18 +228,26 @@ class TestGaugeShiftLaw:
         npt.assert_allclose(fr2.e1[3], fr.e2[3], atol=1e-15)
         npt.assert_allclose(fr2.e2[3], -fr.e1[3], atol=1e-15)
 
+    def test_regauged_geometry_binds_to_its_frames(self):
+        fr = build_frames(generate_icosphere(0))
+        fr2, geom2 = regauge(fr, np.full(fr.mesh.n_vertices, 0.4))
+        assert geom2.frame_token == fr2.token
+        assert EdgeGeometry.from_frames(fr2, geom2) is geom2
+        with pytest.raises(FrameBindingError):
+            EdgeGeometry.from_frames(fr, geom2)
+
 
 class TestAmbientCompatibility:
     def test_rotation_translation_scaling_leave_angles_fixed(self):
         rng = np.random.default_rng(31)
         for _ in range(5):
             mesh = random_test_mesh(rng)
-            td = transport_data(build_frames(mesh))
+            td = EdgeGeometry.from_frames(build_frames(mesh))
             R = random_rotation(rng)
             lam = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
             x = rng.uniform(-10, 10, 3)
             moved = mesh.with_vertices(lam * mesh.vertices @ R.T + x)
-            td2 = transport_data(build_frames(moved))
+            td2 = EdgeGeometry.from_frames(build_frames(moved))
             npt.assert_allclose(wrap_angle(td2.theta - td.theta), 0, atol=1e-9)
             npt.assert_allclose(wrap_angle(td2.transport - td.transport), 0,
                                 atol=1e-9)
