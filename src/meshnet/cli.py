@@ -17,6 +17,7 @@ import sys
 from .config import config_hash, default_config, load_config
 from .errors import MeshNetError
 from .harness import (
+    build_id,
     equivariance_gap,
     evaluate,
     features_report,
@@ -64,9 +65,9 @@ def main(argv=None) -> int:
             if not args.out:
                 raise MeshNetError("gen-mesh needs --out <path.off>")
             save_mesh(mesh, args.out, fmt="off")
-            print(json.dumps({"written": args.out,
-                              "n_vertices": mesh.n_vertices,
-                              "n_faces": mesh.n_faces}))
+            print(json.dumps({"written": args.out, "n_vertices": mesh.n_vertices,
+                              "n_faces": mesh.n_faces, "config_hash": config_hash(cfg),
+                              "build_id": build_id()}))
         elif args.command == "features":
             _write_json(features_report(cfg), args.out)
         elif args.command == "eqgap":

@@ -40,13 +40,13 @@ class DegenerateFaceError(MeshValidationError):
 
 class NonManifoldError(MeshValidationError):
     def __init__(self, edge, count):
-        self.edge = tuple(edge)
-        super().__init__(f"edge {self.edge} is shared by {count} faces (at most 2 allowed)")
+        self.edge = tuple(int(v) for v in edge)
+        super().__init__(f"edge {self.edge} is shared by {int(count)} faces (at most 2 allowed)")
 
 
 class OrientationError(MeshValidationError):
     def __init__(self, edge):
-        self.edge = tuple(edge)
+        self.edge = tuple(int(v) for v in edge)
         super().__init__(
             f"directed edge {self.edge} appears in more than one face: inconsistent orientation"
         )

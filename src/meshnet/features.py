@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ZeroDistanceError
 from .mesh import Mesh
 from .representations import FeatureType
-from .tangent import FrameField
+from .tangent import FrameField, _edge_projection
 
 __all__ = [
     "GeometricFeatureField",
@@ -80,16 +80,12 @@ def reltan_vectors(mesh: Mesh, frames: FrameField, power: float) -> np.ndarray:
     ZeroDistanceError
         If a neighbor coincides with its center vertex.
     """
-    v = mesh.vertices
     src, dst = mesh.edge_src, mesh.edge_dst
-    d = v[src] - v[dst]
-    dist = np.linalg.norm(d, axis=1)
+    tang, _, dist = _edge_projection(mesh, frames.normals)
     zero = np.where(dist <= 0.0)[0]
     if zero.size:
         e = int(zero[0])
         raise ZeroDistanceError(int(dst[e]), int(src[e]))
-    n = frames.normals[dst]
-    tang = d - n * np.einsum("ij,ij->i", n, d)[:, None]
     unit = tang / dist[:, None]  # proj of the unit offset, length <= 1
 
     w = dist ** (power - 1.0)

@@ -1,9 +1,11 @@
 """Triangle meshes: representation, validation, I/O, and synthetic generators.
 
 A mesh is an oriented triangulated surface embedded in R^3.  Construction
-validates manifoldness and orientation, and stores for every vertex the
-neighbor ring in the cyclic order induced by the oriented face fan, so that
-all downstream per-neighbor sums have a reproducible order.
+checks the faces with array operations over their directed edges (index
+range, degenerate faces, manifold edges, consistent orientation), then walks
+each vertex's face fan once to store its neighbor ring in the cyclic order
+the oriented fan induces, so that all downstream per-neighbor sums have a
+reproducible order.
 
 A mesh derived from another one -- new vertex positions
 (:meth:`Mesh.with_vertices`) or a relabelling of its vertices
@@ -78,9 +80,9 @@ class Mesh:
         self._validate_faces()
         self.faces.flags.writeable = False
         self._set_rings(self._build_neighbor_rings())
-        for p, d in enumerate(self.degrees):
-            if d < 2:
-                raise DegreeError(p, int(d))
+        low = np.flatnonzero(self.degrees < 2)
+        if low.size:
+            raise DegreeError(int(low[0]), int(self.degrees[low[0]]))
 
     def _set_vertices(self, vertices):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
@@ -117,61 +119,45 @@ class Mesh:
 
     def _validate_faces(self):
         V = self.n_vertices
-        for fi, (a, b, c) in enumerate(self.faces):
-            for idx in (a, b, c):
-                if idx < 0 or idx >= V:
-                    raise IndexRangeError(fi, int(idx), V)
-            if a == b or b == c or a == c:
-                raise DegenerateFaceError(fi)
-        # Undirected edge -> face count; directed edge uniqueness gives
-        # consistent orientation (the two faces sharing an edge traverse it
-        # in opposite directions).
-        undirected = {}
-        directed = set()
-        for fi, (a, b, c) in enumerate(self.faces):
-            for i, j in ((a, b), (b, c), (c, a)):
-                key = (min(i, j), max(i, j))
-                undirected[key] = undirected.get(key, 0) + 1
-                if undirected[key] > 2:
-                    raise NonManifoldError(key, undirected[key])
-                if (i, j) in directed:
-                    raise OrientationError((i, j))
-                directed.add((i, j))
+        f = self.faces
+        outside = np.argwhere((f < 0) | (f >= V))
+        if outside.size:
+            raise IndexRangeError(int(outside[0, 0]), int(f[tuple(outside[0])]), V)
+        degenerate = np.flatnonzero((f == np.roll(f, 1, axis=1)).any(axis=1))
+        if degenerate.size:
+            raise DegenerateFaceError(int(degenerate[0]))
+        # Directed edges a->b, b->c, c->a.  Three faces on one undirected
+        # edge always repeat a direction, so the face count is checked first.
+        i, j = f.ravel(), np.roll(f, -1, axis=1).ravel()
+        _, inverse, count = np.unique(np.minimum(i, j) * V + np.maximum(i, j),
+                                      return_inverse=True, return_counts=True)
+        shared = np.flatnonzero(count[inverse] > 2)
+        if shared.size:
+            e = shared[0]
+            raise NonManifoldError(sorted((i[e], j[e])), count[inverse[e]])
+        repeated = np.ones(i.size, dtype=bool)
+        repeated[np.unique(i * V + j, return_index=True)[1]] = False
+        if repeated.any():
+            e = np.argmax(repeated)
+            raise OrientationError((i[e], j[e]))
 
     def _build_neighbor_rings(self):
-        V = self.n_vertices
         # At vertex p, face (p, a, b) contributes the oriented link edge
-        # a -> b; chaining link edges walks the fan counter-clockwise.
-        succ = [dict() for _ in range(V)]
+        # a -> b; chaining link edges walks the fan counter-clockwise.  With
+        # unique directed edges the link edges form disjoint chains, each
+        # with one head, and cycles; a single fan is one chain or one cycle.
+        succ = [dict() for _ in range(self.n_vertices)]
         for a, b, c in self.faces:
             for p, x, y in ((a, b, c), (b, c, a), (c, a, b)):
-                if x in succ[p]:
-                    raise NonManifoldVertexError(int(p))
                 succ[p][x] = y
         rings = []
-        for p in range(V):
-            nxt = succ[p]
-            if not nxt:
-                rings.append(np.zeros(0, dtype=np.int64))
-                continue
-            incoming = set(nxt.values())
-            heads = [x for x in nxt if x not in incoming]
-            if len(heads) > 1:
-                raise NonManifoldVertexError(p)
-            if heads:
-                start = heads[0]  # open fan: begin at the boundary
-            else:
-                start = min(nxt)  # closed fan: deterministic start
-            ring = [start]
-            cur = start
-            while cur in nxt:
-                cur = nxt[cur]
-                if cur == start:
-                    break
-                ring.append(cur)
-                if len(ring) > len(nxt) + 1:
-                    raise NonManifoldVertexError(p)
-            if len(ring) != len(nxt) + (0 if not heads else 1) and len(ring) != len(nxt):
+        for p, nxt in enumerate(succ):
+            heads = set(nxt).difference(nxt.values())
+            # an open fan starts at its head, a closed one at its smallest neighbor
+            ring = [min(heads or nxt)] if nxt else []
+            while ring and ring[-1] in nxt and nxt[ring[-1]] != ring[0]:
+                ring.append(nxt[ring[-1]])
+            if len(ring) != len(nxt) + len(heads):
                 raise NonManifoldVertexError(p)
             rings.append(np.array(ring, dtype=np.int64))
         return rings

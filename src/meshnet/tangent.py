@@ -10,7 +10,10 @@ the two angles the equivariant layers consume:
   tangent plane onto p's about the axis ``n_q x n_p``.
 
 It records the token of the frames it was computed in, so a model can reject
-features bound to another gauge.  All angles live in (-pi, pi].
+features bound to another gauge.  All angles live in (-pi, pi].  The frames,
+the angles and the relative-tangent features share one array projection of
+the edge offsets; the scalar functions are the references it is tested
+against.
 """
 
 from __future__ import annotations
@@ -106,12 +109,21 @@ class FrameField:
             a.flags.writeable = False
 
 
+def _edge_projection(mesh: Mesh, normals):
+    """``w = d - n_p (n_p . d)``, ``|w|`` and ``|d|`` for the offset ``d = q - p``
+    of every directed edge q -> p, in edge order."""
+    npm = normals[mesh.edge_dst]
+    d = mesh.vertices[mesh.edge_src] - mesh.vertices[mesh.edge_dst]
+    w = d - npm * np.einsum("ij,ij->i", npm, d)[:, None]
+    return w, np.linalg.norm(w, axis=1), np.linalg.norm(d, axis=1)
+
+
 def build_frames(mesh: Mesh) -> FrameField:
     """Construct a gauge at every vertex.
 
-    e1 is the unit log-map image of the first neighbor (in stored ring
-    order) whose log map is defined, and ``e2 = n x e1``.  Any other choice
-    of gauge is a :func:`regauge` of these frames.
+    e1 is the unit tangent projection of the offset to the first neighbor
+    (in stored ring order) whose log map is defined, and ``e2 = n x e1``.
+    Any other choice of gauge is a :func:`regauge` of these frames.
 
     Raises
     ------
@@ -119,35 +131,20 @@ def build_frames(mesh: Mesh) -> FrameField:
         If every neighbor of some vertex projects to zero.
     """
     normals = vertex_normals(mesh)
-    V = mesh.n_vertices
-    e1 = np.zeros((V, 3))
-    for p in range(V):
-        for q in mesh.neighbors[p]:
-            try:
-                v = log_map(mesh.vertices[p], mesh.vertices[int(q)], normals[p])
-            except UndefinedLogMapError:
-                continue
-            e1[p] = v / np.linalg.norm(v)
-            break
-        else:
-            raise FrameConstructionError(p)
-    e2 = np.cross(normals, e1)
-    return FrameField(mesh, normals, e1, e2)
+    w, wn, dn = _edge_projection(mesh, normals)
+    defined = wn > _PROJECTION_TOL * np.maximum(dn, 1e-300)  # as in log_map
+    counts = np.add.reduceat(defined, mesh.edge_offsets[:-1])
+    if not counts.all():
+        raise FrameConstructionError(int(np.argmin(counts)))
+    first = np.flatnonzero(defined)[np.cumsum(counts) - counts]  # one per vertex
+    e1 = w[first] / wn[first, None]
+    return FrameField(mesh, normals, e1, np.cross(normals, e1))
 
 
 def theta_angle(p, q, e1_p, e2_p, n_p):
     """Angle of log_p(q) measured from e1 toward e2."""
     v = log_map(p, q, n_p)
     return float(np.arctan2(np.dot(e2_p, v), np.dot(e1_p, v)))
-
-
-def _rodrigues_apply(axis_unit, cos_a, sin_a, v):
-    """Rotate ``v`` about ``axis_unit`` by the angle with given cos/sin."""
-    return (
-        v * cos_a
-        + np.cross(axis_unit, v) * sin_a
-        + axis_unit * np.dot(axis_unit, v) * (1.0 - cos_a)
-    )
 
 
 def transport_angle(p_idx, q_idx, frames: FrameField):
@@ -171,11 +168,12 @@ def transport_angle(p_idx, q_idx, frames: FrameField):
         raise AmbiguousTransportError(p_idx, q_idx)
     axis = np.cross(nq, nprm)
     s = float(np.linalg.norm(axis))
+    e1q = frames.e1[q_idx]
     if s < 1e-15:
-        re1 = frames.e1[q_idx]
-    else:
-        axis = axis / s
-        re1 = _rodrigues_apply(axis, c, s, frames.e1[q_idx])
+        re1 = e1q
+    else:  # Rodrigues rotation of q's first axis about the unit axis k
+        k = axis / s
+        re1 = e1q * c + np.cross(k, e1q) * s + k * np.dot(k, e1q) * (1.0 - c)
     return float(
         np.arctan2(np.dot(re1, frames.e2[p_idx]), np.dot(re1, frames.e1[p_idx]))
     )
@@ -232,10 +230,7 @@ class EdgeGeometry:
         npm = frames.normals[dst]
         e1p, e2p = frames.e1[dst], frames.e2[dst]
 
-        d = mesh.vertices[src] - mesh.vertices[dst]
-        w = d - npm * np.einsum("ij,ij->i", npm, d)[:, None]
-        wn = np.linalg.norm(w, axis=1)
-        dn = np.linalg.norm(d, axis=1)
+        w, wn, dn = _edge_projection(mesh, frames.normals)
         bad = np.where(wn <= _PROJECTION_TOL * np.maximum(dn, 1e-300))[0]
         if bad.size:
             e = int(bad[0])

@@ -54,7 +54,9 @@ def test_every_subcommand_succeeds(tmp_path, capsys):
     cfg.write_text(TINY)
     off = tmp_path / "mesh.off"
     assert main(["gen-mesh", "--config", str(cfg), "--out", str(off)]) == 0
-    assert load_mesh(off).n_vertices == 12
+    report = json.loads(capsys.readouterr().out)
+    assert report["config_hash"] and report["build_id"]
+    assert report["n_vertices"] == load_mesh(off).n_vertices == 12
     for command in ("features", "eqgap", "train"):
         out = tmp_path / f"{command}.json"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0

@@ -10,6 +10,7 @@ from meshnet.errors import (
     MeshValidationError,
     NonFiniteVertexError,
     NonManifoldError,
+    NonManifoldVertexError,
     OrientationError,
 )
 from meshnet.mesh import (
@@ -156,14 +157,42 @@ class TestValidation:
     def test_non_manifold_edge(self):
         verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, 0]]
         faces = [[0, 1, 2], [1, 0, 3], [0, 1, 4]]  # edge 0-1 in three faces
-        with pytest.raises((NonManifoldError, OrientationError)):
+        with pytest.raises(NonManifoldError) as info:
             Mesh(verts, faces)
+        # three faces on one edge also repeat a direction; the count wins
+        assert type(info.value) is NonManifoldError
+        assert info.value.edge == (0, 1)
+        assert "edge (0, 1) is shared by 3 faces" in str(info.value)
 
     def test_inconsistent_orientation(self):
         verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]
         faces = [[0, 1, 2], [1, 3, 2], [0, 1, 3]]  # 0->1 traversed twice
-        with pytest.raises(OrientationError):
+        with pytest.raises(OrientationError, match=r"directed edge \(0, 1\) "):
             Mesh(verts, faces)
+
+    def test_bowtie_vertex_rejected(self):
+        # two triangles that share only vertex 0: two open fans there
+        verts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [-1, 0, 0], [-1, -1, 0]]
+        with pytest.raises(NonManifoldVertexError) as info:
+            Mesh(verts, [[0, 1, 2], [0, 3, 4]])
+        assert info.value.vertex == 0
+
+    def test_two_closed_fans_at_a_vertex_rejected(self):
+        # two closed tetrahedra glued at vertex 0
+        tet = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
+        verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 1],
+                 [-1, 0, 0], [0, -1, 0], [-1, -1, -1]]
+        faces = np.concatenate([tet, np.where(tet == 0, 0, tet + 3)])
+        with pytest.raises(NonManifoldVertexError) as info:
+            Mesh(verts, faces)
+        assert info.value.vertex == 0
+
+    def test_range_and_degenerate_errors_name_the_face(self):
+        verts = np.eye(3)
+        with pytest.raises(IndexRangeError, match="face 1 references vertex 3"):
+            Mesh(verts, [[0, 1, 2], [0, 3, 2]])
+        with pytest.raises(DegenerateFaceError, match="face 1 "):
+            Mesh(verts, [[0, 1, 2], [2, 1, 2]])
 
     def test_non_finite_vertex_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
@@ -312,6 +341,17 @@ class TestInvariants:
         npt.assert_allclose(
             vertex_normals(rotated), vertex_normals(mesh) @ R.T, atol=1e-12
         )
+
+    def test_rings_do_not_depend_on_face_order(self):
+        rng = np.random.default_rng(3)
+        for mesh in (generate_icosphere(2), generate_grid_patch(4, 5, 0.2, 1)):
+            # shuffle the faces and roll each one, which keeps its orientation
+            faces = np.take_along_axis(
+                mesh.faces[rng.permutation(mesh.n_faces)],
+                (np.arange(3) + rng.integers(0, 3, (mesh.n_faces, 1))) % 3, axis=1)
+            shuffled = Mesh(mesh.vertices, faces)
+            for a, b in zip(mesh.neighbors, shuffled.neighbors):
+                npt.assert_array_equal(a, b)
 
     def test_neighbor_rings_are_cyclic_fans(self):
         mesh = generate_icosphere(1)

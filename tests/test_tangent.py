@@ -87,6 +87,30 @@ class TestFrames:
         npt.assert_allclose(fr.e1[0], [1, 0, 0], atol=1e-15)
         npt.assert_allclose(fr.e2[0], [0, 1, 0], atol=1e-15)
 
+    def test_e1_is_first_defined_log_map(self):
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            mesh = random_test_mesh(rng)
+            fr = build_frames(mesh)
+            for p in range(mesh.n_vertices):
+                for q in mesh.neighbors[p]:
+                    try:
+                        v = log_map(mesh.vertices[p], mesh.vertices[q], fr.normals[p])
+                    except UndefinedLogMapError:
+                        continue
+                    npt.assert_allclose(fr.e1[p], v / np.linalg.norm(v), rtol=0, atol=1e-14)
+                    break
+
+    def test_first_neighbor_on_the_normal_is_skipped(self):
+        verts = [[0, 0, 0], [0, 0, -1], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, 0, 1]]
+        mesh = Mesh(verts, [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5]])
+        assert mesh.neighbors[0][0] == 1  # open fan: starts at the head, on the normal
+        fr = build_frames(mesh)
+        npt.assert_allclose(fr.normals[0], [0, 0, 1], atol=1e-15)
+        with pytest.raises(UndefinedLogMapError):
+            log_map(mesh.vertices[0], mesh.vertices[1], fr.normals[0])
+        npt.assert_allclose(fr.e1[0], [1, 0, 0], atol=1e-15)
+
     def test_orthonormal_and_oriented(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
