@@ -7,6 +7,11 @@ topological order.  The op set is exactly what the mesh layers need
 ``rotate_pairs``, elementwise math, reductions, concatenation); no
 higher-order derivatives.
 
+Recording rule: every op computes its forward value once and returns it
+through ``_node``, which records the op (its Tensor operands, in order, and
+the closure) only when some operand requires a gradient, and otherwise
+returns a constant with no parents.  A no-grad mode is one more check there.
+
 Scatters (the adjoint of ``take_rows``, the forward of ``segment_sum`` and
 the adjoint of ``take_cols`` with repeated indices) are products with a
 sparse 0/1 incidence matrix.  Its rows list their entries in index order,
@@ -104,8 +109,18 @@ def _val(x):
     return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
+def _node(value, parents, vjp):
+    """An op's result: a tape node if a parent requires a gradient, else a constant."""
+    parents = tuple(parents)
+    if any(p.requires_grad for p in parents):
+        return Tensor(value, True, parents, vjp)
+    return Tensor(value)
+
+
 class Tensor:
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_vjp", "_spent")
+    # numpy defers ``ndarray op Tensor`` to the Tensor's reflected operator
+    __array_ufunc__ = None
 
     def __init__(self, value, requires_grad=False, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
@@ -183,25 +198,14 @@ class Tensor:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        a, b = self.value, _val(other)
-        out_parents = [p for p in (self, other) if isinstance(p, Tensor)]
-        req = any(p.requires_grad for p in out_parents)
-        if not req:
-            return Tensor(a + b)
-
-        def vjp(g):
-            return tuple(
-                _unbroadcast(g, p.value.shape) for p in out_parents
-            )
-
-        return Tensor(a + b, True, tuple(out_parents), vjp)
+        parents = [p for p in (self, other) if isinstance(p, Tensor)]
+        return _node(self.value + _val(other), parents,
+                     lambda g: tuple(_unbroadcast(g, p.value.shape) for p in parents))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if not self.requires_grad:
-            return Tensor(-self.value)
-        return Tensor(-self.value, True, (self,), lambda g: (-g,))
+        return _node(-self.value, (self,), lambda g: (-g,))
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Tensor) else -np.asarray(other))
@@ -212,112 +216,80 @@ class Tensor:
     def __mul__(self, other):
         a, b = self.value, _val(other)
         parents = [p for p in (self, other) if isinstance(p, Tensor)]
-        if not any(p.requires_grad for p in parents):
-            return Tensor(a * b)
 
         def vjp(g):
-            out = []
-            if isinstance(self, Tensor):
-                out.append(_unbroadcast(g * b, a.shape))
+            out = [_unbroadcast(g * b, a.shape)]
             if isinstance(other, Tensor):
-                out.append(_unbroadcast(g * a, other.value.shape))
+                out.append(_unbroadcast(g * a, b.shape))
             return tuple(out)
 
-        return Tensor(a * b, True, tuple(parents), vjp)
+        return _node(a * b, parents, vjp)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            a, b = self.value, other.value
-            if not (self.requires_grad or other.requires_grad):
-                return Tensor(a / b)
-
-            def vjp(g):
-                return (_unbroadcast(g / b, a.shape),
-                        _unbroadcast(-g * a / (b * b), b.shape))
-
-            return Tensor(a / b, True, (self, other), vjp)
-        return self * (1.0 / np.asarray(other, dtype=np.float64))
+        if not isinstance(other, Tensor):
+            return self * (1.0 / np.asarray(other, dtype=np.float64))
+        a, b = self.value, other.value
+        return _node(a / b, (self, other),
+                     lambda g: (_unbroadcast(g / b, a.shape),
+                                _unbroadcast(-g * a / (b * b), b.shape)))
 
     def __rtruediv__(self, other):
-        c = np.asarray(other, dtype=np.float64)
-        if not self.requires_grad:
-            return Tensor(c / self.value)
-        a = self.value
-        return Tensor(c / a, True, (self,),
-                      lambda g: (_unbroadcast(-g * c / (a * a), a.shape),))
+        a, c = self.value, np.asarray(other, dtype=np.float64)
+        return _node(c / a, (self,),
+                     lambda g: (_unbroadcast(-g * c / (a * a), a.shape),))
 
     def __pow__(self, n):
         if not isinstance(n, (int, float)):
             raise TypeError("only scalar exponents supported")
         a = self.value
-        if not self.requires_grad:
-            return Tensor(a ** n)
-        return Tensor(a ** n, True, (self,), lambda g: (g * n * a ** (n - 1),))
+        return _node(a ** n, (self,), lambda g: (g * n * a ** (n - 1),))
 
     def __matmul__(self, other):
         a, b = self.value, _val(other)
         parents = [p for p in (self, other) if isinstance(p, Tensor)]
-        if not any(p.requires_grad for p in parents):
-            return Tensor(a @ b)
 
         def vjp(g):
-            out = []
-            if isinstance(self, Tensor):
-                out.append(g @ b.T)
+            out = [g @ b.T]
             if isinstance(other, Tensor):
                 out.append(a.T @ g)
             return tuple(out)
 
-        return Tensor(a @ b, True, tuple(parents), vjp)
+        return _node(a @ b, parents, vjp)
 
     # -- elementwise ----------------------------------------------------------
 
     def relu(self):
         a = self.value
-        if not self.requires_grad:
-            return Tensor(np.maximum(a, 0.0))
         mask = (a > 0).astype(a.dtype)
-        return Tensor(a * mask, True, (self,), lambda g: (g * mask,))
+        return _node(a * mask, (self,), lambda g: (g * mask,))
 
     def exp(self):
         out = np.exp(self.value)
-        if not self.requires_grad:
-            return Tensor(out)
-        return Tensor(out, True, (self,), lambda g: (g * out,))
+        return _node(out, (self,), lambda g: (g * out,))
 
     def log(self):
         a = self.value
-        if not self.requires_grad:
-            return Tensor(np.log(a))
-        return Tensor(np.log(a), True, (self,), lambda g: (g / a,))
+        return _node(np.log(a), (self,), lambda g: (g / a,))
 
     def sqrt(self):
         out = np.sqrt(self.value)
-        if not self.requires_grad:
-            return Tensor(out)
-        return Tensor(out, True, (self,), lambda g: (g * 0.5 / out,))
+        return _node(out, (self,), lambda g: (g * 0.5 / out,))
 
     def sin(self):
         a = self.value
-        if not self.requires_grad:
-            return Tensor(np.sin(a))
-        return Tensor(np.sin(a), True, (self,), lambda g: (g * np.cos(a),))
+        return _node(np.sin(a), (self,), lambda g: (g * np.cos(a),))
 
     def cos(self):
         a = self.value
-        if not self.requires_grad:
-            return Tensor(np.cos(a))
-        return Tensor(np.cos(a), True, (self,), lambda g: (-g * np.sin(a),))
+        return _node(np.cos(a), (self,), lambda g: (-g * np.sin(a),))
 
     def sigmoid(self):
         a = self.value
         out = np.where(a >= 0, 1.0 / (1.0 + np.exp(-np.abs(a))),
                        np.exp(-np.abs(a)) / (1.0 + np.exp(-np.abs(a))))
-        if not self.requires_grad:
-            return Tensor(out)
-        return Tensor(out, True, (self,), lambda g: (g * out * (1.0 - out),))
+        return _node(out, (self,), lambda g: (g * out * (1.0 - out),))
 
     # -- shape ---------------------------------------------------------------
 
@@ -325,18 +297,12 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], tuple):
             shape = shape[0]
         a = self.value
-        if not self.requires_grad:
-            return Tensor(a.reshape(shape))
-        return Tensor(a.reshape(shape), True, (self,),
-                      lambda g: (g.reshape(a.shape),))
+        return _node(a.reshape(shape), (self,), lambda g: (g.reshape(a.shape),))
 
     def transpose(self, axes=None):
-        a = self.value
-        if not self.requires_grad:
-            return Tensor(a.transpose(axes))
         inv = None if axes is None else np.argsort(axes)
-        return Tensor(a.transpose(axes), True, (self,),
-                      lambda g: (g.transpose(inv),))
+        return _node(self.value.transpose(axes), (self,),
+                     lambda g: (g.transpose(inv),))
 
     @property
     def T(self):
@@ -344,17 +310,12 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         a = self.value
-        out = a.sum(axis=axis, keepdims=keepdims)
-        if not self.requires_grad:
-            return Tensor(out)
 
         def vjp(g):
-            if axis is None:
-                return (np.broadcast_to(g, a.shape).copy(),)
-            gg = g if keepdims else np.expand_dims(g, axis)
+            gg = g if axis is None or keepdims else np.expand_dims(g, axis)
             return (np.broadcast_to(gg, a.shape).copy(),)
 
-        return Tensor(out, True, (self,), vjp)
+        return _node(a.sum(axis=axis, keepdims=keepdims), (self,), vjp)
 
     def mean(self, axis=None, keepdims=False):
         n = self.value.size if axis is None else self.value.shape[axis]
@@ -372,28 +333,21 @@ def parameter(value) -> Tensor:
 
 def concat(tensors, axis=0) -> Tensor:
     vals = [_val(t) for t in tensors]
-    out = np.concatenate(vals, axis=axis)
-    parents = tuple(t for t in tensors if isinstance(t, Tensor))
-    if not any(p.requires_grad for p in parents):
-        return Tensor(out)
-    sizes = [v.shape[axis] for v in vals]
-    splits = np.cumsum(sizes)[:-1]
+    splits = np.cumsum([v.shape[axis] for v in vals])[:-1]
 
     def vjp(g):
         pieces = np.split(g, splits, axis=axis)
         return tuple(p for t, p in zip(tensors, pieces) if isinstance(t, Tensor))
 
-    return Tensor(out, True, parents, vjp)
+    return _node(np.concatenate(vals, axis=axis),
+                 (t for t in tensors if isinstance(t, Tensor)), vjp)
 
 
 def take_rows(x: Tensor, idx) -> Tensor:
     """Gather along axis 0; adjoint scatter-adds."""
     idx = np.asarray(idx)
-    out = x.value[idx]
-    if not x.requires_grad:
-        return Tensor(out)
     n = x.value.shape[0]
-    return Tensor(out, True, (x,), lambda g: (_scatter_rows(g, idx, n),))
+    return _node(x.value[idx], (x,), lambda g: (_scatter_rows(g, idx, n),))
 
 
 def take_cols(x: Tensor, idx) -> Tensor:
@@ -410,19 +364,13 @@ def take_cols(x: Tensor, idx) -> Tensor:
     a = idx[0] if idx.size else 0
     if 0 <= a <= n - idx.size and np.array_equal(idx, np.arange(a, a + idx.size)):
         cols = slice(a, a + idx.size)
-        out = x.value[:, cols]
-        if not x.requires_grad:
-            return Tensor(out)
 
         def vjp(g):
             gx = np.zeros_like(x.value)
             gx[:, cols] = g
             return (gx,)
 
-        return Tensor(out, True, (x,), vjp)
-    out = np.take(x.value, idx, axis=1)
-    if not x.requires_grad:
-        return Tensor(out)
+        return _node(x.value[:, cols], (x,), vjp)
     if np.unique(idx).size < idx.size:
         def vjp(g):
             return (_scatter_rows(g.T, idx, n).T,)
@@ -434,22 +382,18 @@ def take_cols(x: Tensor, idx) -> Tensor:
             padded = np.concatenate([g, np.zeros((g.shape[0], 1))], axis=1)
             return (np.take(padded, source, axis=1),)
 
-    return Tensor(out, True, (x,), vjp)
+    return _node(np.take(x.value, idx, axis=1), (x,), vjp)
 
 
 def take_pairs(x: Tensor, rows, cols) -> Tensor:
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    out = x.value[rows, cols]
-    if not x.requires_grad:
-        return Tensor(out)
+    rows, cols = np.asarray(rows), np.asarray(cols)
 
     def vjp(g):
         gx = np.zeros_like(x.value)
         np.add.at(gx, (rows, cols), g)
         return (gx,)
 
-    return Tensor(out, True, (x,), vjp)
+    return _node(x.value[rows, cols], (x,), vjp)
 
 
 def rotate_pairs(x: Tensor, cosm, sinm, partner) -> Tensor:
@@ -463,19 +407,15 @@ def rotate_pairs(x: Tensor, cosm, sinm, partner) -> Tensor:
     ``g * cosm + (g * sinm)[:, partner]``.
     """
     out = x.value * cosm + np.take(x.value, partner, axis=1) * sinm
-    if not x.requires_grad:
-        return Tensor(out)
-    return Tensor(out, True, (x,),
-                  lambda g: (g * cosm + np.take(g * sinm, partner, axis=1),))
+    return _node(out, (x,),
+                 lambda g: (g * cosm + np.take(g * sinm, partner, axis=1),))
 
 
 def segment_sum(x: Tensor, segments, n_segments: int) -> Tensor:
     """Sum rows of ``x`` into their segment; adjoint gathers."""
     segments = np.asarray(segments)
-    out = _scatter_rows(x.value, segments, n_segments)
-    if not x.requires_grad:
-        return Tensor(out)
-    return Tensor(out, True, (x,), lambda g: (g[segments],))
+    return _node(_scatter_rows(x.value, segments, n_segments), (x,),
+                 lambda g: (g[segments],))
 
 
 def segment_softmax(logits: Tensor, segments, n_segments: int) -> Tensor:
@@ -494,9 +434,7 @@ def sparse_matmul(smat, x: Tensor, out_shape=None) -> Tensor:
     out = smat @ x.value
     if out_shape is not None:
         out = out.reshape(out_shape)
-    if not x.requires_grad:
-        return Tensor(out)
-    return Tensor(out, True, (x,), lambda g: (smat.T @ g.ravel(),))
+    return _node(out, (x,), lambda g: (smat.T @ g.ravel(),))
 
 
 def nll_loss(logits: Tensor, targets) -> Tensor:

@@ -160,6 +160,10 @@ def parse_config(text: str) -> RunConfig:
             resolved["run"]["seed"] = _SCHEMA["run"]["seed"][0](env_seed)
         except ValueError as exc:
             raise ConfigError(f"bad value for MESHNET_SEED: {exc}") from exc
+    tr = resolved["transforms"]
+    if tr["scale_min"] > tr["scale_max"]:
+        raise ConfigError(f"[transforms] scale_min = {tr['scale_min']} exceeds "
+                          f"scale_max = {tr['scale_max']}")
     return RunConfig(resolved)
 
 

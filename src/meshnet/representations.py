@@ -401,12 +401,14 @@ def init_coefficients(in_type: FeatureType, out_type: FeatureType, kind: str,
     """Uniform init in [-s, s] with s = 1/sqrt(fan_in * basis_count).
 
     Keeps pre-activation variance bounded across the chosen type sizes.
+    One draw over all blocks, in the layout order of :func:`_block_pairs`.
     """
-    pieces = [np.zeros(0)]
-    for *_rest, basis in _block_pairs(in_type, out_type, kind):
-        nb = len(basis)
-        if nb:
-            s = 1.0 / np.sqrt(in_type.dim * nb)
-            pieces.append(rng.uniform(-s, s, size=nb))
-    return np.concatenate(pieces)
+    out_orders, out_of = np.unique(out_type.orders, return_inverse=True)
+    in_orders, in_of = np.unique(in_type.orders, return_inverse=True)
+    sizes = np.array([[len(kernel_basis(n, m, kind)) for n in in_orders]
+                      for m in out_orders], dtype=np.int64)
+    nb = sizes[out_of[:, None], in_of[None, :]].ravel()
+    nb = nb[nb > 0]
+    s = np.repeat(1.0 / np.sqrt(in_type.dim * nb), nb)
+    return rng.uniform(-s, s)
 

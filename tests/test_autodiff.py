@@ -431,3 +431,101 @@ def test_warm_training_step_reuses_tape_memory():
     step()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 500, faults
+
+
+_PARTNER = np.array([0, 2, 1])
+_SPARSE = sp.random(5, 12, density=0.4, random_state=1, format="csr")
+
+# (name, op, operand shapes, recorded): ``op`` takes Tensor operands; when
+# ``recorded`` the result's parents are exactly those operands, otherwise the
+# op is composed of recorded ops
+RECORDING_CASES = [
+    ("add", lambda a, b: a + b, [(4, 3), (4, 3)], True),
+    ("add_broadcast", lambda a, b: a + b, [(4, 3), (3,)], True),
+    ("add_array", lambda a: a + np.ones(3), [(4, 3)], True),
+    ("radd", lambda a: 2.0 + a, [(4, 3)], True),
+    ("neg", lambda a: -a, [(4, 3)], True),
+    ("sub", lambda a, b: a - b, [(4, 3), (4, 3)], False),
+    ("rsub", lambda a: 1.0 - a, [(4, 3)], False),
+    ("mul", lambda a, b: a * b, [(4, 3), (4, 3)], True),
+    ("mul_array", lambda a: a * np.arange(3.0), [(4, 3)], True),
+    ("rmul", lambda a: 3.0 * a, [(4, 3)], True),
+    ("truediv", lambda a, b: a / (b * b + 1.0), [(4, 3), (4, 3)], False),
+    ("truediv_tensors", lambda a, b: a / b, [(4, 3), (4, 3)], True),
+    ("truediv_scalar", lambda a: a / 2.0, [(4, 3)], False),
+    ("rtruediv", lambda a: 2.0 / a, [(4, 3)], True),
+    ("pow", lambda a: a ** 3, [(4, 3)], True),
+    ("matmul", lambda a, b: a @ b, [(4, 3), (3, 2)], True),
+    ("matmul_array", lambda a: a @ np.ones((3, 2)), [(4, 3)], True),
+    ("relu", lambda a: a.relu(), [(4, 3)], True),
+    ("exp", lambda a: a.exp(), [(4, 3)], True),
+    ("log", lambda a: (a * a + 1.0).log(), [(4, 3)], False),
+    ("sqrt", lambda a: (a * a + 1.0).sqrt(), [(4, 3)], False),
+    ("sin", lambda a: a.sin(), [(4, 3)], True),
+    ("cos", lambda a: a.cos(), [(4, 3)], True),
+    ("sigmoid", lambda a: a.sigmoid(), [(4, 3)], True),
+    ("reshape", lambda a: a.reshape(3, 4), [(4, 3)], True),
+    ("transpose", lambda a: a.transpose((1, 0)), [(4, 3)], True),
+    ("T", lambda a: a.T, [(4, 3)], True),
+    ("sum", lambda a: a.sum(), [(4, 3)], True),
+    ("sum_axis", lambda a: a.sum(axis=0, keepdims=True), [(4, 3)], True),
+    ("mean", lambda a: a.mean(axis=1), [(4, 3)], False),
+    ("concat", lambda a, b: concat([a, np.ones((1, 3)), b]), [(4, 3), (2, 3)], True),
+    ("take_rows", lambda a: take_rows(a, [3, 0, 0, 2]), [(4, 3)], True),
+    ("take_cols_slice", lambda a: take_cols(a, [1, 2]), [(4, 3)], True),
+    ("take_cols_gather", lambda a: take_cols(a, [2, 0]), [(4, 3)], True),
+    ("take_cols_repeated", lambda a: take_cols(a, [2, 0, 2]), [(4, 3)], True),
+    ("take_pairs", lambda a: take_pairs(a, [0, 3, 3], [2, 1, 2]), [(4, 3)], True),
+    ("rotate_pairs", lambda a: rotate_pairs(a, np.cos(np.ones((4, 3))),
+                                            np.sin(np.ones((4, 3))), _PARTNER),
+     [(4, 3)], True),
+    ("segment_sum", lambda a: segment_sum(a, [1, 0, 1, 1], 3), [(4, 3)], True),
+    ("segment_softmax", lambda a: segment_softmax(a, [1, 0, 1, 1], 2), [(4,)], False),
+    ("sparse_matmul", lambda a: sparse_matmul(_SPARSE, a.reshape(12), (5,)), [(4, 3)], False),
+    ("sparse_matmul_direct", lambda a: sparse_matmul(_SPARSE, a, (5,)), [(12,)], True),
+    ("nll_loss", lambda a: nll_loss(a, [2, 0, 1, 1]), [(4, 3)], False),
+]
+
+
+@pytest.mark.parametrize("name, op, shapes, recorded", RECORDING_CASES,
+                         ids=[c[0] for c in RECORDING_CASES])
+class TestRecordingRule:
+    @staticmethod
+    def _values(shapes):
+        # mixed signs, so relu's zeros show their sign bit
+        rng = np.random.default_rng(len(shapes))
+        return [rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], s) for s in shapes]
+
+    def test_constants_record_nothing(self, name, op, shapes, recorded):
+        out = op(*[Tensor(v) for v in self._values(shapes)])
+        assert out._parents == () and out._vjp is None
+        assert not out.requires_grad
+
+    @pytest.mark.parametrize("grads", ["all", "first"])
+    def test_grad_operand_records_its_operands(self, name, op, shapes, recorded, grads):
+        values = self._values(shapes)
+        operands = [parameter(v) if grads == "all" or k == 0 else Tensor(v)
+                    for k, v in enumerate(values)]
+        out = op(*operands)
+        const = op(*[Tensor(v) for v in values])
+        assert out.requires_grad and out._vjp is not None
+        if recorded:
+            assert len(out._parents) == len(operands)
+            assert all(p is q for p, q in zip(out._parents, operands))
+        assert np.array_equal(out.value, const.value)
+        assert np.array_equal(np.signbit(out.value), np.signbit(const.value))
+
+
+@pytest.mark.parametrize("op, dp", [
+    (lambda a, p: a * p, lambda a: a),
+    (lambda a, p: a + p, np.ones_like),
+    (lambda a, p: a - p, lambda a: -np.ones_like(a)),
+], ids=["mul", "add", "sub"])
+def test_ndarray_on_the_left_defers_to_tensor(op, dp):
+    a = np.array([2.0, 3.0, 5.0])
+    p = parameter(np.array([1.0, -1.0, 4.0]))
+    out = op(a, p)
+    assert isinstance(out, Tensor)
+    npt.assert_array_equal(out.value, op(a, p.value))
+    out.sum().backward()
+    npt.assert_array_equal(p.grad, dp(a))

@@ -6,7 +6,7 @@ import pytest
 
 from meshnet.autodiff import Tensor
 from meshnet.config import parse_config
-from meshnet.errors import CheckpointError, EmptyNeighborhoodError
+from meshnet.errors import CheckpointError, ConfigError, EmptyNeighborhoodError
 from meshnet.harness import (
     equivariance_gap,
     evaluate,
@@ -171,3 +171,8 @@ def test_evaluate_honours_transform_ranges():
     model, _metrics = train(cfg)
     accuracy = evaluate(cfg, model=model)["accuracy"]
     assert accuracy["rot_tr_scale"] == accuracy["test"]
+
+
+def test_reversed_scale_range_rejected():
+    with pytest.raises(ConfigError, match="scale_min.*scale_max"):
+        parse_config("[transforms]\nscale_min = 5\nscale_max = 0.5\n")

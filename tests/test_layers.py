@@ -111,3 +111,25 @@ def test_attention_coefficients(options):
     alpha2 = layer.attention_coefficients(Tensor(regauge_coords(f, HIDDEN, g)),
                                           EdgeGeometry.from_frames(frames2, td2))
     npt.assert_allclose(alpha2, alpha, rtol=0, atol=TOL)
+
+
+def test_identity_markers_see_backward():
+    # a marker node built with the public constructor on a layer's input and
+    # output (as the benchmark's tracer does) has its vjp called by backward,
+    # the output's before the input's
+    rng = np.random.default_rng(4)
+    mesh, _td, geom = _geometry(rng)
+    layer = EmanAttentionLayer(ENTRY, HIDDEN, rng=rng)
+    seen = []
+
+    def marker(x, side):
+        def vjp(g):
+            seen.append((side, g.shape))
+            return (g,)
+        return Tensor(x.value, True, (x,), vjp)
+
+    x = marker(Tensor(rng.standard_normal((mesh.n_vertices, ENTRY.dim))), "in")
+    marker(layer.forward(x, geom), "out").sum().backward()
+    assert seen == [("out", (mesh.n_vertices, HIDDEN.dim)),
+                    ("in", (mesh.n_vertices, ENTRY.dim))]
+    assert all(np.any(p.grad != 0) for _n, p in layer.parameters())

@@ -304,3 +304,32 @@ class TestInitialization:
             y = x @ assemble_kernel(k, 0.3).T
             ratio = y.std() / x.std()
             assert 0.05 < ratio < 5.0, (text, ratio)
+
+
+def _block_walk_init(in_type, out_type, kind, rng):
+    """The per-block reference: one uniform draw per (out, in) component pair."""
+    pieces = [np.zeros(0)]
+    for m in out_type.orders:
+        for n in in_type.orders:
+            nb = len(kernel_basis(n, m, kind))
+            if nb:
+                s = 1.0 / np.sqrt(in_type.dim * nb)
+                pieces.append(rng.uniform(-s, s, size=nb))
+    return np.concatenate(pieces)
+
+
+@pytest.mark.parametrize("tin, tout, kind", [
+    ("16x(rho0+rho1+rho2)", "16x(rho0+rho1+rho2)", "neigh"),
+    ("16x(rho0+rho1+rho2)", "16x(rho0+rho1+rho2)", "self"),
+    ("rho0+rho1", "16x(rho0+rho1+rho2)", "neigh"),
+    ("16x(rho0+rho1+rho2)", "16xrho0", "self"),
+    ("rho1+rho2", "2xrho0", "self"),
+])
+def test_init_matches_block_walk(tin, tout, kind):
+    tin, tout = FeatureType.parse(tin), FeatureType.parse(tout)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = init_coefficients(tin, tout, kind, rng)
+    want = _block_walk_init(tin, tout, kind, ref_rng)
+    assert got.shape == (coefficient_count(tin, tout, kind),)
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
