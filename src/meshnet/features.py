@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ZeroDistanceError
 from .mesh import Mesh
 from .representations import FeatureType
-from .tangent import FrameField, _edge_projection
+from .tangent import FrameField
 
 __all__ = [
     "GeometricFeatureField",
@@ -81,7 +81,7 @@ def reltan_vectors(mesh: Mesh, frames: FrameField, power: float) -> np.ndarray:
         If a neighbor coincides with its center vertex.
     """
     src, dst = mesh.edge_src, mesh.edge_dst
-    tang, _, dist = _edge_projection(mesh, frames.normals)
+    tang, _, dist = frames._projection
     zero = np.where(dist <= 0.0)[0]
     if zero.size:
         e = int(zero[0])
@@ -89,11 +89,10 @@ def reltan_vectors(mesh: Mesh, frames: FrameField, power: float) -> np.ndarray:
     unit = tang / dist[:, None]  # proj of the unit offset, length <= 1
 
     w = dist ** (power - 1.0)
-    wsum = np.zeros(mesh.n_vertices)
-    np.add.at(wsum, dst, w)
+    wsum = np.bincount(dst, w, mesh.n_vertices)
     contrib = unit * (wsum[dst] / w)[:, None]
-    out = np.zeros((mesh.n_vertices, 3))
-    np.add.at(out, dst, contrib)
+    out = np.stack([np.bincount(dst, contrib[:, c], mesh.n_vertices) for c in range(3)],
+                   axis=1)
     return out * mesh.degrees[:, None] ** -1.5
 
 

@@ -2,10 +2,10 @@
 
 A mesh is an oriented triangulated surface embedded in R^3.  Construction
 checks the faces with array operations over their directed edges (index
-range, degenerate faces, manifold edges, consistent orientation), then walks
-each vertex's face fan once to store its neighbor ring in the cyclic order
-the oriented fan induces, so that all downstream per-neighbor sums have a
-reproducible order.
+range, degenerate faces, manifold edges, consistent orientation), then
+walks all fans in lock-step over the sorted link edges to store each vertex's
+neighbor ring in the cyclic order the oriented fan induces, so that all
+downstream per-neighbor sums have a reproducible order.
 
 A mesh derived from another one -- new vertex positions
 (:meth:`Mesh.with_vertices`) or a relabelling of its vertices
@@ -13,7 +13,7 @@ A mesh derived from another one -- new vertex positions
 path that reuses the source's faces and rings.  Those were validated when
 the source was built and stay valid under new positions or a bijective
 relabelling, so the path checks only the new vertex array and the size of
-the relabelling, and walks no face again.
+the relabelling, and relabels the rings with one gather, walking no face.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ class Mesh:
     vertices : ndarray, shape (V, 3)
     faces : ndarray, shape (F, 3)
     neighbors : list of ndarray
-        Neighbor ring of each vertex in oriented-fan order.  Closed fans
-        start at the smallest neighbor index; open fans (boundary vertices)
-        start at the head of the chain.
+        Neighbor ring of each vertex in oriented-fan order, as read-only
+        slices of ``edge_src``.  Closed fans start at the smallest neighbor
+        index; open fans (boundary vertices) start at the head of the chain.
     edge_dst, edge_src : ndarray, shape (E,)
         Directed edges q -> p flattened in vertex order: ``edge_dst`` is the
         receiving vertex p, ``edge_src`` the neighbor q.
@@ -79,7 +79,7 @@ class Mesh:
             raise ValueError("face array must have shape (F, 3)")
         self._validate_faces()
         self.faces.flags.writeable = False
-        self._set_rings(self._build_neighbor_rings())
+        self._set_rings(*self._build_neighbor_rings())
         low = np.flatnonzero(self.degrees < 2)
         if low.size:
             raise DegreeError(int(low[0]), int(self.degrees[low[0]]))
@@ -93,16 +93,15 @@ class Mesh:
             raise NonFiniteVertexError(int(np.argmax(bad)))
         self.vertices.flags.writeable = False
 
-    def _set_rings(self, neighbors):
-        self.neighbors = neighbors
-        self.degrees = np.array([len(nb) for nb in neighbors], dtype=np.int64)
-        self.edge_offsets = np.concatenate([[0], np.cumsum(self.degrees)])
-        self.edge_dst = np.repeat(np.arange(self.n_vertices), self.degrees)
-        self.edge_src = (
-            np.concatenate(neighbors) if neighbors else np.zeros(0, dtype=np.int64)
-        )
+    def _set_rings(self, degrees, edge_src):
+        self.degrees = degrees
+        self.edge_offsets = np.concatenate([[0], np.cumsum(degrees)])
+        self.edge_dst = np.repeat(np.arange(self.n_vertices), degrees)
+        self.edge_src = edge_src
         for a in (self.degrees, self.edge_offsets, self.edge_dst, self.edge_src):
             a.flags.writeable = False
+        bounds = self.edge_offsets.tolist()
+        self.neighbors = [edge_src[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     @property
     def n_vertices(self):
@@ -142,25 +141,43 @@ class Mesh:
             raise OrientationError((i[e], j[e]))
 
     def _build_neighbor_rings(self):
-        # At vertex p, face (p, a, b) contributes the oriented link edge
-        # a -> b; chaining link edges walks the fan counter-clockwise.  With
+        # At vertex p, face (p, x, y) contributes the oriented link edge
+        # x -> y; chaining link edges walks the fan counter-clockwise.  With
         # unique directed edges the link edges form disjoint chains, each
         # with one head, and cycles; a single fan is one chain or one cycle.
-        succ = [dict() for _ in range(self.n_vertices)]
-        for a, b, c in self.faces:
-            for p, x, y in ((a, b, c), (b, c, a), (c, a, b)):
-                succ[p][x] = y
-        rings = []
-        for p, nxt in enumerate(succ):
-            heads = set(nxt).difference(nxt.values())
-            # an open fan starts at its head, a closed one at its smallest neighbor
-            ring = [min(heads or nxt)] if nxt else []
-            while ring and ring[-1] in nxt and nxt[ring[-1]] != ring[0]:
-                ring.append(nxt[ring[-1]])
-            if len(ring) != len(nxt) + len(heads):
-                raise NonManifoldVertexError(p)
-            rings.append(np.array(ring, dtype=np.int64))
-        return rings
+        V = self.n_vertices
+        p, x, y = (np.roll(self.faces, -k, axis=1).ravel() for k in range(3))
+        order = np.argsort(p * V + x)  # grouped by p, then by x
+        p, x, y = p[order], x[order], y[order]
+        key, next_key = p * V + x, p * V + y
+        succ = np.minimum(np.searchsorted(key, next_key), key.size - 1)
+        succ[key[succ] != next_key] = -1
+        head = np.bincount(succ[succ >= 0], minlength=key.size) == 0
+        links = np.bincount(p, minlength=V)
+        degrees = links + np.bincount(p[head], minlength=V)
+        # an open fan starts at its head, a closed one at its smallest neighbor
+        start = np.cumsum(links) - links
+        with_head, first = np.unique(p[head], return_index=True)
+        start[with_head] = np.flatnonzero(head)[first]
+        # Walk all fans one link edge per step.  A walk stays in one fan, so a
+        # vertex with several ends short of its degree, inside its block.
+        offsets = np.cumsum(degrees) - degrees
+        edge_src = np.empty(degrees.sum(), dtype=np.int64)
+        length = np.zeros(V, dtype=np.int64)
+        active = np.flatnonzero(links)
+        cur, step = start[active], 0
+        while active.size:
+            edge_src[offsets[active] + step] = x[cur]
+            nxt = succ[cur]
+            end = nxt < 0
+            edge_src[offsets[active[end]] + step + 1] = y[cur[end]]
+            length[active] = step + 1 + end
+            keep = ~end & (nxt != start[active])
+            active, cur, step = active[keep], nxt[keep], step + 1
+        bad = np.flatnonzero(length != degrees)
+        if bad.size:
+            raise NonManifoldVertexError(int(bad[0]))
+        return degrees, edge_src
 
     def edge_slice(self, p):
         """Directed-edge index range of vertex ``p``."""
@@ -197,10 +214,11 @@ class Mesh:
         out._set_vertices(relabelled)
         out.faces = forward[self.faces]
         out.faces.flags.writeable = False
-        rings = [None] * V
-        for p, ring in enumerate(self.neighbors):
-            rings[forward[p]] = forward[ring]
-        out._set_rings(rings)
+        inverse = np.argsort(forward)
+        degrees = self.degrees[inverse]
+        starts = np.cumsum(degrees) - degrees
+        ring_pos = np.arange(self.n_edges) - np.repeat(starts - self.edge_offsets[inverse], degrees)
+        out._set_rings(degrees, forward[self.edge_src[ring_pos]])
         return out
 
     def __repr__(self):
@@ -257,10 +275,10 @@ def vertex_normals(mesh: Mesh, fg: FaceGeometry | None = None) -> np.ndarray:
     """
     if fg is None:
         fg = face_geometry(mesh)
-    acc = np.zeros_like(mesh.vertices)
-    w = fg.areas[:, None] * fg.normals
-    for k in range(3):
-        np.add.at(acc, mesh.faces[:, k], w)
+    corners = mesh.faces.T.ravel()  # corner 0 of every face, then 1, then 2
+    w = np.tile(fg.areas[:, None] * fg.normals, (3, 1))
+    acc = np.stack([np.bincount(corners, w[:, c], mesh.n_vertices) for c in range(3)],
+                   axis=1)
     norms = np.linalg.norm(acc, axis=1)
     bad = np.where(norms <= 1e-12 * max(np.max(fg.areas), 1e-300))[0]
     if bad.size:

@@ -13,11 +13,12 @@ It records the token of the frames it was computed in, so a model can reject
 features bound to another gauge.  All angles live in (-pi, pi].  The frames,
 the angles and the relative-tangent features share one array projection of
 the edge offsets; the scalar functions are the references it is tested
-against.
+against.  A :class:`FrameField` keeps it and :func:`regauge` hands it on.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -108,14 +109,22 @@ class FrameField:
         for a in (self.normals, self.e1, self.e2):
             a.flags.writeable = False
 
+    @functools.cached_property
+    def _projection(self):
+        """:func:`_edge_projection` under these normals, unless already set."""
+        return _edge_projection(self.mesh, self.normals)
+
 
 def _edge_projection(mesh: Mesh, normals):
     """``w = d - n_p (n_p . d)``, ``|w|`` and ``|d|`` for the offset ``d = q - p``
-    of every directed edge q -> p, in edge order."""
+    of every directed edge q -> p, in edge order (read-only arrays)."""
     npm = normals[mesh.edge_dst]
     d = mesh.vertices[mesh.edge_src] - mesh.vertices[mesh.edge_dst]
     w = d - npm * np.einsum("ij,ij->i", npm, d)[:, None]
-    return w, np.linalg.norm(w, axis=1), np.linalg.norm(d, axis=1)
+    out = w, np.linalg.norm(w, axis=1), np.linalg.norm(d, axis=1)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def build_frames(mesh: Mesh) -> FrameField:
@@ -138,7 +147,9 @@ def build_frames(mesh: Mesh) -> FrameField:
         raise FrameConstructionError(int(np.argmin(counts)))
     first = np.flatnonzero(defined)[np.cumsum(counts) - counts]  # one per vertex
     e1 = w[first] / wn[first, None]
-    return FrameField(mesh, normals, e1, np.cross(normals, e1))
+    frames = FrameField(mesh, normals, e1, np.cross(normals, e1))
+    frames._projection = w, wn, dn
+    return frames
 
 
 def theta_angle(p, q, e1_p, e2_p, n_p):
@@ -230,7 +241,7 @@ class EdgeGeometry:
         npm = frames.normals[dst]
         e1p, e2p = frames.e1[dst], frames.e2[dst]
 
-        w, wn, dn = _edge_projection(mesh, frames.normals)
+        w, wn, dn = frames._projection
         bad = np.where(wn <= _PROJECTION_TOL * np.maximum(dn, 1e-300))[0]
         if bad.size:
             e = int(bad[0])
@@ -289,4 +300,5 @@ def regauge(frames: FrameField, angles):
     e1 = np.cos(angles) * frames.e1 + np.sin(angles) * frames.e2
     e2 = np.cross(frames.normals, e1)
     out = FrameField(frames.mesh, frames.normals, e1, e2)
+    out._projection = frames._projection
     return out, EdgeGeometry.from_frames(out)

@@ -5,11 +5,13 @@ construction (``assemble_kernel`` + dense representation matrices), looping
 over vertices in Python.  None of it shares code with the factorised
 ``rho_out(theta) K(0) rho_in(g - theta)`` message path inside the layers.
 ``scatter_add`` is the ``np.add.at`` reference for the tape's sparse
-incidence scatters.
+incidence scatters, and ``reference_rings`` the dict walk that the array
+construction of ``Mesh`` neighbor rings is tested against.
 """
 
 import numpy as np
 
+from meshnet.errors import NonManifoldVertexError
 from meshnet.mesh import Mesh, generate_grid_patch, generate_icosphere
 from meshnet.representations import assemble_kernel, rep_block_diag
 
@@ -27,6 +29,30 @@ def scatter_add(values, idx, n):
     out = np.zeros((n,) + values.shape[1:])
     np.add.at(out, idx, values)
     return out
+
+
+def reference_rings(faces, n_vertices):
+    """Neighbor ring of every vertex, walked face fan by face fan in dicts.
+
+    At vertex p, face (p, a, b) contributes the oriented link edge a -> b.
+    An open fan starts at its head, a closed one at its smallest neighbor;
+    a vertex whose link edges do not form one chain or one cycle raises
+    :class:`NonManifoldVertexError`, the first such vertex first.
+    """
+    succ = [dict() for _ in range(n_vertices)]
+    for a, b, c in np.asarray(faces).tolist():
+        for p, x, y in ((a, b, c), (b, c, a), (c, a, b)):
+            succ[p][x] = y
+    rings = []
+    for p, nxt in enumerate(succ):
+        heads = set(nxt).difference(nxt.values())
+        ring = [min(heads or nxt)] if nxt else []
+        while ring and ring[-1] in nxt and nxt[ring[-1]] != ring[0]:
+            ring.append(nxt[ring[-1]])
+        if len(ring) != len(nxt) + len(heads):
+            raise NonManifoldVertexError(p)
+        rings.append(np.array(ring, dtype=np.int64))
+    return rings
 
 
 def random_test_mesh(rng, max_subdivisions=1):

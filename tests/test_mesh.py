@@ -24,7 +24,7 @@ from meshnet.mesh import (
 )
 from meshnet.transforms import Permutation, apply_permutation, random_rotation
 
-from oracles import random_test_mesh
+from oracles import random_test_mesh, reference_rings
 
 
 MINIMAL_OFF = """OFF
@@ -234,9 +234,10 @@ class TestValidation:
                 apply_permutation(mesh, Permutation(np.arange(size)))
 
     def test_isolated_vertex_rejected(self):
-        verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 5]]
-        with pytest.raises(DegreeError):
-            Mesh(verts, [[0, 1, 2]])
+        verts = [[0, 0, 0], [5, 5, 5], [1, 0, 0], [0, 1, 0]]
+        with pytest.raises(DegreeError) as info:
+            Mesh(verts, [[0, 2, 3]])
+        assert info.value.vertex == 1
 
 
 class TestFaceGeometry:
@@ -345,11 +346,7 @@ class TestInvariants:
     def test_rings_do_not_depend_on_face_order(self):
         rng = np.random.default_rng(3)
         for mesh in (generate_icosphere(2), generate_grid_patch(4, 5, 0.2, 1)):
-            # shuffle the faces and roll each one, which keeps its orientation
-            faces = np.take_along_axis(
-                mesh.faces[rng.permutation(mesh.n_faces)],
-                (np.arange(3) + rng.integers(0, 3, (mesh.n_faces, 1))) % 3, axis=1)
-            shuffled = Mesh(mesh.vertices, faces)
+            shuffled = Mesh(mesh.vertices, _shuffled_faces(mesh.faces, rng))
             for a, b in zip(mesh.neighbors, shuffled.neighbors):
                 npt.assert_array_equal(a, b)
 
@@ -361,3 +358,74 @@ class TestInvariants:
             ring = mesh.neighbors[p].tolist()
             for a, b in zip(ring, ring[1:] + ring[:1]):
                 assert frozenset((p, a, b)) in face_set
+
+
+def _shuffled_faces(faces, rng):
+    """The faces in random order, each rolled, which keeps its orientation."""
+    return np.take_along_axis(
+        faces[rng.permutation(len(faces))],
+        (np.arange(3) + rng.integers(0, 3, (len(faces), 1))) % 3, axis=1)
+
+
+def _relabelled_faces(faces, rng):
+    return rng.permutation(np.max(faces) + 1)[faces]
+
+
+_TET = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
+_BOWTIE = np.array([[0, 1, 2], [0, 3, 4]])
+
+# Faces that each put two or more fans at some vertex
+NON_MANIFOLD_VERTICES = {
+    "bowtie": _BOWTIE,
+    "two_closed_fans": np.concatenate([_TET, np.where(_TET == 0, 0, _TET + 3)]),
+    "closed_and_open_fan": np.concatenate([_TET, [[0, 4, 5]]]),
+    "two_bowties": np.concatenate([_BOWTIE, _BOWTIE + 5]),
+    "bowtie_strip": np.array([[0, 1, 2], [2, 3, 4], [4, 5, 6], [6, 7, 0]]),
+}
+
+
+class TestRings:
+    """The array ring construction against the dict walk in ``oracles``."""
+
+    def test_rings_match_reference_walk(self):
+        rng = np.random.default_rng(21)
+        meshes = [generate_icosphere(k) for k in range(5)]
+        meshes += [generate_grid_patch(2, 2), generate_grid_patch(4, 5, 0.2, 1),
+                   generate_grid_patch(7, 3)]
+        meshes += [random_test_mesh(rng, 2) for _ in range(6)]
+        for mesh in meshes + [Mesh(m.vertices, _shuffled_faces(m.faces, rng))
+                              for m in meshes]:
+            rings = reference_rings(mesh.faces, mesh.n_vertices)
+            assert len(mesh.neighbors) == len(rings)
+            for got, want in zip(mesh.neighbors, rings):
+                assert np.array_equal(got, want)
+            assert np.array_equal(mesh.degrees, [len(r) for r in rings])
+            assert np.array_equal(mesh.edge_src, np.concatenate(rings))
+
+    @pytest.mark.parametrize("name", sorted(NON_MANIFOLD_VERTICES))
+    def test_non_manifold_vertex_named_as_reference(self, name):
+        rng = np.random.default_rng(22)
+        faces = NON_MANIFOLD_VERTICES[name]
+        for k in range(8):
+            if k:
+                faces = _shuffled_faces(_relabelled_faces(faces, rng), rng)
+            verts = rng.standard_normal((np.max(faces) + 1, 3))
+            with pytest.raises(NonManifoldVertexError) as want:
+                reference_rings(faces, len(verts))
+            with pytest.raises(NonManifoldVertexError) as got:
+                Mesh(verts, faces)
+            assert got.value.vertex == want.value.vertex
+
+    def test_relabelled_rings_follow_the_relabelling(self):
+        rng = np.random.default_rng(23)
+        for mesh in (generate_icosphere(2), generate_grid_patch(4, 6, 0.2, 3),
+                     random_test_mesh(rng)):
+            perm = Permutation(rng.permutation(mesh.n_vertices))
+            permuted = apply_permutation(mesh, perm)
+            for p, ring in enumerate(mesh.neighbors):
+                assert np.array_equal(permuted.neighbors[perm.forward[p]],
+                                      perm.forward[ring])
+            assert np.array_equal(permuted.degrees, perm.permute_rows(mesh.degrees))
+            assert np.array_equal(permuted.edge_src, np.concatenate(permuted.neighbors))
+            assert np.array_equal(permuted.edge_dst,
+                                  np.repeat(np.arange(mesh.n_vertices), permuted.degrees))

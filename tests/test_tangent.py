@@ -6,12 +6,16 @@ from scipy.spatial.transform import Rotation
 from meshnet.errors import (
     AmbiguousTransportError,
     FrameBindingError,
+    FrameConstructionError,
     UndefinedLogMapError,
 )
+from meshnet.features import reltan_features
+from meshnet import tangent
 from meshnet.mesh import Mesh, generate_icosphere, vertex_normals
 from meshnet.tangent import (
     EdgeGeometry,
     FrameField,
+    _edge_projection,
     build_frames,
     log_map,
     regauge,
@@ -259,6 +263,64 @@ class TestGaugeShiftLaw:
         assert EdgeGeometry.from_frames(fr2, geom2) is geom2
         with pytest.raises(FrameBindingError):
             EdgeGeometry.from_frames(fr, geom2)
+
+
+class TestEdgeProjection:
+    """A frame field projects its mesh's edge offsets once, for the frames,
+    the angles and the relative-tangent features alike."""
+
+    def test_regauged_frames_share_the_projection(self):
+        fr = build_frames(generate_icosphere(1))
+        fr2, _geom2 = regauge(fr, np.full(fr.mesh.n_vertices, 0.3))
+        assert fr2._projection is fr._projection
+        assert not any(a.flags.writeable for a in fr._projection)
+
+    def test_hand_built_frames_project_on_first_use(self):
+        mesh = fan_mesh()
+        n = np.tile([0.0, 0, 1], (5, 1))
+        fr = FrameField(mesh, n, np.tile([1.0, 0, 0], (5, 1)), np.tile([0.0, 1, 0], (5, 1)))
+        assert "_projection" not in vars(fr)
+        geom = EdgeGeometry.from_frames(fr)
+        assert "_projection" in vars(fr)
+        npt.assert_allclose(geom.theta[mesh.edge_slice(0)],
+                            [0, np.pi / 2, np.pi, -np.pi / 2], atol=1e-15)
+
+    def test_stored_projection_matches_a_fresh_one(self):
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            mesh = random_test_mesh(rng)
+            fr = build_frames(mesh)
+            regauged, _geom = regauge(fr, rng.uniform(-np.pi, np.pi, mesh.n_vertices))
+            for frames in (fr, regauged):
+                fresh = FrameField(mesh, frames.normals, frames.e1, frames.e2)
+                for a, b in zip(frames._projection, _edge_projection(mesh, frames.normals)):
+                    assert np.array_equal(a, b)
+                got, want = EdgeGeometry.from_frames(frames), EdgeGeometry.from_frames(fresh)
+                assert np.array_equal(got.theta, want.theta)
+                assert np.array_equal(got.transport, want.transport)
+                assert np.array_equal(reltan_features(mesh, frames, (0.5, 0.7)).values,
+                                      reltan_features(mesh, fresh, (0.5, 0.7)).values)
+
+    def test_undefined_log_map_rejected(self):
+        # the neighbor 1 -> 0 lies on the normal at 0 in both frame fields
+        verts = [[0, 0, 0], [0, 0, -1], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, 0, 1]]
+        mesh = Mesh(verts, [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5]])
+        fr = build_frames(mesh)
+        hand = FrameField(mesh, fr.normals, fr.e1, fr.e2)
+        for frames in (fr, hand):
+            with pytest.raises(UndefinedLogMapError) as info:
+                EdgeGeometry.from_frames(frames)
+            assert (info.value.p, info.value.q) == (0, 1)
+
+    def test_no_defined_neighbor_rejected(self, monkeypatch):
+        # every neighbor of vertex 1 lies along the normal it is given
+        mesh = Mesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])
+        normals = np.tile([0.0, 0, 1], (3, 1))
+        normals[1] = [1, 0, 0]
+        monkeypatch.setattr(tangent, "vertex_normals", lambda _mesh: normals)
+        with pytest.raises(FrameConstructionError) as info:
+            build_frames(mesh)
+        assert info.value.vertex == 1
 
 
 class TestAmbientCompatibility:
