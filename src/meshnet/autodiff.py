@@ -12,11 +12,11 @@ through ``_node``, which records the op (its Tensor operands, in order, and
 the closure) only when some operand requires a gradient, and otherwise
 returns a constant with no parents.  A no-grad mode is one more check there.
 
-Scatters (the adjoint of ``take_rows``, the forward of ``segment_sum`` and
-the adjoint of ``take_cols`` with repeated indices) are products with a
-sparse 0/1 incidence matrix.  Its rows list their entries in index order,
-so every sum is accumulated in the same order as ``np.add.at`` would, and
-the results are bit-identical to it.
+Scatters (the adjoint of ``take_rows``, the forward of ``segment_sum``) are
+products with a sparse 0/1 incidence matrix.  Its rows list their entries
+in index order, so every sum is accumulated in the same order as
+``np.add.at`` would, and the results are bit-identical to it.  ``take_cols``
+is no scatter: its columns are distinct, and its adjoint fills a zero block.
 
 Allocator policy: importing this module (and so ``meshnet``) sets two
 process-wide glibc malloc thresholds, ``M_MMAP_THRESHOLD`` to 32 MiB and
@@ -350,39 +350,24 @@ def take_rows(x: Tensor, idx) -> Tensor:
     return _node(x.value[idx], (x,), lambda g: (_scatter_rows(g, idx, n),))
 
 
-def take_cols(x: Tensor, idx) -> Tensor:
-    """Gather along axis 1; adjoint scatter-adds.
+def take_cols(x: Tensor, cols) -> Tensor:
+    """Columns of ``x``: a ``slice`` (a view) or distinct indices.
 
-    A contiguous ascending ``idx`` is a column slice, whose adjoint writes
-    ``g`` into a zero block.  Otherwise, without repeated indices the
-    adjoint is itself a gather, from ``g`` padded with one zero column for
-    the columns ``idx`` misses; that is several times faster than a scatter
-    on wide inputs.
+    Indices gather with ``np.take``, which is C-ordered where ``x[:, idx]``
+    is not.  The adjoint writes ``g`` into a zero block.
     """
-    idx = np.asarray(idx)
-    n = x.value.shape[1]
-    a = idx[0] if idx.size else 0
-    if 0 <= a <= n - idx.size and np.array_equal(idx, np.arange(a, a + idx.size)):
-        cols = slice(a, a + idx.size)
+    if not isinstance(cols, slice):
+        cols = np.arange(x.value.shape[1])[np.asarray(cols, dtype=np.intp)]
+        if np.unique(cols).size < cols.size:
+            raise AutodiffError("take_cols needs distinct columns")
+    value = x.value[:, cols] if isinstance(cols, slice) else np.take(x.value, cols, axis=1)
 
-        def vjp(g):
-            gx = np.zeros_like(x.value)
-            gx[:, cols] = g
-            return (gx,)
+    def vjp(g):
+        gx = np.zeros_like(x.value)
+        gx[:, cols] = g
+        return (gx,)
 
-        return _node(x.value[:, cols], (x,), vjp)
-    if np.unique(idx).size < idx.size:
-        def vjp(g):
-            return (_scatter_rows(g.T, idx, n).T,)
-    else:
-        source = np.full(n, idx.size)
-        source[idx] = np.arange(idx.size)
-
-        def vjp(g):
-            padded = np.concatenate([g, np.zeros((g.shape[0], 1))], axis=1)
-            return (np.take(padded, source, axis=1),)
-
-    return _node(np.take(x.value, idx, axis=1), (x,), vjp)
+    return _node(value, (x,), vjp)
 
 
 def take_pairs(x: Tensor, rows, cols) -> Tensor:

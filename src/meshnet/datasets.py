@@ -81,17 +81,9 @@ def classification_shapes(n_train: int, n_test: int, subdivisions: int = 1,
 
 
 def eqgap_meshes(n: int, seed: int = 0, subdivisions: int = 1) -> list:
-    """Mixed synthetic meshes for equivariance-gap reports."""
-    base = generate_icosphere(subdivisions)
-    rng = np.random.default_rng(seed)
-    meshes = []
-    for i in range(n):
-        if i % 2 == 0:
-            bump = 0.3 * rng.uniform(-1.0, 1.0, base.n_vertices)
-            meshes.append(_bumpy_sphere(base, bump, 0.0, rng))
-        else:
-            meshes.append(generate_grid_patch(6, 7, 0.25, int(rng.integers(0, 2**31))))
-    return meshes
+    """Mixed synthetic meshes for equivariance-gap reports: the training
+    meshes of ``classification_shapes`` with grid noise 0.25."""
+    return [s.mesh for s in classification_shapes(n, 0, subdivisions, 0.3, 0.25, seed).train]
 
 
 def load_file_dataset(mesh_dir: str, task: str, n_train: int, n_test: int) -> Dataset:

@@ -129,14 +129,13 @@ def get_features(mesh: Mesh, frames: FrameField) -> GeometricFeatureField:
     return GeometricFeatureField(FeatureType([0, 1]), coords, frames.token)
 
 
-def xyz_features(mesh: Mesh, frames: FrameField | None = None) -> GeometricFeatureField:
+def xyz_features(mesh: Mesh, frames: FrameField) -> GeometricFeatureField:
     """Raw coordinates as three scalar channels.
 
-    Scalar-only fields are gauge independent; without ``frames`` the field
-    binds to any gauge (token -1).
+    Scalar-only fields are gauge independent, but like every family the
+    field is bound to the ``frames`` it was computed with.
     """
-    token = frames.token if frames is not None else -1
-    return GeometricFeatureField(FeatureType([0, 0, 0]), mesh.vertices.copy(), token)
+    return GeometricFeatureField(FeatureType([0, 0, 0]), mesh.vertices.copy(), frames.token)
 
 
 def feature_type_for(family: str, powers=(0.7,)) -> FeatureType:

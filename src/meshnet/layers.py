@@ -68,17 +68,9 @@ def _rotate(x: Tensor, ftype: FeatureType, geom: EdgeGeometry, side: str) -> Ten
     return rotate_pairs(x, cosm, sinm, ftype.partner)
 
 
-def _neighbor_messages(x: Tensor, geom: EdgeGeometry, in_type: FeatureType,
-                       kernels, out_type: FeatureType) -> Tensor:
-    """Messages of neighbor kernels sharing one input, stacked by columns.
-
-    Row e is ``rho_out(theta_e) K(0) rho_in(g_e - theta_e) x[src_e]``, with
-    ``K(0)`` the kernels' matrices stacked by rows and ``out_type`` the sum
-    of their output types.
-    """
-    u = _rotate(take_rows(x, geom.src), in_type, geom, "in")
-    W = concat([k.matrix() for k in kernels])
-    return _rotate(u @ W.T, out_type, geom, "out")
+def _transported(x: Tensor, geom: EdgeGeometry, in_type: FeatureType) -> Tensor:
+    """Row e is ``rho_in(g_e - theta_e) x[src_e]``, the input of every ``K(0)``."""
+    return _rotate(take_rows(x, geom.src), in_type, geom, "in")
 
 
 class _Kernel:
@@ -166,8 +158,8 @@ class GemConvLayer:
 
     def forward(self, x: Tensor, geom: EdgeGeometry) -> Tensor:
         _check_input(self, x, geom)
-        msg = _neighbor_messages(x, geom, self.in_type, [self.neigh_kernel],
-                                 self.out_type)
+        u = _transported(x, geom, self.in_type)
+        msg = _rotate(u @ self.neigh_kernel.matrix().T, self.out_type, geom, "out")
         agg = segment_sum(msg, geom.dst, geom.n_vertices)
         y = x @ self.self_kernel.matrix().T + agg
         return self.bias.apply(y)
@@ -234,7 +226,6 @@ class EmanAttentionLayer:
         self.query_kernel = _Kernel(in_type, self.att_type, "self", rng)
         self.key_kernel = _Kernel(in_type, self.att_type, "neigh", rng)
         self.value_kernel = _Kernel(in_type, out_type, "neigh", rng)
-        self._kv_type = self.att_type + out_type
         if self_contribution:
             self.self_key_kernel = _Kernel(in_type, self.att_type, "self", rng)
             self.self_value_kernel = _Kernel(in_type, out_type, "self", rng)
@@ -269,11 +260,14 @@ class EmanAttentionLayer:
     def _heads(self, x: Tensor, geom: EdgeGeometry):
         """``(output, weights)`` of every head."""
         _check_input(self, x, geom, empty_ok=self.self_contribution)
-        KV = _neighbor_messages(x, geom, self.in_type,
-                                [self.key_kernel, self.value_kernel], self._kv_type)
+        # Keys and values share one GEMM against [K0_key; K0_value]: two
+        # GEMMs would sum the gradient of ``u`` in another order, so trained
+        # values would no longer match bit for bit.
+        u = _transported(x, geom, self.in_type)
+        kv = u @ concat([self.key_kernel.matrix(), self.value_kernel.matrix()]).T
         catt = self.att_type.dim
-        K = take_cols(KV, np.arange(catt))
-        V = take_cols(KV, np.arange(catt, self._kv_type.dim))
+        K = _rotate(take_cols(kv, slice(0, catt)), self.att_type, geom, "out")
+        V = _rotate(take_cols(kv, slice(catt, None)), self.out_type, geom, "out")
         Q = x @ self.query_kernel.matrix().T
         self_kv = None
         if self.self_contribution:

@@ -100,8 +100,16 @@ class Mesh:
         self.edge_src = edge_src
         for a in (self.degrees, self.edge_offsets, self.edge_dst, self.edge_src):
             a.flags.writeable = False
+
+    @property
+    def neighbors(self):
+        """Each vertex's ring, as read-only slices of ``edge_src``.
+
+        Built on every access and not kept: ``_derived`` copies the
+        instance dict, so a kept list would outlive a relabelling.
+        """
         bounds = self.edge_offsets.tolist()
-        self.neighbors = [edge_src[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        return [self.edge_src[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     @property
     def n_vertices(self):

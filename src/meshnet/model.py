@@ -98,7 +98,7 @@ class Model:
             raise FeatureTypeError(
                 f"model expects input type {self.in_type}, got {features.ftype}"
             )
-        if features.frame_token not in (-1, geom.frame_token):
+        if features.frame_token != geom.frame_token:
             raise FrameBindingError(
                 "input features and edge geometry use different frame fields"
             )

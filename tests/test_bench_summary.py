@@ -77,3 +77,22 @@ def test_unusable_input_is_refused(tmp_path, capsys, case):
     assert bench_summary.main([str(parent), str(change), str(out)]) == 2
     assert not out.exists()
     assert "bench_summary:" in capsys.readouterr().err
+
+
+def test_no_paired_seed_leaves_outputs_undecided(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_report(parent, "train_ico3", 1, 0.3, 390.0)
+    write_report(change, "train_ico3", 2, 0.3, 390.0, digest="other")
+    summary = bench_summary.summarise(parent, change)["workloads"]["train_ico3"]
+    assert summary["pairs"] == 0 and summary["outputs_identical"] is None
+
+
+def test_workload_on_one_side_is_reported(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        write_report(side, "ingest_ico4", 1, 0.1, 70.0)
+    write_report(parent, "train_ico3", 1, 0.3, 390.0)
+    write_report(change, "eqgap_small", 1, 0.1, 80.0)
+    summary = bench_summary.summarise(parent, change)
+    assert list(summary["workloads"]) == ["ingest_ico4"]
+    assert summary["one_side_only"] == {"parent": ["train_ico3"], "change": ["eqgap_small"]}

@@ -161,8 +161,9 @@ class TestGet:
 class TestXyz:
     def test_values_are_coordinates(self):
         mesh = line_mesh([1, 2, 3], [2, 2, 3], [3, 2, 3])
-        field = xyz_features(mesh)
-        assert field.ftype == FeatureType([0, 0, 0])
+        fr = flat_frames(mesh)  # a line has no normals to build frames from
+        field = xyz_features(mesh, fr)
+        assert field.ftype == FeatureType([0, 0, 0]) and field.frame_token == fr.token
         npt.assert_array_equal(field.values[0], [1, 2, 3])
 
     def test_regauge_leaves_values_unchanged(self):
@@ -178,8 +179,8 @@ class TestXyz:
         mesh = generate_icosphere(0)
         R = random_rotation(rng)
         rotated = mesh.with_vertices(mesh.vertices @ R.T)
-        a = xyz_features(mesh).values
-        b = xyz_features(rotated).values
+        a = xyz_features(mesh, build_frames(mesh)).values
+        b = xyz_features(rotated, build_frames(rotated)).values
         assert np.abs(a - b).max() > 0.1
         npt.assert_allclose(b, a @ R.T, atol=1e-12)
 

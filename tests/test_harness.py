@@ -6,7 +6,13 @@ import pytest
 
 from meshnet.autodiff import Tensor
 from meshnet.config import parse_config
-from meshnet.errors import CheckpointError, ConfigError, EmptyNeighborhoodError
+from meshnet.errors import (
+    CheckpointError,
+    ConfigError,
+    EmptyNeighborhoodError,
+    FrameBindingError,
+)
+from meshnet.features import GeometricFeatureField, xyz_features
 from meshnet.harness import (
     equivariance_gap,
     evaluate,
@@ -15,8 +21,10 @@ from meshnet.harness import (
     train,
 )
 from meshnet.layers import EdgeGeometry, EmanAttentionLayer, GemConvLayer
+from meshnet.mesh import generate_icosphere
 from meshnet.model import ModelSpec, build_model
 from meshnet.representations import FeatureType
+from meshnet.tangent import build_frames, regauge
 
 SPEC = ModelSpec(target_dim=3, hidden_type="rho0+rho1", final_type="2xrho0",
                  dense_hidden=4, residual_blocks=1)
@@ -131,6 +139,21 @@ def test_evaluate_reports_every_accuracy():
     assert set(accuracy) == {"train", "test", "gauge", "rot_tr_scale", "perm"}
     for value in accuracy.values():
         assert 0.0 <= value <= 100.0
+
+
+def test_forward_needs_features_of_the_geometry_frames():
+    mesh = generate_icosphere(1)
+    frames = build_frames(mesh)
+    model = build_model(ModelSpec(target_dim=3, features="xyz", hidden_type="rho0+rho1",
+                                  final_type="2xrho0", dense_hidden=4, residual_blocks=1))
+    features = xyz_features(mesh, frames)
+    model.forward(features, EdgeGeometry.from_frames(frames))
+    _frames, other = regauge(frames, np.zeros(mesh.n_vertices))
+    with pytest.raises(FrameBindingError):
+        model.forward(features, other)
+    unbound = GeometricFeatureField(features.ftype, features.values, -1)
+    with pytest.raises(FrameBindingError):  # no token stands for any gauge
+        model.forward(unbound, EdgeGeometry.from_frames(frames))
 
 
 def _isolated_vertex_geometry():

@@ -3,9 +3,10 @@ import numpy.testing as npt
 import pytest
 
 from meshnet.autodiff import Tensor, parameter
-from meshnet.features import feature_type_for
+from meshnet.features import compute_features, feature_type_for
 from meshnet.layers import BIAS_MODES, EdgeGeometry, EmanAttentionLayer, GemConvLayer
 from meshnet.mesh import generate_icosphere
+from meshnet.model import ModelSpec, build_model
 from meshnet.representations import FeatureType
 from meshnet.tangent import build_frames, regauge
 
@@ -133,3 +134,17 @@ def test_identity_markers_see_backward():
     assert seen == [("out", (mesh.n_vertices, HIDDEN.dim)),
                     ("in", (mesh.n_vertices, ENTRY.dim))]
     assert all(np.any(p.grad != 0) for _n, p in layer.parameters())
+
+
+def test_default_model_caches_one_table_per_feature_type():
+    # keys and values are rotated in their own types: no stacked type is cached
+    mesh = generate_icosphere(3)
+    frames = build_frames(mesh)
+    geom = EdgeGeometry.from_frames(frames)
+    spec = ModelSpec(target_dim=mesh.n_vertices)
+    build_model(spec).forward(compute_features("reltan", mesh, frames), geom)
+    hidden, final = FeatureType.parse(spec.hidden_type), FeatureType.parse(spec.final_type)
+    assert set(geom._rotation_tables) == {
+        ("in", spec.in_type.orders), ("in", hidden.orders),
+        ("out", hidden.orders), ("out", final.orders)}
+    assert spec.in_type == FeatureType.parse("rho0+rho1")

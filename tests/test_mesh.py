@@ -215,7 +215,7 @@ class TestValidation:
 
         monkeypatch.setattr(Mesh, "_validate_faces", walk)
         moved = mesh.with_vertices(2.0 * mesh.vertices)
-        assert moved.neighbors is mesh.neighbors and moved.faces is mesh.faces
+        assert moved.edge_src is mesh.edge_src and moved.faces is mesh.faces
         perm = Permutation(np.random.default_rng(0).permutation(mesh.n_vertices))
         permuted = apply_permutation(mesh, perm)
         npt.assert_array_equal(permuted.vertices, perm.permute_rows(mesh.vertices))

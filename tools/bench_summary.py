@@ -9,7 +9,9 @@ and metric, ``OUT.json`` gives each side's median and quartiles, and, over
 the seeds both sides ran, how many of those pairs the change won in the
 direction ``BENCHMARK.json`` declares for the metric (ties win for neither).
 It also records each side's seeds and ``build_id``, the failed ops, and
-whether the outputs (digests, gaps) agreed seed by seed.
+whether the outputs (digests, gaps) agreed seed by seed (``null`` when no
+seed ran on both sides).  Workloads that ran on one side only are listed
+under ``one_side_only``.
 """
 
 import argparse
@@ -56,8 +58,8 @@ def summarise_workload(parent, change, better):
                    "attempted": sum(r["result"]["attempted"] for r in runs.values())}
            for label, runs in sides.items()}
     out["pairs"] = len(paired)
-    out["outputs_identical"] = all(parent[s]["outputs"] == change[s]["outputs"]
-                                   for s in paired)
+    out["outputs_identical"] = (all(parent[s]["outputs"] == change[s]["outputs"]
+                                    for s in paired) if paired else None)
     metrics = {}
     names = sorted({m for runs in sides.values() for r in runs.values()
                     for m in r["result"]["metrics"]})
@@ -86,7 +88,9 @@ def summarise(parent_dir, change_dir, benchmark_path=os.path.join(ROOT, "BENCHMA
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     parent, change = load_side(parent_dir), load_side(change_dir)
     return {"workloads": {w: summarise_workload(parent[w], change[w], better)
-                          for w in sorted(set(parent) & set(change))}}
+                          for w in sorted(set(parent) & set(change))},
+            "one_side_only": {"parent": sorted(set(parent) - set(change)),
+                              "change": sorted(set(change) - set(parent))}}
 
 
 def main(argv=None):
