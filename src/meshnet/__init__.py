@@ -23,15 +23,7 @@ from .tangent import (
     transport_angle,
     wrap_angle,
 )
-from .representations import (
-    EquivariantKernel,
-    FeatureType,
-    assemble_kernel,
-    constraint_residual,
-    kernel_basis,
-    rep_block_diag,
-    rho_matrix,
-)
+from .representations import FeatureType, rep_block_diag, rho_matrix
 from .features import (
     GeometricFeatureField,
     compute_features,

@@ -351,23 +351,21 @@ def take_rows(x: Tensor, idx) -> Tensor:
 
 
 def take_cols(x: Tensor, cols) -> Tensor:
-    """Columns of ``x``: a ``slice`` (a view) or distinct indices.
+    """Distinct columns of ``x``, gathered with ``np.take``.
 
-    Indices gather with ``np.take``, which is C-ordered where ``x[:, idx]``
-    is not.  The adjoint writes ``g`` into a zero block.
+    ``np.take`` is C-ordered where ``x[:, idx]`` is not.  The adjoint writes
+    ``g`` into a zero block.
     """
-    if not isinstance(cols, slice):
-        cols = np.arange(x.value.shape[1])[np.asarray(cols, dtype=np.intp)]
-        if np.unique(cols).size < cols.size:
-            raise AutodiffError("take_cols needs distinct columns")
-    value = x.value[:, cols] if isinstance(cols, slice) else np.take(x.value, cols, axis=1)
+    cols = np.arange(x.value.shape[1])[np.asarray(cols, dtype=np.intp)]
+    if np.unique(cols).size < cols.size:
+        raise AutodiffError("take_cols needs distinct columns")
 
     def vjp(g):
         gx = np.zeros_like(x.value)
         gx[:, cols] = g
         return (gx,)
 
-    return _node(value, (x,), vjp)
+    return _node(np.take(x.value, cols, axis=1), (x,), vjp)
 
 
 def take_pairs(x: Tensor, rows, cols) -> Tensor:

@@ -122,7 +122,9 @@ class CheckpointError(MeshNetError):
 
 
 class TrainingDivergedError(MeshNetError):
-    def __init__(self, epoch, loss):
+    def __init__(self, epoch, loss, parameter=None):
         self.epoch = epoch
         self.loss = loss
-        super().__init__(f"loss became non-finite ({loss}) at epoch {epoch}")
+        self.parameter = parameter
+        where = f"; first non-finite parameter: {parameter}" if parameter else ""
+        super().__init__(f"loss became non-finite ({loss}) at epoch {epoch}{where}")

@@ -9,7 +9,7 @@ under the corresponding family.
 
 Every report embeds the config hash, a build identifier (hash of the
 installed package sources), and the seed, so identical inputs reproduce
-identical JSON.
+identical JSON, apart from the wall times of a training history.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import struct
+import time
 
 import numpy as np
 
@@ -42,7 +43,7 @@ __all__ = ["build_id", "model_logits", "transformed_logits", "equivariance_gap",
            "load_checkpoint", "generate_config_mesh", "features_report"]
 
 _CKPT_MAGIC = b"MNET"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2  # 2: neighbor kernels are stored as their matrix K(0)
 
 
 def build_id() -> str:
@@ -180,9 +181,11 @@ def _accuracy(model: Model, samples, family=None, suites=None) -> float:
 def train(cfg: RunConfig, dataset: Dataset | None = None):
     """NLL training with Adam on the configured dataset.
 
-    No transformations are applied to the training meshes.  Returns
-    ``(model, metrics)``; raises TrainingDivergedError if the loss leaves
-    the reals.
+    No transformations are applied to the training meshes.  Each history
+    epoch records its mean loss, train accuracy, wall time and the largest
+    global gradient norm of its steps.  Returns ``(model, metrics)``; raises
+    TrainingDivergedError, naming the first non-finite parameter if there is
+    one, if the loss leaves the reals.
     """
     if dataset is None:
         dataset = dataset_from_config(cfg)
@@ -204,7 +207,8 @@ def train(cfg: RunConfig, dataset: Dataset | None = None):
 
     history = []
     for epoch in range(cfg.training["epochs"]):
-        losses = []
+        start_s = time.perf_counter()
+        losses, grad_norms = [], []
         for start in range(0, len(prepared), batch_size):
             batch = prepared[start:start + batch_size]
             opt.zero_grad()
@@ -215,13 +219,19 @@ def train(cfg: RunConfig, dataset: Dataset | None = None):
                 total = loss if total is None else total + loss
             total = total * (1.0 / len(batch))
             if not np.isfinite(total.item()):
-                raise TrainingDivergedError(epoch, total.item())
+                bad = next((n for n, t in model.parameters()
+                            if not np.isfinite(t.value).all()), None)
+                raise TrainingDivergedError(epoch, total.item(), bad)
             total.backward()
+            grad_norms.append(float(np.sqrt(sum(np.vdot(p.grad, p.grad)
+                                                for p in opt.params))))
             opt.step()
             losses.append(total.item())
         acc = _accuracy(model, dataset.train)
         history.append({"epoch": epoch, "loss": float(np.mean(losses)),
-                        "train_accuracy": acc})
+                        "train_accuracy": acc,
+                        "wall_s": time.perf_counter() - start_s,
+                        "grad_norm_max": max(grad_norms)})
     metrics = _report_header(cfg)
     metrics.update({
         "epochs": cfg.training["epochs"],
@@ -263,7 +273,8 @@ def evaluate(cfg: RunConfig, model: Model | None = None,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: Model, path: str, cfg_hash: str):
-    """Binary record: magic, hash, count, float64 coefficients; JSON sidecar."""
+    """Binary record: magic, version, hash, count, float64 parameters in
+    ``Model.parameters()`` order; JSON sidecar."""
     flat = model.flat_parameters()
     hash_bytes = cfg_hash.encode()
     with open(path, "wb") as fh:

@@ -10,15 +10,16 @@ p along an edge with angle theta and transport angle g is
     rho_out(theta) K(0) rho_in(g - theta) f_q:
 
 one per-edge rotation of the gathered neighbor features, one dense matmul
-by the constant matrix ``K(0)`` for the whole mesh, and one per-edge
-rotation of the result.  ``K(0)`` is a fixed linear map of the learnable
-basis coefficients.
+by ``K(0)`` for the whole mesh, and one per-edge rotation of the result.
+The constraint leaves ``K(0)`` free, so every neighbor kernel's parameter
+is the dense matrix ``K(0)`` itself.
 
 Equivariance ingredients:
 
 * neighbor features are rotated into the receiving frame using the
   per-edge transport angle before any kernel touches them;
-* kernels are linear combinations of the constrained angular basis;
+* self kernels (``K_self = rho_out(-g) K_self rho_in(g)``) couple only
+  components of equal order, through a rotation-commuting block;
 * biases act per irreducible component (additive on scalars, a rotation on
   2-dimensional components);
 * the nonlinearity gates vector components by their norm only.
@@ -44,9 +45,9 @@ from .autodiff import (
 )
 from .errors import ConfigError, EmptyNeighborhoodError, FeatureTypeError
 from .representations import (
-    EquivariantKernel,
     FeatureType,
     init_coefficients,
+    init_neighbor_kernel,
     kernel_matrix_map,
 )
 from .tangent import EdgeGeometry
@@ -73,23 +74,17 @@ def _transported(x: Tensor, geom: EdgeGeometry, in_type: FeatureType) -> Tensor:
     return _rotate(take_rows(x, geom.src), in_type, geom, "in")
 
 
-class _Kernel:
-    """Learnable coefficients of one equivariant kernel (self or neigh)."""
+class _SelfKernel:
+    """Learnable coefficients of one constrained self kernel."""
 
-    def __init__(self, in_type, out_type, kind, rng):
-        self.in_type, self.out_type, self.kind = in_type, out_type, kind
-        self.coeffs = parameter(init_coefficients(in_type, out_type, kind, rng))
-        self.smat = kernel_matrix_map(in_type, out_type, kind)
+    def __init__(self, in_type, out_type, rng):
+        self.in_type, self.out_type = in_type, out_type
+        self.coeffs = parameter(init_coefficients(in_type, out_type, "self", rng))
+        self.smat = kernel_matrix_map(in_type, out_type)
 
     def matrix(self) -> Tensor:
-        """K(0): a self kernel's matrix, a neighbor kernel's at angle 0."""
         return sparse_matmul(self.smat, self.coeffs,
                              (self.out_type.dim, self.in_type.dim))
-
-    def as_domain_kernel(self) -> EquivariantKernel:
-        """View as the plain (non-autodiff) kernel object for residual checks."""
-        return EquivariantKernel(self.in_type, self.out_type, self.kind,
-                                 self.coeffs.value.copy())
 
 
 class _Bias:
@@ -152,21 +147,21 @@ class GemConvLayer:
                  bias: str = "angular", rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng()
         self.in_type, self.out_type = in_type, out_type
-        self.self_kernel = _Kernel(in_type, out_type, "self", rng)
-        self.neigh_kernel = _Kernel(in_type, out_type, "neigh", rng)
+        self.self_kernel = _SelfKernel(in_type, out_type, rng)
+        self.neigh_kernel = parameter(init_neighbor_kernel(in_type, out_type, rng))
         self.bias = _Bias(out_type, bias, rng)
 
     def forward(self, x: Tensor, geom: EdgeGeometry) -> Tensor:
         _check_input(self, x, geom)
         u = _transported(x, geom, self.in_type)
-        msg = _rotate(u @ self.neigh_kernel.matrix().T, self.out_type, geom, "out")
+        msg = _rotate(u @ self.neigh_kernel.T, self.out_type, geom, "out")
         agg = segment_sum(msg, geom.dst, geom.n_vertices)
         y = x @ self.self_kernel.matrix().T + agg
         return self.bias.apply(y)
 
     def parameters(self):
         return [("self_kernel", self.self_kernel.coeffs),
-                ("neigh_kernel", self.neigh_kernel.coeffs),
+                ("neigh_kernel", self.neigh_kernel),
                 *self.bias.parameters()]
 
 
@@ -199,7 +194,7 @@ class EmanAttentionLayer:
     """Attention-weighted gauge-equivariant aggregation.
 
     Per vertex, queries come from a self-kind kernel, keys and values from
-    angular kernels applied to transported neighbor features; attention
+    neighbor kernels applied to transported neighbor features; attention
     weights are a softmax over the neighborhood of the scaled key-query
     inner products, and the output is the neighbor count times the
     attention-weighted value sum.  Attention logits are built from inner
@@ -223,19 +218,19 @@ class EmanAttentionLayer:
         self.heads = heads
         if self_contribution and heads > 1:
             raise ConfigError("self contribution with multiple heads is not supported")
-        self.query_kernel = _Kernel(in_type, self.att_type, "self", rng)
-        self.key_kernel = _Kernel(in_type, self.att_type, "neigh", rng)
-        self.value_kernel = _Kernel(in_type, out_type, "neigh", rng)
+        self.query_kernel = _SelfKernel(in_type, self.att_type, rng)
+        self.key_kernel = parameter(init_neighbor_kernel(in_type, self.att_type, rng))
+        self.value_kernel = parameter(init_neighbor_kernel(in_type, out_type, rng))
         if self_contribution:
-            self.self_key_kernel = _Kernel(in_type, self.att_type, "self", rng)
-            self.self_value_kernel = _Kernel(in_type, out_type, "self", rng)
+            self.self_key_kernel = _SelfKernel(in_type, self.att_type, rng)
+            self.self_value_kernel = _SelfKernel(in_type, out_type, rng)
         if heads > 1:
             ht = _head_type(out_type, heads)
             self.head_type = ht
-            self.head_query = [_Kernel(self.att_type, ht, "self", rng) for _ in range(heads)]
-            self.head_key = [_Kernel(self.att_type, ht, "self", rng) for _ in range(heads)]
-            self.head_value = [_Kernel(out_type, ht, "self", rng) for _ in range(heads)]
-            self.out_mix = _Kernel(heads * ht, out_type, "self", rng)
+            self.head_query = [_SelfKernel(self.att_type, ht, rng) for _ in range(heads)]
+            self.head_key = [_SelfKernel(self.att_type, ht, rng) for _ in range(heads)]
+            self.head_value = [_SelfKernel(out_type, ht, rng) for _ in range(heads)]
+            self.out_mix = _SelfKernel(heads * ht, out_type, rng)
         self.bias = _Bias(out_type, bias, rng)
 
     def _attend(self, Q, K, V, geom, dim, self_kv=None):
@@ -260,14 +255,10 @@ class EmanAttentionLayer:
     def _heads(self, x: Tensor, geom: EdgeGeometry):
         """``(output, weights)`` of every head."""
         _check_input(self, x, geom, empty_ok=self.self_contribution)
-        # Keys and values share one GEMM against [K0_key; K0_value]: two
-        # GEMMs would sum the gradient of ``u`` in another order, so trained
-        # values would no longer match bit for bit.
         u = _transported(x, geom, self.in_type)
-        kv = u @ concat([self.key_kernel.matrix(), self.value_kernel.matrix()]).T
+        K = _rotate(u @ self.key_kernel.T, self.att_type, geom, "out")
+        V = _rotate(u @ self.value_kernel.T, self.out_type, geom, "out")
         catt = self.att_type.dim
-        K = _rotate(take_cols(kv, slice(0, catt)), self.att_type, geom, "out")
-        V = _rotate(take_cols(kv, slice(catt, None)), self.out_type, geom, "out")
         Q = x @ self.query_kernel.matrix().T
         self_kv = None
         if self.self_contribution:
@@ -295,8 +286,8 @@ class EmanAttentionLayer:
 
     def parameters(self):
         params = [("query_kernel", self.query_kernel.coeffs),
-                  ("key_kernel", self.key_kernel.coeffs),
-                  ("value_kernel", self.value_kernel.coeffs)]
+                  ("key_kernel", self.key_kernel),
+                  ("value_kernel", self.value_kernel)]
         if self.self_contribution:
             params += [("self_key_kernel", self.self_key_kernel.coeffs),
                        ("self_value_kernel", self.self_value_kernel.coeffs)]

@@ -1,36 +1,33 @@
-"""SO(2) irreducible representations, feature types, and equivariant kernels.
+"""SO(2) irreducible representations, feature types, and kernel matrices.
 
 A feature type is an ordered direct sum of irreducible components: the
 trivial 1-dimensional component (order 0) and 2-dimensional rotation
-components (order n >= 1, rotating by n times the gauge angle).  Kernels
-mapping between two types are linear combinations of a fixed angular basis,
-one small basis per (input component, output component) pair; the assembled
-matrices satisfy
+components (order n >= 1, rotating by n times the gauge angle).  Message
+passing between two types is gauge equivariant when its kernels satisfy
 
     K_neigh(theta - g) = rho_out(-g) K_neigh(theta) rho_in(g)
     K_self            = rho_out(-g) K_self         rho_in(g)
 
-for every gauge angle g, which is what makes message passing built on them
-gauge equivariant.
-
-Basis elements are stored symbolically as sparse lists of
-``(row, col, kind, harmonic, sign)`` entries with ``kind`` one of
-``"c"``/``"s"`` (cosine / sine of ``harmonic * theta``; the constant entry is
-cosine with harmonic 0).  The same symbolic form drives the explicit
-per-angle assembly used by oracles and the coefficient-to-``K(0)`` map used
-by the layers.  Setting ``g = theta`` in the constraint gives
+for every gauge angle g.  Setting ``g = theta`` in the first gives
 
     K_neigh(theta) = rho_out(theta) K_neigh(0) rho_in(-theta),
 
-so the layers never evaluate a kernel at an edge angle: they rotate the
-neighbor feature, apply the constant matrix ``K(0)`` and rotate the result.
+which fixes a neighbor kernel at every angle from ``K(0)`` and puts no
+constraint on ``K(0)`` itself.  So a neighbor kernel is a free dense matrix
+``K(0)``: the layers learn it directly, rotate the neighbor feature, apply
+``K(0)`` and rotate the result.  The harmonic angular basis of GEM-CNN is one
+coordinate system on that matrix; only its seeded initialisation is used
+here (:func:`init_neighbor_kernel`).
+
+A self kernel is constrained: a block between components of equal order is
+``a`` (order 0) or ``[[a, b], [-b, a]]`` (order n), and every other block is
+zero.  :func:`kernel_matrix_map` takes its coefficients to the matrix.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,16 +37,11 @@ from .errors import FeatureTypeError
 __all__ = [
     "MAX_IRREP_ORDER",
     "FeatureType",
-    "BasisElement",
-    "EquivariantKernel",
     "rho_matrix",
     "rep_block_diag",
-    "kernel_basis",
-    "coefficient_count",
-    "assemble_kernel",
-    "constraint_residual",
     "kernel_matrix_map",
     "init_coefficients",
+    "init_neighbor_kernel",
 ]
 
 MAX_IRREP_ORDER = 8
@@ -209,206 +201,88 @@ def rep_block_diag(t: FeatureType, g) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Angular kernel bases
+# Kernel matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BasisElement:
-    """One angular basis solution, stored symbolically.
+def _coefficient_counts(in_type: FeatureType, out_type: FeatureType, kind: str):
+    """Coefficients per (output, input) component pair.
 
-    ``entries`` is a tuple of ``(row, col, kind, harmonic, sign)`` with kind
-    ``"c"`` or ``"s"``; calling with an angle evaluates the matrix.
+    A neighbor block has one per entry (1, 2 or 4); a self block has 1 on
+    rho_0 -> rho_0, 2 on rho_n -> rho_n and none otherwise.
     """
-
-    out_dim: int
-    in_dim: int
-    entries: tuple
-
-    def __call__(self, theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        out = np.zeros(theta.shape + (self.out_dim, self.in_dim))
-        for r, c, kind, h, sign in self.entries:
-            f = np.cos(h * theta) if kind == "c" else np.sin(h * theta)
-            out[..., r, c] += sign * f
-        return out
-
-
-def _cos_entry(r, c, h, sign=1.0):
-    return (r, c, "c", abs(h), float(sign))
-
-
-def _sin_entry(r, c, h, sign=1.0):
-    # sin is odd: fold the sign of a negative harmonic into the coefficient
-    if h == 0:
-        return None
-    return (r, c, "s", abs(h), float(sign) * (1.0 if h > 0 else -1.0))
-
-
-def _element(out_dim, in_dim, entries):
-    return BasisElement(out_dim, in_dim, tuple(e for e in entries if e is not None))
-
-
-@functools.lru_cache(maxsize=None)
-def kernel_basis(n_in: int, n_out: int, kind: str) -> tuple:
-    """Linearly independent solutions of the angular kernel constraint.
-
-    For ``kind="neigh"`` the basis depends on the edge angle; for
-    ``kind="self"`` solutions exist only between components of equal order
-    (the empty tuple is returned otherwise, including the order-0 to
-    order-n pairs).  Bases are cached: every block of every kernel of a
-    model asks for one.
-    """
-    if kind == "self":
-        if n_in != n_out:
-            return ()
-        if n_in == 0:
-            return (_element(1, 1, [_cos_entry(0, 0, 0)]),)
-        return (
-            _element(2, 2, [_cos_entry(0, 0, 0), _cos_entry(1, 1, 0)]),
-            _element(2, 2, [_cos_entry(0, 1, 0), _cos_entry(1, 0, 0, -1.0)]),
-        )
-    if kind != "neigh":
+    rows = np.array(out_type.component_dims)[:, None]
+    cols = np.array(in_type.component_dims)[None, :]
+    if kind == "neigh":
+        return rows * cols
+    if kind != "self":
         raise ValueError(f"unknown kernel kind {kind!r}")
-    n, m = n_in, n_out
-    if n == 0 and m == 0:
-        return (_element(1, 1, [_cos_entry(0, 0, 0)]),)
-    if m == 0:
-        return (
-            _element(1, 2, [_cos_entry(0, 0, n), _sin_entry(0, 1, n)]),
-            _element(1, 2, [_sin_entry(0, 0, n), _cos_entry(0, 1, n, -1.0)]),
-        )
-    if n == 0:
-        return (
-            _element(2, 1, [_cos_entry(0, 0, m), _sin_entry(1, 0, m)]),
-            _element(2, 1, [_sin_entry(0, 0, m), _cos_entry(1, 0, m, -1.0)]),
-        )
-    a, b = m - n, m + n
-    return (
-        _element(2, 2, [_cos_entry(0, 0, a), _sin_entry(0, 1, a, -1.0),
-                        _sin_entry(1, 0, a), _cos_entry(1, 1, a)]),
-        _element(2, 2, [_sin_entry(0, 0, a), _cos_entry(0, 1, a),
-                        _cos_entry(1, 0, a, -1.0), _sin_entry(1, 1, a)]),
-        _element(2, 2, [_cos_entry(0, 0, b), _sin_entry(0, 1, b),
-                        _sin_entry(1, 0, b), _cos_entry(1, 1, b, -1.0)]),
-        _element(2, 2, [_sin_entry(0, 0, b, -1.0), _cos_entry(0, 1, b),
-                        _cos_entry(1, 0, b), _sin_entry(1, 1, b)]),
-    )
+    same = np.array(out_type.orders)[:, None] == np.array(in_type.orders)[None, :]
+    return np.where(same, rows, 0)
 
-
-def _block_pairs(in_type: FeatureType, out_type: FeatureType, kind: str):
-    """Yield (out comp, in comp, row offset, col offset, basis) in layout order."""
-    for i, m in enumerate(out_type.orders):
-        for j, n in enumerate(in_type.orders):
-            yield (i, j, out_type.offsets[i], in_type.offsets[j],
-                   kernel_basis(n, m, kind))
-
-
-def coefficient_count(in_type: FeatureType, out_type: FeatureType, kind: str) -> int:
-    return sum(len(basis) for *_rest, basis in _block_pairs(in_type, out_type, kind))
-
-
-@dataclass
-class EquivariantKernel:
-    """Learnable coefficients over the angular basis of a type pair.
-
-    Coefficients are laid out row-major over (output component, input
-    component) with the basis index fastest, matching
-    :func:`kernel_matrix_map` and the optimizer's flat parameter order.
-    """
-
-    in_type: FeatureType
-    out_type: FeatureType
-    kind: str
-    coefficients: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        expected = coefficient_count(self.in_type, self.out_type, self.kind)
-        if self.coefficients is None:
-            self.coefficients = np.zeros(expected)
-        self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
-        if self.coefficients.shape != (expected,):
-            raise FeatureTypeError(
-                f"kernel expects {expected} coefficients, got {self.coefficients.shape}"
-            )
-
-
-def assemble_kernel(kernel: EquivariantKernel, theta=0.0) -> np.ndarray:
-    """Explicit kernel matrix at one angle (reference path, block loops)."""
-    K = np.zeros((kernel.out_type.dim, kernel.in_type.dim))
-    pos = 0
-    for _i, _j, ro, co, basis in _block_pairs(kernel.in_type, kernel.out_type, kernel.kind):
-        for elem in basis:
-            c = kernel.coefficients[pos]
-            pos += 1
-            if c != 0.0:
-                K[ro:ro + elem.out_dim, co:co + elem.in_dim] += c * elem(theta)
-    return K
-
-
-def constraint_residual(kernel: EquivariantKernel, theta, g) -> float:
-    """Frobenius norm of the gauge-constraint violation at (theta, g)."""
-    rout = rep_block_diag(kernel.out_type, -g)
-    rin = rep_block_diag(kernel.in_type, g)
-    if kernel.kind == "self":
-        K = assemble_kernel(kernel, 0.0)
-        return float(np.linalg.norm(K - rout @ K @ rin))
-    lhs = assemble_kernel(kernel, theta - g)
-    rhs = rout @ assemble_kernel(kernel, theta) @ rin
-    return float(np.linalg.norm(lhs - rhs))
-
-
-# ---------------------------------------------------------------------------
-# Kernel at angle 0 (the linear map used by the layers)
-# ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def kernel_matrix_map(in_type: FeatureType, out_type: FeatureType, kind: str):
-    """Sparse linear map from coefficients to the kernel matrix at angle 0.
+def kernel_matrix_map(in_type: FeatureType, out_type: FeatureType):
+    """Sparse linear map from a self kernel's coefficients to its matrix.
 
-    ``(smat @ coeffs).reshape(out_dim, in_dim)`` equals
-    ``assemble_kernel(kernel, 0.0)``: only cosine entries survive there.  A
-    self kernel is this matrix at every angle; a neighbor kernel follows from
-    it by the gauge constraint at ``g = theta``,
-
-        K(theta) = rho_out(theta) K(0) rho_in(-theta).
-
-    Cached per type pair and kind, so every caller shares one matrix; its
-    arrays are read-only.
+    Coefficients run over the (output, input) component pairs of equal
+    order in layout order, ``a`` before ``b``, and
+    ``(smat @ coeffs).reshape(out_dim, in_dim)`` is the matrix.  Cached per
+    type pair, so every caller shares one matrix; its arrays are read-only.
     """
-    rows, cols, data = [], [], []
-    pos = 0
-    for _i, _j, ro, co, basis in _block_pairs(in_type, out_type, kind):
-        for elem in basis:
-            for r, c, k, _h, s in elem.entries:
-                if k == "c":
-                    rows.append((ro + r) * in_type.dim + co + c)
-                    cols.append(pos)
-                    data.append(s)
-            pos += 1
-    smat = sp.csr_matrix((data, (rows, cols)),
-                        shape=(out_type.dim * in_type.dim, pos))
+    nb = _coefficient_counts(in_type, out_type, "self")
+    i, j = np.nonzero(nb)
+    r, q, n = np.array(out_type.offsets)[i], np.array(in_type.offsets)[j], nb[i, j]
+    k = np.cumsum(n) - n
+    v = n == 2
+    rows = np.concatenate([r, r[v] + 1, r[v], r[v] + 1])
+    cols = np.concatenate([q, q[v] + 1, q[v] + 1, q[v]])
+    coef = np.concatenate([k, k[v], k[v] + 1, k[v] + 1])
+    sign = np.repeat([1.0, -1.0], [len(k) + 2 * v.sum(), v.sum()])
+    smat = sp.csr_matrix((sign, (rows * in_type.dim + cols, coef)),
+                        shape=(out_type.dim * in_type.dim, int(nb.sum())))
     for arr in (smat.data, smat.indices, smat.indptr):
         arr.flags.writeable = False
     return smat
 
 
-# ---------------------------------------------------------------------------
-# Initialization helpers
-# ---------------------------------------------------------------------------
-
 def init_coefficients(in_type: FeatureType, out_type: FeatureType, kind: str,
                       rng: np.random.Generator) -> np.ndarray:
-    """Uniform init in [-s, s] with s = 1/sqrt(fan_in * basis_count).
+    """Uniform init in [-s, s] with s = 1/sqrt(fan_in * block_count).
 
-    Keeps pre-activation variance bounded across the chosen type sizes.
-    One draw over all blocks, in the layout order of :func:`_block_pairs`.
+    ``block_count`` is the number of coefficients of the block.  Keeps
+    pre-activation variance bounded across the chosen type sizes.  One draw
+    over all blocks, in layout order.
     """
-    out_orders, out_of = np.unique(out_type.orders, return_inverse=True)
-    in_orders, in_of = np.unique(in_type.orders, return_inverse=True)
-    sizes = np.array([[len(kernel_basis(n, m, kind)) for n in in_orders]
-                      for m in out_orders], dtype=np.int64)
-    nb = sizes[out_of[:, None], in_of[None, :]].ravel()
+    nb = _coefficient_counts(in_type, out_type, kind).ravel()
     nb = nb[nb > 0]
     s = np.repeat(1.0 / np.sqrt(in_type.dim * nb), nb)
     return rng.uniform(-s, s)
 
+
+def init_neighbor_kernel(in_type: FeatureType, out_type: FeatureType,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Seeded ``K(0)`` of a neighbor kernel, shape (out.dim, in.dim).
+
+    Draws the harmonic-basis coefficients ``c`` of
+    :func:`init_coefficients` and writes each block's ``K(0)`` in closed
+    form: ``[[c1+c3, c2+c4], [c4-c2, c1-c3]]`` for rho_n -> rho_m,
+    ``[c1, -c2]`` for rho_n -> rho_0, ``[c1; -c2]`` for rho_0 -> rho_m and
+    ``c1`` for rho_0 -> rho_0.
+    """
+    c = init_coefficients(in_type, out_type, "neigh", rng)
+    vo, vi = np.meshgrid(np.array(out_type.orders) > 0,
+                         np.array(in_type.orders) > 0, indexing="ij")
+    ro, co = np.meshgrid(out_type.offsets[:-1], in_type.offsets[:-1], indexing="ij")
+    nb = (1 + vo) * (1 + vi)
+    k = np.cumsum(nb).reshape(nb.shape) - nb
+    K = np.empty((out_type.dim, in_type.dim))
+    s = ~vo & ~vi
+    K[ro[s], co[s]] = c[k[s]]
+    s = ~vo & vi
+    K[ro[s], co[s]], K[ro[s], co[s] + 1] = c[k[s]], -c[k[s] + 1]
+    s = vo & ~vi
+    K[ro[s], co[s]], K[ro[s] + 1, co[s]] = c[k[s]], -c[k[s] + 1]
+    r, q, k = ro[vo & vi], co[vo & vi], k[vo & vi]
+    K[r, q], K[r, q + 1] = c[k] + c[k + 2], c[k + 1] + c[k + 3]
+    K[r + 1, q], K[r + 1, q + 1] = c[k + 3] - c[k + 1], c[k] - c[k + 2]
+    return K

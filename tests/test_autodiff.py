@@ -275,23 +275,6 @@ class TestScattersMatchAddAt:
                 assert not out[n - 1].any()
 
 
-class TestTakeColsSlice:
-    """A column slice is a view, equal to the gather bit for bit."""
-
-    def test_matches_gather(self):
-        rng = np.random.default_rng(8)
-        x_value = rng.standard_normal((7, 10))
-        for cols in (slice(0, 4), slice(6, None), slice(None)):
-            x = parameter(x_value)
-            idx = np.arange(10)[cols]
-            g = rng.standard_normal((7, idx.size))
-            y = take_cols(x, cols)
-            (y * g).sum().backward()
-            assert np.shares_memory(y.value, x.value)
-            assert np.array_equal(y.value, np.take(x_value, idx, axis=1))
-            assert np.array_equal(x.grad, scatter_add(g.T, idx, 10).T)
-
-
 class TestTakeColsIndices:
     def test_result_is_a_c_ordered_copy(self):
         x = parameter(np.arange(12.0).reshape(3, 4))
@@ -482,7 +465,6 @@ RECORDING_CASES = [
     ("mean", lambda a: a.mean(axis=1), [(4, 3)], False),
     ("concat", lambda a, b: concat([a, np.ones((1, 3)), b]), [(4, 3), (2, 3)], True),
     ("take_rows", lambda a: take_rows(a, [3, 0, 0, 2]), [(4, 3)], True),
-    ("take_cols_slice", lambda a: take_cols(a, slice(1, 3)), [(4, 3)], True),
     ("take_cols_gather", lambda a: take_cols(a, [2, 0]), [(4, 3)], True),
     ("take_pairs", lambda a: take_pairs(a, [0, 3, 3], [2, 1, 2]), [(4, 3)], True),
     ("rotate_pairs", lambda a: rotate_pairs(a, np.cos(np.ones((4, 3))),

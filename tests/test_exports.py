@@ -27,3 +27,14 @@ def test_package_imports_exist():
         module = importlib.import_module(f"meshnet.{node.module}")
         missing = [a.name for a in node.names if not hasattr(module, a.name)]
         assert not missing, node.module
+
+
+RETIRED = ("EquivariantKernel", "assemble_kernel", "constraint_residual",
+           "kernel_basis", "BasisElement", "coefficient_count")
+
+
+@pytest.mark.parametrize("module", ["meshnet", "meshnet.representations"])
+def test_harmonic_basis_names_are_retired(module):
+    # neighbor kernels are learned as K(0); the harmonic basis is a test oracle
+    module = importlib.import_module(module)
+    assert not [n for n in RETIRED if hasattr(module, n)]

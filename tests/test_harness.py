@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from meshnet import harness
 from meshnet.autodiff import Tensor
 from meshnet.config import parse_config
 from meshnet.errors import (
@@ -11,6 +12,7 @@ from meshnet.errors import (
     ConfigError,
     EmptyNeighborhoodError,
     FrameBindingError,
+    TrainingDivergedError,
 )
 from meshnet.features import GeometricFeatureField, xyz_features
 from meshnet.harness import (
@@ -69,10 +71,12 @@ def test_undecodable_config_hash_rejected(saved, tmp_path):
 
 def test_unknown_version_rejected(saved, tmp_path):
     _path, _flat, data = saved
-    other = str(tmp_path / "v2.ckpt")
+    # version 1 stored the harmonic coefficients of the neighbor kernels: the
+    # same count as K(0), so only the version tells the layouts apart
+    other = str(tmp_path / "v1.ckpt")
     with open(other, "wb") as fh:
-        fh.write(data[:4] + struct.pack("<I", 2) + data[8:])
-    with pytest.raises(CheckpointError, match="version 2"):
+        fh.write(data[:4] + struct.pack("<I", 1) + data[8:])
+    with pytest.raises(CheckpointError, match="version 1"):
         load_checkpoint(build_model(SPEC), other)
 
 
@@ -139,6 +143,44 @@ def test_evaluate_reports_every_accuracy():
     assert set(accuracy) == {"train", "test", "gauge", "rot_tr_scale", "perm"}
     for value in accuracy.values():
         assert 0.0 <= value <= 100.0
+
+
+# A reduced default EMAN model at the default learning rate; chance level on
+# the 42-vertex correspondence is a loss of ln 42 = 3.74.
+REDUCED = """
+[model]
+hidden_type = 4x(rho0+rho1+rho2)
+final_type = 8xrho0
+dense_hidden = 64
+[data]
+train_meshes = 5
+test_meshes = 0
+[training]
+epochs = 10
+"""
+
+
+def test_reduced_eman_trains():
+    history = train(parse_config(REDUCED))[1]["history"]
+    assert history[-1]["loss"] < 1.0, [h["loss"] for h in history]
+
+
+def test_history_records_wall_time_and_gradient_norm():
+    (epoch,) = train(_small_config())[1]["history"]
+    assert epoch["wall_s"] > 0.0
+    assert 0.0 < epoch["grad_norm_max"] < np.inf
+
+
+def test_divergence_names_the_first_non_finite_parameter(monkeypatch):
+    def poisoned(spec, seed):
+        model = build_model(spec, seed)
+        dict(model.parameters())["final.value_kernel"].value[0, 0] = np.nan
+        return model
+
+    monkeypatch.setattr(harness, "build_model", poisoned)
+    with pytest.raises(TrainingDivergedError, match="final.value_kernel") as info:
+        train(_small_config())
+    assert info.value.parameter == "final.value_kernel"
 
 
 def test_forward_needs_features_of_the_geometry_frames():

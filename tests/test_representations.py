@@ -4,17 +4,22 @@ import pytest
 
 from meshnet.errors import FeatureTypeError
 from meshnet.representations import (
-    BasisElement,
-    EquivariantKernel,
     FeatureType,
-    assemble_kernel,
-    coefficient_count,
-    constraint_residual,
     init_coefficients,
-    kernel_basis,
+    init_neighbor_kernel,
     kernel_matrix_map,
     rep_block_diag,
     rho_matrix,
+)
+
+from oracles import (
+    BasisElement,
+    HarmonicKernel,
+    assemble_kernel,
+    coefficient_count,
+    coefficient_map,
+    constraint_residual,
+    kernel_basis,
 )
 
 
@@ -161,7 +166,7 @@ class TestCoefficientCount:
     def test_kernel_rejects_wrong_count(self):
         tin = FeatureType([0, 1])
         with pytest.raises(FeatureTypeError):
-            EquivariantKernel(tin, tin, "neigh", np.zeros(2))
+            HarmonicKernel(tin, tin, "neigh", np.zeros(2))
 
 
 def _entrywise_oracle(kernel, theta):
@@ -209,12 +214,12 @@ def _entrywise_oracle(kernel, theta):
 class TestAssembleKernel:
     def test_zero_coefficients(self):
         tin, tout = FeatureType([0, 1]), FeatureType([1, 2])
-        k = EquivariantKernel(tin, tout, "neigh")
+        k = HarmonicKernel(tin, tout, "neigh")
         npt.assert_array_equal(assemble_kernel(k, 0.3), np.zeros((4, 3)))
 
     def test_scalar_constant(self):
         t = FeatureType([0])
-        k = EquivariantKernel(t, t, "neigh", [2.5])
+        k = HarmonicKernel(t, t, "neigh", [2.5])
         for th in [-1.0, 0.0, 2.2]:
             npt.assert_array_equal(assemble_kernel(k, th), [[2.5]])
 
@@ -223,7 +228,7 @@ class TestAssembleKernel:
         tin = FeatureType([0, 1])
         tout = FeatureType([0, 1, 2])
         for kind in ("neigh", "self"):
-            k = EquivariantKernel(
+            k = HarmonicKernel(
                 tin if kind == "neigh" else tout,
                 tout, kind,
                 rng.standard_normal(
@@ -238,8 +243,8 @@ class TestConstraintResidual:
     def test_zero_gauge_is_exact(self):
         rng = np.random.default_rng(4)
         tin, tout = FeatureType([0, 1]), FeatureType([1, 2])
-        k = EquivariantKernel(tin, tout, "neigh",
-                              rng.standard_normal(coefficient_count(tin, tout, "neigh")))
+        k = HarmonicKernel(tin, tout, "neigh",
+                           rng.standard_normal(coefficient_count(tin, tout, "neigh")))
         assert constraint_residual(k, 0.37, 0.0) == 0.0
 
     def test_random_kernels_satisfy_constraint(self):
@@ -248,7 +253,7 @@ class TestConstraintResidual:
             for m in range(3):
                 for kind in ("neigh", "self"):
                     tin, tout = FeatureType([n]), FeatureType([m])
-                    k = EquivariantKernel(
+                    k = HarmonicKernel(
                         tin, tout, kind,
                         rng.standard_normal(coefficient_count(tin, tout, kind)))
                     for _ in range(20):
@@ -276,20 +281,33 @@ class TestConstraintResidual:
 class TestMatrixMap:
     def test_reproduces_assembly(self):
         # K(theta) = rho_out(theta) K(0) rho_in(-theta), the identity the
-        # layers evaluate every neighbor kernel through
+        # layers evaluate every neighbor kernel through; a self kernel's
+        # matrix from the layers' map is the harmonic assembly at any angle
         rng = np.random.default_rng(7)
         tin = FeatureType.parse("rho0+rho1+rho2")
         tout = FeatureType.parse("2xrho0+rho1")
-        for kind in ("neigh", "self"):
-            src = tin if kind == "neigh" else tout
-            k = EquivariantKernel(src, tout, kind,
-                                  rng.standard_normal(coefficient_count(src, tout, kind)))
-            K0 = (kernel_matrix_map(src, tout, kind) @ k.coefficients).reshape(
-                tout.dim, src.dim)
-            for th in rng.uniform(-np.pi, np.pi, 4):
-                npt.assert_allclose(
-                    rep_block_diag(tout, th) @ K0 @ rep_block_diag(src, -th),
-                    assemble_kernel(k, th), atol=1e-13)
+        k = HarmonicKernel(tin, tout, "neigh",
+                           rng.standard_normal(coefficient_count(tin, tout, "neigh")))
+        K0 = (coefficient_map(tin, tout, "neigh") @ k.coefficients).reshape(
+            tout.dim, tin.dim)
+        for th in rng.uniform(-np.pi, np.pi, 4):
+            npt.assert_allclose(
+                rep_block_diag(tout, th) @ K0 @ rep_block_diag(tin, -th),
+                assemble_kernel(k, th), atol=1e-13)
+        for src in (tin, tout, FeatureType.parse("rho1+2xrho0+rho1")):
+            k = HarmonicKernel(src, tout, "self",
+                               rng.standard_normal(coefficient_count(src, tout, "self")))
+            K = (kernel_matrix_map(src, tout) @ k.coefficients).reshape(tout.dim, src.dim)
+            npt.assert_array_equal(K, assemble_kernel(k, rng.uniform(-np.pi, np.pi)))
+
+    def test_neighbor_map_is_square_and_invertible(self):
+        # K(0) is free: the harmonic coefficients are one coordinate system on it
+        for text in ["rho0+rho1", "2xrho0+rho1", "rho0+rho1+rho2+rho3"]:
+            tin = FeatureType.parse(text)
+            tout = FeatureType.parse("rho0+rho1+rho2")
+            smat = coefficient_map(tin, tout, "neigh").toarray()
+            assert smat.shape == (tout.dim * tin.dim,) * 2
+            assert np.linalg.matrix_rank(smat) == smat.shape[0]
 
 
 class TestInitialization:
@@ -299,9 +317,8 @@ class TestInitialization:
         rng = np.random.default_rng(8)
         for text in ["rho0+rho1", "8x(rho0+rho1+rho2)", "16x(rho0+rho1+rho2)"]:
             t = FeatureType.parse(text)
-            k = EquivariantKernel(t, t, "neigh", init_coefficients(t, t, "neigh", rng))
             x = rng.standard_normal((200, t.dim))
-            y = x @ assemble_kernel(k, 0.3).T
+            y = x @ init_neighbor_kernel(t, t, rng).T
             ratio = y.std() / x.std()
             assert 0.05 < ratio < 5.0, (text, ratio)
 
@@ -333,3 +350,7 @@ def test_init_matches_block_walk(tin, tout, kind):
     assert got.shape == (coefficient_count(tin, tout, kind),)
     assert np.array_equal(got, want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if kind == "neigh":
+        # the closed-form K(0) rounds exactly like the harmonic map of the draw
+        K0 = init_neighbor_kernel(tin, tout, np.random.default_rng(5))
+        assert np.array_equal(K0.ravel(), coefficient_map(tin, tout, kind) @ want)
