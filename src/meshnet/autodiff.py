@@ -3,8 +3,8 @@
 Minimal tape: every ``Tensor`` remembers its parents and a vector-Jacobian
 closure; ``backward()`` on a scalar root walks the graph once in reverse
 topological order.  The op set is exactly what the mesh layers need
-(matmul, gather/scatter, segment sums, the per-edge rotation
-``rotate_pairs``, elementwise math, reductions, concatenation); no
+(matmul, gather/scatter, segment sums, the per-edge phase rotation
+``rotate_phase``, elementwise math, reductions, concatenation); no
 higher-order derivatives.
 
 Recording rule: every op computes its forward value once and returns it
@@ -17,6 +17,11 @@ products with a sparse 0/1 incidence matrix.  Its rows list their entries
 in index order, so every sum is accumulated in the same order as
 ``np.add.at`` would, and the results are bit-identical to it.  ``take_cols``
 is no scatter: its columns are distinct, and its adjoint fills a zero block.
+
+Per-edge rotations are phases: ``rotate_phase`` reads each order-n block of
+pair columns as complex128 and multiplies row e by ``exp(i n angle_e)``,
+computed from the angles on every call, so no table outlives the op.  Its
+adjoint is the same product with the conjugate phase.
 
 Allocator policy: importing this module (and so ``meshnet``) sets two
 process-wide glibc malloc thresholds, ``M_MMAP_THRESHOLD`` to 32 MiB and
@@ -44,7 +49,7 @@ __all__ = [
     "take_rows",
     "take_cols",
     "take_pairs",
-    "rotate_pairs",
+    "rotate_phase",
     "segment_sum",
     "segment_softmax",
     "sparse_matmul",
@@ -101,7 +106,7 @@ def _scatter_rows(g, idx, n):
     np.cumsum(np.bincount(idx, minlength=n), out=indptr[1:])
     incidence = sp.csr_matrix((np.ones(idx.size), order, indptr),
                               shape=(n, idx.size))
-    out = incidence @ g.reshape(idx.size, -1)
+    out = incidence @ g.reshape(idx.size, int(np.prod(g.shape[1:])))
     return out.reshape((n,) + g.shape[1:])
 
 
@@ -351,12 +356,13 @@ def take_rows(x: Tensor, idx) -> Tensor:
 
 
 def take_cols(x: Tensor, cols) -> Tensor:
-    """Distinct columns of ``x``, gathered with ``np.take``.
+    """Distinct columns of ``x`` (an index list or a slice), gathered with
+    ``np.take``.
 
     ``np.take`` is C-ordered where ``x[:, idx]`` is not.  The adjoint writes
     ``g`` into a zero block.
     """
-    cols = np.arange(x.value.shape[1])[np.asarray(cols, dtype=np.intp)]
+    cols = np.arange(x.value.shape[1])[cols]
     if np.unique(cols).size < cols.size:
         raise AutodiffError("take_cols needs distinct columns")
 
@@ -379,19 +385,24 @@ def take_pairs(x: Tensor, rows, cols) -> Tensor:
     return _node(x.value[rows, cols], (x,), vjp)
 
 
-def rotate_pairs(x: Tensor, cosm, sinm, partner) -> Tensor:
-    """``x * cosm + x[:, partner] * sinm`` for constant tables, as one node.
+def rotate_phase(x: Tensor, angle, blocks) -> Tensor:
+    """Turn the 2-dimensional components of row e of ``x`` by ``n * angle[e]``.
 
-    Row e of ``x`` is rotated by the per-row 2x2 rotations that ``cosm``
-    and the signed ``sinm`` hold per column; ``partner`` maps every column
-    to the other column of its 2-dimensional component (a scalar column to
-    itself, where ``sinm`` is 0).  ``partner`` is an involution, so the
-    adjoint of the gather is the same gather:
-    ``g * cosm + (g * sinm)[:, partner]``.
+    Each ``(n, lo, hi)`` of ``blocks`` names the columns ``lo:hi`` that hold
+    order-n pairs.  Read as complex128, a pair is ``x + iy``, and row e of
+    the block is multiplied by ``exp(i n angle[e])``.  The rotation is
+    orthogonal, so the adjoint is the same product with the conjugate phase.
     """
-    out = x.value * cosm + np.take(x.value, partner, axis=1) * sinm
-    return _node(out, (x,),
-                 lambda g: (g * cosm + np.take(g * sinm, partner, axis=1),))
+    phases = [(lo, hi, np.exp(1j * n * angle)[:, None]) for n, lo, hi in blocks]
+
+    def turn(v, conj):
+        out = v.copy()
+        for lo, hi, u in phases:
+            block = out[:, lo:hi].view(np.complex128)
+            block *= u.conj() if conj else u
+        return out
+
+    return _node(turn(x.value, False), (x,), lambda g: (turn(g, True),))
 
 
 def segment_sum(x: Tensor, segments, n_segments: int) -> Tensor:

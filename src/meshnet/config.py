@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import os
 
 from .errors import ConfigError
@@ -72,7 +73,7 @@ _SCHEMA = {
         "kind": (_enum("gem", "eman"), "eman"),
         "bias": (_enum("angular", "additive", "none"), "angular"),
         "features": (_enum("xyz", "get", "reltan"), "reltan"),
-        "reltan_powers": (_list(float), (0.7,)),
+        "reltan_powers": (_list(_checked(float, math.isfinite, "finite")), (0.7,)),
         "hidden_type": (str, "16x(rho0+rho1+rho2)"),
         "final_type": (str, "16xrho0"),
         "attention_type": (str, ""),

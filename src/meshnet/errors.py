@@ -95,6 +95,14 @@ class ZeroDistanceError(MeshNetError):
         super().__init__(f"vertices {p} and {q} are coincident")
 
 
+class NonFiniteFeatureError(MeshNetError):
+    def __init__(self, vertex, power):
+        self.vertex, self.power = vertex, power
+        super().__init__(
+            f"vertex {vertex}: RelTan summary for relative power {power} is not finite"
+        )
+
+
 class FeatureTypeError(MeshNetError):
     """Feature type mismatch between a layer and its input."""
 

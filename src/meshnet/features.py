@@ -5,7 +5,7 @@ Three input families with different symmetry behavior:
 * ``reltan`` -- per-vertex tangent vectors summarizing the neighbor
   directions, weighted by powers of the neighbor distances.  Equivariant to
   global rotations and invariant to translations and scalings; one
-  (rho0 + rho1) group per relative power, rho0 slot zero.
+  (rho0 + rho1) group per relative power, rho0 slots zero.
 * ``get`` -- the vertex position expressed in its own frame
   (rho0 = normal projection, rho1 = tangent projections).  Gauge-covariant
   but sensitive to translation and scaling.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroDistanceError
+from .errors import NonFiniteFeatureError, ZeroDistanceError
 from .mesh import Mesh
 from .representations import FeatureType
 from .tangent import FrameField
@@ -79,6 +79,9 @@ def reltan_vectors(mesh: Mesh, frames: FrameField, power: float) -> np.ndarray:
     ------
     ZeroDistanceError
         If a neighbor coincides with its center vertex.
+    NonFiniteFeatureError
+        If ``|q-p|^{power-1}`` overflows or underflows so far that a
+        vector is not finite (``power = 1e308``, say).
     """
     src, dst = mesh.edge_src, mesh.edge_dst
     tang, _, dist = frames._projection
@@ -88,33 +91,31 @@ def reltan_vectors(mesh: Mesh, frames: FrameField, power: float) -> np.ndarray:
         raise ZeroDistanceError(int(dst[e]), int(src[e]))
     unit = tang / dist[:, None]  # proj of the unit offset, length <= 1
 
-    w = dist ** (power - 1.0)
-    wsum = np.bincount(dst, w, mesh.n_vertices)
-    contrib = unit * (wsum[dst] / w)[:, None]
-    out = np.stack([np.bincount(dst, contrib[:, c], mesh.n_vertices) for c in range(3)],
-                   axis=1)
-    return out * mesh.degrees[:, None] ** -1.5
+    with np.errstate(all="ignore"):  # a non-finite result is raised below
+        w = dist ** (power - 1.0)
+        wsum = np.bincount(dst, w, mesh.n_vertices)
+        contrib = unit * (wsum[dst] / w)[:, None]
+        out = np.stack([np.bincount(dst, contrib[:, c], mesh.n_vertices)
+                        for c in range(3)], axis=1) * mesh.degrees[:, None] ** -1.5
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise NonFiniteFeatureError(int(bad[0]), power)
+    return out
 
 
 def reltan_features(mesh: Mesh, frames: FrameField,
                     powers=(0.7,)) -> GeometricFeatureField:
     """Tangent-summary features, one (rho0 + rho1) group per relative power.
 
-    The rho1 slot holds the frame coordinates of the summary vector; the
-    rho0 slot is identically zero.
+    In the order-major layout the P zero rho0 columns come first, then one
+    rho1 pair per power: the frame coordinates of its summary vector.
     """
-    groups = []
+    pairs = []
     for r in powers:
         v3 = reltan_vectors(mesh, frames, r)
-        coords = np.stack(
-            [np.zeros(mesh.n_vertices),
-             np.einsum("ij,ij->i", v3, frames.e1),
-             np.einsum("ij,ij->i", v3, frames.e2)],
-            axis=1,
-        )
-        groups.append(coords)
-    ftype = len(groups) * FeatureType([0, 1])
-    return GeometricFeatureField(ftype, np.concatenate(groups, axis=1), frames.token)
+        pairs += [np.einsum("ij,ij->i", v3, frames.e1), np.einsum("ij,ij->i", v3, frames.e2)]
+    values = np.stack([np.zeros(mesh.n_vertices)] * len(powers) + pairs, axis=1)
+    return GeometricFeatureField(feature_type_for("reltan", powers), values, frames.token)
 
 
 def get_features(mesh: Mesh, frames: FrameField) -> GeometricFeatureField:

@@ -43,7 +43,8 @@ __all__ = ["build_id", "model_logits", "transformed_logits", "equivariance_gap",
            "load_checkpoint", "generate_config_mesh", "features_report"]
 
 _CKPT_MAGIC = b"MNET"
-_CKPT_VERSION = 2  # 2: neighbor kernels are stored as their matrix K(0)
+# 2: neighbor kernels are stored as their matrix K(0); 3: in the order-major layout
+_CKPT_VERSION = 3
 
 
 def build_id() -> str:

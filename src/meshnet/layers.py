@@ -11,6 +11,9 @@ p along an edge with angle theta and transport angle g is
 
 one per-edge rotation of the gathered neighbor features, one dense matmul
 by ``K(0)`` for the whole mesh, and one per-edge rotation of the result.
+Both rotations are the phase op ``rotate_phase``: in the order-major layout
+of :class:`~meshnet.representations.FeatureType` each order-n block of
+pairs, read as complex numbers, is multiplied by ``exp(i n angle_e)``.
 The constraint leaves ``K(0)`` free, so every neighbor kernel's parameter
 is the dense matrix ``K(0)`` itself.
 
@@ -36,7 +39,7 @@ from .autodiff import (
     Tensor,
     concat,
     parameter,
-    rotate_pairs,
+    rotate_phase,
     segment_softmax,
     segment_sum,
     sparse_matmul,
@@ -62,16 +65,19 @@ __all__ = [
 
 BIAS_MODES = ("angular", "additive", "none")
 
-
-def _rotate(x: Tensor, ftype: FeatureType, geom: EdgeGeometry, side: str) -> Tensor:
-    """Apply ``rho(angle_e)`` of ``ftype`` to row e of an (E, dim) tensor."""
-    cosm, sinm = geom.rotation_tables(ftype, side)
-    return rotate_pairs(x, cosm, sinm, ftype.partner)
+# a row pair (x, y) times this is (-y, x): the pair read as x + iy, times i
+_QUARTER_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def _transported(x: Tensor, geom: EdgeGeometry, in_type: FeatureType) -> Tensor:
     """Row e is ``rho_in(g_e - theta_e) x[src_e]``, the input of every ``K(0)``."""
-    return _rotate(take_rows(x, geom.src), in_type, geom, "in")
+    return rotate_phase(take_rows(x, geom.src), geom.transport - geom.theta,
+                        in_type.vector_blocks)
+
+
+def _from_edge(y: Tensor, geom: EdgeGeometry, out_type: FeatureType) -> Tensor:
+    """Row e is ``rho_out(theta_e) y_e``: a ``K(0)`` output back in p's frame."""
+    return rotate_phase(y, geom.theta, out_type.vector_blocks)
 
 
 class _SelfKernel:
@@ -88,7 +94,10 @@ class _SelfKernel:
 
 
 class _Bias:
-    """Per-component bias: additive on scalars, rotation on vector components.
+    """Per-component bias: added to each scalar, an angle for each pair.
+
+    Pair k of order n turns by ``n * b_k``; on a scalar-only type the bias
+    is a plain shift.
 
     ``additive`` mode adds a raw vector to every coordinate instead --
     intentionally not gauge equivariant.
@@ -105,21 +114,20 @@ class _Bias:
             self.b = parameter(rng.uniform(-0.5, 0.5, out_type.dim))
         else:
             self.b = None
-        t = out_type
-        self._scalar_mask = (t.order_of_dim == 0).astype(np.float64)
 
     def apply(self, y: Tensor) -> Tensor:
+        t = self.out_type
         if self.mode == "none":
             return y
-        if self.mode == "additive":
+        if self.mode == "additive" or t.max_order == 0:
             return y + self.b
-        t = self.out_type
-        angle = take_rows(self.b, t.comp_of_dim)
-        phase = angle * t.order_of_dim.astype(np.float64)
-        cosv = phase.cos()
-        sinv = phase.sin() * t.partner_sign
-        rotated = y * cosv + take_cols(y, t.partner) * sinv
-        return rotated + angle * self._scalar_mask
+        m, rows = t.n_scalars, y.shape[0]
+        angle = take_rows(self.b, np.arange(m, t.n_components)) * t.orders[m:]
+        angle = angle.reshape(-1, 1)
+        pairs = take_cols(y, slice(m, None)).reshape(rows, -1, 2)
+        turned = pairs * angle.cos() + pairs @ _QUARTER_TURN * angle.sin()
+        return concat([take_cols(y, slice(m)) + take_rows(self.b, np.arange(m)),
+                       turned.reshape(rows, -1)], axis=1)
 
     def parameters(self):
         return [] if self.b is None else [("bias", self.b)]
@@ -154,7 +162,7 @@ class GemConvLayer:
     def forward(self, x: Tensor, geom: EdgeGeometry) -> Tensor:
         _check_input(self, x, geom)
         u = _transported(x, geom, self.in_type)
-        msg = _rotate(u @ self.neigh_kernel.T, self.out_type, geom, "out")
+        msg = _from_edge(u @ self.neigh_kernel.T, geom, self.out_type)
         agg = segment_sum(msg, geom.dst, geom.n_vertices)
         y = x @ self.self_kernel.matrix().T + agg
         return self.bias.apply(y)
@@ -166,28 +174,11 @@ class GemConvLayer:
 
 
 def _head_type(out_type: FeatureType, heads: int) -> FeatureType:
-    """Output type with every multiplicity divided by the head count.
-
-    Periodic types split into their repeating pattern (so a single head
-    reproduces the output type exactly); otherwise components regroup by
-    ascending order.
-    """
-    orders = out_type.orders
-    if len(orders) % heads == 0:
-        period = len(orders) // heads
-        if orders == orders[:period] * heads:
-            return FeatureType(orders[:period])
-    counts = {}
-    for n in orders:
-        counts[n] = counts.get(n, 0) + 1
-    head_orders = []
-    for n in sorted(counts):
-        if counts[n] % heads:
-            raise ConfigError(
-                f"multiplicity of rho{n} in {out_type} not divisible by {heads} heads"
-            )
-        head_orders.extend([n] * (counts[n] // heads))
-    return FeatureType(head_orders)
+    """Output type with every multiplicity divided by the head count."""
+    head_type = FeatureType(out_type.orders[::heads])
+    if heads * head_type != out_type:
+        raise ConfigError(f"multiplicities of {out_type} are not divisible by {heads} heads")
+    return head_type
 
 
 class EmanAttentionLayer:
@@ -203,8 +194,9 @@ class EmanAttentionLayer:
 
     ``self_contribution`` adds each vertex's own key and value to its
     neighborhood (so the normalizer is ``N_p + 1``); ``heads > 1`` runs the
-    same attention on per-head projections and mixes the concatenated heads
-    with an output matrix, all projections being self-kind kernels.
+    same attention on per-head projections and sums each head's output
+    mapped back to the output type, all projections being self-kind
+    kernels.
     """
 
     def __init__(self, in_type: FeatureType, out_type: FeatureType,
@@ -230,7 +222,7 @@ class EmanAttentionLayer:
             self.head_query = [_SelfKernel(self.att_type, ht, rng) for _ in range(heads)]
             self.head_key = [_SelfKernel(self.att_type, ht, rng) for _ in range(heads)]
             self.head_value = [_SelfKernel(out_type, ht, rng) for _ in range(heads)]
-            self.out_mix = _SelfKernel(heads * ht, out_type, rng)
+            self.head_out = [_SelfKernel(ht, out_type, rng) for _ in range(heads)]
         self.bias = _Bias(out_type, bias, rng)
 
     def _attend(self, Q, K, V, geom, dim, self_kv=None):
@@ -256,8 +248,8 @@ class EmanAttentionLayer:
         """``(output, weights)`` of every head."""
         _check_input(self, x, geom, empty_ok=self.self_contribution)
         u = _transported(x, geom, self.in_type)
-        K = _rotate(u @ self.key_kernel.T, self.att_type, geom, "out")
-        V = _rotate(u @ self.value_kernel.T, self.out_type, geom, "out")
+        K = _from_edge(u @ self.key_kernel.T, geom, self.att_type)
+        V = _from_edge(u @ self.value_kernel.T, geom, self.out_type)
         catt = self.att_type.dim
         Q = x @ self.query_kernel.matrix().T
         self_kv = None
@@ -272,9 +264,9 @@ class EmanAttentionLayer:
 
     def forward(self, x: Tensor, geom: EdgeGeometry) -> Tensor:
         outs = [out for out, _alpha in self._heads(x, geom)]
-        if self.heads == 1:
-            return self.bias.apply(outs[0])
-        return self.bias.apply(concat(outs, axis=1) @ self.out_mix.matrix().T)
+        if self.heads > 1:
+            outs = [out @ w.matrix().T for out, w in zip(outs, self.head_out)]
+        return self.bias.apply(sum(outs[1:], outs[0]))
 
     def attention_coefficients(self, x: Tensor, geom: EdgeGeometry) -> np.ndarray:
         """Softmax weights, one row per head, aligned with the edge order.
@@ -295,13 +287,13 @@ class EmanAttentionLayer:
             for i in range(self.heads):
                 params += [(f"head{i}.query", self.head_query[i].coeffs),
                            (f"head{i}.key", self.head_key[i].coeffs),
-                           (f"head{i}.value", self.head_value[i].coeffs)]
-            params.append(("out_mix", self.out_mix.coeffs))
+                           (f"head{i}.value", self.head_value[i].coeffs),
+                           (f"head{i}.out", self.head_out[i].coeffs)]
         return params + self.bias.parameters()
 
 
 class GaugeNonlinearity:
-    """Scalar channels pass through ReLU; vector channels are norm-gated.
+    """The scalar columns pass through ReLU; the pairs after them are norm-gated.
 
     A vector component f becomes ``f * sigmoid(|f| + c) / (|f| + 1e-6)``
     with one learnable offset c per component.  Only the norm enters the
@@ -312,24 +304,19 @@ class GaugeNonlinearity:
 
     def __init__(self, ftype: FeatureType):
         self.ftype = ftype
-        k = len(ftype.vector_comps)
+        k = ftype.n_components - ftype.n_scalars
         self.c = parameter(np.ones(k)) if k else None
-        t = ftype
-        self._restore = np.argsort(np.concatenate([t.scalar_dims, t.vector_dims]))
 
     def forward(self, x: Tensor) -> Tensor:
-        t = self.ftype
-        pieces = []
-        if t.scalar_dims.size:
-            pieces.append(take_cols(x, t.scalar_dims).relu())
-        if t.vector_dims.size:
-            k = t.vector_dims.size // 2
-            vec = take_cols(x, t.vector_dims).reshape(-1, k, 2)
+        m = self.ftype.n_scalars
+        pieces = [take_cols(x, slice(m)).relu()] if m else []
+        if self.c is not None:
+            k = self.c.shape[0]
+            vec = take_cols(x, slice(m, None)).reshape(-1, k, 2)
             nrm = ((vec * vec).sum(axis=2) + 1e-60).sqrt()
             gate = (nrm + self.c).sigmoid() / (nrm + self.EPS)
             pieces.append((vec * gate.reshape(-1, k, 1)).reshape(-1, 2 * k))
-        out = pieces[0] if len(pieces) == 1 else concat(pieces, axis=1)
-        return take_cols(out, self._restore)
+        return pieces[0] if len(pieces) == 1 else concat(pieces, axis=1)
 
     def parameters(self):
         return [] if self.c is None else [("gate_offset", self.c)]

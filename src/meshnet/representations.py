@@ -1,9 +1,14 @@
 """SO(2) irreducible representations, feature types, and kernel matrices.
 
-A feature type is an ordered direct sum of irreducible components: the
-trivial 1-dimensional component (order 0) and 2-dimensional rotation
-components (order n >= 1, rotating by n times the gauge angle).  Message
-passing between two types is gauge equivariant when its kernels satisfy
+A feature type is a direct sum of irreducible components: the trivial
+1-dimensional component (order 0) and 2-dimensional rotation components
+(order n >= 1, rotating by n times the gauge angle).  It is a multiset of
+orders, laid out order-major: all rho_0 channels, then all rho_1 pairs, then
+all rho_2 pairs, and so on, so ``16x(rho0+rho1+rho2)`` is 16 scalars, 16
+rho_1 pairs and 16 rho_2 pairs.  Each order-n block is contiguous, and read
+as complex numbers ``x + iy`` its pairs rotate by one phase ``exp(i n g)``,
+which is how the layers apply every per-edge rotation.  Message passing
+between two types is gauge equivariant when its kernels satisfy
 
     K_neigh(theta - g) = rho_out(-g) K_neigh(theta) rho_in(g)
     K_self            = rho_out(-g) K_self         rho_in(g)
@@ -26,6 +31,8 @@ zero.  :func:`kernel_matrix_map` takes its coefficients to the matrix.
 
 from __future__ import annotations
 
+import bisect
+import collections
 import functools
 import re
 
@@ -48,13 +55,26 @@ MAX_IRREP_ORDER = 8
 
 
 class FeatureType:
-    """Ordered multiset of irreducible components.
+    """Multiset of irreducible components, laid out by order.
+
+    The constructor sorts the orders, so every type is order-major and two
+    types are equal when their multisets are.
 
     Parameters
     ----------
     orders : iterable of int
-        Component orders, e.g. ``(0, 1, 2)``.  Order 0 contributes one
-        dimension, order n >= 1 contributes two.
+        Component orders in any sequence, e.g. ``(0, 1, 2)``.  Order 0
+        contributes one dimension, order n >= 1 contributes two.
+
+    Attributes
+    ----------
+    n_scalars : int
+        Number of order-0 components, the leading columns.
+    vector_blocks : tuple of (n, lo, hi)
+        Columns ``lo:hi`` of the order-n block, for every order n >= 1.
+    order_of_dim, partner, partner_sign : ndarray, shape (dim,)
+        Per column: its order, the other column of its pair (itself for a
+        scalar), and the sign with which that column enters a rotation.
     """
 
     def __init__(self, orders):
@@ -64,43 +84,22 @@ class FeatureType:
         for n in orders:
             if n < 0 or n > MAX_IRREP_ORDER:
                 raise FeatureTypeError(f"irrep order {n} outside [0, {MAX_IRREP_ORDER}]")
-        self.orders = orders
+        self.orders = orders = tuple(sorted(orders))
         self.component_dims = tuple(1 if n == 0 else 2 for n in orders)
         self.offsets = tuple(np.concatenate([[0], np.cumsum(self.component_dims)]).tolist())
         self.dim = self.offsets[-1]
         self.n_components = len(orders)
-        self._build_layout()
-
-    def _build_layout(self):
-        dim = self.dim
-        order_of_dim = np.zeros(dim, dtype=np.int64)
-        comp_of_dim = np.zeros(dim, dtype=np.int64)
-        partner = np.arange(dim)
-        partner_sign = np.zeros(dim)
-        for ci, n in enumerate(self.orders):
-            off = self.offsets[ci]
-            if n == 0:
-                order_of_dim[off] = 0
-                comp_of_dim[off] = ci
-            else:
-                order_of_dim[off:off + 2] = n
-                comp_of_dim[off:off + 2] = ci
-                partner[off], partner[off + 1] = off + 1, off
-                # x row mixes in -sin * y, y row mixes in +sin * x
-                partner_sign[off], partner_sign[off + 1] = -1.0, 1.0
-        self.order_of_dim = order_of_dim
-        self.comp_of_dim = comp_of_dim
-        self.partner = partner
-        self.partner_sign = partner_sign
-        self.scalar_dims = np.where(order_of_dim == 0)[0]
-        self.vector_dims = np.where(order_of_dim > 0)[0]
-        self.vector_comps = np.array(
-            [ci for ci, n in enumerate(self.orders) if n > 0], dtype=np.int64
-        )
-        self.max_order = max(self.orders)
-        for a in (self.order_of_dim, self.comp_of_dim, self.partner,
-                  self.partner_sign, self.scalar_dims, self.vector_dims,
-                  self.vector_comps):
+        self.max_order = orders[-1]
+        self.n_scalars = m = orders.count(0)
+        self.vector_blocks = tuple(
+            (n, self.offsets[bisect.bisect_left(orders, n)],
+             self.offsets[bisect.bisect_right(orders, n)])
+            for n in sorted(set(orders[m:])))
+        pairs = np.arange(m, self.dim).reshape(-1, 2)
+        self.order_of_dim = np.repeat(orders, self.component_dims)
+        self.partner = np.concatenate([np.arange(m), pairs[:, ::-1].ravel()])
+        self.partner_sign = np.concatenate([np.zeros(m), np.tile([-1.0, 1.0], len(pairs))])
+        for a in (self.order_of_dim, self.partner, self.partner_sign):
             a.flags.writeable = False
 
     # -- algebra on types ---------------------------------------------------
@@ -125,19 +124,9 @@ class FeatureType:
         return f"FeatureType({self})"
 
     def __str__(self):
-        n = len(self.orders)
-        for period in range(1, n + 1):
-            if n % period:
-                continue
-            if self.orders == self.orders[:period] * (n // period):
-                reps = n // period
-                inner = "+".join(f"rho{k}" for k in self.orders[:period])
-                if reps == 1:
-                    return inner
-                if period == 1:
-                    return f"{reps}x{inner}"
-                return f"{reps}x({inner})"
-        return "+".join(f"rho{k}" for k in self.orders)
+        """``m0xrho0+m1xrho1+...`` over the orders present (``rho1`` for one)."""
+        return "+".join(f"{k}xrho{n}" if k > 1 else f"rho{n}"
+                        for n, k in collections.Counter(self.orders).items())
 
     @classmethod
     def parse(cls, text: str) -> "FeatureType":

@@ -219,7 +219,6 @@ class EdgeGeometry:
         self.degrees = np.asarray(degrees, dtype=np.int64)
         self.n_vertices = int(n_vertices)
         self.frame_token = frame_token
-        self._rotation_tables = {}
 
     @classmethod
     def from_frames(cls, frames: FrameField, geometry: EdgeGeometry | None = None):
@@ -268,25 +267,7 @@ class EdgeGeometry:
         g = np.arctan2(
             np.einsum("ij,ij->i", re1, e2p), np.einsum("ij,ij->i", re1, e1p)
         )
-        theta.flags.writeable = g.flags.writeable = False  # rotation tables cache them
         return cls(src, dst, theta, g, mesh.degrees, mesh.n_vertices, frames.token)
-
-    def rotation_tables(self, ftype, side: str):
-        """Per-dim cos / signed-sin tables of the per-edge rotation of ``ftype``.
-
-        ``side="in"`` rotates by ``transport - theta`` (neighbor features
-        into the receiving frame, then to the edge direction), ``side="out"``
-        by ``theta`` (kernel outputs back from the edge direction).  Built on
-        first use, so geometry that never meets a layer computes none.
-        """
-        key = (side, ftype.orders)
-        if key not in self._rotation_tables:
-            angle = self.transport - self.theta if side == "in" else self.theta
-            phase = angle[:, None] * ftype.order_of_dim[None, :]
-            cosm = np.cos(phase)
-            sinm = np.sin(phase) * ftype.partner_sign[None, :]
-            self._rotation_tables[key] = (cosm, sinm)
-        return self._rotation_tables[key]
 
 
 def regauge(frames: FrameField, angles):

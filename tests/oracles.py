@@ -374,7 +374,7 @@ def dense_multihead_forward(layer, f, mesh, td):
     Wq = [self_kernel_matrix(k) for k in layer.head_query]
     Wk = [self_kernel_matrix(k) for k in layer.head_key]
     Wv = [self_kernel_matrix(k) for k in layer.head_value]
-    WO = self_kernel_matrix(layer.out_mix)
+    Wo = [self_kernel_matrix(k) for k in layer.head_out]
     tin = layer.in_type
     d = layer.head_type.dim
     out = np.zeros((mesh.n_vertices, layer.out_type.dim))
@@ -387,9 +387,7 @@ def dense_multihead_forward(layer, f, mesh, td):
             Vcols.append(assemble_kernel(kval, th) @ transported)
         K = np.stack(Kcols, axis=1)
         V = np.stack(Vcols, axis=1)
-        heads = []
         for i in range(layer.heads):
             alpha = _softmax((Wk[i] @ K).T @ (Wq[i] @ Q) / np.sqrt(d))
-            heads.append(len(qs) * (Wv[i] @ V @ alpha))
-        out[p] = WO @ np.concatenate(heads)
+            out[p] += Wo[i] @ (len(qs) * (Wv[i] @ V @ alpha))
     return _dense_bias(layer, out)

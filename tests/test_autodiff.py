@@ -11,7 +11,7 @@ from meshnet.autodiff import (
     concat,
     nll_loss,
     parameter,
-    rotate_pairs,
+    rotate_phase,
     segment_softmax,
     segment_sum,
     sparse_matmul,
@@ -26,7 +26,7 @@ from meshnet.features import compute_features
 from meshnet.layers import EdgeGeometry
 from meshnet.mesh import generate_icosphere
 from meshnet.model import build_model
-from meshnet.representations import FeatureType
+from meshnet.representations import FeatureType, rep_block_diag
 from meshnet.tangent import build_frames
 from oracles import scatter_add
 
@@ -205,17 +205,14 @@ class TestOperatorGradients:
         check_gradients(loss, [w], rng)
 
 
-def rotation_tables(ftype, angles):
-    phase = angles[:, None] * ftype.order_of_dim[None, :]
-    return np.cos(phase), np.sin(phase) * ftype.partner_sign[None, :]
-
-
 class TestRotatePairs:
+    """``rotate_phase`` turns the (x, y) pairs of every rho_n block."""
+
     ftype = FeatureType.parse("rho0+2xrho1+rho2")
 
     def setup_method(self):
         self.rng = np.random.default_rng(11)
-        self.cosm, self.sinm = rotation_tables(self.ftype, self.rng.uniform(-np.pi, np.pi, 9))
+        self.angles = self.rng.uniform(-np.pi, np.pi, 9)
 
     def test_gradient(self):
         rng = self.rng
@@ -223,27 +220,21 @@ class TestRotatePairs:
         w = rng.standard_normal((9, self.ftype.dim))
 
         def loss():
-            return (rotate_pairs(x, self.cosm, self.sinm, self.ftype.partner) ** 2 * w).sum()
+            return (rotate_phase(x, self.angles, self.ftype.vector_blocks) ** 2 * w).sum()
 
         check_gradients(loss, [x], rng, samples=20)
 
-    def test_matches_node_chain_exactly(self):
-        # the fused node must round exactly like x*cosm + take_cols(x, partner)*sinm
+    def test_matches_block_rotation(self):
+        # row e is rep_block_diag(angle_e) x_e, and the adjoint its transpose
         rng = self.rng
+        x = parameter(rng.standard_normal((9, self.ftype.dim)))
         g = rng.standard_normal((9, self.ftype.dim))
-        x_value = rng.standard_normal((9, self.ftype.dim))
-        results = []
-        for fused in (True, False):
-            x = parameter(x_value)
-            if fused:
-                y = rotate_pairs(x, self.cosm, self.sinm, self.ftype.partner)
-            else:
-                y = x * self.cosm + take_cols(x, self.ftype.partner) * self.sinm
-            (y * g).sum().backward()
-            results.append((y.value, x.grad))
-        (y_fused, gx_fused), (y_chain, gx_chain) = results
-        assert np.array_equal(y_fused, y_chain)
-        assert np.array_equal(gx_fused, gx_chain)
+        y = rotate_phase(x, self.angles, self.ftype.vector_blocks)
+        (y * g).sum().backward()
+        for e, angle in enumerate(self.angles):
+            R = rep_block_diag(self.ftype, angle)
+            npt.assert_allclose(y.value[e], R @ x.value[e], rtol=0, atol=1e-15)
+            npt.assert_allclose(x.grad[e], R.T @ g[e], rtol=0, atol=1e-15)
 
 
 class TestScattersMatchAddAt:
@@ -426,7 +417,6 @@ def test_warm_training_step_reuses_tape_memory():
     assert faults < 500, faults
 
 
-_PARTNER = np.array([0, 2, 1])
 _SPARSE = sp.random(5, 12, density=0.4, random_state=1, format="csr")
 
 # (name, op, operand shapes, recorded): ``op`` takes Tensor operands; when
@@ -466,10 +456,9 @@ RECORDING_CASES = [
     ("concat", lambda a, b: concat([a, np.ones((1, 3)), b]), [(4, 3), (2, 3)], True),
     ("take_rows", lambda a: take_rows(a, [3, 0, 0, 2]), [(4, 3)], True),
     ("take_cols_gather", lambda a: take_cols(a, [2, 0]), [(4, 3)], True),
+    ("take_cols_slice", lambda a: take_cols(a, slice(1, None)), [(4, 3)], True),
     ("take_pairs", lambda a: take_pairs(a, [0, 3, 3], [2, 1, 2]), [(4, 3)], True),
-    ("rotate_pairs", lambda a: rotate_pairs(a, np.cos(np.ones((4, 3))),
-                                            np.sin(np.ones((4, 3))), _PARTNER),
-     [(4, 3)], True),
+    ("rotate_phase", lambda a: rotate_phase(a, np.ones(4), ((1, 1, 3),)), [(4, 3)], True),
     ("segment_sum", lambda a: segment_sum(a, [1, 0, 1, 1], 3), [(4, 3)], True),
     ("segment_softmax", lambda a: segment_softmax(a, [1, 0, 1, 1], 2), [(4,)], False),
     ("sparse_matmul", lambda a: sparse_matmul(_SPARSE, a.reshape(12), (5,)), [(4, 3)], False),

@@ -28,6 +28,7 @@ epochs = 1
     ("eqgap", "[model]\nheads = 0\n", "[model] heads"),
     ("train", "[model]\ndropout = 1.0\n", "[model] dropout"),
     ("features", "[model]\nreltan_powers =\n", "[model] reltan_powers"),
+    ("eqgap", "[model]\nreltan_powers = nan\n", "[model] reltan_powers"),
     ("eqgap", "[transforms]\nfamilies =\n", "[transforms] families"),
     ("eqgap", "[timing]\nrepetitions = 20\n", "[timing]"),
 ])
@@ -39,6 +40,17 @@ def test_out_of_range_config_value(tmp_path, capsys, command, text, key):
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "ConfigError"
     assert key in error["message"]
+
+
+def test_overflowing_reltan_power_is_a_json_error(tmp_path, capsys):
+    # finite, but dist ** (power - 1) overflows: the features are not finite
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[model]\nreltan_powers = 1e308\n")
+    code = main(["eqgap", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "NonFiniteFeatureError"
+    assert "relative power 1e+308" in error["message"]
 
 
 def test_negative_seed_from_environment(monkeypatch, capsys):

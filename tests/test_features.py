@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from meshnet.errors import ZeroDistanceError
+from meshnet.errors import NonFiniteFeatureError, ZeroDistanceError
 from meshnet.features import (
     GeometricFeatureField,
     compute_features,
@@ -105,15 +107,30 @@ class TestRelTan:
         mesh = generate_icosphere(1)
         fr = build_frames(mesh)
         field = reltan_features(mesh, fr, (0.5, 0.7))
+        # order-major: both zero scalar slots, then one pair per power
         assert field.ftype == FeatureType([0, 1, 0, 1])
-        npt.assert_array_equal(field.values[:, 0], 0.0)  # scalar slots zero
-        npt.assert_array_equal(field.values[:, 3], 0.0)
+        assert field.ftype.orders == (0, 0, 1, 1)
+        npt.assert_array_equal(field.values[:, :2], 0.0)
+        for k, r in enumerate((0.5, 0.7)):
+            v3 = reltan_vectors(mesh, fr, r)
+            npt.assert_array_equal(field.values[:, 2 + 2 * k],
+                                   np.einsum("ij,ij->i", v3, fr.e1))
+            npt.assert_array_equal(field.values[:, 3 + 2 * k],
+                                   np.einsum("ij,ij->i", v3, fr.e2))
         g = rng.uniform(-np.pi, np.pi, mesh.n_vertices)
         fr2, _td2 = regauge(fr, g)
         field2 = reltan_features(mesh, fr2, (0.5, 0.7))
         npt.assert_allclose(field2.values,
                             regauge_coords(field.values, field.ftype, g),
                             atol=1e-10)
+
+    @pytest.mark.parametrize("power", [1e308, -1e308, 2000.0])
+    def test_non_finite_summary_rejected(self, power):
+        # |q-p|^(power-1) overflows to inf or underflows to 0 (then 0/0)
+        mesh = generate_icosphere(1)
+        mesh = mesh.with_vertices(mesh.vertices * 3.0)
+        with pytest.raises(NonFiniteFeatureError, match=re.escape(f"relative power {power}")):
+            reltan_features(mesh, build_frames(mesh), (0.7, power))
 
     def test_coincident_vertices_rejected(self):
         mesh = line_mesh([0, 0, 0], [0, 0, 0], [2, 0, 0])
@@ -192,13 +209,14 @@ class TestDispatch:
         assert compute_features("xyz", mesh, fr).ftype.dim == 3
         assert compute_features("get", mesh, fr).ftype.dim == 3
         assert compute_features("reltan", mesh, fr, (0.5, 0.7)).ftype.dim == 6
-        assert feature_type_for("reltan", (0.5, 0.7)).orders == (0, 1, 0, 1)
+        assert feature_type_for("reltan", (0.5, 0.7)).orders == (0, 0, 1, 1)
         with pytest.raises(ValueError):
             compute_features("laplacian", mesh, fr)
 
     def test_field_shape_validation(self):
         with pytest.raises(ValueError):
             GeometricFeatureField(FeatureType([0, 1]), np.zeros((4, 2)), 0)
+
 
 
 class TestScalingStatistics:

@@ -3,10 +3,9 @@ import numpy.testing as npt
 import pytest
 
 from meshnet.autodiff import Tensor, parameter
-from meshnet.features import compute_features, feature_type_for
+from meshnet.features import feature_type_for
 from meshnet.layers import BIAS_MODES, EdgeGeometry, EmanAttentionLayer, GemConvLayer
 from meshnet.mesh import generate_icosphere
-from meshnet.model import ModelSpec, build_model
 from meshnet.representations import FeatureType
 from meshnet.tangent import build_frames, regauge
 
@@ -76,6 +75,24 @@ def test_multihead_matches_oracle(bias):
         _assert_oracle(layer, dense_multihead_forward, seed)
 
 
+@pytest.mark.parametrize("bias", ["angular", "none"])
+def test_multihead_is_gauge_equivariant(bias):
+    # the output in turned gauges is rho(-g) times the output, checked
+    # without the oracle, which shares the layer's layout
+    rng = np.random.default_rng(7)
+    layer = EmanAttentionLayer(HIDDEN, 2 * HIDDEN, bias=bias, heads=2, rng=rng)
+    mesh = random_test_mesh(rng)
+    frames = build_frames(mesh)
+    g = rng.uniform(-np.pi, np.pi, mesh.n_vertices)
+    frames2, td2 = regauge(frames, g)
+    f = rng.standard_normal((mesh.n_vertices, HIDDEN.dim))
+    out = layer.forward(Tensor(f), EdgeGeometry.from_frames(frames)).value
+    out2 = layer.forward(Tensor(regauge_coords(f, HIDDEN, g)),
+                         EdgeGeometry.from_frames(frames2, td2)).value
+    npt.assert_allclose(out2, regauge_coords(out, layer.out_type, g), rtol=0,
+                        atol=TOL * max(1.0, np.abs(out).max()))
+
+
 @pytest.mark.parametrize("cls", [GemConvLayer, EmanAttentionLayer])
 def test_whole_layer_gradients(cls):
     rng = np.random.default_rng(50)
@@ -134,17 +151,3 @@ def test_identity_markers_see_backward():
     assert seen == [("out", (mesh.n_vertices, HIDDEN.dim)),
                     ("in", (mesh.n_vertices, ENTRY.dim))]
     assert all(np.any(p.grad != 0) for _n, p in layer.parameters())
-
-
-def test_default_model_caches_one_table_per_feature_type():
-    # keys and values are rotated in their own types: no stacked type is cached
-    mesh = generate_icosphere(3)
-    frames = build_frames(mesh)
-    geom = EdgeGeometry.from_frames(frames)
-    spec = ModelSpec(target_dim=mesh.n_vertices)
-    build_model(spec).forward(compute_features("reltan", mesh, frames), geom)
-    hidden, final = FeatureType.parse(spec.hidden_type), FeatureType.parse(spec.final_type)
-    assert set(geom._rotation_tables) == {
-        ("in", spec.in_type.orders), ("in", hidden.orders),
-        ("out", hidden.orders), ("out", final.orders)}
-    assert spec.in_type == FeatureType.parse("rho0+rho1")
