@@ -4,8 +4,9 @@ Minimal tape: every ``Tensor`` remembers its parents and a vector-Jacobian
 closure; ``backward()`` on a scalar root walks the graph once in reverse
 topological order.  The op set is exactly what the mesh layers need
 (matmul, gather/scatter, segment sums, the per-edge phase rotation
-``rotate_phase``, elementwise math, reductions, concatenation); no
-higher-order derivatives.
+``rotate_phase``, the order-by-order product ``commuting_matmul`` of a self
+kernel, elementwise math, reductions, concatenation); no higher-order
+derivatives.
 
 Recording rule: every op computes its forward value once and returns it
 through ``_node``, which records the op (its Tensor operands, in order, and
@@ -21,7 +22,9 @@ is no scatter: its columns are distinct, and its adjoint fills a zero block.
 Per-edge rotations are phases: ``rotate_phase`` reads each order-n block of
 pair columns as complex128 and multiplies row e by ``exp(i n angle_e)``,
 computed from the angles on every call, so no table outlives the op.  Its
-adjoint is the same product with the conjugate phase.
+adjoint is the same product with the conjugate phase.  A self kernel is
+applied in the same view: ``commuting_matmul`` multiplies each order's
+block by one matrix, real on the scalars and complex on the pairs.
 
 Allocator policy: importing this module (and so ``meshnet``) sets two
 process-wide glibc malloc thresholds, ``M_MMAP_THRESHOLD`` to 32 MiB and
@@ -50,9 +53,9 @@ __all__ = [
     "take_cols",
     "take_pairs",
     "rotate_phase",
+    "commuting_matmul",
     "segment_sum",
     "segment_softmax",
-    "sparse_matmul",
     "nll_loss",
     "Adam",
 ]
@@ -405,6 +408,42 @@ def rotate_phase(x: Tensor, angle, blocks) -> Tensor:
     return _node(turn(x.value, False), (x,), lambda g: (turn(g, True),))
 
 
+def commuting_matmul(x: Tensor, w: Tensor, blocks, out_dim: int) -> Tensor:
+    """``x`` times a matrix that commutes with every rotation, order by order.
+
+    Each ``(n, lo, hi, out_lo, out_hi)`` of ``blocks`` maps the order-n
+    columns ``lo:hi`` to the output columns ``out_lo:out_hi``; other output
+    columns are zero.  ``w`` holds each block's (m_out, m_in) matrix ``W_n``
+    in turn, row-major: reals for n = 0, pairs ``(a, b)`` read as ``a + ib``
+    for n >= 1.  On complex128 views of the pairs the block is
+    ``X_n @ conj(W_n).T`` (``[[a, b], [-b, a]]`` multiplies by ``a - ib``),
+    and its adjoint ``gX_n = gY_n @ W_n``, ``gW_n = gY_n^H @ X_n``.
+    """
+    def cols(a, c, t):
+        return np.ascontiguousarray(a[:, c]).view(t)
+
+    parts, k = [], 0
+    for n, lo, hi, out_lo, out_hi in blocks:
+        t, m_in = (np.complex128, (hi - lo) // 2) if n else (np.float64, hi - lo)
+        sw = slice(k, k + m_in * (out_hi - out_lo))
+        k = sw.stop
+        parts.append((t, slice(lo, hi), slice(out_lo, out_hi), sw,
+                      w.value[sw].view(t).reshape(-1, m_in)))
+    y = np.zeros((x.value.shape[0], out_dim))
+    for t, cin, cout, _sw, W in parts:
+        y[:, cout] = (cols(x.value, cin, t) @ W.conj().T).view(np.float64)
+
+    def vjp(g):
+        gx, gw = np.zeros_like(x.value), np.zeros_like(w.value)
+        for t, cin, cout, sw, W in parts:
+            G = cols(g, cout, t)
+            gx[:, cin] = (G @ W).view(np.float64)
+            gw[sw] = (G.conj().T @ cols(x.value, cin, t)).ravel().view(np.float64)
+        return gx, gw
+
+    return _node(y, (x, w), vjp)
+
+
 def segment_sum(x: Tensor, segments, n_segments: int) -> Tensor:
     """Sum rows of ``x`` into their segment; adjoint gathers."""
     segments = np.asarray(segments)
@@ -421,14 +460,6 @@ def segment_softmax(logits: Tensor, segments, n_segments: int) -> Tensor:
     e = shifted.exp()
     denom = segment_sum(e, segments, n_segments)
     return e / take_rows(denom, segments)
-
-
-def sparse_matmul(smat, x: Tensor, out_shape=None) -> Tensor:
-    """Multiply by a constant scipy sparse matrix; adjoint uses the transpose."""
-    out = smat @ x.value
-    if out_shape is not None:
-        out = out.reshape(out_shape)
-    return _node(out, (x,), lambda g: (smat.T @ g.ravel(),))
 
 
 def nll_loss(logits: Tensor, targets) -> Tensor:

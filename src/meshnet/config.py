@@ -39,11 +39,11 @@ def _checked(parse, ok, what):
 
 
 def _at_least(parse, low):
-    return _checked(parse, lambda v: v >= low, f">= {low}")
+    return _checked(parse, lambda v: low <= v < math.inf, f">= {low} and finite")
 
 
 def _positive(parse):
-    return _checked(parse, lambda v: v > 0, "> 0")
+    return _checked(parse, lambda v: 0 < v < math.inf, "> 0 and finite")
 
 
 def _enum(*allowed):

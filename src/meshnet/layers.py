@@ -21,8 +21,9 @@ Equivariance ingredients:
 
 * neighbor features are rotated into the receiving frame using the
   per-edge transport angle before any kernel touches them;
-* self kernels (``K_self = rho_out(-g) K_self rho_in(g)``) couple only
-  components of equal order, through a rotation-commuting block;
+* self kernels (``K_self = rho_out(-g) K_self rho_in(g)``) map each order
+  to itself, by a real matrix on the scalars and a complex one on each
+  order's pairs (``commuting_matmul``);
 * biases act per irreducible component (additive on scalars, a rotation on
   2-dimensional components);
 * the nonlinearity gates vector components by their norm only.
@@ -37,22 +38,17 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
+    commuting_matmul,
     concat,
     parameter,
     rotate_phase,
     segment_softmax,
     segment_sum,
-    sparse_matmul,
     take_cols,
     take_rows,
 )
 from .errors import ConfigError, EmptyNeighborhoodError, FeatureTypeError
-from .representations import (
-    FeatureType,
-    init_coefficients,
-    init_neighbor_kernel,
-    kernel_matrix_map,
-)
+from .representations import FeatureType, init_neighbor_kernel
 from .tangent import EdgeGeometry
 
 __all__ = [
@@ -81,16 +77,28 @@ def _from_edge(y: Tensor, geom: EdgeGeometry, out_type: FeatureType) -> Tensor:
 
 
 class _SelfKernel:
-    """Learnable coefficients of one constrained self kernel."""
+    """A self kernel: a real matrix on the scalars, a complex one per order.
+
+    ``blocks`` pairs the input and output columns of each order that both
+    types hold, and ``coeffs`` holds each order's row-major m_out x m_in
+    matrix in turn: reals on order 0, a pair ``(a, b)`` per entry on order
+    n >= 1 (see ``commuting_matmul``), drawn in one uniform draw with the
+    bounds of ``init_neighbor_kernel``.  Calling the kernel on features of
+    ``in_type`` gives features of ``out_type``.
+    """
 
     def __init__(self, in_type, out_type, rng):
         self.in_type, self.out_type = in_type, out_type
-        self.coeffs = parameter(init_coefficients(in_type, out_type, "self", rng))
-        self.smat = kernel_matrix_map(in_type, out_type)
+        ins = {n: (lo, hi) for n, lo, hi in in_type.blocks}
+        self.blocks = tuple((n, *ins[n], lo, hi) for n, lo, hi in out_type.blocks if n in ins)
+        pair = np.repeat([n > 0 for n, *_ in self.blocks],
+                         [(hi - lo) * (out_hi - out_lo) // (1 + (n > 0))
+                          for n, lo, hi, out_lo, out_hi in self.blocks])
+        s = 1.0 / np.sqrt(in_type.dim * (1 + pair))
+        self.coeffs = parameter(rng.uniform(-s, s))
 
-    def matrix(self) -> Tensor:
-        return sparse_matmul(self.smat, self.coeffs,
-                             (self.out_type.dim, self.in_type.dim))
+    def __call__(self, x: Tensor) -> Tensor:
+        return commuting_matmul(x, self.coeffs, self.blocks, self.out_type.dim)
 
 
 class _Bias:
@@ -164,7 +172,7 @@ class GemConvLayer:
         u = _transported(x, geom, self.in_type)
         msg = _from_edge(u @ self.neigh_kernel.T, geom, self.out_type)
         agg = segment_sum(msg, geom.dst, geom.n_vertices)
-        y = x @ self.self_kernel.matrix().T + agg
+        y = self.self_kernel(x) + agg
         return self.bias.apply(y)
 
     def parameters(self):
@@ -251,21 +259,19 @@ class EmanAttentionLayer:
         K = _from_edge(u @ self.key_kernel.T, geom, self.att_type)
         V = _from_edge(u @ self.value_kernel.T, geom, self.out_type)
         catt = self.att_type.dim
-        Q = x @ self.query_kernel.matrix().T
+        Q = self.query_kernel(x)
         self_kv = None
         if self.self_contribution:
-            self_kv = (x @ self.self_key_kernel.matrix().T,
-                       x @ self.self_value_kernel.matrix().T)
+            self_kv = (self.self_key_kernel(x), self.self_value_kernel(x))
         if self.heads == 1:
             return [self._attend(Q, K, V, geom, catt, self_kv)]
-        return [self._attend(Q @ q.matrix().T, K @ k.matrix().T, V @ v.matrix().T,
-                             geom, self.head_type.dim)
+        return [self._attend(q(Q), k(K), v(V), geom, self.head_type.dim)
                 for q, k, v in zip(self.head_query, self.head_key, self.head_value)]
 
     def forward(self, x: Tensor, geom: EdgeGeometry) -> Tensor:
         outs = [out for out, _alpha in self._heads(x, geom)]
         if self.heads > 1:
-            outs = [out @ w.matrix().T for out, w in zip(outs, self.head_out)]
+            outs = [w(out) for out, w in zip(outs, self.head_out)]
         return self.bias.apply(sum(outs[1:], outs[0]))
 
     def attention_coefficients(self, x: Tensor, geom: EdgeGeometry) -> np.ndarray:

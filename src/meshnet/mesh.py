@@ -354,7 +354,7 @@ def _parse_off(path):
         lines[0] = lines[0][3:]
     if not lines:
         raise MeshParseError(f"{path}: missing OFF counts line")
-    nv, nf, _ne = _off_rows(path, lines[:1], numbers, "nv nf ne", int)[0]
+    nv, nf, _ne = _off_rows(path, lines[:1], numbers, "nv nf ne", int)[0].tolist()
     end = 1 + nv + nf
     if min(nv, nf) < 0 or len(lines) < end:
         raise MeshParseError(
@@ -382,15 +382,15 @@ def _off_rows(path, lines, numbers, form, convert):
             raise _off_line_error(path, ln, form, line)
         tokens += toks
     try:
-        values = [convert(t) for t in tokens]
-    except ValueError:
+        return np.array([convert(t) for t in tokens], dtype=convert).reshape(len(lines), width)
+    except (ValueError, OverflowError):
+        # an integer beyond int64 converts, then overflows the array
         for line, ln in zip(lines, numbers):
             try:
-                [convert(t) for t in line.split()]
-            except ValueError:
+                np.array([convert(t) for t in line.split()], dtype=convert)
+            except (ValueError, OverflowError):
                 raise _off_line_error(path, ln, form, line) from None
         raise
-    return np.array(values, dtype=convert).reshape(len(lines), width)
 
 
 def _off_line_error(path, ln, form, line):
@@ -427,7 +427,7 @@ def _parse_obj(path):
                     i = int(head)
                 except ValueError as exc:
                     raise MeshParseError(f"{path}:{ln}: bad face index {tok!r}") from exc
-                if i == 0 or i < -len(vertices):
+                if i == 0 or i < -len(vertices) or i > np.iinfo(np.int64).max:
                     raise MeshParseError(
                         f"{path}:{ln}: face index {i} does not name one of the "
                         f"{len(vertices)} vertices read so far"

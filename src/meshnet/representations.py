@@ -21,23 +21,23 @@ which fixes a neighbor kernel at every angle from ``K(0)`` and puts no
 constraint on ``K(0)`` itself.  So a neighbor kernel is a free dense matrix
 ``K(0)``: the layers learn it directly, rotate the neighbor feature, apply
 ``K(0)`` and rotate the result.  The harmonic angular basis of GEM-CNN is one
-coordinate system on that matrix; only its seeded initialisation is used
-here (:func:`init_neighbor_kernel`).
+coordinate system on that matrix; :func:`init_neighbor_kernel` draws ``K(0)``
+with the per-entry variance of its seeded draw.
 
-A self kernel is constrained: a block between components of equal order is
-``a`` (order 0) or ``[[a, b], [-b, a]]`` (order n), and every other block is
-zero.  :func:`kernel_matrix_map` takes its coefficients to the matrix.
+A self kernel has no angle to absorb the constraint.  By Schur's lemma for
+SO(2) it maps each order to itself: a real matrix on the scalars, and on the
+order-n pairs, read as complex numbers, a complex matrix (the 2x2 blocks that
+commute with rotations multiply by a complex number).  The layers apply it
+order by order (``autodiff.commuting_matmul``).
 """
 
 from __future__ import annotations
 
 import bisect
 import collections
-import functools
 import re
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import FeatureTypeError
 
@@ -46,8 +46,6 @@ __all__ = [
     "FeatureType",
     "rho_matrix",
     "rep_block_diag",
-    "kernel_matrix_map",
-    "init_coefficients",
     "init_neighbor_kernel",
 ]
 
@@ -70,8 +68,10 @@ class FeatureType:
     ----------
     n_scalars : int
         Number of order-0 components, the leading columns.
+    blocks : tuple of (n, lo, hi)
+        Columns ``lo:hi`` of the order-n block, for every order n present.
     vector_blocks : tuple of (n, lo, hi)
-        Columns ``lo:hi`` of the order-n block, for every order n >= 1.
+        The blocks of the orders n >= 1.
     order_of_dim, partner, partner_sign : ndarray, shape (dim,)
         Per column: its order, the other column of its pair (itself for a
         scalar), and the sign with which that column enters a rotation.
@@ -91,10 +91,11 @@ class FeatureType:
         self.n_components = len(orders)
         self.max_order = orders[-1]
         self.n_scalars = m = orders.count(0)
-        self.vector_blocks = tuple(
+        self.blocks = tuple(
             (n, self.offsets[bisect.bisect_left(orders, n)],
              self.offsets[bisect.bisect_right(orders, n)])
-            for n in sorted(set(orders[m:])))
+            for n in sorted(set(orders)))
+        self.vector_blocks = tuple(b for b in self.blocks if b[0])
         pairs = np.arange(m, self.dim).reshape(-1, 2)
         self.order_of_dim = np.repeat(orders, self.component_dims)
         self.partner = np.concatenate([np.arange(m), pairs[:, ::-1].ravel()])
@@ -193,85 +194,16 @@ def rep_block_diag(t: FeatureType, g) -> np.ndarray:
 # Kernel matrices
 # ---------------------------------------------------------------------------
 
-def _coefficient_counts(in_type: FeatureType, out_type: FeatureType, kind: str):
-    """Coefficients per (output, input) component pair.
-
-    A neighbor block has one per entry (1, 2 or 4); a self block has 1 on
-    rho_0 -> rho_0, 2 on rho_n -> rho_n and none otherwise.
-    """
-    rows = np.array(out_type.component_dims)[:, None]
-    cols = np.array(in_type.component_dims)[None, :]
-    if kind == "neigh":
-        return rows * cols
-    if kind != "self":
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    same = np.array(out_type.orders)[:, None] == np.array(in_type.orders)[None, :]
-    return np.where(same, rows, 0)
-
-
-@functools.lru_cache(maxsize=None)
-def kernel_matrix_map(in_type: FeatureType, out_type: FeatureType):
-    """Sparse linear map from a self kernel's coefficients to its matrix.
-
-    Coefficients run over the (output, input) component pairs of equal
-    order in layout order, ``a`` before ``b``, and
-    ``(smat @ coeffs).reshape(out_dim, in_dim)`` is the matrix.  Cached per
-    type pair, so every caller shares one matrix; its arrays are read-only.
-    """
-    nb = _coefficient_counts(in_type, out_type, "self")
-    i, j = np.nonzero(nb)
-    r, q, n = np.array(out_type.offsets)[i], np.array(in_type.offsets)[j], nb[i, j]
-    k = np.cumsum(n) - n
-    v = n == 2
-    rows = np.concatenate([r, r[v] + 1, r[v], r[v] + 1])
-    cols = np.concatenate([q, q[v] + 1, q[v] + 1, q[v]])
-    coef = np.concatenate([k, k[v], k[v] + 1, k[v] + 1])
-    sign = np.repeat([1.0, -1.0], [len(k) + 2 * v.sum(), v.sum()])
-    smat = sp.csr_matrix((sign, (rows * in_type.dim + cols, coef)),
-                        shape=(out_type.dim * in_type.dim, int(nb.sum())))
-    for arr in (smat.data, smat.indices, smat.indptr):
-        arr.flags.writeable = False
-    return smat
-
-
-def init_coefficients(in_type: FeatureType, out_type: FeatureType, kind: str,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Uniform init in [-s, s] with s = 1/sqrt(fan_in * block_count).
-
-    ``block_count`` is the number of coefficients of the block.  Keeps
-    pre-activation variance bounded across the chosen type sizes.  One draw
-    over all blocks, in layout order.
-    """
-    nb = _coefficient_counts(in_type, out_type, kind).ravel()
-    nb = nb[nb > 0]
-    s = np.repeat(1.0 / np.sqrt(in_type.dim * nb), nb)
-    return rng.uniform(-s, s)
-
-
 def init_neighbor_kernel(in_type: FeatureType, out_type: FeatureType,
                          rng: np.random.Generator) -> np.ndarray:
     """Seeded ``K(0)`` of a neighbor kernel, shape (out.dim, in.dim).
 
-    Draws the harmonic-basis coefficients ``c`` of
-    :func:`init_coefficients` and writes each block's ``K(0)`` in closed
-    form: ``[[c1+c3, c2+c4], [c4-c2, c1-c3]]`` for rho_n -> rho_m,
-    ``[c1, -c2]`` for rho_n -> rho_0, ``[c1; -c2]`` for rho_0 -> rho_m and
-    ``c1`` for rho_0 -> rho_0.
+    One uniform draw over the matrix, in [-s, s] with s = 1/sqrt(in.dim) on
+    scalar-to-scalar entries and 1/sqrt(2 in.dim) on every entry that
+    involves a pair.  That is the per-entry variance of a uniform draw over
+    the harmonic basis of GEM-CNN with s = 1/sqrt(in.dim * coefficients per
+    block), and it keeps pre-activation variance bounded across type sizes.
     """
-    c = init_coefficients(in_type, out_type, "neigh", rng)
-    vo, vi = np.meshgrid(np.array(out_type.orders) > 0,
-                         np.array(in_type.orders) > 0, indexing="ij")
-    ro, co = np.meshgrid(out_type.offsets[:-1], in_type.offsets[:-1], indexing="ij")
-    nb = (1 + vo) * (1 + vi)
-    k = np.cumsum(nb).reshape(nb.shape) - nb
-    K = np.empty((out_type.dim, in_type.dim))
-    s = ~vo & ~vi
-    K[ro[s], co[s]] = c[k[s]]
-    s = ~vo & vi
-    K[ro[s], co[s]], K[ro[s], co[s] + 1] = c[k[s]], -c[k[s] + 1]
-    s = vo & ~vi
-    K[ro[s], co[s]], K[ro[s] + 1, co[s]] = c[k[s]], -c[k[s] + 1]
-    r, q, k = ro[vo & vi], co[vo & vi], k[vo & vi]
-    K[r, q], K[r, q + 1] = c[k] + c[k + 2], c[k + 1] + c[k + 3]
-    K[r + 1, q], K[r + 1, q + 1] = c[k + 3] - c[k + 1], c[k] - c[k + 2]
-    return K
+    pair = (out_type.order_of_dim[:, None] > 0) | (in_type.order_of_dim[None, :] > 0)
+    s = 1.0 / np.sqrt(in_type.dim * (1 + pair))
+    return rng.uniform(-s, s)

@@ -132,8 +132,9 @@ class HarmonicKernel:
     """Coefficients over the angular basis of a type pair.
 
     Coefficients are laid out row-major over (output component, input
-    component) with the basis index fastest, the order in which
-    ``meshnet.representations.init_coefficients`` draws them.
+    component) with the basis index fastest.  For a self kernel of sorted
+    types that is the layout of a layer's ``_SelfKernel.coeffs``: order 0's
+    matrix, then one ``(a, b)`` pair per entry of each shared order.
     """
 
     in_type: FeatureType

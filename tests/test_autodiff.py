@@ -1,25 +1,25 @@
 import ctypes
+import dataclasses
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-import scipy.sparse as sp
 
 from meshnet.autodiff import (
     Adam,
     Tensor,
+    commuting_matmul,
     concat,
     nll_loss,
     parameter,
     rotate_phase,
     segment_softmax,
     segment_sum,
-    sparse_matmul,
     take_cols,
     take_pairs,
     take_rows,
 )
-from meshnet.config import default_config, model_spec_from_config
+from meshnet.config import default_config, model_spec_from_config, parse_config
 from meshnet.datasets import segmentation_spheres
 from meshnet.errors import AutodiffError
 from meshnet.features import compute_features
@@ -52,6 +52,10 @@ def check_gradients(make_loss, params, rng, samples=8, tol=1e-6):
                             replace=False):
             num = central_difference(make_loss, p, k)
             assert abs(num - g[k]) <= tol * max(1.0, abs(num)), (num, g[k])
+
+
+# (n, in columns, out columns) of 2xrho0+rho1+rho2 -> rho0+2xrho1+rho3
+_SHARED_BLOCKS = ((0, 0, 2, 0, 1), (1, 2, 4, 1, 5))
 
 
 class TestBackwardBasics:
@@ -192,17 +196,17 @@ class TestOperatorGradients:
         present = np.unique(seg)
         npt.assert_allclose(sums[present], 1.0, atol=1e-12)
 
-    def test_sparse_matmul(self):
+    def test_commuting_matmul(self):
+        # 2xrho0+rho1+rho2 -> rho0+2xrho1+rho3: orders 0 and 1 are shared
         rng = self.rng
-        S = sp.csr_matrix((rng.standard_normal(20),
-                           (rng.integers(0, 12, 20), rng.integers(0, 7, 20))),
-                          shape=(12, 7))
-        w = parameter(rng.standard_normal(7))
+        x = parameter(rng.standard_normal((5, 6)))
+        w = parameter(rng.standard_normal(2 + 4))
+        r = rng.standard_normal((5, 7))
 
         def loss():
-            return (sparse_matmul(S, w, (3, 4)) ** 2).sum()
+            return (commuting_matmul(x, w, _SHARED_BLOCKS, 7) ** 2 * r).sum()
 
-        check_gradients(loss, [w], rng)
+        check_gradients(loss, [x, w], rng)
 
 
 class TestRotatePairs:
@@ -381,6 +385,29 @@ def test_deterministic_loss_trajectory():
     assert run() == run()
 
 
+@pytest.mark.parametrize("model, hidden", [
+    ("kind = gem", "rho0+rho1+rho2"),
+    ("kind = eman", "rho0+rho1+rho2"),
+    ("self_contribution = true", "rho0+rho1+rho2"),
+    ("heads = 2", "2x(rho0+rho1+rho2)"),  # two heads need even multiplicities
+])
+def test_whole_model_gradients(model, hidden):
+    # a coordinate of every parameter tensor, self-kernel coefficients
+    # included, against central differences through the whole model
+    cfg = parse_config(f"[model]\n{model}\nhidden_type = {hidden}\ndense_hidden = 4\n"
+                       "dropout = 0\n")
+    sample = segmentation_spheres(1, 0, 1, seed=4).train[0]
+    spec = dataclasses.replace(model_spec_from_config(cfg, target_dim=sample.mesh.n_vertices),
+                               residual_blocks=1)
+    net = build_model(spec, seed=5)
+    frames = build_frames(sample.mesh)
+    geom = EdgeGeometry.from_frames(frames)
+    field = compute_features(cfg.model["features"], sample.mesh, frames,
+                             cfg.model["reltan_powers"])
+    check_gradients(lambda: nll_loss(net.forward(field, geom), sample.label),
+                    [t for _n, t in net.parameters()], np.random.default_rng(6), samples=1)
+
+
 def _has_mallopt():
     try:
         return hasattr(ctypes.CDLL(None), "mallopt")
@@ -416,8 +443,6 @@ def test_warm_training_step_reuses_tape_memory():
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 500, faults
 
-
-_SPARSE = sp.random(5, 12, density=0.4, random_state=1, format="csr")
 
 # (name, op, operand shapes, recorded): ``op`` takes Tensor operands; when
 # ``recorded`` the result's parents are exactly those operands, otherwise the
@@ -461,8 +486,12 @@ RECORDING_CASES = [
     ("rotate_phase", lambda a: rotate_phase(a, np.ones(4), ((1, 1, 3),)), [(4, 3)], True),
     ("segment_sum", lambda a: segment_sum(a, [1, 0, 1, 1], 3), [(4, 3)], True),
     ("segment_softmax", lambda a: segment_softmax(a, [1, 0, 1, 1], 2), [(4,)], False),
-    ("sparse_matmul", lambda a: sparse_matmul(_SPARSE, a.reshape(12), (5,)), [(4, 3)], False),
-    ("sparse_matmul_direct", lambda a: sparse_matmul(_SPARSE, a, (5,)), [(12,)], True),
+    ("commuting_matmul", lambda a, w: commuting_matmul(a, w, _SHARED_BLOCKS, 7),
+     [(4, 6), (6,)], True),
+    ("commuting_scalars", lambda a, w: commuting_matmul(a, w, ((0, 0, 3, 0, 2),), 2),
+     [(4, 3), (6,)], True),
+    ("commuting_disjoint", lambda a, w: commuting_matmul(a, w, (), 2), [(4, 3), (0,)],
+     True),
     ("nll_loss", lambda a: nll_loss(a, [2, 0, 1, 1]), [(4, 3)], False),
 ]
 

@@ -31,6 +31,9 @@ epochs = 1
     ("eqgap", "[model]\nreltan_powers = nan\n", "[model] reltan_powers"),
     ("eqgap", "[transforms]\nfamilies =\n", "[transforms] families"),
     ("eqgap", "[timing]\nrepetitions = 20\n", "[timing]"),
+    ("eqgap", "[transforms]\ntranslation_range = inf\n", "[transforms] translation_range"),
+    ("eqgap", "[transforms]\nscale_max = inf\n", "[transforms] scale_max"),
+    ("train", "[training]\nlearning_rate = inf\n", "[training] learning_rate"),
 ])
 def test_out_of_range_config_value(tmp_path, capsys, command, text, key):
     cfg = tmp_path / "run.cfg"
@@ -51,6 +54,20 @@ def test_overflowing_reltan_power_is_a_json_error(tmp_path, capsys):
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "NonFiniteFeatureError"
     assert "relative power 1e+308" in error["message"]
+
+
+def test_unparsable_mesh_file_is_a_json_error(tmp_path, capsys):
+    meshes = tmp_path / "meshes"
+    meshes.mkdir()
+    (meshes / "a.off").write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n"
+                                  "3 0 1 99999999999999999999\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[data]\nsource = files\nmesh_dir = {meshes}\n"
+                   "train_meshes = 1\ntest_meshes = 0\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "MeshParseError"
+    assert "a.off:6:" in error["message"]
 
 
 def test_negative_seed_from_environment(monkeypatch, capsys):

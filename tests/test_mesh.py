@@ -1,11 +1,18 @@
+import os
+import re
+import tempfile
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshnet.errors import (
     DegenerateFaceError,
     DegreeError,
     IndexRangeError,
+    MeshNetError,
     MeshParseError,
     MeshValidationError,
     NonFiniteVertexError,
@@ -95,12 +102,61 @@ def test_load_obj_zero_index_rejected(tmp_path):
     ("coord.obj", b"v 0 0 0\nv 1 0x 0\nv 0 1 0\nf 1 2 3\n", "coord.obj:2:"),
     ("latin1.off", b"OFF\n3 1 0\n0 0 0\n1 0 0 # caf\xe9\n0 1 0\n3 0 1 2\n",
      "latin1.off:4:"),
-], ids=["obj_non_numeric_coordinate", "non_utf8_bytes"])
+    # integers beyond int64 convert in Python, then overflow the index array
+    ("face.off", b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n",
+     "face.off:6:"),
+    ("count.off", b"OFF\n30000000000000000000 1 0\n0 0 0\n", "count.off:2:"),
+    # counts that fit int64 but whose sum does not
+    ("sum.off", b"OFF\n9223372036854775807 9223372036854775807 0\n0 0 0\n",
+     "sum.off: OFF counts on line 2"),
+    ("face.obj", b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n", "face.obj:4:"),
+], ids=["obj_non_numeric_coordinate", "non_utf8_bytes", "off_face_beyond_int64",
+        "off_count_beyond_int64", "off_counts_sum_beyond_int64", "obj_face_beyond_int64"])
 def test_load_bad_content_named(tmp_path, name, data, where):
     path = tmp_path / name
     path.write_bytes(data)
     with pytest.raises(MeshParseError, match=where):
         load_mesh(path)
+
+
+TETRA_OFF = "OFF\n4 4 0\n" + TETRA_VERTICES + "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n"
+TETRA_OBJ = ("".join(f"v {line}\n" for line in TETRA_VERTICES.splitlines())
+             + "f 1 3 2\nf 1 2 4\nf -4 4 -2\nf 2 3 4\n")
+BAD_TOKENS = ["x", "nan", "inf", "-1", "99999999999999999999"]
+
+
+@st.composite
+def _mutated(draw):
+    """A valid tetrahedron file, truncated, with two tokens swapped, or with a
+    token replaced."""
+    suffix, text = draw(st.sampled_from([(".off", TETRA_OFF), (".obj", TETRA_OBJ)]))
+    pieces = re.split(r"(\s+)", text)  # tokens at even positions
+    tokens = range(0, len(pieces), 2)
+    how = draw(st.sampled_from(["truncate", "swap", "replace"]))
+    if how == "truncate":
+        return suffix, text[:draw(st.integers(0, len(text) - 1))]
+    i = draw(st.sampled_from(tokens))
+    if how == "swap":
+        j = draw(st.sampled_from(tokens))
+        pieces[i], pieces[j] = pieces[j], pieces[i]
+    else:
+        pieces[i] = draw(st.sampled_from(BAD_TOKENS))
+    return suffix, "".join(pieces)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_mutated())
+def test_mutated_files_load_or_raise_a_named_error(mutated):
+    suffix, text = mutated
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m" + suffix)
+        with open(path, "w") as fh:
+            fh.write(text)
+        try:
+            mesh = load_mesh(path)
+        except MeshNetError:
+            return
+    assert np.isfinite(mesh.vertices).all()
 
 
 def test_load_missing_file(tmp_path):

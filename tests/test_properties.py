@@ -1,5 +1,6 @@
-"""Property tests on drawn feature types: the layout algebra, and gauge and
-permutation equivariance of every layer kind.
+"""Property tests on drawn feature types: the layout algebra, the self-kernel
+op against the dense oracle, and gauge and permutation equivariance of every
+layer kind.
 
 Hypothesis draws order lists (orders 0-3, unsorted, repeated); runs are
 derandomized and bounded, so the suite stays deterministic and quick.
@@ -7,17 +8,24 @@ derandomized and bounded, so the suite stays deterministic and quick.
 
 import numpy as np
 import numpy.testing as npt
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from meshnet.autodiff import Tensor
-from meshnet.layers import EdgeGeometry, EmanAttentionLayer, GaugeNonlinearity, GemConvLayer
+from meshnet.autodiff import Tensor, parameter
+from meshnet.layers import (
+    EdgeGeometry,
+    EmanAttentionLayer,
+    GaugeNonlinearity,
+    GemConvLayer,
+    _SelfKernel,
+)
 from meshnet.mesh import generate_icosphere
 from meshnet.representations import FeatureType
 from meshnet.tangent import build_frames, regauge
 from meshnet.transforms import Permutation, apply_permutation
 
-from oracles import regauge_coords
+from oracles import regauge_coords, self_kernel_matrix
+from test_autodiff import check_gradients
 
 ORDERS = st.lists(st.integers(0, 3), min_size=1, max_size=6)
 TYPES = ORDERS.map(FeatureType)
@@ -61,6 +69,29 @@ def test_sum_commutes_and_multiples_stay_sorted(a, b, k):
     assert a + b == b + a
     assert (a + b).orders == tuple(sorted(a.orders + b.orders))
     assert (k * a).orders == tuple(sorted(a.orders * k))
+
+
+@_settings(60)
+@given(TYPES, TYPES, SEEDS)
+@example(FeatureType([1]), FeatureType([0, 2]), 0)  # no shared order: all zero
+def test_self_kernel_matches_oracle_matrix(tin, tout, seed):
+    rng = np.random.default_rng(seed)
+    kernel = _SelfKernel(tin, tout, rng)
+    x = rng.standard_normal((7, tin.dim))
+    want = x @ self_kernel_matrix(kernel).T
+    npt.assert_allclose(kernel(Tensor(x)).value, want, rtol=0,
+                        atol=1e-13 * max(1.0, np.abs(want).max()))
+
+
+@_settings(20)
+@given(TYPES, TYPES, SEEDS)
+@example(FeatureType([1]), FeatureType([0, 2]), 0)
+def test_self_kernel_gradients(tin, tout, seed):
+    rng = np.random.default_rng(seed)
+    kernel = _SelfKernel(tin, tout, rng)
+    x = parameter(rng.standard_normal((5, tin.dim)))
+    r = rng.standard_normal((5, tout.dim))
+    check_gradients(lambda: (kernel(x) ** 2 * r).sum(), [x, kernel.coeffs], rng)
 
 
 def _layer(kind, tin, tout, bias, rng):

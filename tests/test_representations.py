@@ -2,12 +2,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from meshnet.autodiff import Tensor
 from meshnet.errors import FeatureTypeError
+from meshnet.layers import _SelfKernel
 from meshnet.representations import (
     FeatureType,
-    init_coefficients,
     init_neighbor_kernel,
-    kernel_matrix_map,
     rep_block_diag,
     rho_matrix,
 )
@@ -281,8 +281,8 @@ class TestConstraintResidual:
 class TestMatrixMap:
     def test_reproduces_assembly(self):
         # K(theta) = rho_out(theta) K(0) rho_in(-theta), the identity the
-        # layers evaluate every neighbor kernel through; a self kernel's
-        # matrix from the layers' map is the harmonic assembly at any angle
+        # layers evaluate every neighbor kernel through; the layers' self
+        # kernel op on the identity is the harmonic assembly at any angle
         rng = np.random.default_rng(7)
         tin = FeatureType.parse("rho0+rho1+rho2")
         tout = FeatureType.parse("2xrho0+rho1")
@@ -297,7 +297,9 @@ class TestMatrixMap:
         for src in (tin, tout, FeatureType.parse("rho1+2xrho0+rho1")):
             k = HarmonicKernel(src, tout, "self",
                                rng.standard_normal(coefficient_count(src, tout, "self")))
-            K = (kernel_matrix_map(src, tout) @ k.coefficients).reshape(tout.dim, src.dim)
+            kernel = _SelfKernel(src, tout, rng)
+            kernel.coeffs.value[...] = k.coefficients
+            K = kernel(Tensor(np.eye(src.dim))).value.T
             npt.assert_array_equal(K, assemble_kernel(k, rng.uniform(-np.pi, np.pi)))
 
     def test_neighbor_map_is_square_and_invertible(self):
@@ -323,16 +325,29 @@ class TestInitialization:
             assert 0.05 < ratio < 5.0, (text, ratio)
 
 
-def _block_walk_init(in_type, out_type, kind, rng):
-    """The per-block reference: one uniform draw per (out, in) component pair."""
+def _block_walk_init(in_type, out_type, rng):
+    """The per-block reference of a self kernel: one uniform draw per
+    (out, in) component pair, over its harmonic coefficients."""
     pieces = [np.zeros(0)]
     for m in out_type.orders:
         for n in in_type.orders:
-            nb = len(kernel_basis(n, m, kind))
+            nb = len(kernel_basis(n, m, "self"))
             if nb:
                 s = 1.0 / np.sqrt(in_type.dim * nb)
                 pieces.append(rng.uniform(-s, s, size=nb))
     return np.concatenate(pieces)
+
+
+def _block_walk_bounds(in_type, out_type):
+    """Per entry of a neighbor ``K(0)``: 1/sqrt(in.dim) on a scalar-to-scalar
+    block, 1/sqrt(2 in.dim) on every other block."""
+    S = np.empty((out_type.dim, in_type.dim))
+    for i, m in enumerate(out_type.orders):
+        for j, n in enumerate(in_type.orders):
+            ro, co = out_type.offsets[i], in_type.offsets[j]
+            S[ro:ro + (2 if m else 1), co:co + (2 if n else 1)] = (
+                1.0 / np.sqrt(in_type.dim * (1 if m == n == 0 else 2)))
+    return S
 
 
 @pytest.mark.parametrize("tin, tout, kind", [
@@ -345,12 +360,28 @@ def _block_walk_init(in_type, out_type, kind, rng):
 def test_init_matches_block_walk(tin, tout, kind):
     tin, tout = FeatureType.parse(tin), FeatureType.parse(tout)
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-    got = init_coefficients(tin, tout, kind, rng)
-    want = _block_walk_init(tin, tout, kind, ref_rng)
-    assert got.shape == (coefficient_count(tin, tout, kind),)
-    assert np.array_equal(got, want)
+    if kind == "self":
+        got = _SelfKernel(tin, tout, rng).coeffs.value
+        want = _block_walk_init(tin, tout, ref_rng)
+        assert got.shape == (coefficient_count(tin, tout, kind),)
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        return
+    S = _block_walk_bounds(tin, tout)
+    got = init_neighbor_kernel(tin, tout, rng)
+    assert np.array_equal(got, ref_rng.uniform(-S, S))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    if kind == "neigh":
-        # the closed-form K(0) rounds exactly like the harmonic map of the draw
-        K0 = init_neighbor_kernel(tin, tout, np.random.default_rng(5))
-        assert np.array_equal(K0.ravel(), coefficient_map(tin, tout, kind) @ want)
+    assert (np.abs(got) <= S).all()
+    # each entry has the variance of the harmonic draw: coefficient k of a
+    # block with nb of them is uniform in +-1/sqrt(in.dim * nb), and the
+    # oracle map sums them into K(0)
+    counts = [len(kernel_basis(n, m, kind)) for m in tout.orders for n in tin.orders]
+    harmonic = coefficient_map(tin, tout, kind).power(2) @ (
+        1.0 / (tin.dim * np.repeat(counts, counts)))
+    npt.assert_allclose(harmonic, np.ravel(S) ** 2, rtol=1e-14)
+    # and per block kind, the drawn entries have that variance: (K/S)^2 has
+    # mean 1/3 and variance 4/45 for a uniform draw
+    z2 = (got / S) ** 2
+    vo, vi = tout.order_of_dim[:, None] > 0, tin.order_of_dim[None, :] > 0
+    for mask in (vo & vi, vo ^ vi, ~(vo | vi)):
+        assert abs(z2[mask].mean() - 1 / 3) <= 4 * np.sqrt(4 / 45 / mask.sum())
