@@ -5,8 +5,8 @@ closure; ``backward()`` on a scalar root walks the graph once in reverse
 topological order.  The op set is exactly what the mesh layers need
 (matmul, gather/scatter, segment sums, the per-edge phase rotation
 ``rotate_phase``, the order-by-order product ``commuting_matmul`` of a self
-kernel, elementwise math, reductions, concatenation); no higher-order
-derivatives.
+kernel, the elementwise relu, exp, log, sqrt and sigmoid, reductions,
+concatenation); no higher-order derivatives.
 
 Recording rule: every op computes its forward value once and returns it
 through ``_node``, which records the op (its Tensor operands, in order, and
@@ -284,14 +284,6 @@ class Tensor:
     def sqrt(self):
         out = np.sqrt(self.value)
         return _node(out, (self,), lambda g: (g * 0.5 / out,))
-
-    def sin(self):
-        a = self.value
-        return _node(np.sin(a), (self,), lambda g: (g * np.cos(a),))
-
-    def cos(self):
-        a = self.value
-        return _node(np.cos(a), (self,), lambda g: (-g * np.sin(a),))
 
     def sigmoid(self):
         a = self.value

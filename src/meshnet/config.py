@@ -71,7 +71,7 @@ _SCHEMA = {
     },
     "model": {
         "kind": (_enum("gem", "eman"), "eman"),
-        "bias": (_enum("angular", "additive", "none"), "angular"),
+        "bias": (_enum("scalar", "additive", "none"), "scalar"),
         "features": (_enum("xyz", "get", "reltan"), "reltan"),
         "reltan_powers": (_list(_checked(float, math.isfinite, "finite")), (0.7,)),
         "hidden_type": (str, "16x(rho0+rho1+rho2)"),

@@ -24,8 +24,8 @@ Equivariance ingredients:
 * self kernels (``K_self = rho_out(-g) K_self rho_in(g)``) map each order
   to itself, by a real matrix on the scalars and a complex one on each
   order's pairs (``commuting_matmul``);
-* biases act per irreducible component (additive on scalars, a rotation on
-  2-dimensional components);
+* the bias shifts the scalars only: a constant pair would not turn with
+  the gauge, and the kernels absorb a learned turn of the pairs;
 * the nonlinearity gates vector components by their norm only.
 
 An ``additive`` bias mode (a plain vector added to all coordinates) is
@@ -59,10 +59,7 @@ __all__ = [
     "BIAS_MODES",
 ]
 
-BIAS_MODES = ("angular", "additive", "none")
-
-# a row pair (x, y) times this is (-y, x): the pair read as x + iy, times i
-_QUARTER_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
+BIAS_MODES = ("scalar", "additive", "none")
 
 
 def _transported(x: Tensor, geom: EdgeGeometry, in_type: FeatureType) -> Tensor:
@@ -102,10 +99,11 @@ class _SelfKernel:
 
 
 class _Bias:
-    """Per-component bias: added to each scalar, an angle for each pair.
+    """``scalar`` mode shifts each scalar by a learned amount, and no pair.
 
-    Pair k of order n turns by ``n * b_k``; on a scalar-only type the bias
-    is a plain shift.
+    A constant added to a pair would not turn with the gauge.  A learned turn
+    of pair k by ``n * b_k`` commutes with every rotation, so the kernels that
+    write the output absorb it (their output row k times ``exp(i n b_k)``).
 
     ``additive`` mode adds a raw vector to every coordinate instead --
     intentionally not gauge equivariant.
@@ -115,27 +113,14 @@ class _Bias:
         if mode not in BIAS_MODES:
             raise ConfigError(f"unknown bias mode {mode!r}")
         self.mode = mode
-        self.out_type = out_type
-        if mode == "angular":
-            self.b = parameter(rng.uniform(-0.5, 0.5, out_type.n_components))
-        elif mode == "additive":
-            self.b = parameter(rng.uniform(-0.5, 0.5, out_type.dim))
-        else:
-            self.b = None
+        size = out_type.dim if mode == "additive" else out_type.n_scalars
+        self.b = parameter(rng.uniform(-0.5, 0.5, size)) if mode != "none" else None
+        self._zeros = np.zeros(out_type.dim - size)
 
     def apply(self, y: Tensor) -> Tensor:
-        t = self.out_type
-        if self.mode == "none":
+        if self.b is None:
             return y
-        if self.mode == "additive" or t.max_order == 0:
-            return y + self.b
-        m, rows = t.n_scalars, y.shape[0]
-        angle = take_rows(self.b, np.arange(m, t.n_components)) * t.orders[m:]
-        angle = angle.reshape(-1, 1)
-        pairs = take_cols(y, slice(m, None)).reshape(rows, -1, 2)
-        turned = pairs * angle.cos() + pairs @ _QUARTER_TURN * angle.sin()
-        return concat([take_cols(y, slice(m)) + take_rows(self.b, np.arange(m)),
-                       turned.reshape(rows, -1)], axis=1)
+        return y + (concat([self.b, self._zeros]) if self._zeros.size else self.b)
 
     def parameters(self):
         return [] if self.b is None else [("bias", self.b)]
@@ -160,7 +145,7 @@ class GemConvLayer:
     """
 
     def __init__(self, in_type: FeatureType, out_type: FeatureType,
-                 bias: str = "angular", rng: np.random.Generator | None = None):
+                 bias: str = "scalar", rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng()
         self.in_type, self.out_type = in_type, out_type
         self.self_kernel = _SelfKernel(in_type, out_type, rng)
@@ -208,7 +193,7 @@ class EmanAttentionLayer:
     """
 
     def __init__(self, in_type: FeatureType, out_type: FeatureType,
-                 att_type: FeatureType | None = None, bias: str = "angular",
+                 att_type: FeatureType | None = None, bias: str = "scalar",
                  self_contribution: bool = False, heads: int = 1,
                  rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng()

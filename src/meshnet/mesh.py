@@ -255,15 +255,19 @@ def face_geometry(mesh: Mesh) -> FaceGeometry:
     Raises
     ------
     DegenerateFaceError
-        If a face has zero area.
+        If a face has zero area, or its area or edge lengths overflow.
     """
     v = mesh.vertices
     f = mesh.faces
     e1 = v[f[:, 1]] - v[f[:, 0]]
     e2 = v[f[:, 2]] - v[f[:, 0]]
-    cross = np.cross(e1, e2)
-    norms = np.linalg.norm(cross, axis=1)
-    scale = np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = np.cross(e1, e2)
+        norms = np.linalg.norm(cross, axis=1)
+        scale = np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
+    bad = np.flatnonzero(~np.isfinite(norms) | ~np.isfinite(scale))
+    if bad.size:
+        raise DegenerateFaceError(int(bad[0]), "area is not finite")
     bad = np.where(norms <= 1e-14 * np.maximum(scale, 1e-300))[0]
     if bad.size:
         raise DegenerateFaceError(int(bad[0]), "zero area")
@@ -369,6 +373,7 @@ def _parse_off(path):
     if polygons.size:
         i = 1 + nv + polygons[0]
         raise _off_line_error(path, numbers[i], "3 a b c", lines[i])
+    _check_face_indices(path, faces[:, 1:], numbers[1 + nv:], nv, first=0)
     return vertices, faces[:, 1:]
 
 
@@ -393,6 +398,16 @@ def _off_rows(path, lines, numbers, form, convert):
         raise
 
 
+def _check_face_indices(path, faces, numbers, nv, first):
+    """Name ``path:line`` and the index as written (counted from ``first``)
+    of the first face index outside the nv vertices."""
+    outside = np.argwhere((faces < 0) | (faces >= nv))
+    if outside.size:
+        row, col = outside[0]
+        raise MeshParseError(f"{path}:{numbers[row]}: face index {faces[row, col] + first}"
+                             f" does not name one of the {nv} vertices")
+
+
 def _off_line_error(path, ln, form, line):
     return MeshParseError(f"{path}:{ln}: expected an OFF line {form!r}, got {line.strip()!r}")
 
@@ -404,7 +419,7 @@ def _parse_obj(path):
     vertex read so far (-1 is that vertex), as the format defines.
     """
     vertices = []
-    faces = []
+    faces, face_lines = [], []
     for ln, line in enumerate(_read_lines(path), 1):
         parts = line.split()
         if not parts or parts[0].startswith("#"):
@@ -434,13 +449,14 @@ def _parse_obj(path):
                     )
                 idx.append(i - 1 if i > 0 else len(vertices) + i)
             faces.append(idx)
+            face_lines.append(ln)
         # every other record type (vt, vn, usemtl, ...) is ignored
     if not vertices:
         raise MeshParseError(f"{path}: no vertex records")
-    return (
-        np.array(vertices, dtype=np.float64),
-        np.array(faces, dtype=np.int64).reshape(len(faces), 3),
-    )
+    # a positive index may name a vertex read later (a negative one was checked)
+    faces = np.array(faces, dtype=np.int64).reshape(len(faces), 3)
+    _check_face_indices(path, faces, face_lines, len(vertices), first=1)
+    return np.array(vertices, dtype=np.float64), faces
 
 
 def save_mesh(mesh: Mesh, path, fmt=None):

@@ -42,7 +42,7 @@ class ModelSpec:
     attention_type: str | None = None
     dense_hidden: int = 256
     dropout: float = 0.5
-    bias: str = "angular"
+    bias: str = "scalar"
     heads: int = 1
     self_contribution: bool = False
     residual_blocks: int = 3

@@ -297,20 +297,10 @@ def _dense_bias(layer, out):
         return out
     if bias.mode == "additive":
         return out + bias.b.value
-    t = layer.out_type
-    res = np.empty_like(out)
-    for p in range(out.shape[0]):
-        row = np.zeros(t.dim)
-        for ci, n in enumerate(t.orders):
-            off, d = t.offsets[ci], t.component_dims[ci]
-            b = bias.b.value[ci]
-            if n == 0:
-                row[off] = out[p, off] + b
-            else:
-                c, s = np.cos(n * b), np.sin(n * b)
-                row[off] = c * out[p, off] - s * out[p, off + 1]
-                row[off + 1] = s * out[p, off] + c * out[p, off + 1]
-        res[p] = row
+    res = out.copy()
+    for ci, n in enumerate(layer.out_type.orders):
+        if n == 0:
+            res[:, layer.out_type.offsets[ci]] += bias.b.value[ci]
     return res
 
 

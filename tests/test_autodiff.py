@@ -114,7 +114,7 @@ class TestOperatorGradients:
         b = parameter(rng.standard_normal(5))
 
         def loss():
-            h = (a * b + 1.5 - b / 2.0).sin() + (a.cos() * 0.3).exp()
+            h = (a * b + 1.5 - b / 2.0).sigmoid() + (a.sigmoid() * 0.3).exp()
             return (h * h).mean()
 
         check_gradients(loss, [a, b], rng)
@@ -469,8 +469,6 @@ RECORDING_CASES = [
     ("exp", lambda a: a.exp(), [(4, 3)], True),
     ("log", lambda a: (a * a + 1.0).log(), [(4, 3)], False),
     ("sqrt", lambda a: (a * a + 1.0).sqrt(), [(4, 3)], False),
-    ("sin", lambda a: a.sin(), [(4, 3)], True),
-    ("cos", lambda a: a.cos(), [(4, 3)], True),
     ("sigmoid", lambda a: a.sigmoid(), [(4, 3)], True),
     ("reshape", lambda a: a.reshape(3, 4), [(4, 3)], True),
     ("transpose", lambda a: a.transpose((1, 0)), [(4, 3)], True),

@@ -34,6 +34,7 @@ epochs = 1
     ("eqgap", "[transforms]\ntranslation_range = inf\n", "[transforms] translation_range"),
     ("eqgap", "[transforms]\nscale_max = inf\n", "[transforms] scale_max"),
     ("train", "[training]\nlearning_rate = inf\n", "[training] learning_rate"),
+    ("eqgap", "[model]\nbias = angular\n", "[model] bias"),
 ])
 def test_out_of_range_config_value(tmp_path, capsys, command, text, key):
     cfg = tmp_path / "run.cfg"

@@ -71,12 +71,11 @@ def test_undecodable_config_hash_rejected(saved, tmp_path):
 
 def test_unknown_version_rejected(saved, tmp_path):
     _path, _flat, data = saved
-    # version 2 stored K(0) and the self kernels in the interleaved layout:
-    # the same count as today, so only the version tells the layouts apart
-    other = str(tmp_path / "v2.ckpt")
+    # version 3 held a bias entry for every component, pairs included
+    other = str(tmp_path / "v3.ckpt")
     with open(other, "wb") as fh:
-        fh.write(data[:4] + struct.pack("<I", 2) + data[8:])
-    with pytest.raises(CheckpointError, match="version 2"):
+        fh.write(data[:4] + struct.pack("<I", 3) + data[8:])
+    with pytest.raises(CheckpointError, match="version 3"):
         load_checkpoint(build_model(SPEC), other)
 
 

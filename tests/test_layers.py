@@ -75,7 +75,7 @@ def test_multihead_matches_oracle(bias):
         _assert_oracle(layer, dense_multihead_forward, seed)
 
 
-@pytest.mark.parametrize("bias", ["angular", "none"])
+@pytest.mark.parametrize("bias", ["scalar", "none"])
 def test_multihead_is_gauge_equivariant(bias):
     # the output in turned gauges is rho(-g) times the output, checked
     # without the oracle, which shares the layer's layout
@@ -151,3 +151,63 @@ def test_identity_markers_see_backward():
     assert seen == [("out", (mesh.n_vertices, HIDDEN.dim)),
                     ("in", (mesh.n_vertices, ENTRY.dim))]
     assert all(np.any(p.grad != 0) for _n, p in layer.parameters())
+
+
+def _turn_pairs(y, ftype, phase):
+    """Rows of ``y``, of type ``ftype``, with pair k times ``phase[k]``."""
+    m = ftype.n_scalars
+    out = y.copy()
+    out[:, m:] = (np.ascontiguousarray(y[:, m:]).view(np.complex128) * phase).view(np.float64)
+    return out
+
+
+def _fold_into_self_kernel(kernel, phase):
+    """Row k of every order's complex matrix ``W_n`` times ``conj(phase[k])``."""
+    m, k = kernel.out_type.n_scalars, 0
+    for n, lo, hi, out_lo, out_hi in kernel.blocks:
+        size = (hi - lo) * (out_hi - out_lo) // (1 + (n > 0))
+        if n:
+            w = kernel.coeffs.value[k:k + size].view(np.complex128)
+            w = w.reshape((out_hi - out_lo) // 2, -1)  # a view: W_n, in place
+            w *= phase[(out_lo - m) // 2:(out_hi - m) // 2, None].conj()
+        k += size
+    assert k == kernel.coeffs.shape[0]
+
+
+# layer class and options, the K(0) parameters and the self kernels that
+# write the output
+ABSORBING = {
+    "gem": (GemConvLayer, {}, ["neigh_kernel"], ["self_kernel"]),
+    "eman": (EmanAttentionLayer, {}, ["value_kernel"], []),
+    "self_contribution": (EmanAttentionLayer, {"self_contribution": True},
+                          ["value_kernel"], ["self_value_kernel"]),
+    "heads": (EmanAttentionLayer, {"heads": 2}, [], ["head_out"]),
+}
+
+
+@pytest.mark.parametrize("case", list(ABSORBING))
+def test_kernels_absorb_a_turn_of_the_output_pairs(case):
+    # a learned turn of each output pair commutes with every rotation, so
+    # folding it into the kernels that write the output turns the output:
+    # why the equivariant bias holds no angle for the pairs
+    cls, options, neigh, selfs = ABSORBING[case]
+    rng = np.random.default_rng(70)
+    out_type = 2 * HIDDEN
+    layer = cls(HIDDEN, out_type, rng=rng, **options)
+    mesh, _td, geom = _geometry(rng)
+    f = Tensor(rng.standard_normal((mesh.n_vertices, HIDDEN.dim)))
+    m = out_type.n_scalars
+    phase = np.exp(1j * np.array(out_type.orders[m:])
+                   * rng.uniform(-np.pi, np.pi, out_type.n_components - m))
+    before = layer.forward(f, geom).value
+    want = _turn_pairs(before, out_type, phase)
+    assert np.abs(want - before).max() > 0.1 * np.abs(before).max()
+    for name in neigh:
+        k0 = getattr(layer, name).value
+        k0[...] = _turn_pairs(k0.T, out_type, phase).T
+    for name in selfs:
+        kernels = getattr(layer, name)
+        for kernel in kernels if isinstance(kernels, list) else [kernels]:
+            _fold_into_self_kernel(kernel, phase)
+    got = layer.forward(f, geom).value
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -20,6 +20,7 @@ from meshnet.errors import (
     NonManifoldVertexError,
     OrientationError,
 )
+from meshnet.harness import mesh_pipeline
 from meshnet.mesh import (
     Mesh,
     face_geometry,
@@ -55,7 +56,15 @@ def test_load_minimal_off(tmp_path):
 def test_load_off_index_out_of_range(tmp_path):
     path = tmp_path / "bad.off"
     path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 5\n")
-    with pytest.raises(IndexRangeError):
+    with pytest.raises(MeshParseError, match="bad.off:6: face index 5 "):
+        load_mesh(path)
+
+
+def test_load_obj_index_out_of_range(tmp_path):
+    # the index as written, counted from 1, once every vertex record is read
+    path = tmp_path / "bad.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 5\n")
+    with pytest.raises(MeshParseError, match="bad.obj:4: face index 5 "):
         load_mesh(path)
 
 
@@ -122,7 +131,7 @@ def test_load_bad_content_named(tmp_path, name, data, where):
 TETRA_OFF = "OFF\n4 4 0\n" + TETRA_VERTICES + "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n"
 TETRA_OBJ = ("".join(f"v {line}\n" for line in TETRA_VERTICES.splitlines())
              + "f 1 3 2\nf 1 2 4\nf -4 4 -2\nf 2 3 4\n")
-BAD_TOKENS = ["x", "nan", "inf", "-1", "99999999999999999999"]
+BAD_TOKENS = ["x", "nan", "inf", "-1", "99999999999999999999", "1e300"]
 
 
 @st.composite
@@ -147,6 +156,8 @@ def _mutated(draw):
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(_mutated())
 def test_mutated_files_load_or_raise_a_named_error(mutated):
+    # a mesh that loads gives finite input features of every family, or a
+    # named error
     suffix, text = mutated
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m" + suffix)
@@ -157,6 +168,12 @@ def test_mutated_files_load_or_raise_a_named_error(mutated):
         except MeshNetError:
             return
     assert np.isfinite(mesh.vertices).all()
+    for family in ("reltan", "get", "xyz"):
+        try:
+            _frames, _geom, field = mesh_pipeline(mesh, family)
+        except MeshNetError:
+            continue
+        assert np.isfinite(field.values).all()
 
 
 def test_load_missing_file(tmp_path):
@@ -315,6 +332,12 @@ class TestFaceGeometry:
     def test_zero_area_face(self):
         mesh = Mesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])
         with pytest.raises(DegenerateFaceError):
+            face_geometry(mesh)
+
+    def test_overflowing_face(self):
+        # finite coordinates whose cross product overflows
+        mesh = Mesh([[0, 0, 0], [1e300, 0, 0], [0, 1e300, 0]], [[0, 1, 2]])
+        with pytest.raises(DegenerateFaceError, match="face 0 .* area is not finite"):
             face_geometry(mesh)
 
 

@@ -30,7 +30,7 @@ from test_autodiff import check_gradients
 ORDERS = st.lists(st.integers(0, 3), min_size=1, max_size=6)
 TYPES = ORDERS.map(FeatureType)
 KINDS = st.sampled_from(["gem", "eman", "self_contribution", "heads2"])
-BIASES = st.sampled_from(["angular", "none"])
+BIASES = st.sampled_from(["scalar", "none"])
 SEEDS = st.integers(0, 2**32 - 1)
 TOL = 1e-12
 
