@@ -13,11 +13,12 @@ through ``_node``, which records the op (its Tensor operands, in order, and
 the closure) only when some operand requires a gradient, and otherwise
 returns a constant with no parents.  A no-grad mode is one more check there.
 
-Scatters (the adjoint of ``take_rows``, the forward of ``segment_sum``) are
-products with a sparse 0/1 incidence matrix.  Its rows list their entries
-in index order, so every sum is accumulated in the same order as
-``np.add.at`` would, and the results are bit-identical to it.  ``take_cols``
-is no scatter: its columns are distinct, and its adjoint fills a zero block.
+Scatters (the adjoint of ``take_rows`` and of ``take_pairs``, the forward
+of ``segment_sum``) are one ``np.bincount`` over flattened (row, column)
+positions.  bincount adds the contributions to each output entry in input
+order, which is the order ``np.add.at`` uses, so the results are
+bit-identical to it.  ``take_cols`` is no scatter: its columns are
+distinct, and its adjoint fills a zero block.
 
 Per-edge rotations are phases: ``rotate_phase`` reads each order-n block of
 pair columns as complex128 and multiplies row e by ``exp(i n angle_e)``,
@@ -41,7 +42,6 @@ from __future__ import annotations
 import ctypes
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import AutodiffError
 
@@ -100,17 +100,13 @@ def _unbroadcast(g, shape):
 def _scatter_rows(g, idx, n):
     """Sum row k of ``g`` into row ``idx[k]`` of an n-row zero array.
 
-    A product with the n x len(idx) incidence matrix, whose row i lists the
-    k with ``idx[k] == i`` in ascending order (a stable sort), so each row
-    adds its entries in the order ``np.add.at`` does.
+    One ``np.bincount`` over the flattened positions ``idx[k] * c + j`` of
+    the c columns: each output entry adds its rows in ascending k, the order
+    ``np.add.at`` uses.
     """
-    order = np.argsort(idx, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(idx, minlength=n), out=indptr[1:])
-    incidence = sp.csr_matrix((np.ones(idx.size), order, indptr),
-                              shape=(n, idx.size))
-    out = incidence @ g.reshape(idx.size, int(np.prod(g.shape[1:])))
-    return out.reshape((n,) + g.shape[1:])
+    c = int(np.prod(g.shape[1:]))
+    flat = (idx[:, None] * c + np.arange(c)).ravel()
+    return np.bincount(flat, g.reshape(-1), n * c).reshape((n,) + g.shape[1:])
 
 
 def _val(x):
@@ -370,14 +366,15 @@ def take_cols(x: Tensor, cols) -> Tensor:
 
 
 def take_pairs(x: Tensor, rows, cols) -> Tensor:
-    rows, cols = np.asarray(rows), np.asarray(cols)
+    """Entries ``x[rows[k], cols[k]]``; adjoint scatter-adds.
 
-    def vjp(g):
-        gx = np.zeros_like(x.value)
-        np.add.at(gx, (rows, cols), g)
-        return (gx,)
-
-    return _node(x.value[rows, cols], (x,), vjp)
+    The forward indexing checks the bounds; "wrap" maps a negative index to
+    the entry it picked there.
+    """
+    value = x.value[rows, cols]
+    flat = np.ravel_multi_index((rows, cols), x.value.shape, mode="wrap")
+    return _node(value, (x,),
+                 lambda g: (_scatter_rows(g, flat, x.value.size).reshape(x.value.shape),))
 
 
 def rotate_phase(x: Tensor, angle, blocks) -> Tensor:

@@ -227,13 +227,12 @@ class EmanAttentionLayer:
         ``N_p + 1``.
         """
         n = geom.n_vertices
-        seg = geom.dst
+        seg, size = geom.dst, geom.degrees.astype(np.float64)[:, None]
         if self_kv is not None:
             K, V = concat([self_kv[0], K]), concat([self_kv[1], V])
-            seg = np.concatenate([np.arange(n), seg])
+            seg, size = np.concatenate([np.arange(n), seg]), size + 1.0
         s = (K * take_rows(Q, seg)).sum(axis=1) * (1.0 / np.sqrt(dim))
         alpha = segment_softmax(s, seg, n)
-        size = np.bincount(seg, minlength=n).astype(np.float64)[:, None]
         out = segment_sum(V * alpha.reshape(-1, 1), seg, n)
         return out * size, alpha
 

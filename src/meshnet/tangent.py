@@ -142,7 +142,7 @@ def build_frames(mesh: Mesh) -> FrameField:
     normals = vertex_normals(mesh)
     w, wn, dn = _edge_projection(mesh, normals)
     defined = wn > _PROJECTION_TOL * np.maximum(dn, 1e-300)  # as in log_map
-    counts = np.add.reduceat(defined, mesh.edge_offsets[:-1])
+    counts = np.bincount(mesh.edge_dst[defined], minlength=mesh.n_vertices)
     if not counts.all():
         raise FrameConstructionError(int(np.argmin(counts)))
     first = np.flatnonzero(defined)[np.cumsum(counts) - counts]  # one per vertex

@@ -11,9 +11,9 @@ oracles then build every per-edge kernel from the harmonics, with dense
 representation matrices and a Python loop over vertices.  Self kernels are
 assembled from their coefficients through the same basis.
 
-``scatter_add`` is the ``np.add.at`` reference for the tape's sparse
-incidence scatters, and ``reference_rings`` the dict walk that the array
-construction of ``Mesh`` neighbor rings is tested against.
+``scatter_add`` is the ``np.add.at`` reference for the tape's bincount
+scatters, and ``reference_rings`` the dict walk that the array construction
+of ``Mesh`` neighbor rings is tested against.
 """
 
 import functools

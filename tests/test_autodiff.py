@@ -242,7 +242,7 @@ class TestRotatePairs:
 
 
 class TestScattersMatchAddAt:
-    """The sparse-incidence scatters equal ``np.add.at`` bit for bit."""
+    """The bincount scatters equal ``np.add.at`` bit for bit."""
 
     def setup_method(self):
         self.rng = np.random.default_rng(5)
@@ -251,23 +251,39 @@ class TestScattersMatchAddAt:
         # edges into the last vertex are dropped, so one segment is empty
         dst = mesh.edge_dst[mesh.edge_dst != n - 1]
         # self contributions ahead of the edges (the self-contribution
-        # layout of the attention layer): the segments are unsorted
-        self.cases = [(dst, n), (np.concatenate([np.arange(n - 1), dst]), n)]
+        # layout of the attention layer): the segments are unsorted; and an
+        # empty index, where every segment is empty
+        self.cases = [(dst, n), (np.concatenate([np.arange(n - 1), dst]), n),
+                      (np.zeros(0, dtype=np.int64), n)]
+        self.columns = [(7,), (0,), (3, 4)]
 
     def test_take_rows_adjoint(self):
         for idx, n in self.cases:
-            x = parameter(self.rng.standard_normal((n, 7)))
-            g = self.rng.standard_normal((idx.size, 7))
-            (take_rows(x, idx) * g).sum().backward()
-            assert np.array_equal(x.grad, scatter_add(g, idx, n))
+            for cols in self.columns:
+                x = parameter(self.rng.standard_normal((n,) + cols))
+                g = self.rng.standard_normal((idx.size,) + cols)
+                (take_rows(x, idx) * g).sum().backward()
+                assert np.array_equal(x.grad, scatter_add(g, idx, n))
 
     def test_segment_sum(self):
         for idx, n in self.cases:
-            for shape in ((idx.size,), (idx.size, 7)):
-                values = self.rng.standard_normal(shape)
+            for cols in ((),) + tuple(self.columns):
+                values = self.rng.standard_normal((idx.size,) + cols)
                 out = segment_sum(Tensor(values), idx, n).value
+                assert out.shape == (n,) + cols
                 assert np.array_equal(out, scatter_add(values, idx, n))
                 assert not out[n - 1].any()
+
+    def test_take_pairs_adjoint(self):
+        # 200 picks from a 3 x 4 array, negative indices included: every
+        # entry is picked several times
+        rows, cols = self.rng.integers(-3, 3, 200), self.rng.integers(-4, 4, 200)
+        x = parameter(self.rng.standard_normal((3, 4)))
+        g = self.rng.standard_normal(200)
+        (take_pairs(x, rows, cols) * g).sum().backward()
+        want = np.zeros((3, 4))
+        np.add.at(want, (rows, cols), g)
+        assert np.array_equal(x.grad, want)
 
 
 class TestTakeColsIndices:

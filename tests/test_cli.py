@@ -1,9 +1,11 @@
 import json
+import re
 
 import pytest
 
 from meshnet.cli import main
 from meshnet.mesh import load_mesh
+from test_mesh import BAD_TOKENS, TETRA_OFF
 
 TINY = """
 [model]
@@ -57,18 +59,66 @@ def test_overflowing_reltan_power_is_a_json_error(tmp_path, capsys):
     assert "relative power 1e+308" in error["message"]
 
 
-def test_unparsable_mesh_file_is_a_json_error(tmp_path, capsys):
+def _train_on_file(tmp_path, name, text):
+    """Exit code of ``meshnet train`` for zero epochs of a tiny model on one
+    mesh file."""
     meshes = tmp_path / "meshes"
     meshes.mkdir()
-    (meshes / "a.off").write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n"
-                                  "3 0 1 99999999999999999999\n")
+    (meshes / name).write_text(text)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"[data]\nsource = files\nmesh_dir = {meshes}\n"
-                   "train_meshes = 1\ntest_meshes = 0\n")
-    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 1
+    cfg.write_text("[model]\nhidden_type = rho0+rho1\nfinal_type = 2xrho0\n"
+                   f"dense_hidden = 8\n[data]\nsource = files\nmesh_dir = {meshes}\n"
+                   "train_meshes = 1\ntest_meshes = 0\n[training]\nepochs = 0\n")
+    return main(["train", "--config", str(cfg), "--out", str(tmp_path / "out.json")])
+
+
+def test_unparsable_mesh_file_is_a_json_error(tmp_path, capsys):
+    text = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n"
+    assert _train_on_file(tmp_path, "a.off", text) == 1
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "MeshParseError"
     assert "a.off:6:" in error["message"]
+
+
+def test_folded_mesh_file_is_a_json_error(tmp_path, capsys):
+    # two coplanar triangles of opposite orientation: no normal at vertex 0
+    text = "OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n1 -1 0\n3 0 1 2\n3 0 2 3\n"
+    assert _train_on_file(tmp_path, "strip.off", text) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error == {"type": "DegenerateNormalError",
+                     "message": "vertex 0: area-weighted normal sum is zero"}
+
+
+def _tetra_with(token_index, token):
+    pieces = re.split(r"(\s+)", TETRA_OFF)  # tokens at even positions
+    pieces[2 * token_index] = token
+    return "".join(pieces)
+
+
+# each bad token in place of the vertex count, a coordinate and a face index,
+# and the file cut in its vertex and in its face block; the intact file trains
+MUTATED_TETRA = {
+    "intact": TETRA_OFF,
+    **{f"{where}={token}": _tetra_with(i, token)
+       for where, i in (("n_vertices", 1), ("coordinate", 7), ("face_index", 18))
+       for token in BAD_TOKENS},
+    "cut_in_vertices": TETRA_OFF[:20],
+    "cut_in_faces": TETRA_OFF[:-10],
+}
+
+
+@pytest.mark.parametrize("text", MUTATED_TETRA.values(), ids=MUTATED_TETRA.keys())
+def test_mutated_mesh_file_trains_or_is_a_json_error(tmp_path, capsys, text):
+    code = _train_on_file(tmp_path, "m.off", text)
+    lines = capsys.readouterr().out.splitlines()
+    if code == 0:
+        assert not lines
+        assert json.loads((tmp_path / "out.json").read_text())["epochs"] == 0
+    else:
+        assert code == 1 and len(lines) == 1
+        assert set(json.loads(lines[0])["error"]) == {"type", "message"}
 
 
 def test_negative_seed_from_environment(monkeypatch, capsys):

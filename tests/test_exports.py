@@ -3,6 +3,8 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +40,13 @@ def test_harmonic_basis_names_are_retired(module):
     # neighbor kernels are learned as K(0); the harmonic basis is a test oracle
     module = importlib.import_module(module)
     assert not [n for n in RETIRED if hasattr(module, n)]
+
+
+def test_package_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    src = str(Path(meshnet.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import meshnet, meshnet.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.split() == ["[]"]

@@ -5,6 +5,7 @@ from scipy.spatial.transform import Rotation
 
 from meshnet.errors import (
     AmbiguousTransportError,
+    DegenerateNormalError,
     FrameBindingError,
     FrameConstructionError,
     UndefinedLogMapError,
@@ -114,6 +115,14 @@ class TestFrames:
         with pytest.raises(UndefinedLogMapError):
             log_map(mesh.vertices[0], mesh.vertices[1], fr.normals[0])
         npt.assert_allclose(fr.e1[0], [1, 0, 0], atol=1e-15)
+
+    def test_folded_strip_has_no_normal(self):
+        # two coplanar triangles of equal area and opposite orientation: the
+        # normals cancel at vertices 0 and 2, and the first is named
+        mesh = Mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, -1, 0]], [[0, 1, 2], [0, 2, 3]])
+        with pytest.raises(DegenerateNormalError) as info:
+            build_frames(mesh)
+        assert info.value.vertex == 0
 
     def test_orthonormal_and_oriented(self):
         rng = np.random.default_rng(8)
