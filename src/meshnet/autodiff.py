@@ -380,17 +380,18 @@ def take_pairs(x: Tensor, rows, cols) -> Tensor:
 def rotate_phase(x: Tensor, angle, blocks) -> Tensor:
     """Turn the 2-dimensional components of row e of ``x`` by ``n * angle[e]``.
 
-    Each ``(n, lo, hi)`` of ``blocks`` names the columns ``lo:hi`` that hold
-    order-n pairs.  Read as complex128, a pair is ``x + iy``, and row e of
-    the block is multiplied by ``exp(i n angle[e])``.  The rotation is
-    orthogonal, so the adjoint is the same product with the conjugate phase.
+    Each ``(n, lo, hi)`` of ``blocks`` names the columns ``lo:hi`` of the last
+    axis that hold order-n pairs.  Read as complex128, a pair is ``x + iy``,
+    and row e of the block is multiplied by ``exp(i n angle[e])``.  The
+    rotation is orthogonal, so the adjoint is the product with the conjugate.
     """
-    phases = [(lo, hi, np.exp(1j * n * angle)[:, None]) for n, lo, hi in blocks]
+    row = (-1,) + (1,) * (x.ndim - 1)
+    phases = [(lo, hi, np.exp(1j * n * angle).reshape(row)) for n, lo, hi in blocks]
 
     def turn(v, conj):
         out = v.copy()
         for lo, hi, u in phases:
-            block = out[:, lo:hi].view(np.complex128)
+            block = out[..., lo:hi].view(np.complex128)
             block *= u.conj() if conj else u
         return out
 
@@ -402,11 +403,13 @@ def commuting_matmul(x: Tensor, w: Tensor, blocks, out_dim: int) -> Tensor:
 
     Each ``(n, lo, hi, out_lo, out_hi)`` of ``blocks`` maps the order-n
     columns ``lo:hi`` to the output columns ``out_lo:out_hi``; other output
-    columns are zero.  ``w`` holds each block's (m_out, m_in) matrix ``W_n``
-    in turn, row-major: reals for n = 0, pairs ``(a, b)`` read as ``a + ib``
-    for n >= 1.  On complex128 views of the pairs the block is
-    ``X_n @ conj(W_n).T`` (``[[a, b], [-b, a]]`` multiplies by ``a - ib``),
-    and its adjoint ``gX_n = gY_n @ W_n``, ``gW_n = gY_n^H @ X_n``.
+    columns are zero, and blocks may read the same input columns.  ``w``
+    holds each block's (m_out, m_in) matrix ``W_n`` in turn, row-major:
+    reals for n = 0, pairs ``(a, b)`` read as ``a + ib`` for n >= 1.  On
+    complex128 views of the pairs the block is ``X_n @ conj(W_n).T``
+    (``[[a, b], [-b, a]]`` multiplies by ``a - ib``), and its adjoint
+    ``gW_n = gY_n^H @ X_n`` and ``gX_n = gY_n @ W_n``, summed over the
+    blocks that read ``X_n``.
     """
     def cols(a, c, t):
         return np.ascontiguousarray(a[:, c]).view(t)
@@ -426,7 +429,7 @@ def commuting_matmul(x: Tensor, w: Tensor, blocks, out_dim: int) -> Tensor:
         gx, gw = np.zeros_like(x.value), np.zeros_like(w.value)
         for t, cin, cout, sw, W in parts:
             G = cols(g, cout, t)
-            gx[:, cin] = (G @ W).view(np.float64)
+            gx[:, cin] += (G @ W).view(np.float64)
             gw[sw] = (G.conj().T @ cols(x.value, cin, t)).ravel().view(np.float64)
         return gx, gw
 
@@ -441,9 +444,9 @@ def segment_sum(x: Tensor, segments, n_segments: int) -> Tensor:
 
 
 def segment_softmax(logits: Tensor, segments, n_segments: int) -> Tensor:
-    """Softmax within each segment (numerically shifted by the segment max)."""
+    """Softmax of each column within each segment, shifted by the segment max."""
     segments = np.asarray(segments)
-    m = np.full(n_segments, -np.inf)
+    m = np.full((n_segments,) + logits.shape[1:], -np.inf)
     np.maximum.at(m, segments, logits.value)
     shifted = logits - m[segments]  # constant shift, gradient-transparent
     e = shifted.exp()

@@ -43,8 +43,8 @@ __all__ = ["build_id", "model_logits", "transformed_logits", "equivariance_gap",
            "load_checkpoint", "generate_config_mesh", "features_report"]
 
 _CKPT_MAGIC = b"MNET"
-# 2: neighbor kernels stored as K(0); 3: order-major layout; 4: scalar-only bias
-_CKPT_VERSION = 4
+# 2: K(0) neighbor kernels; 3: order-major; 4: scalar-only bias; 5: stacked heads
+_CKPT_VERSION = 5
 
 
 def build_id() -> str:

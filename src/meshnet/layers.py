@@ -28,11 +28,20 @@ Equivariance ingredients:
   the gauge, and the kernels absorb a learned turn of the pairs;
 * the nonlinearity gates vector components by their norm only.
 
+Attention heads are stacked in one set of kernels.  Split into H heads, a
+type gives head h the h-th of H equal chunks of every order block, and the
+attention layer lays its queries, keys and values out head-major: head h's
+columns are contiguous and order-major within the head.  A self kernel
+commutes with every rotation, so a per-head projection of a neighbor
+kernel's output is itself a neighbor kernel and adds nothing.
+
 An ``additive`` bias mode (a plain vector added to all coordinates) is
 included solely as a non-equivariant negative control for the harness.
 """
 
 from __future__ import annotations
+
+import collections
 
 import numpy as np
 
@@ -73,21 +82,33 @@ def _from_edge(y: Tensor, geom: EdgeGeometry, out_type: FeatureType) -> Tensor:
     return rotate_phase(y, geom.theta, out_type.vector_blocks)
 
 
+def _heads(t: FeatureType, heads: int):
+    """One head's share of ``t``, and the column of ``t`` at each head-major
+    position (see the module docstring)."""
+    if heads < 1 or any(k % heads for k in collections.Counter(t.orders).values()):
+        raise ConfigError(f"heads = {heads} does not divide the multiplicities of {t}")
+    cols = [np.arange(lo, hi).reshape(heads, -1) for _n, lo, hi in t.blocks]
+    return FeatureType(t.orders[::heads]), np.concatenate(cols, axis=1).ravel()
+
+
 class _SelfKernel:
     """A self kernel: a real matrix on the scalars, a complex one per order.
 
     ``blocks`` pairs the input and output columns of each order that both
-    types hold, and ``coeffs`` holds each order's row-major m_out x m_in
+    types hold, and ``coeffs`` holds each block's row-major m_out x m_in
     matrix in turn: reals on order 0, a pair ``(a, b)`` per entry on order
     n >= 1 (see ``commuting_matmul``), drawn in one uniform draw with the
     bounds of ``init_neighbor_kernel``.  Calling the kernel on features of
-    ``in_type`` gives features of ``out_type``.
+    ``in_type`` gives features of ``out_type``, laid out head-major for
+    ``heads`` heads: head h's blocks, after head h - 1's, write its columns.
     """
 
-    def __init__(self, in_type, out_type, rng):
+    def __init__(self, in_type, out_type, rng, heads=1):
         self.in_type, self.out_type = in_type, out_type
         ins = {n: (lo, hi) for n, lo, hi in in_type.blocks}
-        self.blocks = tuple((n, *ins[n], lo, hi) for n, lo, hi in out_type.blocks if n in ins)
+        head = _heads(out_type, heads)[0]
+        self.blocks = tuple((n, *ins[n], h * head.dim + lo, h * head.dim + hi)
+                            for h in range(heads) for n, lo, hi in head.blocks if n in ins)
         pair = np.repeat([n > 0 for n, *_ in self.blocks],
                          [(hi - lo) * (out_hi - out_lo) // (1 + (n > 0))
                           for n, lo, hi, out_lo, out_hi in self.blocks])
@@ -166,18 +187,10 @@ class GemConvLayer:
                 *self.bias.parameters()]
 
 
-def _head_type(out_type: FeatureType, heads: int) -> FeatureType:
-    """Output type with every multiplicity divided by the head count."""
-    head_type = FeatureType(out_type.orders[::heads])
-    if heads * head_type != out_type:
-        raise ConfigError(f"multiplicities of {out_type} are not divisible by {heads} heads")
-    return head_type
-
-
 class EmanAttentionLayer:
-    """Attention-weighted gauge-equivariant aggregation.
+    """Attention-weighted gauge-equivariant aggregation with stacked heads.
 
-    Per vertex, queries come from a self-kind kernel, keys and values from
+    Per vertex, queries come from a self kernel, keys and values from
     neighbor kernels applied to transported neighbor features; attention
     weights are a softmax over the neighborhood of the scaled key-query
     inner products, and the output is the neighbor count times the
@@ -185,11 +198,16 @@ class EmanAttentionLayer:
     products of same-type features, so the weights are gauge-invariant
     scalars.
 
+    Queries and keys of ``att_type`` and values of ``out_type`` are split
+    into ``heads`` heads, head-major (see the module docstring): the rows of
+    ``key_kernel`` and ``value_kernel`` and the outputs of the self kernels
+    come in that order.  A head's logit sums its own query-key columns,
+    scaled by ``1/sqrt(att_type.dim / heads)``, and its weights scale its own
+    value columns.  With several heads one self kernel, ``out_kernel``, mixes
+    their outputs, put back in the order of ``out_type`` (``out_cols``);
+    with one, the value kernel absorbs it.
     ``self_contribution`` adds each vertex's own key and value to its
-    neighborhood (so the normalizer is ``N_p + 1``); ``heads > 1`` runs the
-    same attention on per-head projections and sums each head's output
-    mapped back to the output type, all projections being self-kind
-    kernels.
+    neighborhood (so the normalizer is ``N_p + 1``).
     """
 
     def __init__(self, in_type: FeatureType, out_type: FeatureType,
@@ -198,65 +216,47 @@ class EmanAttentionLayer:
                  rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng()
         self.in_type, self.out_type = in_type, out_type
-        self.att_type = att_type if att_type is not None else out_type
+        self.att_type = att = att_type if att_type is not None else out_type
         self.self_contribution = self_contribution
         self.heads = heads
-        if self_contribution and heads > 1:
-            raise ConfigError("self contribution with multiple heads is not supported")
-        self.query_kernel = _SelfKernel(in_type, self.att_type, rng)
-        self.key_kernel = parameter(init_neighbor_kernel(in_type, self.att_type, rng))
-        self.value_kernel = parameter(init_neighbor_kernel(in_type, out_type, rng))
+        self.att_head, att_cols = _heads(att, heads)
+        self.out_head, self.out_cols = _heads(out_type, heads)
+        self.query_kernel = _SelfKernel(in_type, att, rng, heads)
+        self.key_kernel = parameter(init_neighbor_kernel(in_type, att, rng)[att_cols])
+        self.value_kernel = parameter(
+            init_neighbor_kernel(in_type, out_type, rng)[self.out_cols])
         if self_contribution:
-            self.self_key_kernel = _SelfKernel(in_type, self.att_type, rng)
-            self.self_value_kernel = _SelfKernel(in_type, out_type, rng)
+            self.self_key_kernel = _SelfKernel(in_type, att, rng, heads)
+            self.self_value_kernel = _SelfKernel(in_type, out_type, rng, heads)
         if heads > 1:
-            ht = _head_type(out_type, heads)
-            self.head_type = ht
-            self.head_query = [_SelfKernel(self.att_type, ht, rng) for _ in range(heads)]
-            self.head_key = [_SelfKernel(self.att_type, ht, rng) for _ in range(heads)]
-            self.head_value = [_SelfKernel(out_type, ht, rng) for _ in range(heads)]
-            self.head_out = [_SelfKernel(ht, out_type, rng) for _ in range(heads)]
+            self.out_kernel = _SelfKernel(out_type, out_type, rng)
         self.bias = _Bias(out_type, bias, rng)
 
-    def _attend(self, Q, K, V, geom, dim, self_kv=None):
-        """Scores, segment softmax and aggregation of one attention head.
-
-        Returns the segment size times the attention-weighted value sum, and
-        the weights.  ``self_kv`` adds each vertex's own key and value as an
-        extra segment entry placed ahead of the edges, so the size is
-        ``N_p + 1``.
-        """
-        n = geom.n_vertices
+    def _attend(self, x: Tensor, geom: EdgeGeometry):
+        """The segment size times each head's weighted value sum, and the
+        weights, one column per head.  With self contribution each vertex's
+        own key and value are a segment entry ahead of the edges."""
+        _check_input(self, x, geom, empty_ok=self.self_contribution)
+        n, h, d, dv = geom.n_vertices, self.heads, self.att_head.dim, self.out_head.dim
+        u = _transported(x, geom, self.in_type)
+        K = _from_edge((u @ self.key_kernel.T).reshape(-1, h, d), geom, self.att_head)
+        V = _from_edge((u @ self.value_kernel.T).reshape(-1, h, dv), geom, self.out_head)
+        Q = self.query_kernel(x).reshape(-1, h, d)
         seg, size = geom.dst, geom.degrees.astype(np.float64)[:, None]
-        if self_kv is not None:
-            K, V = concat([self_kv[0], K]), concat([self_kv[1], V])
+        if self.self_contribution:
+            K = concat([self.self_key_kernel(x).reshape(-1, h, d), K])
+            V = concat([self.self_value_kernel(x).reshape(-1, h, dv), V])
             seg, size = np.concatenate([np.arange(n), seg]), size + 1.0
-        s = (K * take_rows(Q, seg)).sum(axis=1) * (1.0 / np.sqrt(dim))
+        s = (K * take_rows(Q, seg)).sum(axis=2) * (1.0 / np.sqrt(d))
         alpha = segment_softmax(s, seg, n)
-        out = segment_sum(V * alpha.reshape(-1, 1), seg, n)
+        out = segment_sum(V * alpha.reshape(-1, h, 1), seg, n).reshape(n, -1)
         return out * size, alpha
 
-    def _heads(self, x: Tensor, geom: EdgeGeometry):
-        """``(output, weights)`` of every head."""
-        _check_input(self, x, geom, empty_ok=self.self_contribution)
-        u = _transported(x, geom, self.in_type)
-        K = _from_edge(u @ self.key_kernel.T, geom, self.att_type)
-        V = _from_edge(u @ self.value_kernel.T, geom, self.out_type)
-        catt = self.att_type.dim
-        Q = self.query_kernel(x)
-        self_kv = None
-        if self.self_contribution:
-            self_kv = (self.self_key_kernel(x), self.self_value_kernel(x))
-        if self.heads == 1:
-            return [self._attend(Q, K, V, geom, catt, self_kv)]
-        return [self._attend(q(Q), k(K), v(V), geom, self.head_type.dim)
-                for q, k, v in zip(self.head_query, self.head_key, self.head_value)]
-
     def forward(self, x: Tensor, geom: EdgeGeometry) -> Tensor:
-        outs = [out for out, _alpha in self._heads(x, geom)]
+        out = self._attend(x, geom)[0]
         if self.heads > 1:
-            outs = [w(out) for out, w in zip(outs, self.head_out)]
-        return self.bias.apply(sum(outs[1:], outs[0]))
+            out = self.out_kernel(take_cols(out, np.argsort(self.out_cols)))
+        return self.bias.apply(out)
 
     def attention_coefficients(self, x: Tensor, geom: EdgeGeometry) -> np.ndarray:
         """Softmax weights, one row per head, aligned with the edge order.
@@ -264,7 +264,7 @@ class EmanAttentionLayer:
         With self contribution, the first ``V`` entries of a row are the
         self weights and the remaining ``E`` follow edge order.
         """
-        return np.stack([alpha.value for _out, alpha in self._heads(x, geom)])
+        return self._attend(x, geom)[1].value.T
 
     def parameters(self):
         params = [("query_kernel", self.query_kernel.coeffs),
@@ -274,11 +274,7 @@ class EmanAttentionLayer:
             params += [("self_key_kernel", self.self_key_kernel.coeffs),
                        ("self_value_kernel", self.self_value_kernel.coeffs)]
         if self.heads > 1:
-            for i in range(self.heads):
-                params += [(f"head{i}.query", self.head_query[i].coeffs),
-                           (f"head{i}.key", self.head_key[i].coeffs),
-                           (f"head{i}.value", self.head_value[i].coeffs),
-                           (f"head{i}.out", self.head_out[i].coeffs)]
+            params.append(("out_kernel", self.out_kernel.coeffs))
         return params + self.bias.parameters()
 
 

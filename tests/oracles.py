@@ -309,76 +309,57 @@ def _softmax(v):
     return e / e.sum()
 
 
-def _key_value_kernels(layer):
-    return (harmonic_kernel(layer.key_kernel.value, layer.in_type, layer.att_type),
-            harmonic_kernel(layer.value_kernel.value, layer.in_type, layer.out_type))
+def _head_columns(t: FeatureType, heads: int):
+    """The columns of ``t`` that each head owns, and one head's type.
+
+    Head h owns the h-th of ``heads`` equal chunks of every order block.
+    """
+    cols = [np.concatenate([np.arange(lo, hi).reshape(heads, -1)[h]
+                            for _n, lo, hi in t.blocks]) for h in range(heads)]
+    return cols, FeatureType(t.orders[::heads])
+
+
+def _per_head(kernel, heads, in_type, head_type):
+    """The matrix of each head's part of a self kernel that writes head-major
+    columns: head h's coefficients follow head h - 1's, each laid out as a
+    self kernel from ``in_type`` to ``head_type``."""
+    return [assemble_kernel(HarmonicKernel(in_type, head_type, "self", c))
+            for c in np.split(kernel.coeffs.value, heads)]
 
 
 def dense_eman_forward(layer, f, mesh, td):
-    """Line-by-line attention update with explicit matrices."""
-    kq = self_kernel_matrix(layer.query_kernel)
-    kkey, kval = _key_value_kernels(layer)
-    tin = layer.in_type
-    catt = layer.att_type.dim
-    out = np.zeros((mesh.n_vertices, layer.out_type.dim))
+    """Line-by-line attention update of every head, with explicit matrices.
+
+    Head h takes its rows of the stacked ``K(0)``s and its part of the
+    stacked self kernels; its key and value kernels at each edge angle are
+    summed from the harmonics.  With self contribution each
+    vertex's own key and value join its neighbors' and the normalizer is
+    ``N_p + 1``.  With several heads the out kernel mixes their outputs.
+    """
+    heads, tin, tout = layer.heads, layer.in_type, layer.out_type
+    att = _head_columns(layer.att_type, heads)[1]
+    val_cols, val = _head_columns(tout, heads)
+    q = _per_head(layer.query_kernel, heads, tin, att)
+    key = [harmonic_kernel(k0, tin, att) for k0 in np.split(layer.key_kernel.value, heads)]
+    value = [harmonic_kernel(k0, tin, val) for k0 in np.split(layer.value_kernel.value, heads)]
+    if layer.self_contribution:
+        self_key = _per_head(layer.self_key_kernel, heads, tin, att)
+        self_value = _per_head(layer.self_value_kernel, heads, tin, val)
+    mix = self_kernel_matrix(layer.out_kernel) if heads > 1 else np.eye(tout.dim)
+    mix = [mix[:, c] for c in val_cols]
+    out = np.zeros((mesh.n_vertices, tout.dim))
     for p, qs, thetas, gs in _edge_data(mesh, td):
-        Q = kq @ f[p]
-        Kcols, Vcols = [], []
-        for q, th, g in zip(qs, thetas, gs):
-            transported = rep_block_diag(tin, g) @ f[q]
-            Kcols.append(assemble_kernel(kkey, th) @ transported)
-            Vcols.append(assemble_kernel(kval, th) @ transported)
-        K = np.stack(Kcols, axis=1)
-        V = np.stack(Vcols, axis=1)
-        alpha = _softmax(K.T @ Q / np.sqrt(catt))
-        out[p] = len(qs) * (V @ alpha)
-    return _dense_bias(layer, out)
-
-
-def dense_eman_self_forward(layer, f, mesh, td):
-    """Attention update with the self column and (N_p + 1) normalizer."""
-    kq = self_kernel_matrix(layer.query_kernel)
-    kkey, kval = _key_value_kernels(layer)
-    kkey_self = self_kernel_matrix(layer.self_key_kernel)
-    kval_self = self_kernel_matrix(layer.self_value_kernel)
-    tin = layer.in_type
-    catt = layer.att_type.dim
-    out = np.zeros((mesh.n_vertices, layer.out_type.dim))
-    for p, qs, thetas, gs in _edge_data(mesh, td):
-        Q = kq @ f[p]
-        Kcols = [kkey_self @ f[p]]
-        Vcols = [kval_self @ f[p]]
-        for q, th, g in zip(qs, thetas, gs):
-            transported = rep_block_diag(tin, g) @ f[q]
-            Kcols.append(assemble_kernel(kkey, th) @ transported)
-            Vcols.append(assemble_kernel(kval, th) @ transported)
-        K = np.stack(Kcols, axis=1)
-        V = np.stack(Vcols, axis=1)
-        alpha = _softmax(K.T @ Q / np.sqrt(catt))
-        out[p] = (len(qs) + 1) * (V @ alpha)
-    return _dense_bias(layer, out)
-
-
-def dense_multihead_forward(layer, f, mesh, td):
-    kq = self_kernel_matrix(layer.query_kernel)
-    kkey, kval = _key_value_kernels(layer)
-    Wq = [self_kernel_matrix(k) for k in layer.head_query]
-    Wk = [self_kernel_matrix(k) for k in layer.head_key]
-    Wv = [self_kernel_matrix(k) for k in layer.head_value]
-    Wo = [self_kernel_matrix(k) for k in layer.head_out]
-    tin = layer.in_type
-    d = layer.head_type.dim
-    out = np.zeros((mesh.n_vertices, layer.out_type.dim))
-    for p, qs, thetas, gs in _edge_data(mesh, td):
-        Q = kq @ f[p]
-        Kcols, Vcols = [], []
-        for q, th, g in zip(qs, thetas, gs):
-            transported = rep_block_diag(tin, g) @ f[q]
-            Kcols.append(assemble_kernel(kkey, th) @ transported)
-            Vcols.append(assemble_kernel(kval, th) @ transported)
-        K = np.stack(Kcols, axis=1)
-        V = np.stack(Vcols, axis=1)
-        for i in range(layer.heads):
-            alpha = _softmax((Wk[i] @ K).T @ (Wq[i] @ Q) / np.sqrt(d))
-            out[p] += Wo[i] @ (len(qs) * (Wv[i] @ V @ alpha))
+        for h in range(heads):
+            Kcols, Vcols = [], []
+            if layer.self_contribution:
+                Kcols.append(self_key[h] @ f[p])
+                Vcols.append(self_value[h] @ f[p])
+            for qv, th, g in zip(qs, thetas, gs):
+                transported = rep_block_diag(tin, g) @ f[qv]
+                Kcols.append(assemble_kernel(key[h], th) @ transported)
+                Vcols.append(assemble_kernel(value[h], th) @ transported)
+            K = np.stack(Kcols, axis=1)
+            V = np.stack(Vcols, axis=1)
+            alpha = _softmax(K.T @ (q[h] @ f[p]) / np.sqrt(att.dim))
+            out[p] += mix[h] @ (len(Kcols) * (V @ alpha))
     return _dense_bias(layer, out)

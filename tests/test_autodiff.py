@@ -196,6 +196,16 @@ class TestOperatorGradients:
         present = np.unique(seg)
         npt.assert_allclose(sums[present], 1.0, atol=1e-12)
 
+    def test_segment_softmax_of_columns(self):
+        # each column is its own softmax, shifted by its own segment max: a
+        # column far above the other would underflow a shared shift
+        rng = self.rng
+        s = rng.standard_normal((30, 3)) + [0.0, 1000.0, -1000.0]
+        seg = rng.permutation(np.arange(30) % 7)
+        alpha = segment_softmax(Tensor(s), seg, 7).value
+        for j in range(3):
+            npt.assert_array_equal(alpha[:, j], segment_softmax(Tensor(s[:, j]), seg, 7).value)
+
     def test_commuting_matmul(self):
         # 2xrho0+rho1+rho2 -> rho0+2xrho1+rho3: orders 0 and 1 are shared
         rng = self.rng
@@ -205,6 +215,20 @@ class TestOperatorGradients:
 
         def loss():
             return (commuting_matmul(x, w, _SHARED_BLOCKS, 7) ** 2 * r).sum()
+
+        check_gradients(loss, [x, w], rng)
+
+    def test_commuting_matmul_blocks_read_one_input(self):
+        # 2xrho0+rho1 -> two heads of rho0+rho1, as a self kernel writes the
+        # head-major queries: both heads read every input column
+        rng = self.rng
+        blocks = ((0, 0, 2, 0, 1), (1, 2, 4, 1, 3), (0, 0, 2, 3, 4), (1, 2, 4, 4, 6))
+        x = parameter(rng.standard_normal((5, 4)))
+        w = parameter(rng.standard_normal(8))
+        r = rng.standard_normal((5, 6))
+
+        def loss():
+            return (commuting_matmul(x, w, blocks, 6) ** 2 * r).sum()
 
         check_gradients(loss, [x, w], rng)
 
@@ -239,6 +263,21 @@ class TestRotatePairs:
             R = rep_block_diag(self.ftype, angle)
             npt.assert_allclose(y.value[e], R @ x.value[e], rtol=0, atol=1e-15)
             npt.assert_allclose(x.grad[e], R.T @ g[e], rtol=0, atol=1e-15)
+
+
+    def test_turns_every_slice_of_a_row(self):
+        # on (rows, heads, dim) the blocks index the last axis, and every
+        # head of row e turns by angle e
+        rng = self.rng
+        x = parameter(rng.standard_normal((9, 2, self.ftype.dim)))
+        y = rotate_phase(x, self.angles, self.ftype.vector_blocks).value
+        for h in range(2):
+            npt.assert_array_equal(
+                y[:, h], rotate_phase(Tensor(x.value[:, h]), self.angles,
+                                      self.ftype.vector_blocks).value)
+        w = rng.standard_normal(x.shape)
+        check_gradients(lambda: (rotate_phase(x, self.angles, self.ftype.vector_blocks)
+                                 ** 2 * w).sum(), [x], rng, samples=20)
 
 
 class TestScattersMatchAddAt:

@@ -37,6 +37,11 @@ epochs = 1
     ("eqgap", "[transforms]\nscale_max = inf\n", "[transforms] scale_max"),
     ("train", "[training]\nlearning_rate = inf\n", "[training] learning_rate"),
     ("eqgap", "[model]\nbias = angular\n", "[model] bias"),
+    # the head count splits the attention and the output type; 2**62 heads
+    # must be refused before any type is built for them
+    ("eqgap", "[model]\nheads = 4611686018427387904\n", "heads = 4611686018427387904"),
+    ("eqgap", "[model]\nhidden_type = 2x(rho0+rho1)\nattention_type = 3x(rho0+rho1)\n"
+     "heads = 2\n", "heads = 2 does not divide the multiplicities of 3xrho0+3xrho1"),
 ])
 def test_out_of_range_config_value(tmp_path, capsys, command, text, key):
     cfg = tmp_path / "run.cfg"

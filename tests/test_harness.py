@@ -71,11 +71,11 @@ def test_undecodable_config_hash_rejected(saved, tmp_path):
 
 def test_unknown_version_rejected(saved, tmp_path):
     _path, _flat, data = saved
-    # version 3 held a bias entry for every component, pairs included
-    other = str(tmp_path / "v3.ckpt")
+    # version 4 held per-head self kernels for every multi-head layer
+    other = str(tmp_path / "v4.ckpt")
     with open(other, "wb") as fh:
-        fh.write(data[:4] + struct.pack("<I", 3) + data[8:])
-    with pytest.raises(CheckpointError, match="version 3"):
+        fh.write(data[:4] + struct.pack("<I", 4) + data[8:])
+    with pytest.raises(CheckpointError, match="version 4"):
         load_checkpoint(build_model(SPEC), other)
 
 
@@ -100,8 +100,8 @@ def test_wrong_parameter_count_rejected(saved, tmp_path, delta):
 ALL_FAMILIES = ("gauge", "rot_tr_scale", "rot", "translate", "scale", "perm")
 SMALL = """
 [model]
-hidden_type = 2x(rho0+rho1+rho2)
-final_type = 2xrho0
+hidden_type = {width}x(rho0+rho1+rho2)
+final_type = {width}xrho0
 dense_hidden = 8
 {extra}
 [data]
@@ -115,14 +115,17 @@ families = {families}
 """
 
 
-def _small_config(extra="", families=", ".join(ALL_FAMILIES)):
-    return parse_config(SMALL.format(extra=extra, families=families))
+def _small_config(extra="", families=", ".join(ALL_FAMILIES), width=2):
+    return parse_config(SMALL.format(extra=extra, families=families, width=width))
 
 
 @pytest.mark.parametrize("extra", ["kind = eman", "kind = gem",
-                                   "self_contribution = true", "heads = 2"])
+                                   "self_contribution = true", "heads = 2",
+                                   "heads = 2\nself_contribution = true", "heads = 4"])
 def test_equivariant_models_have_noise_level_gaps(extra):
-    gaps = equivariance_gap(_small_config(extra))["gaps"]
+    # every multiplicity must divide by the head count
+    width = 4 if extra == "heads = 4" else 2
+    gaps = equivariance_gap(_small_config(extra, width=width))["gaps"]
     assert set(gaps) == set(ALL_FAMILIES)
     for family, gap in gaps.items():
         assert gap < 1e-20, (family, gap)
@@ -230,7 +233,7 @@ def test_evaluate_honours_transform_ranges():
     # GET features do not change under a rotation about the origin, so with
     # translation and scaling ruled out by the config the rot_tr_scale
     # accuracy is the untransformed one
-    text = SMALL.format(extra="features = get", families="rot_tr_scale")
+    text = SMALL.format(extra="features = get", families="rot_tr_scale", width=2)
     cfg = parse_config(text + "translation_range = 0\nscale_min = 1\nscale_max = 1\n")
     model, _metrics = train(cfg)
     accuracy = evaluate(cfg, model=model)["accuracy"]

@@ -4,18 +4,23 @@ import pytest
 
 from meshnet.autodiff import Tensor, parameter
 from meshnet.features import feature_type_for
-from meshnet.layers import BIAS_MODES, EdgeGeometry, EmanAttentionLayer, GemConvLayer
+from meshnet.layers import (
+    BIAS_MODES,
+    EdgeGeometry,
+    EmanAttentionLayer,
+    GemConvLayer,
+    _SelfKernel,
+)
 from meshnet.mesh import generate_icosphere
-from meshnet.representations import FeatureType
+from meshnet.representations import FeatureType, init_neighbor_kernel, rep_block_diag
 from meshnet.tangent import build_frames, regauge
 
 from oracles import (
     dense_eman_forward,
-    dense_eman_self_forward,
     dense_gem_forward,
-    dense_multihead_forward,
     random_test_mesh,
     regauge_coords,
+    self_kernel_matrix,
 )
 from test_autodiff import check_gradients
 
@@ -64,15 +69,28 @@ class TestDenseOracles:
         layer = EmanAttentionLayer(tin, tout, att_type=att, bias=bias,
                                    self_contribution=True,
                                    rng=np.random.default_rng(shape))
-        _assert_oracle(layer, dense_eman_self_forward, [30, shape])
+        _assert_oracle(layer, dense_eman_forward, [30, shape])
+
+    @pytest.mark.parametrize("self_contribution", [False, True])
+    def test_eman_two_heads(self, bias, shape, self_contribution):
+        # every multiplicity doubled, so that both types split into two heads
+        tin, tout, att = SHAPES[shape]
+        att = None if att is None else 2 * att
+        layer = EmanAttentionLayer(tin, 2 * tout, att_type=att, bias=bias,
+                                   self_contribution=self_contribution, heads=2,
+                                   rng=np.random.default_rng(shape))
+        _assert_oracle(layer, dense_eman_forward, [35, shape])
 
 
 @pytest.mark.parametrize("bias", BIAS_MODES)
 def test_multihead_matches_oracle(bias):
-    layer = EmanAttentionLayer(ENTRY, 2 * ENTRY, bias=bias, heads=2,
-                               rng=np.random.default_rng(5))
-    for seed in (40, 41):
-        _assert_oracle(layer, dense_multihead_forward, seed)
+    for heads in (1, 2):
+        for self_contribution in (False, True):
+            layer = EmanAttentionLayer(ENTRY, 2 * ENTRY, bias=bias, heads=heads,
+                                       self_contribution=self_contribution,
+                                       rng=np.random.default_rng(5))
+            for seed in (40, 41):
+                _assert_oracle(layer, dense_eman_forward, seed)
 
 
 @pytest.mark.parametrize("bias", ["scalar", "none"])
@@ -109,7 +127,8 @@ def test_whole_layer_gradients(cls):
     check_gradients(loss, params, rng)
 
 
-@pytest.mark.parametrize("options", [{}, {"self_contribution": True}, {"heads": 2}])
+@pytest.mark.parametrize("options", [{}, {"self_contribution": True}, {"heads": 2},
+                                     {"heads": 2, "self_contribution": True}])
 def test_attention_coefficients(options):
     """Each head's weights form a softmax per neighborhood and are gauge invariant."""
     rng = np.random.default_rng(60)
@@ -181,7 +200,7 @@ ABSORBING = {
     "eman": (EmanAttentionLayer, {}, ["value_kernel"], []),
     "self_contribution": (EmanAttentionLayer, {"self_contribution": True},
                           ["value_kernel"], ["self_value_kernel"]),
-    "heads": (EmanAttentionLayer, {"heads": 2}, [], ["head_out"]),
+    "heads": (EmanAttentionLayer, {"heads": 2}, [], ["out_kernel"]),
 }
 
 
@@ -206,8 +225,73 @@ def test_kernels_absorb_a_turn_of_the_output_pairs(case):
         k0 = getattr(layer, name).value
         k0[...] = _turn_pairs(k0.T, out_type, phase).T
     for name in selfs:
-        kernels = getattr(layer, name)
-        for kernel in kernels if isinstance(kernels, list) else [kernels]:
-            _fold_into_self_kernel(kernel, phase)
+        _fold_into_self_kernel(getattr(layer, name), phase)
     got = layer.forward(f, geom).value
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _coefficients(kernel, matrix):
+    """The coefficients that give ``kernel`` the matrix ``matrix``: an
+    order-n entry's 2x2 block ``[[a, b], [-b, a]]`` is the pair (a, b)."""
+    parts = []
+    for n, lo, hi, out_lo, out_hi in kernel.blocks:
+        block = matrix[out_lo:out_hi, lo:hi]
+        parts.append(np.stack([block[::2, ::2], block[::2, 1::2]], axis=-1) if n else block)
+    return np.concatenate([p.ravel() for p in parts])
+
+
+def _separate_heads_forward(kernels, f, geom, tin, att):
+    """The attention of separate per-head projections, summed per head.
+
+    ``kernels`` holds explicit matrices: the query self kernel and the key and
+    value ``K(0)`` into the whole types, and per head the self kernels that
+    project the query, each key and each value to the head type and map the
+    head's output back.  A head's logits are scaled by 1/sqrt(head dim).
+    """
+    q, k0, v0, hq, hk, hv, ho = kernels
+    keys = np.stack([rep_block_diag(att, th) @ k0 @ rep_block_diag(tin, g - th) @ f[s]
+                     for s, th, g in zip(geom.src, geom.theta, geom.transport)])
+    values = np.stack([rep_block_diag(att, th) @ v0 @ rep_block_diag(tin, g - th) @ f[s]
+                       for s, th, g in zip(geom.src, geom.theta, geom.transport)])
+    out = np.zeros((geom.n_vertices, v0.shape[0]))
+    for p in range(geom.n_vertices):
+        K, V = keys[geom.dst == p].T, values[geom.dst == p].T
+        for wq, wk, wv, wo in zip(hq, hk, hv, ho):
+            s = (wk @ K).T @ (wq @ q @ f[p]) / np.sqrt(wq.shape[0])
+            alpha = np.exp(s - s.max()) / np.exp(s - s.max()).sum()
+            out[p] += wo @ (K.shape[1] * (wv @ V @ alpha))
+    return out
+
+
+@pytest.mark.parametrize("bias", ["scalar", "none"])
+def test_separate_head_projections_fold_into_stacked_kernels(bias):
+    # a self kernel W commutes with every rotation, so a head's projection of
+    # an edge key is W rho(theta) K(0) u = rho(theta) (W K(0)) u: the per-head
+    # projections fold into rows of the stacked kernels, and the maps back
+    # into the out kernel's columns
+    rng = np.random.default_rng(80)
+    out_type = 2 * HIDDEN
+    layer = EmanAttentionLayer(HIDDEN, out_type, bias=bias, heads=2, rng=rng)
+    mesh, _td, geom = _geometry(rng)
+    f = rng.standard_normal((mesh.n_vertices, HIDDEN.dim))
+    selfs = [_SelfKernel(HIDDEN, out_type, rng)]
+    selfs += [_SelfKernel(out_type, HIDDEN, rng) for _ in range(6)]
+    selfs += [_SelfKernel(HIDDEN, out_type, rng) for _ in range(2)]
+    for kernel in selfs:
+        assert np.array_equal(_coefficients(kernel, self_kernel_matrix(kernel)),
+                              kernel.coeffs.value)
+    q, *heads = [self_kernel_matrix(k) for k in selfs]
+    hq, hk, hv, ho = heads[0:2], heads[2:4], heads[4:6], heads[6:8]
+    k0, v0 = (init_neighbor_kernel(HIDDEN, out_type, rng) for _ in range(2))
+    want = _separate_heads_forward((q, k0, v0, hq, hk, hv, ho), f, geom, HIDDEN, out_type)
+    want = layer.bias.apply(Tensor(want)).value
+
+    mix = np.zeros((out_type.dim, out_type.dim))
+    mix[:, layer.out_cols] = np.hstack(ho)
+    layer.query_kernel.coeffs.value[...] = _coefficients(layer.query_kernel,
+                                                         np.vstack([w @ q for w in hq]))
+    layer.key_kernel.value[...] = np.vstack([w @ k0 for w in hk])
+    layer.value_kernel.value[...] = np.vstack([w @ v0 for w in hv])
+    layer.out_kernel.coeffs.value[...] = _coefficients(layer.out_kernel, mix)
+    got = layer.forward(Tensor(f), geom).value
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -29,7 +29,7 @@ from test_autodiff import check_gradients
 
 ORDERS = st.lists(st.integers(0, 3), min_size=1, max_size=6)
 TYPES = ORDERS.map(FeatureType)
-KINDS = st.sampled_from(["gem", "eman", "self_contribution", "heads2"])
+KINDS = st.sampled_from(["gem", "eman", "self_contribution", "heads2", "heads2_self"])
 BIASES = st.sampled_from(["scalar", "none"])
 SEEDS = st.integers(0, 2**32 - 1)
 TOL = 1e-12
@@ -97,8 +97,9 @@ def test_self_kernel_gradients(tin, tout, seed):
 def _layer(kind, tin, tout, bias, rng):
     if kind == "gem":
         return GemConvLayer(tin, tout, bias=bias, rng=rng)
-    if kind == "heads2":
-        return EmanAttentionLayer(tin, 2 * tout, bias=bias, heads=2, rng=rng)
+    if kind.startswith("heads2"):
+        return EmanAttentionLayer(tin, 2 * tout, bias=bias, heads=2, rng=rng,
+                                  self_contribution=kind == "heads2_self")
     return EmanAttentionLayer(tin, tout, bias=bias, rng=rng,
                               self_contribution=kind == "self_contribution")
 
