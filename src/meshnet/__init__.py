@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .mesh import (
-    FaceGeometry,
     Mesh,
     face_geometry,
     generate_grid_patch,
@@ -16,20 +15,14 @@ from .tangent import (
     EdgeGeometry,
     FrameField,
     build_frames,
-    log_map,
     regauge,
-    tangent_projector,
-    theta_angle,
-    transport_angle,
-    wrap_angle,
 )
-from .representations import FeatureType, rep_block_diag, rho_matrix
+from .representations import FeatureType
 from .features import (
     GeometricFeatureField,
     compute_features,
     get_features,
     reltan_features,
-    reltan_scaling_statistics,
     xyz_features,
 )
 from .autodiff import Adam, Tensor, nll_loss, parameter

@@ -13,12 +13,13 @@ through ``_node``, which records the op (its Tensor operands, in order, and
 the closure) only when some operand requires a gradient, and otherwise
 returns a constant with no parents.  A no-grad mode is one more check there.
 
-Scatters (the adjoint of ``take_rows`` and of ``take_pairs``, the forward
-of ``segment_sum``) are one ``np.bincount`` over flattened (row, column)
-positions.  bincount adds the contributions to each output entry in input
-order, which is the order ``np.add.at`` uses, so the results are
-bit-identical to it.  ``take_cols`` is no scatter: its columns are
-distinct, and its adjoint fills a zero block.
+Scatters (the adjoint of ``take_rows``, the forward of ``segment_sum``) are
+one ``np.bincount`` over flattened (row, column) positions.  bincount adds
+the contributions to each output entry in input order, which is the order
+``np.add.at`` uses, so the results are bit-identical to it.  The segment max
+of ``segment_softmax`` is one 1-D ``np.maximum.at`` over the same positions.
+``take_cols`` is no scatter: its columns are distinct, and its adjoint fills
+a zero block.
 
 Per-edge rotations are phases: ``rotate_phase`` reads each order-n block of
 pair columns as complex128 and multiplies row e by ``exp(i n angle_e)``,
@@ -51,7 +52,6 @@ __all__ = [
     "concat",
     "take_rows",
     "take_cols",
-    "take_pairs",
     "rotate_phase",
     "commuting_matmul",
     "segment_sum",
@@ -97,15 +97,20 @@ def _unbroadcast(g, shape):
     return g
 
 
+def _positions(idx, g):
+    """The column count c of ``g``'s rows and the flattened positions
+    ``idx[k] * c + j`` of its entries, in ``g``'s order."""
+    c = int(np.prod(g.shape[1:]))
+    return c, idx if c == 1 else (idx[:, None] * c + np.arange(c)).ravel()
+
+
 def _scatter_rows(g, idx, n):
     """Sum row k of ``g`` into row ``idx[k]`` of an n-row zero array.
 
-    One ``np.bincount`` over the flattened positions ``idx[k] * c + j`` of
-    the c columns: each output entry adds its rows in ascending k, the order
-    ``np.add.at`` uses.
+    One ``np.bincount`` over the flattened positions: each output entry adds
+    its rows in ascending k, the order ``np.add.at`` uses.
     """
-    c = int(np.prod(g.shape[1:]))
-    flat = (idx[:, None] * c + np.arange(c)).ravel()
+    c, flat = _positions(idx, g)
     return np.bincount(flat, g.reshape(-1), n * c).reshape((n,) + g.shape[1:])
 
 
@@ -365,18 +370,6 @@ def take_cols(x: Tensor, cols) -> Tensor:
     return _node(np.take(x.value, cols, axis=1), (x,), vjp)
 
 
-def take_pairs(x: Tensor, rows, cols) -> Tensor:
-    """Entries ``x[rows[k], cols[k]]``; adjoint scatter-adds.
-
-    The forward indexing checks the bounds; "wrap" maps a negative index to
-    the entry it picked there.
-    """
-    value = x.value[rows, cols]
-    flat = np.ravel_multi_index((rows, cols), x.value.shape, mode="wrap")
-    return _node(value, (x,),
-                 lambda g: (_scatter_rows(g, flat, x.value.size).reshape(x.value.shape),))
-
-
 def rotate_phase(x: Tensor, angle, blocks) -> Tensor:
     """Turn the 2-dimensional components of row e of ``x`` by ``n * angle[e]``.
 
@@ -446,8 +439,10 @@ def segment_sum(x: Tensor, segments, n_segments: int) -> Tensor:
 def segment_softmax(logits: Tensor, segments, n_segments: int) -> Tensor:
     """Softmax of each column within each segment, shifted by the segment max."""
     segments = np.asarray(segments)
-    m = np.full((n_segments,) + logits.shape[1:], -np.inf)
-    np.maximum.at(m, segments, logits.value)
+    c, flat = _positions(segments, logits.value)
+    m = np.full(n_segments * c, -np.inf)
+    np.maximum.at(m, flat, logits.value.reshape(-1))
+    m = m.reshape((n_segments,) + logits.shape[1:])
     shifted = logits - m[segments]  # constant shift, gradient-transparent
     e = shifted.exp()
     denom = segment_sum(e, segments, n_segments)
@@ -465,7 +460,7 @@ def nll_loss(logits: Tensor, targets) -> Tensor:
     m = logits.value.max(axis=1)  # detached shift
     z = logits - m[:, None]
     lse = z.exp().sum(axis=1).log() + m
-    picked = take_pairs(logits, np.arange(nrows), targets)
+    picked = take_rows(logits.reshape(-1), np.arange(nrows) * ncols + targets)
     return (lse - picked).mean()
 
 

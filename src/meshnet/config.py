@@ -13,8 +13,11 @@ import hashlib
 import math
 import os
 
-from .errors import ConfigError
-from .model import ModelSpec
+from .errors import ConfigError, FeatureTypeError
+from .features import FAMILIES
+from .layers import BIAS_MODES
+from .model import LAYER_KINDS, TASKS, ModelSpec
+from .representations import FeatureType
 
 __all__ = ["RunConfig", "load_config", "parse_config", "default_config",
            "config_hash", "model_spec_from_config"]
@@ -55,6 +58,15 @@ def _enum(*allowed):
     return parse
 
 
+def _feature_type(text):
+    """The text, unchanged, once it parses as a :class:`FeatureType`."""
+    try:
+        FeatureType.parse(text)
+    except FeatureTypeError as exc:
+        raise ValueError(exc) from None
+    return text
+
+
 def _list(parse):
     """Comma-separated items, each read by ``parse``; at least one."""
     def parse_list(text):
@@ -66,17 +78,17 @@ def _list(parse):
 _SCHEMA = {
     "run": {
         "seed": (_at_least(int, 0), 0),
-        "task": (_enum("segmentation", "classification"), "segmentation"),
+        "task": (_enum(*TASKS), "segmentation"),
         "checkpoint": (str, ""),
     },
     "model": {
-        "kind": (_enum("gem", "eman"), "eman"),
-        "bias": (_enum("scalar", "additive", "none"), "scalar"),
-        "features": (_enum("xyz", "get", "reltan"), "reltan"),
+        "kind": (_enum(*LAYER_KINDS), "eman"),
+        "bias": (_enum(*BIAS_MODES), "scalar"),
+        "features": (_enum(*FAMILIES), "reltan"),
         "reltan_powers": (_list(_checked(float, math.isfinite, "finite")), (0.7,)),
-        "hidden_type": (str, "16x(rho0+rho1+rho2)"),
-        "final_type": (str, "16xrho0"),
-        "attention_type": (str, ""),
+        "hidden_type": (_feature_type, "16x(rho0+rho1+rho2)"),
+        "final_type": (_feature_type, "16xrho0"),
+        "attention_type": (lambda t: t and _feature_type(t), ""),  # "" is unset
         "dense_hidden": (_at_least(int, 1), 256),
         "dropout": (_checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"), 0.5),
         "heads": (_at_least(int, 1), 1),

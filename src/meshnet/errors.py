@@ -71,10 +71,9 @@ class DegenerateNormalError(MeshNetError):
 
 
 class UndefinedLogMapError(MeshNetError):
-    def __init__(self, p, q=None):
+    def __init__(self, p, q):
         self.p, self.q = p, q
-        where = f"{p} -> {q}" if q is not None else str(p)
-        super().__init__(f"log map undefined for {where}: offset is parallel to the normal")
+        super().__init__(f"log map undefined for {p} -> {q}: offset is parallel to the normal")
 
 
 class FrameConstructionError(MeshNetError):

@@ -34,7 +34,6 @@ __all__ = [
     "xyz_features",
     "compute_features",
     "feature_type_for",
-    "reltan_scaling_statistics",
 ]
 
 
@@ -127,7 +126,7 @@ def get_features(mesh: Mesh, frames: FrameField) -> GeometricFeatureField:
          np.einsum("ij,ij->i", v, frames.e2)],
         axis=1,
     )
-    return GeometricFeatureField(FeatureType([0, 1]), coords, frames.token)
+    return GeometricFeatureField(feature_type_for("get"), coords, frames.token)
 
 
 def xyz_features(mesh: Mesh, frames: FrameField) -> GeometricFeatureField:
@@ -136,10 +135,11 @@ def xyz_features(mesh: Mesh, frames: FrameField) -> GeometricFeatureField:
     Scalar-only fields are gauge independent, but like every family the
     field is bound to the ``frames`` it was computed with.
     """
-    return GeometricFeatureField(FeatureType([0, 0, 0]), mesh.vertices.copy(), frames.token)
+    return GeometricFeatureField(feature_type_for("xyz"), mesh.vertices.copy(), frames.token)
 
 
 def feature_type_for(family: str, powers=(0.7,)) -> FeatureType:
+    """The type of a family's features (``reltan`` has one group per power)."""
     if family == "reltan":
         return len(tuple(powers)) * FeatureType([0, 1])
     if family == "get":
@@ -149,52 +149,17 @@ def feature_type_for(family: str, powers=(0.7,)) -> FeatureType:
     raise ValueError(f"unknown feature family {family!r}")
 
 
+_COMPUTE = {
+    "xyz": lambda mesh, frames, _powers: xyz_features(mesh, frames),
+    "get": lambda mesh, frames, _powers: get_features(mesh, frames),
+    "reltan": reltan_features,
+}
+FAMILIES = tuple(_COMPUTE)
+
+
 def compute_features(family: str, mesh: Mesh, frames: FrameField,
                      powers=(0.7,)) -> GeometricFeatureField:
     """Dispatch on family name (``reltan`` honors ``powers``)."""
-    if family == "reltan":
-        return reltan_features(mesh, frames, powers)
-    if family == "get":
-        return get_features(mesh, frames)
-    if family == "xyz":
-        return xyz_features(mesh, frames)
-    raise ValueError(f"unknown feature family {family!r}")
-
-
-def reltan_scaling_statistics(degree: int, samples: int, rng_seed: int = 0,
-                              relative_power: float = 0.7,
-                              radial: str = "absnormal"):
-    """Monte-Carlo mean squared norm of the tangent summary at one degree.
-
-    Neighbor offsets are sampled i.i.d. in the tangent plane with a uniform
-    angular component and a radial component that is either ``|N(0,1)|``
-    (default) or the ``"unit"`` point mass.  Returns a dict with the
-    normalized (degree^{-3/2} factor applied) and unnormalized mean squared
-    norms; the unnormalized one grows like degree cubed.
-    """
-    if degree < 2:
-        raise ValueError("degree must be >= 2")
-    rng = np.random.default_rng(rng_seed)
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=(samples, degree))
-    if radial == "absnormal":
-        rad = np.abs(rng.standard_normal((samples, degree)))
-        rad = np.maximum(rad, 1e-12)
-    elif radial == "unit":
-        rad = np.ones((samples, degree))
-    else:
-        raise ValueError(f"unknown radial law {radial!r}")
-    ux, uy = np.cos(phi), np.sin(phi)
-    w = rad ** (relative_power - 1.0)
-    wsum = w.sum(axis=1, keepdims=True)
-    scale = wsum / w
-    vx = (ux * scale).sum(axis=1)
-    vy = (uy * scale).sum(axis=1)
-    sq = vx**2 + vy**2
-    unnormalized = float(np.mean(sq))
-    return {
-        "degree": degree,
-        "samples": samples,
-        "relative_power": relative_power,
-        "unnormalized_mean_square": unnormalized,
-        "normalized_mean_square": unnormalized / degree**3,
-    }
+    if family not in _COMPUTE:
+        raise ValueError(f"unknown feature family {family!r}")
+    return _COMPUTE[family](mesh, frames, powers)

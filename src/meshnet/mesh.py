@@ -5,7 +5,8 @@ checks the faces with array operations over their directed edges (index
 range, degenerate faces, manifold edges, consistent orientation), then
 walks all fans in lock-step over the sorted link edges to store each vertex's
 neighbor ring in the cyclic order the oriented fan induces, so that all
-downstream per-neighbor sums have a reproducible order.
+downstream per-neighbor sums have a reproducible order.  The ring of p is
+the block ``edge_src[edge_offsets[p]:edge_offsets[p + 1]]``.
 
 A mesh derived from another one -- new vertex positions
 (:meth:`Mesh.with_vertices`) or a relabelling of its vertices
@@ -37,7 +38,6 @@ from .errors import (
 
 __all__ = [
     "Mesh",
-    "FaceGeometry",
     "load_mesh",
     "save_mesh",
     "face_geometry",
@@ -61,15 +61,15 @@ class Mesh:
     ----------
     vertices : ndarray, shape (V, 3)
     faces : ndarray, shape (F, 3)
-    neighbors : list of ndarray
-        Neighbor ring of each vertex in oriented-fan order, as read-only
-        slices of ``edge_src``.  Closed fans start at the smallest neighbor
-        index; open fans (boundary vertices) start at the head of the chain.
     edge_dst, edge_src : ndarray, shape (E,)
         Directed edges q -> p flattened in vertex order: ``edge_dst`` is the
         receiving vertex p, ``edge_src`` the neighbor q.
     edge_offsets : ndarray, shape (V + 1,)
-        CSR-style offsets of each vertex's edge block.
+        CSR-style offsets of each vertex's edge block.  With
+        ``a, b = edge_offsets[p], edge_offsets[p + 1]``, ``edge_src[a:b]`` is
+        the neighbor ring of p in oriented-fan order.  Closed fans start at
+        the smallest neighbor index; open fans (boundary vertices) start at
+        the head of the chain.
     """
 
     def __init__(self, vertices, faces):
@@ -100,16 +100,6 @@ class Mesh:
         self.edge_src = edge_src
         for a in (self.degrees, self.edge_offsets, self.edge_dst, self.edge_src):
             a.flags.writeable = False
-
-    @property
-    def neighbors(self):
-        """Each vertex's ring, as read-only slices of ``edge_src``.
-
-        Built on every access and not kept: ``_derived`` copies the
-        instance dict, so a kept list would outlive a relabelling.
-        """
-        bounds = self.edge_offsets.tolist()
-        return [self.edge_src[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     @property
     def n_vertices(self):
@@ -187,10 +177,6 @@ class Mesh:
             raise NonManifoldVertexError(int(bad[0]))
         return degrees, edge_src
 
-    def edge_slice(self, p):
-        """Directed-edge index range of vertex ``p``."""
-        return slice(self.edge_offsets[p], self.edge_offsets[p + 1])
-
     def with_vertices(self, vertices):
         """Same combinatorics, new vertex positions (keeps stored rings)."""
         return self._derived(vertices)
@@ -233,24 +219,9 @@ class Mesh:
         return f"Mesh(V={self.n_vertices}, F={self.n_faces})"
 
 
-class FaceGeometry:
-    """Per-face unit normals and areas.
-
-    Attributes
-    ----------
-    normals : ndarray, shape (F, 3)
-    areas : ndarray, shape (F,)
-    """
-
-    def __init__(self, normals, areas):
-        self.normals = normals
-        self.areas = areas
-        self.normals.flags.writeable = False
-        self.areas.flags.writeable = False
-
-
-def face_geometry(mesh: Mesh) -> FaceGeometry:
-    """Unit normal (CCW cross product) and area of every face.
+def face_geometry(mesh: Mesh):
+    """Unit normal (CCW cross product) and area of every face, as read-only
+    arrays of shape (F, 3) and (F,).
 
     Raises
     ------
@@ -271,10 +242,13 @@ def face_geometry(mesh: Mesh) -> FaceGeometry:
     bad = np.where(norms <= 1e-14 * np.maximum(scale, 1e-300))[0]
     if bad.size:
         raise DegenerateFaceError(int(bad[0]), "zero area")
-    return FaceGeometry(cross / norms[:, None], 0.5 * norms)
+    out = cross / norms[:, None], 0.5 * norms
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
-def vertex_normals(mesh: Mesh, fg: FaceGeometry | None = None) -> np.ndarray:
+def vertex_normals(mesh: Mesh) -> np.ndarray:
     """Area-weighted vertex normals.
 
     Each vertex normal is the sum of incident face normals weighted by face
@@ -285,14 +259,13 @@ def vertex_normals(mesh: Mesh, fg: FaceGeometry | None = None) -> np.ndarray:
     DegenerateNormalError
         If the weighted sum vanishes at some vertex (folded configuration).
     """
-    if fg is None:
-        fg = face_geometry(mesh)
+    normals, areas = face_geometry(mesh)
     corners = mesh.faces.T.ravel()  # corner 0 of every face, then 1, then 2
-    w = np.tile(fg.areas[:, None] * fg.normals, (3, 1))
+    w = np.tile(areas[:, None] * normals, (3, 1))
     acc = np.stack([np.bincount(corners, w[:, c], mesh.n_vertices) for c in range(3)],
                    axis=1)
     norms = np.linalg.norm(acc, axis=1)
-    bad = np.where(norms <= 1e-12 * max(np.max(fg.areas), 1e-300))[0]
+    bad = np.where(norms <= 1e-12 * max(np.max(areas), 1e-300))[0]
     if bad.size:
         raise DegenerateNormalError(int(bad[0]))
     return acc / norms[:, None]

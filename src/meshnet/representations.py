@@ -44,8 +44,6 @@ from .errors import FeatureTypeError
 __all__ = [
     "MAX_IRREP_ORDER",
     "FeatureType",
-    "rho_matrix",
-    "rep_block_diag",
     "init_neighbor_kernel",
 ]
 
@@ -166,28 +164,13 @@ class FeatureType:
                 return (n,) * mult
             raise FeatureTypeError(f"cannot parse feature type {text!r}")
 
-        orders = parse_sum()
+        try:
+            orders = parse_sum()
+        except (MemoryError, OverflowError, ValueError):  # a huge or overlong number
+            raise FeatureTypeError(f"feature type {text!r} is too large to build") from None
         if pos != len(tokens):
             raise FeatureTypeError(f"trailing tokens in feature type {text!r}")
         return cls(orders)
-
-
-def rho_matrix(n: int, g):
-    """Irrep matrix: 1 for order 0, rotation by ``n * g`` for order >= 1."""
-    if n == 0:
-        return np.array([[1.0]])
-    c, s = np.cos(n * g), np.sin(n * g)
-    return np.array([[c, -s], [s, c]])
-
-
-def rep_block_diag(t: FeatureType, g) -> np.ndarray:
-    """Block-diagonal representation matrix of a composite type."""
-    out = np.zeros((t.dim, t.dim))
-    for ci, n in enumerate(t.orders):
-        off = t.offsets[ci]
-        d = t.component_dims[ci]
-        out[off:off + d, off:off + d] = rho_matrix(n, g)
-    return out
 
 
 # ---------------------------------------------------------------------------

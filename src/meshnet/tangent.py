@@ -12,8 +12,10 @@ the two angles the equivariant layers consume:
 It records the token of the frames it was computed in, so a model can reject
 features bound to another gauge.  All angles live in (-pi, pi].  The frames,
 the angles and the relative-tangent features share one array projection of
-the edge offsets; the scalar functions are the references it is tested
-against.  A :class:`FrameField` keeps it and :func:`regauge` hands it on.
+the edge offsets.  A :class:`FrameField` keeps it and :func:`regauge` hands
+it on.  The scalar references these arrays are tested against (the log map,
+the two angles of one edge, the tangent projector and angle wrapping) live in
+``tests/oracles.py`` and share the tolerances defined here.
 """
 
 from __future__ import annotations
@@ -34,55 +36,14 @@ from .mesh import Mesh, vertex_normals
 __all__ = [
     "FrameField",
     "EdgeGeometry",
-    "tangent_projector",
-    "log_map",
     "build_frames",
-    "theta_angle",
-    "transport_angle",
     "regauge",
-    "wrap_angle",
 ]
 
 _ANTIPODAL_TOL = 1e-8
 _PROJECTION_TOL = 1e-12
 
 _token_counter = itertools.count()
-
-
-def wrap_angle(a):
-    """Wrap to (-pi, pi]."""
-    a = np.asarray(a, dtype=np.float64)
-    out = np.remainder(a + np.pi, 2.0 * np.pi) - np.pi
-    out = np.where(out == -np.pi, np.pi, out)
-    return out if out.ndim else float(out)
-
-
-def tangent_projector(n):
-    """Orthogonal projector I - n n^T onto the plane normal to unit ``n``."""
-    n = np.asarray(n, dtype=np.float64)
-    return np.eye(3) - np.outer(n, n)
-
-
-def log_map(p, q, n_p):
-    """Norm-preserving discrete logarithm of ``q`` at ``p``.
-
-    Projects q - p onto the tangent plane at p and rescales to the original
-    length, so ``||log_p(q)|| = ||q - p||``.
-
-    Raises
-    ------
-    UndefinedLogMapError
-        If q - p is parallel to the normal.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    d = q - p
-    w = d - n_p * np.dot(n_p, d)
-    wn = np.linalg.norm(w)
-    dn = np.linalg.norm(d)
-    if wn <= _PROJECTION_TOL * max(dn, 1e-300):
-        raise UndefinedLogMapError(tuple(p), tuple(q))
-    return dn * w / wn
 
 
 class FrameField:
@@ -141,7 +102,7 @@ def build_frames(mesh: Mesh) -> FrameField:
     """
     normals = vertex_normals(mesh)
     w, wn, dn = _edge_projection(mesh, normals)
-    defined = wn > _PROJECTION_TOL * np.maximum(dn, 1e-300)  # as in log_map
+    defined = wn > _PROJECTION_TOL * np.maximum(dn, 1e-300)  # log map defined
     counts = np.bincount(mesh.edge_dst[defined], minlength=mesh.n_vertices)
     if not counts.all():
         raise FrameConstructionError(int(np.argmin(counts)))
@@ -150,44 +111,6 @@ def build_frames(mesh: Mesh) -> FrameField:
     frames = FrameField(mesh, normals, e1, np.cross(normals, e1))
     frames._projection = w, wn, dn
     return frames
-
-
-def theta_angle(p, q, e1_p, e2_p, n_p):
-    """Angle of log_p(q) measured from e1 toward e2."""
-    v = log_map(p, q, n_p)
-    return float(np.arctan2(np.dot(e2_p, v), np.dot(e1_p, v)))
-
-
-def transport_angle(p_idx, q_idx, frames: FrameField):
-    """Gauge alignment angle for the directed edge q -> p.
-
-    The tangent plane at q is rotated onto the one at p by the unique
-    rotation taking n_q to n_p about ``n_q x n_p`` (identity when the
-    normals agree); the returned angle is the angle of the rotated first
-    frame axis of q measured in the frame at p.  With this convention,
-    rotating a transported coordinate vector by the angle expresses it in
-    p's gauge, and regauging shifts the angle by ``-g_p + g_q``.
-
-    Raises
-    ------
-    AmbiguousTransportError
-        If the normals are antipodal.
-    """
-    nq, nprm = frames.normals[q_idx], frames.normals[p_idx]
-    c = float(np.dot(nq, nprm))
-    if c < -1.0 + _ANTIPODAL_TOL:
-        raise AmbiguousTransportError(p_idx, q_idx)
-    axis = np.cross(nq, nprm)
-    s = float(np.linalg.norm(axis))
-    e1q = frames.e1[q_idx]
-    if s < 1e-15:
-        re1 = e1q
-    else:  # Rodrigues rotation of q's first axis about the unit axis k
-        k = axis / s
-        re1 = e1q * c + np.cross(k, e1q) * s + k * np.dot(k, e1q) * (1.0 - c)
-    return float(
-        np.arctan2(np.dot(re1, frames.e2[p_idx]), np.dot(re1, frames.e1[p_idx]))
-    )
 
 
 class EdgeGeometry:
@@ -203,7 +126,9 @@ class EdgeGeometry:
     theta : ndarray, shape (E,)
         Neighbor angle of q in the frame at p for each edge q -> p.
     transport : ndarray, shape (E,)
-        Frame alignment angle g for each edge q -> p.
+        Frame alignment angle g for each edge q -> p: turning q's coordinates
+        by g expresses them in p's gauge, and regauging shifts g by
+        ``-g_p + g_q``.
     degrees : ndarray, shape (V,)
     n_vertices : int
     frame_token : int

@@ -11,9 +11,17 @@ oracles then build every per-edge kernel from the harmonics, with dense
 representation matrices and a Python loop over vertices.  Self kernels are
 assembled from their coefficients through the same basis.
 
-``scatter_add`` is the ``np.add.at`` reference for the tape's bincount
-scatters, and ``reference_rings`` the dict walk that the array construction
-of ``Mesh`` neighbor rings is tested against.
+``rho_matrix`` and ``rep_block_diag`` are the dense representation
+matrices.  ``scatter_add`` is the ``np.add.at`` reference for the tape's
+bincount scatters, ``reference_rings`` the dict walk that the array
+construction of ``Mesh`` neighbor rings is tested against, and
+``neighbor_rings`` reads the stored rings back from ``edge_offsets``.
+
+The scalar tangent references -- ``wrap_angle``, ``tangent_projector``,
+``log_map``, ``theta_angle`` and ``transport_angle`` -- compute one vertex or
+one edge at a time what ``meshnet.tangent`` computes for all at once, with
+the tolerances of that module.  ``reltan_scaling_statistics`` is a
+Monte-Carlo check of the N^{-3/2} normalisation of the RelTan features.
 """
 
 import functools
@@ -23,9 +31,148 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from meshnet.errors import FeatureTypeError, NonManifoldVertexError
+from meshnet.errors import (
+    AmbiguousTransportError,
+    FeatureTypeError,
+    NonManifoldVertexError,
+    UndefinedLogMapError,
+)
 from meshnet.mesh import Mesh, generate_grid_patch, generate_icosphere
-from meshnet.representations import FeatureType, rep_block_diag
+from meshnet.representations import FeatureType
+from meshnet.tangent import _ANTIPODAL_TOL, _PROJECTION_TOL, FrameField
+
+
+# ---------------------------------------------------------------------------
+# Representation matrices
+# ---------------------------------------------------------------------------
+
+def rho_matrix(n: int, g):
+    """Irrep matrix: 1 for order 0, rotation by ``n * g`` for order >= 1."""
+    if n == 0:
+        return np.array([[1.0]])
+    c, s = np.cos(n * g), np.sin(n * g)
+    return np.array([[c, -s], [s, c]])
+
+
+def rep_block_diag(t: FeatureType, g) -> np.ndarray:
+    """Block-diagonal representation matrix of a composite type."""
+    out = np.zeros((t.dim, t.dim))
+    for ci, n in enumerate(t.orders):
+        off = t.offsets[ci]
+        d = t.component_dims[ci]
+        out[off:off + d, off:off + d] = rho_matrix(n, g)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Scalar tangent references
+# ---------------------------------------------------------------------------
+
+def wrap_angle(a):
+    """Wrap to (-pi, pi]."""
+    a = np.asarray(a, dtype=np.float64)
+    out = np.remainder(a + np.pi, 2.0 * np.pi) - np.pi
+    out = np.where(out == -np.pi, np.pi, out)
+    return out if out.ndim else float(out)
+
+
+def tangent_projector(n):
+    """Orthogonal projector I - n n^T onto the plane normal to unit ``n``."""
+    n = np.asarray(n, dtype=np.float64)
+    return np.eye(3) - np.outer(n, n)
+
+
+def log_map(p, q, n_p):
+    """Norm-preserving discrete logarithm of ``q`` at ``p``.
+
+    Projects q - p onto the tangent plane at p and rescales to the original
+    length, so ``||log_p(q)|| = ||q - p||``.  Raises
+    :class:`UndefinedLogMapError` if q - p is parallel to the normal.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    d = q - p
+    w = d - n_p * np.dot(n_p, d)
+    wn = np.linalg.norm(w)
+    dn = np.linalg.norm(d)
+    if wn <= _PROJECTION_TOL * max(dn, 1e-300):
+        raise UndefinedLogMapError(tuple(p), tuple(q))
+    return dn * w / wn
+
+
+def theta_angle(p, q, e1_p, e2_p, n_p):
+    """Angle of log_p(q) measured from e1 toward e2."""
+    v = log_map(p, q, n_p)
+    return float(np.arctan2(np.dot(e2_p, v), np.dot(e1_p, v)))
+
+
+def transport_angle(p_idx, q_idx, frames: FrameField):
+    """Gauge alignment angle for the directed edge q -> p.
+
+    The tangent plane at q is rotated onto the one at p by the unique
+    rotation taking n_q to n_p about ``n_q x n_p`` (identity when the
+    normals agree); the returned angle is the angle of the rotated first
+    frame axis of q measured in the frame at p.  Raises
+    :class:`AmbiguousTransportError` if the normals are antipodal.
+    """
+    nq, nprm = frames.normals[q_idx], frames.normals[p_idx]
+    c = float(np.dot(nq, nprm))
+    if c < -1.0 + _ANTIPODAL_TOL:
+        raise AmbiguousTransportError(p_idx, q_idx)
+    axis = np.cross(nq, nprm)
+    s = float(np.linalg.norm(axis))
+    e1q = frames.e1[q_idx]
+    if s < 1e-15:
+        re1 = e1q
+    else:  # Rodrigues rotation of q's first axis about the unit axis k
+        k = axis / s
+        re1 = e1q * c + np.cross(k, e1q) * s + k * np.dot(k, e1q) * (1.0 - c)
+    return float(
+        np.arctan2(np.dot(re1, frames.e2[p_idx]), np.dot(re1, frames.e1[p_idx]))
+    )
+
+
+# ---------------------------------------------------------------------------
+# RelTan normalisation
+# ---------------------------------------------------------------------------
+
+def reltan_scaling_statistics(degree: int, samples: int, rng_seed: int = 0,
+                              relative_power: float = 0.7,
+                              radial: str = "absnormal"):
+    """Monte-Carlo mean squared norm of the tangent summary at one degree.
+
+    Neighbor offsets are sampled i.i.d. in the tangent plane with a uniform
+    angular component and a radial component that is either ``|N(0,1)|``
+    (default) or the ``"unit"`` point mass.  Returns a dict with the
+    normalized (degree^{-3/2} factor applied) and unnormalized mean squared
+    norms; the unnormalized one grows like degree cubed.
+    """
+    if degree < 2:
+        raise ValueError("degree must be >= 2")
+    rng = np.random.default_rng(rng_seed)
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=(samples, degree))
+    if radial == "absnormal":
+        rad = np.abs(rng.standard_normal((samples, degree)))
+        rad = np.maximum(rad, 1e-12)
+    elif radial == "unit":
+        rad = np.ones((samples, degree))
+    else:
+        raise ValueError(f"unknown radial law {radial!r}")
+    ux, uy = np.cos(phi), np.sin(phi)
+    w = rad ** (relative_power - 1.0)
+    wsum = w.sum(axis=1, keepdims=True)
+    scale = wsum / w
+    vx = (ux * scale).sum(axis=1)
+    vy = (uy * scale).sum(axis=1)
+    sq = vx**2 + vy**2
+    unnormalized = float(np.mean(sq))
+    return {
+        "degree": degree,
+        "samples": samples,
+        "relative_power": relative_power,
+        "unnormalized_mean_square": unnormalized,
+        "normalized_mean_square": unnormalized / degree**3,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +379,11 @@ def scatter_add(values, idx, n):
     return out
 
 
+def neighbor_rings(mesh: Mesh):
+    """The stored neighbor ring of every vertex, read from ``edge_offsets``."""
+    return np.split(mesh.edge_src, mesh.edge_offsets[1:-1])
+
+
 def reference_rings(faces, n_vertices):
     """Neighbor ring of every vertex, walked face fan by face fan in dicts.
 
@@ -269,7 +421,7 @@ def random_test_mesh(rng, max_subdivisions=1):
 
 def _edge_data(mesh: Mesh, td):
     for p in range(mesh.n_vertices):
-        sl = mesh.edge_slice(p)
+        sl = slice(mesh.edge_offsets[p], mesh.edge_offsets[p + 1])
         yield p, mesh.edge_src[sl], td.theta[sl], td.transport[sl]
 
 

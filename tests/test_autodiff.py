@@ -16,7 +16,6 @@ from meshnet.autodiff import (
     segment_softmax,
     segment_sum,
     take_cols,
-    take_pairs,
     take_rows,
 )
 from meshnet.config import default_config, model_spec_from_config, parse_config
@@ -26,9 +25,9 @@ from meshnet.features import compute_features
 from meshnet.layers import EdgeGeometry
 from meshnet.mesh import generate_icosphere
 from meshnet.model import build_model
-from meshnet.representations import FeatureType, rep_block_diag
+from meshnet.representations import FeatureType
 from meshnet.tangent import build_frames
-from oracles import scatter_add
+from oracles import rep_block_diag, scatter_add
 
 
 def central_difference(make_loss, param, k, eps=1e-6):
@@ -153,14 +152,14 @@ class TestOperatorGradients:
 
             check_gradients(loss, [x], rng)
 
-    def test_take_pairs(self):
+    def test_take_rows_of_flattened(self):
+        # the pick of nll_loss: entry (k, cols[k]) of a flattened matrix
         rng = self.rng
         x = parameter(rng.standard_normal((5, 4)))
-        rows = np.arange(5)
-        cols = rng.integers(0, 4, 5)
+        flat = np.arange(5) * 4 + rng.integers(0, 4, 5)
 
         def loss():
-            return (take_pairs(x, rows, cols) ** 2).sum()
+            return (take_rows(x.reshape(-1), flat) ** 2).sum()
 
         check_gradients(loss, [x], rng)
 
@@ -298,11 +297,24 @@ class TestScattersMatchAddAt:
 
     def test_take_rows_adjoint(self):
         for idx, n in self.cases:
-            for cols in self.columns:
+            for cols in ((),) + tuple(self.columns):
                 x = parameter(self.rng.standard_normal((n,) + cols))
                 g = self.rng.standard_normal((idx.size,) + cols)
                 (take_rows(x, idx) * g).sum().backward()
                 assert np.array_equal(x.grad, scatter_add(g, idx, n))
+
+    def test_take_pairs_adjoint(self):
+        # the (row, column) pick of nll_loss: 200 picks from a 3 x 4 array
+        # through take_rows on the flattened array, negative indices
+        # included; every entry is picked several times
+        rows, cols = self.rng.integers(-3, 3, 200), self.rng.integers(-4, 4, 200)
+        x = parameter(self.rng.standard_normal((3, 4)))
+        g = self.rng.standard_normal(200)
+        flat = np.ravel_multi_index((rows, cols), (3, 4), mode="wrap")
+        (take_rows(x.reshape(-1), flat) * g).sum().backward()
+        want = np.zeros((3, 4))
+        np.add.at(want, (rows, cols), g)
+        assert np.array_equal(x.grad, want)
 
     def test_segment_sum(self):
         for idx, n in self.cases:
@@ -312,17 +324,6 @@ class TestScattersMatchAddAt:
                 assert out.shape == (n,) + cols
                 assert np.array_equal(out, scatter_add(values, idx, n))
                 assert not out[n - 1].any()
-
-    def test_take_pairs_adjoint(self):
-        # 200 picks from a 3 x 4 array, negative indices included: every
-        # entry is picked several times
-        rows, cols = self.rng.integers(-3, 3, 200), self.rng.integers(-4, 4, 200)
-        x = parameter(self.rng.standard_normal((3, 4)))
-        g = self.rng.standard_normal(200)
-        (take_pairs(x, rows, cols) * g).sum().backward()
-        want = np.zeros((3, 4))
-        np.add.at(want, (rows, cols), g)
-        assert np.array_equal(x.grad, want)
 
 
 class TestTakeColsIndices:
@@ -535,7 +536,7 @@ RECORDING_CASES = [
     ("take_rows", lambda a: take_rows(a, [3, 0, 0, 2]), [(4, 3)], True),
     ("take_cols_gather", lambda a: take_cols(a, [2, 0]), [(4, 3)], True),
     ("take_cols_slice", lambda a: take_cols(a, slice(1, None)), [(4, 3)], True),
-    ("take_pairs", lambda a: take_pairs(a, [0, 3, 3], [2, 1, 2]), [(4, 3)], True),
+    ("take_rows_1d", lambda a: take_rows(a, [11, 0, 11, 5]), [(12,)], True),
     ("rotate_phase", lambda a: rotate_phase(a, np.ones(4), ((1, 1, 3),)), [(4, 3)], True),
     ("segment_sum", lambda a: segment_sum(a, [1, 0, 1, 1], 3), [(4, 3)], True),
     ("segment_softmax", lambda a: segment_softmax(a, [1, 0, 1, 1], 2), [(4,)], False),

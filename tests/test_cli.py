@@ -42,6 +42,11 @@ epochs = 1
     ("eqgap", "[model]\nheads = 4611686018427387904\n", "heads = 4611686018427387904"),
     ("eqgap", "[model]\nhidden_type = 2x(rho0+rho1)\nattention_type = 3x(rho0+rho1)\n"
      "heads = 2\n", "heads = 2 does not divide the multiplicities of 3xrho0+3xrho1"),
+    # a type is read when the config loads; multiplicities that cannot be
+    # built are refused without allocating them
+    ("eqgap", "[model]\nhidden_type = 4611686018427387904xrho0\n", "[model] hidden_type"),
+    ("eqgap", "[model]\nfinal_type = 100000000000000000000xrho0\n", "[model] final_type"),
+    ("eqgap", "[model]\nattention_type = rho0+\n", "[model] attention_type"),
 ])
 def test_out_of_range_config_value(tmp_path, capsys, command, text, key):
     cfg = tmp_path / "run.cfg"

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import meshnet
+from meshnet.errors import UndefinedLogMapError
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(meshnet.__path__))
 
@@ -40,6 +42,32 @@ def test_harmonic_basis_names_are_retired(module):
     # neighbor kernels are learned as K(0); the harmonic basis is a test oracle
     module = importlib.import_module(module)
     assert not [n for n in RETIRED if hasattr(module, n)]
+
+
+# references that moved to tests/oracles.py, and names that nothing called,
+# by the module that held them
+MOVED_OR_DELETED = {
+    "meshnet.tangent": ("wrap_angle", "tangent_projector", "log_map", "theta_angle",
+                        "transport_angle"),
+    "meshnet.representations": ("rho_matrix", "rep_block_diag"),
+    "meshnet.features": ("reltan_scaling_statistics",),
+    "meshnet.mesh": ("FaceGeometry",),
+    "meshnet.autodiff": ("take_pairs",),
+}
+
+
+@pytest.mark.parametrize("module", sorted(MOVED_OR_DELETED))
+def test_moved_and_deleted_names_are_retired(module):
+    names = MOVED_OR_DELETED[module]
+    for owner in (importlib.import_module(module), meshnet):
+        assert not [n for n in names if hasattr(owner, n)], owner.__name__
+
+
+def test_deleted_members_and_parameters_stay_deleted():
+    assert not [n for n in ("neighbors", "edge_slice") if hasattr(meshnet.Mesh, n)]
+    assert list(inspect.signature(meshnet.vertex_normals).parameters) == ["mesh"]
+    q = inspect.signature(UndefinedLogMapError).parameters["q"]
+    assert q.default is inspect.Parameter.empty
 
 
 def test_package_loads_no_scipy():

@@ -11,7 +11,6 @@ from meshnet.features import (
     feature_type_for,
     get_features,
     reltan_features,
-    reltan_scaling_statistics,
     reltan_vectors,
     xyz_features,
 )
@@ -20,7 +19,7 @@ from meshnet.representations import FeatureType
 from meshnet.tangent import FrameField, build_frames, regauge
 from meshnet.transforms import random_rotation
 
-from oracles import random_test_mesh, regauge_coords
+from oracles import random_test_mesh, regauge_coords, reltan_scaling_statistics
 
 
 def flat_frames(mesh):

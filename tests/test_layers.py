@@ -12,7 +12,7 @@ from meshnet.layers import (
     _SelfKernel,
 )
 from meshnet.mesh import generate_icosphere
-from meshnet.representations import FeatureType, init_neighbor_kernel, rep_block_diag
+from meshnet.representations import FeatureType, init_neighbor_kernel
 from meshnet.tangent import build_frames, regauge
 
 from oracles import (
@@ -20,6 +20,7 @@ from oracles import (
     dense_gem_forward,
     random_test_mesh,
     regauge_coords,
+    rep_block_diag,
     self_kernel_matrix,
 )
 from test_autodiff import check_gradients

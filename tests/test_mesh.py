@@ -32,7 +32,7 @@ from meshnet.mesh import (
 )
 from meshnet.transforms import Permutation, apply_permutation, random_rotation
 
-from oracles import random_test_mesh, reference_rings
+from oracles import neighbor_rings, random_test_mesh, reference_rings
 
 
 MINIMAL_OFF = """OFF
@@ -292,8 +292,9 @@ class TestValidation:
         perm = Permutation(np.random.default_rng(0).permutation(mesh.n_vertices))
         permuted = apply_permutation(mesh, perm)
         npt.assert_array_equal(permuted.vertices, perm.permute_rows(mesh.vertices))
-        for p, ring in enumerate(mesh.neighbors):
-            npt.assert_array_equal(permuted.neighbors[perm.forward[p]], perm.forward[ring])
+        permuted_rings = neighbor_rings(permuted)
+        for p, ring in enumerate(neighbor_rings(mesh)):
+            npt.assert_array_equal(permuted_rings[perm.forward[p]], perm.forward[ring])
         verts = mesh.vertices.copy()
         verts[5, 1] = np.inf
         with pytest.raises(NonFiniteVertexError):
@@ -316,18 +317,18 @@ class TestValidation:
 class TestFaceGeometry:
     def test_axis_aligned_right_triangle(self):
         mesh = Mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
-        fg = face_geometry(mesh)
-        npt.assert_allclose(fg.normals[0], [0, 0, 1], atol=1e-15)
-        npt.assert_allclose(fg.areas[0], 0.5)
+        normals, areas = face_geometry(mesh)
+        npt.assert_allclose(normals[0], [0, 0, 1], atol=1e-15)
+        npt.assert_allclose(areas[0], 0.5)
+        assert not (normals.flags.writeable or areas.flags.writeable)
 
     def test_reversed_winding_flips_normal(self):
         mesh = Mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 2, 1]])
-        fg = face_geometry(mesh)
-        npt.assert_allclose(fg.normals[0], [0, 0, -1], atol=1e-15)
+        npt.assert_allclose(face_geometry(mesh)[0][0], [0, 0, -1], atol=1e-15)
 
     def test_area_scales_quadratically(self):
         mesh = Mesh([[0, 0, 0], [2, 0, 0], [0, 2, 0]], [[0, 1, 2]])
-        npt.assert_allclose(face_geometry(mesh).areas[0], 2.0)
+        npt.assert_allclose(face_geometry(mesh)[1][0], 2.0)
 
     def test_zero_area_face(self):
         mesh = Mesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])
@@ -350,21 +351,20 @@ class TestVertexNormals:
 
     def test_single_triangle_matches_face_normal(self):
         mesh = Mesh([[0, 0, 0], [1, 0, 0], [0, 0.5, 0.5]], [[0, 1, 2]])
-        fg = face_geometry(mesh)
-        normals = vertex_normals(mesh, fg)
+        normals = vertex_normals(mesh)
         for p in range(3):
-            npt.assert_allclose(normals[p], fg.normals[0], atol=1e-15)
+            npt.assert_allclose(normals[p], face_geometry(mesh)[0][0], atol=1e-15)
 
     def test_cube_corner_against_incidence_oracle(self):
         mesh = _cube()
-        fg = face_geometry(mesh)
-        normals = vertex_normals(mesh, fg)
+        face_normals, areas = face_geometry(mesh)
+        normals = vertex_normals(mesh)
         # oracle: accumulate area * normal over the incident faces directly
         for p in [0, 6]:
             acc = np.zeros(3)
             for fi, face in enumerate(mesh.faces):
                 if p in face:
-                    acc += fg.areas[fi] * fg.normals[fi]
+                    acc += areas[fi] * face_normals[fi]
             npt.assert_allclose(normals[p], acc / np.linalg.norm(acc), atol=1e-14)
 
 
@@ -408,10 +408,10 @@ class TestInvariants:
     def test_total_area_rigid_invariance(self):
         rng = np.random.default_rng(11)
         mesh = random_test_mesh(rng)
-        total = face_geometry(mesh).areas.sum()
+        total = face_geometry(mesh)[1].sum()
         R = random_rotation(rng)
         moved = mesh.with_vertices(mesh.vertices @ R.T + rng.uniform(-5, 5, 3))
-        npt.assert_allclose(face_geometry(moved).areas.sum(), total, rtol=1e-10)
+        npt.assert_allclose(face_geometry(moved)[1].sum(), total, rtol=1e-10)
 
     def test_normals_rotate_with_mesh(self):
         rng = np.random.default_rng(12)
@@ -426,15 +426,15 @@ class TestInvariants:
         rng = np.random.default_rng(3)
         for mesh in (generate_icosphere(2), generate_grid_patch(4, 5, 0.2, 1)):
             shuffled = Mesh(mesh.vertices, _shuffled_faces(mesh.faces, rng))
-            for a, b in zip(mesh.neighbors, shuffled.neighbors):
+            for a, b in zip(neighbor_rings(mesh), neighbor_rings(shuffled)):
                 npt.assert_array_equal(a, b)
 
     def test_neighbor_rings_are_cyclic_fans(self):
         mesh = generate_icosphere(1)
         # consecutive ring entries must share a face with the center
         face_set = {frozenset(f) for f in mesh.faces.tolist()}
-        for p in range(mesh.n_vertices):
-            ring = mesh.neighbors[p].tolist()
+        for p, ring in enumerate(neighbor_rings(mesh)):
+            ring = ring.tolist()
             for a, b in zip(ring, ring[1:] + ring[:1]):
                 assert frozenset((p, a, b)) in face_set
 
@@ -475,8 +475,9 @@ class TestRings:
         for mesh in meshes + [Mesh(m.vertices, _shuffled_faces(m.faces, rng))
                               for m in meshes]:
             rings = reference_rings(mesh.faces, mesh.n_vertices)
-            assert len(mesh.neighbors) == len(rings)
-            for got, want in zip(mesh.neighbors, rings):
+            got_rings = neighbor_rings(mesh)
+            assert len(got_rings) == len(rings)
+            for got, want in zip(got_rings, rings):
                 assert np.array_equal(got, want)
             assert np.array_equal(mesh.degrees, [len(r) for r in rings])
             assert np.array_equal(mesh.edge_src, np.concatenate(rings))
@@ -501,10 +502,11 @@ class TestRings:
                      random_test_mesh(rng)):
             perm = Permutation(rng.permutation(mesh.n_vertices))
             permuted = apply_permutation(mesh, perm)
-            for p, ring in enumerate(mesh.neighbors):
-                assert np.array_equal(permuted.neighbors[perm.forward[p]],
-                                      perm.forward[ring])
+            permuted_rings = neighbor_rings(permuted)
+            for p, ring in enumerate(neighbor_rings(mesh)):
+                assert np.array_equal(permuted_rings[perm.forward[p]], perm.forward[ring])
             assert np.array_equal(permuted.degrees, perm.permute_rows(mesh.degrees))
-            assert np.array_equal(permuted.edge_src, np.concatenate(permuted.neighbors))
+            assert np.array_equal(permuted.edge_offsets,
+                                  np.concatenate([[0], np.cumsum(permuted.degrees)]))
             assert np.array_equal(permuted.edge_dst,
                                   np.repeat(np.arange(mesh.n_vertices), permuted.degrees))

@@ -5,12 +5,7 @@ import pytest
 from meshnet.autodiff import Tensor
 from meshnet.errors import FeatureTypeError
 from meshnet.layers import _SelfKernel
-from meshnet.representations import (
-    FeatureType,
-    init_neighbor_kernel,
-    rep_block_diag,
-    rho_matrix,
-)
+from meshnet.representations import FeatureType, init_neighbor_kernel
 
 from oracles import (
     BasisElement,
@@ -20,6 +15,8 @@ from oracles import (
     coefficient_map,
     constraint_residual,
     kernel_basis,
+    rep_block_diag,
+    rho_matrix,
 )
 
 
