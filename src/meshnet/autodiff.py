@@ -356,10 +356,12 @@ def take_cols(x: Tensor, cols) -> Tensor:
     ``np.take``.
 
     ``np.take`` is C-ordered where ``x[:, idx]`` is not.  The adjoint writes
-    ``g`` into a zero block.
+    ``g`` into a zero block.  Only an index list is checked for repeats; a
+    slice has none.
     """
+    checked = not isinstance(cols, slice)
     cols = np.arange(x.value.shape[1])[cols]
-    if np.unique(cols).size < cols.size:
+    if checked and np.unique(cols).size < cols.size:
         raise AutodiffError("take_cols needs distinct columns")
 
     def vjp(g):

@@ -204,7 +204,8 @@ class EmanAttentionLayer:
     come in that order.  A head's logit sums its own query-key columns,
     scaled by ``1/sqrt(att_type.dim / heads)``, and its weights scale its own
     value columns.  With several heads one self kernel, ``out_kernel``, mixes
-    their outputs, put back in the order of ``out_type`` (``out_cols``);
+    their outputs, put back in the order of ``out_type`` by ``out_order``
+    (the inverse of ``out_cols``);
     with one, the value kernel absorbs it.
     ``self_contribution`` adds each vertex's own key and value to its
     neighborhood (so the normalizer is ``N_p + 1``).
@@ -229,6 +230,7 @@ class EmanAttentionLayer:
             self.self_key_kernel = _SelfKernel(in_type, att, rng, heads)
             self.self_value_kernel = _SelfKernel(in_type, out_type, rng, heads)
         if heads > 1:
+            self.out_order = np.argsort(self.out_cols)
             self.out_kernel = _SelfKernel(out_type, out_type, rng)
         self.bias = _Bias(out_type, bias, rng)
 
@@ -255,7 +257,7 @@ class EmanAttentionLayer:
     def forward(self, x: Tensor, geom: EdgeGeometry) -> Tensor:
         out = self._attend(x, geom)[0]
         if self.heads > 1:
-            out = self.out_kernel(take_cols(out, np.argsort(self.out_cols)))
+            out = self.out_kernel(take_cols(out, self.out_order))
         return self.bias.apply(out)
 
     def attention_coefficients(self, x: Tensor, geom: EdgeGeometry) -> np.ndarray:

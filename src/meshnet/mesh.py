@@ -20,6 +20,7 @@ the relabelling, and relabels the rings with one gather, walking no face.
 from __future__ import annotations
 
 import io
+import warnings
 
 import numpy as np
 
@@ -77,9 +78,9 @@ class Mesh:
         self.faces = np.ascontiguousarray(faces, dtype=np.int64)
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise ValueError("face array must have shape (F, 3)")
-        self._validate_faces()
+        order = self._validate_faces()
         self.faces.flags.writeable = False
-        self._set_rings(*self._build_neighbor_rings())
+        self._set_rings(*self._build_neighbor_rings(order))
         low = np.flatnonzero(self.degrees < 2)
         if low.size:
             raise DegreeError(int(low[0]), int(self.degrees[low[0]]))
@@ -115,6 +116,7 @@ class Mesh:
         return self.edge_src.shape[0]
 
     def _validate_faces(self):
+        """Check the faces; return the stable argsort of the edges i -> j by i*V + j."""
         V = self.n_vertices
         f = self.faces
         outside = np.argwhere((f < 0) | (f >= V))
@@ -132,21 +134,23 @@ class Mesh:
         if shared.size:
             e = shared[0]
             raise NonManifoldError(sorted((i[e], j[e])), count[inverse[e]])
-        repeated = np.ones(i.size, dtype=bool)
-        repeated[np.unique(i * V + j, return_index=True)[1]] = False
-        if repeated.any():
-            e = np.argmax(repeated)
+        # after a stable sort every equal key but the first in face order repeats
+        key = i * V + j
+        order = np.argsort(key, kind="stable")
+        repeated = order[1:][key[order[1:]] == key[order[:-1]]]
+        if repeated.size:
+            e = repeated.min()
             raise OrientationError((i[e], j[e]))
+        return order
 
-    def _build_neighbor_rings(self):
+    def _build_neighbor_rings(self, order):
         # At vertex p, face (p, x, y) contributes the oriented link edge
         # x -> y; chaining link edges walks the fan counter-clockwise.  With
         # unique directed edges the link edges form disjoint chains, each
         # with one head, and cycles; a single fan is one chain or one cycle.
+        # Link edge x -> y at p is directed edge p -> x: ``order`` groups by p, then x.
         V = self.n_vertices
-        p, x, y = (np.roll(self.faces, -k, axis=1).ravel() for k in range(3))
-        order = np.argsort(p * V + x)  # grouped by p, then by x
-        p, x, y = p[order], x[order], y[order]
+        p, x, y = (np.roll(self.faces, -k, axis=1).ravel()[order] for k in range(3))
         key, next_key = p * V + x, p * V + y
         succ = np.minimum(np.searchsorted(key, next_key), key.size - 1)
         succ[key[succ] != next_key] = -1
@@ -316,6 +320,13 @@ def _parse_off(path):
     own line or on the next one; then one ``x y z`` line per vertex and one
     ``3 a b c`` line per face, and nothing after the last face.  ``#``
     starts a comment.
+
+    Each block of lines is read by one ``np.loadtxt``, kept if it raises no
+    error or warning (numpy < 2 warns on reading ``2.5`` as an int) and
+    gives one row of the right width per line.  Otherwise the block takes
+    the slow path: Python's ``float`` or ``int`` per token, which names the
+    first bad line.  Tokens loadtxt rejects but Python takes (``1_0``,
+    non-ASCII digits) go the slow way; the ones it takes, it reads alike.
     """
     lines, numbers = [], []
     for ln, line in enumerate(_read_lines(path), 1):
@@ -353,6 +364,15 @@ def _parse_off(path):
 def _off_rows(path, lines, numbers, form, convert):
     """One row of numbers per line, each line shaped like ``form``."""
     width = len(form.split())
+    if lines:  # loadtxt warns on no data
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(lines, dtype=convert, comments=None, ndmin=2)
+            if rows.shape == (len(lines), width):
+                return rows
+        except (ValueError, Warning):
+            pass
     tokens = []
     for line, ln in zip(lines, numbers):
         toks = line.split()

@@ -16,6 +16,8 @@ matrices.  ``scatter_add`` is the ``np.add.at`` reference for the tape's
 bincount scatters, ``reference_rings`` the dict walk that the array
 construction of ``Mesh`` neighbor rings is tested against, and
 ``neighbor_rings`` reads the stored rings back from ``edge_offsets``.
+``reference_parse_off`` reads an OFF file one token at a time, the
+reference for the block-at-once numpy reader of ``meshnet.mesh``.
 
 The scalar tangent references -- ``wrap_angle``, ``tangent_projector``,
 ``log_map``, ``theta_angle`` and ``transport_angle`` -- compute one vertex or
@@ -34,6 +36,7 @@ import scipy.sparse.linalg as spla
 from meshnet.errors import (
     AmbiguousTransportError,
     FeatureTypeError,
+    MeshParseError,
     NonManifoldVertexError,
     UndefinedLogMapError,
 )
@@ -417,6 +420,84 @@ def random_test_mesh(rng, max_subdivisions=1):
     rows = int(rng.integers(3, 7))
     cols = int(rng.integers(3, 7))
     return generate_grid_patch(rows, cols, 0.25, int(rng.integers(0, 2**31)))
+
+
+def reference_parse_off(path):
+    """The OFF reader's ``(vertices, faces[:, 1:])``, or its MeshParseError,
+    with every token converted on its own by Python's ``float`` or ``int``.
+
+    Records are whole lines with ``#`` comments and surrounding whitespace
+    removed; blank ones are skipped.  Errors come in the reader's order: the
+    header, the counts line, the line counts, then per block every line's
+    token count before any token's value, then the ``3`` of every face and
+    last the face indices, each time the first bad line.
+    """
+    path = str(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        ln = data.count(b"\n", 0, exc.start) + 1
+        raise MeshParseError(f"{path}:{ln}: not UTF-8 text") from None
+    records = []
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for ln, line in enumerate(lines, 1):
+        body = line.split("#", 1)[0].strip()
+        if body:
+            records.append((ln, body))
+    if not records or records[0][1].split()[0] != "OFF":
+        raise MeshParseError(f"{path}: missing OFF header")
+    ln, first = records.pop(0)
+    if first != "OFF":
+        records.insert(0, (ln, first[3:]))
+    if not records:
+        raise MeshParseError(f"{path}: missing OFF counts line")
+    (nv, nf, _ne), = _reference_off_block(path, records[:1], "nv nf ne", int)
+    end = 1 + nv + nf
+    if min(nv, nf) < 0 or len(records) < end:
+        raise MeshParseError(
+            f"{path}: OFF counts on line {records[0][0]} ask for {nv} vertices and "
+            f"{nf} faces, the file holds {len(records) - 1} lines after them"
+        )
+    if len(records) > end:
+        raise MeshParseError(f"{path}:{records[end][0]}: data after the last face")
+    vertices = _reference_off_block(path, records[1:1 + nv], "x y z", float)
+    faces = _reference_off_block(path, records[1 + nv:], "3 a b c", int)
+    for (ln, line), face in zip(records[1 + nv:], faces):
+        if face[0] != 3:
+            raise _reference_off_error(path, ln, "3 a b c", line)
+    for (ln, _line), face in zip(records[1 + nv:], faces):
+        for index in face[1:]:
+            if not 0 <= index < nv:
+                raise MeshParseError(f"{path}:{ln}: face index {index}"
+                                     f" does not name one of the {nv} vertices")
+    return (np.array(vertices, dtype=np.float64).reshape(nv, 3),
+            np.array(faces, dtype=np.int64).reshape(nf, 4)[:, 1:])
+
+
+def _reference_off_block(path, records, form, convert):
+    width = len(form.split())
+    for ln, line in records:
+        if len(line.split()) != width:
+            raise _reference_off_error(path, ln, form, line)
+    rows = []
+    for ln, line in records:
+        row = []
+        for token in line.split():
+            try:
+                value = convert(token)
+            except ValueError:
+                raise _reference_off_error(path, ln, form, line) from None
+            if convert is int and not -2**63 <= value < 2**63:
+                raise _reference_off_error(path, ln, form, line)
+            row.append(value)
+        rows.append(row)
+    return rows
+
+
+def _reference_off_error(path, ln, form, line):
+    return MeshParseError(f"{path}:{ln}: expected an OFF line {form!r}, got {line.strip()!r}")
 
 
 def _edge_data(mesh: Mesh, td):

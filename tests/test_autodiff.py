@@ -329,7 +329,7 @@ class TestScattersMatchAddAt:
 class TestTakeColsIndices:
     def test_result_is_a_c_ordered_copy(self):
         x = parameter(np.arange(12.0).reshape(3, 4))
-        for cols in ([3, 1], [2], [0, 1, 2]):
+        for cols in ([3, 1], [2], [0, 1, 2], slice(None, None, -2)):
             y = take_cols(x, cols)
             assert y.value.flags.c_contiguous
             assert not np.shares_memory(y.value, x.value)

@@ -1,6 +1,7 @@
 import os
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meshnet import mesh as mesh_module
 from meshnet.errors import (
     DegenerateFaceError,
     DegreeError,
@@ -32,7 +34,7 @@ from meshnet.mesh import (
 )
 from meshnet.transforms import Permutation, apply_permutation, random_rotation
 
-from oracles import neighbor_rings, random_test_mesh, reference_rings
+from oracles import neighbor_rings, random_test_mesh, reference_parse_off, reference_rings
 
 
 MINIMAL_OFF = """OFF
@@ -128,17 +130,18 @@ def test_load_bad_content_named(tmp_path, name, data, where):
         load_mesh(path)
 
 
-TETRA_OFF = "OFF\n4 4 0\n" + TETRA_VERTICES + "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n"
+TETRA_FACES = "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n"
+TETRA_OFF = "OFF\n4 4 0\n" + TETRA_VERTICES + TETRA_FACES
 TETRA_OBJ = ("".join(f"v {line}\n" for line in TETRA_VERTICES.splitlines())
              + "f 1 3 2\nf 1 2 4\nf -4 4 -2\nf 2 3 4\n")
 BAD_TOKENS = ["x", "nan", "inf", "-1", "99999999999999999999", "1e300"]
 
 
 @st.composite
-def _mutated(draw):
+def _mutated(draw, files=((".off", TETRA_OFF), (".obj", TETRA_OBJ))):
     """A valid tetrahedron file, truncated, with two tokens swapped, or with a
     token replaced."""
-    suffix, text = draw(st.sampled_from([(".off", TETRA_OFF), (".obj", TETRA_OBJ)]))
+    suffix, text = draw(st.sampled_from(files))
     pieces = re.split(r"(\s+)", text)  # tokens at even positions
     tokens = range(0, len(pieces), 2)
     how = draw(st.sampled_from(["truncate", "swap", "replace"]))
@@ -174,6 +177,87 @@ def test_mutated_files_load_or_raise_a_named_error(mutated):
         except MeshNetError:
             continue
         assert np.isfinite(field.values).all()
+
+
+def _outcome(read, path):
+    """The bytes of the arrays ``read(path)`` returns (a mesh's vertices and
+    faces), or the class and message of the meshnet error it raises."""
+    try:
+        out = read(path)
+    except MeshNetError as exc:
+        return type(exc), str(exc)
+    arrays = (out.vertices, out.faces) if isinstance(out, Mesh) else out
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def _assert_off_reads_as_reference(path):
+    """The OFF reader, and ``load_mesh`` built on it, agree bit for bit with
+    the token-by-token reference, or raise its error with its message."""
+    assert _outcome(mesh_module._parse_off, path) == _outcome(reference_parse_off, path)
+    expected = _outcome(lambda p: Mesh(*reference_parse_off(p)), path)
+    assert _outcome(load_mesh, path) == expected
+    return expected
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_mutated(files=[(".off", TETRA_OFF)]))
+def test_mutated_off_reads_as_token_reference(mutated):
+    _suffix, text = mutated
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.off")
+        with open(path, "w") as fh:
+            fh.write(text)
+        _assert_off_reads_as_reference(path)
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "+3", "1e400", "-0", "nan", "2.5"])
+def test_off_token_reads_as_reference_everywhere(tmp_path, token):
+    # Python's float and int take 1_0 and the Arabic-Indic 3, loadtxt does not
+    pieces = re.split(r"(\s+)", TETRA_OFF)  # tokens at even positions
+    for i in range(0, len(pieces), 2):
+        path = tmp_path / f"t{i}.off"
+        path.write_bytes("".join(pieces[:i] + [token] + pieces[i + 1:]).encode("utf-8"))
+        _assert_off_reads_as_reference(path)
+
+
+def _each_line(block, suffix):
+    return "".join(line + suffix + "\n" for line in block.splitlines())
+
+
+@pytest.mark.parametrize("text, error", [
+    ("OFF\n4 4 0\n" + _each_line(TETRA_VERTICES, " 0") + TETRA_FACES,
+     "m.off:3: expected an OFF line 'x y z', got '0 0 0 0'"),
+    ("OFF\n4 4 0\n" + TETRA_VERTICES + _each_line(TETRA_FACES, " 1"),
+     "m.off:7: expected an OFF line '3 a b c', got '3 0 2 1 1'"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2.5\n",
+     "m.off:6: expected an OFF line '3 a b c', got '3 0 1 2.5'"),
+    (TETRA_OFF.replace("\n", "\r\n"), None),
+    (TETRA_OFF.replace(" ", "\t"), None),
+    (_each_line(TETRA_OFF, " # note"), None),
+], ids=["four_token_vertex_lines", "five_token_face_lines", "float_face_index",
+        "crlf", "tabs", "trailing_comments"])
+def test_off_lines_read_as_reference(tmp_path, text, error):
+    path = tmp_path / "m.off"
+    path.write_bytes(text.encode("utf-8"))
+    outcome = _assert_off_reads_as_reference(path)
+    if error is None:
+        plain = tmp_path / "plain.off"
+        plain.write_text(TETRA_OFF)
+        assert outcome == _outcome(load_mesh, plain)
+    else:
+        assert outcome[0] is MeshParseError and outcome[1].endswith(error)
+
+
+@pytest.mark.parametrize("text", ["OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n", "OFF\n0 0 0\n"],
+                         ids=["no_faces", "no_vertices"])
+def test_off_empty_blocks_read_without_warnings(tmp_path, text):
+    path = tmp_path / "m.off"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_off_reads_as_reference(path)
+        vertices, faces = mesh_module._parse_off(path)
+    assert faces.shape == (0, 3) and vertices.shape == (text.count("\n") - 2, 3)
 
 
 def test_load_missing_file(tmp_path):
