@@ -9,6 +9,7 @@ key set, so two configs that differ only in formatting hash identically.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
 import math
 import os
@@ -49,6 +50,9 @@ def _positive(parse):
     return _checked(parse, lambda v: 0 < v < math.inf, "> 0 and finite")
 
 
+_finite = _checked(float, math.isfinite, "finite")
+
+
 def _enum(*allowed):
     def parse(text):
         t = text.strip()
@@ -75,32 +79,35 @@ def _list(parse):
     return _checked(parse_list, bool, "a non-empty list")
 
 
+# [model] holds the fields of ModelSpec, and its defaults are the spec's
+_MODEL_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ModelSpec)}
+
 _SCHEMA = {
     "run": {
         "seed": (_at_least(int, 0), 0),
-        "task": (_enum(*TASKS), "segmentation"),
+        "task": (_enum(*TASKS), _MODEL_DEFAULTS["task"]),
         "checkpoint": (str, ""),
     },
-    "model": {
-        "kind": (_enum(*LAYER_KINDS), "eman"),
-        "bias": (_enum(*BIAS_MODES), "scalar"),
-        "features": (_enum(*FAMILIES), "reltan"),
-        "reltan_powers": (_list(_checked(float, math.isfinite, "finite")), (0.7,)),
-        "hidden_type": (_feature_type, "16x(rho0+rho1+rho2)"),
-        "final_type": (_feature_type, "16xrho0"),
-        "attention_type": (lambda t: t and _feature_type(t), ""),  # "" is unset
-        "dense_hidden": (_at_least(int, 1), 256),
-        "dropout": (_checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"), 0.5),
-        "heads": (_at_least(int, 1), 1),
-        "self_contribution": (_bool, False),
-        "target_dim": (_at_least(int, 1), 10),
-    },
+    "model": {key: (parse, _MODEL_DEFAULTS[key]) for key, parse in {
+        "kind": _enum(*LAYER_KINDS),
+        "bias": _enum(*BIAS_MODES),
+        "features": _enum(*FAMILIES),
+        "reltan_powers": _list(_finite),
+        "hidden_type": _feature_type,
+        "final_type": _feature_type,
+        "attention_type": lambda t: t and _feature_type(t),
+        "dense_hidden": _at_least(int, 1),
+        "dropout": _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+        "heads": _at_least(int, 1),
+        "self_contribution": _bool,
+        "target_dim": _at_least(int, 1),
+    }.items()},
     "mesh": {
         "generator": (_enum("icosphere", "grid_patch"), "icosphere"),
         "subdivisions": (_at_least(int, 0), 1),
         "rows": (_at_least(int, 2), 8),
         "cols": (_at_least(int, 2), 8),
-        "noise": (float, 0.0),
+        "noise": (_finite, 0.0),
         "dump_frames": (_bool, False),
     },
     "data": {
@@ -108,8 +115,8 @@ _SCHEMA = {
         "train_meshes": (_at_least(int, 1), 10),
         "test_meshes": (_at_least(int, 0), 5),
         "subdivisions": (_at_least(int, 0), 1),
-        "bump_amplitude": (float, 0.3),
-        "noise": (float, 0.05),
+        "bump_amplitude": (_finite, 0.3),
+        "noise": (_finite, 0.05),
         "n_meshes": (_at_least(int, 1), 20),
         "mesh_dir": (str, ""),
     },
@@ -123,7 +130,9 @@ _SCHEMA = {
                                  "scale", "perm")),
                      ("gauge", "rot_tr_scale", "perm")),
         "samples_per_mesh": (_at_least(int, 1), 1),
-        "translation_range": (_at_least(float, 0.0), 10.0),
+        # a translation is drawn from uniform(-r, r), whose width 2 r must be finite
+        "translation_range": (_checked(float, lambda v: 0.0 <= 2.0 * v < math.inf,
+                                       ">= 0 and finite when doubled"), 10.0),
         "scale_min": (_positive(float), 0.1),
         "scale_max": (_positive(float), 10.0),
     },
@@ -197,19 +206,7 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def model_spec_from_config(cfg: RunConfig, target_dim=None, task=None) -> ModelSpec:
-    m = cfg.model
-    return ModelSpec(
-        target_dim=target_dim if target_dim is not None else m["target_dim"],
-        kind=m["kind"],
-        task=task if task is not None else cfg.run["task"],
-        features=m["features"],
-        reltan_powers=tuple(m["reltan_powers"]),
-        hidden_type=m["hidden_type"],
-        final_type=m["final_type"],
-        attention_type=m["attention_type"] or None,
-        dense_hidden=m["dense_hidden"],
-        dropout=m["dropout"],
-        bias=m["bias"],
-        heads=m["heads"],
-        self_contribution=m["self_contribution"],
-    )
+    """The [model] section and the [run] task; given arguments override."""
+    given = {"target_dim": target_dim, "task": task}
+    return ModelSpec(**{"task": cfg.run["task"], **cfg.model,
+                        **{k: v for k, v in given.items() if v is not None}})

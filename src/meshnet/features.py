@@ -36,6 +36,8 @@ __all__ = [
     "feature_type_for",
 ]
 
+RELTAN_POWERS = (0.7,)  # the default relative distance powers of ``reltan``
+
 
 @dataclass
 class GeometricFeatureField:
@@ -103,7 +105,7 @@ def reltan_vectors(mesh: Mesh, frames: FrameField, power: float) -> np.ndarray:
 
 
 def reltan_features(mesh: Mesh, frames: FrameField,
-                    powers=(0.7,)) -> GeometricFeatureField:
+                    powers=RELTAN_POWERS) -> GeometricFeatureField:
     """Tangent-summary features, one (rho0 + rho1) group per relative power.
 
     In the order-major layout the P zero rho0 columns come first, then one
@@ -138,7 +140,7 @@ def xyz_features(mesh: Mesh, frames: FrameField) -> GeometricFeatureField:
     return GeometricFeatureField(feature_type_for("xyz"), mesh.vertices.copy(), frames.token)
 
 
-def feature_type_for(family: str, powers=(0.7,)) -> FeatureType:
+def feature_type_for(family: str, powers=RELTAN_POWERS) -> FeatureType:
     """The type of a family's features (``reltan`` has one group per power)."""
     if family == "reltan":
         return len(tuple(powers)) * FeatureType([0, 1])
@@ -158,7 +160,7 @@ FAMILIES = tuple(_COMPUTE)
 
 
 def compute_features(family: str, mesh: Mesh, frames: FrameField,
-                     powers=(0.7,)) -> GeometricFeatureField:
+                     powers=RELTAN_POWERS) -> GeometricFeatureField:
     """Dispatch on family name (``reltan`` honors ``powers``)."""
     if family not in _COMPUTE:
         raise ValueError(f"unknown feature family {family!r}")

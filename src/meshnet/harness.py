@@ -27,7 +27,7 @@ from .autodiff import Adam, nll_loss
 from .config import RunConfig, config_hash, model_spec_from_config
 from .datasets import Dataset, dataset_from_config, eqgap_meshes
 from .errors import CheckpointError, ConfigError, TrainingDivergedError
-from .features import compute_features
+from .features import RELTAN_POWERS, compute_features
 from .mesh import Mesh, generate_grid_patch, generate_icosphere
 from .model import Model, build_model
 from .tangent import EdgeGeometry, build_frames, regauge
@@ -72,7 +72,7 @@ def _report_header(cfg: RunConfig) -> dict:
 # Forward pipeline
 # ---------------------------------------------------------------------------
 
-def mesh_pipeline(mesh: Mesh, family: str, powers=(0.7,)):
+def mesh_pipeline(mesh: Mesh, family: str, powers=RELTAN_POWERS):
     """Frames, transport, edge geometry, and input features for one mesh."""
     frames = build_frames(mesh)
     geom = EdgeGeometry.from_frames(frames)

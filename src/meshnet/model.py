@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ConfigError, FeatureTypeError, FrameBindingError
-from .features import GeometricFeatureField, feature_type_for
+from .features import RELTAN_POWERS, GeometricFeatureField, feature_type_for
 from .layers import DenseLayer, EmanAttentionLayer, GaugeNonlinearity, GemConvLayer
 from .representations import FeatureType
 from .tangent import EdgeGeometry
@@ -30,16 +30,19 @@ LAYER_KINDS = ("gem", "eman")
 
 @dataclass
 class ModelSpec:
-    """Everything needed to reconstruct a model architecture."""
+    """Everything needed to reconstruct a model architecture.
 
-    target_dim: int
+    The defaults are the config's; an empty ``attention_type`` is the hidden type.
+    """
+
+    target_dim: int = 10
     kind: str = "eman"
     task: str = "segmentation"
     features: str = "reltan"
-    reltan_powers: tuple = (0.7,)
+    reltan_powers: tuple = RELTAN_POWERS
     hidden_type: str = "16x(rho0+rho1+rho2)"
     final_type: str = "16xrho0"
-    attention_type: str | None = None
+    attention_type: str = ""
     dense_hidden: int = 256
     dropout: float = 0.5
     bias: str = "scalar"
@@ -74,9 +77,7 @@ class Model:
         final = FeatureType.parse(spec.final_type)
         if final.max_order != 0:
             raise ConfigError("final conv type must contain only scalar channels")
-        # attention representation defaults to the hidden composition
-        att = (FeatureType.parse(spec.attention_type)
-               if spec.attention_type is not None else hidden)
+        att = FeatureType.parse(spec.attention_type) if spec.attention_type else hidden
         self.in_type = spec.in_type
         self.entry = _make_layer(spec, self.in_type, hidden, att, rng)
         self.entry_nl = GaugeNonlinearity(hidden)

@@ -7,7 +7,12 @@ the two angles the equivariant layers consume:
 
 * ``theta``   -- angle of the neighbor's log-map image in the frame at p,
 * ``transport`` -- frame-alignment angle after rotating the neighbor's
-  tangent plane onto p's about the axis ``n_q x n_p``.
+  tangent plane onto p's about the axis ``n_q x n_p``.  That rotation is
+  ``H_m H_{n_q}`` for the reflections ``H`` across the planes orthogonal to
+  ``m = n_q + n_p`` and ``n_q``; ``H_{n_q}`` fixes q's tangent plane, so
+  there it is the one reflection ``v - 2 (v.m)/(m.m) m``.  Normals closer
+  to antipodal than ``1 + n_q.n_p = 1e-8`` are refused, so
+  ``m.m = 2 (1 + n_q.n_p)`` never vanishes.
 
 It records the token of the frames it was computed in, so a model can reject
 features bound to another gauge.  All angles live in (-pi, pi].  The frames,
@@ -128,7 +133,8 @@ class EdgeGeometry:
     transport : ndarray, shape (E,)
         Frame alignment angle g for each edge q -> p: turning q's coordinates
         by g expresses them in p's gauge, and regauging shifts g by
-        ``-g_p + g_q``.
+        ``-g_p + g_q``.  It is the angle in p's frame of q's ``e1`` reflected
+        across the plane orthogonal to ``n_q + n_p`` (see the module notes).
     degrees : ndarray, shape (V,)
     n_vertices : int
     frame_token : int
@@ -178,17 +184,10 @@ class EdgeGeometry:
         if anti.size:
             e = int(anti[0])
             raise AmbiguousTransportError(int(dst[e]), int(src[e]))
-        axis = np.cross(nq, npm)
-        s = np.linalg.norm(axis, axis=1)
-        k = axis / np.maximum(s, 1e-300)[:, None]
-        # Rodrigues rotation of q's first axis about k; identity for equal normals
-        e1q = frames.e1[src]
-        re1 = (
-            e1q * c[:, None]
-            + np.cross(k, e1q) * s[:, None]
-            + k * (np.einsum("ij,ij->i", k, e1q) * (1.0 - c))[:, None]
-        )
-        re1 = np.where((s < 1e-15)[:, None], e1q, re1)
+        # q's first axis reflected across the plane orthogonal to m = n_q + n_p
+        e1q, m = frames.e1[src], nq + npm
+        re1 = e1q - m * (2.0 * np.einsum("ij,ij->i", e1q, m)
+                         / np.einsum("ij,ij->i", m, m))[:, None]
         g = np.arctan2(
             np.einsum("ij,ij->i", re1, e2p), np.einsum("ij,ij->i", re1, e1p)
         )

@@ -34,6 +34,12 @@ epochs = 1
     ("eqgap", "[transforms]\nfamilies =\n", "[transforms] families"),
     ("eqgap", "[timing]\nrepetitions = 20\n", "[timing]"),
     ("eqgap", "[transforms]\ntranslation_range = inf\n", "[transforms] translation_range"),
+    # finite, but uniform(-r, r) cannot draw across a width 2 r that overflows
+    ("eqgap", "[transforms]\ntranslation_range = 1e308\n", "[transforms] translation_range"),
+    ("eval", "[transforms]\ntranslation_range = 1e308\n", "[transforms] translation_range"),
+    ("eqgap", "[mesh]\nnoise = inf\n", "[mesh] noise"),
+    ("eqgap", "[data]\nnoise = nan\n", "[data] noise"),
+    ("train", "[data]\nbump_amplitude = -inf\n", "[data] bump_amplitude"),
     ("eqgap", "[transforms]\nscale_max = inf\n", "[transforms] scale_max"),
     ("train", "[training]\nlearning_rate = inf\n", "[training] learning_rate"),
     ("eqgap", "[model]\nbias = angular\n", "[model] bias"),

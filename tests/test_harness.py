@@ -6,7 +6,7 @@ import pytest
 
 from meshnet import harness
 from meshnet.autodiff import Tensor
-from meshnet.config import parse_config
+from meshnet.config import model_spec_from_config, parse_config
 from meshnet.errors import (
     CheckpointError,
     ConfigError,
@@ -238,6 +238,24 @@ def test_evaluate_honours_transform_ranges():
     model, _metrics = train(cfg)
     accuracy = evaluate(cfg, model=model)["accuracy"]
     assert accuracy["rot_tr_scale"] == accuracy["test"]
+
+
+def test_widest_translation_range_is_drawn():
+    r = float(np.finfo(float).max / 2)  # the widest range with a finite 2 r
+    text = "[transforms]\ntranslation_range = {!r}\n"
+    suite = harness._transform_suite(parse_config(text.format(r)), 4, np.random.default_rng(0))
+    assert np.isfinite(suite.ambient.translation).all()
+    with pytest.raises(ConfigError, match="translation_range"):
+        parse_config(text.format(float(np.nextafter(r, np.inf))))
+
+
+def test_model_section_is_the_spec():
+    assert model_spec_from_config(parse_config("")) == ModelSpec()
+    cfg = parse_config("[run]\ntask = classification\n"
+                       "[model]\nheads = 2\nattention_type = rho1\n")
+    assert model_spec_from_config(cfg, target_dim=3) == ModelSpec(
+        target_dim=3, task="classification", heads=2, attention_type="rho1")
+    assert model_spec_from_config(cfg, task="segmentation").task == "segmentation"
 
 
 def test_reversed_scale_range_rejected():

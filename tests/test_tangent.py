@@ -12,7 +12,7 @@ from meshnet.errors import (
 )
 from meshnet.features import reltan_features
 from meshnet import tangent
-from meshnet.mesh import Mesh, generate_icosphere, vertex_normals
+from meshnet.mesh import Mesh, generate_grid_patch, generate_icosphere, vertex_normals
 from meshnet.tangent import EdgeGeometry, FrameField, _edge_projection, build_frames, regauge
 from meshnet.transforms import random_rotation
 
@@ -228,6 +228,56 @@ class TestTransportAngle:
         fr = FrameField(mesh, n, e1, e2)
         with pytest.raises(AmbiguousTransportError):
             transport_angle(0, 1, fr)
+
+
+class TestTransportReflection:
+    """``from_frames`` reflects q's e1 across the plane orthogonal to
+    ``n_q + n_p``; the Rodrigues rotation of the oracle is the reference."""
+
+    def test_every_edge_matches_the_oracle(self):
+        rng = np.random.default_rng(41)
+        for _ in range(6):
+            mesh = random_test_mesh(rng)
+            fr = build_frames(mesh)
+            regauged, _geom = regauge(fr, rng.uniform(-np.pi, np.pi, mesh.n_vertices))
+            for frames in (fr, regauged):
+                td = EdgeGeometry.from_frames(frames)
+                want = [transport_angle(int(p), int(q), frames)
+                        for p, q in zip(mesh.edge_dst, mesh.edge_src)]
+                npt.assert_allclose(wrap_angle(td.transport - want), 0.0, atol=1e-12)
+
+    def test_equal_normals_keep_the_first_axis(self):
+        # a flat patch: every normal is +z and m . e1q is exactly zero
+        mesh = generate_grid_patch(5, 6, 0.0)
+        fr, geom = regauge(build_frames(mesh), np.linspace(-3.0, 3.0, mesh.n_vertices))
+        assert np.array_equal(fr.normals, np.tile([0.0, 0, 1], (mesh.n_vertices, 1)))
+        e1q, p = fr.e1[mesh.edge_src], mesh.edge_dst
+        want = np.arctan2(np.einsum("ij,ij->i", e1q, fr.e2[p]),
+                          np.einsum("ij,ij->i", e1q, fr.e1[p]))
+        assert np.array_equal(geom.transport, want)
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 2e-8])
+    def test_near_antipodal_normals(self, gap):
+        # the rim normals of a fan tilt until 1 + n_q . n_p = gap at its centre;
+        # every vertex gets a drawn gauge, and a drawn rotation moves the fan
+        # off the axes so that 1 + n_q . n_p carries rounding
+        rng = np.random.default_rng(42)
+        fan = fan_mesh()
+        a, phi = np.arccos(gap - 1.0), rng.uniform(-np.pi, np.pi, 5)
+        n = np.stack([np.sin(a) * np.cos(phi), np.sin(a) * np.sin(phi),
+                      np.full(5, np.cos(a))], axis=1)
+        n[0] = [0, 0, 1]
+        e1 = np.cross(n, rng.standard_normal((5, 3)))
+        e1 /= np.linalg.norm(e1, axis=1)[:, None]
+        R = random_rotation(rng)
+        n, e1, mesh = n @ R.T, e1 @ R.T, fan.with_vertices(fan.vertices @ R.T)
+        fr = FrameField(mesh, n, e1, np.cross(n, e1))
+        c = np.einsum("ij,ij->i", n[mesh.edge_src], n[mesh.edge_dst])
+        npt.assert_allclose((1.0 + c).min(), gap, rtol=1e-6)
+        td = EdgeGeometry.from_frames(fr)
+        want = [transport_angle(int(p), int(q), fr)
+                for p, q in zip(mesh.edge_dst, mesh.edge_src)]
+        npt.assert_allclose(wrap_angle(td.transport - want), 0.0, atol=1e-11)
 
 
 class TestGaugeShiftLaw:
