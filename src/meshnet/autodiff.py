@@ -13,17 +13,17 @@ through ``_node``, which records the op (its Tensor operands, in order, and
 the closure) only when some operand requires a gradient, and otherwise
 returns a constant with no parents.  A no-grad mode is one more check there.
 
-Scatters (the adjoint of ``take_rows``, the forward of ``segment_sum``) are
-one ``np.bincount`` over flattened (row, column) positions.  bincount adds
-the contributions to each output entry in input order, which is the order
-``np.add.at`` uses, so the results are bit-identical to it.  The segment max
-of ``segment_softmax`` is one 1-D ``np.maximum.at`` over the same positions.
-``take_cols`` is no scatter: its columns are distinct, and its adjoint fills
-a zero block.
+Scatters (the adjoint of ``take_rows``, the forward of ``segment_sum``) go
+through a ``ScatterPlan``, kept by the caller or made for the op.  Sorted
+once, stably, it adds ``g[pos_j]`` to ``out[rows_j]`` in pass j, from zeros,
+so each row adds its entries in ascending k, as ``np.add.at`` does: the
+results are bit-identical to it.  Its segment max is one 1-D
+``np.maximum.at``: a max does not depend on order, and on one narrow column
+that is faster.  ``take_cols`` is no scatter: its adjoint fills a zero block.
 
 Per-edge rotations are phases: ``rotate_phase`` reads each order-n block of
 pair columns as complex128 and multiplies row e by ``exp(i n angle_e)``,
-computed from the angles on every call, so no table outlives the op.  Its
+from a ``Phases`` table that the caller keeps or that lives for the op.  Its
 adjoint is the same product with the conjugate phase.  A self kernel is
 applied in the same view: ``commuting_matmul`` multiplies each order's
 block by one matrix, real on the scalars and complex on the pairs.
@@ -41,6 +41,7 @@ most 220 with these thresholds.
 from __future__ import annotations
 
 import ctypes
+import functools
 
 import numpy as np
 
@@ -97,21 +98,55 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _positions(idx, g):
-    """The column count c of ``g``'s rows and the flattened positions
-    ``idx[k] * c + j`` of its entries, in ``g``'s order."""
-    c = int(np.prod(g.shape[1:]))
-    return c, idx if c == 1 else (idx[:, None] * c + np.arange(c)).ravel()
+class ScatterPlan:
+    """An index ``idx`` for scatter-adds.  Pass j, built on first use, holds the rows with
+    more than j entries (a slice if ``0..r-1``) and the position of each one's j-th."""
+
+    def __init__(self, idx):
+        self.idx = np.asarray(idx)
+
+    @functools.cached_property
+    def passes(self):
+        order = np.argsort(self.idx, kind="stable")
+        rows = self.idx[order]
+        if rows.size and rows[0] < 0:
+            raise IndexError(f"scatter index {rows[0]} is negative")
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        rank = np.arange(rows.size) - np.repeat(starts, np.diff(starts, append=rows.size))
+        by_rank = np.argsort(rank, kind="stable")
+        cuts = np.searchsorted(rank[by_rank], np.arange(1, rank.max(initial=0) + 1))
+        return tuple((slice(r.size) if (r := rows[k]).size and r[-1] == r.size - 1 else r,
+                      order[k]) for k in np.split(by_rank, cuts))
+
+    def add(self, g, n):
+        """Row k of ``g`` summed into row ``idx[k]`` of an n-row zero array."""
+        out = np.zeros((n,) + g.shape[1:])
+        for rows, pos in self.passes:
+            out[rows] += g[pos]
+        return out
+
+    def max(self, v, n):
+        """Each column's max within each of n rows (``-inf`` where empty)."""
+        c = int(np.prod(v.shape[1:]))
+        flat = self.idx if c == 1 else (self.idx[:, None] * c + np.arange(c)).ravel()
+        m = np.full(n * c, -np.inf)
+        np.maximum.at(m, flat, v.reshape(-1))
+        return m.reshape((n,) + v.shape[1:])
 
 
-def _scatter_rows(g, idx, n):
-    """Sum row k of ``g`` into row ``idx[k]`` of an n-row zero array.
+def _plan(idx):
+    return idx if isinstance(idx, ScatterPlan) else ScatterPlan(idx)
 
-    One ``np.bincount`` over the flattened positions: each output entry adds
-    its rows in ascending k, the order ``np.add.at`` uses.
-    """
-    c, flat = _positions(idx, g)
-    return np.bincount(flat, g.reshape(-1), n * c).reshape((n,) + g.shape[1:])
+
+class Phases(dict):
+    """Angles per row and, by order n, their phases ``exp(i n angle)`` once used."""
+
+    def __init__(self, angle):
+        self.angle = np.asarray(angle, dtype=np.float64)
+
+    def __missing__(self, n):
+        self[n] = np.exp(1j * n * self.angle)
+        return self[n]
 
 
 def _val(x):
@@ -346,9 +381,8 @@ def concat(tensors, axis=0) -> Tensor:
 
 def take_rows(x: Tensor, idx) -> Tensor:
     """Gather along axis 0; adjoint scatter-adds."""
-    idx = np.asarray(idx)
-    n = x.value.shape[0]
-    return _node(x.value[idx], (x,), lambda g: (_scatter_rows(g, idx, n),))
+    plan, n = _plan(idx), x.value.shape[0]
+    return _node(x.value[plan.idx], (x,), lambda g: (plan.add(g, n),))
 
 
 def take_cols(x: Tensor, cols) -> Tensor:
@@ -379,15 +413,16 @@ def rotate_phase(x: Tensor, angle, blocks) -> Tensor:
     axis that hold order-n pairs.  Read as complex128, a pair is ``x + iy``,
     and row e of the block is multiplied by ``exp(i n angle[e])``.  The
     rotation is orthogonal, so the adjoint is the product with the conjugate.
+    ``angle`` is the angles or their ``Phases``.
     """
     row = (-1,) + (1,) * (x.ndim - 1)
-    phases = [(lo, hi, np.exp(1j * n * angle).reshape(row)) for n, lo, hi in blocks]
+    phases = angle if isinstance(angle, Phases) else Phases(angle)
 
     def turn(v, conj):
         out = v.copy()
-        for lo, hi, u in phases:
+        for n, lo, hi in blocks:
             block = out[..., lo:hi].view(np.complex128)
-            block *= u.conj() if conj else u
+            block *= (phases[n].conj() if conj else phases[n]).reshape(row)
         return out
 
     return _node(turn(x.value, False), (x,), lambda g: (turn(g, True),))
@@ -433,22 +468,16 @@ def commuting_matmul(x: Tensor, w: Tensor, blocks, out_dim: int) -> Tensor:
 
 def segment_sum(x: Tensor, segments, n_segments: int) -> Tensor:
     """Sum rows of ``x`` into their segment; adjoint gathers."""
-    segments = np.asarray(segments)
-    return _node(_scatter_rows(x.value, segments, n_segments), (x,),
-                 lambda g: (g[segments],))
+    plan = _plan(segments)
+    return _node(plan.add(x.value, n_segments), (x,), lambda g: (g[plan.idx],))
 
 
 def segment_softmax(logits: Tensor, segments, n_segments: int) -> Tensor:
     """Softmax of each column within each segment, shifted by the segment max."""
-    segments = np.asarray(segments)
-    c, flat = _positions(segments, logits.value)
-    m = np.full(n_segments * c, -np.inf)
-    np.maximum.at(m, flat, logits.value.reshape(-1))
-    m = m.reshape((n_segments,) + logits.shape[1:])
-    shifted = logits - m[segments]  # constant shift, gradient-transparent
-    e = shifted.exp()
-    denom = segment_sum(e, segments, n_segments)
-    return e / take_rows(denom, segments)
+    plan = _plan(segments)
+    shift = plan.max(logits.value, n_segments)[plan.idx]  # gradient-transparent
+    e = (logits - shift).exp()
+    return e / take_rows(segment_sum(e, plan, n_segments), plan)
 
 
 def nll_loss(logits: Tensor, targets) -> Tensor:

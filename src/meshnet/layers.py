@@ -16,6 +16,8 @@ of :class:`~meshnet.representations.FeatureType` each order-n block of
 pairs, read as complex numbers, is multiplied by ``exp(i n angle_e)``.
 The constraint leaves ``K(0)`` free, so every neighbor kernel's parameter
 is the dense matrix ``K(0)`` itself.
+The gather by ``src``, the scatter by ``dst`` and both rotations read the
+geometry's edge plan, built once per geometry for every layer and pass.
 
 Equivariance ingredients:
 
@@ -73,13 +75,13 @@ BIAS_MODES = ("scalar", "additive", "none")
 
 def _transported(x: Tensor, geom: EdgeGeometry, in_type: FeatureType) -> Tensor:
     """Row e is ``rho_in(g_e - theta_e) x[src_e]``, the input of every ``K(0)``."""
-    return rotate_phase(take_rows(x, geom.src), geom.transport - geom.theta,
+    return rotate_phase(take_rows(x, geom.src_plan), geom.transport_phases,
                         in_type.vector_blocks)
 
 
 def _from_edge(y: Tensor, geom: EdgeGeometry, out_type: FeatureType) -> Tensor:
     """Row e is ``rho_out(theta_e) y_e``: a ``K(0)`` output back in p's frame."""
-    return rotate_phase(y, geom.theta, out_type.vector_blocks)
+    return rotate_phase(y, geom.theta_phases, out_type.vector_blocks)
 
 
 def _heads(t: FeatureType, heads: int):
@@ -177,7 +179,7 @@ class GemConvLayer:
         _check_input(self, x, geom)
         u = _transported(x, geom, self.in_type)
         msg = _from_edge(u @ self.neigh_kernel.T, geom, self.out_type)
-        agg = segment_sum(msg, geom.dst, geom.n_vertices)
+        agg = segment_sum(msg, geom.dst_plan, geom.n_vertices)
         y = self.self_kernel(x) + agg
         return self.bias.apply(y)
 
@@ -244,11 +246,11 @@ class EmanAttentionLayer:
         K = _from_edge((u @ self.key_kernel.T).reshape(-1, h, d), geom, self.att_head)
         V = _from_edge((u @ self.value_kernel.T).reshape(-1, h, dv), geom, self.out_head)
         Q = self.query_kernel(x).reshape(-1, h, d)
-        seg, size = geom.dst, geom.degrees.astype(np.float64)[:, None]
+        seg, size = geom.dst_plan, geom.degrees.astype(np.float64)[:, None]
         if self.self_contribution:
             K = concat([self.self_key_kernel(x).reshape(-1, h, d), K])
             V = concat([self.self_value_kernel(x).reshape(-1, h, dv), V])
-            seg, size = np.concatenate([np.arange(n), seg]), size + 1.0
+            seg, size = geom.self_plan, size + 1.0
         s = (K * take_rows(Q, seg)).sum(axis=2) * (1.0 / np.sqrt(d))
         alpha = segment_softmax(s, seg, n)
         out = segment_sum(V * alpha.reshape(-1, h, 1), seg, n).reshape(n, -1)

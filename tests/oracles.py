@@ -13,7 +13,7 @@ assembled from their coefficients through the same basis.
 
 ``rho_matrix`` and ``rep_block_diag`` are the dense representation
 matrices.  ``scatter_add`` is the ``np.add.at`` reference for the tape's
-bincount scatters, ``reference_rings`` the dict walk that the array
+plan scatters, ``reference_rings`` the dict walk that the array
 construction of ``Mesh`` neighbor rings is tested against, and
 ``neighbor_rings`` reads the stored rings back from ``edge_offsets``.
 ``reference_parse_off`` reads an OFF file one token at a time, the

@@ -280,7 +280,7 @@ class TestRotatePairs:
 
 
 class TestScattersMatchAddAt:
-    """The bincount scatters equal ``np.add.at`` bit for bit."""
+    """The plan scatters equal ``np.add.at`` bit for bit."""
 
     def setup_method(self):
         self.rng = np.random.default_rng(5)

@@ -203,7 +203,7 @@ def test_forward_needs_features_of_the_geometry_frames():
 def _isolated_vertex_geometry():
     # vertices 0 and 1 exchange an edge; vertex 2 has no neighbors
     return EdgeGeometry(src=[1, 0], dst=[0, 1], theta=[0.3, -1.2],
-                        transport=[0.1, 0.4], degrees=[1, 1, 0], n_vertices=3,
+                        transport=[0.1, 0.4], n_vertices=3,
                         frame_token=-1)
 
 
