@@ -84,7 +84,7 @@ def reltan_vectors(mesh: Mesh, frames: FrameField, power: float) -> np.ndarray:
         If ``|q-p|^{power-1}`` overflows or underflows so far that a
         vector is not finite (``power = 1e308``, say).
     """
-    src, dst = mesh.edge_src, mesh.edge_dst
+    src, dst = mesh.edges.src, mesh.edges.dst
     tang, _, dist = frames._projection
     zero = np.where(dist <= 0.0)[0]
     if zero.size:
@@ -97,7 +97,7 @@ def reltan_vectors(mesh: Mesh, frames: FrameField, power: float) -> np.ndarray:
         wsum = np.bincount(dst, w, mesh.n_vertices)
         contrib = unit * (wsum[dst] / w)[:, None]
         out = np.stack([np.bincount(dst, contrib[:, c], mesh.n_vertices)
-                        for c in range(3)], axis=1) * mesh.degrees[:, None] ** -1.5
+                        for c in range(3)], axis=1) * mesh.edges.degrees[:, None] ** -1.5
     bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if bad.size:
         raise NonFiniteFeatureError(int(bad[0]), power)

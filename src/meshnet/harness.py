@@ -90,16 +90,9 @@ def model_logits(model: Model, mesh: Mesh) -> np.ndarray:
 # Equivariance gap
 # ---------------------------------------------------------------------------
 
-def _ambient_for_family(family: str, suite) -> AmbientTransform:
-    if family == "rot_tr_scale":
-        return suite.ambient
-    if family == "rot":
-        return AmbientTransform(rotation=suite.ambient.rotation)
-    if family == "translate":
-        return AmbientTransform(translation=suite.ambient.translation)
-    if family == "scale":
-        return AmbientTransform(scale=suite.ambient.scale)
-    raise ValueError(f"not an ambient family: {family}")
+# the parts of a suite's similarity that each ambient family applies
+_AMBIENT_PARTS = {"rot_tr_scale": ("rotation", "translation", "scale"), "rot": ("rotation",),
+                  "translate": ("translation",), "scale": ("scale",)}
 
 
 def transformed_logits(model: Model, mesh: Mesh, family: str, suite) -> np.ndarray:
@@ -120,7 +113,8 @@ def transformed_logits(model: Model, mesh: Mesh, family: str, suite) -> np.ndarr
         if spec.task == "segmentation":
             return suite.perm.unpermute_rows(logits)
         return logits
-    return model_logits(model, apply_ambient(mesh, _ambient_for_family(family, suite)))
+    parts = {k: getattr(suite.ambient, k) for k in _AMBIENT_PARTS[family]}
+    return model_logits(model, apply_ambient(mesh, AmbientTransform(**parts)))
 
 
 def _transform_suite(cfg: RunConfig, n_vertices: int, rng):

@@ -16,8 +16,9 @@ of :class:`~meshnet.representations.FeatureType` each order-n block of
 pairs, read as complex numbers, is multiplied by ``exp(i n angle_e)``.
 The constraint leaves ``K(0)`` free, so every neighbor kernel's parameter
 is the dense matrix ``K(0)`` itself.
-The gather by ``src``, the scatter by ``dst`` and both rotations read the
-geometry's edge plan, built once per geometry for every layer and pass.
+The gather by ``src`` and the scatter by ``dst`` read the plans of the
+mesh's ``Edges``, built once per mesh; both rotations read phase tables
+built once per geometry.
 
 Equivariance ingredients:
 
@@ -75,7 +76,7 @@ BIAS_MODES = ("scalar", "additive", "none")
 
 def _transported(x: Tensor, geom: EdgeGeometry, in_type: FeatureType) -> Tensor:
     """Row e is ``rho_in(g_e - theta_e) x[src_e]``, the input of every ``K(0)``."""
-    return rotate_phase(take_rows(x, geom.src_plan), geom.transport_phases,
+    return rotate_phase(take_rows(x, geom.edges.src_plan), geom.transport_phases,
                         in_type.vector_blocks)
 
 
@@ -155,8 +156,8 @@ def _check_input(layer, x: Tensor, geom: EdgeGeometry, empty_ok: bool = False):
             f"layer expects type {layer.in_type} (dim {layer.in_type.dim}), "
             f"got feature dim {x.shape[1]}"
         )
-    if not empty_ok and (geom.degrees == 0).any():
-        raise EmptyNeighborhoodError(int(np.where(geom.degrees == 0)[0][0]))
+    if not empty_ok and (geom.edges.degrees == 0).any():
+        raise EmptyNeighborhoodError(int(np.where(geom.edges.degrees == 0)[0][0]))
 
 
 class GemConvLayer:
@@ -179,7 +180,7 @@ class GemConvLayer:
         _check_input(self, x, geom)
         u = _transported(x, geom, self.in_type)
         msg = _from_edge(u @ self.neigh_kernel.T, geom, self.out_type)
-        agg = segment_sum(msg, geom.dst_plan, geom.n_vertices)
+        agg = segment_sum(msg, geom.edges.dst_plan, geom.edges.n_vertices)
         y = self.self_kernel(x) + agg
         return self.bias.apply(y)
 
@@ -241,16 +242,16 @@ class EmanAttentionLayer:
         weights, one column per head.  With self contribution each vertex's
         own key and value are a segment entry ahead of the edges."""
         _check_input(self, x, geom, empty_ok=self.self_contribution)
-        n, h, d, dv = geom.n_vertices, self.heads, self.att_head.dim, self.out_head.dim
+        n, h, d, dv = geom.edges.n_vertices, self.heads, self.att_head.dim, self.out_head.dim
         u = _transported(x, geom, self.in_type)
         K = _from_edge((u @ self.key_kernel.T).reshape(-1, h, d), geom, self.att_head)
         V = _from_edge((u @ self.value_kernel.T).reshape(-1, h, dv), geom, self.out_head)
         Q = self.query_kernel(x).reshape(-1, h, d)
-        seg, size = geom.dst_plan, geom.degrees.astype(np.float64)[:, None]
+        size = geom.edges.degrees[:, None] + float(self.self_contribution)
+        seg = geom.edges.self_plan if self.self_contribution else geom.edges.dst_plan
         if self.self_contribution:
             K = concat([self.self_key_kernel(x).reshape(-1, h, d), K])
             V = concat([self.self_value_kernel(x).reshape(-1, h, dv), V])
-            seg, size = geom.self_plan, size + 1.0
         s = (K * take_rows(Q, seg)).sum(axis=2) * (1.0 / np.sqrt(d))
         alpha = segment_softmax(s, seg, n)
         out = segment_sum(V * alpha.reshape(-1, h, 1), seg, n).reshape(n, -1)

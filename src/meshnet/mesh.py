@@ -5,8 +5,9 @@ checks the faces with array operations over their directed edges (index
 range, degenerate faces, manifold edges, consistent orientation), then
 walks all fans in lock-step over the sorted link edges to store each vertex's
 neighbor ring in the cyclic order the oriented fan induces, so that all
-downstream per-neighbor sums have a reproducible order.  The ring of p is
-the block ``edge_src[edge_offsets[p]:edge_offsets[p + 1]]``.
+downstream per-neighbor sums have a reproducible order.  The rings are the
+read-only :class:`Edges` ``mesh.edges``, in vertex order: the ring of p is
+the ``degrees[p]`` entries of ``edges.src`` after the first ``degrees[:p].sum()``.
 
 A mesh derived from another one -- new vertex positions
 (:meth:`Mesh.with_vertices`) or a relabelling of its vertices
@@ -14,16 +15,19 @@ A mesh derived from another one -- new vertex positions
 path that reuses the source's faces and rings.  Those were validated when
 the source was built and stay valid under new positions or a bijective
 relabelling, so the path checks only the new vertex array and the size of
-the relabelling, and relabels the rings with one gather, walking no face.
+the relabelling.  New positions share the source's ``Edges`` and its scatter
+plans; a relabelling gathers the rings into new ``Edges``, walking no face.
 """
 
 from __future__ import annotations
 
 import io
 import warnings
+from functools import cached_property
 
 import numpy as np
 
+from .autodiff import ScatterPlan
 from .errors import (
     DegenerateFaceError,
     DegenerateNormalError,
@@ -39,6 +43,7 @@ from .errors import (
 
 __all__ = [
     "Mesh",
+    "Edges",
     "load_mesh",
     "save_mesh",
     "face_geometry",
@@ -46,6 +51,38 @@ __all__ = [
     "generate_icosphere",
     "generate_grid_patch",
 ]
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+class Edges:
+    """Read-only directed edges q -> p: ``src`` is the neighbor q, ``dst``
+    the receiving p, and ``degrees`` counts the edges into each of the
+    ``n_vertices`` vertices.  The ``ScatterPlan`` of ``src``, ``dst`` and
+    ``arange(V) ++ dst`` is built on first use and kept, so every geometry,
+    layer and pass over these edges shares one.  Unless ``src`` and ``dst``
+    are 1-D of one length, every index in ``[0, n_vertices)``, construction
+    raises :class:`MeshValidationError`.
+    """
+
+    def __init__(self, src, dst, n_vertices):
+        src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+        self.n_vertices = V = int(n_vertices)
+        if src.ndim != 1 or src.shape != dst.shape:
+            raise MeshValidationError(f"edges need 1-D src and dst of one length, got "
+                                      f"shapes {src.shape} and {dst.shape}")
+        outside = np.flatnonzero((np.minimum(src, dst) < 0) | (np.maximum(src, dst) >= V))
+        if outside.size:
+            raise MeshValidationError(f"edge {outside[0]} names a vertex outside 0..{V - 1}")
+        self.src, self.dst, self.degrees = _frozen(src, dst, np.bincount(dst, minlength=V))
+
+    src_plan = cached_property(lambda self: ScatterPlan(self.src))
+    dst_plan = cached_property(lambda self: ScatterPlan(self.dst))
+    self_plan = cached_property(lambda self: ScatterPlan(np.r_[:self.n_vertices, self.dst]))
 
 
 class Mesh:
@@ -62,13 +99,9 @@ class Mesh:
     ----------
     vertices : ndarray, shape (V, 3)
     faces : ndarray, shape (F, 3)
-    edge_dst, edge_src : ndarray, shape (E,)
-        Directed edges q -> p flattened in vertex order: ``edge_dst`` is the
-        receiving vertex p, ``edge_src`` the neighbor q.
-    edge_offsets : ndarray, shape (V + 1,)
-        CSR-style offsets of each vertex's edge block.  With
-        ``a, b = edge_offsets[p], edge_offsets[p + 1]``, ``edge_src[a:b]`` is
-        the neighbor ring of p in oriented-fan order.  Closed fans start at
+    edges : Edges
+        Directed edges q -> p in vertex order: the ``src`` of the edges into
+        p is its neighbor ring in oriented-fan order.  Closed fans start at
         the smallest neighbor index; open fans (boundary vertices) start at
         the head of the chain.
     """
@@ -80,10 +113,10 @@ class Mesh:
             raise ValueError("face array must have shape (F, 3)")
         order = self._validate_faces()
         self.faces.flags.writeable = False
-        self._set_rings(*self._build_neighbor_rings(order))
-        low = np.flatnonzero(self.degrees < 2)
+        self.edges = self._build_neighbor_rings(order)
+        low = np.flatnonzero(self.edges.degrees < 2)
         if low.size:
-            raise DegreeError(int(low[0]), int(self.degrees[low[0]]))
+            raise DegreeError(int(low[0]), int(self.edges.degrees[low[0]]))
 
     def _set_vertices(self, vertices):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
@@ -93,14 +126,6 @@ class Mesh:
             bad = ~np.isfinite(self.vertices).all(axis=1)
             raise NonFiniteVertexError(int(np.argmax(bad)))
         self.vertices.flags.writeable = False
-
-    def _set_rings(self, degrees, edge_src):
-        self.degrees = degrees
-        self.edge_offsets = np.concatenate([[0], np.cumsum(degrees)])
-        self.edge_dst = np.repeat(np.arange(self.n_vertices), degrees)
-        self.edge_src = edge_src
-        for a in (self.degrees, self.edge_offsets, self.edge_dst, self.edge_src):
-            a.flags.writeable = False
 
     @property
     def n_vertices(self):
@@ -113,7 +138,7 @@ class Mesh:
     @property
     def n_edges(self):
         """Number of directed edges."""
-        return self.edge_src.shape[0]
+        return self.edges.src.shape[0]
 
     def _validate_faces(self):
         """Check the faces; return the stable argsort of the edges i -> j by i*V + j."""
@@ -179,7 +204,7 @@ class Mesh:
         bad = np.flatnonzero(length != degrees)
         if bad.size:
             raise NonManifoldVertexError(int(bad[0]))
-        return degrees, edge_src
+        return Edges(edge_src, np.repeat(np.arange(V), degrees), V)
 
     def with_vertices(self, vertices):
         """Same combinatorics, new vertex positions (keeps stored rings)."""
@@ -190,8 +215,8 @@ class Mesh:
 
         ``vertices`` holds the new position of every vertex under its current
         label and ``forward[old] = new`` relabels them.  Only this new input
-        is checked; the read-only combinatorics are shared, or mapped through
-        the relabelling with every ring kept in order.
+        is checked; the read-only faces and edges are shared, or mapped
+        through the relabelling with every ring kept in order.
         """
         V = self.n_vertices
         vertices = np.asarray(vertices, dtype=np.float64)
@@ -213,10 +238,11 @@ class Mesh:
         out.faces = forward[self.faces]
         out.faces.flags.writeable = False
         inverse = np.argsort(forward)
-        degrees = self.degrees[inverse]
-        starts = np.cumsum(degrees) - degrees
-        ring_pos = np.arange(self.n_edges) - np.repeat(starts - self.edge_offsets[inverse], degrees)
-        out._set_rings(degrees, forward[self.edge_src[ring_pos]])
+        old = self.edges.degrees
+        degrees = old[inverse]
+        shift = (np.cumsum(degrees) - degrees) - (np.cumsum(old) - old)[inverse]
+        ring_pos = np.arange(self.n_edges) - np.repeat(shift, degrees)
+        out.edges = Edges(forward[self.edges.src[ring_pos]], np.repeat(np.arange(V), degrees), V)
         return out
 
     def __repr__(self):
@@ -246,10 +272,7 @@ def face_geometry(mesh: Mesh):
     bad = np.where(norms <= 1e-14 * np.maximum(scale, 1e-300))[0]
     if bad.size:
         raise DegenerateFaceError(int(bad[0]), "zero area")
-    out = cross / norms[:, None], 0.5 * norms
-    for a in out:
-        a.flags.writeable = False
-    return out
+    return _frozen(cross / norms[:, None], 0.5 * norms)
 
 
 def vertex_normals(mesh: Mesh) -> np.ndarray:
@@ -518,22 +541,18 @@ def generate_icosphere(subdivisions: int = 0) -> Mesh:
 
 
 def _subdivide_midpoint(verts, faces):
-    verts = list(map(tuple, verts))
-    midpoint = {}
-
-    def mid(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in midpoint:
-            vi, vj = np.array(verts[i]), np.array(verts[j])
-            verts.append(tuple(0.5 * (vi + vj)))
-            midpoint[key] = len(verts) - 1
-        return midpoint[key]
-
-    new_faces = []
-    for a, b, c in faces:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        new_faces.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
-    return np.array(verts, dtype=np.float64), np.array(new_faces, dtype=np.int64)
+    """Four faces per face; a new vertex per edge, numbered in the order a walk
+    of the faces meets the edges ab, bc, ca."""
+    V = len(verts)
+    i, j = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
+    _, first, inverse = np.unique(np.minimum(i, j) * V + np.maximum(i, j),
+                                  return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))
+    (a, b, c), (ab, bc, ca) = faces.T, (V + rank[inverse]).reshape(-1, 3).T
+    met = np.sort(first)  # where the walk meets each edge first
+    mids = 0.5 * (verts[i[met]] + verts[j[met]])
+    return (np.concatenate([verts, mids]),
+            np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3))
 
 
 def generate_grid_patch(rows: int, cols: int, height_noise_amplitude: float = 0.0,
@@ -549,15 +568,8 @@ def generate_grid_patch(rows: int, cols: int, height_noise_amplitude: float = 0.
     ii, jj = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
     z = height_noise_amplitude * rng.uniform(-1.0, 1.0, size=(rows, cols))
     verts = np.stack([jj.ravel().astype(float), ii.ravel().astype(float), z.ravel()], axis=1)
-    faces = []
-    for i in range(rows - 1):
-        for j in range(cols - 1):
-            a = i * cols + j
-            b = i * cols + j + 1
-            c = (i + 1) * cols + j
-            d = (i + 1) * cols + j + 1
-            # CCW when viewed from +z
-            faces.append([a, b, d])
-            faces.append([a, d, c])
-    return Mesh(verts, np.array(faces, dtype=np.int64))
+    a = (np.arange(rows - 1)[:, None] * cols + np.arange(cols - 1)).ravel()
+    b, c, d = a + 1, a + cols, a + cols + 1
+    # faces (a, b, d) and (a, d, c) of each cell, CCW when viewed from +z
+    return Mesh(verts, np.stack([a, b, d, a, d, c], axis=1).reshape(-1, 3))
 

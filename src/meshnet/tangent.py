@@ -3,7 +3,7 @@
 Every vertex carries an orthonormal frame (e1, e2) of its tangent plane such
 that (e1, e2, n) is positively oriented.  Features are expressed in these
 frames.  An :class:`EdgeGeometry` carries, for every directed edge q -> p,
-the two angles the equivariant layers consume:
+the two read-only angles the equivariant layers consume:
 
 * ``theta``   -- angle of the neighbor's log-map image in the frame at p,
 * ``transport`` -- frame-alignment angle after rotating the neighbor's
@@ -30,14 +30,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .autodiff import Phases, ScatterPlan
+from .autodiff import Phases
 from .errors import (
     AmbiguousTransportError,
     FrameBindingError,
     FrameConstructionError,
+    MeshValidationError,
     UndefinedLogMapError,
 )
-from .mesh import Mesh, vertex_normals
+from .mesh import Edges, Mesh, _frozen, vertex_normals
 
 __all__ = [
     "FrameField",
@@ -69,12 +70,8 @@ class FrameField:
 
     def __init__(self, mesh, normals, e1, e2):
         self.mesh = mesh
-        self.normals = np.asarray(normals, dtype=np.float64)
-        self.e1 = np.asarray(e1, dtype=np.float64)
-        self.e2 = np.asarray(e2, dtype=np.float64)
+        self.normals, self.e1, self.e2 = _frozen(*(np.asarray(a, float) for a in (normals, e1, e2)))
         self.token = next(_token_counter)
-        for a in (self.normals, self.e1, self.e2):
-            a.flags.writeable = False
 
     @cached_property
     def _projection(self):
@@ -85,13 +82,10 @@ class FrameField:
 def _edge_projection(mesh: Mesh, normals):
     """``w = d - n_p (n_p . d)``, ``|w|`` and ``|d|`` for the offset ``d = q - p``
     of every directed edge q -> p, in edge order (read-only arrays)."""
-    npm = normals[mesh.edge_dst]
-    d = mesh.vertices[mesh.edge_src] - mesh.vertices[mesh.edge_dst]
+    npm = normals[mesh.edges.dst]
+    d = mesh.vertices[mesh.edges.src] - mesh.vertices[mesh.edges.dst]
     w = d - npm * np.einsum("ij,ij->i", npm, d)[:, None]
-    out = w, np.linalg.norm(w, axis=1), np.linalg.norm(d, axis=1)
-    for a in out:
-        a.flags.writeable = False
-    return out
+    return _frozen(w, np.linalg.norm(w, axis=1), np.linalg.norm(d, axis=1))
 
 
 def build_frames(mesh: Mesh) -> FrameField:
@@ -109,7 +103,7 @@ def build_frames(mesh: Mesh) -> FrameField:
     normals = vertex_normals(mesh)
     w, wn, dn = _edge_projection(mesh, normals)
     defined = wn > _PROJECTION_TOL * np.maximum(dn, 1e-300)  # log map defined
-    counts = np.bincount(mesh.edge_dst[defined], minlength=mesh.n_vertices)
+    counts = np.bincount(mesh.edges.dst[defined], minlength=mesh.n_vertices)
     if not counts.all():
         raise FrameConstructionError(int(np.argmin(counts)))
     first = np.flatnonzero(defined)[np.cumsum(counts) - counts]  # one per vertex
@@ -120,19 +114,19 @@ def build_frames(mesh: Mesh) -> FrameField:
 
 
 class EdgeGeometry:
-    """Per-directed-edge angles, aligned with ``mesh.edge_src/edge_dst``.
+    """Read-only copies of the two angles of every edge of ``edges``.
 
-    The layers only ever touch ``src``/``dst``, the two angles and the edge
-    plan, so tests can hand-construct instances for degenerate cases.  The
-    plan is built part by part on first use, never by :meth:`from_frames` or
-    :func:`regauge`, and kept: the ``ScatterPlan`` of ``src``, ``dst`` and
-    ``arange(V) ++ dst``, and the ``Phases`` of ``theta`` and ``transport -
-    theta`` (about 0.25 MB for orders 1 and 2 at E=3840).
+    The layers only ever touch ``edges`` (shared by every geometry of one
+    mesh, with its scatter plans), the angles and their ``Phases`` tables,
+    so tests can hand-construct instances for degenerate cases.  The tables
+    of ``theta`` and ``transport - theta`` are built on first use, never by
+    :meth:`from_frames` or :func:`regauge`, and kept (about 0.25 MB for
+    orders 1 and 2 at E=3840).
 
     Attributes
     ----------
-    src, dst : ndarray, shape (E,)
-        Directed edges q -> p: ``src`` is q, ``dst`` the receiving p.
+    edges : Edges
+        Directed edges q -> p: ``edges.src`` is q, ``edges.dst`` the receiving p.
     theta : ndarray, shape (E,)
         Neighbor angle of q in the frame at p for each edge q -> p.
     transport : ndarray, shape (E,)
@@ -140,27 +134,24 @@ class EdgeGeometry:
         by g expresses them in p's gauge, and regauging shifts g by
         ``-g_p + g_q``.  It is the angle in p's frame of q's ``e1`` reflected
         across the plane orthogonal to ``n_q + n_p`` (see the module notes).
-    degrees : ndarray, shape (V,)
-    n_vertices : int
     frame_token : int
         Token of the FrameField these angles refer to.
+
+    Raises
+    ------
+    MeshValidationError
+        Unless ``theta`` and ``transport`` hold one angle per edge.
     """
 
-    def __init__(self, src, dst, theta, transport, n_vertices, frame_token):
-        self.src = np.asarray(src, dtype=np.int64)
-        self.dst = np.asarray(dst, dtype=np.int64)
-        self.theta = np.asarray(theta, dtype=np.float64)
-        self.transport = np.asarray(transport, dtype=np.float64)
-        self.n_vertices = int(n_vertices)
-        self.frame_token = frame_token
+    def __init__(self, edges: Edges, theta, transport, frame_token):
+        self.edges, self.frame_token = edges, frame_token
+        self.theta, self.transport = _frozen(np.array(theta, float), np.array(transport, float))
+        if not self.theta.shape == self.transport.shape == edges.src.shape:
+            raise MeshValidationError(f"{edges.src.size} edges need one theta and transport each, "
+                                      f"got shapes {self.theta.shape} and {self.transport.shape}")
 
-    src_plan = cached_property(lambda self: ScatterPlan(self.src))
-    dst_plan = cached_property(lambda self: ScatterPlan(self.dst))
-    self_plan = cached_property(lambda self: ScatterPlan(np.r_[:self.n_vertices, self.dst]))
     theta_phases = cached_property(lambda self: Phases(self.theta))
     transport_phases = cached_property(lambda self: Phases(self.transport - self.theta))
-    degrees = cached_property(
-        lambda self: self.dst_plan.add(np.ones(self.dst.size), self.n_vertices).astype(np.int64))
 
     @classmethod
     def from_frames(cls, frames: FrameField, geometry: EdgeGeometry | None = None):
@@ -178,7 +169,7 @@ class EdgeGeometry:
                 raise FrameBindingError("edge geometry was computed for different frames")
             return geometry
         mesh = frames.mesh
-        src, dst = mesh.edge_src, mesh.edge_dst
+        src, dst = mesh.edges.src, mesh.edges.dst
         npm = frames.normals[dst]
         e1p, e2p = frames.e1[dst], frames.e2[dst]
 
@@ -200,7 +191,7 @@ class EdgeGeometry:
         g = np.arctan2(
             np.einsum("ij,ij->i", re1, e2p), np.einsum("ij,ij->i", re1, e1p)
         )
-        return cls(src, dst, theta, g, mesh.n_vertices, frames.token)
+        return cls(mesh.edges, theta, g, frames.token)
 
 
 def regauge(frames: FrameField, angles):

@@ -15,7 +15,9 @@ assembled from their coefficients through the same basis.
 matrices.  ``scatter_add`` is the ``np.add.at`` reference for the tape's
 plan scatters, ``reference_rings`` the dict walk that the array
 construction of ``Mesh`` neighbor rings is tested against, and
-``neighbor_rings`` reads the stored rings back from ``edge_offsets``.
+``neighbor_rings`` reads the stored rings back from ``mesh.edges``.
+``reference_subdivide`` and ``reference_grid_faces`` are the loops the
+array mesh generators are tested against.
 ``reference_parse_off`` reads an OFF file one token at a time, the
 reference for the block-at-once numpy reader of ``meshnet.mesh``.
 
@@ -383,8 +385,9 @@ def scatter_add(values, idx, n):
 
 
 def neighbor_rings(mesh: Mesh):
-    """The stored neighbor ring of every vertex, read from ``edge_offsets``."""
-    return np.split(mesh.edge_src, mesh.edge_offsets[1:-1])
+    """The stored neighbor ring of every vertex: ``degrees[p]`` entries of
+    ``edges.src`` after those of the vertices before p."""
+    return np.split(mesh.edges.src, np.cumsum(mesh.edges.degrees)[:-1])
 
 
 def reference_rings(faces, n_vertices):
@@ -409,6 +412,34 @@ def reference_rings(faces, n_vertices):
             raise NonManifoldVertexError(p)
         rings.append(np.array(ring, dtype=np.int64))
     return rings
+
+
+def reference_subdivide(verts, faces):
+    """Midpoint subdivision walked face by face with a dict of edge midpoints:
+    one new vertex per edge, in the order the walk meets the edges."""
+    verts, midpoint, new_faces = [tuple(v) for v in verts], {}, []
+
+    def mid(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in midpoint:
+            verts.append(tuple(0.5 * (np.array(verts[i]) + np.array(verts[j]))))
+            midpoint[key] = len(verts) - 1
+        return midpoint[key]
+
+    for a, b, c in np.asarray(faces).tolist():
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
+    return np.array(verts, dtype=np.float64), np.array(new_faces, dtype=np.int64)
+
+
+def reference_grid_faces(rows, cols):
+    """The faces (a, b, d) and (a, d, c) of every grid cell, cell by cell."""
+    faces = []
+    for i in range(rows - 1):
+        for j in range(cols - 1):
+            a, c = i * cols + j, (i + 1) * cols + j
+            faces += [[a, a + 1, c + 1], [a, c + 1, c]]
+    return np.array(faces, dtype=np.int64)
 
 
 def random_test_mesh(rng, max_subdivisions=1):
@@ -502,8 +533,8 @@ def _reference_off_error(path, ln, form, line):
 
 def _edge_data(mesh: Mesh, td):
     for p in range(mesh.n_vertices):
-        sl = slice(mesh.edge_offsets[p], mesh.edge_offsets[p + 1])
-        yield p, mesh.edge_src[sl], td.theta[sl], td.transport[sl]
+        sl = mesh.edges.dst == p
+        yield p, mesh.edges.src[sl], td.theta[sl], td.transport[sl]
 
 
 # ---------------------------------------------------------------------------

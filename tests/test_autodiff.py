@@ -287,7 +287,7 @@ class TestScattersMatchAddAt:
         mesh = generate_icosphere(1)
         n = mesh.n_vertices
         # edges into the last vertex are dropped, so one segment is empty
-        dst = mesh.edge_dst[mesh.edge_dst != n - 1]
+        dst = mesh.edges.dst[mesh.edges.dst != n - 1]
         # self contributions ahead of the edges (the self-contribution
         # layout of the attention layer): the segments are unsorted; and an
         # empty index, where every segment is empty

@@ -1,8 +1,12 @@
-"""The edge plan of an ``EdgeGeometry``: scatter plans and phase tables.
+"""The edge plan: scatter plans of a mesh's ``Edges``, phase tables of an
+``EdgeGeometry``.
 
-Plan scatters must equal ``np.add.at`` bit for bit on any index, the plan
-must be built lazily and at most once per geometry, and ``degrees`` is
-counted from ``dst`` rather than passed in.
+Plan scatters must equal ``np.add.at`` bit for bit on any index.  Each part
+is built lazily and at most once: a scatter plan once per ``Edges``, which
+the base, regauged and moved geometries of one mesh share and a relabelled
+mesh builds anew, and a phase table once per geometry.  ``degrees`` is
+counted from ``dst`` rather than passed in.  Hand-built edges and angles are
+checked once, on construction, and every array is read-only.
 """
 
 import functools
@@ -24,9 +28,11 @@ from meshnet.autodiff import (
     segment_sum,
     take_rows,
 )
+from meshnet.datasets import segmentation_spheres
+from meshnet.errors import MeshValidationError
 from meshnet.features import compute_features
 from meshnet.layers import EmanAttentionLayer
-from meshnet.mesh import generate_icosphere
+from meshnet.mesh import Edges, generate_icosphere
 from meshnet.model import ModelSpec, build_model
 from meshnet.representations import FeatureType
 from meshnet.tangent import EdgeGeometry, build_frames, regauge
@@ -40,15 +46,16 @@ from meshnet.transforms import (
 
 from oracles import scatter_add
 
-PARTS = ("src_plan", "dst_plan", "self_plan", "theta_phases", "transport_phases",
-         "degrees")
+PLANS = ("src_plan", "dst_plan", "self_plan")  # of the Edges
+PHASES = ("theta_phases", "transport_phases")  # of the EdgeGeometry
 # values with signed zeros, small enough that no sum overflows
 VALUES = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-1e3, 1e3))
 HIDDEN = FeatureType.parse(ModelSpec().hidden_type)
 
 
 def _built(geom):
-    return [p for p in PARTS if p in vars(geom)]
+    return ([p for p in PLANS if p in vars(geom.edges)]
+            + [p for p in PHASES if p in vars(geom)])
 
 
 def _settings(n):
@@ -94,22 +101,53 @@ def test_negative_scatter_index_rejected():
         y.sum().backward()
 
 
-# -- degrees --------------------------------------------------------------------
+# -- hand-built edges and angles ---------------------------------------------------
+
+def _pair_edges():
+    # vertices 0 and 1 exchange an edge
+    return Edges(src=[1, 0], dst=[0, 1], n_vertices=2)
+
 
 def _pair_geometry():
-    # vertices 0 and 1 exchange an edge
-    return EdgeGeometry(src=[1, 0], dst=[0, 1], theta=[0.3, -1.2],
-                        transport=[0.1, 0.4], n_vertices=2, frame_token=-1)
+    return EdgeGeometry(_pair_edges(), theta=[0.3, -1.2], transport=[0.1, 0.4],
+                        frame_token=-1)
 
 
 def test_degrees_are_counted_from_dst():
-    assert "degrees" not in inspect.signature(EdgeGeometry).parameters
-    geom = _pair_geometry()
-    assert geom.degrees.dtype == np.int64
-    assert geom.degrees.tolist() == [1, 1]
+    assert "degrees" not in inspect.signature(Edges).parameters
+    edges = _pair_edges()
+    assert edges.degrees.dtype == np.int64
+    assert edges.degrees.tolist() == [1, 1]
     mesh = generate_icosphere(2)
-    assert np.array_equal(EdgeGeometry.from_frames(build_frames(mesh)).degrees,
-                          mesh.degrees)
+    assert EdgeGeometry.from_frames(build_frames(mesh)).edges is mesh.edges
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Edges(src=[-1, 0], dst=[0, 1], n_vertices=2),
+    lambda: Edges(src=[1, 0], dst=[0, 2], n_vertices=2),
+    lambda: Edges(src=[1, 0, 1], dst=[0, 1], n_vertices=2),
+    lambda: Edges(src=[[1, 0]], dst=[[0, 1]], n_vertices=2),
+    lambda: EdgeGeometry(_pair_edges(), theta=[0.3], transport=[0.1, 0.4], frame_token=-1),
+    lambda: EdgeGeometry(_pair_edges(), theta=[0.3, -1.2], transport=[[0.1, 0.4]],
+                         frame_token=-1),
+], ids=["negative_src", "dst_past_last_vertex", "src_longer_than_dst", "two_dimensional",
+        "one_theta_for_two_edges", "transport_not_one_per_edge"])
+def test_bad_hand_built_geometry_rejected(make):
+    # unchecked, a negative src gathers x[-1], a longer src runs GEM and one
+    # theta is broadcast to every edge
+    with pytest.raises(MeshValidationError):
+        make()
+
+
+def test_edges_and_angles_are_read_only():
+    theta = np.array([0.3, -1.2])
+    hand_built = EdgeGeometry(_pair_edges(), theta, [0.1, 0.4], frame_token=-1)
+    assert not np.shares_memory(hand_built.theta, theta)
+    for geom in (hand_built, EdgeGeometry.from_frames(build_frames(_mesh()))):
+        edges = geom.edges
+        for a in (geom.theta, geom.transport, edges.src, edges.dst, edges.degrees):
+            with pytest.raises(ValueError, match="read-only"):
+                a[:] += 1
 
 
 def test_every_vertex_with_an_edge_is_accepted():
@@ -127,8 +165,15 @@ def test_every_vertex_with_an_edge_is_accepted():
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Every scatter plan's passes and every phase table built, as they are built."""
+    """Every ``Edges``, scatter plan's passes and phase table built, as they are built."""
     log = []
+    init_edges = Edges.__init__
+
+    def edges(self, *args, **kwargs):
+        init_edges(self, *args, **kwargs)
+        log.append(("edges", self))
+
+    monkeypatch.setattr(Edges, "__init__", edges)
     build_passes = ScatterPlan.passes.func
 
     def passes(plan):
@@ -163,7 +208,8 @@ def test_geometry_builders_build_no_plan(builds):
                                                  np.ones(3), 1.5))
     geoms.append(EdgeGeometry.from_frames(build_frames(moved)))
     assert [_built(g) for g in geoms] == [[], [], []]
-    assert builds == []
+    assert builds == [("edges", mesh.edges)]
+    assert all(g.edges is mesh.edges for g in geoms)
 
 
 def _model(kind, self_contribution):
@@ -184,7 +230,7 @@ def _step(model, mesh, frames, geom):
 @pytest.mark.parametrize("kind, self_contribution, parts", [
     ("gem", False, {"src_plan", "dst_plan"}),
     ("eman", False, {"src_plan", "dst_plan"}),
-    ("eman", True, {"src_plan", "dst_plan", "self_plan"}),
+    ("eman", True, {"src_plan", "self_plan"}),
 ])
 def test_forward_backward_builds_each_part_once(builds, kind, self_contribution, parts):
     mesh = _mesh()
@@ -193,9 +239,9 @@ def test_forward_backward_builds_each_part_once(builds, kind, self_contribution,
     model = _model(kind, self_contribution)
     for _ in range(2):  # the second step builds nothing new
         _step(model, mesh, frames, geom)
-    plans = {name: getattr(geom, name) for name in parts}
+    plans = {name: getattr(geom.edges, name) for name in parts}
     built = [entry[1] for entry in builds if entry[0] == "passes"]
-    assert set(_built(geom)) == parts | {"degrees", "theta_phases", "transport_phases"}
+    assert set(_built(geom)) == parts | set(PHASES)
     for name, plan in plans.items():
         assert sum(p is plan for p in built) == 1, name
     # a plan made for the op, one a step: the (row, column) pick of nll_loss
@@ -208,22 +254,46 @@ def test_forward_backward_builds_each_part_once(builds, kind, self_contribution,
     assert len(tables) == 2 * len(orders)
 
 
-def test_permuted_geometry_holds_its_own_plan():
+def test_permuted_geometry_holds_its_own_plan(builds):
     mesh = _mesh()
     frames = build_frames(mesh)
-    geom = EdgeGeometry.from_frames(frames)
-    model = _model("eman", True)
-    base = _step(model, mesh, frames, geom)
+    regauged, geom_g = regauge(frames, np.linspace(-3.0, 3.0, mesh.n_vertices))
+    moved = apply_ambient(mesh, AmbientTransform(random_rotation(np.random.default_rng(2)),
+                                                 np.ones(3), 1.5))
+    frames_m = build_frames(moved)
+    # the base, gauge and ambient geometries of one mesh
+    runs = [(mesh, frames, EdgeGeometry.from_frames(frames)), (mesh, regauged, geom_g),
+            (moved, frames_m, EdgeGeometry.from_frames(frames_m))]
+    model = _model("eman", False)
+    base = [_step(model, *run) for run in runs][0]
     perm = Permutation(np.random.default_rng(3).permutation(mesh.n_vertices))
     permuted = apply_permutation(mesh, perm)
     frames_p = build_frames(permuted)
     geom_p = EdgeGeometry.from_frames(frames_p)
     assert _built(geom_p) == []
-    moved = _step(model, permuted, frames_p, geom_p)
-    for name in PARTS:
-        assert getattr(geom_p, name) is not getattr(geom, name), name
-    assert geom_p.src_plan.idx is geom_p.src and geom_p.dst_plan.idx is geom_p.dst
-    npt.assert_allclose(moved, perm.permute_rows(base), rtol=0, atol=1e-12)
+    relabelled = _step(model, permuted, frames_p, geom_p)
+    assert [entry[1] for entry in builds if entry[0] == "edges"] == [mesh.edges, permuted.edges]
+    assert all(geom.edges is mesh.edges for _m, _f, geom in runs)
+    # each plan's passes once per Edges; one plan more a step, nll_loss's pick
+    built = [entry[1] for entry in builds if entry[0] == "passes"]
+    for edges in (mesh.edges, permuted.edges):
+        for name in ("src_plan", "dst_plan"):
+            assert sum(p is getattr(edges, name) for p in built) == 1, name
+    assert len(built) == 2 * 2 + 4
+    for name in PLANS:
+        assert getattr(geom_p.edges, name) is not getattr(mesh.edges, name), name
+    for name in PHASES:
+        assert getattr(geom_p, name) is not getattr(runs[0][2], name), name
+    assert geom_p.edges.src_plan.idx is permuted.edges.src
+    assert geom_p.edges.dst_plan.idx is permuted.edges.dst
+    npt.assert_allclose(relabelled, perm.permute_rows(base), rtol=0, atol=1e-12)
+
+
+def test_dataset_samples_share_one_edges():
+    data = segmentation_spheres(2, 1, subdivisions=1, seed=0)
+    meshes = [s.mesh for s in data.train + data.test]
+    assert meshes[0].vertices.tobytes() != meshes[1].vertices.tobytes()
+    assert all(m.edges is meshes[0].edges for m in meshes)
 
 
 @pytest.mark.parametrize("ftype", [FeatureType([n, n]) for n in sorted(set(HIDDEN.orders))]

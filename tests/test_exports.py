@@ -64,7 +64,15 @@ def test_moved_and_deleted_names_are_retired(module):
 
 
 def test_deleted_members_and_parameters_stay_deleted():
-    assert not [n for n in ("neighbors", "edge_slice") if hasattr(meshnet.Mesh, n)]
+    mesh = meshnet.generate_icosphere(0)
+    geom = meshnet.EdgeGeometry.from_frames(meshnet.build_frames(mesh))
+    # connectivity has one owner, ``Edges``: mesh.edges and geom.edges
+    deleted = {mesh: ("neighbors", "edge_slice", "edge_src", "edge_dst", "degrees",
+                      "edge_offsets"),
+               geom: ("src", "dst", "n_vertices", "degrees", "src_plan", "dst_plan",
+                      "self_plan")}
+    for owner, names in deleted.items():
+        assert not [n for n in names if hasattr(owner, n)], type(owner).__name__
     assert list(inspect.signature(meshnet.vertex_normals).parameters) == ["mesh"]
     q = inspect.signature(UndefinedLogMapError).parameters["q"]
     assert q.default is inspect.Parameter.empty

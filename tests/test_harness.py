@@ -23,7 +23,7 @@ from meshnet.harness import (
     train,
 )
 from meshnet.layers import EdgeGeometry, EmanAttentionLayer, GemConvLayer
-from meshnet.mesh import generate_icosphere
+from meshnet.mesh import Edges, generate_icosphere
 from meshnet.model import ModelSpec, build_model
 from meshnet.representations import FeatureType
 from meshnet.tangent import build_frames, regauge
@@ -202,9 +202,8 @@ def test_forward_needs_features_of_the_geometry_frames():
 
 def _isolated_vertex_geometry():
     # vertices 0 and 1 exchange an edge; vertex 2 has no neighbors
-    return EdgeGeometry(src=[1, 0], dst=[0, 1], theta=[0.3, -1.2],
-                        transport=[0.1, 0.4], n_vertices=3,
-                        frame_token=-1)
+    return EdgeGeometry(Edges(src=[1, 0], dst=[0, 1], n_vertices=3), theta=[0.3, -1.2],
+                        transport=[0.1, 0.4], frame_token=-1)
 
 
 @pytest.mark.parametrize("make", [

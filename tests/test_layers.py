@@ -140,7 +140,7 @@ def test_attention_coefficients(options):
     frames2, td2 = regauge(frames, g)
     f = rng.standard_normal((mesh.n_vertices, HIDDEN.dim))
     alpha = layer.attention_coefficients(Tensor(f), EdgeGeometry.from_frames(frames))
-    seg = mesh.edge_dst
+    seg = mesh.edges.dst
     if layer.self_contribution:
         seg = np.concatenate([np.arange(mesh.n_vertices), seg])
     assert alpha.shape == (layer.heads, seg.size)
@@ -250,13 +250,14 @@ def _separate_heads_forward(kernels, f, geom, tin, att):
     head's output back.  A head's logits are scaled by 1/sqrt(head dim).
     """
     q, k0, v0, hq, hk, hv, ho = kernels
+    edges = geom.edges
     keys = np.stack([rep_block_diag(att, th) @ k0 @ rep_block_diag(tin, g - th) @ f[s]
-                     for s, th, g in zip(geom.src, geom.theta, geom.transport)])
+                     for s, th, g in zip(edges.src, geom.theta, geom.transport)])
     values = np.stack([rep_block_diag(att, th) @ v0 @ rep_block_diag(tin, g - th) @ f[s]
-                       for s, th, g in zip(geom.src, geom.theta, geom.transport)])
-    out = np.zeros((geom.n_vertices, v0.shape[0]))
-    for p in range(geom.n_vertices):
-        K, V = keys[geom.dst == p].T, values[geom.dst == p].T
+                       for s, th, g in zip(edges.src, geom.theta, geom.transport)])
+    out = np.zeros((edges.n_vertices, v0.shape[0]))
+    for p in range(edges.n_vertices):
+        K, V = keys[edges.dst == p].T, values[edges.dst == p].T
         for wq, wk, wv, wo in zip(hq, hk, hv, ho):
             s = (wk @ K).T @ (wq @ q @ f[p]) / np.sqrt(wq.shape[0])
             alpha = np.exp(s - s.max()) / np.exp(s - s.max()).sum()

@@ -34,7 +34,14 @@ from meshnet.mesh import (
 )
 from meshnet.transforms import Permutation, apply_permutation, random_rotation
 
-from oracles import neighbor_rings, random_test_mesh, reference_parse_off, reference_rings
+from oracles import (
+    neighbor_rings,
+    random_test_mesh,
+    reference_grid_faces,
+    reference_parse_off,
+    reference_rings,
+    reference_subdivide,
+)
 
 
 MINIMAL_OFF = """OFF
@@ -52,7 +59,7 @@ def test_load_minimal_off(tmp_path):
     mesh = load_mesh(path)
     assert mesh.n_vertices == 3
     assert mesh.n_faces == 1
-    assert mesh.degrees.tolist() == [2, 2, 2]
+    assert mesh.edges.degrees.tolist() == [2, 2, 2]
 
 
 def test_load_off_index_out_of_range(tmp_path):
@@ -278,7 +285,7 @@ def test_icosahedron_off_degrees(tmp_path):
     save_mesh(generate_icosphere(0), path)
     mesh = load_mesh(path)
     assert mesh.n_vertices == 12 and mesh.n_faces == 20
-    assert set(mesh.degrees.tolist()) == {5}
+    assert set(mesh.edges.degrees.tolist()) == {5}
 
 
 def test_obj_roundtrip_ignores_decorations(tmp_path):
@@ -372,7 +379,7 @@ class TestValidation:
 
         monkeypatch.setattr(Mesh, "_validate_faces", walk)
         moved = mesh.with_vertices(2.0 * mesh.vertices)
-        assert moved.edge_src is mesh.edge_src and moved.faces is mesh.faces
+        assert moved.edges is mesh.edges and moved.faces is mesh.faces
         perm = Permutation(np.random.default_rng(0).permutation(mesh.n_vertices))
         permuted = apply_permutation(mesh, perm)
         npt.assert_array_equal(permuted.vertices, perm.permute_rows(mesh.vertices))
@@ -481,6 +488,17 @@ class TestGenerators:
         b = generate_grid_patch(4, 5, 0.3, 7)
         npt.assert_array_equal(a.vertices, b.vertices)
 
+    def test_generators_match_the_loop_references(self):
+        rng = np.random.default_rng(24)
+        for mesh in [generate_icosphere(k) for k in range(4)] + [generate_grid_patch(4, 6)]:
+            for faces in (mesh.faces, _shuffled_faces(mesh.faces, rng)):
+                got = mesh_module._subdivide_midpoint(mesh.vertices, faces)
+                want = reference_subdivide(mesh.vertices, faces)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        for rows, cols in [(2, 2), (2, 5), (6, 3), (7, 7)]:
+            npt.assert_array_equal(generate_grid_patch(rows, cols).faces,
+                                   reference_grid_faces(rows, cols))
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             generate_icosphere(-1)
@@ -563,8 +581,8 @@ class TestRings:
             assert len(got_rings) == len(rings)
             for got, want in zip(got_rings, rings):
                 assert np.array_equal(got, want)
-            assert np.array_equal(mesh.degrees, [len(r) for r in rings])
-            assert np.array_equal(mesh.edge_src, np.concatenate(rings))
+            assert np.array_equal(mesh.edges.degrees, [len(r) for r in rings])
+            assert np.array_equal(mesh.edges.src, np.concatenate(rings))
 
     @pytest.mark.parametrize("name", sorted(NON_MANIFOLD_VERTICES))
     def test_non_manifold_vertex_named_as_reference(self, name):
@@ -589,8 +607,6 @@ class TestRings:
             permuted_rings = neighbor_rings(permuted)
             for p, ring in enumerate(neighbor_rings(mesh)):
                 assert np.array_equal(permuted_rings[perm.forward[p]], perm.forward[ring])
-            assert np.array_equal(permuted.degrees, perm.permute_rows(mesh.degrees))
-            assert np.array_equal(permuted.edge_offsets,
-                                  np.concatenate([[0], np.cumsum(permuted.degrees)]))
-            assert np.array_equal(permuted.edge_dst,
-                                  np.repeat(np.arange(mesh.n_vertices), permuted.degrees))
+            assert np.array_equal(permuted.edges.degrees, perm.permute_rows(mesh.edges.degrees))
+            assert np.array_equal(permuted.edges.dst,
+                                  np.repeat(np.arange(mesh.n_vertices), permuted.edges.degrees))

@@ -190,7 +190,7 @@ class TestTransportAngle:
             mesh = random_test_mesh(rng)
             fr = build_frames(mesh)
             e = int(rng.integers(0, mesh.n_edges))
-            p, q = int(mesh.edge_dst[e]), int(mesh.edge_src[e])
+            p, q = int(mesh.edges.dst[e]), int(mesh.edges.src[e])
             nq, npv = fr.normals[q], fr.normals[p]
             axis = np.cross(nq, npv)
             angle = np.arctan2(np.linalg.norm(axis), np.dot(nq, npv))
@@ -207,7 +207,7 @@ class TestTransportAngle:
         fr = build_frames(mesh)
         td = EdgeGeometry.from_frames(fr)
         for e in rng.integers(0, mesh.n_edges, size=10):
-            p, q = int(mesh.edge_dst[e]), int(mesh.edge_src[e])
+            p, q = int(mesh.edges.dst[e]), int(mesh.edges.src[e])
             v = np.cross(fr.normals[q], rng.standard_normal(3))
             coords_q = np.array([v @ fr.e1[q], v @ fr.e2[q]])
             nq, npv = fr.normals[q], fr.normals[p]
@@ -243,7 +243,7 @@ class TestTransportReflection:
             for frames in (fr, regauged):
                 td = EdgeGeometry.from_frames(frames)
                 want = [transport_angle(int(p), int(q), frames)
-                        for p, q in zip(mesh.edge_dst, mesh.edge_src)]
+                        for p, q in zip(mesh.edges.dst, mesh.edges.src)]
                 npt.assert_allclose(wrap_angle(td.transport - want), 0.0, atol=1e-12)
 
     def test_equal_normals_keep_the_first_axis(self):
@@ -251,7 +251,7 @@ class TestTransportReflection:
         mesh = generate_grid_patch(5, 6, 0.0)
         fr, geom = regauge(build_frames(mesh), np.linspace(-3.0, 3.0, mesh.n_vertices))
         assert np.array_equal(fr.normals, np.tile([0.0, 0, 1], (mesh.n_vertices, 1)))
-        e1q, p = fr.e1[mesh.edge_src], mesh.edge_dst
+        e1q, p = fr.e1[mesh.edges.src], mesh.edges.dst
         want = np.arctan2(np.einsum("ij,ij->i", e1q, fr.e2[p]),
                           np.einsum("ij,ij->i", e1q, fr.e1[p]))
         assert np.array_equal(geom.transport, want)
@@ -272,11 +272,11 @@ class TestTransportReflection:
         R = random_rotation(rng)
         n, e1, mesh = n @ R.T, e1 @ R.T, fan.with_vertices(fan.vertices @ R.T)
         fr = FrameField(mesh, n, e1, np.cross(n, e1))
-        c = np.einsum("ij,ij->i", n[mesh.edge_src], n[mesh.edge_dst])
+        c = np.einsum("ij,ij->i", n[mesh.edges.src], n[mesh.edges.dst])
         npt.assert_allclose((1.0 + c).min(), gap, rtol=1e-6)
         td = EdgeGeometry.from_frames(fr)
         want = [transport_angle(int(p), int(q), fr)
-                for p, q in zip(mesh.edge_dst, mesh.edge_src)]
+                for p, q in zip(mesh.edges.dst, mesh.edges.src)]
         npt.assert_allclose(wrap_angle(td.transport - want), 0.0, atol=1e-11)
 
 
@@ -289,7 +289,7 @@ class TestGaugeShiftLaw:
             td = EdgeGeometry.from_frames(fr)
             g = rng.uniform(-np.pi, np.pi, mesh.n_vertices)
             _fr2, td2 = regauge(fr, g)
-            src, dst = mesh.edge_src, mesh.edge_dst
+            src, dst = mesh.edges.src, mesh.edges.dst
             npt.assert_allclose(
                 wrap_angle(td2.theta - (td.theta - g[dst])), 0.0, atol=1e-9)
             npt.assert_allclose(
@@ -338,7 +338,7 @@ class TestEdgeProjection:
         assert "_projection" not in vars(fr)
         geom = EdgeGeometry.from_frames(fr)
         assert "_projection" in vars(fr)
-        npt.assert_allclose(geom.theta[:mesh.degrees[0]],
+        npt.assert_allclose(geom.theta[:mesh.edges.degrees[0]],
                             [0, np.pi / 2, np.pi, -np.pi / 2], atol=1e-15)
 
     def test_stored_projection_matches_a_fresh_one(self):
