@@ -10,8 +10,8 @@ concatenation); no higher-order derivatives.
 
 Recording rule: every op computes its forward value once and returns it
 through ``_node``, which records the op (its Tensor operands, in order, and
-the closure) only when some operand requires a gradient, and otherwise
-returns a constant with no parents.  A no-grad mode is one more check there.
+the closure) only while recording is on and some operand requires a gradient.
+``Model.forward`` records only with ``train=True``, so eval forwards keep no tape.
 
 Scatters (the adjoint of ``take_rows``, the forward of ``segment_sum``) go
 through a ``ScatterPlan``, kept by the caller or made for the op.  Sorted
@@ -40,6 +40,8 @@ most 220 with these thresholds.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import ctypes
 import functools
 
@@ -153,10 +155,23 @@ def _val(x):
     return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
+_recording = contextvars.ContextVar("recording", default=True)
+
+
+@contextlib.contextmanager
+def _recording_as(flag):
+    """Record the block's ops only if ``flag``; the caller's mode comes back after."""
+    token = _recording.set(flag)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
 def _node(value, parents, vjp):
-    """An op's result: a tape node if a parent requires a gradient, else a constant."""
+    """A tape node if recording and some parent requires a gradient, else a constant."""
     parents = tuple(parents)
-    if any(p.requires_grad for p in parents):
+    if _recording.get() and any(p.requires_grad for p in parents):
         return Tensor(value, True, parents, vjp)
     return Tensor(value)
 
@@ -197,11 +212,13 @@ class Tensor:
     def backward(self):
         """Populate ``grad`` on every reachable parameter.
 
-        The root must be scalar; a second backward through the same root is
-        rejected (no double backward).
+        The root must be scalar and recorded; a second backward through the
+        same root is rejected (no double backward).
         """
         if self.value.size != 1:
             raise AutodiffError(f"backward needs a scalar root, got shape {self.shape}")
+        if not self.requires_grad:
+            raise AutodiffError("backward needs a recorded root: Model.forward(train=True)")
         if self._spent:
             raise AutodiffError("backward already ran through this root; "
                                 "higher-order gradients are not supported")

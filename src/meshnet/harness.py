@@ -95,17 +95,17 @@ _AMBIENT_PARTS = {"rot_tr_scale": ("rotation", "translation", "scale"), "rot": (
                   "translate": ("translation",), "scale": ("scale",)}
 
 
-def transformed_logits(model: Model, mesh: Mesh, family: str, suite) -> np.ndarray:
-    """Logits of ``mesh`` under ``suite``'s member of ``family``.
+def transformed_logits(model: Model, mesh: Mesh, family: str, suite, frames) -> np.ndarray:
+    """Logits of ``mesh``, whose frames are ``frames``, under ``suite``'s ``family`` member.
 
     Rows stay in the original vertex order, so they compare directly with
     :func:`model_logits` of the untransformed mesh.  The gauge family
-    rotates the frames built for ``mesh`` rather than re-selecting
-    reference neighbors, which isolates gauge sensitivity.
+    rotates ``frames`` rather than re-selecting reference neighbors, which
+    isolates gauge sensitivity.
     """
     spec = model.spec
     if family == "gauge":
-        frames, geom = regauge(build_frames(mesh), suite.gauge)
+        frames, geom = regauge(frames, suite.gauge)
         field = compute_features(spec.features, mesh, frames, spec.reltan_powers)
         return model.forward(field, geom).value
     if family == "perm":
@@ -135,11 +135,12 @@ def equivariance_gap(cfg: RunConfig) -> dict:
     gaps = {f: [] for f in families}
     rng = np.random.default_rng(seed + 1)
     for mesh in meshes:
-        logits0 = model_logits(model, mesh)
+        frames, geom, field = mesh_pipeline(mesh, spec.features, spec.reltan_powers)
+        logits0 = model.forward(field, geom).value
         for _ in range(tr["samples_per_mesh"]):
             suite = _transform_suite(cfg, mesh.n_vertices, rng)
             for family in families:
-                logits1 = transformed_logits(model, mesh, family, suite)
+                logits1 = transformed_logits(model, mesh, family, suite, frames)
                 gaps[family].append(float(np.mean((logits1 - logits0) ** 2)))
     report = _report_header(cfg)
     report.update({
@@ -156,15 +157,12 @@ def equivariance_gap(cfg: RunConfig) -> dict:
 # Training / evaluation
 # ---------------------------------------------------------------------------
 
-def _accuracy(model: Model, samples, family=None, suites=None) -> float:
-    """Fraction of correct predictions, optionally under ``family`` with one
-    transform suite per sample."""
+def _accuracy(task: str, samples, logits) -> float:
+    """Percentage of correct predictions, from one logits array per sample."""
     correct = total = 0
-    for i, s in enumerate(samples):
-        logits = (model_logits(model, s.mesh) if family is None
-                  else transformed_logits(model, s.mesh, family, suites[i]))
-        pred = logits.argmax(axis=1)
-        if model.spec.task == "segmentation":
+    for s, sample_logits in zip(samples, logits):
+        pred = sample_logits.argmax(axis=1)
+        if task == "segmentation":
             correct += int((pred == s.label).sum())
             total += len(s.label)
         else:
@@ -222,7 +220,8 @@ def train(cfg: RunConfig, dataset: Dataset | None = None):
                                                 for p in opt.params))))
             opt.step()
             losses.append(total.item())
-        acc = _accuracy(model, dataset.train)
+        acc = _accuracy(spec.task, dataset.train,
+                        (model.forward(field, geom).value for field, geom, _t in prepared))
         history.append({"epoch": epoch, "loss": float(np.mean(losses)),
                         "train_accuracy": acc,
                         "wall_s": time.perf_counter() - start_s,
@@ -253,12 +252,18 @@ def evaluate(cfg: RunConfig, model: Model | None = None,
         load_checkpoint(model, checkpoint, expect_hash=config_hash(cfg))
     seed = cfg.run["seed"]
     report = _report_header(cfg)
-    accuracy = {"train": _accuracy(model, dataset.train),
-                "test": _accuracy(model, dataset.test)}
+    spec = model.spec
+    test = [mesh_pipeline(s.mesh, spec.features, spec.reltan_powers) for s in dataset.test]
+    accuracy = {"train": _accuracy(spec.task, dataset.train,
+                                   (model_logits(model, s.mesh) for s in dataset.train)),
+                "test": _accuracy(spec.task, dataset.test,
+                                  (model.forward(field, geom).value for _fr, geom, field in test))}
     for offset, family in enumerate(("gauge", "rot_tr_scale", "perm"), 10):
         rng = np.random.default_rng(seed + offset)
         suites = [_transform_suite(cfg, s.mesh.n_vertices, rng) for s in dataset.test]
-        accuracy[family] = _accuracy(model, dataset.test, family, suites)
+        accuracy[family] = _accuracy(spec.task, dataset.test, (
+            transformed_logits(model, s.mesh, family, suite, frames)
+            for s, (frames, _g, _f), suite in zip(dataset.test, test, suites)))
     report["accuracy"] = accuracy
     return report
 

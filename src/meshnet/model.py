@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, _recording_as
 from .errors import ConfigError, FeatureTypeError, FrameBindingError
 from .features import RELTAN_POWERS, GeometricFeatureField, feature_type_for
 from .layers import DenseLayer, EmanAttentionLayer, GaugeNonlinearity, GemConvLayer
@@ -94,32 +94,30 @@ class Model:
 
     def forward(self, features: GeometricFeatureField, geom: EdgeGeometry,
                 train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-        """Logits: (V, target_dim) for segmentation, (1, target_dim) otherwise."""
+        """Logits: (V, target_dim) for segmentation, (1, target_dim) otherwise;
+        ``train=False`` records no tape, so a backward needs ``train=True``."""
         if features.ftype != self.in_type:
-            raise FeatureTypeError(
-                f"model expects input type {self.in_type}, got {features.ftype}"
-            )
+            raise FeatureTypeError(f"model expects input type {self.in_type}, got {features.ftype}")
         if features.frame_token != geom.frame_token:
-            raise FrameBindingError(
-                "input features and edge geometry use different frame fields"
-            )
-        x = Tensor(features.values)
-        x = self.entry_nl.forward(self.entry.forward(x, geom))
-        for conv1, nl1, conv2, nl2 in self.blocks:
-            y = nl1.forward(conv1.forward(x, geom))
-            y = nl2.forward(conv2.forward(y, geom))
-            x = x + y
-        z = self.final.forward(x, geom)
-        h = self.dense1.forward(z).relu()
-        if train and self.spec.dropout > 0.0:
-            if rng is None:
-                raise ValueError("training-mode forward needs an rng for dropout")
-            keep = 1.0 - self.spec.dropout
-            mask = (rng.random(h.shape) < keep).astype(np.float64) / keep
-            h = h * mask
-        if self.spec.task == "classification":
-            h = h.mean(axis=0, keepdims=True)
-        return self.dense2.forward(h)
+            raise FrameBindingError("input features and edge geometry use different frame fields")
+        with _recording_as(train):
+            x = Tensor(features.values)
+            x = self.entry_nl.forward(self.entry.forward(x, geom))
+            for conv1, nl1, conv2, nl2 in self.blocks:
+                y = nl1.forward(conv1.forward(x, geom))
+                y = nl2.forward(conv2.forward(y, geom))
+                x = x + y
+            z = self.final.forward(x, geom)
+            h = self.dense1.forward(z).relu()
+            if train and self.spec.dropout > 0.0:
+                if rng is None:
+                    raise ValueError("training-mode forward needs an rng for dropout")
+                keep = 1.0 - self.spec.dropout
+                mask = (rng.random(h.shape) < keep).astype(np.float64) / keep
+                h = h * mask
+            if self.spec.task == "classification":
+                h = h.mean(axis=0, keepdims=True)
+            return self.dense2.forward(h)
 
     def parameters(self):
         """Deterministically ordered (name, tensor) pairs."""

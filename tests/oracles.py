@@ -16,6 +16,8 @@ matrices.  ``scatter_add`` is the ``np.add.at`` reference for the tape's
 plan scatters, ``reference_rings`` the dict walk that the array
 construction of ``Mesh`` neighbor rings is tested against, and
 ``neighbor_rings`` reads the stored rings back from ``mesh.edges``.
+``isolated_vertex_geometry`` is a hand-built geometry in which one vertex
+has no neighbors.
 ``reference_subdivide`` and ``reference_grid_faces`` are the loops the
 array mesh generators are tested against.
 ``reference_parse_off`` reads an OFF file one token at a time, the
@@ -42,9 +44,9 @@ from meshnet.errors import (
     NonManifoldVertexError,
     UndefinedLogMapError,
 )
-from meshnet.mesh import Mesh, generate_grid_patch, generate_icosphere
+from meshnet.mesh import Edges, Mesh, generate_grid_patch, generate_icosphere
 from meshnet.representations import FeatureType
-from meshnet.tangent import _ANTIPODAL_TOL, _PROJECTION_TOL, FrameField
+from meshnet.tangent import _ANTIPODAL_TOL, _PROJECTION_TOL, EdgeGeometry, FrameField
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +390,12 @@ def neighbor_rings(mesh: Mesh):
     """The stored neighbor ring of every vertex: ``degrees[p]`` entries of
     ``edges.src`` after those of the vertices before p."""
     return np.split(mesh.edges.src, np.cumsum(mesh.edges.degrees)[:-1])
+
+
+def isolated_vertex_geometry():
+    """Vertices 0 and 1 exchange an edge; vertex 2 has no neighbors."""
+    return EdgeGeometry(Edges(src=[1, 0], dst=[0, 1], n_vertices=3), theta=[0.3, -1.2],
+                        transport=[0.1, 0.4], frame_token=-1)
 
 
 def reference_rings(faces, n_vertices):

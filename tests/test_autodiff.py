@@ -20,14 +20,14 @@ from meshnet.autodiff import (
 )
 from meshnet.config import default_config, model_spec_from_config, parse_config
 from meshnet.datasets import segmentation_spheres
-from meshnet.errors import AutodiffError
-from meshnet.features import compute_features
+from meshnet.errors import AutodiffError, EmptyNeighborhoodError
+from meshnet.features import GeometricFeatureField, compute_features
 from meshnet.layers import EdgeGeometry
 from meshnet.mesh import generate_icosphere
 from meshnet.model import build_model
 from meshnet.representations import FeatureType
 from meshnet.tangent import build_frames
-from oracles import rep_block_diag, scatter_add
+from oracles import isolated_vertex_geometry, rep_block_diag, scatter_add
 
 
 def central_difference(make_loss, param, k, eps=1e-6):
@@ -77,6 +77,12 @@ class TestBackwardBasics:
         (a * 3.0).backward()
         npt.assert_allclose(a.grad, 3.0)
         npt.assert_allclose(b.grad, 0.0)
+
+    def test_unrecorded_root_rejected(self):
+        # a constant root would leave every gradient zero without a word
+        for root in (Tensor(2.0), (Tensor(np.ones(3)) * 2.0).sum()):
+            with pytest.raises(AutodiffError, match="train=True"):
+                root.backward()
 
     def test_non_scalar_root_rejected(self):
         with pytest.raises(AutodiffError):
@@ -441,27 +447,98 @@ def test_deterministic_loss_trajectory():
     assert run() == run()
 
 
-@pytest.mark.parametrize("model, hidden", [
+WHOLE_MODELS = pytest.mark.parametrize("model, hidden", [
     ("kind = gem", "rho0+rho1+rho2"),
     ("kind = eman", "rho0+rho1+rho2"),
     ("self_contribution = true", "rho0+rho1+rho2"),
     ("heads = 2", "2x(rho0+rho1+rho2)"),  # two heads need even multiplicities
 ])
-def test_whole_model_gradients(model, hidden):
-    # a coordinate of every parameter tensor, self-kernel coefficients
-    # included, against central differences through the whole model
+
+
+def _whole_model(model, hidden):
+    """A one-block model with no dropout, and a sample with its features and geometry."""
     cfg = parse_config(f"[model]\n{model}\nhidden_type = {hidden}\ndense_hidden = 4\n"
                        "dropout = 0\n")
     sample = segmentation_spheres(1, 0, 1, seed=4).train[0]
     spec = dataclasses.replace(model_spec_from_config(cfg, target_dim=sample.mesh.n_vertices),
                                residual_blocks=1)
-    net = build_model(spec, seed=5)
     frames = build_frames(sample.mesh)
     geom = EdgeGeometry.from_frames(frames)
     field = compute_features(cfg.model["features"], sample.mesh, frames,
                              cfg.model["reltan_powers"])
-    check_gradients(lambda: nll_loss(net.forward(field, geom), sample.label),
+    return spec, sample, field, geom
+
+
+@WHOLE_MODELS
+def test_whole_model_gradients(model, hidden):
+    # a coordinate of every parameter tensor, self-kernel coefficients
+    # included, against central differences through the whole model
+    spec, sample, field, geom = _whole_model(model, hidden)
+    net = build_model(spec, seed=5)
+    check_gradients(lambda: nll_loss(net.forward(field, geom, train=True), sample.label),
                     [t for _n, t in net.parameters()], np.random.default_rng(6), samples=1)
+
+
+@WHOLE_MODELS
+def test_eval_forward_records_no_tape(model, hidden):
+    spec, sample, field, geom = _whole_model(model, hidden)
+    net = build_model(spec, seed=5)
+    logits = net.forward(field, geom)
+    assert logits._parents == () and not logits.requires_grad
+    recorded = net.forward(field, geom, train=True)
+    assert recorded._parents and recorded.requires_grad
+    assert logits.value.tobytes() == recorded.value.tobytes()
+    with pytest.raises(AutodiffError, match="train=True"):
+        nll_loss(logits, sample.label).backward()
+
+
+def _step_grads(net, field, geom, target, between=lambda: None):
+    """Gradients of one training step that runs ``between`` after its forward."""
+    for _n, t in net.parameters():
+        t.zero_grad()
+    logits = net.forward(field, geom, train=True)
+    between()
+    nll_loss(logits, target).backward()
+    return [t.grad.tobytes() for _n, t in net.parameters()]
+
+
+@WHOLE_MODELS
+def test_eval_forward_between_forward_and_backward_changes_no_gradient(model, hidden):
+    spec, sample, field, geom = _whole_model(model, hidden)
+    net, fresh = build_model(spec, seed=5), build_model(spec, seed=5)
+    changed = _step_grads(net, field, geom, sample.label, lambda: net.forward(field, geom))
+    assert changed == _step_grads(fresh, field, geom, sample.label)
+
+
+@WHOLE_MODELS
+def test_eval_forward_that_raises_restores_recording(model, hidden):
+    spec, sample, field, geom = _whole_model(model, hidden)
+    net, fresh = build_model(spec, seed=5), build_model(spec, seed=5)
+    isolated = isolated_vertex_geometry()
+    isolated_field = GeometricFeatureField(net.in_type, np.ones((3, net.in_type.dim)),
+                                           isolated.frame_token)
+    if spec.self_contribution:
+        # these layers accept an empty neighbourhood: the last one raises
+        # after it ran, as a layer without self contribution would
+        forward = net.final.forward
+
+        def final(x, g):
+            y = forward(x, g)
+            if g is isolated:
+                raise EmptyNeighborhoodError(2)
+            return y
+
+        net.final.forward = final
+
+    def raising_forward():
+        with pytest.raises(EmptyNeighborhoodError):
+            net.forward(isolated_field, isolated)
+
+    raising_forward()
+    assert _step_grads(net, field, geom, sample.label) == _step_grads(fresh, field, geom,
+                                                                     sample.label)
+    assert (_step_grads(net, field, geom, sample.label, raising_forward)
+            == _step_grads(fresh, field, geom, sample.label))
 
 
 def _has_mallopt():

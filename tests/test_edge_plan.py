@@ -214,14 +214,14 @@ def test_geometry_builders_build_no_plan(builds):
 
 def _model(kind, self_contribution):
     spec = ModelSpec(target_dim=3, kind=kind, hidden_type="2x(rho0+rho1+rho2)",
-                     final_type="2xrho0", dense_hidden=4,
+                     final_type="2xrho0", dense_hidden=4, dropout=0.0,
                      self_contribution=self_contribution, residual_blocks=1)
     return build_model(spec, seed=1)
 
 
 def _step(model, mesh, frames, geom):
     field = compute_features("reltan", mesh, frames)
-    logits = model.forward(field, geom)  # no dropout, so a permutation commutes
+    logits = model.forward(field, geom, train=True)  # no dropout, so a permutation commutes
     loss = nll_loss(logits, np.arange(mesh.n_vertices) % 3)
     loss.backward()
     return logits.value

@@ -1,3 +1,4 @@
+import collections
 import struct
 
 import numpy as np
@@ -23,10 +24,11 @@ from meshnet.harness import (
     train,
 )
 from meshnet.layers import EdgeGeometry, EmanAttentionLayer, GemConvLayer
-from meshnet.mesh import Edges, generate_icosphere
+from meshnet.mesh import generate_icosphere
 from meshnet.model import ModelSpec, build_model
 from meshnet.representations import FeatureType
 from meshnet.tangent import build_frames, regauge
+from oracles import isolated_vertex_geometry
 
 SPEC = ModelSpec(target_dim=3, hidden_type="rho0+rho1", final_type="2xrho0",
                  dense_hidden=4, residual_blocks=1)
@@ -147,6 +149,28 @@ def test_evaluate_reports_every_accuracy():
         assert 0.0 <= value <= 100.0
 
 
+def test_each_mesh_is_prepared_once(monkeypatch):
+    # train's accuracy pass reads the meshes train prepared, and the gauge
+    # family regauges the base frames instead of building them again
+    calls = collections.Counter()
+    for name in ("build_frames", "mesh_pipeline"):
+        def counted(*args, _call=getattr(harness, name), _name=name):
+            calls[_name] += 1
+            return _call(*args)
+
+        monkeypatch.setattr(harness, name, counted)
+    cfg = parse_config(SMALL.format(extra="", families="gauge", width=2)
+                       .replace("epochs = 1", "epochs = 3"))
+    model, _metrics = train(cfg)
+    assert calls == {"build_frames": 2, "mesh_pipeline": 2}  # two training meshes
+    calls.clear()
+    equivariance_gap(cfg)  # two meshes
+    assert calls == {"build_frames": 2, "mesh_pipeline": 2}
+    calls.clear()
+    evaluate(cfg, model=model)  # train, test, rot_tr_scale and perm: two meshes each
+    assert calls == {"build_frames": 8, "mesh_pipeline": 8}
+
+
 # A reduced default EMAN model at the default learning rate; chance level on
 # the 42-vertex correspondence is a loss of ln 42 = 3.74.
 REDUCED = """
@@ -200,12 +224,6 @@ def test_forward_needs_features_of_the_geometry_frames():
         model.forward(unbound, EdgeGeometry.from_frames(frames))
 
 
-def _isolated_vertex_geometry():
-    # vertices 0 and 1 exchange an edge; vertex 2 has no neighbors
-    return EdgeGeometry(Edges(src=[1, 0], dst=[0, 1], n_vertices=3), theta=[0.3, -1.2],
-                        transport=[0.1, 0.4], frame_token=-1)
-
-
 @pytest.mark.parametrize("make", [
     lambda t, rng: GemConvLayer(t, t, rng=rng),
     lambda t, rng: EmanAttentionLayer(t, t, rng=rng),
@@ -215,7 +233,7 @@ def test_empty_neighborhood_rejected(make):
     layer = make(t, np.random.default_rng(0))
     x = Tensor(np.random.default_rng(1).standard_normal((3, t.dim)))
     with pytest.raises(EmptyNeighborhoodError):
-        layer.forward(x, _isolated_vertex_geometry())
+        layer.forward(x, isolated_vertex_geometry())
 
 
 def test_self_contribution_accepts_empty_neighborhood():
@@ -223,7 +241,7 @@ def test_self_contribution_accepts_empty_neighborhood():
     layer = EmanAttentionLayer(t, t, self_contribution=True,
                                rng=np.random.default_rng(0))
     x = Tensor(np.random.default_rng(1).standard_normal((3, t.dim)))
-    out = layer.forward(x, _isolated_vertex_geometry()).value
+    out = layer.forward(x, isolated_vertex_geometry()).value
     assert out.shape == (3, t.dim)
     assert np.isfinite(out).all()
 
