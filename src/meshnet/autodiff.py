@@ -512,13 +512,15 @@ def nll_loss(logits: Tensor, targets) -> Tensor:
     return (lse - picked).mean()
 
 
-class Adam:
-    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+
+class Adam:
+    """Adam with bias correction, at the usual ``_BETA1``, ``_BETA2`` and ``_EPS``."""
+
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
@@ -529,13 +531,12 @@ class Adam:
 
     def step(self):
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
         for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
                 continue
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            mhat = self.m[i] / (1 - b1 ** self.step_count)
-            vhat = self.v[i] / (1 - b2 ** self.step_count)
-            p.value -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            self.m[i] = _BETA1 * self.m[i] + (1 - _BETA1) * g
+            self.v[i] = _BETA2 * self.v[i] + (1 - _BETA2) * g * g
+            mhat = self.m[i] / (1 - _BETA1 ** self.step_count)
+            vhat = self.v[i] / (1 - _BETA2 ** self.step_count)
+            p.value -= self.lr * mhat / (np.sqrt(vhat) + _EPS)

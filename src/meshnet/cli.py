@@ -5,7 +5,8 @@ All take ``--config <path>`` (key=value file with [section] headers; omitted
 means all defaults) and ``--out <path>``.  On failure -- a library error or
 a file that cannot be written -- a machine-readable error JSON is printed to
 stdout and the exit code is nonzero.  ``MESHNET_SEED`` overrides the
-configured seed.
+configured seed.  ``train`` writes ``<out>.ckpt``, one ``.npz`` record of the
+named parameters, the format version and the config hash, which ``eval`` checks.
 """
 
 from __future__ import annotations
@@ -79,11 +80,7 @@ def main(argv=None) -> int:
             metrics["checkpoint"] = ckpt
             _write_json(metrics, args.out)
         elif args.command == "eval":
-            ckpt = getattr(args, "checkpoint", None) or cfg.run["checkpoint"]
-            if not ckpt:
-                raise MeshNetError(
-                    "eval needs --checkpoint or [run] checkpoint in the config"
-                )
+            ckpt = args.checkpoint or cfg.run["checkpoint"]
             _write_json(evaluate(cfg, checkpoint=ckpt), args.out)
     except (MeshNetError, OSError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}

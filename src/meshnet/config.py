@@ -19,6 +19,7 @@ from .features import FAMILIES
 from .layers import BIAS_MODES
 from .model import LAYER_KINDS, TASKS, ModelSpec
 from .representations import FeatureType
+from .transforms import CORE_FAMILIES, TRANSFORM_FAMILIES
 
 __all__ = ["RunConfig", "load_config", "parse_config", "default_config",
            "config_hash", "model_spec_from_config"]
@@ -126,9 +127,7 @@ _SCHEMA = {
         "batch_size": (_at_least(int, 1), 1),
     },
     "transforms": {
-        "families": (_list(_enum("gauge", "rot_tr_scale", "rot", "translate",
-                                 "scale", "perm")),
-                     ("gauge", "rot_tr_scale", "perm")),
+        "families": (_list(_enum(*TRANSFORM_FAMILIES)), CORE_FAMILIES),
         "samples_per_mesh": (_at_least(int, 1), 1),
         # a translation is drawn from uniform(-r, r), whose width 2 r must be finite
         "translation_range": (_checked(float, lambda v: 0.0 <= 2.0 * v < math.inf,

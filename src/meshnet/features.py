@@ -59,10 +59,6 @@ class GeometricFeatureField:
                 f"type {self.ftype} (dim {self.ftype.dim})"
             )
 
-    @property
-    def n_vertices(self):
-        return self.values.shape[0]
-
 
 def reltan_vectors(mesh: Mesh, frames: FrameField, power: float) -> np.ndarray:
     """Raw 3D tangent summary vectors for one relative power.

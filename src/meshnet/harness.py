@@ -9,16 +9,17 @@ under the corresponding family.
 
 Every report embeds the config hash, a build identifier (hash of the
 installed package sources), and the seed, so identical inputs reproduce
-identical JSON, apart from the wall times of a training history.
+identical JSON, apart from the wall times of a training history.  A
+checkpoint is one ``.npz`` record of named float64 parameters, the format
+version and the config hash; loading it checks all of them or changes nothing.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import struct
 import time
+import zipfile
 
 import numpy as np
 
@@ -32,6 +33,8 @@ from .mesh import Mesh, generate_grid_patch, generate_icosphere
 from .model import Model, build_model
 from .tangent import EdgeGeometry, build_frames, regauge
 from .transforms import (
+    CORE_FAMILIES,
+    TRANSFORM_FAMILIES,
     AmbientTransform,
     apply_ambient,
     apply_permutation,
@@ -42,9 +45,8 @@ __all__ = ["build_id", "model_logits", "transformed_logits", "equivariance_gap",
            "train", "evaluate", "save_checkpoint",
            "load_checkpoint", "generate_config_mesh", "features_report"]
 
-_CKPT_MAGIC = b"MNET"
-# 2: K(0) neighbor kernels; 3: order-major; 4: scalar-only bias; 5: stacked heads
-_CKPT_VERSION = 5
+# 2: K(0) neighbor kernels; 3: order-major; 4: scalar-only bias; 5: stacked heads; 6: .npz
+_CKPT_VERSION = 6
 
 
 def build_id() -> str:
@@ -90,11 +92,6 @@ def model_logits(model: Model, mesh: Mesh) -> np.ndarray:
 # Equivariance gap
 # ---------------------------------------------------------------------------
 
-# the parts of a suite's similarity that each ambient family applies
-_AMBIENT_PARTS = {"rot_tr_scale": ("rotation", "translation", "scale"), "rot": ("rotation",),
-                  "translate": ("translation",), "scale": ("scale",)}
-
-
 def transformed_logits(model: Model, mesh: Mesh, family: str, suite, frames) -> np.ndarray:
     """Logits of ``mesh``, whose frames are ``frames``, under ``suite``'s ``family`` member.
 
@@ -113,7 +110,7 @@ def transformed_logits(model: Model, mesh: Mesh, family: str, suite, frames) -> 
         if spec.task == "segmentation":
             return suite.perm.unpermute_rows(logits)
         return logits
-    parts = {k: getattr(suite.ambient, k) for k in _AMBIENT_PARTS[family]}
+    parts = {k: getattr(suite.ambient, k) for k in TRANSFORM_FAMILIES[family]}
     return model_logits(model, apply_ambient(mesh, AmbientTransform(**parts)))
 
 
@@ -239,6 +236,8 @@ def train(cfg: RunConfig, dataset: Dataset | None = None):
 def evaluate(cfg: RunConfig, model: Model | None = None,
              checkpoint: str | None = None, dataset: Dataset | None = None) -> dict:
     """Accuracy table: train / test / per transformation family."""
+    if model is None and not checkpoint:
+        raise ConfigError("evaluation needs a model or a checkpoint ([run] checkpoint)")
     if dataset is None:
         dataset = dataset_from_config(cfg)
     if not dataset.test:
@@ -247,8 +246,6 @@ def evaluate(cfg: RunConfig, model: Model | None = None,
         spec = model_spec_from_config(cfg, target_dim=dataset.target_dim,
                                       task=dataset.task)
         model = build_model(spec, cfg.run["seed"])
-        if checkpoint is None:
-            raise ConfigError("evaluate needs a model or a checkpoint path")
         load_checkpoint(model, checkpoint, expect_hash=config_hash(cfg))
     seed = cfg.run["seed"]
     report = _report_header(cfg)
@@ -258,7 +255,7 @@ def evaluate(cfg: RunConfig, model: Model | None = None,
                                    (model_logits(model, s.mesh) for s in dataset.train)),
                 "test": _accuracy(spec.task, dataset.test,
                                   (model.forward(field, geom).value for _fr, geom, field in test))}
-    for offset, family in enumerate(("gauge", "rot_tr_scale", "perm"), 10):
+    for offset, family in enumerate(CORE_FAMILIES, 10):
         rng = np.random.default_rng(seed + offset)
         suites = [_transform_suite(cfg, s.mesh.n_vertices, rng) for s in dataset.test]
         accuracy[family] = _accuracy(spec.task, dataset.test, (
@@ -273,61 +270,51 @@ def evaluate(cfg: RunConfig, model: Model | None = None,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: Model, path: str, cfg_hash: str):
-    """Binary record: magic, version, hash, count, float64 parameters in
-    ``Model.parameters()`` order; JSON sidecar."""
-    flat = model.flat_parameters()
-    hash_bytes = cfg_hash.encode()
+    """One uncompressed ``.npz`` record: a float64 array per parameter name, and the
+    scalars ``version`` and ``config_hash`` (a parameter name always holds a dot)."""
     with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<II", _CKPT_VERSION, len(hash_bytes)))
-        fh.write(hash_bytes)
-        fh.write(struct.pack("<Q", flat.size))
-        fh.write(flat.astype("<f8").tobytes())
-    sidecar = {
-        "config_hash": cfg_hash,
-        "n_parameters": int(flat.size),
-        "layers": [{"name": n, "shape": list(t.value.shape)}
-                   for n, t in model.parameters()],
-    }
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2)
+        np.savez(fh, version=np.array(_CKPT_VERSION), config_hash=np.array(cfg_hash),
+                 **{name: t.value for name, t in model.parameters()})
 
 
-def _read_exact(fh, n: int, path: str, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointError(f"{path}: truncated {what}")
-    return data
+def load_checkpoint(model: Model, path: str, expect_hash: str | None = None) -> str:
+    """Load a :func:`save_checkpoint` record into ``model``; return its config hash.
 
-
-def load_checkpoint(model: Model, path: str, expect_hash: str | None = None):
+    All or nothing: zip checks every member's CRC-32, then the version,
+    ``expect_hash`` and each parameter's name, dtype and shape are checked
+    before any parameter is written.  A failure raises :class:`CheckpointError`.
+    """
     try:
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _CKPT_MAGIC:
-                raise CheckpointError(f"{path}: not a checkpoint file")
-            version, hash_len = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
-            if version != _CKPT_VERSION:
-                raise CheckpointError(
-                    f"{path}: checkpoint version {version} is not supported "
-                    f"(expected {_CKPT_VERSION})"
-                )
-            stored_hash = _read_exact(fh, hash_len, path, "config hash").decode()
-            (count,) = struct.unpack("<Q", _read_exact(fh, 8, path, "parameter count"))
-            flat = np.frombuffer(_read_exact(fh, count * 8, path, "parameter record"),
-                                 dtype="<f8").copy()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+        # not np.load: a file that is no zip (a bare .npy, a version 5 record) is a
+        # BadZipFile, and the file is closed on every path
+        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz:
+            if (bad := npz.zip.testzip()) is not None:
+                raise CheckpointError(f"{path}: member {bad} fails its CRC-32 check")
+            # a member that is not a .npy file reads as bytes: a 0-d "S" array
+            record = {name: np.asarray(npz[name]) for name in npz.files}
+    # RuntimeError includes zip's NotImplementedError for an unknown compression
+    except (OSError, ValueError, EOFError, MemoryError, RuntimeError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"{path} is not a readable version {_CKPT_VERSION} "
+                              f"checkpoint record: {exc}") from exc
+    version, stored_hash = (record.pop(k, np.array(None)) for k in ("version", "config_hash"))
+    if version.ndim or version.dtype.kind != "i" or version != _CKPT_VERSION:
+        raise CheckpointError(f"{path}: checkpoint version {version} is not supported "
+                              f"(expected {_CKPT_VERSION})")
+    if stored_hash.ndim or stored_hash.dtype.kind != "U":
+        raise CheckpointError(f"{path}: the record holds no config hash")
     if expect_hash is not None and stored_hash != expect_hash:
-        raise CheckpointError(
-            f"checkpoint was written for config {stored_hash}, "
-            f"current config hashes to {expect_hash}"
-        )
-    try:
-        model.load_flat_parameters(flat)
-    except ConfigError as exc:
-        raise CheckpointError(f"{path}: {exc}") from exc
-    return stored_hash
+        raise CheckpointError(f"checkpoint was written for config {stored_hash}, "
+                              f"current config hashes to {expect_hash}")
+    params = dict(model.parameters())
+    want = {name: ("float64", t.value.shape) for name, t in params.items()}
+    got = {name: (str(a.dtype), a.shape) for name, a in record.items()}
+    odd = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
+    if odd:
+        raise CheckpointError(f"{path}: parameter {odd[0]!r} is {got.get(odd[0], 'missing')} "
+                              f"in the record, {want.get(odd[0], 'absent')} in the model")
+    for name, t in params.items():
+        t.value[...] = record[name]
+    return str(stored_hash)
 
 
 # ---------------------------------------------------------------------------

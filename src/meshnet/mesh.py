@@ -108,6 +108,8 @@ class Mesh:
 
     def __init__(self, vertices, faces):
         self._set_vertices(vertices)
+        if not self.n_vertices:
+            raise MeshValidationError("a mesh needs at least one vertex, got none")
         self.faces = np.ascontiguousarray(faces, dtype=np.int64)
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise ValueError("face array must have shape (F, 3)")

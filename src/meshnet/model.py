@@ -131,22 +131,6 @@ class Model:
     def n_parameters(self):
         return sum(t.value.size for _n, t in self.parameters())
 
-    def flat_parameters(self) -> np.ndarray:
-        return np.concatenate([t.value.ravel() for _n, t in self.parameters()])
-
-    def load_flat_parameters(self, flat: np.ndarray):
-        """Overwrite every parameter; a vector of the wrong size changes none."""
-        need = self.n_parameters()
-        if flat.size != need:
-            raise ConfigError(
-                f"parameter vector has {flat.size} entries, model needs {need}"
-            )
-        pos = 0
-        for _n, t in self.parameters():
-            k = t.value.size
-            t.value[...] = flat[pos:pos + k].reshape(t.value.shape)
-            pos += k
-
 
 def build_model(spec: ModelSpec, seed: int = 0) -> Model:
     """Construct a model with seed-deterministic initialization."""

@@ -27,6 +27,13 @@ __all__ = [
     "random_transform_suite",
 ]
 
+# every family, by the parts of a suite's similarity it applies (gauge and perm: none)
+TRANSFORM_FAMILIES = {"gauge": (), "rot_tr_scale": ("rotation", "translation", "scale"),
+                      "rot": ("rotation",), "translate": ("translation",),
+                      "scale": ("scale",), "perm": ()}
+# one family of each kind: the accuracy table's and the default eqgap report's
+CORE_FAMILIES = ("gauge", "rot_tr_scale", "perm")
+
 
 @dataclass(frozen=True)
 class AmbientTransform:

@@ -107,6 +107,13 @@ def test_folded_mesh_file_is_a_json_error(tmp_path, capsys):
                      "message": "vertex 0: area-weighted normal sum is zero"}
 
 
+def test_mesh_file_without_vertices_is_a_json_error(tmp_path, capsys):
+    assert _train_on_file(tmp_path, "empty.off", "OFF\n0 0 0\n") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "MeshValidationError"
+
+
 def _tetra_with(token_index, token):
     pieces = re.split(r"(\s+)", TETRA_OFF)  # tokens at even positions
     pieces[2 * token_index] = token
@@ -159,12 +166,22 @@ def test_every_subcommand_succeeds(tmp_path, capsys):
         report = json.loads(out.read_text())
         assert report["config_hash"] and report["build_id"]
     checkpoint = json.loads((tmp_path / "train.json").read_text())["checkpoint"]
+    assert sorted(p.name for p in tmp_path.glob("*.ckpt*")) == ["train.json.ckpt"]
     out = tmp_path / "eval.json"
     assert main(["eval", "--config", str(cfg), "--checkpoint", checkpoint,
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["config_hash"] and report["build_id"]
     assert set(report["accuracy"]) == {"train", "test", "gauge", "rot_tr_scale", "perm"}
+
+
+def test_eval_without_checkpoint_is_a_json_error(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY)
+    assert main(["eval", "--config", str(cfg)]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ConfigError"
+    assert "checkpoint" in error["message"]
 
 
 @pytest.mark.parametrize("command", ["gen-mesh", "features", "train"])

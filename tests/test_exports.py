@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import meshnet
+from meshnet.autodiff import Adam
 from meshnet.errors import UndefinedLogMapError
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(meshnet.__path__))
@@ -66,14 +67,23 @@ def test_moved_and_deleted_names_are_retired(module):
 def test_deleted_members_and_parameters_stay_deleted():
     mesh = meshnet.generate_icosphere(0)
     geom = meshnet.EdgeGeometry.from_frames(meshnet.build_frames(mesh))
-    # connectivity has one owner, ``Edges``: mesh.edges and geom.edges
-    deleted = {mesh: ("neighbors", "edge_slice", "edge_src", "edge_dst", "degrees",
-                      "edge_offsets"),
-               geom: ("src", "dst", "n_vertices", "degrees", "src_plan", "dst_plan",
-                      "self_plan")}
-    for owner, names in deleted.items():
+    model = meshnet.build_model(meshnet.ModelSpec(hidden_type="rho0", final_type="rho0",
+                                                  residual_blocks=0))
+    field = meshnet.compute_features("reltan", mesh, meshnet.build_frames(mesh))
+    deleted = [
+        # connectivity has one owner, ``Edges``: mesh.edges and geom.edges
+        (mesh, ("neighbors", "edge_slice", "edge_src", "edge_dst", "degrees",
+                "edge_offsets")),
+        (geom, ("src", "dst", "n_vertices", "degrees", "src_plan", "dst_plan", "self_plan")),
+        # checkpoints are named .npz records, read and written by the harness alone
+        (model, ("flat_parameters", "load_flat_parameters")),
+        (field, ("n_vertices",)),
+    ]
+    for owner, names in deleted:
         assert not [n for n in names if hasattr(owner, n)], type(owner).__name__
     assert list(inspect.signature(meshnet.vertex_normals).parameters) == ["mesh"]
+    # Adam's constants are fixed, not keywords
+    assert list(inspect.signature(Adam).parameters) == ["params", "lr"]
     q = inspect.signature(UndefinedLogMapError).parameters["q"]
     assert q.default is inspect.Parameter.empty
 

@@ -1,5 +1,9 @@
 import collections
+import io
+import json
+import re
 import struct
+import zipfile
 
 import numpy as np
 import numpy.testing as npt
@@ -7,6 +11,7 @@ import pytest
 
 from meshnet import harness
 from meshnet.autodiff import Tensor
+from meshnet.cli import main
 from meshnet.config import model_spec_from_config, parse_config
 from meshnet.errors import (
     CheckpointError,
@@ -34,67 +39,200 @@ SPEC = ModelSpec(target_dim=3, hidden_type="rho0+rho1", final_type="2xrho0",
                  dense_hidden=4, residual_blocks=1)
 
 
+def _flat(model):
+    return np.concatenate([t.value.ravel() for _n, t in model.parameters()])
+
+
 @pytest.fixture
 def saved(tmp_path):
     path = str(tmp_path / "model.ckpt")
     model = build_model(SPEC, seed=1)
     save_checkpoint(model, path, "cfg")
     with open(path, "rb") as fh:
-        return path, model.flat_parameters(), fh.read()
+        return path, _flat(model), fh.read()
 
 
-def test_round_trip(saved):
-    path, flat, _data = saved
+def _write(tmp_path, data):
+    path = str(tmp_path / "edited.ckpt")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return path
+
+
+def _record(tmp_path, **entries):
+    """A record laid out as ``save_checkpoint`` documents it, for the seed-1
+    model, with ``entries`` replaced or added (None: removed)."""
+    arrays = {"version": np.array(6), "config_hash": np.array("cfg"),
+              **{name: t.value for name, t in build_model(SPEC, seed=1).parameters()},
+              **entries}
+    path = str(tmp_path / "edited.ckpt")
+    with open(path, "wb") as fh:
+        np.savez(fh, **{k: v for k, v in arrays.items() if v is not None})
+    return path
+
+
+def _flip(data, at, bit):
+    return data[:at] + bytes([data[at] ^ (1 << bit)]) + data[at + 1:]
+
+
+def _assert_rejected(path, match=None, expect_hash=None):
+    """The load raises CheckpointError and changes no parameter."""
+    model = build_model(SPEC, seed=2)
+    before = _flat(model)
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(model, path, expect_hash=expect_hash)
+    npt.assert_array_equal(_flat(model), before)
+
+
+def test_round_trip(saved, tmp_path):
+    path, flat, data = saved
     model = build_model(SPEC, seed=2)
     assert load_checkpoint(model, path, expect_hash="cfg") == "cfg"
-    npt.assert_array_equal(model.flat_parameters(), flat)
+    npt.assert_array_equal(_flat(model), flat)
+    # the documented layout, written by hand, is the same record byte for byte
+    with open(_record(tmp_path), "rb") as fh:
+        assert fh.read() == data
 
 
-@pytest.mark.parametrize("keep", [6, 14, 21, -8])
+def test_saves_are_byte_identical(saved, tmp_path):
+    _path, _params, data = saved
+    again = str(tmp_path / "again.ckpt")
+    save_checkpoint(build_model(SPEC, seed=1), again, "cfg")
+    with open(again, "rb") as fh:
+        assert fh.read() == data
+
+
+def test_config_hash_mismatch_rejected(saved):
+    _assert_rejected(saved[0], "written for config cfg, current config hashes to other",
+                     expect_hash="other")
+
+
+@pytest.mark.parametrize("keep", [0, 6, 14, 21, 3000, -8])
 def test_truncated_checkpoint_rejected(saved, tmp_path, keep):
-    # 6: inside the version/hash-length header; 14: inside the config hash;
-    # 21: inside the parameter count; -8: one float short
-    _path, _flat, data = saved
-    cut = str(tmp_path / "cut.ckpt")
-    with open(cut, "wb") as fh:
-        fh.write(data[:keep])
-    with pytest.raises(CheckpointError, match="truncated"):
-        load_checkpoint(build_model(SPEC), cut)
+    # 0: an empty file; 6, 14, 21: inside the first member's header; 3000:
+    # inside the members; -8: inside the end-of-central-directory record
+    _path, _params, data = saved
+    _assert_rejected(_write(tmp_path, data[:keep]), "not a readable version 6 checkpoint")
 
 
-def test_undecodable_config_hash_rejected(saved, tmp_path):
-    _path, _flat, data = saved
-    bad = str(tmp_path / "bad.ckpt")
-    with open(bad, "wb") as fh:
-        fh.write(data[:12] + b"\xff" + data[13:])
-    with pytest.raises(CheckpointError):
-        load_checkpoint(build_model(SPEC), bad)
+def test_flipped_parameter_bit_rejected(saved, tmp_path):
+    _path, _params, data = saved
+    value = build_model(SPEC, seed=1).parameters()[0][1].value.tobytes()
+    flipped = _flip(data, data.index(value) + len(value) // 2, 4)
+    _assert_rejected(_write(tmp_path, flipped), "fails its CRC-32 check")
 
 
-def test_unknown_version_rejected(saved, tmp_path):
-    _path, _flat, data = saved
-    # version 4 held per-head self kernels for every multi-head layer
-    other = str(tmp_path / "v4.ckpt")
-    with open(other, "wb") as fh:
-        fh.write(data[:4] + struct.pack("<I", 4) + data[8:])
-    with pytest.raises(CheckpointError, match="version 4"):
-        load_checkpoint(build_model(SPEC), other)
+def test_flip_sweep_loads_the_saved_weights_or_nothing(saved, tmp_path):
+    # one bit of every 29th byte, each bit in turn: a flip that is not
+    # rejected (a zip time stamp, an unused field) loads the saved weights
+    _path, flat, data = saved
+    model = build_model(SPEC, seed=2)
+    rejected = 0
+    for k, at in enumerate(range(0, len(data), 29)):
+        before = _flat(model)
+        try:
+            load_checkpoint(model, _write(tmp_path, _flip(data, at, k % 8)), expect_hash="cfg")
+        except CheckpointError:
+            rejected += 1
+            npt.assert_array_equal(_flat(model), before)
+        else:
+            npt.assert_array_equal(_flat(model), flat)
+    assert rejected > len(data) // 29 // 2
+
+
+def test_undecodable_config_hash_rejected(tmp_path):
+    _assert_rejected(_record(tmp_path, config_hash=np.array(b"\xffcfg")),
+                     "holds no config hash")
+
+
+def test_unknown_version_rejected(tmp_path):
+    # version 5 was the hand-rolled binary record of stacked-head kernels
+    _assert_rejected(_record(tmp_path, version=np.array(5)), "version 5 is not supported")
+
+
+@pytest.mark.parametrize("entry, match", [("version", "version None"),
+                                          ("config_hash", "no config hash")],
+                         ids=["version", "config_hash"])
+def test_missing_record_entry_rejected(tmp_path, entry, match):
+    _assert_rejected(_record(tmp_path, **{entry: None}), match)
 
 
 @pytest.mark.parametrize("delta", [-1, 1])
-def test_wrong_parameter_count_rejected(saved, tmp_path, delta):
-    # a self-consistent record with one float too few or too many
-    _path, flat, data = saved
-    resized = np.concatenate([flat, [0.5]]) if delta > 0 else flat[:-1]
-    path = str(tmp_path / "resized.ckpt")
-    with open(path, "wb") as fh:
-        fh.write(data[:4 + 8 + len("cfg")] + struct.pack("<Q", resized.size)
-                 + resized.astype("<f8").tobytes())
-    model = build_model(SPEC, seed=2)
-    before = model.flat_parameters()
-    with pytest.raises(CheckpointError, match="model needs"):
-        load_checkpoint(model, path)
-    npt.assert_array_equal(model.flat_parameters(), before)
+def test_wrong_parameter_count_rejected(tmp_path, delta):
+    # one parameter too few or too many; the error names it
+    last = build_model(SPEC).parameters()[-1][0]
+    if delta < 0:
+        path, match = _record(tmp_path, **{last: None}), f"'{last}' is missing in the record"
+    else:
+        path, match = _record(tmp_path, **{"extra.weight": np.zeros(2)}), "absent in the model"
+    _assert_rejected(path, match)
+
+
+@pytest.mark.parametrize("change", [lambda v: v.reshape(1, -1), lambda v: v.astype(np.float32)],
+                         ids=["reshaped", "float32"])
+def test_mistyped_parameter_rejected(tmp_path, change):
+    name, t = build_model(SPEC, seed=1).parameters()[0]
+    _assert_rejected(_record(tmp_path, **{name: change(t.value)}),
+                     f"'{name}' is .* in the record, \\('float64', {re.escape(str(t.value.shape))}")
+
+
+def _v5_record():
+    """The version 5 layout: magic, version, hash length, hash, count, floats."""
+    flat = _flat(build_model(SPEC, seed=1))
+    return (b"MNET" + struct.pack("<II", 5, 3) + b"cfg" + struct.pack("<Q", flat.size)
+            + flat.astype("<f8").tobytes())
+
+
+def _npy(value):
+    buf = io.BytesIO()
+    np.save(buf, value)
+    return buf.getvalue()
+
+
+def _rezipped(data, name, content):
+    """The zip ``data`` with member ``name`` holding ``content``, CRCs all valid."""
+    out = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(data)) as src, zipfile.ZipFile(out, "w") as dst:
+        for info in src.infolist():
+            dst.writestr(info, content if info.filename == name else src.read(info))
+    return out.getvalue()
+
+
+def _huge_header():
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {"descr": "<f8", "fortran_order": False,
+                                               "shape": (2 ** 62,)})
+    return buf.getvalue()
+
+
+# Headers a bit flip can damage: the central directory entry of the first
+# member (flags, compression method, name length), the zip signature, and
+# an .npy header that declares 2**62 floats under a valid CRC; then records
+# and files of another kind.
+CORRUPTIONS = {
+    "encrypted_flag": lambda d: _flip(d, d.index(b"PK\x01\x02") + 8, 0),
+    "compression_method": lambda d: _flip(d, d.index(b"PK\x01\x02") + 10, 0),
+    "name_length": lambda d: _flip(d, d.index(b"PK\x01\x02") + 28, 0),
+    "zip_signature": lambda d: _flip(d, 2, 0),
+    "huge_shape": lambda d: _rezipped(d, "entry.bias.npy", _huge_header()),
+    "raw_member": lambda d: _rezipped(d, "config_hash.npy", b"cfg"),
+    "v5_format": lambda d: _v5_record(),
+    "bare_npy": lambda d: _npy(np.zeros(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_corrupted_or_foreign_record_rejected(saved, tmp_path, capsys, name):
+    _path, _params, data = saved
+    path = _write(tmp_path, CORRUPTIONS[name](data))
+    _assert_rejected(path)
+    # meshnet eval names the error in JSON, with no traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[data]\nsubdivisions = 0\ntrain_meshes = 1\ntest_meshes = 1\n")
+    assert main(["eval", "--config", str(cfg), "--checkpoint", path]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "CheckpointError"
 
 
 # -- equivariance gap, evaluation, degenerate neighborhoods ------------------

@@ -267,6 +267,13 @@ def test_off_empty_blocks_read_without_warnings(tmp_path, text):
     assert faces.shape == (0, 3) and vertices.shape == (text.count("\n") - 2, 3)
 
 
+def test_load_off_without_vertices_rejected(tmp_path):
+    path = tmp_path / "empty.off"
+    path.write_text("OFF\n0 0 0\n")
+    with pytest.raises(MeshValidationError, match="at least one vertex"):
+        load_mesh(path)
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(MeshParseError, match="absent.off"):
         load_mesh(tmp_path / "absent.off")
@@ -403,6 +410,15 @@ class TestValidation:
         with pytest.raises(DegreeError) as info:
             Mesh(verts, [[0, 2, 3]])
         assert info.value.vertex == 1
+
+    def test_mesh_without_vertices_rejected(self):
+        no_faces = np.zeros((0, 3), dtype=np.int64)
+        with pytest.raises(MeshValidationError, match="at least one vertex") as info:
+            Mesh(np.zeros((0, 3)), no_faces)
+        assert not isinstance(info.value, DegreeError)
+        # vertices without faces are isolated: each has degree 0
+        with pytest.raises(DegreeError):
+            Mesh(np.eye(3), no_faces)
 
 
 class TestFaceGeometry:
