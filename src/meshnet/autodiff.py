@@ -242,9 +242,7 @@ class Tensor:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node._vjp is None:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.value)
+            if node._vjp is None:  # a leaf: its grad was allocated when it was built
                 node.grad += g
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):
@@ -533,8 +531,6 @@ class Adam:
         self.step_count += 1
         for i, p in enumerate(self.params):
             g = p.grad
-            if g is None:
-                continue
             self.m[i] = _BETA1 * self.m[i] + (1 - _BETA1) * g
             self.v[i] = _BETA2 * self.v[i] + (1 - _BETA2) * g * g
             mhat = self.m[i] / (1 - _BETA1 ** self.step_count)

@@ -6,7 +6,8 @@ means all defaults) and ``--out <path>``.  On failure -- a library error or
 a file that cannot be written -- a machine-readable error JSON is printed to
 stdout and the exit code is nonzero.  ``MESHNET_SEED`` overrides the
 configured seed.  ``train`` writes ``<out>.ckpt``, one ``.npz`` record of the
-named parameters, the format version and the config hash, which ``eval`` checks.
+named parameters, the format version and the config hash; ``eval`` reads the
+record named by ``--checkpoint`` and checks it against its own config.
 """
 
 from __future__ import annotations
@@ -55,8 +56,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="path to the config file")
         p.add_argument("--out", help="output path (JSON; OFF for gen-mesh)")
         if name == "eval":
-            p.add_argument("--checkpoint", help="checkpoint path "
-                           "(overrides [run] checkpoint)")
+            p.add_argument("--checkpoint", help="path of the checkpoint that train wrote")
     args = parser.parse_args(argv)
 
     try:
@@ -80,8 +80,7 @@ def main(argv=None) -> int:
             metrics["checkpoint"] = ckpt
             _write_json(metrics, args.out)
         elif args.command == "eval":
-            ckpt = args.checkpoint or cfg.run["checkpoint"]
-            _write_json(evaluate(cfg, checkpoint=ckpt), args.out)
+            _write_json(evaluate(cfg, checkpoint=args.checkpoint), args.out)
     except (MeshNetError, OSError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(error))

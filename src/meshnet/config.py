@@ -80,14 +80,14 @@ def _list(parse):
     return _checked(parse_list, bool, "a non-empty list")
 
 
-# [model] holds the fields of ModelSpec, and its defaults are the spec's
+# [model] holds the fields of ModelSpec but target_dim, which the dataset sets,
+# and its defaults are the spec's
 _MODEL_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ModelSpec)}
 
 _SCHEMA = {
     "run": {
         "seed": (_at_least(int, 0), 0),
         "task": (_enum(*TASKS), _MODEL_DEFAULTS["task"]),
-        "checkpoint": (str, ""),
     },
     "model": {key: (parse, _MODEL_DEFAULTS[key]) for key, parse in {
         "kind": _enum(*LAYER_KINDS),
@@ -101,7 +101,6 @@ _SCHEMA = {
         "dropout": _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
         "heads": _at_least(int, 1),
         "self_contribution": _bool,
-        "target_dim": _at_least(int, 1),
     }.items()},
     "mesh": {
         "generator": (_enum("icosphere", "grid_patch"), "icosphere"),
@@ -109,7 +108,6 @@ _SCHEMA = {
         "rows": (_at_least(int, 2), 8),
         "cols": (_at_least(int, 2), 8),
         "noise": (_finite, 0.0),
-        "dump_frames": (_bool, False),
     },
     "data": {
         "source": (_enum("synthetic", "files"), "synthetic"),
@@ -124,11 +122,9 @@ _SCHEMA = {
     "training": {
         "learning_rate": (_positive(float), 0.01),
         "epochs": (_at_least(int, 0), 100),
-        "batch_size": (_at_least(int, 1), 1),
     },
     "transforms": {
         "families": (_list(_enum(*TRANSFORM_FAMILIES)), CORE_FAMILIES),
-        "samples_per_mesh": (_at_least(int, 1), 1),
         # a translation is drawn from uniform(-r, r), whose width 2 r must be finite
         "translation_range": (_checked(float, lambda v: 0.0 <= 2.0 * v < math.inf,
                                        ">= 0 and finite when doubled"), 10.0),
@@ -205,7 +201,8 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def model_spec_from_config(cfg: RunConfig, target_dim=None, task=None) -> ModelSpec:
-    """The [model] section and the [run] task; given arguments override."""
+    """The [model] section and the [run] task; given arguments override, and
+    ``target_dim`` is the spec's default unless given."""
     given = {"target_dim": target_dim, "task": task}
     return ModelSpec(**{"task": cfg.run["task"], **cfg.model,
                         **{k: v for k, v in given.items() if v is not None}})

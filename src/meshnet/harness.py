@@ -127,18 +127,16 @@ def equivariance_gap(cfg: RunConfig) -> dict:
     spec = model_spec_from_config(cfg)
     model = build_model(spec, seed)
     meshes = eqgap_meshes(cfg.data["n_meshes"], seed, cfg.data["subdivisions"])
-    tr = cfg.transforms
-    families = list(tr["families"])
+    families = list(cfg.transforms["families"])
     gaps = {f: [] for f in families}
     rng = np.random.default_rng(seed + 1)
     for mesh in meshes:
         frames, geom, field = mesh_pipeline(mesh, spec.features, spec.reltan_powers)
         logits0 = model.forward(field, geom).value
-        for _ in range(tr["samples_per_mesh"]):
-            suite = _transform_suite(cfg, mesh.n_vertices, rng)
-            for family in families:
-                logits1 = transformed_logits(model, mesh, family, suite, frames)
-                gaps[family].append(float(np.mean((logits1 - logits0) ** 2)))
+        suite = _transform_suite(cfg, mesh.n_vertices, rng)
+        for family in families:
+            logits1 = transformed_logits(model, mesh, family, suite, frames)
+            gaps[family].append(float(np.mean((logits1 - logits0) ** 2)))
     report = _report_header(cfg)
     report.update({
         "kind": spec.kind,
@@ -169,7 +167,7 @@ def _accuracy(task: str, samples, logits) -> float:
 
 
 def train(cfg: RunConfig, dataset: Dataset | None = None):
-    """NLL training with Adam on the configured dataset.
+    """NLL training with Adam on the configured dataset, one step per training mesh.
 
     No transformations are applied to the training meshes.  Each history
     epoch records its mean loss, train accuracy, wall time and the largest
@@ -185,7 +183,6 @@ def train(cfg: RunConfig, dataset: Dataset | None = None):
     model = build_model(spec, seed)
     opt = Adam([t for _n, t in model.parameters()], lr=cfg.training["learning_rate"])
     drop_rng = np.random.default_rng(seed + 2)
-    batch_size = cfg.training["batch_size"]
 
     # geometry and features never change during training: precompute
     prepared = []
@@ -199,24 +196,18 @@ def train(cfg: RunConfig, dataset: Dataset | None = None):
     for epoch in range(cfg.training["epochs"]):
         start_s = time.perf_counter()
         losses, grad_norms = [], []
-        for start in range(0, len(prepared), batch_size):
-            batch = prepared[start:start + batch_size]
+        for field, geom, target in prepared:
             opt.zero_grad()
-            total = None
-            for field, geom, target in batch:
-                logits = model.forward(field, geom, train=True, rng=drop_rng)
-                loss = nll_loss(logits, target)
-                total = loss if total is None else total + loss
-            total = total * (1.0 / len(batch))
-            if not np.isfinite(total.item()):
+            loss = nll_loss(model.forward(field, geom, train=True, rng=drop_rng), target)
+            if not np.isfinite(loss.item()):
                 bad = next((n for n, t in model.parameters()
                             if not np.isfinite(t.value).all()), None)
-                raise TrainingDivergedError(epoch, total.item(), bad)
-            total.backward()
+                raise TrainingDivergedError(epoch, loss.item(), bad)
+            loss.backward()
             grad_norms.append(float(np.sqrt(sum(np.vdot(p.grad, p.grad)
                                                 for p in opt.params))))
             opt.step()
-            losses.append(total.item())
+            losses.append(loss.item())
         acc = _accuracy(spec.task, dataset.train,
                         (model.forward(field, geom).value for field, geom, _t in prepared))
         history.append({"epoch": epoch, "loss": float(np.mean(losses)),
@@ -237,7 +228,7 @@ def evaluate(cfg: RunConfig, model: Model | None = None,
              checkpoint: str | None = None, dataset: Dataset | None = None) -> dict:
     """Accuracy table: train / test / per transformation family."""
     if model is None and not checkpoint:
-        raise ConfigError("evaluation needs a model or a checkpoint ([run] checkpoint)")
+        raise ConfigError("evaluation needs a model or a checkpoint (--checkpoint)")
     if dataset is None:
         dataset = dataset_from_config(cfg)
     if not dataset.test:
@@ -338,11 +329,7 @@ def features_report(cfg: RunConfig) -> dict:
         "feature_type": str(field.ftype),
         "n_vertices": mesh.n_vertices,
         "values": field.values.tolist(),
+        # vector features are coordinates in these gauges
+        "frames": {name: getattr(frames, name).tolist() for name in ("normals", "e1", "e2")},
     })
-    if cfg.mesh["dump_frames"]:
-        report["frames"] = {
-            "normals": frames.normals.tolist(),
-            "e1": frames.e1.tolist(),
-            "e2": frames.e2.tolist(),
-        }
     return report

@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from meshnet.cli import main
@@ -33,6 +34,13 @@ epochs = 1
     ("eqgap", "[model]\nreltan_powers = nan\n", "[model] reltan_powers"),
     ("eqgap", "[transforms]\nfamilies =\n", "[transforms] families"),
     ("eqgap", "[timing]\nrepetitions = 20\n", "[timing]"),
+    # keys that had no effect, or could not work, are refused rather than ignored
+    ("eval", "[run]\ncheckpoint = train.json.ckpt\n", "unknown config key [run] checkpoint"),
+    ("train", "[model]\ntarget_dim = 3\n", "unknown config key [model] target_dim"),
+    ("train", "[training]\nbatch_size = 2\n", "unknown config key [training] batch_size"),
+    ("eqgap", "[transforms]\nsamples_per_mesh = 2\n",
+     "unknown config key [transforms] samples_per_mesh"),
+    ("features", "[mesh]\ndump_frames = true\n", "unknown config key [mesh] dump_frames"),
     ("eqgap", "[transforms]\ntranslation_range = inf\n", "[transforms] translation_range"),
     # finite, but uniform(-r, r) cannot draw across a width 2 r that overflows
     ("eqgap", "[transforms]\ntranslation_range = 1e308\n", "[transforms] translation_range"),
@@ -165,6 +173,10 @@ def test_every_subcommand_succeeds(tmp_path, capsys):
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["config_hash"] and report["build_id"]
+    # vector features are written in these gauges: one frame per vertex
+    frames = json.loads((tmp_path / "features.json").read_text())["frames"]
+    assert {k: np.shape(v) for k, v in frames.items()} == {
+        "normals": (12, 3), "e1": (12, 3), "e2": (12, 3)}
     checkpoint = json.loads((tmp_path / "train.json").read_text())["checkpoint"]
     assert sorted(p.name for p in tmp_path.glob("*.ckpt*")) == ["train.json.ckpt"]
     out = tmp_path / "eval.json"

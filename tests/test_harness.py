@@ -309,6 +309,17 @@ def test_each_mesh_is_prepared_once(monkeypatch):
     assert calls == {"build_frames": 8, "mesh_pipeline": 8}
 
 
+def test_one_adam_step_per_training_mesh(monkeypatch):
+    steps = []
+    step = harness.Adam.step
+    monkeypatch.setattr(harness.Adam, "step", lambda opt: steps.append(step(opt)))
+    cfg = parse_config(SMALL.format(extra="", families="gauge", width=2)
+                       .replace("train_meshes = 2", "train_meshes = 3")
+                       .replace("epochs = 1", "epochs = 2"))
+    train(cfg)
+    assert len(steps) == 2 * 3  # epochs x training meshes
+
+
 # A reduced default EMAN model at the default learning rate; chance level on
 # the 42-vertex correspondence is a loss of ln 42 = 3.74.
 REDUCED = """

@@ -1,9 +1,11 @@
 """Property tests on drawn feature types: the layout algebra, the self-kernel
 op against the dense oracle, and gauge and permutation equivariance of every
-layer kind.
+layer kind on drawn meshes and gauges.
 
-Hypothesis draws order lists (orders 0-3, unsorted, repeated); runs are
-derandomized and bounded, so the suite stays deterministic and quick.
+Hypothesis draws order lists (orders 0-3, unsorted, repeated), meshes (open
+grid patches with height noise, icospheres with radial jitter) and a gauge
+angle per vertex; runs are derandomized and bounded, so the suite stays
+deterministic and quick, and a failure shrinks to a small mesh.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ from meshnet.layers import (
     GemConvLayer,
     _SelfKernel,
 )
-from meshnet.mesh import generate_icosphere
+from meshnet.mesh import generate_grid_patch, generate_icosphere
 from meshnet.representations import FeatureType
 from meshnet.tangent import build_frames, regauge
 from meshnet.transforms import Permutation, apply_permutation
@@ -39,15 +41,33 @@ def _settings(n):
     return settings(max_examples=n, derandomize=True, deadline=None, database=None)
 
 
-def _mesh():
-    base = generate_icosphere(1)
-    radii = 1.0 + 0.3 * np.random.default_rng(0).uniform(-1.0, 1.0, base.n_vertices)
-    return base.with_vertices(base.vertices * radii[:, None])
+@st.composite
+def _patches(draw):
+    """A 3-5 x 3-5 grid patch: boundary fans, valences 2 to 6."""
+    rows, cols = draw(st.integers(3, 5)), draw(st.integers(3, 5))
+    return generate_grid_patch(rows, cols, draw(st.floats(0.0, 0.5)), draw(SEEDS))
 
 
-MESH = _mesh()
-FRAMES = build_frames(MESH)
-GEOM = EdgeGeometry.from_frames(FRAMES)
+@st.composite
+def _spheres(draw):
+    """An icosphere at subdivision 0-1, each vertex moved along its ray."""
+    base = generate_icosphere(draw(st.integers(0, 1)))
+    jitter = draw(st.floats(0.0, 0.3)) * np.random.default_rng(draw(SEEDS)).uniform(
+        -1.0, 1.0, base.n_vertices)
+    return base.with_vertices(base.vertices * (1.0 + jitter)[:, None])
+
+
+@st.composite
+def _meshes_and_gauges(draw):
+    """A mesh, its frames and edge geometry, and a gauge angle per vertex."""
+    mesh = draw(st.one_of(_patches(), _spheres()))
+    frames = build_frames(mesh)
+    gauges = np.array(draw(st.lists(st.floats(-np.pi, np.pi), min_size=mesh.n_vertices,
+                                    max_size=mesh.n_vertices)))
+    return mesh, frames, EdgeGeometry.from_frames(frames), gauges
+
+
+MESHES = _meshes_and_gauges()
 
 
 @_settings(100)
@@ -109,43 +129,44 @@ def _assert_close(got, want):
 
 
 @_settings(30)
-@given(TYPES, SEEDS)
-def test_nonlinearity_commutes_with_gauge_turns(ftype, seed):
+@given(MESHES, TYPES, SEEDS)
+def test_nonlinearity_commutes_with_gauge_turns(drawn, ftype, seed):
+    mesh, _frames, _geom, g = drawn
     rng = np.random.default_rng(seed)
     nl = GaugeNonlinearity(ftype)
     if nl.c is not None:
         nl.c.value[...] = rng.standard_normal(nl.c.shape)
-    f = rng.standard_normal((MESH.n_vertices, ftype.dim))
-    g = rng.uniform(-np.pi, np.pi, MESH.n_vertices)
+    f = rng.standard_normal((mesh.n_vertices, ftype.dim))
     _assert_close(nl.forward(Tensor(regauge_coords(f, ftype, g))).value,
                   regauge_coords(nl.forward(Tensor(f)).value, ftype, g))
 
 
 @_settings(30)
-@given(KINDS, TYPES, TYPES, BIASES, SEEDS)
-def test_layer_gauge_equivariance(kind, tin, tout, bias, seed):
+@given(MESHES, KINDS, TYPES, TYPES, BIASES, SEEDS)
+def test_layer_gauge_equivariance(drawn, kind, tin, tout, bias, seed):
     # features in turned gauges give the turned output: rho(-g) per vertex
+    mesh, base_frames, base_geom, g = drawn
     rng = np.random.default_rng(seed)
     layer = _layer(kind, tin, tout, bias, rng)
-    f = rng.standard_normal((MESH.n_vertices, tin.dim))
-    g = rng.uniform(-np.pi, np.pi, MESH.n_vertices)
-    frames, geom = regauge(FRAMES, g)
-    out = layer.forward(Tensor(f), GEOM).value
+    f = rng.standard_normal((mesh.n_vertices, tin.dim))
+    frames, geom = regauge(base_frames, g)
+    out = layer.forward(Tensor(f), base_geom).value
     turned = layer.forward(Tensor(regauge_coords(f, tin, g)),
                            EdgeGeometry.from_frames(frames, geom)).value
     _assert_close(turned, regauge_coords(out, layer.out_type, g))
 
 
 @_settings(30)
-@given(KINDS, TYPES, TYPES, BIASES, SEEDS)
-def test_layer_permutation_equivariance(kind, tin, tout, bias, seed):
+@given(MESHES, KINDS, TYPES, TYPES, BIASES, SEEDS)
+def test_layer_permutation_equivariance(drawn, kind, tin, tout, bias, seed):
     # relabelled vertices keep their rings, so their frames: rows move along
+    mesh, _frames, geom, _gauges = drawn
     rng = np.random.default_rng(seed)
     layer = _layer(kind, tin, tout, bias, rng)
-    f = rng.standard_normal((MESH.n_vertices, tin.dim))
-    perm = Permutation(rng.permutation(MESH.n_vertices))
-    moved = apply_permutation(MESH, perm)
-    out = layer.forward(Tensor(f), GEOM).value
+    f = rng.standard_normal((mesh.n_vertices, tin.dim))
+    perm = Permutation(rng.permutation(mesh.n_vertices))
+    moved = apply_permutation(mesh, perm)
+    out = layer.forward(Tensor(f), geom).value
     relabelled = layer.forward(Tensor(perm.permute_rows(f)),
                                EdgeGeometry.from_frames(build_frames(moved))).value
     _assert_close(perm.unpermute_rows(relabelled), out)
