@@ -2,11 +2,14 @@
 
 Minimal tape: every ``Tensor`` remembers its parents and a vector-Jacobian
 closure; ``backward()`` on a scalar root walks the graph once in reverse
-topological order.  The op set is exactly what the mesh layers need
-(matmul, gather/scatter, segment sums, the per-edge phase rotation
-``rotate_phase``, the order-by-order product ``commuting_matmul`` of a self
-kernel, the elementwise relu, exp, log, sqrt and sigmoid, reductions,
-concatenation); no higher-order derivatives.
+topological order.  The op set is exactly what the model records: ``+``,
+``-``, ``*`` and ``/`` with the Tensor on the left (numpy broadcasting),
+negation, matmul, ``.T``, ``reshape(*shape)``, gather/scatter, segment sums,
+the per-edge phase rotation ``rotate_phase``, the order-by-order product
+``commuting_matmul`` of a self kernel, the elementwise relu, exp, log, sqrt
+and sigmoid, sum and mean, concatenation; no higher-order derivatives.  A
+Tensor has no reflected operators and ``__array_ufunc__ = None``, so
+``2.0 * t`` and ``ndarray + t`` raise ``TypeError`` rather than record.
 
 Recording rule: every op computes its forward value once and returns it
 through ``_node``, which records the op (its Tensor operands, in order, and
@@ -178,7 +181,7 @@ def _node(value, parents, vjp):
 
 class Tensor:
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_vjp", "_spent")
-    # numpy defers ``ndarray op Tensor`` to the Tensor's reflected operator
+    # numpy declines ``ndarray op Tensor``; with no reflected operator it is a TypeError
     __array_ufunc__ = None
 
     def __init__(self, value, requires_grad=False, parents=(), vjp=None):
@@ -213,7 +216,9 @@ class Tensor:
         """Populate ``grad`` on every reachable parameter.
 
         The root must be scalar and recorded; a second backward through the
-        same root is rejected (no double backward).
+        same root is rejected (no double backward).  Every recorded node's
+        VJP returns one array per parent, so each node reached in reverse
+        topological order holds its gradient.
         """
         if self.value.size != 1:
             raise AutodiffError(f"backward needs a scalar root, got shape {self.shape}")
@@ -239,14 +244,12 @@ class Tensor:
                         stack.append((p, False))
         grads = {id(self): np.ones_like(self.value)}
         for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
+            g = grads.pop(id(node))
             if node._vjp is None:  # a leaf: its grad was allocated when it was built
                 node.grad += g
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):
-                if not parent.requires_grad or pg is None:
+                if not parent.requires_grad:
                     continue
                 # out of place: a VJP may hand one array to several parents
                 if id(parent) in grads:
@@ -261,16 +264,11 @@ class Tensor:
         return _node(self.value + _val(other), parents,
                      lambda g: tuple(_unbroadcast(g, p.value.shape) for p in parents))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return _node(-self.value, (self,), lambda g: (-g,))
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Tensor) else -np.asarray(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         a, b = self.value, _val(other)
@@ -284,8 +282,6 @@ class Tensor:
 
         return _node(a * b, parents, vjp)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         if not isinstance(other, Tensor):
             return self * (1.0 / np.asarray(other, dtype=np.float64))
@@ -293,17 +289,6 @@ class Tensor:
         return _node(a / b, (self, other),
                      lambda g: (_unbroadcast(g / b, a.shape),
                                 _unbroadcast(-g * a / (b * b), b.shape)))
-
-    def __rtruediv__(self, other):
-        a, c = self.value, np.asarray(other, dtype=np.float64)
-        return _node(c / a, (self,),
-                     lambda g: (_unbroadcast(-g * c / (a * a), a.shape),))
-
-    def __pow__(self, n):
-        if not isinstance(n, (int, float)):
-            raise TypeError("only scalar exponents supported")
-        a = self.value
-        return _node(a ** n, (self,), lambda g: (g * n * a ** (n - 1),))
 
     def __matmul__(self, other):
         a, b = self.value, _val(other)
@@ -345,19 +330,12 @@ class Tensor:
     # -- shape ---------------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], tuple):
-            shape = shape[0]
         a = self.value
         return _node(a.reshape(shape), (self,), lambda g: (g.reshape(a.shape),))
 
-    def transpose(self, axes=None):
-        inv = None if axes is None else np.argsort(axes)
-        return _node(self.value.transpose(axes), (self,),
-                     lambda g: (g.transpose(inv),))
-
     @property
     def T(self):
-        return self.transpose()
+        return _node(self.value.T, (self,), lambda g: (g.T,))
 
     def sum(self, axis=None, keepdims=False):
         a = self.value

@@ -11,9 +11,11 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
+import inspect
 import math
 import os
 
+from .datasets import segmentation_spheres
 from .errors import ConfigError, FeatureTypeError
 from .features import FAMILIES
 from .layers import BIAS_MODES
@@ -83,6 +85,10 @@ def _list(parse):
 # [model] holds the fields of ModelSpec but target_dim, which the dataset sets,
 # and its defaults are the spec's
 _MODEL_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ModelSpec)}
+# [data] bump_amplitude and noise default to those of segmentation_spheres,
+# the one generator with defaults
+_SPHERE_DEFAULTS = {k: p.default for k, p in
+                    inspect.signature(segmentation_spheres).parameters.items()}
 
 _SCHEMA = {
     "run": {
@@ -114,8 +120,8 @@ _SCHEMA = {
         "train_meshes": (_at_least(int, 1), 10),
         "test_meshes": (_at_least(int, 0), 5),
         "subdivisions": (_at_least(int, 0), 1),
-        "bump_amplitude": (_finite, 0.3),
-        "noise": (_finite, 0.05),
+        "bump_amplitude": (_finite, _SPHERE_DEFAULTS["bump_amplitude"]),
+        "noise": (_finite, _SPHERE_DEFAULTS["noise"]),
         "n_meshes": (_at_least(int, 1), 20),
         "mesh_dir": (str, ""),
     },
@@ -154,7 +160,8 @@ class RunConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header can spell the empty name, so [DEFAULT] is an unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -11,6 +11,12 @@ with distinct local geometry.
 
 Files mode accepts directories of OFF/OBJ meshes: flat for segmentation
 (labels are vertex indices), one subdirectory per class for classification.
+
+The generators take their parameters from ``[data]``, and the seed from
+``[run]``, through :func:`dataset_from_config`.  Only ``segmentation_spheres``
+has defaults, for ``bump_amplitude``, ``noise`` and ``seed``, which the
+benchmark's tests omit; ``[data]`` takes its two from it, so each value is
+named once.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ def _bumpy_sphere(base: Mesh, bump: np.ndarray, noise: float,
     return base.with_vertices(base.vertices * radii[:, None])
 
 
-def segmentation_spheres(n_train: int, n_test: int, subdivisions: int = 1,
+def segmentation_spheres(n_train: int, n_test: int, subdivisions: int,
                          bump_amplitude: float = 0.3, noise: float = 0.05,
                          seed: int = 0) -> Dataset:
     base = generate_icosphere(subdivisions)
@@ -63,9 +69,8 @@ def segmentation_spheres(n_train: int, n_test: int, subdivisions: int = 1,
     return Dataset(batch(n_train), batch(n_test), base.n_vertices, "segmentation")
 
 
-def classification_shapes(n_train: int, n_test: int, subdivisions: int = 1,
-                          bump_amplitude: float = 0.3, noise: float = 0.3,
-                          seed: int = 0) -> Dataset:
+def classification_shapes(n_train: int, n_test: int, subdivisions: int,
+                          bump_amplitude: float, noise: float, seed: int) -> Dataset:
     base = generate_icosphere(subdivisions)
     rng = np.random.default_rng(seed)
 
@@ -80,7 +85,7 @@ def classification_shapes(n_train: int, n_test: int, subdivisions: int = 1,
     return Dataset(total[:n_train], total[n_train:], 2, "classification")
 
 
-def eqgap_meshes(n: int, seed: int = 0, subdivisions: int = 1) -> list:
+def eqgap_meshes(n: int, seed: int, subdivisions: int) -> list:
     """Mixed synthetic meshes for equivariance-gap reports: the training
     meshes of ``classification_shapes`` with grid noise 0.25."""
     return [s.mesh for s in classification_shapes(n, 0, subdivisions, 0.3, 0.25, seed).train]

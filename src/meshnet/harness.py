@@ -11,7 +11,10 @@ Every report embeds the config hash, a build identifier (hash of the
 installed package sources), and the seed, so identical inputs reproduce
 identical JSON, apart from the wall times of a training history.  A
 checkpoint is one ``.npz`` record of named float64 parameters, the format
-version and the config hash; loading it checks all of them or changes nothing.
+version and the config hash; loading it checks all of them, the hash against
+the current config's, or changes nothing.  Training and evaluation build
+their dataset from the config alone, and evaluation reads its model from the
+checkpoint that training wrote.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from . import __version__
 from .autodiff import Adam, nll_loss
 from .config import RunConfig, config_hash, model_spec_from_config
-from .datasets import Dataset, dataset_from_config, eqgap_meshes
+from .datasets import dataset_from_config, eqgap_meshes
 from .errors import CheckpointError, ConfigError, TrainingDivergedError
 from .features import RELTAN_POWERS, compute_features
 from .mesh import Mesh, generate_grid_patch, generate_icosphere
@@ -166,7 +169,7 @@ def _accuracy(task: str, samples, logits) -> float:
     return 100.0 * correct / total
 
 
-def train(cfg: RunConfig, dataset: Dataset | None = None):
+def train(cfg: RunConfig):
     """NLL training with Adam on the configured dataset, one step per training mesh.
 
     No transformations are applied to the training meshes.  Each history
@@ -175,8 +178,7 @@ def train(cfg: RunConfig, dataset: Dataset | None = None):
     TrainingDivergedError, naming the first non-finite parameter if there is
     one, if the loss leaves the reals.
     """
-    if dataset is None:
-        dataset = dataset_from_config(cfg)
+    dataset = dataset_from_config(cfg)
     seed = cfg.run["seed"]
     spec = model_spec_from_config(cfg, target_dim=dataset.target_dim,
                                   task=dataset.task)
@@ -224,23 +226,23 @@ def train(cfg: RunConfig, dataset: Dataset | None = None):
     return model, metrics
 
 
-def evaluate(cfg: RunConfig, model: Model | None = None,
-             checkpoint: str | None = None, dataset: Dataset | None = None) -> dict:
-    """Accuracy table: train / test / per transformation family."""
-    if model is None and not checkpoint:
-        raise ConfigError("evaluation needs a model or a checkpoint (--checkpoint)")
-    if dataset is None:
-        dataset = dataset_from_config(cfg)
+def evaluate(cfg: RunConfig, checkpoint: str | None) -> dict:
+    """Accuracy table of the model in ``checkpoint``: train / test / per
+    transformation family.
+
+    The checkpoint is the record ``meshnet train`` wrote for this config
+    (:func:`load_checkpoint` checks its config hash); none is a ConfigError.
+    """
+    if not checkpoint:
+        raise ConfigError("evaluation needs a checkpoint (--checkpoint)")
+    dataset = dataset_from_config(cfg)
     if not dataset.test:
         raise ConfigError("evaluation needs a non-empty test set")
-    if model is None:
-        spec = model_spec_from_config(cfg, target_dim=dataset.target_dim,
-                                      task=dataset.task)
-        model = build_model(spec, cfg.run["seed"])
-        load_checkpoint(model, checkpoint, expect_hash=config_hash(cfg))
     seed = cfg.run["seed"]
+    spec = model_spec_from_config(cfg, target_dim=dataset.target_dim, task=dataset.task)
+    model = build_model(spec, seed)
+    load_checkpoint(model, checkpoint, config_hash(cfg))
     report = _report_header(cfg)
-    spec = model.spec
     test = [mesh_pipeline(s.mesh, spec.features, spec.reltan_powers) for s in dataset.test]
     accuracy = {"train": _accuracy(spec.task, dataset.train,
                                    (model_logits(model, s.mesh) for s in dataset.train)),
@@ -268,12 +270,13 @@ def save_checkpoint(model: Model, path: str, cfg_hash: str):
                  **{name: t.value for name, t in model.parameters()})
 
 
-def load_checkpoint(model: Model, path: str, expect_hash: str | None = None) -> str:
+def load_checkpoint(model: Model, path: str, expect_hash: str) -> str:
     """Load a :func:`save_checkpoint` record into ``model``; return its config hash.
 
-    All or nothing: zip checks every member's CRC-32, then the version,
-    ``expect_hash`` and each parameter's name, dtype and shape are checked
-    before any parameter is written.  A failure raises :class:`CheckpointError`.
+    All or nothing: zip checks every member's CRC-32, then the version, the
+    stored config hash (it must equal ``expect_hash``) and each parameter's
+    name, dtype and shape are checked before any parameter is written.  A
+    failure raises :class:`CheckpointError`.
     """
     try:
         # not np.load: a file that is no zip (a bare .npy, a version 5 record) is a
@@ -293,7 +296,7 @@ def load_checkpoint(model: Model, path: str, expect_hash: str | None = None) -> 
                               f"(expected {_CKPT_VERSION})")
     if stored_hash.ndim or stored_hash.dtype.kind != "U":
         raise CheckpointError(f"{path}: the record holds no config hash")
-    if expect_hash is not None and stored_hash != expect_hash:
+    if stored_hash != expect_hash:
         raise CheckpointError(f"checkpoint was written for config {stored_hash}, "
                               f"current config hashes to {expect_hash}")
     params = dict(model.parameters())

@@ -165,12 +165,12 @@ class GemConvLayer:
 
     Output at p is ``K_self f_p`` plus the sum over neighbors q of
     ``K_neigh(theta_pq)`` applied to the transported neighbor feature,
-    followed by the bias.
+    followed by the bias.  ``rng`` is required: it draws every parameter,
+    so a seeded generator makes the layer reproducible.
     """
 
     def __init__(self, in_type: FeatureType, out_type: FeatureType,
-                 bias: str = "scalar", rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng()
+                 bias: str = "scalar", *, rng: np.random.Generator):
         self.in_type, self.out_type = in_type, out_type
         self.self_kernel = _SelfKernel(in_type, out_type, rng)
         self.neigh_kernel = parameter(init_neighbor_kernel(in_type, out_type, rng))
@@ -211,14 +211,14 @@ class EmanAttentionLayer:
     (the inverse of ``out_cols``);
     with one, the value kernel absorbs it.
     ``self_contribution`` adds each vertex's own key and value to its
-    neighborhood (so the normalizer is ``N_p + 1``).
+    neighborhood (so the normalizer is ``N_p + 1``).  ``rng`` is required,
+    as for :class:`GemConvLayer`.
     """
 
     def __init__(self, in_type: FeatureType, out_type: FeatureType,
                  att_type: FeatureType | None = None, bias: str = "scalar",
                  self_contribution: bool = False, heads: int = 1,
-                 rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng()
+                 *, rng: np.random.Generator):
         self.in_type, self.out_type = in_type, out_type
         self.att_type = att = att_type if att_type is not None else out_type
         self.self_contribution = self_contribution

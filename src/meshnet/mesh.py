@@ -304,15 +304,14 @@ def vertex_normals(mesh: Mesh) -> np.ndarray:
 # I/O
 # ---------------------------------------------------------------------------
 
-def load_mesh(path, fmt=None) -> Mesh:
-    """Load a mesh from an OFF or OBJ file.
+def load_mesh(path) -> Mesh:
+    """Load a mesh from an OFF or OBJ file, as its extension says.
 
-    ``fmt`` may be ``"off"`` or ``"obj"``; inferred from the extension when
-    omitted.  OBJ import reads only ``v`` and ``f`` records and drops
-    texture/normal indices.
+    OBJ import reads only ``v`` and ``f`` records and drops texture/normal
+    indices.
     """
     path = str(path)
-    parse = _parse_off if _mesh_format(path, fmt) == "off" else _parse_obj
+    parse = _parse_off if _mesh_format(path, None) == "off" else _parse_obj
     return Mesh(*parse(path))
 
 

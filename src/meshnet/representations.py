@@ -103,9 +103,6 @@ class FeatureType:
 
     # -- algebra on types ---------------------------------------------------
 
-    def __add__(self, other):
-        return FeatureType(self.orders + other.orders)
-
     def __rmul__(self, k):
         if not isinstance(k, int) or k < 1:
             return NotImplemented

@@ -60,7 +60,7 @@ _SHARED_BLOCKS = ((0, 0, 2, 0, 1), (1, 2, 4, 1, 5))
 class TestBackwardBasics:
     def test_square(self):
         x = parameter(3.0)
-        (x ** 2).backward()
+        (x * x).backward()
         npt.assert_allclose(x.grad, 6.0)
 
     def test_softmax_shift_invariance_gradient(self):
@@ -89,7 +89,8 @@ class TestBackwardBasics:
             (parameter(np.ones(3)) * 2).backward()
 
     def test_double_backward_rejected(self):
-        loss = parameter(2.0) ** 2
+        x = parameter(2.0)
+        loss = x * x
         loss.backward()
         with pytest.raises(AutodiffError):
             loss.backward()
@@ -130,7 +131,8 @@ class TestOperatorGradients:
         b = parameter(rng.standard_normal((4, 6)))
 
         def loss():
-            return ((a @ b).relu().sum(axis=1) ** 2).mean()
+            h = (a @ b).relu().sum(axis=1)
+            return (h * h).mean()
 
         check_gradients(loss, [a, b], rng)
 
@@ -153,8 +155,8 @@ class TestOperatorGradients:
 
             def loss():
                 g = take_rows(x, rows)
-                g = take_cols(g, cols)
-                return (segment_sum(g, seg, 4) ** 2).sum()
+                g = segment_sum(take_cols(g, cols), seg, 4)
+                return (g * g).sum()
 
             check_gradients(loss, [x], rng)
 
@@ -165,7 +167,8 @@ class TestOperatorGradients:
         flat = np.arange(5) * 4 + rng.integers(0, 4, 5)
 
         def loss():
-            return (take_rows(x.reshape(-1), flat) ** 2).sum()
+            h = take_rows(x.reshape(-1), flat)
+            return (h * h).sum()
 
         check_gradients(loss, [x], rng)
 
@@ -175,7 +178,7 @@ class TestOperatorGradients:
         b = parameter(rng.standard_normal((3, 4)))
 
         def loss():
-            h = concat([a, b], axis=1).transpose().reshape(3, 6)
+            h = concat([a, b], axis=1).T.reshape(3, 6)
             return (h * h).sum()
 
         check_gradients(loss, [a, b], rng)
@@ -219,7 +222,8 @@ class TestOperatorGradients:
         r = rng.standard_normal((5, 7))
 
         def loss():
-            return (commuting_matmul(x, w, _SHARED_BLOCKS, 7) ** 2 * r).sum()
+            y = commuting_matmul(x, w, _SHARED_BLOCKS, 7)
+            return (y * y * r).sum()
 
         check_gradients(loss, [x, w], rng)
 
@@ -233,7 +237,8 @@ class TestOperatorGradients:
         r = rng.standard_normal((5, 6))
 
         def loss():
-            return (commuting_matmul(x, w, blocks, 6) ** 2 * r).sum()
+            y = commuting_matmul(x, w, blocks, 6)
+            return (y * y * r).sum()
 
         check_gradients(loss, [x, w], rng)
 
@@ -253,7 +258,8 @@ class TestRotatePairs:
         w = rng.standard_normal((9, self.ftype.dim))
 
         def loss():
-            return (rotate_phase(x, self.angles, self.ftype.vector_blocks) ** 2 * w).sum()
+            y = rotate_phase(x, self.angles, self.ftype.vector_blocks)
+            return (y * y * w).sum()
 
         check_gradients(loss, [x], rng, samples=20)
 
@@ -281,8 +287,12 @@ class TestRotatePairs:
                 y[:, h], rotate_phase(Tensor(x.value[:, h]), self.angles,
                                       self.ftype.vector_blocks).value)
         w = rng.standard_normal(x.shape)
-        check_gradients(lambda: (rotate_phase(x, self.angles, self.ftype.vector_blocks)
-                                 ** 2 * w).sum(), [x], rng, samples=20)
+
+        def loss():
+            y = rotate_phase(x, self.angles, self.ftype.vector_blocks)
+            return (y * y * w).sum()
+
+        check_gradients(loss, [x], rng, samples=20)
 
 
 class TestScattersMatchAddAt:
@@ -584,18 +594,13 @@ RECORDING_CASES = [
     ("add", lambda a, b: a + b, [(4, 3), (4, 3)], True),
     ("add_broadcast", lambda a, b: a + b, [(4, 3), (3,)], True),
     ("add_array", lambda a: a + np.ones(3), [(4, 3)], True),
-    ("radd", lambda a: 2.0 + a, [(4, 3)], True),
     ("neg", lambda a: -a, [(4, 3)], True),
     ("sub", lambda a, b: a - b, [(4, 3), (4, 3)], False),
-    ("rsub", lambda a: 1.0 - a, [(4, 3)], False),
     ("mul", lambda a, b: a * b, [(4, 3), (4, 3)], True),
     ("mul_array", lambda a: a * np.arange(3.0), [(4, 3)], True),
-    ("rmul", lambda a: 3.0 * a, [(4, 3)], True),
     ("truediv", lambda a, b: a / (b * b + 1.0), [(4, 3), (4, 3)], False),
     ("truediv_tensors", lambda a, b: a / b, [(4, 3), (4, 3)], True),
     ("truediv_scalar", lambda a: a / 2.0, [(4, 3)], False),
-    ("rtruediv", lambda a: 2.0 / a, [(4, 3)], True),
-    ("pow", lambda a: a ** 3, [(4, 3)], True),
     ("matmul", lambda a, b: a @ b, [(4, 3), (3, 2)], True),
     ("matmul_array", lambda a: a @ np.ones((3, 2)), [(4, 3)], True),
     ("relu", lambda a: a.relu(), [(4, 3)], True),
@@ -604,7 +609,6 @@ RECORDING_CASES = [
     ("sqrt", lambda a: (a * a + 1.0).sqrt(), [(4, 3)], False),
     ("sigmoid", lambda a: a.sigmoid(), [(4, 3)], True),
     ("reshape", lambda a: a.reshape(3, 4), [(4, 3)], True),
-    ("transpose", lambda a: a.transpose((1, 0)), [(4, 3)], True),
     ("T", lambda a: a.T, [(4, 3)], True),
     ("sum", lambda a: a.sum(), [(4, 3)], True),
     ("sum_axis", lambda a: a.sum(axis=0, keepdims=True), [(4, 3)], True),
@@ -656,16 +660,14 @@ class TestRecordingRule:
         assert np.array_equal(np.signbit(out.value), np.signbit(const.value))
 
 
-@pytest.mark.parametrize("op, dp", [
-    (lambda a, p: a * p, lambda a: a),
-    (lambda a, p: a + p, np.ones_like),
-    (lambda a, p: a - p, lambda a: -np.ones_like(a)),
-], ids=["mul", "add", "sub"])
-def test_ndarray_on_the_left_defers_to_tensor(op, dp):
-    a = np.array([2.0, 3.0, 5.0])
-    p = parameter(np.array([1.0, -1.0, 4.0]))
-    out = op(a, p)
-    assert isinstance(out, Tensor)
-    npt.assert_array_equal(out.value, op(a, p.value))
-    out.sum().backward()
-    npt.assert_array_equal(p.grad, dp(a))
+@pytest.mark.parametrize("left", [np.array([2.0, 3.0, 5.0]), 2.0], ids=["ndarray", "float"])
+@pytest.mark.parametrize("op", [
+    lambda a, p: a * p,
+    lambda a, p: a + p,
+    lambda a, p: a - p,
+    lambda a, p: a / p,
+], ids=["mul", "add", "sub", "truediv"])
+def test_array_or_scalar_on_the_left_raises(op, left):
+    # a Tensor has no reflected operators, and numpy declines to take it
+    with pytest.raises(TypeError):
+        op(left, parameter(np.array([1.0, -1.0, 4.0])))

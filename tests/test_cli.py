@@ -34,6 +34,8 @@ epochs = 1
     ("eqgap", "[model]\nreltan_powers = nan\n", "[model] reltan_powers"),
     ("eqgap", "[transforms]\nfamilies =\n", "[transforms] families"),
     ("eqgap", "[timing]\nrepetitions = 20\n", "[timing]"),
+    # configparser's default section would leak its keys into every section
+    ("eqgap", "[DEFAULT]\nseed = 3\n[run]\n[model]\n", "unknown config section [DEFAULT]"),
     # keys that had no effect, or could not work, are refused rather than ignored
     ("eval", "[run]\ncheckpoint = train.json.ckpt\n", "unknown config key [run] checkpoint"),
     ("train", "[model]\ntarget_dim = 3\n", "unknown config key [model] target_dim"),

@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import meshnet
-from meshnet.autodiff import Adam
+from meshnet import datasets, harness
+from meshnet.autodiff import Adam, Tensor
 from meshnet.errors import UndefinedLogMapError
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(meshnet.__path__))
@@ -86,6 +88,46 @@ def test_deleted_members_and_parameters_stay_deleted():
     assert list(inspect.signature(Adam).parameters) == ["params", "lr"]
     q = inspect.signature(UndefinedLogMapError).parameters["q"]
     assert q.default is inspect.Parameter.empty
+    # a public call takes only what its caller sets: evaluate reads the
+    # checkpoint train wrote, a load checks the hash, the extension names the
+    # format, and the generators take [data]'s values
+    required = {
+        harness.train: ["cfg"],
+        harness.evaluate: ["cfg", "checkpoint"],
+        harness.load_checkpoint: ["model", "path", "expect_hash"],
+        meshnet.load_mesh: ["path"],
+        datasets.classification_shapes: ["n_train", "n_test", "subdivisions",
+                                         "bump_amplitude", "noise", "seed"],
+        datasets.eqgap_meshes: ["n", "seed", "subdivisions"],
+    }
+    for fn, names in required.items():
+        params = inspect.signature(fn).parameters
+        assert list(params) == names, fn.__name__
+        assert all(p.default is p.empty for p in params.values()), fn.__name__
+    # segmentation_spheres keeps the defaults the benchmark omits, [data]'s and [run]'s
+    cfg = meshnet.default_config()
+    params = inspect.signature(datasets.segmentation_spheres).parameters
+    assert {k: p.default for k, p in params.items() if p.default is not p.empty} == {
+        "bump_amplitude": cfg.data["bump_amplitude"], "noise": cfg.data["noise"],
+        "seed": cfg.run["seed"]}
+    # a layer draws its parameters from the caller's generator, never an unseeded one
+    t = meshnet.FeatureType([0, 1])
+    for layer in (meshnet.GemConvLayer, meshnet.EmanAttentionLayer):
+        with pytest.raises(TypeError, match="rng"):
+            layer(t, t)
+    # the tape keeps the ops the model records: the Tensor on the left, no powers,
+    # .T for the one transpose, and reshape by separate sizes
+    assert not [n for n in ("__radd__", "__rmul__", "__rsub__", "__rtruediv__", "__pow__",
+                            "transpose") if hasattr(Tensor, n)]
+    assert not hasattr(meshnet.FeatureType, "__add__")
+    x = Tensor(np.ones(3))
+    for left in (np.ones(3), 2.0):
+        with pytest.raises(TypeError):
+            left + x
+        with pytest.raises(TypeError):
+            left * x
+    with pytest.raises(TypeError):
+        x.reshape((3, 1))
 
 
 def test_package_loads_no_scipy():

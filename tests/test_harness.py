@@ -12,7 +12,7 @@ import pytest
 from meshnet import harness
 from meshnet.autodiff import Tensor
 from meshnet.cli import main
-from meshnet.config import model_spec_from_config, parse_config
+from meshnet.config import config_hash, model_spec_from_config, parse_config
 from meshnet.errors import (
     CheckpointError,
     ConfigError,
@@ -75,8 +75,9 @@ def _flip(data, at, bit):
     return data[:at] + bytes([data[at] ^ (1 << bit)]) + data[at + 1:]
 
 
-def _assert_rejected(path, match=None, expect_hash=None):
-    """The load raises CheckpointError and changes no parameter."""
+def _assert_rejected(path, match=None, expect_hash="cfg"):
+    """The load raises CheckpointError and changes no parameter; by default
+    the load expects the records' own config hash, so another check rejects."""
     model = build_model(SPEC, seed=2)
     before = _flat(model)
     with pytest.raises(CheckpointError, match=match):
@@ -278,16 +279,22 @@ def test_negative_controls_break_their_family(extra, family):
     assert gaps[family] > 1e-6
 
 
-def test_evaluate_reports_every_accuracy():
+def _trained(cfg, tmp_path):
+    """The checkpoint that ``meshnet train`` writes for ``cfg``."""
+    path = str(tmp_path / "train.ckpt")
+    save_checkpoint(train(cfg)[0], path, config_hash(cfg))
+    return path
+
+
+def test_evaluate_reports_every_accuracy(tmp_path):
     cfg = _small_config()
-    model, _metrics = train(cfg)
-    accuracy = evaluate(cfg, model=model)["accuracy"]
+    accuracy = evaluate(cfg, _trained(cfg, tmp_path))["accuracy"]
     assert set(accuracy) == {"train", "test", "gauge", "rot_tr_scale", "perm"}
     for value in accuracy.values():
         assert 0.0 <= value <= 100.0
 
 
-def test_each_mesh_is_prepared_once(monkeypatch):
+def test_each_mesh_is_prepared_once(monkeypatch, tmp_path):
     # train's accuracy pass reads the meshes train prepared, and the gauge
     # family regauges the base frames instead of building them again
     calls = collections.Counter()
@@ -299,13 +306,13 @@ def test_each_mesh_is_prepared_once(monkeypatch):
         monkeypatch.setattr(harness, name, counted)
     cfg = parse_config(SMALL.format(extra="", families="gauge", width=2)
                        .replace("epochs = 1", "epochs = 3"))
-    model, _metrics = train(cfg)
+    checkpoint = _trained(cfg, tmp_path)
     assert calls == {"build_frames": 2, "mesh_pipeline": 2}  # two training meshes
     calls.clear()
     equivariance_gap(cfg)  # two meshes
     assert calls == {"build_frames": 2, "mesh_pipeline": 2}
     calls.clear()
-    evaluate(cfg, model=model)  # train, test, rot_tr_scale and perm: two meshes each
+    evaluate(cfg, checkpoint)  # train, test, rot_tr_scale and perm: two meshes each
     assert calls == {"build_frames": 8, "mesh_pipeline": 8}
 
 
@@ -395,14 +402,13 @@ def test_self_contribution_accepts_empty_neighborhood():
     assert np.isfinite(out).all()
 
 
-def test_evaluate_honours_transform_ranges():
+def test_evaluate_honours_transform_ranges(tmp_path):
     # GET features do not change under a rotation about the origin, so with
     # translation and scaling ruled out by the config the rot_tr_scale
     # accuracy is the untransformed one
     text = SMALL.format(extra="features = get", families="rot_tr_scale", width=2)
     cfg = parse_config(text + "translation_range = 0\nscale_min = 1\nscale_max = 1\n")
-    model, _metrics = train(cfg)
-    accuracy = evaluate(cfg, model=model)["accuracy"]
+    accuracy = evaluate(cfg, _trained(cfg, tmp_path))["accuracy"]
     assert accuracy["rot_tr_scale"] == accuracy["test"]
 
 
@@ -422,6 +428,15 @@ def test_model_section_is_the_spec():
     assert model_spec_from_config(cfg, target_dim=3) == ModelSpec(
         target_dim=3, task="classification", heads=2, attention_type="rho1")
     assert model_spec_from_config(cfg, task="segmentation").task == "segmentation"
+
+
+@pytest.mark.parametrize("text", ["[DEFAULT]\nepochs = 5\n", "[DEFAULT]\nseed = 3\n[run]\n"])
+def test_default_section_rejected(text):
+    # it was ignored (the first) or lent its keys to every section (the second)
+    with pytest.raises(ConfigError, match=re.escape("unknown config section [DEFAULT]")):
+        parse_config(text)
+    # refusing it leaves the hash of every config that does not spell it alone
+    assert config_hash(parse_config("")) == "edb68665566351be"
 
 
 def test_reversed_scale_range_rejected():

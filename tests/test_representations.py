@@ -42,7 +42,8 @@ class TestFeatureType:
         assert all(b > a for a, b in zip(t.offsets, t.offsets[1:]))
 
     def test_algebra(self):
-        assert FeatureType([0]) + FeatureType([1]) == FeatureType([0, 1])
+        assert FeatureType([1, 0]) == FeatureType([0, 1])
+        assert FeatureType([1, 0]).orders == (0, 1)
         assert 3 * FeatureType([0]) == FeatureType([0, 0, 0])
 
     def test_rejects_bad_input(self):
