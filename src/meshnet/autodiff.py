@@ -3,13 +3,14 @@
 Minimal tape: every ``Tensor`` remembers its parents and a vector-Jacobian
 closure; ``backward()`` on a scalar root walks the graph once in reverse
 topological order.  The op set is exactly what the model records: ``+``,
-``-``, ``*`` and ``/`` with the Tensor on the left (numpy broadcasting),
-negation, matmul, ``.T``, ``reshape(*shape)``, gather/scatter, segment sums,
-the per-edge phase rotation ``rotate_phase``, the order-by-order product
-``commuting_matmul`` of a self kernel, the elementwise relu, exp, log, sqrt
-and sigmoid, sum and mean, concatenation; no higher-order derivatives.  A
-Tensor has no reflected operators and ``__array_ufunc__ = None``, so
-``2.0 * t`` and ``ndarray + t`` raise ``TypeError`` rather than record.
+``-`` and ``*`` with the Tensor on the left (numpy broadcasting), ``/`` and
+``@`` between Tensors, negation, ``.T``, ``reshape(*shape)``,
+gather/scatter, segment sums, the per-edge phase rotation ``rotate_phase``,
+the order-by-order product ``commuting_matmul`` of a self kernel, the
+elementwise relu, exp, log, sqrt and sigmoid, sum and mean, concatenation;
+no higher-order derivatives.  A Tensor has no reflected operators and
+``__array_ufunc__ = None``, so ``2.0 * t`` and ``ndarray + t`` raise
+``TypeError`` rather than record, and so do ``t / 2.0`` and ``t @ ndarray``.
 
 Recording rule: every op computes its forward value once and returns it
 through ``_node``, which records the op (its Tensor operands, in order, and
@@ -284,23 +285,17 @@ class Tensor:
 
     def __truediv__(self, other):
         if not isinstance(other, Tensor):
-            return self * (1.0 / np.asarray(other, dtype=np.float64))
+            return NotImplemented
         a, b = self.value, other.value
         return _node(a / b, (self, other),
                      lambda g: (_unbroadcast(g / b, a.shape),
                                 _unbroadcast(-g * a / (b * b), b.shape)))
 
     def __matmul__(self, other):
-        a, b = self.value, _val(other)
-        parents = [p for p in (self, other) if isinstance(p, Tensor)]
-
-        def vjp(g):
-            out = [g @ b.T]
-            if isinstance(other, Tensor):
-                out.append(a.T @ g)
-            return tuple(out)
-
-        return _node(a @ b, parents, vjp)
+        if not isinstance(other, Tensor):
+            return NotImplemented
+        a, b = self.value, other.value
+        return _node(a @ b, (self, other), lambda g: (g @ b.T, a.T @ g))
 
     # -- elementwise ----------------------------------------------------------
 
@@ -323,8 +318,8 @@ class Tensor:
 
     def sigmoid(self):
         a = self.value
-        out = np.where(a >= 0, 1.0 / (1.0 + np.exp(-np.abs(a))),
-                       np.exp(-np.abs(a)) / (1.0 + np.exp(-np.abs(a))))
+        e = np.exp(-np.abs(a))
+        out = np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         return _node(out, (self,), lambda g: (g * out * (1.0 - out),))
 
     # -- shape ---------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Subcommands: ``gen-mesh``, ``features``, ``eqgap``, ``train`` and ``eval``.
 All take ``--config <path>`` (key=value file with [section] headers; omitted
-means all defaults) and ``--out <path>``.  On failure -- a library error or
+means all defaults) and ``--out <path>``; ``gen-mesh`` writes OFF or OBJ, as
+the extension of its ``--out`` says.  On failure -- a library error or
 a file that cannot be written -- a machine-readable error JSON is printed to
 stdout and the exit code is nonzero.  ``MESHNET_SEED`` overrides the
 configured seed.  ``train`` writes ``<out>.ckpt``, one ``.npz`` record of the
@@ -46,7 +47,8 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, descr in [
-        ("gen-mesh", "generate a synthetic mesh and write it as OFF"),
+        ("gen-mesh", "generate a synthetic mesh and write it as OFF or OBJ, "
+                     "as the extension says"),
         ("features", "compute input features for the configured mesh"),
         ("eqgap", "equivariance-gap report for a randomly initialized model"),
         ("train", "train on the configured dataset; writes metrics + checkpoint"),
@@ -54,7 +56,7 @@ def main(argv=None) -> int:
     ]:
         p = sub.add_parser(name, help=descr)
         p.add_argument("--config", help="path to the config file")
-        p.add_argument("--out", help="output path (JSON; OFF for gen-mesh)")
+        p.add_argument("--out", help="output path (JSON; .off or .obj for gen-mesh)")
         if name == "eval":
             p.add_argument("--checkpoint", help="path of the checkpoint that train wrote")
     args = parser.parse_args(argv)
@@ -64,8 +66,8 @@ def main(argv=None) -> int:
         if args.command == "gen-mesh":
             mesh = generate_config_mesh(cfg)
             if not args.out:
-                raise MeshNetError("gen-mesh needs --out <path.off>")
-            save_mesh(mesh, args.out, fmt="off")
+                raise MeshNetError("gen-mesh needs --out <path.off|path.obj>")
+            save_mesh(mesh, args.out)
             print(json.dumps({"written": args.out, "n_vertices": mesh.n_vertices,
                               "n_faces": mesh.n_faces, "config_hash": config_hash(cfg),
                               "build_id": build_id()}))

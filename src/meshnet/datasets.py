@@ -9,8 +9,13 @@ correspondence task in miniature.
 Classification: bumpy icospheres versus noisy grid patches, two classes
 with distinct local geometry.
 
-Files mode accepts directories of OFF/OBJ meshes: flat for segmentation
-(labels are vertex indices), one subdirectory per class for classification.
+Files mode reads directories of meshes: flat for segmentation (labels are
+vertex indices), one subdirectory per class for classification.  Every file
+in them is a mesh, in the format its extension names (``.off`` or ``.obj``,
+see :func:`~meshnet.mesh.load_mesh`); any other file is a MeshParseError.
+
+A label is always an int array: one class per vertex, shape (V,), for
+segmentation, and the mesh's class, shape (1,), for classification.
 
 The generators take their parameters from ``[data]``, and the seed from
 ``[run]``, through :func:`dataset_from_config`.  Only ``segmentation_spheres``
@@ -36,8 +41,10 @@ __all__ = ["MeshSample", "Dataset", "segmentation_spheres",
 
 @dataclass
 class MeshSample:
+    """A mesh and its int label array: shape (V,) per vertex, or (1,) per mesh."""
+
     mesh: Mesh
-    label: object  # per-vertex int array (segmentation) or class int
+    label: np.ndarray
 
 
 @dataclass
@@ -77,9 +84,9 @@ def classification_shapes(n_train: int, n_test: int, subdivisions: int,
     def sample(i):
         if i % 2 == 0:
             bump = bump_amplitude * rng.uniform(-1.0, 1.0, base.n_vertices)
-            return MeshSample(_bumpy_sphere(base, bump, 0.0, rng), 0)
+            return MeshSample(_bumpy_sphere(base, bump, 0.0, rng), np.array([0]))
         mesh = generate_grid_patch(6, 7, noise, int(rng.integers(0, 2**31)))
-        return MeshSample(mesh, 1)
+        return MeshSample(mesh, np.array([1]))
 
     total = [sample(i) for i in range(n_train + n_test)]
     return Dataset(total[:n_train], total[n_train:], 2, "classification")
@@ -95,10 +102,7 @@ def load_file_dataset(mesh_dir: str, task: str, n_train: int, n_test: int) -> Da
     if not os.path.isdir(mesh_dir):
         raise ConfigError(f"mesh directory {mesh_dir!r} does not exist")
     if task == "segmentation":
-        paths = sorted(
-            os.path.join(mesh_dir, f) for f in os.listdir(mesh_dir)
-            if f.lower().endswith((".off", ".obj"))
-        )
+        paths = sorted(os.path.join(mesh_dir, f) for f in os.listdir(mesh_dir))
         if len(paths) < n_train + n_test:
             raise ConfigError(
                 f"need {n_train + n_test} meshes in {mesh_dir}, found {len(paths)}"
@@ -121,8 +125,7 @@ def load_file_dataset(mesh_dir: str, task: str, n_train: int, n_test: int) -> Da
     for ci, cname in enumerate(classes):
         cdir = os.path.join(mesh_dir, cname)
         for f in sorted(os.listdir(cdir)):
-            if f.lower().endswith((".off", ".obj")):
-                samples.append(MeshSample(load_mesh(os.path.join(cdir, f)), ci))
+            samples.append(MeshSample(load_mesh(os.path.join(cdir, f)), np.array([ci])))
     if len(samples) < n_train + n_test:
         raise ConfigError(f"need {n_train + n_test} meshes, found {len(samples)}")
     order = np.random.default_rng(0).permutation(len(samples))

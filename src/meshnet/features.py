@@ -139,7 +139,7 @@ def xyz_features(mesh: Mesh, frames: FrameField) -> GeometricFeatureField:
 def feature_type_for(family: str, powers=RELTAN_POWERS) -> FeatureType:
     """The type of a family's features (``reltan`` has one group per power)."""
     if family == "reltan":
-        return len(tuple(powers)) * FeatureType([0, 1])
+        return FeatureType([0, 1] * len(tuple(powers)))
     if family == "get":
         return FeatureType([0, 1])
     if family == "xyz":

@@ -155,17 +155,12 @@ def equivariance_gap(cfg: RunConfig) -> dict:
 # Training / evaluation
 # ---------------------------------------------------------------------------
 
-def _accuracy(task: str, samples, logits) -> float:
+def _accuracy(samples, logits) -> float:
     """Percentage of correct predictions, from one logits array per sample."""
     correct = total = 0
     for s, sample_logits in zip(samples, logits):
-        pred = sample_logits.argmax(axis=1)
-        if task == "segmentation":
-            correct += int((pred == s.label).sum())
-            total += len(s.label)
-        else:
-            correct += int(pred[0] == s.label)
-            total += 1
+        correct += int((sample_logits.argmax(axis=1) == s.label).sum())
+        total += s.label.size
     return 100.0 * correct / total
 
 
@@ -190,9 +185,7 @@ def train(cfg: RunConfig):
     prepared = []
     for s in dataset.train:
         _frames, geom, field = mesh_pipeline(s.mesh, spec.features, spec.reltan_powers)
-        target = (np.asarray(s.label) if spec.task == "segmentation"
-                  else np.array([s.label]))
-        prepared.append((field, geom, target))
+        prepared.append((field, geom, s.label))
 
     history = []
     for epoch in range(cfg.training["epochs"]):
@@ -210,7 +203,7 @@ def train(cfg: RunConfig):
                                                 for p in opt.params))))
             opt.step()
             losses.append(loss.item())
-        acc = _accuracy(spec.task, dataset.train,
+        acc = _accuracy(dataset.train,
                         (model.forward(field, geom).value for field, geom, _t in prepared))
         history.append({"epoch": epoch, "loss": float(np.mean(losses)),
                         "train_accuracy": acc,
@@ -244,14 +237,14 @@ def evaluate(cfg: RunConfig, checkpoint: str | None) -> dict:
     load_checkpoint(model, checkpoint, config_hash(cfg))
     report = _report_header(cfg)
     test = [mesh_pipeline(s.mesh, spec.features, spec.reltan_powers) for s in dataset.test]
-    accuracy = {"train": _accuracy(spec.task, dataset.train,
+    accuracy = {"train": _accuracy(dataset.train,
                                    (model_logits(model, s.mesh) for s in dataset.train)),
-                "test": _accuracy(spec.task, dataset.test,
+                "test": _accuracy(dataset.test,
                                   (model.forward(field, geom).value for _fr, geom, field in test))}
     for offset, family in enumerate(CORE_FAMILIES, 10):
         rng = np.random.default_rng(seed + offset)
         suites = [_transform_suite(cfg, s.mesh.n_vertices, rng) for s in dataset.test]
-        accuracy[family] = _accuracy(spec.task, dataset.test, (
+        accuracy[family] = _accuracy(dataset.test, (
             transformed_logits(model, s.mesh, family, suite, frames)
             for s, (frames, _g, _f), suite in zip(dataset.test, test, suites)))
     report["accuracy"] = accuracy

@@ -311,13 +311,13 @@ def load_mesh(path) -> Mesh:
     indices.
     """
     path = str(path)
-    parse = _parse_off if _mesh_format(path, None) == "off" else _parse_obj
+    parse = _parse_off if _mesh_format(path) == "off" else _parse_obj
     return Mesh(*parse(path))
 
 
-def _mesh_format(path, fmt):
-    """``fmt``, or else the extension of ``path``, when it is OFF or OBJ."""
-    fmt = (path.rsplit(".", 1)[-1] if fmt is None else fmt).lower()
+def _mesh_format(path):
+    """The extension of ``path``, when it is OFF or OBJ."""
+    fmt = path.rsplit(".", 1)[-1].lower()
     if fmt not in ("off", "obj"):
         raise MeshParseError(f"unknown mesh format {fmt!r} for {path}")
     return fmt
@@ -476,14 +476,15 @@ def _parse_obj(path):
     return np.array(vertices, dtype=np.float64), faces
 
 
-def save_mesh(mesh: Mesh, path, fmt=None):
-    """Write vertices and faces to OFF or OBJ.
+def save_mesh(mesh: Mesh, path):
+    """Write vertices and faces to OFF or OBJ, as the extension of ``path``
+    says; any other extension is a MeshParseError and writes nothing.
 
-    OFF output round-trips bit-for-bit through :func:`load_mesh` (floats are
+    Both formats round-trip bit-for-bit through :func:`load_mesh` (floats are
     written with 17 significant digits).
     """
     path = str(path)
-    fmt = _mesh_format(path, fmt)
+    fmt = _mesh_format(path)
     with open(path, "w") as fh:
         if fmt == "off":
             fh.write("OFF\n")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import Tensor, _recording_as
 from .errors import ConfigError, FeatureTypeError, FrameBindingError
-from .features import RELTAN_POWERS, GeometricFeatureField, feature_type_for
+from .features import FAMILIES, RELTAN_POWERS, GeometricFeatureField, feature_type_for
 from .layers import DenseLayer, EmanAttentionLayer, GaugeNonlinearity, GemConvLayer
 from .representations import FeatureType
 from .tangent import EdgeGeometry
@@ -51,10 +51,16 @@ class ModelSpec:
     residual_blocks: int = 3
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise ConfigError(f"unknown layer kind {self.kind!r}")
-        if self.task not in TASKS:
-            raise ConfigError(f"unknown task {self.task!r}")
+        for name, ok, what in (("kind", self.kind in LAYER_KINDS, f"one of {LAYER_KINDS}"),
+                               ("task", self.task in TASKS, f"one of {TASKS}"),
+                               ("target_dim", self.target_dim >= 1, ">= 1"),
+                               ("features", self.features in FAMILIES, f"one of {FAMILIES}"),
+                               ("dense_hidden", self.dense_hidden >= 1, ">= 1"),
+                               ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
+                               ("residual_blocks", self.residual_blocks >= 0, ">= 0")):
+            if not ok:
+                raise ConfigError(f"ModelSpec {name} must be {what}, "
+                                  f"got {getattr(self, name)!r}")
 
     @property
     def in_type(self) -> FeatureType:
@@ -111,7 +117,8 @@ class Model:
             h = self.dense1.forward(z).relu()
             if train and self.spec.dropout > 0.0:
                 if rng is None:
-                    raise ValueError("training-mode forward needs an rng for dropout")
+                    raise ConfigError(f"a training forward with dropout = "
+                                      f"{self.spec.dropout} needs an rng")
                 keep = 1.0 - self.spec.dropout
                 mask = (rng.random(h.shape) < keep).astype(np.float64) / keep
                 h = h * mask

@@ -101,15 +101,6 @@ class FeatureType:
         for a in (self.order_of_dim, self.partner, self.partner_sign):
             a.flags.writeable = False
 
-    # -- algebra on types ---------------------------------------------------
-
-    def __rmul__(self, k):
-        if not isinstance(k, int) or k < 1:
-            return NotImplemented
-        return FeatureType(self.orders * k)
-
-    __mul__ = __rmul__
-
     def __eq__(self, other):
         return isinstance(other, FeatureType) and self.orders == other.orders
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from meshnet.cli import main
-from meshnet.mesh import load_mesh
+from meshnet.mesh import generate_icosphere, load_mesh
 from test_mesh import BAD_TOKENS, TETRA_OFF
 
 TINY = """
@@ -106,6 +106,13 @@ def test_unparsable_mesh_file_is_a_json_error(tmp_path, capsys):
     assert "a.off:6:" in error["message"]
 
 
+def test_file_of_no_mesh_format_is_a_json_error(tmp_path, capsys):
+    # every file of a files-mode directory is a mesh; none is skipped
+    assert _train_on_file(tmp_path, "notes.txt", "not a mesh\n") == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "MeshParseError" and "'txt'" in error["message"]
+
+
 def test_folded_mesh_file_is_a_json_error(tmp_path, capsys):
     # two coplanar triangles of opposite orientation: no normal at vertex 0
     text = "OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n1 -1 0\n3 0 1 2\n3 0 2 3\n"
@@ -189,6 +196,24 @@ def test_every_subcommand_succeeds(tmp_path, capsys):
     assert set(report["accuracy"]) == {"train", "test", "gauge", "rot_tr_scale", "perm"}
 
 
+def test_gen_mesh_writes_the_format_its_extension_names(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY)
+    want = generate_icosphere(0)  # TINY's [mesh]
+    for name in ("m.off", "m.obj"):
+        assert main(["gen-mesh", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        got = load_mesh(tmp_path / name)
+        assert got.vertices.tobytes() == want.vertices.tobytes(), name
+        assert got.faces.tobytes() == want.faces.tobytes(), name
+    capsys.readouterr()
+    # an extension that names no mesh format writes nothing
+    txt = tmp_path / "m.txt"
+    assert main(["gen-mesh", "--config", str(cfg), "--out", str(txt)]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "MeshParseError" and "'txt'" in error["message"]
+    assert not txt.exists()
+
+
 def test_eval_without_checkpoint_is_a_json_error(tmp_path, capsys):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY)
@@ -203,7 +228,7 @@ def test_unwritable_out_is_a_json_error(tmp_path, capsys, command):
     # train fails on its checkpoint, written before the report
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY)
-    out = tmp_path / "missing" / "out.json"
+    out = tmp_path / "missing" / ("out.off" if command == "gen-mesh" else "out.json")
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "FileNotFoundError"

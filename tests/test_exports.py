@@ -96,6 +96,7 @@ def test_deleted_members_and_parameters_stay_deleted():
         harness.evaluate: ["cfg", "checkpoint"],
         harness.load_checkpoint: ["model", "path", "expect_hash"],
         meshnet.load_mesh: ["path"],
+        meshnet.save_mesh: ["mesh", "path"],
         datasets.classification_shapes: ["n_train", "n_test", "subdivisions",
                                          "bump_amplitude", "noise", "seed"],
         datasets.eqgap_meshes: ["n", "seed", "subdivisions"],
@@ -119,13 +120,23 @@ def test_deleted_members_and_parameters_stay_deleted():
     # .T for the one transpose, and reshape by separate sizes
     assert not [n for n in ("__radd__", "__rmul__", "__rsub__", "__rtruediv__", "__pow__",
                             "transpose") if hasattr(Tensor, n)]
-    assert not hasattr(meshnet.FeatureType, "__add__")
+    # a feature type is built from its orders: no sums or multiples of types
+    assert not [n for n in ("__add__", "__mul__", "__rmul__")
+                if hasattr(meshnet.FeatureType, n)]
+    with pytest.raises(TypeError):
+        2 * meshnet.FeatureType([0])
     x = Tensor(np.ones(3))
     for left in (np.ones(3), 2.0):
         with pytest.raises(TypeError):
             left + x
         with pytest.raises(TypeError):
             left * x
+    # the model divides and multiplies matrices between Tensors only
+    t = Tensor(np.ones((4, 3)))
+    with pytest.raises(TypeError):
+        t / 2.0
+    with pytest.raises(TypeError):
+        t @ np.ones((3, 2))
     with pytest.raises(TypeError):
         x.reshape((3, 1))
 

@@ -13,14 +13,16 @@ from meshnet import harness
 from meshnet.autodiff import Tensor
 from meshnet.cli import main
 from meshnet.config import config_hash, model_spec_from_config, parse_config
+from meshnet.datasets import classification_shapes, load_file_dataset, segmentation_spheres
 from meshnet.errors import (
     CheckpointError,
     ConfigError,
     EmptyNeighborhoodError,
+    FeatureTypeError,
     FrameBindingError,
     TrainingDivergedError,
 )
-from meshnet.features import GeometricFeatureField, xyz_features
+from meshnet.features import GeometricFeatureField, compute_features, xyz_features
 from meshnet.harness import (
     equivariance_gap,
     evaluate,
@@ -29,7 +31,7 @@ from meshnet.harness import (
     train,
 )
 from meshnet.layers import EdgeGeometry, EmanAttentionLayer, GemConvLayer
-from meshnet.mesh import generate_icosphere
+from meshnet.mesh import generate_grid_patch, generate_icosphere, save_mesh
 from meshnet.model import ModelSpec, build_model
 from meshnet.representations import FeatureType
 from meshnet.tangent import build_frames, regauge
@@ -378,6 +380,53 @@ def test_forward_needs_features_of_the_geometry_frames():
     unbound = GeometricFeatureField(features.ftype, features.values, -1)
     with pytest.raises(FrameBindingError):  # no token stands for any gauge
         model.forward(unbound, EdgeGeometry.from_frames(frames))
+
+
+def test_training_forward_without_rng_is_a_named_error():
+    # the default dropout draws its mask from the caller's generator
+    mesh = generate_icosphere(0)
+    frames = build_frames(mesh)
+    model = build_model(ModelSpec(hidden_type="rho0", final_type="rho0", residual_blocks=0))
+    field = compute_features("reltan", mesh, frames)
+    with pytest.raises(ConfigError, match="dropout = 0.5 needs an rng"):
+        model.forward(field, EdgeGeometry.from_frames(frames), train=True)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kind", "conv"),
+    ("task", "regression"),
+    ("dropout", 1.5),  # keep = -0.5 zeroed every dense activation
+    ("dropout", -0.1),
+    ("residual_blocks", -1),  # built no block
+    ("dense_hidden", 0),  # ended in numpy's OverflowError
+    ("features", "bogus"),  # ended in a bare ValueError
+    ("target_dim", 0),  # built zero-width logits
+])
+def test_model_spec_refuses_out_of_range_fields(field, value):
+    with pytest.raises(ConfigError, match=f"ModelSpec {field} must be"):
+        ModelSpec(**{field: value})
+
+
+def test_reltan_needs_a_power():
+    with pytest.raises(FeatureTypeError, match="at least one component"):
+        build_model(ModelSpec(reltan_powers=()))
+
+
+def test_every_label_is_an_int_array(tmp_path):
+    for ci, name in enumerate(("bumpy", "flat")):
+        (tmp_path / name).mkdir()
+        for k, ext in enumerate((".off", ".obj")):
+            mesh = generate_icosphere(0) if ci == 0 else generate_grid_patch(3, 4, 0.1, k)
+            save_mesh(mesh, tmp_path / name / f"m{k}{ext}")
+    datasets = [segmentation_spheres(2, 1, 0, 0.3, 0.05, 3),
+                classification_shapes(3, 1, 0, 0.3, 0.05, 3),
+                load_file_dataset(str(tmp_path), "classification", 3, 1)]
+    for dataset in datasets:
+        for s in dataset.train + dataset.test:
+            assert isinstance(s.label, np.ndarray) and s.label.dtype.kind == "i"
+            want = (s.mesh.n_vertices,) if dataset.task == "segmentation" else (1,)
+            assert s.label.shape == want, dataset.task
+    assert sorted(int(s.label[0]) for s in datasets[2].train + datasets[2].test) == [0, 0, 1, 1]
 
 
 @pytest.mark.parametrize("make", [

@@ -76,9 +76,9 @@ class TestDenseOracles:
     def test_eman_two_heads(self, bias, shape, self_contribution):
         # every multiplicity doubled, so that both types split into two heads
         tin, tout, att = SHAPES[shape]
-        att = None if att is None else 2 * att
-        layer = EmanAttentionLayer(tin, 2 * tout, att_type=att, bias=bias,
-                                   self_contribution=self_contribution, heads=2,
+        att = None if att is None else FeatureType(att.orders * 2)
+        layer = EmanAttentionLayer(tin, FeatureType(tout.orders * 2), att_type=att,
+                                   bias=bias, self_contribution=self_contribution, heads=2,
                                    rng=np.random.default_rng(shape))
         _assert_oracle(layer, dense_eman_forward, [35, shape])
 
@@ -87,8 +87,8 @@ class TestDenseOracles:
 def test_multihead_matches_oracle(bias):
     for heads in (1, 2):
         for self_contribution in (False, True):
-            layer = EmanAttentionLayer(ENTRY, 2 * ENTRY, bias=bias, heads=heads,
-                                       self_contribution=self_contribution,
+            layer = EmanAttentionLayer(ENTRY, FeatureType(ENTRY.orders * 2), bias=bias,
+                                       heads=heads, self_contribution=self_contribution,
                                        rng=np.random.default_rng(5))
             for seed in (40, 41):
                 _assert_oracle(layer, dense_eman_forward, seed)
@@ -99,7 +99,8 @@ def test_multihead_is_gauge_equivariant(bias):
     # the output in turned gauges is rho(-g) times the output, checked
     # without the oracle, which shares the layer's layout
     rng = np.random.default_rng(7)
-    layer = EmanAttentionLayer(HIDDEN, 2 * HIDDEN, bias=bias, heads=2, rng=rng)
+    layer = EmanAttentionLayer(HIDDEN, FeatureType(HIDDEN.orders * 2), bias=bias, heads=2,
+                               rng=rng)
     mesh = random_test_mesh(rng)
     frames = build_frames(mesh)
     g = rng.uniform(-np.pi, np.pi, mesh.n_vertices)
@@ -133,7 +134,7 @@ def test_whole_layer_gradients(cls):
 def test_attention_coefficients(options):
     """Each head's weights form a softmax per neighborhood and are gauge invariant."""
     rng = np.random.default_rng(60)
-    layer = EmanAttentionLayer(HIDDEN, 2 * HIDDEN, rng=rng, **options)
+    layer = EmanAttentionLayer(HIDDEN, FeatureType(HIDDEN.orders * 2), rng=rng, **options)
     mesh = random_test_mesh(rng)
     frames = build_frames(mesh)
     g = rng.uniform(-np.pi, np.pi, mesh.n_vertices)
@@ -212,7 +213,7 @@ def test_kernels_absorb_a_turn_of_the_output_pairs(case):
     # why the equivariant bias holds no angle for the pairs
     cls, options, neigh, selfs = ABSORBING[case]
     rng = np.random.default_rng(70)
-    out_type = 2 * HIDDEN
+    out_type = FeatureType(HIDDEN.orders * 2)
     layer = cls(HIDDEN, out_type, rng=rng, **options)
     mesh, _td, geom = _geometry(rng)
     f = Tensor(rng.standard_normal((mesh.n_vertices, HIDDEN.dim)))
@@ -272,7 +273,7 @@ def test_separate_head_projections_fold_into_stacked_kernels(bias):
     # projections fold into rows of the stacked kernels, and the maps back
     # into the out kernel's columns
     rng = np.random.default_rng(80)
-    out_type = 2 * HIDDEN
+    out_type = FeatureType(HIDDEN.orders * 2)
     layer = EmanAttentionLayer(HIDDEN, out_type, bias=bias, heads=2, rng=rng)
     mesh, _td, geom = _geometry(rng)
     f = rng.standard_normal((mesh.n_vertices, HIDDEN.dim))

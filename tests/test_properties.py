@@ -88,7 +88,7 @@ def test_orders_are_sorted_and_parse_round_trips(orders):
 def test_sum_commutes_and_multiples_stay_sorted(a, b, k):
     assert FeatureType(a.orders + b.orders) == FeatureType(b.orders + a.orders)
     assert FeatureType(a.orders + b.orders).orders == tuple(sorted(a.orders + b.orders))
-    assert (k * a).orders == tuple(sorted(a.orders * k))
+    assert FeatureType(a.orders * k).orders == tuple(sorted(a.orders * k))
 
 
 @_settings(60)
@@ -123,8 +123,8 @@ def _layer(kind, tin, tout, bias, rng):
     if kind == "gem":
         return GemConvLayer(tin, tout, bias=bias, rng=rng)
     if kind.startswith("heads2"):
-        return EmanAttentionLayer(tin, 2 * tout, bias=bias, heads=2, rng=rng,
-                                  self_contribution=kind == "heads2_self")
+        return EmanAttentionLayer(tin, FeatureType(tout.orders * 2), bias=bias, heads=2,
+                                  rng=rng, self_contribution=kind == "heads2_self")
     return EmanAttentionLayer(tin, tout, bias=bias, rng=rng,
                               self_contribution=kind == "self_contribution")
 

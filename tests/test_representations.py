@@ -44,7 +44,7 @@ class TestFeatureType:
     def test_algebra(self):
         assert FeatureType([1, 0]) == FeatureType([0, 1])
         assert FeatureType([1, 0]).orders == (0, 1)
-        assert 3 * FeatureType([0]) == FeatureType([0, 0, 0])
+        assert FeatureType(FeatureType([0]).orders * 3) == FeatureType([0, 0, 0])
 
     def test_rejects_bad_input(self):
         with pytest.raises(FeatureTypeError):
