@@ -116,7 +116,7 @@ class ScatterPlan:
         order = np.argsort(self.idx, kind="stable")
         rows = self.idx[order]
         if rows.size and rows[0] < 0:
-            raise IndexError(f"scatter index {rows[0]} is negative")
+            raise AutodiffError(f"scatter index {rows[0]} is negative")
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
         rank = np.arange(rows.size) - np.repeat(starts, np.diff(starts, append=rows.size))
         by_rank = np.argsort(rank, kind="stable")
@@ -473,9 +473,9 @@ def nll_loss(logits: Tensor, targets) -> Tensor:
     targets = np.asarray(targets, dtype=np.int64)
     nrows, ncols = logits.value.shape
     if targets.shape != (nrows,):
-        raise ValueError(f"targets shape {targets.shape} does not match {nrows} rows")
+        raise AutodiffError(f"targets shape {targets.shape} does not match {nrows} rows")
     if targets.min() < 0 or targets.max() >= ncols:
-        raise IndexError(f"target index out of range for {ncols} classes")
+        raise AutodiffError(f"target index out of range for {ncols} classes")
     m = logits.value.max(axis=1)  # detached shift
     z = logits - m[:, None]
     lse = z.exp().sum(axis=1).log() + m

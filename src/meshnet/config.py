@@ -1,7 +1,8 @@
 """Run configuration: flat key=value files with [section] headers.
 
-Every key has a typed default; unknown sections or keys are rejected.  The
-environment variable ``MESHNET_SEED`` overrides ``[run] seed``.  The config
+Every key has a typed default; unknown sections or keys are rejected, and
+:class:`ModelSpec` checks its fields: the ``[model]`` keys and ``[run] task``.
+The environment variable ``MESHNET_SEED`` overrides ``[run] seed``.  The config
 hash embedded in reports and checkpoints is taken over the fully resolved
 key set, so two configs that differ only in formatting hash identically.
 """
@@ -9,18 +10,15 @@ key set, so two configs that differ only in formatting hash identically.
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import hashlib
 import inspect
 import math
 import os
+import typing
 
 from .datasets import segmentation_spheres
-from .errors import ConfigError, FeatureTypeError
-from .features import FAMILIES
-from .layers import BIAS_MODES
-from .model import LAYER_KINDS, TASKS, ModelSpec
-from .representations import FeatureType
+from .errors import ConfigError
+from .model import ModelSpec
 from .transforms import CORE_FAMILIES, TRANSFORM_FAMILIES
 
 __all__ = ["RunConfig", "load_config", "parse_config", "default_config",
@@ -65,26 +63,16 @@ def _enum(*allowed):
     return parse
 
 
-def _feature_type(text):
-    """The text, unchanged, once it parses as a :class:`FeatureType`."""
-    try:
-        FeatureType.parse(text)
-    except FeatureTypeError as exc:
-        raise ValueError(exc) from None
-    return text
-
-
 def _list(parse):
-    """Comma-separated items, each read by ``parse``; at least one."""
+    """Comma-separated items, each read by ``parse``."""
     def parse_list(text):
         items = (x.strip() for x in text.strip().strip("[]").split(","))
         return tuple(parse(x) for x in items if x)
-    return _checked(parse_list, bool, "a non-empty list")
+    return parse_list
 
 
-# [model] holds the fields of ModelSpec but target_dim, which the dataset sets,
-# and its defaults are the spec's
-_MODEL_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ModelSpec)}
+# a ModelSpec field is read by its type (the one tuple holds the reltan powers)
+_READ = {int: int, float: float, str: str, bool: _bool, tuple: _list(float)}
 # [data] bump_amplitude and noise default to those of segmentation_spheres,
 # the one generator with defaults
 _SPHERE_DEFAULTS = {k: p.default for k, p in
@@ -93,21 +81,13 @@ _SPHERE_DEFAULTS = {k: p.default for k, p in
 _SCHEMA = {
     "run": {
         "seed": (_at_least(int, 0), 0),
-        "task": (_enum(*TASKS), _MODEL_DEFAULTS["task"]),
+        "task": (str, ModelSpec.task),
     },
-    "model": {key: (parse, _MODEL_DEFAULTS[key]) for key, parse in {
-        "kind": _enum(*LAYER_KINDS),
-        "bias": _enum(*BIAS_MODES),
-        "features": _enum(*FAMILIES),
-        "reltan_powers": _list(_finite),
-        "hidden_type": _feature_type,
-        "final_type": _feature_type,
-        "attention_type": lambda t: t and _feature_type(t),
-        "dense_hidden": _at_least(int, 1),
-        "dropout": _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-        "heads": _at_least(int, 1),
-        "self_contribution": _bool,
-    }.items()},
+    # ModelSpec's fields and defaults but task, which [run] sets, target_dim,
+    # which the dataset sets, and residual_blocks, which stays at the default
+    "model": {name: (_READ[hint], getattr(ModelSpec, name))
+              for name, hint in typing.get_type_hints(ModelSpec).items()
+              if name not in ("task", "target_dim", "residual_blocks")},
     "mesh": {
         "generator": (_enum("icosphere", "grid_patch"), "icosphere"),
         "subdivisions": (_at_least(int, 0), 1),
@@ -130,7 +110,7 @@ _SCHEMA = {
         "epochs": (_at_least(int, 0), 100),
     },
     "transforms": {
-        "families": (_list(_enum(*TRANSFORM_FAMILIES)), CORE_FAMILIES),
+        "families": (_checked(_list(_enum(*TRANSFORM_FAMILIES)), bool, "non-empty"), CORE_FAMILIES),
         # a translation is drawn from uniform(-r, r), whose width 2 r must be finite
         "translation_range": (_checked(float, lambda v: 0.0 <= 2.0 * v < math.inf,
                                        ">= 0 and finite when doubled"), 10.0),
@@ -184,6 +164,11 @@ def parse_config(text: str) -> RunConfig:
             resolved["run"]["seed"] = _SCHEMA["run"]["seed"][0](env_seed)
         except ValueError as exc:
             raise ConfigError(f"bad value for MESHNET_SEED: {exc}") from exc
+    try:
+        ModelSpec(task=resolved["run"]["task"], **resolved["model"])
+    except ConfigError as exc:
+        section = "run" if exc.key == "task" else "model"
+        raise ConfigError(f"bad value for [{section}] {exc.key}: {exc}") from exc
     tr = resolved["transforms"]
     if tr["scale_min"] > tr["scale_max"]:
         raise ConfigError(f"[transforms] scale_min = {tr['scale_min']} exceeds "

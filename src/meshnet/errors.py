@@ -116,12 +116,20 @@ class EmptyNeighborhoodError(MeshNetError):
         super().__init__(f"vertex {vertex} has no neighbors")
 
 
+class TransformError(MeshNetError):
+    """Transform parameters outside their group (a reflection, a non-permutation)."""
+
+
 class AutodiffError(MeshNetError):
-    """Misuse of the reverse-mode engine (non-scalar root, repeated backward)."""
+    """Misuse of the reverse-mode engine (non-scalar root, repeated backward, bad index)."""
 
 
 class ConfigError(MeshNetError):
-    """Run configuration failed schema validation."""
+    """Run configuration failed validation; ``key`` names the setting at fault, if one."""
+
+    def __init__(self, message, key=None):
+        self.key = key
+        super().__init__(message)
 
 
 class CheckpointError(MeshNetError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteFeatureError, ZeroDistanceError
+from .errors import FeatureTypeError, NonFiniteFeatureError, ZeroDistanceError
 from .mesh import Mesh
 from .representations import FeatureType
 from .tangent import FrameField
@@ -54,10 +54,8 @@ class GeometricFeatureField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2 or self.values.shape[1] != self.ftype.dim:
-            raise ValueError(
-                f"feature array shape {self.values.shape} does not match "
-                f"type {self.ftype} (dim {self.ftype.dim})"
-            )
+            raise FeatureTypeError(f"feature array shape {self.values.shape} does not match "
+                                   f"type {self.ftype} (dim {self.ftype.dim})")
 
 
 def reltan_vectors(mesh: Mesh, frames: FrameField, power: float) -> np.ndarray:
@@ -136,28 +134,27 @@ def xyz_features(mesh: Mesh, frames: FrameField) -> GeometricFeatureField:
     return GeometricFeatureField(feature_type_for("xyz"), mesh.vertices.copy(), frames.token)
 
 
+_FAMILIES = {  # the orders of a family's type (reltan's per power) and its field
+    "xyz": ((0, 0, 0), lambda mesh, frames, _powers: xyz_features(mesh, frames)),
+    "get": ((0, 1), lambda mesh, frames, _powers: get_features(mesh, frames)),
+    "reltan": ((0, 1), reltan_features),
+}
+FAMILIES = tuple(_FAMILIES)
+
+
+def _family(family: str):
+    if family not in _FAMILIES:
+        raise FeatureTypeError(f"unknown feature family {family!r}")
+    return _FAMILIES[family]
+
+
 def feature_type_for(family: str, powers=RELTAN_POWERS) -> FeatureType:
     """The type of a family's features (``reltan`` has one group per power)."""
-    if family == "reltan":
-        return FeatureType([0, 1] * len(tuple(powers)))
-    if family == "get":
-        return FeatureType([0, 1])
-    if family == "xyz":
-        return FeatureType([0, 0, 0])
-    raise ValueError(f"unknown feature family {family!r}")
-
-
-_COMPUTE = {
-    "xyz": lambda mesh, frames, _powers: xyz_features(mesh, frames),
-    "get": lambda mesh, frames, _powers: get_features(mesh, frames),
-    "reltan": reltan_features,
-}
-FAMILIES = tuple(_COMPUTE)
+    orders, _compute = _family(family)
+    return FeatureType(orders * (len(tuple(powers)) if family == "reltan" else 1))
 
 
 def compute_features(family: str, mesh: Mesh, frames: FrameField,
                      powers=RELTAN_POWERS) -> GeometricFeatureField:
     """Dispatch on family name (``reltan`` honors ``powers``)."""
-    if family not in _COMPUTE:
-        raise ValueError(f"unknown feature family {family!r}")
-    return _COMPUTE[family](mesh, frames, powers)
+    return _family(family)[1](mesh, frames, powers)

@@ -112,7 +112,7 @@ class Mesh:
             raise MeshValidationError("a mesh needs at least one vertex, got none")
         self.faces = np.ascontiguousarray(faces, dtype=np.int64)
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
-            raise ValueError("face array must have shape (F, 3)")
+            raise MeshValidationError("face array must have shape (F, 3)")
         order = self._validate_faces()
         self.faces.flags.writeable = False
         self.edges = self._build_neighbor_rings(order)
@@ -123,7 +123,7 @@ class Mesh:
     def _set_vertices(self, vertices):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
-            raise ValueError("vertex array must have shape (V, 3)")
+            raise MeshValidationError("vertex array must have shape (V, 3)")
         if not np.isfinite(self.vertices).all():
             bad = ~np.isfinite(self.vertices).all(axis=1)
             raise NonFiniteVertexError(int(np.argmax(bad)))
@@ -223,7 +223,8 @@ class Mesh:
         V = self.n_vertices
         vertices = np.asarray(vertices, dtype=np.float64)
         if vertices.shape != (V, 3):
-            raise ValueError(f"vertex array must have shape ({V}, 3), got {vertices.shape}")
+            raise MeshValidationError(f"vertex array must have shape ({V}, 3), "
+                                      f"got {vertices.shape}")
         out = Mesh.__new__(Mesh)
         out.__dict__.update(self.__dict__)
         if forward is None:
@@ -533,7 +534,7 @@ def generate_icosphere(subdivisions: int = 0) -> Mesh:
     vertices onto the unit sphere (V' = V + E, F' = 4F).
     """
     if subdivisions < 0:
-        raise ValueError("subdivisions must be >= 0")
+        raise MeshValidationError(f"subdivisions must be >= 0, got {subdivisions}")
     verts = _ICO_VERTICES / np.linalg.norm(_ICO_VERTICES, axis=1, keepdims=True)
     faces = _ICO_FACES.copy()
     for _ in range(subdivisions):
@@ -565,7 +566,7 @@ def generate_grid_patch(rows: int, cols: int, height_noise_amplitude: float = 0.
     fixed seed.  The patch has boundary vertices (open fans).
     """
     if rows < 2 or cols < 2:
-        raise ValueError("rows and cols must both be >= 2")
+        raise MeshValidationError(f"rows and cols must both be >= 2, got {rows} x {cols}")
     rng = np.random.default_rng(rng_seed)
     ii, jj = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
     z = height_noise_amplitude * rng.uniform(-1.0, 1.0, size=(rows, cols))

@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import Tensor, _recording_as
 from .errors import ConfigError, FeatureTypeError, FrameBindingError
 from .features import FAMILIES, RELTAN_POWERS, GeometricFeatureField, feature_type_for
-from .layers import DenseLayer, EmanAttentionLayer, GaugeNonlinearity, GemConvLayer
+from .layers import BIAS_MODES, DenseLayer, EmanAttentionLayer, GaugeNonlinearity, GemConvLayer
 from .representations import FeatureType
 from .tangent import EdgeGeometry
 
@@ -33,6 +33,8 @@ class ModelSpec:
     """Everything needed to reconstruct a model architecture.
 
     The defaults are the config's; an empty ``attention_type`` is the hidden type.
+    Construction is the one check of every field (a :class:`ConfigError` whose
+    ``key`` names it); :class:`Model` reads the fields when it builds.
     """
 
     target_dim: int = 10
@@ -51,20 +53,27 @@ class ModelSpec:
     residual_blocks: int = 3
 
     def __post_init__(self):
-        for name, ok, what in (("kind", self.kind in LAYER_KINDS, f"one of {LAYER_KINDS}"),
-                               ("task", self.task in TASKS, f"one of {TASKS}"),
-                               ("target_dim", self.target_dim >= 1, ">= 1"),
-                               ("features", self.features in FAMILIES, f"one of {FAMILIES}"),
-                               ("dense_hidden", self.dense_hidden >= 1, ">= 1"),
-                               ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
-                               ("residual_blocks", self.residual_blocks >= 0, ">= 0")):
+        types, powers = {}, self.reltan_powers
+        for name in ("hidden_type", "final_type") + ("attention_type",) * bool(self.attention_type):
+            try:
+                types[name] = FeatureType.parse(getattr(self, name))
+            except FeatureTypeError as exc:
+                raise ConfigError(f"ModelSpec {name} must be a feature type: {exc}", key=name)
+        for name, ok, what in (
+                ("kind", self.kind in LAYER_KINDS, f"one of {LAYER_KINDS}"),
+                ("task", self.task in TASKS, f"one of {TASKS}"),
+                ("target_dim", self.target_dim >= 1, ">= 1"),
+                ("features", self.features in FAMILIES, f"one of {FAMILIES}"),
+                ("reltan_powers", powers and np.isfinite(powers).all(), "non-empty and finite"),
+                ("final_type", types["final_type"].max_order == 0, "of scalar channels only"),
+                ("dense_hidden", self.dense_hidden >= 1, ">= 1"),
+                ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
+                ("bias", self.bias in BIAS_MODES, f"one of {BIAS_MODES}"),
+                ("heads", self.heads >= 1, ">= 1"),
+                ("residual_blocks", self.residual_blocks >= 0, ">= 0")):
             if not ok:
                 raise ConfigError(f"ModelSpec {name} must be {what}, "
-                                  f"got {getattr(self, name)!r}")
-
-    @property
-    def in_type(self) -> FeatureType:
-        return feature_type_for(self.features, self.reltan_powers)
+                                  f"got {getattr(self, name)!r}", key=name)
 
 
 def _make_layer(spec: ModelSpec, in_type, out_type, att_type, rng):
@@ -81,10 +90,8 @@ class Model:
         self.spec = spec
         hidden = FeatureType.parse(spec.hidden_type)
         final = FeatureType.parse(spec.final_type)
-        if final.max_order != 0:
-            raise ConfigError("final conv type must contain only scalar channels")
         att = FeatureType.parse(spec.attention_type) if spec.attention_type else hidden
-        self.in_type = spec.in_type
+        self.in_type = feature_type_for(spec.features, spec.reltan_powers)
         self.entry = _make_layer(spec, self.in_type, hidden, att, rng)
         self.entry_nl = GaugeNonlinearity(hidden)
         self.blocks = []

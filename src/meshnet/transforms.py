@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import TransformError
 from .mesh import Mesh
 
 __all__ = [
@@ -49,11 +50,11 @@ class AmbientTransform:
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", x)
         if R.shape != (3, 3) or np.abs(R.T @ R - np.eye(3)).max() > 1e-10:
-            raise ValueError("rotation must be 3x3 orthogonal")
+            raise TransformError("rotation must be 3x3 orthogonal")
         if np.linalg.det(R) < 0:
-            raise ValueError("rotation must have determinant +1")
+            raise TransformError("rotation must have determinant +1")
         if not self.scale > 0:
-            raise ValueError("scale must be positive")
+            raise TransformError(f"scale must be positive, got {self.scale!r}")
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return self.scale * points @ self.rotation.T + self.translation
@@ -70,7 +71,7 @@ class Permutation:
         object.__setattr__(self, "forward", f)
         inv = np.argsort(f)
         if not np.array_equal(f[inv], np.arange(f.size)):
-            raise ValueError("not a permutation")
+            raise TransformError(f"not a permutation of {f.size} indices")
         object.__setattr__(self, "inverse", inv)
 
     def permute_rows(self, arr: np.ndarray) -> np.ndarray:

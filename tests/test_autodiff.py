@@ -388,8 +388,10 @@ class TestNll:
         check_gradients(lambda: nll_loss(logits, targets), [logits], rng)
 
     def test_invalid_target(self):
-        with pytest.raises(IndexError):
-            nll_loss(Tensor(np.zeros((2, 3))), np.array([0, 3]))
+        cases = [([0, 3], "out of range"), ([-1, 0], "out of range"), ([0, 1, 2], "does not match")]
+        for targets, match in cases:
+            with pytest.raises(AutodiffError, match=match):
+                nll_loss(Tensor(np.zeros((2, 3))), np.array(targets))
 
 
 class TestAdam:

@@ -63,6 +63,11 @@ epochs = 1
     ("eqgap", "[model]\nhidden_type = 4611686018427387904xrho0\n", "[model] hidden_type"),
     ("eqgap", "[model]\nfinal_type = 100000000000000000000xrho0\n", "[model] final_type"),
     ("eqgap", "[model]\nattention_type = rho0+\n", "[model] attention_type"),
+    # the spec judges every model setting, so a GEM model's heads and a final
+    # type of vector channels are refused with the others when the config loads
+    ("eqgap", "[model]\nkind = gem\nheads = 0\n", "[model] heads"),
+    ("eqgap", "[model]\nfinal_type = rho1\n", "[model] final_type"),
+    ("train", "[run]\ntask = regression\n", "[run] task"),
 ])
 def test_out_of_range_config_value(tmp_path, capsys, command, text, key):
     cfg = tmp_path / "run.cfg"

@@ -29,7 +29,7 @@ from meshnet.autodiff import (
     take_rows,
 )
 from meshnet.datasets import segmentation_spheres
-from meshnet.errors import MeshValidationError
+from meshnet.errors import AutodiffError, MeshValidationError
 from meshnet.features import compute_features
 from meshnet.layers import EmanAttentionLayer
 from meshnet.mesh import Edges, generate_icosphere
@@ -97,7 +97,7 @@ def test_plan_passes_touch_each_row_once():
 def test_negative_scatter_index_rejected():
     x = parameter(np.ones(3))
     y = take_rows(x, [-1, 2])
-    with pytest.raises(IndexError):
+    with pytest.raises(AutodiffError, match="scatter index -1 is negative"):
         y.sum().backward()
 
 

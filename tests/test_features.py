@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from meshnet.errors import NonFiniteFeatureError, ZeroDistanceError
+from meshnet.errors import FeatureTypeError, NonFiniteFeatureError, ZeroDistanceError
 from meshnet.features import (
     GeometricFeatureField,
     compute_features,
@@ -209,11 +209,12 @@ class TestDispatch:
         assert compute_features("get", mesh, fr).ftype.dim == 3
         assert compute_features("reltan", mesh, fr, (0.5, 0.7)).ftype.dim == 6
         assert feature_type_for("reltan", (0.5, 0.7)).orders == (0, 0, 1, 1)
-        with pytest.raises(ValueError):
-            compute_features("laplacian", mesh, fr)
+        for lookup in (lambda family: compute_features(family, mesh, fr), feature_type_for):
+            with pytest.raises(FeatureTypeError, match="unknown feature family 'laplacian'"):
+                lookup("laplacian")
 
     def test_field_shape_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FeatureTypeError, match="does not match"):
             GeometricFeatureField(FeatureType([0, 1]), np.zeros((4, 2)), 0)
 
 

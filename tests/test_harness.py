@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import io
 import json
 import re
@@ -22,7 +23,12 @@ from meshnet.errors import (
     FrameBindingError,
     TrainingDivergedError,
 )
-from meshnet.features import GeometricFeatureField, compute_features, xyz_features
+from meshnet.features import (
+    GeometricFeatureField,
+    compute_features,
+    feature_type_for,
+    xyz_features,
+)
 from meshnet.harness import (
     equivariance_gap,
     evaluate,
@@ -401,15 +407,36 @@ def test_training_forward_without_rng_is_a_named_error():
     ("dense_hidden", 0),  # ended in numpy's OverflowError
     ("features", "bogus"),  # ended in a bare ValueError
     ("target_dim", 0),  # built zero-width logits
+    # the config alone refused these; a spec took them, to fail when it built
+    # or not at all
+    ("bias", "angular"),
+    ("heads", 0),
+    ("reltan_powers", (np.nan,)),
+    ("reltan_powers", ()),
+    ("hidden_type", "junk"),
+    ("attention_type", "rho0+"),
+    ("final_type", "rho1"),
 ])
 def test_model_spec_refuses_out_of_range_fields(field, value):
-    with pytest.raises(ConfigError, match=f"ModelSpec {field} must be"):
+    with pytest.raises(ConfigError, match=f"ModelSpec {field} must be") as info:
         ModelSpec(**{field: value})
+    assert info.value.key == field
 
 
 def test_reltan_needs_a_power():
+    # the spec refuses no powers as a ConfigError; the feature lookup of a
+    # library caller still refuses them itself
     with pytest.raises(FeatureTypeError, match="at least one component"):
-        build_model(ModelSpec(reltan_powers=()))
+        feature_type_for("reltan", ())
+
+
+def test_spec_changed_after_construction_builds_as_changed():
+    spec = dataclasses.replace(SPEC)
+    spec.kind, spec.bias, spec.hidden_type = "gem", "additive", "2x(rho0+rho1)"
+    model = build_model(spec)
+    assert isinstance(model.entry, GemConvLayer)
+    assert model.entry.out_type == FeatureType.parse("2x(rho0+rho1)")
+    assert model.entry.bias.mode == "additive"
 
 
 def test_every_label_is_an_int_array(tmp_path):
@@ -471,6 +498,10 @@ def test_widest_translation_range_is_drawn():
 
 
 def test_model_section_is_the_spec():
+    model = parse_config("").model
+    fields = {f.name: f.default for f in dataclasses.fields(ModelSpec)}
+    assert set(model) == set(fields) - {"task", "target_dim", "residual_blocks"}
+    assert model == {key: fields[key] for key in model}
     assert model_spec_from_config(parse_config("")) == ModelSpec()
     cfg = parse_config("[run]\ntask = classification\n"
                        "[model]\nheads = 2\nattention_type = rho1\n")

@@ -21,6 +21,7 @@ from meshnet.errors import (
     NonManifoldError,
     NonManifoldVertexError,
     OrientationError,
+    TransformError,
 )
 from meshnet.harness import mesh_pipeline
 from meshnet.mesh import (
@@ -32,7 +33,7 @@ from meshnet.mesh import (
     save_mesh,
     vertex_normals,
 )
-from meshnet.transforms import Permutation, apply_permutation, random_rotation
+from meshnet.transforms import AmbientTransform, Permutation, apply_permutation, random_rotation
 
 from oracles import (
     neighbor_rings,
@@ -399,7 +400,7 @@ class TestValidation:
             mesh.with_vertices(verts)
         with pytest.raises(NonFiniteVertexError):
             mesh._derived(verts, perm.forward)  # the relabelling branch
-        with pytest.raises(ValueError):
+        with pytest.raises(MeshValidationError, match=re.escape(f"shape ({mesh.n_vertices}, 3)")):
             mesh.with_vertices(mesh.vertices[:-1])
         for size in (mesh.n_vertices - 1, mesh.n_vertices + 1):
             with pytest.raises(MeshValidationError, match=str(size)):
@@ -410,6 +411,28 @@ class TestValidation:
         with pytest.raises(DegreeError) as info:
             Mesh(verts, [[0, 2, 3]])
         assert info.value.vertex == 1
+
+    @pytest.mark.parametrize("verts, faces, what", [
+        (np.zeros((3, 2)), [[0, 1, 2]], "vertex array"),
+        (np.eye(3), [[0, 1, 2, 0]], "face array"),
+        (np.eye(3), [0, 1, 2], "face array"),
+    ])
+    def test_array_shapes_rejected(self, verts, faces, what):
+        with pytest.raises(MeshValidationError, match=f"{what} must have shape"):
+            Mesh(verts, faces)
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda: AmbientTransform(rotation=2.0 * np.eye(3)), "orthogonal"),
+        (lambda: AmbientTransform(rotation=np.eye(2)), "orthogonal"),
+        (lambda: AmbientTransform(rotation=np.diag([1.0, 1.0, -1.0])), "determinant"),
+        (lambda: AmbientTransform(scale=0.0), "positive"),
+        (lambda: AmbientTransform(scale=np.nan), "positive"),
+        (lambda: Permutation(np.array([0, 0, 2])), "not a permutation"),
+        (lambda: Permutation(np.array([1, 2, 3])), "not a permutation"),
+    ])
+    def test_transform_outside_its_group_rejected(self, make, match):
+        with pytest.raises(TransformError, match=match):
+            make()
 
     def test_mesh_without_vertices_rejected(self):
         no_faces = np.zeros((0, 3), dtype=np.int64)
@@ -516,9 +539,9 @@ class TestGenerators:
                                    reference_grid_faces(rows, cols))
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MeshValidationError, match="subdivisions"):
             generate_icosphere(-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(MeshValidationError, match="rows and cols"):
             generate_grid_patch(1, 5)
 
 
