@@ -105,18 +105,25 @@ def _unbroadcast(g, shape):
 
 
 class ScatterPlan:
-    """An index ``idx`` for scatter-adds.  Pass j, built on first use, holds the rows with
-    more than j entries (a slice if ``0..r-1``) and the position of each one's j-th."""
+    """An index ``idx`` for gathers and scatter-adds.  Pass j, built on first use, holds
+    the rows with more than j entries (a slice if ``0..r-1``) and the position of each
+    one's j-th.  Its least and greatest index, found once, check every use in O(1)."""
 
     def __init__(self, idx):
         self.idx = np.asarray(idx)
+        self._bounds = (self.idx.min(), self.idx.max()) if self.idx.size else (0, -1)
+
+    def check(self, n, what):
+        """Raise AutodiffError unless every index names one of ``n`` rows."""
+        lo, hi = self._bounds
+        if lo < 0 or hi >= n:
+            raise AutodiffError(f"{what} index {lo if lo < 0 else hi} is outside "
+                                f"the {n} rows 0..{n - 1}")
 
     @functools.cached_property
     def passes(self):
         order = np.argsort(self.idx, kind="stable")
         rows = self.idx[order]
-        if rows.size and rows[0] < 0:
-            raise AutodiffError(f"scatter index {rows[0]} is negative")
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
         rank = np.arange(rows.size) - np.repeat(starts, np.diff(starts, append=rows.size))
         by_rank = np.argsort(rank, kind="stable")
@@ -126,6 +133,7 @@ class ScatterPlan:
 
     def add(self, g, n):
         """Row k of ``g`` summed into row ``idx[k]`` of an n-row zero array."""
+        self.check(n, "scatter")
         out = np.zeros((n,) + g.shape[1:])
         for rows, pos in self.passes:
             out[rows] += g[pos]
@@ -133,6 +141,7 @@ class ScatterPlan:
 
     def max(self, v, n):
         """Each column's max within each of n rows (``-inf`` where empty)."""
+        self.check(n, "scatter")
         c = int(np.prod(v.shape[1:]))
         flat = self.idx if c == 1 else (self.idx[:, None] * c + np.arange(c)).ravel()
         m = np.full(n * c, -np.inf)
@@ -370,6 +379,7 @@ def concat(tensors, axis=0) -> Tensor:
 def take_rows(x: Tensor, idx) -> Tensor:
     """Gather along axis 0; adjoint scatter-adds."""
     plan, n = _plan(idx), x.value.shape[0]
+    plan.check(n, "gather")
     return _node(x.value[plan.idx], (x,), lambda g: (plan.add(g, n),))
 
 

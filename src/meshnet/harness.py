@@ -7,6 +7,11 @@ equivariant model shows gaps at floating-point noise level; models with raw
 coordinates or plain vector biases show gaps orders of magnitude larger
 under the corresponding family.
 
+Every pass that reads logits (train accuracy, evaluation's train and test
+sets, the gap's base and each transform family) is one list of
+:func:`mesh_pipeline` triples turned into logits by ``_logits``; a transform
+family only changes what ``mesh_pipeline`` is given.
+
 Every report embeds the config hash, a build identifier (hash of the
 installed package sources), and the seed, so identical inputs reproduce
 identical JSON, apart from the wall times of a training history.  A
@@ -31,9 +36,9 @@ from .autodiff import Adam, nll_loss
 from .config import RunConfig, config_hash, model_spec_from_config
 from .datasets import dataset_from_config, eqgap_meshes
 from .errors import CheckpointError, ConfigError, TrainingDivergedError
-from .features import RELTAN_POWERS, compute_features
+from .features import compute_features
 from .mesh import Mesh, generate_grid_patch, generate_icosphere
-from .model import Model, build_model
+from .model import Model, ModelSpec, build_model
 from .tangent import EdgeGeometry, build_frames, regauge
 from .transforms import (
     CORE_FAMILIES,
@@ -44,9 +49,8 @@ from .transforms import (
     random_transform_suite,
 )
 
-__all__ = ["build_id", "model_logits", "transformed_logits", "equivariance_gap",
-           "train", "evaluate", "save_checkpoint",
-           "load_checkpoint", "generate_config_mesh", "features_report"]
+__all__ = ["build_id", "transformed_logits", "equivariance_gap", "train", "evaluate",
+           "save_checkpoint", "load_checkpoint", "generate_config_mesh", "features_report"]
 
 # 2: K(0) neighbor kernels; 3: order-major; 4: scalar-only bias; 5: stacked heads; 6: .npz
 _CKPT_VERSION = 6
@@ -64,64 +68,66 @@ def build_id() -> str:
     return h.hexdigest()[:12]
 
 
-def _report_header(cfg: RunConfig) -> dict:
-    return {
-        "config_hash": config_hash(cfg),
-        "build_id": build_id(),
-        "seed": cfg.run["seed"],
-        "version": __version__,
-    }
+def _report(cfg: RunConfig, **fields) -> dict:
+    """``fields`` under the header every report carries."""
+    return {"config_hash": config_hash(cfg), "build_id": build_id(), "seed": cfg.run["seed"],
+            "version": __version__, **fields}
 
 
 # ---------------------------------------------------------------------------
 # Forward pipeline
 # ---------------------------------------------------------------------------
 
-def mesh_pipeline(mesh: Mesh, family: str, powers=RELTAN_POWERS):
-    """Frames, transport, edge geometry, and input features for one mesh."""
-    frames = build_frames(mesh)
-    geom = EdgeGeometry.from_frames(frames)
-    field = compute_features(family, mesh, frames, powers)
-    return frames, geom, field
+def mesh_pipeline(mesh: Mesh, spec: ModelSpec, frames=None, geom=None):
+    """Frames, edge geometry and ``spec``'s input features of one mesh.
+
+    Given ``frames`` (of ``mesh``) are used rather than built, and a given
+    ``geom`` is checked against them by :meth:`EdgeGeometry.from_frames`.
+    """
+    frames = build_frames(mesh) if frames is None else frames
+    geom = EdgeGeometry.from_frames(frames, geom)
+    return frames, geom, compute_features(spec.features, mesh, frames, spec.reltan_powers)
 
 
-def model_logits(model: Model, mesh: Mesh) -> np.ndarray:
-    spec = model.spec
-    _frames, geom, field = mesh_pipeline(mesh, spec.features, spec.reltan_powers)
-    return model.forward(field, geom).value
+def _logits(model: Model, prepared) -> list:
+    """Eval logits of every :func:`mesh_pipeline` triple in ``prepared``, one array each."""
+    return [model.forward(field, geom).value for _frames, geom, field in prepared]
 
 
 # ---------------------------------------------------------------------------
 # Equivariance gap
 # ---------------------------------------------------------------------------
 
-def transformed_logits(model: Model, mesh: Mesh, family: str, suite, frames) -> np.ndarray:
-    """Logits of ``mesh``, whose frames are ``frames``, under ``suite``'s ``family`` member.
+def transformed_logits(model: Model, meshes, prepared, family: str, suites) -> list:
+    """Logits of each of ``meshes`` under its suite's ``family`` member.
 
-    Rows stay in the original vertex order, so they compare directly with
-    :func:`model_logits` of the untransformed mesh.  The gauge family
-    rotates ``frames`` rather than re-selecting reference neighbors, which
-    isolates gauge sensitivity.
+    ``prepared`` holds the meshes' :func:`mesh_pipeline` triples.  Rows stay
+    in the original vertex order, so they compare directly with its
+    :func:`_logits`.  The gauge family rotates the prepared frames rather
+    than re-selecting reference neighbors, which isolates gauge sensitivity.
     """
     spec = model.spec
-    if family == "gauge":
-        frames, geom = regauge(frames, suite.gauge)
-        field = compute_features(spec.features, mesh, frames, spec.reltan_powers)
-        return model.forward(field, geom).value
-    if family == "perm":
-        logits = model_logits(model, apply_permutation(mesh, suite.perm))
-        if spec.task == "segmentation":
-            return suite.perm.unpermute_rows(logits)
-        return logits
-    parts = {k: getattr(suite.ambient, k) for k in TRANSFORM_FAMILIES[family]}
-    return model_logits(model, apply_ambient(mesh, AmbientTransform(**parts)))
+
+    def transformed(mesh, frames, suite):
+        if family == "gauge":
+            return mesh_pipeline(mesh, spec, *regauge(frames, suite.gauge))
+        if family == "perm":
+            return mesh_pipeline(apply_permutation(mesh, suite.perm), spec)
+        parts = {k: getattr(suite.ambient, k) for k in TRANSFORM_FAMILIES[family]}
+        return mesh_pipeline(apply_ambient(mesh, AmbientTransform(**parts)), spec)
+
+    logits = _logits(model, [transformed(mesh, frames, suite) for mesh, (frames, _g, _f), suite
+                             in zip(meshes, prepared, suites)])
+    if family == "perm" and spec.task == "segmentation":
+        return [suite.perm.unpermute_rows(lg) for suite, lg in zip(suites, logits)]
+    return logits
 
 
-def _transform_suite(cfg: RunConfig, n_vertices: int, rng):
-    """One transform of every family, drawn within the configured ranges."""
+def _transform_suites(cfg: RunConfig, meshes, rng) -> list:
+    """One transform of every family per mesh, in turn, drawn within the configured ranges."""
     tr = cfg.transforms
-    return random_transform_suite(n_vertices, rng, tr["translation_range"],
-                                  tr["scale_min"], tr["scale_max"])
+    return [random_transform_suite(mesh.n_vertices, rng, tr["translation_range"],
+                                   tr["scale_min"], tr["scale_max"]) for mesh in meshes]
 
 
 def equivariance_gap(cfg: RunConfig) -> dict:
@@ -130,25 +136,14 @@ def equivariance_gap(cfg: RunConfig) -> dict:
     spec = model_spec_from_config(cfg)
     model = build_model(spec, seed)
     meshes = eqgap_meshes(cfg.data["n_meshes"], seed, cfg.data["subdivisions"])
-    families = list(cfg.transforms["families"])
-    gaps = {f: [] for f in families}
-    rng = np.random.default_rng(seed + 1)
-    for mesh in meshes:
-        frames, geom, field = mesh_pipeline(mesh, spec.features, spec.reltan_powers)
-        logits0 = model.forward(field, geom).value
-        suite = _transform_suite(cfg, mesh.n_vertices, rng)
-        for family in families:
-            logits1 = transformed_logits(model, mesh, family, suite, frames)
-            gaps[family].append(float(np.mean((logits1 - logits0) ** 2)))
-    report = _report_header(cfg)
-    report.update({
-        "kind": spec.kind,
-        "features": spec.features,
-        "bias": spec.bias,
-        "n_meshes": len(meshes),
-        "gaps": {f: float(np.mean(v)) for f, v in gaps.items()},
-    })
-    return report
+    prepared = [mesh_pipeline(mesh, spec) for mesh in meshes]
+    base = _logits(model, prepared)
+    suites = _transform_suites(cfg, meshes, np.random.default_rng(seed + 1))
+    gaps = {f: float(np.mean([np.mean((lg1 - lg0) ** 2) for lg0, lg1 in
+                              zip(base, transformed_logits(model, meshes, prepared, f, suites))]))
+            for f in cfg.transforms["families"]}
+    return _report(cfg, kind=spec.kind, features=spec.features, bias=spec.bias,
+                   n_meshes=len(meshes), gaps=gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +152,8 @@ def equivariance_gap(cfg: RunConfig) -> dict:
 
 def _accuracy(samples, logits) -> float:
     """Percentage of correct predictions, from one logits array per sample."""
-    correct = total = 0
-    for s, sample_logits in zip(samples, logits):
-        correct += int((sample_logits.argmax(axis=1) == s.label).sum())
-        total += s.label.size
-    return 100.0 * correct / total
+    correct = sum(int((lg.argmax(axis=1) == s.label).sum()) for s, lg in zip(samples, logits))
+    return 100.0 * correct / sum(s.label.size for s in samples)
 
 
 def train(cfg: RunConfig):
@@ -175,25 +167,21 @@ def train(cfg: RunConfig):
     """
     dataset = dataset_from_config(cfg)
     seed = cfg.run["seed"]
-    spec = model_spec_from_config(cfg, target_dim=dataset.target_dim,
-                                  task=dataset.task)
+    spec = model_spec_from_config(cfg, target_dim=dataset.target_dim, task=dataset.task)
     model = build_model(spec, seed)
     opt = Adam([t for _n, t in model.parameters()], lr=cfg.training["learning_rate"])
     drop_rng = np.random.default_rng(seed + 2)
 
     # geometry and features never change during training: precompute
-    prepared = []
-    for s in dataset.train:
-        _frames, geom, field = mesh_pipeline(s.mesh, spec.features, spec.reltan_powers)
-        prepared.append((field, geom, s.label))
+    prepared = [mesh_pipeline(s.mesh, spec) for s in dataset.train]
 
     history = []
     for epoch in range(cfg.training["epochs"]):
         start_s = time.perf_counter()
         losses, grad_norms = [], []
-        for field, geom, target in prepared:
+        for (_frames, geom, field), s in zip(prepared, dataset.train):
             opt.zero_grad()
-            loss = nll_loss(model.forward(field, geom, train=True, rng=drop_rng), target)
+            loss = nll_loss(model.forward(field, geom, train=True, rng=drop_rng), s.label)
             if not np.isfinite(loss.item()):
                 bad = next((n for n, t in model.parameters()
                             if not np.isfinite(t.value).all()), None)
@@ -203,20 +191,13 @@ def train(cfg: RunConfig):
                                                 for p in opt.params))))
             opt.step()
             losses.append(loss.item())
-        acc = _accuracy(dataset.train,
-                        (model.forward(field, geom).value for field, geom, _t in prepared))
         history.append({"epoch": epoch, "loss": float(np.mean(losses)),
-                        "train_accuracy": acc,
+                        "train_accuracy": _accuracy(dataset.train, _logits(model, prepared)),
                         "wall_s": time.perf_counter() - start_s,
                         "grad_norm_max": max(grad_norms)})
-    metrics = _report_header(cfg)
-    metrics.update({
-        "epochs": cfg.training["epochs"],
-        "final_train_accuracy": history[-1]["train_accuracy"] if history else None,
-        "history": history,
-        "n_parameters": model.n_parameters(),
-    })
-    return model, metrics
+    return model, _report(cfg, epochs=cfg.training["epochs"],
+                          final_train_accuracy=history[-1]["train_accuracy"] if history else None,
+                          history=history, n_parameters=model.n_parameters())
 
 
 def evaluate(cfg: RunConfig, checkpoint: str | None) -> dict:
@@ -235,20 +216,16 @@ def evaluate(cfg: RunConfig, checkpoint: str | None) -> dict:
     spec = model_spec_from_config(cfg, target_dim=dataset.target_dim, task=dataset.task)
     model = build_model(spec, seed)
     load_checkpoint(model, checkpoint, config_hash(cfg))
-    report = _report_header(cfg)
-    test = [mesh_pipeline(s.mesh, spec.features, spec.reltan_powers) for s in dataset.test]
-    accuracy = {"train": _accuracy(dataset.train,
-                                   (model_logits(model, s.mesh) for s in dataset.train)),
-                "test": _accuracy(dataset.test,
-                                  (model.forward(field, geom).value for _fr, geom, field in test))}
+    meshes = [s.mesh for s in dataset.test]
+    test = [mesh_pipeline(mesh, spec) for mesh in meshes]
+    accuracy = {"train": _accuracy(dataset.train, _logits(
+                    model, [mesh_pipeline(s.mesh, spec) for s in dataset.train])),
+                "test": _accuracy(dataset.test, _logits(model, test))}
     for offset, family in enumerate(CORE_FAMILIES, 10):
-        rng = np.random.default_rng(seed + offset)
-        suites = [_transform_suite(cfg, s.mesh.n_vertices, rng) for s in dataset.test]
-        accuracy[family] = _accuracy(dataset.test, (
-            transformed_logits(model, s.mesh, family, suite, frames)
-            for s, (frames, _g, _f), suite in zip(dataset.test, test, suites)))
-    report["accuracy"] = accuracy
-    return report
+        suites = _transform_suites(cfg, meshes, np.random.default_rng(seed + offset))
+        accuracy[family] = _accuracy(dataset.test,
+                                     transformed_logits(model, meshes, test, family, suites))
+    return _report(cfg, accuracy=accuracy)
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +294,8 @@ def generate_config_mesh(cfg: RunConfig) -> Mesh:
 
 def features_report(cfg: RunConfig) -> dict:
     mesh = generate_config_mesh(cfg)
-    frames, _geom, field = mesh_pipeline(
-        mesh, cfg.model["features"], cfg.model["reltan_powers"])
-    report = _report_header(cfg)
-    report.update({
-        "family": cfg.model["features"],
-        "feature_type": str(field.ftype),
-        "n_vertices": mesh.n_vertices,
-        "values": field.values.tolist(),
-        # vector features are coordinates in these gauges
-        "frames": {name: getattr(frames, name).tolist() for name in ("normals", "e1", "e2")},
-    })
-    return report
+    frames, _geom, field = mesh_pipeline(mesh, model_spec_from_config(cfg))
+    # vector features are coordinates in these gauges
+    return _report(cfg, family=cfg.model["features"], feature_type=str(field.ftype),
+                   n_vertices=mesh.n_vertices, values=field.values.tolist(),
+                   frames={n: getattr(frames, n).tolist() for n in ("normals", "e1", "e2")})

@@ -11,14 +11,15 @@ layer, making the logits permutation invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autodiff import Tensor, _recording_as
 from .errors import ConfigError, FeatureTypeError, FrameBindingError
 from .features import FAMILIES, RELTAN_POWERS, GeometricFeatureField, feature_type_for
-from .layers import BIAS_MODES, DenseLayer, EmanAttentionLayer, GaugeNonlinearity, GemConvLayer
+from .layers import (BIAS_MODES, DenseLayer, EmanAttentionLayer, GaugeNonlinearity,
+                     GemConvLayer, _heads)
 from .representations import FeatureType
 from .tangent import EdgeGeometry
 
@@ -34,7 +35,8 @@ class ModelSpec:
 
     The defaults are the config's; an empty ``attention_type`` is the hidden type.
     Construction is the one check of every field (a :class:`ConfigError` whose
-    ``key`` names it); :class:`Model` reads the fields when it builds.
+    ``key`` names it), an EMAN model's ``heads`` against each of its types
+    too; :class:`Model` builds from a checked copy.
     """
 
     target_dim: int = 10
@@ -74,6 +76,12 @@ class ModelSpec:
             if not ok:
                 raise ConfigError(f"ModelSpec {name} must be {what}, "
                                   f"got {getattr(self, name)!r}", key=name)
+        for t in types.values() if self.kind == "eman" else ():
+            try:
+                _heads(t, self.heads)
+            except ConfigError as exc:
+                raise ConfigError(f"ModelSpec heads must be a divisor of every "
+                                  f"multiplicity: {exc}", key="heads")
 
 
 def _make_layer(spec: ModelSpec, in_type, out_type, att_type, rng):
@@ -87,7 +95,7 @@ def _make_layer(spec: ModelSpec, in_type, out_type, att_type, rng):
 
 class Model:
     def __init__(self, spec: ModelSpec, rng: np.random.Generator):
-        self.spec = spec
+        self.spec = spec = replace(spec)  # checked again; later edits leave it alone
         hidden = FeatureType.parse(spec.hidden_type)
         final = FeatureType.parse(spec.final_type)
         att = FeatureType.parse(spec.attention_type) if spec.attention_type else hidden

@@ -36,6 +36,7 @@ from .errors import (
     FrameBindingError,
     FrameConstructionError,
     MeshValidationError,
+    TransformError,
     UndefinedLogMapError,
 )
 from .mesh import Edges, Mesh, _frozen, vertex_normals
@@ -200,9 +201,17 @@ def regauge(frames: FrameField, angles):
 
     The new first axis is ``cos(g) e1 + sin(g) e2`` and the second is
     recomputed as ``n x e1'``, so the frame invariants hold exactly.
+
+    Raises
+    ------
+    TransformError
+        Unless ``angles`` holds one finite angle per vertex.
     """
-    angles = np.asarray(angles, dtype=np.float64).reshape(-1, 1)
-    e1 = np.cos(angles) * frames.e1 + np.sin(angles) * frames.e2
+    angles, n = np.asarray(angles, dtype=np.float64), frames.mesh.n_vertices
+    if angles.shape != (n,) or not np.isfinite(angles).all():
+        raise TransformError(f"regauge needs {n} finite angles, one per vertex, got "
+                             f"{np.isfinite(angles).sum()} finite of shape {angles.shape}")
+    e1 = np.cos(angles)[:, None] * frames.e1 + np.sin(angles)[:, None] * frames.e2
     e2 = np.cross(frames.normals, e1)
     out = FrameField(frames.mesh, frames.normals, e1, e2)
     out._projection = frames._projection

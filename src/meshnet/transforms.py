@@ -38,7 +38,7 @@ CORE_FAMILIES = ("gauge", "rot_tr_scale", "perm")
 
 @dataclass(frozen=True)
 class AmbientTransform:
-    """p -> scale * rotation @ p + translation."""
+    """p -> scale * rotation @ p + translation, for finite parts (every check refuses NaN)."""
 
     rotation: np.ndarray = None
     translation: np.ndarray = None
@@ -49,12 +49,14 @@ class AmbientTransform:
         x = np.zeros(3) if self.translation is None else np.asarray(self.translation, float)
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", x)
-        if R.shape != (3, 3) or np.abs(R.T @ R - np.eye(3)).max() > 1e-10:
-            raise TransformError("rotation must be 3x3 orthogonal")
-        if np.linalg.det(R) < 0:
+        if R.shape != (3, 3) or not np.abs(R.T @ R - np.eye(3)).max() <= 1e-10:
+            raise TransformError("rotation must be 3x3 orthogonal and finite")
+        if not np.linalg.det(R) > 0:
             raise TransformError("rotation must have determinant +1")
-        if not self.scale > 0:
-            raise TransformError(f"scale must be positive, got {self.scale!r}")
+        if x.shape != (3,) or not np.isfinite(x).all():
+            raise TransformError(f"translation must be 3 finite numbers, got {x!r}")
+        if not 0 < self.scale < np.inf:
+            raise TransformError(f"scale must be positive and finite, got {self.scale!r}")
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return self.scale * points @ self.rotation.T + self.translation

@@ -67,6 +67,10 @@ epochs = 1
     # type of vector channels are refused with the others when the config loads
     ("eqgap", "[model]\nkind = gem\nheads = 0\n", "[model] heads"),
     ("eqgap", "[model]\nfinal_type = rho1\n", "[model] final_type"),
+    # three heads cannot split the default types: refused by key as the
+    # config loads, not as the model builds
+    ("eqgap", "[model]\nheads = 3\n", "[model] heads"),
+    ("train", "[model]\nattention_type = 3xrho1\nheads = 2\n", "[model] heads"),
     ("train", "[run]\ntask = regression\n", "[run] task"),
 ])
 def test_out_of_range_config_value(tmp_path, capsys, command, text, key):

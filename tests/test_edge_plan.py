@@ -25,6 +25,7 @@ from meshnet.autodiff import (
     nll_loss,
     parameter,
     rotate_phase,
+    segment_softmax,
     segment_sum,
     take_rows,
 )
@@ -95,10 +96,21 @@ def test_plan_passes_touch_each_row_once():
 
 
 def test_negative_scatter_index_rejected():
+    # a negative gather index wrapped around and was caught only by the
+    # backward scatter; an index past the rows ended in a bare IndexError
     x = parameter(np.ones(3))
-    y = take_rows(x, [-1, 2])
-    with pytest.raises(AutodiffError, match="scatter index -1 is negative"):
-        y.sum().backward()
+    for idx, bad in (([-1, 2], -1), ([0, 3], 3)):
+        with pytest.raises(AutodiffError, match=f"gather index {bad} is outside the 3 rows"):
+            take_rows(x, idx)
+        with pytest.raises(AutodiffError, match=f"scatter index {bad} is outside the 3 rows"):
+            segment_sum(parameter(np.ones((2, 1))), idx, 3)
+        with pytest.raises(AutodiffError, match=f"scatter index {bad} is outside the 3 rows"):
+            segment_softmax(parameter(np.ones((2, 1))), idx, 3)
+    # a cached plan checks each use against that use's row count
+    plan = ScatterPlan([0, 2])
+    take_rows(x, plan)
+    with pytest.raises(AutodiffError, match="gather index 2 is outside the 2 rows 0..1"):
+        take_rows(parameter(np.ones(2)), plan)
 
 
 # -- hand-built edges and angles ---------------------------------------------------

@@ -56,6 +56,8 @@ MOVED_OR_DELETED = {
     "meshnet.features": ("reltan_scaling_statistics",),
     "meshnet.mesh": ("FaceGeometry",),
     "meshnet.autodiff": ("take_pairs",),
+    # every harness pass is mesh_pipeline then one list forward
+    "meshnet.harness": ("model_logits",),
 }
 
 

@@ -304,7 +304,8 @@ def test_evaluate_reports_every_accuracy(tmp_path):
 
 def test_each_mesh_is_prepared_once(monkeypatch, tmp_path):
     # train's accuracy pass reads the meshes train prepared, and the gauge
-    # family regauges the base frames instead of building them again
+    # family regauges the base frames instead of building them again: its
+    # pass goes through mesh_pipeline with them, and builds no frames
     calls = collections.Counter()
     for name in ("build_frames", "mesh_pipeline"):
         def counted(*args, _call=getattr(harness, name), _name=name):
@@ -317,11 +318,11 @@ def test_each_mesh_is_prepared_once(monkeypatch, tmp_path):
     checkpoint = _trained(cfg, tmp_path)
     assert calls == {"build_frames": 2, "mesh_pipeline": 2}  # two training meshes
     calls.clear()
-    equivariance_gap(cfg)  # two meshes
-    assert calls == {"build_frames": 2, "mesh_pipeline": 2}
+    equivariance_gap(cfg)  # base and gauge passes over two meshes
+    assert calls == {"build_frames": 2, "mesh_pipeline": 4}
     calls.clear()
-    evaluate(cfg, checkpoint)  # train, test, rot_tr_scale and perm: two meshes each
-    assert calls == {"build_frames": 8, "mesh_pipeline": 8}
+    evaluate(cfg, checkpoint)  # train, test and three families: two meshes each
+    assert calls == {"build_frames": 8, "mesh_pipeline": 10}
 
 
 def test_one_adam_step_per_training_mesh(monkeypatch):
@@ -416,6 +417,9 @@ def test_training_forward_without_rng_is_a_named_error():
     ("hidden_type", "junk"),
     ("attention_type", "rho0+"),
     ("final_type", "rho1"),
+    # an EMAN layer splits every type into heads: this failed only as it built,
+    # with no key
+    ("heads", 3),
 ])
 def test_model_spec_refuses_out_of_range_fields(field, value):
     with pytest.raises(ConfigError, match=f"ModelSpec {field} must be") as info:
@@ -437,6 +441,22 @@ def test_spec_changed_after_construction_builds_as_changed():
     assert isinstance(model.entry, GemConvLayer)
     assert model.entry.out_type == FeatureType.parse("2x(rho0+rho1)")
     assert model.entry.bias.mode == "additive"
+
+
+@pytest.mark.parametrize("field, value", [("final_type", "rho1"), ("dropout", 1.5),
+                                          ("heads", 3)])
+def test_spec_changed_after_construction_is_checked(field, value):
+    # the model builds from a checked copy of its spec, so a bad field set
+    # after construction is refused by key, and later edits leave it alone
+    spec = dataclasses.replace(SPEC)
+    setattr(spec, field, value)
+    with pytest.raises(ConfigError, match=f"ModelSpec {field} must be") as info:
+        build_model(spec)
+    assert info.value.key == field
+    spec = dataclasses.replace(SPEC)
+    model = build_model(spec)
+    spec.dropout = 0.25
+    assert model.spec == SPEC and model.spec is not spec
 
 
 def test_every_label_is_an_int_array(tmp_path):
@@ -491,7 +511,8 @@ def test_evaluate_honours_transform_ranges(tmp_path):
 def test_widest_translation_range_is_drawn():
     r = float(np.finfo(float).max / 2)  # the widest range with a finite 2 r
     text = "[transforms]\ntranslation_range = {!r}\n"
-    suite = harness._transform_suite(parse_config(text.format(r)), 4, np.random.default_rng(0))
+    [suite] = harness._transform_suites(parse_config(text.format(r)), [generate_icosphere(0)],
+                                        np.random.default_rng(0))
     assert np.isfinite(suite.ambient.translation).all()
     with pytest.raises(ConfigError, match="translation_range"):
         parse_config(text.format(float(np.nextafter(r, np.inf))))
@@ -504,9 +525,9 @@ def test_model_section_is_the_spec():
     assert model == {key: fields[key] for key in model}
     assert model_spec_from_config(parse_config("")) == ModelSpec()
     cfg = parse_config("[run]\ntask = classification\n"
-                       "[model]\nheads = 2\nattention_type = rho1\n")
+                       "[model]\nheads = 2\nattention_type = 2xrho1\n")
     assert model_spec_from_config(cfg, target_dim=3) == ModelSpec(
-        target_dim=3, task="classification", heads=2, attention_type="rho1")
+        target_dim=3, task="classification", heads=2, attention_type="2xrho1")
     assert model_spec_from_config(cfg, task="segmentation").task == "segmentation"
 
 

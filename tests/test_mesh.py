@@ -33,6 +33,7 @@ from meshnet.mesh import (
     save_mesh,
     vertex_normals,
 )
+from meshnet.model import ModelSpec
 from meshnet.transforms import AmbientTransform, Permutation, apply_permutation, random_rotation
 
 from oracles import (
@@ -181,7 +182,7 @@ def test_mutated_files_load_or_raise_a_named_error(mutated):
     assert np.isfinite(mesh.vertices).all()
     for family in ("reltan", "get", "xyz"):
         try:
-            _frames, _geom, field = mesh_pipeline(mesh, family)
+            _frames, _geom, field = mesh_pipeline(mesh, ModelSpec(features=family))
         except MeshNetError:
             continue
         assert np.isfinite(field.values).all()
@@ -427,6 +428,14 @@ class TestValidation:
         (lambda: AmbientTransform(rotation=np.diag([1.0, 1.0, -1.0])), "determinant"),
         (lambda: AmbientTransform(scale=0.0), "positive"),
         (lambda: AmbientTransform(scale=np.nan), "positive"),
+        # each of these was accepted, to fail later as non-finite vertices or a bare
+        # broadcasting ValueError
+        (lambda: AmbientTransform(rotation=np.diag([np.nan, 1.0, 1.0])), "finite"),
+        (lambda: AmbientTransform(rotation=np.full((3, 3), np.nan)), "finite"),
+        (lambda: AmbientTransform(translation=np.zeros(2)), "translation must be 3"),
+        (lambda: AmbientTransform(translation=[0.0, np.nan, 0.0]), "translation must be 3"),
+        (lambda: AmbientTransform(translation=[np.inf, 0.0, 0.0]), "translation must be 3"),
+        (lambda: AmbientTransform(scale=np.inf), "finite"),
         (lambda: Permutation(np.array([0, 0, 2])), "not a permutation"),
         (lambda: Permutation(np.array([1, 2, 3])), "not a permutation"),
     ])

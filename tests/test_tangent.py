@@ -8,6 +8,7 @@ from meshnet.errors import (
     DegenerateNormalError,
     FrameBindingError,
     FrameConstructionError,
+    TransformError,
     UndefinedLogMapError,
 )
 from meshnet.features import reltan_features
@@ -319,6 +320,17 @@ class TestGaugeShiftLaw:
         assert EdgeGeometry.from_frames(fr2, geom2) is geom2
         with pytest.raises(FrameBindingError):
             EdgeGeometry.from_frames(fr, geom2)
+
+    @pytest.mark.parametrize("angles", [
+        np.zeros(11),  # ended in numpy's broadcasting ValueError
+        np.zeros((12, 1)),
+        np.r_[np.nan, np.zeros(11)],  # gave NaN frames
+        np.r_[np.zeros(11), np.inf],
+    ])
+    def test_regauge_needs_one_finite_angle_per_vertex(self, angles):
+        fr = build_frames(generate_icosphere(0))  # 12 vertices
+        with pytest.raises(TransformError, match="regauge needs 12 finite angles"):
+            regauge(fr, angles)
 
 
 class TestEdgeProjection:
