@@ -12,7 +12,8 @@ Three input families with different symmetry behavior:
 * ``xyz`` -- raw coordinates as three scalar channels; gauge-insensitive and
   sensitive to every ambient transform.
 
-No normalization is applied to any family.
+Every family reads its mesh from the frames (``frames.mesh``), so coordinates
+and their gauges always come from one mesh.  No family is normalized.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FeatureTypeError, NonFiniteFeatureError, ZeroDistanceError
+from .errors import FeatureTypeError, FrameBindingError, NonFiniteFeatureError, ZeroDistanceError
 from .mesh import Mesh
 from .representations import FeatureType
 from .tangent import FrameField
@@ -58,8 +59,8 @@ class GeometricFeatureField:
                                    f"type {self.ftype} (dim {self.ftype.dim})")
 
 
-def reltan_vectors(mesh: Mesh, frames: FrameField, power: float) -> np.ndarray:
-    """Raw 3D tangent summary vectors for one relative power.
+def reltan_vectors(frames: FrameField, power: float) -> np.ndarray:
+    """Raw 3D tangent summary vectors of ``frames.mesh`` for one relative power.
 
     For a vertex p with neighbors q, the vector is
 
@@ -78,28 +79,27 @@ def reltan_vectors(mesh: Mesh, frames: FrameField, power: float) -> np.ndarray:
         If ``|q-p|^{power-1}`` overflows or underflows so far that a
         vector is not finite (``power = 1e308``, say).
     """
-    src, dst = mesh.edges.src, mesh.edges.dst
+    edges = frames.mesh.edges
     tang, _, dist = frames._projection
     zero = np.where(dist <= 0.0)[0]
     if zero.size:
         e = int(zero[0])
-        raise ZeroDistanceError(int(dst[e]), int(src[e]))
+        raise ZeroDistanceError(int(edges.dst[e]), int(edges.src[e]))
     unit = tang / dist[:, None]  # proj of the unit offset, length <= 1
 
     with np.errstate(all="ignore"):  # a non-finite result is raised below
         w = dist ** (power - 1.0)
-        wsum = np.bincount(dst, w, mesh.n_vertices)
-        contrib = unit * (wsum[dst] / w)[:, None]
-        out = np.stack([np.bincount(dst, contrib[:, c], mesh.n_vertices)
-                        for c in range(3)], axis=1) * mesh.edges.degrees[:, None] ** -1.5
+        wsum = np.bincount(edges.dst, w, edges.n_vertices)
+        contrib = unit * (wsum[edges.dst] / w)[:, None]
+        out = np.stack([np.bincount(edges.dst, contrib[:, c], edges.n_vertices)
+                        for c in range(3)], axis=1) * edges.degrees[:, None] ** -1.5
     bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if bad.size:
         raise NonFiniteFeatureError(int(bad[0]), power)
     return out
 
 
-def reltan_features(mesh: Mesh, frames: FrameField,
-                    powers=RELTAN_POWERS) -> GeometricFeatureField:
+def reltan_features(frames: FrameField, powers=RELTAN_POWERS) -> GeometricFeatureField:
     """Tangent-summary features, one (rho0 + rho1) group per relative power.
 
     In the order-major layout the P zero rho0 columns come first, then one
@@ -107,36 +107,32 @@ def reltan_features(mesh: Mesh, frames: FrameField,
     """
     pairs = []
     for r in powers:
-        v3 = reltan_vectors(mesh, frames, r)
+        v3 = reltan_vectors(frames, r)
         pairs += [np.einsum("ij,ij->i", v3, frames.e1), np.einsum("ij,ij->i", v3, frames.e2)]
-    values = np.stack([np.zeros(mesh.n_vertices)] * len(powers) + pairs, axis=1)
+    values = np.stack([np.zeros(frames.mesh.n_vertices)] * len(powers) + pairs, axis=1)
     return GeometricFeatureField(feature_type_for("reltan", powers), values, frames.token)
 
 
-def get_features(mesh: Mesh, frames: FrameField) -> GeometricFeatureField:
+def get_features(frames: FrameField) -> GeometricFeatureField:
     """Vertex position in its own local frame: (p.n, p.e1, p.e2)."""
-    v = mesh.vertices
-    coords = np.stack(
-        [np.einsum("ij,ij->i", v, frames.normals),
-         np.einsum("ij,ij->i", v, frames.e1),
-         np.einsum("ij,ij->i", v, frames.e2)],
-        axis=1,
-    )
+    v = frames.mesh.vertices
+    coords = np.stack([np.einsum("ij,ij->i", v, a) for a in (frames.normals, frames.e1, frames.e2)],
+                      axis=1)
     return GeometricFeatureField(feature_type_for("get"), coords, frames.token)
 
 
-def xyz_features(mesh: Mesh, frames: FrameField) -> GeometricFeatureField:
+def xyz_features(frames: FrameField) -> GeometricFeatureField:
     """Raw coordinates as three scalar channels.
 
     Scalar-only fields are gauge independent, but like every family the
     field is bound to the ``frames`` it was computed with.
     """
-    return GeometricFeatureField(feature_type_for("xyz"), mesh.vertices.copy(), frames.token)
+    return GeometricFeatureField(feature_type_for("xyz"), frames.mesh.vertices.copy(), frames.token)
 
 
 _FAMILIES = {  # the orders of a family's type (reltan's per power) and its field
-    "xyz": ((0, 0, 0), lambda mesh, frames, _powers: xyz_features(mesh, frames)),
-    "get": ((0, 1), lambda mesh, frames, _powers: get_features(mesh, frames)),
+    "xyz": ((0, 0, 0), lambda frames, _powers: xyz_features(frames)),
+    "get": ((0, 1), lambda frames, _powers: get_features(frames)),
     "reltan": ((0, 1), reltan_features),
 }
 FAMILIES = tuple(_FAMILIES)
@@ -156,5 +152,9 @@ def feature_type_for(family: str, powers=RELTAN_POWERS) -> FeatureType:
 
 def compute_features(family: str, mesh: Mesh, frames: FrameField,
                      powers=RELTAN_POWERS) -> GeometricFeatureField:
-    """Dispatch on family name (``reltan`` honors ``powers``)."""
-    return _family(family)[1](mesh, frames, powers)
+    """Dispatch on family name (``reltan`` honors ``powers``); the features read ``frames``
+    alone.  ``mesh`` stays for callers that name it (the benchmark's pre-processing), and
+    any mesh but ``frames.mesh`` is a FrameBindingError."""
+    if mesh is not frames.mesh:
+        raise FrameBindingError("compute_features was given frames built on another mesh")
+    return _family(family)[1](frames, powers)

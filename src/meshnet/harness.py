@@ -10,7 +10,8 @@ under the corresponding family.
 Every pass that reads logits (train accuracy, evaluation's train and test
 sets, the gap's base and each transform family) is one list of
 :func:`mesh_pipeline` triples turned into logits by ``_logits``; a transform
-family only changes what ``mesh_pipeline`` is given.
+family only changes what ``mesh_pipeline`` is given.  A prepared mesh starts
+from its frames, the one handle on the mesh they were built on.
 
 Every report embeds the config hash, a build identifier (hash of the
 installed package sources), and the seed, so identical inputs reproduce
@@ -35,11 +36,11 @@ from . import __version__
 from .autodiff import Adam, nll_loss
 from .config import RunConfig, config_hash, model_spec_from_config
 from .datasets import dataset_from_config, eqgap_meshes
-from .errors import CheckpointError, ConfigError, TrainingDivergedError
+from .errors import CheckpointError, ConfigError, TrainingDivergedError, TransformError
 from .features import compute_features
 from .mesh import Mesh, generate_grid_patch, generate_icosphere
 from .model import Model, ModelSpec, build_model
-from .tangent import EdgeGeometry, build_frames, regauge
+from .tangent import EdgeGeometry, FrameField, build_frames, regauge
 from .transforms import (
     CORE_FAMILIES,
     TRANSFORM_FAMILIES,
@@ -78,15 +79,14 @@ def _report(cfg: RunConfig, **fields) -> dict:
 # Forward pipeline
 # ---------------------------------------------------------------------------
 
-def mesh_pipeline(mesh: Mesh, spec: ModelSpec, frames=None, geom=None):
-    """Frames, edge geometry and ``spec``'s input features of one mesh.
+def mesh_pipeline(spec: ModelSpec, frames: FrameField, geom=None):
+    """Frames, edge geometry and ``spec``'s input features of the mesh ``frames`` name.
 
-    Given ``frames`` (of ``mesh``) are used rather than built, and a given
-    ``geom`` is checked against them by :meth:`EdgeGeometry.from_frames`.
+    A prepared mesh starts from its frames; a given ``geom`` is checked
+    against them by :meth:`EdgeGeometry.from_frames`.
     """
-    frames = build_frames(mesh) if frames is None else frames
     geom = EdgeGeometry.from_frames(frames, geom)
-    return frames, geom, compute_features(spec.features, mesh, frames, spec.reltan_powers)
+    return frames, geom, compute_features(spec.features, frames.mesh, frames, spec.reltan_powers)
 
 
 def _logits(model: Model, prepared) -> list:
@@ -98,36 +98,38 @@ def _logits(model: Model, prepared) -> list:
 # Equivariance gap
 # ---------------------------------------------------------------------------
 
-def transformed_logits(model: Model, meshes, prepared, family: str, suites) -> list:
-    """Logits of each of ``meshes`` under its suite's ``family`` member.
+def transformed_logits(model: Model, prepared, family: str, suites) -> list:
+    """Logits of each prepared mesh under its suite's ``family`` member.
 
-    ``prepared`` holds the meshes' :func:`mesh_pipeline` triples.  Rows stay
-    in the original vertex order, so they compare directly with its
-    :func:`_logits`.  The gauge family rotates the prepared frames rather
-    than re-selecting reference neighbors, which isolates gauge sensitivity.
+    ``prepared`` holds :func:`mesh_pipeline` triples.  Rows stay in the
+    original vertex order, so they compare directly with its :func:`_logits`.
+    The gauge family rotates the prepared frames rather than re-selecting
+    reference neighbors, which isolates gauge sensitivity.
     """
     spec = model.spec
+    if family not in TRANSFORM_FAMILIES:
+        raise TransformError(f"unknown transform family {family!r}")
 
-    def transformed(mesh, frames, suite):
+    def transformed(frames, suite):
         if family == "gauge":
-            return mesh_pipeline(mesh, spec, *regauge(frames, suite.gauge))
-        if family == "perm":
-            return mesh_pipeline(apply_permutation(mesh, suite.perm), spec)
+            return mesh_pipeline(spec, *regauge(frames, suite.gauge))
         parts = {k: getattr(suite.ambient, k) for k in TRANSFORM_FAMILIES[family]}
-        return mesh_pipeline(apply_ambient(mesh, AmbientTransform(**parts)), spec)
+        moved = (apply_permutation(frames.mesh, suite.perm) if family == "perm"
+                 else apply_ambient(frames.mesh, AmbientTransform(**parts)))
+        return mesh_pipeline(spec, build_frames(moved))
 
-    logits = _logits(model, [transformed(mesh, frames, suite) for mesh, (frames, _g, _f), suite
-                             in zip(meshes, prepared, suites)])
+    logits = _logits(model, [transformed(frames, suite)
+                             for (frames, _g, _f), suite in zip(prepared, suites)])
     if family == "perm" and spec.task == "segmentation":
         return [suite.perm.unpermute_rows(lg) for suite, lg in zip(suites, logits)]
     return logits
 
 
-def _transform_suites(cfg: RunConfig, meshes, rng) -> list:
-    """One transform of every family per mesh, in turn, drawn within the configured ranges."""
+def _transform_suites(cfg: RunConfig, prepared, rng) -> list:
+    """One transform of every family per prepared mesh, drawn within the configured ranges."""
     tr = cfg.transforms
-    return [random_transform_suite(mesh.n_vertices, rng, tr["translation_range"],
-                                   tr["scale_min"], tr["scale_max"]) for mesh in meshes]
+    return [random_transform_suite(frames.mesh.n_vertices, rng, tr["translation_range"],
+                                   tr["scale_min"], tr["scale_max"]) for frames, _g, _f in prepared]
 
 
 def equivariance_gap(cfg: RunConfig) -> dict:
@@ -135,15 +137,15 @@ def equivariance_gap(cfg: RunConfig) -> dict:
     seed = cfg.run["seed"]
     spec = model_spec_from_config(cfg)
     model = build_model(spec, seed)
-    meshes = eqgap_meshes(cfg.data["n_meshes"], seed, cfg.data["subdivisions"])
-    prepared = [mesh_pipeline(mesh, spec) for mesh in meshes]
+    prepared = [mesh_pipeline(spec, build_frames(mesh)) for mesh in
+                eqgap_meshes(cfg.data["n_meshes"], seed, cfg.data["subdivisions"])]
     base = _logits(model, prepared)
-    suites = _transform_suites(cfg, meshes, np.random.default_rng(seed + 1))
+    suites = _transform_suites(cfg, prepared, np.random.default_rng(seed + 1))
     gaps = {f: float(np.mean([np.mean((lg1 - lg0) ** 2) for lg0, lg1 in
-                              zip(base, transformed_logits(model, meshes, prepared, f, suites))]))
+                              zip(base, transformed_logits(model, prepared, f, suites))]))
             for f in cfg.transforms["families"]}
     return _report(cfg, kind=spec.kind, features=spec.features, bias=spec.bias,
-                   n_meshes=len(meshes), gaps=gaps)
+                   n_meshes=len(prepared), gaps=gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +175,7 @@ def train(cfg: RunConfig):
     drop_rng = np.random.default_rng(seed + 2)
 
     # geometry and features never change during training: precompute
-    prepared = [mesh_pipeline(s.mesh, spec) for s in dataset.train]
+    prepared = [mesh_pipeline(spec, build_frames(s.mesh)) for s in dataset.train]
 
     history = []
     for epoch in range(cfg.training["epochs"]):
@@ -216,15 +218,13 @@ def evaluate(cfg: RunConfig, checkpoint: str | None) -> dict:
     spec = model_spec_from_config(cfg, target_dim=dataset.target_dim, task=dataset.task)
     model = build_model(spec, seed)
     load_checkpoint(model, checkpoint, config_hash(cfg))
-    meshes = [s.mesh for s in dataset.test]
-    test = [mesh_pipeline(mesh, spec) for mesh in meshes]
+    test = [mesh_pipeline(spec, build_frames(s.mesh)) for s in dataset.test]
     accuracy = {"train": _accuracy(dataset.train, _logits(
-                    model, [mesh_pipeline(s.mesh, spec) for s in dataset.train])),
+                    model, [mesh_pipeline(spec, build_frames(s.mesh)) for s in dataset.train])),
                 "test": _accuracy(dataset.test, _logits(model, test))}
     for offset, family in enumerate(CORE_FAMILIES, 10):
-        suites = _transform_suites(cfg, meshes, np.random.default_rng(seed + offset))
-        accuracy[family] = _accuracy(dataset.test,
-                                     transformed_logits(model, meshes, test, family, suites))
+        suites = _transform_suites(cfg, test, np.random.default_rng(seed + offset))
+        accuracy[family] = _accuracy(dataset.test, transformed_logits(model, test, family, suites))
     return _report(cfg, accuracy=accuracy)
 
 
@@ -293,9 +293,9 @@ def generate_config_mesh(cfg: RunConfig) -> Mesh:
 
 
 def features_report(cfg: RunConfig) -> dict:
-    mesh = generate_config_mesh(cfg)
-    frames, _geom, field = mesh_pipeline(mesh, model_spec_from_config(cfg))
+    frames, _geom, field = mesh_pipeline(model_spec_from_config(cfg),
+                                         build_frames(generate_config_mesh(cfg)))
     # vector features are coordinates in these gauges
     return _report(cfg, family=cfg.model["features"], feature_type=str(field.ftype),
-                   n_vertices=mesh.n_vertices, values=field.values.tolist(),
+                   n_vertices=frames.mesh.n_vertices, values=field.values.tolist(),
                    frames={n: getattr(frames, n).tolist() for n in ("normals", "e1", "e2")})

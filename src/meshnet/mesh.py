@@ -488,17 +488,12 @@ def save_mesh(mesh: Mesh, path):
     fmt = _mesh_format(path)
     with open(path, "w") as fh:
         if fmt == "off":
-            fh.write("OFF\n")
-            fh.write(f"{mesh.n_vertices} {mesh.n_faces} 0\n")
-            for x, y, z in mesh.vertices:
-                fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
-            for a, b, c in mesh.faces:
-                fh.write(f"3 {a} {b} {c}\n")
+            fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n")
+            np.savetxt(fh, mesh.vertices, fmt="%.17g")
+            np.savetxt(fh, mesh.faces, fmt="3 %d %d %d")
         else:
-            for x, y, z in mesh.vertices:
-                fh.write(f"v {x:.17g} {y:.17g} {z:.17g}\n")
-            for a, b, c in mesh.faces:
-                fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+            np.savetxt(fh, mesh.vertices, fmt="v %.17g %.17g %.17g")
+            np.savetxt(fh, mesh.faces + 1, fmt="f %d %d %d")
 
 
 # ---------------------------------------------------------------------------

@@ -67,11 +67,16 @@ class FrameField:
     token : int
         Identity of this gauge choice; feature fields and edge geometry
         record it so layers can reject mixed-gauge inputs.
+
+    Another shape than (V, 3) is a FrameBindingError; values are not checked.
     """
 
     def __init__(self, mesh, normals, e1, e2):
         self.mesh = mesh
         self.normals, self.e1, self.e2 = _frozen(*(np.asarray(a, float) for a in (normals, e1, e2)))
+        n, shapes = mesh.n_vertices, [a.shape for a in (self.normals, self.e1, self.e2)]
+        if shapes != [(n, 3)] * 3:
+            raise FrameBindingError(f"normals, e1 and e2 need shape ({n}, 3), got {shapes}")
         self.token = next(_token_counter)
 
     @cached_property

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import meshnet
-from meshnet import datasets, harness
+from meshnet import datasets, features, harness
 from meshnet.autodiff import Adam, Tensor
 from meshnet.errors import UndefinedLogMapError
 
@@ -107,6 +107,19 @@ def test_deleted_members_and_parameters_stay_deleted():
         params = inspect.signature(fn).parameters
         assert list(params) == names, fn.__name__
         assert all(p.default is p.empty for p in params.values()), fn.__name__
+    # a FrameField is the one handle on its mesh: what reads the mesh takes the
+    # frames alone, and compute_features keeps its mesh only to refuse a mismatch
+    frames_only = {
+        features.reltan_vectors: ["frames", "power"],
+        features.reltan_features: ["frames", "powers"],
+        features.get_features: ["frames"],
+        features.xyz_features: ["frames"],
+        features.compute_features: ["family", "mesh", "frames", "powers"],
+        harness.mesh_pipeline: ["spec", "frames", "geom"],
+        harness.transformed_logits: ["model", "prepared", "family", "suites"],
+    }
+    for fn, names in frames_only.items():
+        assert list(inspect.signature(fn).parameters) == names, fn.__name__
     # segmentation_spheres keeps the defaults the benchmark omits, [data]'s and [run]'s
     cfg = meshnet.default_config()
     params = inspect.signature(datasets.segmentation_spheres).parameters

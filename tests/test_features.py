@@ -4,7 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from meshnet.errors import FeatureTypeError, NonFiniteFeatureError, ZeroDistanceError
+from meshnet.errors import (
+    FeatureTypeError,
+    FrameBindingError,
+    NonFiniteFeatureError,
+    ZeroDistanceError,
+)
 from meshnet.features import (
     GeometricFeatureField,
     compute_features,
@@ -17,7 +22,7 @@ from meshnet.features import (
 from meshnet.mesh import Mesh, generate_icosphere
 from meshnet.representations import FeatureType
 from meshnet.tangent import FrameField, build_frames, regauge
-from meshnet.transforms import random_rotation
+from meshnet.transforms import AmbientTransform, apply_ambient, random_rotation
 
 from oracles import random_test_mesh, regauge_coords, reltan_scaling_statistics
 
@@ -42,7 +47,7 @@ class TestRelTan:
         mesh = Mesh(verts, faces)
         fr = flat_frames(mesh)
         for r in [-2.0, 0.5, 1.0, 3.0]:
-            v = reltan_vectors(mesh, fr, r)
+            v = reltan_vectors(fr, r)
             npt.assert_allclose(v[0], 0.0, atol=1e-14)
 
     def test_collinear_two_neighbor_hand_value(self):
@@ -50,14 +55,14 @@ class TestRelTan:
         # each weight bracket inverts to N_p = 2, prefactor 2^{-3/2}
         mesh = line_mesh([0, 0, 0], [1, 0, 0], [2, 0, 0])
         fr = flat_frames(mesh)
-        v = reltan_vectors(mesh, fr, 1.0)
+        v = reltan_vectors(fr, 1.0)
         npt.assert_allclose(v[0], [np.sqrt(2), 0, 0], atol=1e-14)
 
     def test_collinear_generic_power_against_formula(self):
         mesh = line_mesh([0, 0, 0], [1, 0, 0], [2, 0, 0])
         fr = flat_frames(mesh)
         r = 0.5
-        v = reltan_vectors(mesh, fr, r)
+        v = reltan_vectors(fr, r)
         # direct formula: sum_q unit(q-p) * (sum_q' d_q'^{r-1}) / d_q^{r-1}
         d = np.array([1.0, 2.0])
         wsum = (d ** (r - 1)).sum()
@@ -68,16 +73,16 @@ class TestRelTan:
         mesh = line_mesh([0, 0, 0], [1, 0, 0], [2, 0, 0])
         scaled = mesh.with_vertices(3.0 * mesh.vertices)
         fr, fr3 = flat_frames(mesh), flat_frames(scaled)
-        npt.assert_allclose(reltan_vectors(mesh, fr, 0.7),
-                            reltan_vectors(scaled, fr3, 0.7), atol=1e-14)
+        npt.assert_allclose(reltan_vectors(fr, 0.7),
+                            reltan_vectors(fr3, 0.7), atol=1e-14)
 
     def test_r_equals_one_ignores_distances(self):
         # stretching a single neighbor (holding direction) changes nothing
         mesh = line_mesh([0, 0, 0], [1, 0, 0], [2, 0, 0])
         stretched = line_mesh([0, 0, 0], [1, 0, 0], [5, 0, 0])
         npt.assert_allclose(
-            reltan_vectors(mesh, flat_frames(mesh), 1.0)[0],
-            reltan_vectors(stretched, flat_frames(stretched), 1.0)[0],
+            reltan_vectors(flat_frames(mesh), 1.0)[0],
+            reltan_vectors(flat_frames(stretched), 1.0)[0],
             atol=1e-14)
 
     def test_equivariance_identities(self):
@@ -86,39 +91,39 @@ class TestRelTan:
             mesh = random_test_mesh(rng)
             fr = build_frames(mesh)
             for r in [0.5, 0.7]:
-                v = reltan_vectors(mesh, fr, r)
+                v = reltan_vectors(fr, r)
                 scale = max(np.abs(v).max(), 1e-12)
                 R = random_rotation(rng)
                 x = rng.uniform(-10, 10, 3)
                 lam = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
                 rot = mesh.with_vertices(mesh.vertices @ R.T)
-                npt.assert_allclose(reltan_vectors(rot, build_frames(rot), r),
+                npt.assert_allclose(reltan_vectors(build_frames(rot), r),
                                     v @ R.T, atol=1e-10 * scale)
                 tra = mesh.with_vertices(mesh.vertices + x)
-                npt.assert_allclose(reltan_vectors(tra, build_frames(tra), r),
+                npt.assert_allclose(reltan_vectors(build_frames(tra), r),
                                     v, atol=1e-10 * scale)
                 sca = mesh.with_vertices(lam * mesh.vertices)
-                npt.assert_allclose(reltan_vectors(sca, build_frames(sca), r),
+                npt.assert_allclose(reltan_vectors(build_frames(sca), r),
                                     v, atol=1e-10 * scale)
 
     def test_field_layout_and_gauge_covariance(self):
         rng = np.random.default_rng(10)
         mesh = generate_icosphere(1)
         fr = build_frames(mesh)
-        field = reltan_features(mesh, fr, (0.5, 0.7))
+        field = reltan_features(fr, (0.5, 0.7))
         # order-major: both zero scalar slots, then one pair per power
         assert field.ftype == FeatureType([0, 1, 0, 1])
         assert field.ftype.orders == (0, 0, 1, 1)
         npt.assert_array_equal(field.values[:, :2], 0.0)
         for k, r in enumerate((0.5, 0.7)):
-            v3 = reltan_vectors(mesh, fr, r)
+            v3 = reltan_vectors(fr, r)
             npt.assert_array_equal(field.values[:, 2 + 2 * k],
                                    np.einsum("ij,ij->i", v3, fr.e1))
             npt.assert_array_equal(field.values[:, 3 + 2 * k],
                                    np.einsum("ij,ij->i", v3, fr.e2))
         g = rng.uniform(-np.pi, np.pi, mesh.n_vertices)
         fr2, _td2 = regauge(fr, g)
-        field2 = reltan_features(mesh, fr2, (0.5, 0.7))
+        field2 = reltan_features(fr2, (0.5, 0.7))
         npt.assert_allclose(field2.values,
                             regauge_coords(field.values, field.ftype, g),
                             atol=1e-10)
@@ -129,35 +134,35 @@ class TestRelTan:
         mesh = generate_icosphere(1)
         mesh = mesh.with_vertices(mesh.vertices * 3.0)
         with pytest.raises(NonFiniteFeatureError, match=re.escape(f"relative power {power}")):
-            reltan_features(mesh, build_frames(mesh), (0.7, power))
+            reltan_features(build_frames(mesh), (0.7, power))
 
     def test_coincident_vertices_rejected(self):
         mesh = line_mesh([0, 0, 0], [0, 0, 0], [2, 0, 0])
         with pytest.raises(ZeroDistanceError):
-            reltan_vectors(mesh, flat_frames(mesh), 0.7)
+            reltan_vectors(flat_frames(mesh), 0.7)
 
 
 class TestGet:
     def test_axis_aligned_projection(self):
         mesh = line_mesh([2, 3, 5], [3, 3, 5], [4, 3, 5])
-        field = get_features(mesh, flat_frames(mesh))
+        field = get_features(flat_frames(mesh))
         assert field.ftype == FeatureType([0, 1])
         npt.assert_allclose(field.values[0], [5, 2, 3])
 
     def test_origin_vertex_is_zero(self):
         mesh = line_mesh([0, 0, 0], [1, 0, 0], [2, 0, 0])
-        field = get_features(mesh, flat_frames(mesh))
+        field = get_features(flat_frames(mesh))
         npt.assert_allclose(field.values[0], 0.0, atol=1e-15)
 
     def test_translation_shifts_by_projected_offset(self):
         rng = np.random.default_rng(11)
         mesh = random_test_mesh(rng)
         fr = build_frames(mesh)
-        w = get_features(mesh, fr).values
+        w = get_features(fr).values
         x = rng.uniform(-5, 5, 3)
         moved = mesh.with_vertices(mesh.vertices + x)
         fr2 = build_frames(moved)
-        w2 = get_features(moved, fr2).values
+        w2 = get_features(fr2).values
         shift = np.stack([fr.normals @ x, fr.e1 @ x, fr.e2 @ x], axis=1)
         npt.assert_allclose(w2, w + shift, atol=1e-10)
 
@@ -165,10 +170,10 @@ class TestGet:
         rng = np.random.default_rng(12)
         mesh = generate_icosphere(1)
         fr = build_frames(mesh)
-        field = get_features(mesh, fr)
+        field = get_features(fr)
         g = rng.uniform(-np.pi, np.pi, mesh.n_vertices)
         fr2, _td2 = regauge(fr, g)
-        field2 = get_features(mesh, fr2)
+        field2 = get_features(fr2)
         npt.assert_allclose(field2.values,
                             regauge_coords(field.values, field.ftype, g),
                             atol=1e-10)
@@ -178,16 +183,16 @@ class TestXyz:
     def test_values_are_coordinates(self):
         mesh = line_mesh([1, 2, 3], [2, 2, 3], [3, 2, 3])
         fr = flat_frames(mesh)  # a line has no normals to build frames from
-        field = xyz_features(mesh, fr)
+        field = xyz_features(fr)
         assert field.ftype == FeatureType([0, 0, 0]) and field.frame_token == fr.token
         npt.assert_array_equal(field.values[0], [1, 2, 3])
 
     def test_regauge_leaves_values_unchanged(self):
         mesh = generate_icosphere(0)
         fr = build_frames(mesh)
-        a = xyz_features(mesh, fr).values
+        a = xyz_features(fr).values
         fr2, _td2 = regauge(fr, np.full(mesh.n_vertices, 0.9))
-        b = xyz_features(mesh, fr2).values
+        b = xyz_features(fr2).values
         npt.assert_array_equal(a, b)
 
     def test_rotation_changes_values(self):
@@ -195,8 +200,8 @@ class TestXyz:
         mesh = generate_icosphere(0)
         R = random_rotation(rng)
         rotated = mesh.with_vertices(mesh.vertices @ R.T)
-        a = xyz_features(mesh, build_frames(mesh)).values
-        b = xyz_features(rotated, build_frames(rotated)).values
+        a = xyz_features(build_frames(mesh)).values
+        b = xyz_features(build_frames(rotated)).values
         assert np.abs(a - b).max() > 0.1
         npt.assert_allclose(b, a @ R.T, atol=1e-12)
 
@@ -212,6 +217,17 @@ class TestDispatch:
         for lookup in (lambda family: compute_features(family, mesh, fr), feature_type_for):
             with pytest.raises(FeatureTypeError, match="unknown feature family 'laplacian'"):
                 lookup("laplacian")
+
+    @pytest.mark.parametrize("family", ["reltan", "get", "xyz"])
+    def test_frames_of_another_mesh_are_refused(self, family):
+        mesh = generate_icosphere(1)
+        frames = build_frames(mesh)
+        # a moved copy has as many vertices, and the next subdivision more
+        moved = apply_ambient(mesh, AmbientTransform(translation=np.array([1.0, 2.0, 3.0])))
+        for other in (moved, generate_icosphere(2)):
+            with pytest.raises(FrameBindingError, match="frames built on another mesh"):
+                compute_features(family, other, frames)
+        assert compute_features(family, mesh, frames).frame_token == frames.token
 
     def test_field_shape_validation(self):
         with pytest.raises(FeatureTypeError, match="does not match"):

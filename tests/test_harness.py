@@ -22,6 +22,7 @@ from meshnet.errors import (
     FeatureTypeError,
     FrameBindingError,
     TrainingDivergedError,
+    TransformError,
 )
 from meshnet.features import (
     GeometricFeatureField,
@@ -287,6 +288,15 @@ def test_negative_controls_break_their_family(extra, family):
     assert gaps[family] > 1e-6
 
 
+def test_unknown_transform_family_is_named():
+    mesh = generate_icosphere(0)
+    model = build_model(ModelSpec(hidden_type="rho0", final_type="rho0", residual_blocks=0))
+    prepared = [harness.mesh_pipeline(model.spec, build_frames(mesh))]
+    suites = harness._transform_suites(parse_config(""), prepared, np.random.default_rng(0))
+    with pytest.raises(TransformError, match="unknown transform family 'bogus'"):
+        harness.transformed_logits(model, prepared, "bogus", suites)
+
+
 def _trained(cfg, tmp_path):
     """The checkpoint that ``meshnet train`` writes for ``cfg``."""
     path = str(tmp_path / "train.ckpt")
@@ -379,7 +389,7 @@ def test_forward_needs_features_of_the_geometry_frames():
     frames = build_frames(mesh)
     model = build_model(ModelSpec(target_dim=3, features="xyz", hidden_type="rho0+rho1",
                                   final_type="2xrho0", dense_hidden=4, residual_blocks=1))
-    features = xyz_features(mesh, frames)
+    features = xyz_features(frames)
     model.forward(features, EdgeGeometry.from_frames(frames))
     _frames, other = regauge(frames, np.zeros(mesh.n_vertices))
     with pytest.raises(FrameBindingError):
@@ -511,7 +521,8 @@ def test_evaluate_honours_transform_ranges(tmp_path):
 def test_widest_translation_range_is_drawn():
     r = float(np.finfo(float).max / 2)  # the widest range with a finite 2 r
     text = "[transforms]\ntranslation_range = {!r}\n"
-    [suite] = harness._transform_suites(parse_config(text.format(r)), [generate_icosphere(0)],
+    prepared = [harness.mesh_pipeline(ModelSpec(), build_frames(generate_icosphere(0)))]
+    [suite] = harness._transform_suites(parse_config(text.format(r)), prepared,
                                         np.random.default_rng(0))
     assert np.isfinite(suite.ambient.translation).all()
     with pytest.raises(ConfigError, match="translation_range"):

@@ -34,6 +34,7 @@ from meshnet.mesh import (
     vertex_normals,
 )
 from meshnet.model import ModelSpec
+from meshnet.tangent import build_frames
 from meshnet.transforms import AmbientTransform, Permutation, apply_permutation, random_rotation
 
 from oracles import (
@@ -182,7 +183,7 @@ def test_mutated_files_load_or_raise_a_named_error(mutated):
     assert np.isfinite(mesh.vertices).all()
     for family in ("reltan", "get", "xyz"):
         try:
-            _frames, _geom, field = mesh_pipeline(mesh, ModelSpec(features=family))
+            _frames, _geom, field = mesh_pipeline(ModelSpec(features=family), build_frames(mesh))
         except MeshNetError:
             continue
         assert np.isfinite(field.values).all()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -131,6 +133,18 @@ class TestFrames:
             npt.assert_allclose(np.einsum("ij,ij->i", fr.e1, fr.normals), 0, atol=1e-10)
             npt.assert_allclose(np.einsum("ij,ij->i", fr.e2, fr.normals), 0, atol=1e-10)
             npt.assert_allclose(np.cross(fr.e1, fr.e2), fr.normals, atol=1e-10)
+
+    def test_frames_need_one_row_per_vertex(self):
+        mesh = generate_icosphere(1)
+        fr = build_frames(mesh)
+        for cut in (lambda a: a[:5], lambda a: a[:, :2], lambda a: np.vstack([a, a[:1]])):
+            with pytest.raises(FrameBindingError, match=re.escape("normals, e1 and e2 need shape (42, 3)")):
+                FrameField(mesh, cut(fr.normals), cut(fr.e1), cut(fr.e2))
+        with pytest.raises(FrameBindingError):  # one wrong array is enough
+            FrameField(mesh, fr.normals, fr.e1, fr.e2[:-1])
+        # only shapes are checked: non-finite values reach what reads them
+        broken = FrameField(mesh, fr.normals, fr.e1 * np.nan, fr.e2)
+        assert np.isnan(broken.e1).all()
 
 
 class TestThetaAngle:
@@ -366,8 +380,8 @@ class TestEdgeProjection:
                 got, want = EdgeGeometry.from_frames(frames), EdgeGeometry.from_frames(fresh)
                 assert np.array_equal(got.theta, want.theta)
                 assert np.array_equal(got.transport, want.transport)
-                assert np.array_equal(reltan_features(mesh, frames, (0.5, 0.7)).values,
-                                      reltan_features(mesh, fresh, (0.5, 0.7)).values)
+                assert np.array_equal(reltan_features(frames, (0.5, 0.7)).values,
+                                      reltan_features(fresh, (0.5, 0.7)).values)
 
     def test_undefined_log_map_rejected(self):
         # the neighbor 1 -> 0 lies on the normal at 0 in both frame fields
