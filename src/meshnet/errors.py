@@ -107,7 +107,8 @@ class FeatureTypeError(MeshNetError):
 
 
 class FrameBindingError(MeshNetError):
-    """Feature field and edge geometry were built from different frame fields."""
+    """Frames of the wrong shape or of another mesh, or features and edge
+    geometry bound to different frames."""
 
 
 class EmptyNeighborhoodError(MeshNetError):

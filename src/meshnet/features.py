@@ -44,13 +44,14 @@ RELTAN_POWERS = (0.7,)  # the default relative distance powers of ``reltan``
 class GeometricFeatureField:
     """Per-vertex coordinate vectors of a declared type, bound to a gauge.
 
-    ``frame_token`` records which FrameField the coordinates are valid in;
-    layers refuse fields whose binding does not match their edge geometry.
+    ``frames`` is the FrameField the coordinates are written in (none for a
+    hand-built field); a model refuses a field whose frames are not those of
+    its edge geometry.
     """
 
     ftype: FeatureType
     values: np.ndarray
-    frame_token: int
+    frames: FrameField | None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -110,7 +111,7 @@ def reltan_features(frames: FrameField, powers=RELTAN_POWERS) -> GeometricFeatur
         v3 = reltan_vectors(frames, r)
         pairs += [np.einsum("ij,ij->i", v3, frames.e1), np.einsum("ij,ij->i", v3, frames.e2)]
     values = np.stack([np.zeros(frames.mesh.n_vertices)] * len(powers) + pairs, axis=1)
-    return GeometricFeatureField(feature_type_for("reltan", powers), values, frames.token)
+    return GeometricFeatureField(feature_type_for("reltan", powers), values, frames)
 
 
 def get_features(frames: FrameField) -> GeometricFeatureField:
@@ -118,7 +119,7 @@ def get_features(frames: FrameField) -> GeometricFeatureField:
     v = frames.mesh.vertices
     coords = np.stack([np.einsum("ij,ij->i", v, a) for a in (frames.normals, frames.e1, frames.e2)],
                       axis=1)
-    return GeometricFeatureField(feature_type_for("get"), coords, frames.token)
+    return GeometricFeatureField(feature_type_for("get"), coords, frames)
 
 
 def xyz_features(frames: FrameField) -> GeometricFeatureField:
@@ -127,7 +128,7 @@ def xyz_features(frames: FrameField) -> GeometricFeatureField:
     Scalar-only fields are gauge independent, but like every family the
     field is bound to the ``frames`` it was computed with.
     """
-    return GeometricFeatureField(feature_type_for("xyz"), frames.mesh.vertices.copy(), frames.token)
+    return GeometricFeatureField(feature_type_for("xyz"), frames.mesh.vertices.copy(), frames)
 
 
 _FAMILIES = {  # the orders of a family's type (reltan's per power) and its field

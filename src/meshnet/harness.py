@@ -9,9 +9,10 @@ under the corresponding family.
 
 Every pass that reads logits (train accuracy, evaluation's train and test
 sets, the gap's base and each transform family) is one list of
-:func:`mesh_pipeline` triples turned into logits by ``_logits``; a transform
-family only changes what ``mesh_pipeline`` is given.  A prepared mesh starts
-from its frames, the one handle on the mesh they were built on.
+:func:`mesh_pipeline` pairs turned into logits by ``_logits``; a transform
+family only changes what ``mesh_pipeline`` is given.  A prepared mesh is its
+edge geometry and features, bound to one FrameField (``geom.frames``), the
+one handle on its mesh and its gauge.
 
 Every report embeds the config hash, a build identifier (hash of the
 installed package sources), and the seed, so identical inputs reproduce
@@ -80,18 +81,15 @@ def _report(cfg: RunConfig, **fields) -> dict:
 # ---------------------------------------------------------------------------
 
 def mesh_pipeline(spec: ModelSpec, frames: FrameField, geom=None):
-    """Frames, edge geometry and ``spec``'s input features of the mesh ``frames`` name.
-
-    A prepared mesh starts from its frames; a given ``geom`` is checked
-    against them by :meth:`EdgeGeometry.from_frames`.
-    """
+    """Edge geometry and ``spec``'s input features, both bound to ``frames``; a
+    given ``geom`` is checked against them by :meth:`EdgeGeometry.from_frames`."""
     geom = EdgeGeometry.from_frames(frames, geom)
-    return frames, geom, compute_features(spec.features, frames.mesh, frames, spec.reltan_powers)
+    return geom, compute_features(spec.features, frames.mesh, frames, spec.reltan_powers)
 
 
 def _logits(model: Model, prepared) -> list:
-    """Eval logits of every :func:`mesh_pipeline` triple in ``prepared``, one array each."""
-    return [model.forward(field, geom).value for _frames, geom, field in prepared]
+    """Eval logits of every :func:`mesh_pipeline` pair in ``prepared``, one array each."""
+    return [model.forward(field, geom).value for geom, field in prepared]
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +99,7 @@ def _logits(model: Model, prepared) -> list:
 def transformed_logits(model: Model, prepared, family: str, suites) -> list:
     """Logits of each prepared mesh under its suite's ``family`` member.
 
-    ``prepared`` holds :func:`mesh_pipeline` triples.  Rows stay in the
+    ``prepared`` holds :func:`mesh_pipeline` pairs.  Rows stay in the
     original vertex order, so they compare directly with its :func:`_logits`.
     The gauge family rotates the prepared frames rather than re-selecting
     reference neighbors, which isolates gauge sensitivity.
@@ -118,8 +116,8 @@ def transformed_logits(model: Model, prepared, family: str, suites) -> list:
                  else apply_ambient(frames.mesh, AmbientTransform(**parts)))
         return mesh_pipeline(spec, build_frames(moved))
 
-    logits = _logits(model, [transformed(frames, suite)
-                             for (frames, _g, _f), suite in zip(prepared, suites)])
+    logits = _logits(model, [transformed(geom.frames, suite)
+                             for (geom, _f), suite in zip(prepared, suites)])
     if family == "perm" and spec.task == "segmentation":
         return [suite.perm.unpermute_rows(lg) for suite, lg in zip(suites, logits)]
     return logits
@@ -128,8 +126,8 @@ def transformed_logits(model: Model, prepared, family: str, suites) -> list:
 def _transform_suites(cfg: RunConfig, prepared, rng) -> list:
     """One transform of every family per prepared mesh, drawn within the configured ranges."""
     tr = cfg.transforms
-    return [random_transform_suite(frames.mesh.n_vertices, rng, tr["translation_range"],
-                                   tr["scale_min"], tr["scale_max"]) for frames, _g, _f in prepared]
+    return [random_transform_suite(geom.edges.n_vertices, rng, tr["translation_range"],
+                                   tr["scale_min"], tr["scale_max"]) for geom, _f in prepared]
 
 
 def equivariance_gap(cfg: RunConfig) -> dict:
@@ -181,7 +179,7 @@ def train(cfg: RunConfig):
     for epoch in range(cfg.training["epochs"]):
         start_s = time.perf_counter()
         losses, grad_norms = [], []
-        for (_frames, geom, field), s in zip(prepared, dataset.train):
+        for (geom, field), s in zip(prepared, dataset.train):
             opt.zero_grad()
             loss = nll_loss(model.forward(field, geom, train=True, rng=drop_rng), s.label)
             if not np.isfinite(loss.item()):
@@ -293,9 +291,9 @@ def generate_config_mesh(cfg: RunConfig) -> Mesh:
 
 
 def features_report(cfg: RunConfig) -> dict:
-    frames, _geom, field = mesh_pipeline(model_spec_from_config(cfg),
-                                         build_frames(generate_config_mesh(cfg)))
+    geom, field = mesh_pipeline(model_spec_from_config(cfg),
+                                build_frames(generate_config_mesh(cfg)))
     # vector features are coordinates in these gauges
     return _report(cfg, family=cfg.model["features"], feature_type=str(field.ftype),
-                   n_vertices=frames.mesh.n_vertices, values=field.values.tolist(),
-                   frames={n: getattr(frames, n).tolist() for n in ("normals", "e1", "e2")})
+                   n_vertices=geom.edges.n_vertices, values=field.values.tolist(),
+                   frames={n: getattr(geom.frames, n).tolist() for n in ("normals", "e1", "e2")})

@@ -151,11 +151,10 @@ class _Bias:
 
 
 def _check_input(layer, x: Tensor, geom: EdgeGeometry, empty_ok: bool = False):
-    if x.shape[1] != layer.in_type.dim:
-        raise FeatureTypeError(
-            f"layer expects type {layer.in_type} (dim {layer.in_type.dim}), "
-            f"got feature dim {x.shape[1]}"
-        )
+    want = (geom.edges.n_vertices, layer.in_type.dim)
+    if x.shape != want:
+        raise FeatureTypeError(f"layer expects features of shape {want}: {want[0]} vertices "
+                               f"of type {layer.in_type}, got shape {x.shape}")
     if not empty_ok and (geom.edges.degrees == 0).any():
         raise EmptyNeighborhoodError(int(np.where(geom.edges.degrees == 0)[0][0]))
 

@@ -86,7 +86,7 @@ class Edges:
 
 
 class Mesh:
-    """Immutable oriented triangle mesh.
+    """Immutable oriented triangle mesh; it keeps read-only copies of its arrays.
 
     Parameters
     ----------
@@ -110,24 +110,23 @@ class Mesh:
         self._set_vertices(vertices)
         if not self.n_vertices:
             raise MeshValidationError("a mesh needs at least one vertex, got none")
-        self.faces = np.ascontiguousarray(faces, dtype=np.int64)
+        self.faces = np.array(faces, dtype=np.int64, order="C")
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise MeshValidationError("face array must have shape (F, 3)")
+        _frozen(self.faces)
         order = self._validate_faces()
-        self.faces.flags.writeable = False
         self.edges = self._build_neighbor_rings(order)
         low = np.flatnonzero(self.edges.degrees < 2)
         if low.size:
             raise DegreeError(int(low[0]), int(self.edges.degrees[low[0]]))
 
     def _set_vertices(self, vertices):
-        self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
+        self.vertices, = _frozen(np.array(vertices, dtype=np.float64, order="C"))
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise MeshValidationError("vertex array must have shape (V, 3)")
         if not np.isfinite(self.vertices).all():
             bad = ~np.isfinite(self.vertices).all(axis=1)
             raise NonFiniteVertexError(int(np.argmax(bad)))
-        self.vertices.flags.writeable = False
 
     @property
     def n_vertices(self):
@@ -238,8 +237,7 @@ class Mesh:
         relabelled = np.empty_like(vertices)
         relabelled[forward] = vertices
         out._set_vertices(relabelled)
-        out.faces = forward[self.faces]
-        out.faces.flags.writeable = False
+        out.faces, = _frozen(forward[self.faces])
         inverse = np.argsort(forward)
         old = self.edges.degrees
         degrees = old[inverse]

@@ -119,7 +119,7 @@ class Model:
         ``train=False`` records no tape, so a backward needs ``train=True``."""
         if features.ftype != self.in_type:
             raise FeatureTypeError(f"model expects input type {self.in_type}, got {features.ftype}")
-        if features.frame_token != geom.frame_token:
+        if features.frames is not geom.frames:
             raise FrameBindingError("input features and edge geometry use different frame fields")
         with _recording_as(train):
             x = Tensor(features.values)

@@ -14,18 +14,17 @@ the two read-only angles the equivariant layers consume:
   to antipodal than ``1 + n_q.n_p = 1e-8`` are refused, so
   ``m.m = 2 (1 + n_q.n_p)`` never vanishes.
 
-It records the token of the frames it was computed in, so a model can reject
-features bound to another gauge.  All angles live in (-pi, pi].  The frames,
-the angles and the relative-tangent features share one array projection of
-the edge offsets.  A :class:`FrameField` keeps it and :func:`regauge` hands
-it on.  The scalar references these arrays are tested against (the log map,
-the two angles of one edge, the tangent projector and angle wrapping) live in
-``tests/oracles.py`` and share the tolerances defined here.
+It keeps the :class:`FrameField` it was computed in, as a feature field does,
+so a model can refuse features in another gauge.  All angles live in
+(-pi, pi].  The frames, the angles and the relative-tangent features share
+one array projection of the edge offsets.  A :class:`FrameField` keeps it and
+:func:`regauge` hands it on.  The scalar references these arrays are tested
+against (the log map, the two angles of one edge, the tangent projector and
+angle wrapping) live in ``tests/oracles.py`` and share this module's tolerances.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 
 import numpy as np
@@ -51,9 +50,6 @@ __all__ = [
 _ANTIPODAL_TOL = 1e-8
 _PROJECTION_TOL = 1e-12
 
-_token_counter = itertools.count()
-
-
 class FrameField:
     """Per-vertex orthonormal gauges plus the normals they complete.
 
@@ -64,20 +60,20 @@ class FrameField:
     e1, e2 : ndarray, shape (V, 3)
         ``(e1, e2, n)`` is a positively oriented orthonormal basis at every
         vertex.
-    token : int
-        Identity of this gauge choice; feature fields and edge geometry
-        record it so layers can reject mixed-gauge inputs.
 
-    Another shape than (V, 3) is a FrameBindingError; values are not checked.
+    The three arrays are kept as read-only copies.  The object is the
+    identity of this gauge choice: feature fields and edge geometry keep it,
+    so layers can refuse mixed-gauge inputs.  Another shape than (V, 3) is a
+    FrameBindingError; values are not checked.
     """
 
     def __init__(self, mesh, normals, e1, e2):
         self.mesh = mesh
-        self.normals, self.e1, self.e2 = _frozen(*(np.asarray(a, float) for a in (normals, e1, e2)))
-        n, shapes = mesh.n_vertices, [a.shape for a in (self.normals, self.e1, self.e2)]
+        arrays = [np.array(a, dtype=np.float64, order="C") for a in (normals, e1, e2)]
+        n, shapes = mesh.n_vertices, [a.shape for a in arrays]
         if shapes != [(n, 3)] * 3:
             raise FrameBindingError(f"normals, e1 and e2 need shape ({n}, 3), got {shapes}")
-        self.token = next(_token_counter)
+        self.normals, self.e1, self.e2 = _frozen(*arrays)
 
     @cached_property
     def _projection(self):
@@ -120,7 +116,8 @@ def build_frames(mesh: Mesh) -> FrameField:
 
 
 class EdgeGeometry:
-    """Read-only copies of the two angles of every edge of ``edges``.
+    """Read-only copies of the two angles of every edge of ``edges``, and the
+    :class:`FrameField` they were measured in.
 
     The layers only ever touch ``edges`` (shared by every geometry of one
     mesh, with its scatter plans), the angles and their ``Phases`` tables,
@@ -140,8 +137,9 @@ class EdgeGeometry:
         by g expresses them in p's gauge, and regauging shifts g by
         ``-g_p + g_q``.  It is the angle in p's frame of q's ``e1`` reflected
         across the plane orthogonal to ``n_q + n_p`` (see the module notes).
-    frame_token : int
-        Token of the FrameField these angles refer to.
+    frames : FrameField or None
+        The frames these angles refer to; a hand-built geometry has none, so
+        it matches only features of no frames.
 
     Raises
     ------
@@ -149,8 +147,8 @@ class EdgeGeometry:
         Unless ``theta`` and ``transport`` hold one angle per edge.
     """
 
-    def __init__(self, edges: Edges, theta, transport, frame_token):
-        self.edges, self.frame_token = edges, frame_token
+    def __init__(self, edges: Edges, theta, transport, frames: FrameField | None = None):
+        self.edges, self.frames = edges, frames
         self.theta, self.transport = _frozen(np.array(theta, float), np.array(transport, float))
         if not self.theta.shape == self.transport.shape == edges.src.shape:
             raise MeshValidationError(f"{edges.src.size} edges need one theta and transport each, "
@@ -171,7 +169,7 @@ class EdgeGeometry:
             If ``geometry`` was computed for different frames.
         """
         if geometry is not None:
-            if geometry.frame_token != frames.token:
+            if geometry.frames is not frames:
                 raise FrameBindingError("edge geometry was computed for different frames")
             return geometry
         mesh = frames.mesh
@@ -197,7 +195,7 @@ class EdgeGeometry:
         g = np.arctan2(
             np.einsum("ij,ij->i", re1, e2p), np.einsum("ij,ij->i", re1, e1p)
         )
-        return cls(mesh.edges, theta, g, frames.token)
+        return cls(mesh.edges, theta, g, frames)
 
 
 def regauge(frames: FrameField, angles):

@@ -395,7 +395,7 @@ def neighbor_rings(mesh: Mesh):
 def isolated_vertex_geometry():
     """Vertices 0 and 1 exchange an edge; vertex 2 has no neighbors."""
     return EdgeGeometry(Edges(src=[1, 0], dst=[0, 1], n_vertices=3), theta=[0.3, -1.2],
-                        transport=[0.1, 0.4], frame_token=-1)
+                        transport=[0.1, 0.4])
 
 
 def reference_rings(faces, n_vertices):

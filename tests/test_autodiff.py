@@ -528,7 +528,7 @@ def test_eval_forward_that_raises_restores_recording(model, hidden):
     net, fresh = build_model(spec, seed=5), build_model(spec, seed=5)
     isolated = isolated_vertex_geometry()
     isolated_field = GeometricFeatureField(net.in_type, np.ones((3, net.in_type.dim)),
-                                           isolated.frame_token)
+                                           isolated.frames)
     if spec.self_contribution:
         # these layers accept an empty neighbourhood: the last one raises
         # after it ran, as a layer without self contribution would

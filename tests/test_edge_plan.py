@@ -121,8 +121,7 @@ def _pair_edges():
 
 
 def _pair_geometry():
-    return EdgeGeometry(_pair_edges(), theta=[0.3, -1.2], transport=[0.1, 0.4],
-                        frame_token=-1)
+    return EdgeGeometry(_pair_edges(), theta=[0.3, -1.2], transport=[0.1, 0.4])
 
 
 def test_degrees_are_counted_from_dst():
@@ -139,9 +138,8 @@ def test_degrees_are_counted_from_dst():
     lambda: Edges(src=[1, 0], dst=[0, 2], n_vertices=2),
     lambda: Edges(src=[1, 0, 1], dst=[0, 1], n_vertices=2),
     lambda: Edges(src=[[1, 0]], dst=[[0, 1]], n_vertices=2),
-    lambda: EdgeGeometry(_pair_edges(), theta=[0.3], transport=[0.1, 0.4], frame_token=-1),
-    lambda: EdgeGeometry(_pair_edges(), theta=[0.3, -1.2], transport=[[0.1, 0.4]],
-                         frame_token=-1),
+    lambda: EdgeGeometry(_pair_edges(), theta=[0.3], transport=[0.1, 0.4]),
+    lambda: EdgeGeometry(_pair_edges(), theta=[0.3, -1.2], transport=[[0.1, 0.4]]),
 ], ids=["negative_src", "dst_past_last_vertex", "src_longer_than_dst", "two_dimensional",
         "one_theta_for_two_edges", "transport_not_one_per_edge"])
 def test_bad_hand_built_geometry_rejected(make):
@@ -153,7 +151,7 @@ def test_bad_hand_built_geometry_rejected(make):
 
 def test_edges_and_angles_are_read_only():
     theta = np.array([0.3, -1.2])
-    hand_built = EdgeGeometry(_pair_edges(), theta, [0.1, 0.4], frame_token=-1)
+    hand_built = EdgeGeometry(_pair_edges(), theta, [0.1, 0.4])
     assert not np.shares_memory(hand_built.theta, theta)
     for geom in (hand_built, EdgeGeometry.from_frames(build_frames(_mesh()))):
         edges = geom.edges

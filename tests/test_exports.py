@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import meshnet
-from meshnet import datasets, features, harness
+from meshnet import datasets, features, harness, tangent
 from meshnet.autodiff import Adam, Tensor
 from meshnet.errors import UndefinedLogMapError
 
@@ -82,9 +82,15 @@ def test_deleted_members_and_parameters_stay_deleted():
         # checkpoints are named .npz records, read and written by the harness alone
         (model, ("flat_parameters", "load_flat_parameters")),
         (field, ("n_vertices",)),
+        # a gauge is its FrameField: geometry and features hold it, no token stands for it
+        (geom.frames, ("token",)), (geom, ("frame_token",)), (field, ("frame_token",)),
+        (tangent, ("_token_counter", "itertools")),
     ]
     for owner, names in deleted:
         assert not [n for n in names if hasattr(owner, n)], type(owner).__name__
+    # a prepared mesh is its geometry and features, and both hold the frames
+    prepared = harness.mesh_pipeline(meshnet.ModelSpec(), geom.frames)
+    assert len(prepared) == 2 and prepared[0].frames is prepared[1].frames is geom.frames
     assert list(inspect.signature(meshnet.vertex_normals).parameters) == ["mesh"]
     # Adam's constants are fixed, not keywords
     assert list(inspect.signature(Adam).parameters) == ["params", "lr"]

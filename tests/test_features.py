@@ -184,7 +184,7 @@ class TestXyz:
         mesh = line_mesh([1, 2, 3], [2, 2, 3], [3, 2, 3])
         fr = flat_frames(mesh)  # a line has no normals to build frames from
         field = xyz_features(fr)
-        assert field.ftype == FeatureType([0, 0, 0]) and field.frame_token == fr.token
+        assert field.ftype == FeatureType([0, 0, 0]) and field.frames is fr
         npt.assert_array_equal(field.values[0], [1, 2, 3])
 
     def test_regauge_leaves_values_unchanged(self):
@@ -227,11 +227,11 @@ class TestDispatch:
         for other in (moved, generate_icosphere(2)):
             with pytest.raises(FrameBindingError, match="frames built on another mesh"):
                 compute_features(family, other, frames)
-        assert compute_features(family, mesh, frames).frame_token == frames.token
+        assert compute_features(family, mesh, frames).frames is frames
 
     def test_field_shape_validation(self):
         with pytest.raises(FeatureTypeError, match="does not match"):
-            GeometricFeatureField(FeatureType([0, 1]), np.zeros((4, 2)), 0)
+            GeometricFeatureField(FeatureType([0, 1]), np.zeros((4, 2)), None)
 
 
 

@@ -271,7 +271,8 @@ def _small_config(extra="", families=", ".join(ALL_FAMILIES), width=2):
 
 @pytest.mark.parametrize("extra", ["kind = eman", "kind = gem",
                                    "self_contribution = true", "heads = 2",
-                                   "heads = 2\nself_contribution = true", "heads = 4"])
+                                   "heads = 2\nself_contribution = true", "heads = 4",
+                                   "bias = none", "[run]\ntask = classification"])
 def test_equivariant_models_have_noise_level_gaps(extra):
     # every multiplicity must divide by the head count
     width = 4 if extra == "heads = 4" else 2
@@ -281,11 +282,21 @@ def test_equivariant_models_have_noise_level_gaps(extra):
         assert gap < 1e-20, (family, gap)
 
 
+# the families each negative control leaves at noise level: its symmetry row
+KEPT = {"bias = additive": ("rot_tr_scale", "perm"), "features = get": ("gauge", "rot", "perm"),
+        "features = xyz": ("gauge", "perm")}
+
+
 @pytest.mark.parametrize("extra, family", [("bias = additive", "gauge"),
-                                           ("features = xyz", "rot_tr_scale")])
+                                           ("features = xyz", "rot_tr_scale"),
+                                           ("features = get", "translate, scale"),
+                                           ("features = xyz", "rot, translate, scale")])
 def test_negative_controls_break_their_family(extra, family):
-    gaps = equivariance_gap(_small_config(extra, family))["gaps"]
-    assert gaps[family] > 1e-6
+    gaps = equivariance_gap(_small_config(extra, ", ".join([family, *KEPT[extra]])))["gaps"]
+    for broken in family.split(", "):
+        assert gaps[broken] > 1e-6, (broken, gaps)
+    for kept in KEPT[extra]:
+        assert gaps[kept] < 1e-20, (kept, gaps)
 
 
 def test_unknown_transform_family_is_named():
@@ -394,8 +405,8 @@ def test_forward_needs_features_of_the_geometry_frames():
     _frames, other = regauge(frames, np.zeros(mesh.n_vertices))
     with pytest.raises(FrameBindingError):
         model.forward(features, other)
-    unbound = GeometricFeatureField(features.ftype, features.values, -1)
-    with pytest.raises(FrameBindingError):  # no token stands for any gauge
+    unbound = GeometricFeatureField(features.ftype, features.values, None)
+    with pytest.raises(FrameBindingError):  # a field of no frames is of no real gauge
         model.forward(unbound, EdgeGeometry.from_frames(frames))
 
 

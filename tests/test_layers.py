@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from meshnet.autodiff import Tensor, parameter
+from meshnet.errors import FeatureTypeError
 from meshnet.features import feature_type_for
 from meshnet.layers import (
     BIAS_MODES,
@@ -127,6 +130,22 @@ def test_whole_layer_gradients(cls):
 
     params = [t for _name, t in layer.parameters()] + [x]
     check_gradients(loss, params, rng)
+
+
+@pytest.mark.parametrize("cls, options", [(GemConvLayer, {}), (EmanAttentionLayer, {}),
+                                          (EmanAttentionLayer, {"self_contribution": True})],
+                         ids=["gem", "eman", "eman_self_contribution"])
+@pytest.mark.parametrize("rows, cols", [(-1, 0), (1, 0), (0, 1)])
+def test_features_need_one_row_per_vertex(cls, options, rows, cols):
+    # unchecked, a row short gathered past the end, and a row over met numpy's
+    # broadcasting or was dropped
+    geom = EdgeGeometry.from_frames(build_frames(generate_icosphere(1)))
+    layer = cls(ENTRY, HIDDEN, rng=np.random.default_rng(0), **options)
+    n, d = geom.edges.n_vertices, ENTRY.dim
+    with pytest.raises(FeatureTypeError, match=re.escape(
+            f"features of shape ({n}, {d}): {n} vertices of type {ENTRY}, "
+            f"got shape ({n + rows}, {d + cols})")):
+        layer.forward(Tensor(np.ones((n + rows, d + cols))), geom)
 
 
 @pytest.mark.parametrize("options", [{}, {"self_contribution": True}, {"heads": 2},

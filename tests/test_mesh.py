@@ -183,7 +183,7 @@ def test_mutated_files_load_or_raise_a_named_error(mutated):
     assert np.isfinite(mesh.vertices).all()
     for family in ("reltan", "get", "xyz"):
         try:
-            _frames, _geom, field = mesh_pipeline(ModelSpec(features=family), build_frames(mesh))
+            _geom, field = mesh_pipeline(ModelSpec(features=family), build_frames(mesh))
         except MeshNetError:
             continue
         assert np.isfinite(field.values).all()
@@ -572,6 +572,17 @@ class TestInvariants:
         npt.assert_allclose(
             vertex_normals(rotated), vertex_normals(mesh) @ R.T, atol=1e-12
         )
+
+    def test_mesh_keeps_read_only_copies_of_its_arrays(self):
+        # the caller's arrays stay its own: writable, unshared, in any order
+        ico = generate_icosphere(1)
+        v, f, v2 = np.asfortranarray(ico.vertices), np.array(ico.faces), ico.vertices * 2.0
+        mesh = Mesh(v, f)
+        moved = mesh.with_vertices(v2)
+        for given, kept in ((v, mesh.vertices), (f, mesh.faces), (v2, moved.vertices)):
+            assert given.flags.writeable and not kept.flags.writeable
+            assert kept.flags.c_contiguous and not np.shares_memory(given, kept)
+            npt.assert_array_equal(kept, given)
 
     def test_rings_do_not_depend_on_face_order(self):
         rng = np.random.default_rng(3)

@@ -146,6 +146,19 @@ class TestFrames:
         broken = FrameField(mesh, fr.normals, fr.e1 * np.nan, fr.e2)
         assert np.isnan(broken.e1).all()
 
+    def test_frames_keep_read_only_copies(self):
+        mesh = generate_icosphere(1)
+        fr = build_frames(mesh)
+        given = [np.asfortranarray(fr.normals), np.array(fr.e1), np.array(fr.e2)]
+        kept = FrameField(mesh, *given)
+        for a, b in zip(given, (kept.normals, kept.e1, kept.e2)):
+            assert a.flags.writeable and not b.flags.writeable
+            assert b.flags.c_contiguous and not np.shares_memory(a, b)
+        # arrays it refuses are left as they were handed in
+        with pytest.raises(FrameBindingError):
+            FrameField(mesh, given[0][:5], given[1], given[2])
+        assert all(a.flags.writeable for a in given)
+
 
 class TestThetaAngle:
     def setup_method(self):
@@ -330,7 +343,7 @@ class TestGaugeShiftLaw:
     def test_regauged_geometry_binds_to_its_frames(self):
         fr = build_frames(generate_icosphere(0))
         fr2, geom2 = regauge(fr, np.full(fr.mesh.n_vertices, 0.4))
-        assert geom2.frame_token == fr2.token
+        assert geom2.frames is fr2
         assert EdgeGeometry.from_frames(fr2, geom2) is geom2
         with pytest.raises(FrameBindingError):
             EdgeGeometry.from_frames(fr, geom2)
