@@ -110,7 +110,10 @@ class ScatterPlan:
     one's j-th.  Its least and greatest index, found once, check every use in O(1)."""
 
     def __init__(self, idx):
-        self.idx = np.asarray(idx)
+        idx = np.asarray(idx)
+        if idx.dtype.kind not in "iu":
+            raise AutodiffError(f"an index must hold integers, got {idx.dtype}")
+        self.idx = idx.astype(np.int64, copy=False)
         self._bounds = (self.idx.min(), self.idx.max()) if self.idx.size else (0, -1)
 
     def check(self, n, what):
@@ -479,8 +482,11 @@ def segment_softmax(logits: Tensor, segments, n_segments: int) -> Tensor:
 
 
 def nll_loss(logits: Tensor, targets) -> Tensor:
-    """Mean negative log-likelihood of integer targets under row softmax."""
-    targets = np.asarray(targets, dtype=np.int64)
+    """Mean negative log-likelihood of integer targets under 2-D logits' row softmax."""
+    targets = np.asarray(targets)
+    if logits.value.ndim != 2 or targets.dtype.kind not in "iu":
+        raise AutodiffError(f"nll_loss needs 2-D logits and integer targets, got logits of "
+                            f"shape {logits.value.shape} and targets of {targets.dtype}")
     nrows, ncols = logits.value.shape
     if targets.shape != (nrows,):
         raise AutodiffError(f"targets shape {targets.shape} does not match {nrows} rows")
@@ -489,7 +495,7 @@ def nll_loss(logits: Tensor, targets) -> Tensor:
     m = logits.value.max(axis=1)  # detached shift
     z = logits - m[:, None]
     lse = z.exp().sum(axis=1).log() + m
-    picked = take_rows(logits.reshape(-1), np.arange(nrows) * ncols + targets)
+    picked = take_rows(logits.reshape(-1), np.arange(nrows) * ncols + targets.astype(np.int64))
     return (lse - picked).mean()
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeatureTypeError, FrameBindingError, NonFiniteFeatureError, ZeroDistanceError
-from .mesh import Mesh
+from .mesh import Mesh, _kept
 from .representations import FeatureType
 from .tangent import FrameField
 
@@ -44,9 +44,10 @@ RELTAN_POWERS = (0.7,)  # the default relative distance powers of ``reltan``
 class GeometricFeatureField:
     """Per-vertex coordinate vectors of a declared type, bound to a gauge.
 
-    ``frames`` is the FrameField the coordinates are written in (none for a
-    hand-built field); a model refuses a field whose frames are not those of
-    its edge geometry.
+    ``values`` is kept as a read-only copy, a :class:`FeatureTypeError` unless it holds
+    real numbers in one column per component of ``ftype``.  ``frames`` is the FrameField
+    the coordinates are written in (none for a hand-built field); a model refuses a
+    field whose frames are not those of its edge geometry.
     """
 
     ftype: FeatureType
@@ -54,10 +55,8 @@ class GeometricFeatureField:
     frames: FrameField | None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[1] != self.ftype.dim:
-            raise FeatureTypeError(f"feature array shape {self.values.shape} does not match "
-                                   f"type {self.ftype} (dim {self.ftype.dim})")
+        self.values = _kept(self.values, np.float64, (None, self.ftype.dim), FeatureTypeError,
+                            f"feature array of type {self.ftype}")
 
 
 def reltan_vectors(frames: FrameField, power: float) -> np.ndarray:
@@ -128,7 +127,7 @@ def xyz_features(frames: FrameField) -> GeometricFeatureField:
     Scalar-only fields are gauge independent, but like every family the
     field is bound to the ``frames`` it was computed with.
     """
-    return GeometricFeatureField(feature_type_for("xyz"), frames.mesh.vertices.copy(), frames)
+    return GeometricFeatureField(feature_type_for("xyz"), frames.mesh.vertices, frames)
 
 
 _FAMILIES = {  # the orders of a family's type (reltan's per power) and its field

@@ -17,6 +17,10 @@ the source was built and stay valid under new positions or a bijective
 relabelling, so the path checks only the new vertex array and the size of
 the relabelling.  New positions share the source's ``Edges`` and its scatter
 plans; a relabelling gathers the rings into new ``Edges``, walking no face.
+
+A constructor that keeps a caller's array keeps a read-only copy from ``_kept``,
+which refuses ragged, non-numeric, misshapen or float index input with the
+constructor's named error; ``_frozen`` guards the arrays the package makes.
 """
 
 from __future__ import annotations
@@ -59,26 +63,40 @@ def _frozen(*arrays):
     return arrays
 
 
+def _kept(value, dtype, shape, error, what):
+    """A read-only C-ordered copy of ``value`` in ``dtype``; ``error`` naming ``what``
+    unless it is a rectangular array of numbers (integers for an integer ``dtype``)
+    of ``shape``, where ``None`` matches any length."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged
+        raise error(f"{what} must be a rectangular array, got a ragged one") from None
+    kinds, numbers = ("iu", "integers") if np.issubdtype(dtype, np.integer) else ("iuf", "reals")
+    if a.dtype.kind not in kinds:
+        raise error(f"{what} must hold {numbers}, got {a.dtype}")
+    if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
+        raise error(f"{what} must have shape {str(shape).replace('None', 'any')}, got {a.shape}")
+    return _frozen(np.array(a, dtype=dtype, order="C"))[0]
+
+
 class Edges:
     """Read-only directed edges q -> p: ``src`` is the neighbor q, ``dst``
     the receiving p, and ``degrees`` counts the edges into each of the
     ``n_vertices`` vertices.  The ``ScatterPlan`` of ``src``, ``dst`` and
     ``arange(V) ++ dst`` is built on first use and kept, so every geometry,
-    layer and pass over these edges shares one.  Unless ``src`` and ``dst``
-    are 1-D of one length, every index in ``[0, n_vertices)``, construction
-    raises :class:`MeshValidationError`.
+    layer and pass over these edges shares one.  ``src`` and ``dst`` are kept as
+    read-only copies; unless they are 1-D integer arrays of one length, every
+    index in ``[0, n_vertices)``, construction raises :class:`MeshValidationError`.
     """
 
     def __init__(self, src, dst, n_vertices):
-        src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+        self.src = src = _kept(src, np.int64, (None,), MeshValidationError, "edge src")
+        self.dst = dst = _kept(dst, np.int64, src.shape, MeshValidationError, "edge dst")
         self.n_vertices = V = int(n_vertices)
-        if src.ndim != 1 or src.shape != dst.shape:
-            raise MeshValidationError(f"edges need 1-D src and dst of one length, got "
-                                      f"shapes {src.shape} and {dst.shape}")
         outside = np.flatnonzero((np.minimum(src, dst) < 0) | (np.maximum(src, dst) >= V))
         if outside.size:
             raise MeshValidationError(f"edge {outside[0]} names a vertex outside 0..{V - 1}")
-        self.src, self.dst, self.degrees = _frozen(src, dst, np.bincount(dst, minlength=V))
+        self.degrees, = _frozen(np.bincount(dst, minlength=V))
 
     src_plan = cached_property(lambda self: ScatterPlan(self.src))
     dst_plan = cached_property(lambda self: ScatterPlan(self.dst))
@@ -86,14 +104,15 @@ class Edges:
 
 
 class Mesh:
-    """Immutable oriented triangle mesh; it keeps read-only copies of its arrays.
+    """Immutable oriented triangle mesh; it keeps read-only copies of its arrays and
+    refuses input that makes no valid mesh with a :class:`MeshValidationError`.
 
     Parameters
     ----------
     vertices : array_like, shape (V, 3)
-        Vertex positions.
+        Vertex positions, real and finite.
     faces : array_like, shape (F, 3)
-        Vertex-index triples, counter-clockwise when seen from outside.
+        Vertex-index triples of integers, counter-clockwise when seen from outside.
 
     Attributes
     ----------
@@ -107,23 +126,18 @@ class Mesh:
     """
 
     def __init__(self, vertices, faces):
-        self._set_vertices(vertices)
+        self._set_vertices(vertices, (None, 3))
         if not self.n_vertices:
             raise MeshValidationError("a mesh needs at least one vertex, got none")
-        self.faces = np.array(faces, dtype=np.int64, order="C")
-        if self.faces.ndim != 2 or self.faces.shape[1] != 3:
-            raise MeshValidationError("face array must have shape (F, 3)")
-        _frozen(self.faces)
+        self.faces = _kept(faces, np.int64, (None, 3), MeshValidationError, "face array")
         order = self._validate_faces()
         self.edges = self._build_neighbor_rings(order)
         low = np.flatnonzero(self.edges.degrees < 2)
         if low.size:
             raise DegreeError(int(low[0]), int(self.edges.degrees[low[0]]))
 
-    def _set_vertices(self, vertices):
-        self.vertices, = _frozen(np.array(vertices, dtype=np.float64, order="C"))
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
-            raise MeshValidationError("vertex array must have shape (V, 3)")
+    def _set_vertices(self, vertices, shape):
+        self.vertices = _kept(vertices, np.float64, shape, MeshValidationError, "vertex array")
         if not np.isfinite(self.vertices).all():
             bad = ~np.isfinite(self.vertices).all(axis=1)
             raise NonFiniteVertexError(int(np.argmax(bad)))
@@ -220,25 +234,18 @@ class Mesh:
         through the relabelling with every ring kept in order.
         """
         V = self.n_vertices
-        vertices = np.asarray(vertices, dtype=np.float64)
-        if vertices.shape != (V, 3):
-            raise MeshValidationError(f"vertex array must have shape ({V}, 3), "
-                                      f"got {vertices.shape}")
         out = Mesh.__new__(Mesh)
         out.__dict__.update(self.__dict__)
+        out._set_vertices(vertices, (V, 3))
         if forward is None:
-            out._set_vertices(vertices)
             return out
         if forward.shape != (V,):
             raise MeshValidationError(
                 f"a relabelling of {forward.size} vertices does not fit a mesh "
                 f"with {V} vertices"
             )
-        relabelled = np.empty_like(vertices)
-        relabelled[forward] = vertices
-        out._set_vertices(relabelled)
-        out.faces, = _frozen(forward[self.faces])
         inverse = np.argsort(forward)
+        out.vertices, out.faces = _frozen(out.vertices[inverse], forward[self.faces])
         old = self.edges.degrees
         degrees = old[inverse]
         shift = (np.cumsum(degrees) - degrees) - (np.cumsum(old) - old)[inverse]

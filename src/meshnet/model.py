@@ -11,6 +11,8 @@ layer, making the logits permutation invariant.
 
 from __future__ import annotations
 
+import numbers
+import typing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,6 +29,14 @@ __all__ = ["ModelSpec", "Model", "build_model"]
 
 TASKS = ("segmentation", "classification")
 LAYER_KINDS = ("gem", "eman")
+# each field annotation's test of a value (a bool is no number) and its name
+_KINDS = {
+    int: (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
+    float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a real number"),
+    bool: (lambda v: isinstance(v, bool), "a bool"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    tuple: (lambda v: isinstance(v, tuple) and all(map(_KINDS[float][0], v)), "a tuple of reals"),
+}
 
 
 @dataclass
@@ -34,9 +44,9 @@ class ModelSpec:
     """Everything needed to reconstruct a model architecture.
 
     The defaults are the config's; an empty ``attention_type`` is the hidden type.
-    Construction is the one check of every field (a :class:`ConfigError` whose
-    ``key`` names it), an EMAN model's ``heads`` against each of its types
-    too; :class:`Model` builds from a checked copy.
+    Construction is the one check of every field, of its annotated type first
+    (a :class:`ConfigError` whose ``key`` names it), an EMAN model's ``heads``
+    against each of its types too; :class:`Model` builds from a checked copy.
     """
 
     target_dim: int = 10
@@ -55,6 +65,11 @@ class ModelSpec:
     residual_blocks: int = 3
 
     def __post_init__(self):
+        for name, hint in typing.get_type_hints(ModelSpec).items():
+            ok, what = _KINDS[hint]
+            if not ok(getattr(self, name)):
+                raise ConfigError(f"ModelSpec {name} must be {what}, "
+                                  f"got {getattr(self, name)!r}", key=name)
         types, powers = {}, self.reltan_powers
         for name in ("hidden_type", "final_type") + ("attention_type",) * bool(self.attention_type):
             try:

@@ -38,7 +38,7 @@ from .errors import (
     TransformError,
     UndefinedLogMapError,
 )
-from .mesh import Edges, Mesh, _frozen, vertex_normals
+from .mesh import Edges, Mesh, _frozen, _kept, vertex_normals
 
 __all__ = [
     "FrameField",
@@ -63,17 +63,15 @@ class FrameField:
 
     The three arrays are kept as read-only copies.  The object is the
     identity of this gauge choice: feature fields and edge geometry keep it,
-    so layers can refuse mixed-gauge inputs.  Another shape than (V, 3) is a
-    FrameBindingError; values are not checked.
+    so layers can refuse mixed-gauge inputs.  An array that is not (V, 3) of
+    real numbers is a FrameBindingError; values are not checked.
     """
 
     def __init__(self, mesh, normals, e1, e2):
-        self.mesh = mesh
-        arrays = [np.array(a, dtype=np.float64, order="C") for a in (normals, e1, e2)]
-        n, shapes = mesh.n_vertices, [a.shape for a in arrays]
-        if shapes != [(n, 3)] * 3:
-            raise FrameBindingError(f"normals, e1 and e2 need shape ({n}, 3), got {shapes}")
-        self.normals, self.e1, self.e2 = _frozen(*arrays)
+        self.mesh, n = mesh, mesh.n_vertices
+        self.normals, self.e1, self.e2 = (
+            _kept(a, np.float64, (n, 3), FrameBindingError, name)
+            for name, a in (("normals", normals), ("e1", e1), ("e2", e2)))
 
     @cached_property
     def _projection(self):
@@ -144,15 +142,14 @@ class EdgeGeometry:
     Raises
     ------
     MeshValidationError
-        Unless ``theta`` and ``transport`` hold one angle per edge.
+        Unless ``theta`` and ``transport`` hold one real angle per edge.
     """
 
     def __init__(self, edges: Edges, theta, transport, frames: FrameField | None = None):
         self.edges, self.frames = edges, frames
-        self.theta, self.transport = _frozen(np.array(theta, float), np.array(transport, float))
-        if not self.theta.shape == self.transport.shape == edges.src.shape:
-            raise MeshValidationError(f"{edges.src.size} edges need one theta and transport each, "
-                                      f"got shapes {self.theta.shape} and {self.transport.shape}")
+        self.theta, self.transport = (
+            _kept(a, np.float64, edges.src.shape, MeshValidationError, name)
+            for name, a in (("theta", theta), ("transport", transport)))
 
     theta_phases = cached_property(lambda self: Phases(self.theta))
     transport_phases = cached_property(lambda self: Phases(self.transport - self.theta))
@@ -210,10 +207,10 @@ def regauge(frames: FrameField, angles):
     TransformError
         Unless ``angles`` holds one finite angle per vertex.
     """
-    angles, n = np.asarray(angles, dtype=np.float64), frames.mesh.n_vertices
-    if angles.shape != (n,) or not np.isfinite(angles).all():
-        raise TransformError(f"regauge needs {n} finite angles, one per vertex, got "
-                             f"{np.isfinite(angles).sum()} finite of shape {angles.shape}")
+    angles = _kept(angles, np.float64, (frames.mesh.n_vertices,), TransformError, "regauge angles")
+    if not np.isfinite(angles).all():
+        raise TransformError(f"regauge needs {angles.size} finite angles, one per vertex, got "
+                             f"{np.isfinite(angles).sum()} finite")
     e1 = np.cos(angles)[:, None] * frames.e1 + np.sin(angles)[:, None] * frames.e2
     e2 = np.cross(frames.normals, e1)
     out = FrameField(frames.mesh, frames.normals, e1, e2)

@@ -6,7 +6,7 @@ move vertex positions and permutations relabel vertices; both return a new
 gauge transform rotates the per-vertex frames in place and is applied by
 :func:`meshnet.tangent.regauge`; here only its angles are drawn.
 :func:`random_transform_suite` samples one member of every family for a
-given vertex count.
+given vertex count; a transform keeps read-only copies, so its checks hold.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TransformError
-from .mesh import Mesh
+from .mesh import Mesh, _frozen, _kept
 
 __all__ = [
     "AmbientTransform",
@@ -38,22 +38,25 @@ CORE_FAMILIES = ("gauge", "rot_tr_scale", "perm")
 
 @dataclass(frozen=True)
 class AmbientTransform:
-    """p -> scale * rotation @ p + translation, for finite parts (every check refuses NaN)."""
+    """p -> scale * rotation @ p + translation, for finite parts (every check refuses NaN,
+    with a :class:`TransformError`); the rotation and translation are read-only copies."""
 
     rotation: np.ndarray = None
     translation: np.ndarray = None
     scale: float = 1.0
 
     def __post_init__(self):
-        R = np.eye(3) if self.rotation is None else np.asarray(self.rotation, float)
-        x = np.zeros(3) if self.translation is None else np.asarray(self.translation, float)
+        R = _kept(np.eye(3) if self.rotation is None else self.rotation, np.float64, (3, 3),
+                  TransformError, "orthogonal rotation")
+        x = _kept(np.zeros(3) if self.translation is None else self.translation, np.float64,
+                  (3,), TransformError, "translation")
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", x)
-        if R.shape != (3, 3) or not np.abs(R.T @ R - np.eye(3)).max() <= 1e-10:
+        if not np.abs(R.T @ R - np.eye(3)).max() <= 1e-10:
             raise TransformError("rotation must be 3x3 orthogonal and finite")
         if not np.linalg.det(R) > 0:
             raise TransformError("rotation must have determinant +1")
-        if x.shape != (3,) or not np.isfinite(x).all():
+        if not np.isfinite(x).all():
             raise TransformError(f"translation must be 3 finite numbers, got {x!r}")
         if not 0 < self.scale < np.inf:
             raise TransformError(f"scale must be positive and finite, got {self.scale!r}")
@@ -64,14 +67,15 @@ class AmbientTransform:
 
 @dataclass(frozen=True)
 class Permutation:
-    """Bijection on vertex indices; ``forward[old] = new``."""
+    """Bijection on vertex indices; ``forward[old] = new``, kept as a read-only copy
+    beside its read-only ``inverse``.  A non-permutation raises :class:`TransformError`."""
 
     forward: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.forward, dtype=np.int64)
+        f = _kept(self.forward, np.int64, (None,), TransformError, "permutation")
         object.__setattr__(self, "forward", f)
-        inv = np.argsort(f)
+        inv, = _frozen(np.argsort(f))
         if not np.array_equal(f[inv], np.arange(f.size)):
             raise TransformError(f"not a permutation of {f.size} indices")
         object.__setattr__(self, "inverse", inv)

@@ -388,10 +388,15 @@ class TestNll:
         check_gradients(lambda: nll_loss(logits, targets), [logits], rng)
 
     def test_invalid_target(self):
-        cases = [([0, 3], "out of range"), ([-1, 0], "out of range"), ([0, 1, 2], "does not match")]
+        cases = [([0, 3], "out of range"), ([-1, 0], "out of range"), ([0, 1, 2], "does not match"),
+                 # truncated to [0, 1] and scored
+                 ([0.5, 1.9], "integer targets"), ([True, False], "integer targets")]
         for targets, match in cases:
             with pytest.raises(AutodiffError, match=match):
                 nll_loss(Tensor(np.zeros((2, 3))), np.array(targets))
+        # ended in a bare ValueError
+        with pytest.raises(AutodiffError, match="2-D logits"):
+            nll_loss(Tensor(np.zeros((2, 3, 1))), np.array([0, 1]))
 
 
 class TestAdam:

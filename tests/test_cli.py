@@ -230,6 +230,12 @@ def test_eval_without_checkpoint_is_a_json_error(tmp_path, capsys):
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "ConfigError"
     assert "checkpoint" in error["message"]
+    # a checkpoint is named, but there is no test mesh to evaluate
+    cfg.write_text(TINY.replace("test_meshes = 1", "test_meshes = 0"))
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "no.ckpt")]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ConfigError"
+    assert "needs a non-empty test set" in error["message"]
 
 
 @pytest.mark.parametrize("command", ["gen-mesh", "features", "train"])

@@ -113,6 +113,24 @@ def test_negative_scatter_index_rejected():
         take_rows(parameter(np.ones(2)), plan)
 
 
+@pytest.mark.parametrize("idx", [[0.5, 1.0], [0.0, 1.0], [True, False], ["0", "1"]])
+def test_non_integer_index_rejected(idx):
+    # a float index ended in a bare IndexError in a gather and was taken as is
+    # by a scatter; a boolean one would mask
+    x = parameter(np.ones((2, 1)))
+    for op in (take_rows, lambda x, idx: segment_sum(x, idx, 2),
+               lambda x, idx: segment_softmax(x, idx, 2)):
+        with pytest.raises(AutodiffError, match="an index must hold integers"):
+            op(x, np.array(idx))
+
+
+def test_unsigned_index_is_taken_as_signed():
+    # uint64 rows times columns plus a column made a float index in the max
+    x = parameter(np.arange(6.0).reshape(2, 3))
+    idx = np.array([0, 1, 1], dtype=np.uint64)
+    npt.assert_array_equal(segment_softmax(take_rows(x, idx), idx, 2).value[0], 1.0)
+
+
 # -- hand-built edges and angles ---------------------------------------------------
 
 def _pair_edges():

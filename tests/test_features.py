@@ -229,8 +229,18 @@ class TestDispatch:
                 compute_features(family, other, frames)
         assert compute_features(family, mesh, frames).frames is frames
 
+    def test_field_keeps_a_read_only_copy(self):
+        # the field kept the caller's array, writable and shared
+        fr = build_frames(generate_icosphere(1))
+        v = np.array(get_features(fr).values)
+        field = GeometricFeatureField(feature_type_for("get"), v, fr)
+        v[0, 1] = 99.0
+        assert field.values[0, 1] != 99.0 and not np.shares_memory(field.values, v)
+        for family in ("reltan", "get", "xyz"):
+            assert not compute_features(family, fr.mesh, fr).values.flags.writeable
+
     def test_field_shape_validation(self):
-        with pytest.raises(FeatureTypeError, match="does not match"):
+        with pytest.raises(FeatureTypeError, match=re.escape("shape (any, 3), got (4, 2)")):
             GeometricFeatureField(FeatureType([0, 1]), np.zeros((4, 2)), None)
 
 

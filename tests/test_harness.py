@@ -11,9 +11,9 @@ import numpy.testing as npt
 import pytest
 
 from meshnet import harness
-from meshnet.autodiff import Tensor
+from meshnet.autodiff import Tensor, nll_loss
 from meshnet.cli import main
-from meshnet.config import config_hash, model_spec_from_config, parse_config
+from meshnet.config import config_hash, default_config, model_spec_from_config, parse_config
 from meshnet.datasets import classification_shapes, load_file_dataset, segmentation_spheres
 from meshnet.errors import (
     CheckpointError,
@@ -28,12 +28,14 @@ from meshnet.features import (
     GeometricFeatureField,
     compute_features,
     feature_type_for,
+    get_features,
     xyz_features,
 )
 from meshnet.harness import (
     equivariance_gap,
     evaluate,
     load_checkpoint,
+    mesh_pipeline,
     save_checkpoint,
     train,
 )
@@ -42,6 +44,7 @@ from meshnet.mesh import generate_grid_patch, generate_icosphere, save_mesh
 from meshnet.model import ModelSpec, build_model
 from meshnet.representations import FeatureType
 from meshnet.tangent import build_frames, regauge
+from meshnet.transforms import apply_ambient, apply_permutation, random_transform_suite
 from oracles import isolated_vertex_geometry
 
 SPEC = ModelSpec(target_dim=3, hidden_type="rho0+rho1", final_type="2xrho0",
@@ -282,6 +285,40 @@ def test_equivariant_models_have_noise_level_gaps(extra):
         assert gap < 1e-20, (family, gap)
 
 
+@pytest.mark.parametrize("fields, invariant", [
+    ({}, True), ({"kind": "gem"}, True), ({"heads": 2, "self_contribution": True}, True),
+    ({"bias": "additive"}, False), ({"features": "xyz"}, False),
+], ids=["eman", "gem", "two_heads_self_contribution", "additive_bias", "xyz_features"])
+def test_parameter_gradients_are_invariant_under_the_whole_group(fields, invariant):
+    # a rigid motion with scale, a relabelling and a gauge turn of one mesh at once,
+    # labels relabelled alike: an equivariant model's loss has the parameter
+    # gradients of the original, so training on either is the same (no dropout:
+    # its mask is drawn per row)
+    data, tr = segmentation_spheres(3, 0, 1, seed=0), default_config().transforms
+    spec = ModelSpec(target_dim=data.target_dim, dropout=0.0, **fields)
+    model = build_model(spec, seed=0)
+    params = [t for _n, t in model.parameters()]
+    rng = np.random.default_rng(1)
+
+    def gradients(prepared, label):
+        for p in params:
+            p.zero_grad()
+        nll_loss(model.forward(prepared[1], prepared[0], train=True), label).backward()
+        return [p.grad.copy() for p in params]
+
+    worst = 0.0
+    for s in data.train:
+        suite = random_transform_suite(s.mesh.n_vertices, rng, tr["translation_range"],
+                                       tr["scale_min"], tr["scale_max"])
+        moved = apply_permutation(apply_ambient(s.mesh, suite.ambient), suite.perm)
+        base = gradients(mesh_pipeline(spec, build_frames(s.mesh)), s.label)
+        turned = gradients(mesh_pipeline(spec, *regauge(build_frames(moved), suite.gauge)),
+                           suite.perm.permute_rows(s.label))
+        largest = max(np.abs(g).max() for g in base)
+        worst = max(worst, *(np.abs(a - b).max() / largest for a, b in zip(base, turned)))
+    assert worst < 1e-9 if invariant else worst > 1e-3, worst
+
+
 # the families each negative control leaves at noise level: its symmetry row
 KEPT = {"bias = additive": ("rot_tr_scale", "perm"), "features = get": ("gauge", "rot", "perm"),
         "features = xyz": ("gauge", "perm")}
@@ -395,6 +432,15 @@ def test_divergence_names_the_first_non_finite_parameter(monkeypatch):
     assert info.value.parameter == "final.value_kernel"
 
 
+def test_forward_needs_features_of_its_input_type():
+    # GET and XYZ fields are both 3 wide, of types rho0+rho1 and 3xrho0
+    frames = build_frames(generate_icosphere(1))
+    model = build_model(ModelSpec(target_dim=3, features="xyz", hidden_type="rho0+rho1",
+                                  final_type="2xrho0", dense_hidden=4, residual_blocks=0))
+    with pytest.raises(FeatureTypeError, match=re.escape("expects input type 3xrho0, got rho0+rho1")):
+        model.forward(get_features(frames), EdgeGeometry.from_frames(frames))
+
+
 def test_forward_needs_features_of_the_geometry_frames():
     mesh = generate_icosphere(1)
     frames = build_frames(mesh)
@@ -441,6 +487,14 @@ def test_training_forward_without_rng_is_a_named_error():
     # an EMAN layer splits every type into heads: this failed only as it built,
     # with no key
     ("heads", 3),
+    # a value of another type: the string built a model with self contribution,
+    # the others ended in a bare TypeError
+    ("self_contribution", "no"),
+    ("dense_hidden", 2.5),
+    ("residual_blocks", 1.5),
+    ("target_dim", 2.5),
+    ("heads", 2.0),
+    ("reltan_powers", "0.7"),
 ])
 def test_model_spec_refuses_out_of_range_fields(field, value):
     with pytest.raises(ConfigError, match=f"ModelSpec {field} must be") as info:

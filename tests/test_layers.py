@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from meshnet.autodiff import Tensor, parameter
-from meshnet.errors import FeatureTypeError
+from meshnet.errors import ConfigError, FeatureTypeError
 from meshnet.features import feature_type_for
 from meshnet.layers import (
     BIAS_MODES,
@@ -146,6 +146,12 @@ def test_features_need_one_row_per_vertex(cls, options, rows, cols):
             f"features of shape ({n}, {d}): {n} vertices of type {ENTRY}, "
             f"got shape ({n + rows}, {d + cols})")):
         layer.forward(Tensor(np.ones((n + rows, d + cols))), geom)
+
+
+@pytest.mark.parametrize("cls", [GemConvLayer, EmanAttentionLayer], ids=["gem", "eman"])
+def test_unknown_bias_mode_rejected(cls):
+    with pytest.raises(ConfigError, match="unknown bias mode 'bogus'"):
+        cls(ENTRY, HIDDEN, bias="bogus", rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("options", [{}, {"self_contribution": True}, {"heads": 2},

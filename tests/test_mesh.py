@@ -13,6 +13,8 @@ from meshnet import mesh as mesh_module
 from meshnet.errors import (
     DegenerateFaceError,
     DegreeError,
+    FeatureTypeError,
+    FrameBindingError,
     IndexRangeError,
     MeshNetError,
     MeshParseError,
@@ -23,8 +25,10 @@ from meshnet.errors import (
     OrientationError,
     TransformError,
 )
+from meshnet.features import GeometricFeatureField
 from meshnet.harness import mesh_pipeline
 from meshnet.mesh import (
+    Edges,
     Mesh,
     face_geometry,
     generate_grid_patch,
@@ -34,7 +38,8 @@ from meshnet.mesh import (
     vertex_normals,
 )
 from meshnet.model import ModelSpec
-from meshnet.tangent import build_frames
+from meshnet.representations import FeatureType
+from meshnet.tangent import EdgeGeometry, FrameField, build_frames, regauge
 from meshnet.transforms import AmbientTransform, Permutation, apply_permutation, random_rotation
 
 from oracles import (
@@ -244,8 +249,9 @@ def _each_line(block, suffix):
     (TETRA_OFF.replace("\n", "\r\n"), None),
     (TETRA_OFF.replace(" ", "\t"), None),
     (_each_line(TETRA_OFF, " # note"), None),
+    (TETRA_OFF.replace("OFF\n", "OFF "), None),
 ], ids=["four_token_vertex_lines", "five_token_face_lines", "float_face_index",
-        "crlf", "tabs", "trailing_comments"])
+        "crlf", "tabs", "trailing_comments", "counts_on_the_keyword_line"])
 def test_off_lines_read_as_reference(tmp_path, text, error):
     path = tmp_path / "m.off"
     path.write_bytes(text.encode("utf-8"))
@@ -433,7 +439,7 @@ class TestValidation:
         # broadcasting ValueError
         (lambda: AmbientTransform(rotation=np.diag([np.nan, 1.0, 1.0])), "finite"),
         (lambda: AmbientTransform(rotation=np.full((3, 3), np.nan)), "finite"),
-        (lambda: AmbientTransform(translation=np.zeros(2)), "translation must be 3"),
+        (lambda: AmbientTransform(translation=np.zeros(2)), "translation must have shape"),
         (lambda: AmbientTransform(translation=[0.0, np.nan, 0.0]), "translation must be 3"),
         (lambda: AmbientTransform(translation=[np.inf, 0.0, 0.0]), "translation must be 3"),
         (lambda: AmbientTransform(scale=np.inf), "finite"),
@@ -442,6 +448,59 @@ class TestValidation:
     ])
     def test_transform_outside_its_group_rejected(self, make, match):
         with pytest.raises(TransformError, match=match):
+            make()
+
+    def test_transforms_keep_read_only_copies(self):
+        # each transform checks its arrays once: a later write to the caller's
+        # array left a stale inverse, or a singular rotation after the check
+        f, R, x = np.arange(5), random_rotation(np.random.default_rng(0)), np.ones(3)
+        perm, ambient = Permutation(f), AmbientTransform(rotation=R, translation=x)
+        f[[0, 1]] = f[[1, 0]]
+        R[0], x[0] = 0.0, np.nan
+        npt.assert_array_equal(perm.unpermute_rows(perm.permute_rows(np.arange(5))),
+                               np.arange(5))
+        npt.assert_allclose(ambient.rotation @ ambient.rotation.T, np.eye(3), atol=1e-12)
+        assert np.isfinite(ambient.translation).all()
+        for a in (perm.forward, perm.inverse, ambient.rotation, ambient.translation):
+            assert not a.flags.writeable
+
+    @pytest.mark.parametrize("make, error, match", [
+        # float indices were truncated: faces + 0.9 built the mesh of the faces
+        (lambda: Mesh(np.eye(3), [[0.9, 1.9, 2.9]]), MeshValidationError,
+         "face array must hold integers, got float64"),
+        (lambda: Edges([0.5, 1.5], [1, 0], 2), MeshValidationError, "edge src must hold integers"),
+        (lambda: Edges([1, 0], [0.0, 1.0], 2), MeshValidationError, "edge dst must hold integers"),
+        (lambda: Permutation(np.arange(12) + 0.5), TransformError,
+         "permutation must hold integers"),
+        (lambda: Permutation([True, False]), TransformError,
+         "permutation must hold integers, got bool"),
+        # these ended in a bare IndexError or ValueError
+        (lambda: Permutation(np.array([[0, 1]])), TransformError,
+         re.escape("permutation must have shape (any,), got (1, 2)")),
+        (lambda: Mesh(np.eye(3), [[0, 1, 2], [0, 1]]), MeshValidationError,
+         "face array must be a rectangular array"),
+        (lambda: Mesh([["x", "y", "z"]] * 3, [[0, 1, 2]]), MeshValidationError,
+         "vertex array must hold reals"),
+        (lambda: EdgeGeometry(Edges([1, 0], [0, 1], 2), [[0.3], [1.2, 0.1]], [0.1, 0.4]),
+         MeshValidationError, "theta must be a rectangular array"),
+        (lambda: FrameField(generate_icosphere(0), *[np.full((12, 3), "x")] * 3), FrameBindingError,
+         "normals must hold reals"),
+        (lambda: regauge(build_frames(generate_icosphere(0)), ["x"] * 12), TransformError,
+         "regauge angles must hold reals"),
+        (lambda: GeometricFeatureField(FeatureType([0]), [[0.0], [1.0, 2.0]], None),
+         FeatureTypeError, "feature array of type rho0 must be a rectangular array"),
+        (lambda: AmbientTransform(rotation=np.full((3, 3), "x")), TransformError,
+         "rotation must hold reals"),
+        (lambda: AmbientTransform(translation=[0.0, [1.0], 2.0]), TransformError,
+         "translation must be a rectangular array"),
+    ], ids=["float_faces", "float_edge_src", "float_edge_dst", "float_permutation",
+            "bool_permutation", "two_dimensional_permutation", "ragged_faces", "string_vertices",
+            "ragged_theta", "string_frames", "string_gauge_angles", "ragged_features",
+            "string_rotation", "ragged_translation"])
+    def test_arrays_of_the_wrong_kind_rejected(self, make, error, match):
+        # every constructor that keeps a caller's array refuses these alike, by its
+        # own named error
+        with pytest.raises(error, match=match):
             make()
 
     def test_mesh_without_vertices_rejected(self):

@@ -53,8 +53,9 @@ class TestFeatureType:
             FeatureType([-1])
         with pytest.raises(FeatureTypeError):
             FeatureType([9])
-        with pytest.raises(FeatureTypeError):
-            FeatureType.parse("rho0+bogus")
+        for text in ("rho0+bogus", "(rho0", "+rho0", "rho0)"):
+            with pytest.raises(FeatureTypeError):
+                FeatureType.parse(text)
 
 
 class TestRhoMatrix:

@@ -138,7 +138,7 @@ class TestFrames:
         mesh = generate_icosphere(1)
         fr = build_frames(mesh)
         for cut in (lambda a: a[:5], lambda a: a[:, :2], lambda a: np.vstack([a, a[:1]])):
-            with pytest.raises(FrameBindingError, match=re.escape("normals, e1 and e2 need shape (42, 3)")):
+            with pytest.raises(FrameBindingError, match=re.escape("normals must have shape (42, 3)")):
                 FrameField(mesh, cut(fr.normals), cut(fr.e1), cut(fr.e2))
         with pytest.raises(FrameBindingError):  # one wrong array is enough
             FrameField(mesh, fr.normals, fr.e1, fr.e2[:-1])
@@ -256,6 +256,13 @@ class TestTransportAngle:
         fr = FrameField(mesh, n, e1, e2)
         with pytest.raises(AmbiguousTransportError):
             transport_angle(0, 1, fr)
+        # the array path names the first such edge: on ico1, 12 -> 0 once n_12 = -n_0
+        fr = build_frames(generate_icosphere(1))
+        n = np.array(fr.normals)
+        n[12] = -n[0]
+        with pytest.raises(AmbiguousTransportError) as info:
+            EdgeGeometry.from_frames(FrameField(fr.mesh, n, fr.e1, fr.e2))
+        assert (info.value.p, info.value.q) == (0, 12)
 
 
 class TestTransportReflection:
@@ -356,7 +363,9 @@ class TestGaugeShiftLaw:
     ])
     def test_regauge_needs_one_finite_angle_per_vertex(self, angles):
         fr = build_frames(generate_icosphere(0))  # 12 vertices
-        with pytest.raises(TransformError, match="regauge needs 12 finite angles"):
+        match = ("regauge needs 12 finite angles" if angles.shape == (12,)
+                 else re.escape("regauge angles must have shape (12,)"))
+        with pytest.raises(TransformError, match=match):
             regauge(fr, angles)
 
 
