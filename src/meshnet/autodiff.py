@@ -490,6 +490,8 @@ def nll_loss(logits: Tensor, targets) -> Tensor:
     nrows, ncols = logits.value.shape
     if targets.shape != (nrows,):
         raise AutodiffError(f"targets shape {targets.shape} does not match {nrows} rows")
+    if not nrows:
+        raise AutodiffError("nll_loss needs at least one row, got an empty batch")
     if targets.min() < 0 or targets.max() >= ncols:
         raise AutodiffError(f"target index out of range for {ncols} classes")
     m = logits.value.max(axis=1)  # detached shift

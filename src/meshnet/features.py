@@ -60,7 +60,7 @@ class GeometricFeatureField:
 
 
 def reltan_vectors(frames: FrameField, power: float) -> np.ndarray:
-    """Raw 3D tangent summary vectors of ``frames.mesh`` for one relative power.
+    """Raw 3D tangent summary vectors of ``frames.mesh`` for one real relative power.
 
     For a vertex p with neighbors q, the vector is
 
@@ -79,6 +79,7 @@ def reltan_vectors(frames: FrameField, power: float) -> np.ndarray:
         If ``|q-p|^{power-1}`` overflows or underflows so far that a
         vector is not finite (``power = 1e308``, say).
     """
+    power = _kept(power, np.float64, (), FeatureTypeError, "reltan power")
     edges = frames.mesh.edges
     tang, _, dist = frames._projection
     zero = np.where(dist <= 0.0)[0]
@@ -105,12 +106,12 @@ def reltan_features(frames: FrameField, powers=RELTAN_POWERS) -> GeometricFeatur
     In the order-major layout the P zero rho0 columns come first, then one
     rho1 pair per power: the frame coordinates of its summary vector.
     """
-    pairs = []
+    ftype, pairs = feature_type_for("reltan", powers), []
     for r in powers:
         v3 = reltan_vectors(frames, r)
         pairs += [np.einsum("ij,ij->i", v3, frames.e1), np.einsum("ij,ij->i", v3, frames.e2)]
     values = np.stack([np.zeros(frames.mesh.n_vertices)] * len(powers) + pairs, axis=1)
-    return GeometricFeatureField(feature_type_for("reltan", powers), values, frames)
+    return GeometricFeatureField(ftype, values, frames)
 
 
 def get_features(frames: FrameField) -> GeometricFeatureField:

@@ -18,9 +18,9 @@ relabelling, so the path checks only the new vertex array and the size of
 the relabelling.  New positions share the source's ``Edges`` and its scatter
 plans; a relabelling gathers the rings into new ``Edges``, walking no face.
 
-A constructor that keeps a caller's array keeps a read-only copy from ``_kept``,
-which refuses ragged, non-numeric, misshapen or float index input with the
-constructor's named error; ``_frozen`` guards the arrays the package makes.
+A constructor keeps a caller's array as a read-only copy from ``_kept``, and a caller's
+number as a Python scalar from it; ``_kept`` refuses ragged, non-numeric, misshapen or float
+index input with the constructor's named error.  ``_frozen`` guards the package's own arrays.
 """
 
 from __future__ import annotations
@@ -64,9 +64,9 @@ def _frozen(*arrays):
 
 
 def _kept(value, dtype, shape, error, what):
-    """A read-only C-ordered copy of ``value`` in ``dtype``; ``error`` naming ``what``
-    unless it is a rectangular array of numbers (integers for an integer ``dtype``)
-    of ``shape``, where ``None`` matches any length."""
+    """A read-only C-ordered copy of ``value`` in ``dtype``, or a Python scalar for shape
+    ``()``; ``error`` naming ``what`` unless it is a rectangular array of numbers (integers
+    for an integer ``dtype``) of ``shape``, where ``None`` matches any length."""
     try:
         a = np.asarray(value)
     except ValueError:  # ragged
@@ -76,23 +76,25 @@ def _kept(value, dtype, shape, error, what):
         raise error(f"{what} must hold {numbers}, got {a.dtype}")
     if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
         raise error(f"{what} must have shape {str(shape).replace('None', 'any')}, got {a.shape}")
-    return _frozen(np.array(a, dtype=dtype, order="C"))[0]
+    return _frozen(np.array(a, dtype=dtype, order="C"))[0] if shape else a.astype(dtype).item()
 
 
 class Edges:
-    """Read-only directed edges q -> p: ``src`` is the neighbor q, ``dst``
-    the receiving p, and ``degrees`` counts the edges into each of the
-    ``n_vertices`` vertices.  The ``ScatterPlan`` of ``src``, ``dst`` and
-    ``arange(V) ++ dst`` is built on first use and kept, so every geometry,
-    layer and pass over these edges shares one.  ``src`` and ``dst`` are kept as
-    read-only copies; unless they are 1-D integer arrays of one length, every
-    index in ``[0, n_vertices)``, construction raises :class:`MeshValidationError`.
+    """Read-only directed edges q -> p: ``src`` is the neighbor q, ``dst`` the receiving p,
+    and ``degrees`` counts the edges into each of the ``n_vertices`` vertices.  The
+    ``ScatterPlan`` of ``src``, ``dst`` and ``arange(V) ++ dst`` is built on first use and
+    kept, so every geometry, layer and pass over these edges shares one.  ``src`` and ``dst``
+    are kept as read-only copies; unless they are 1-D integer arrays of one length, every
+    index in ``[0, n_vertices)`` for an integer ``n_vertices >= 0``, construction raises
+    :class:`MeshValidationError`.
     """
 
     def __init__(self, src, dst, n_vertices):
         self.src = src = _kept(src, np.int64, (None,), MeshValidationError, "edge src")
         self.dst = dst = _kept(dst, np.int64, src.shape, MeshValidationError, "edge dst")
-        self.n_vertices = V = int(n_vertices)
+        self.n_vertices = V = _kept(n_vertices, np.int64, (), MeshValidationError, "vertex count")
+        if V < 0:
+            raise MeshValidationError(f"vertex count must be >= 0, got {V}")
         outside = np.flatnonzero((np.minimum(src, dst) < 0) | (np.maximum(src, dst) >= V))
         if outside.size:
             raise MeshValidationError(f"edge {outside[0]} names a vertex outside 0..{V - 1}")
@@ -533,6 +535,7 @@ def generate_icosphere(subdivisions: int = 0) -> Mesh:
     Every subdivision level replaces each face by four and projects new
     vertices onto the unit sphere (V' = V + E, F' = 4F).
     """
+    subdivisions = _kept(subdivisions, np.int64, (), MeshValidationError, "subdivisions")
     if subdivisions < 0:
         raise MeshValidationError(f"subdivisions must be >= 0, got {subdivisions}")
     verts = _ICO_VERTICES / np.linalg.norm(_ICO_VERTICES, axis=1, keepdims=True)
@@ -565,6 +568,7 @@ def generate_grid_patch(rows: int, cols: int, height_noise_amplitude: float = 0.
     Heights are ``amplitude * U(-1, 1)`` per vertex, deterministic for a
     fixed seed.  The patch has boundary vertices (open fans).
     """
+    rows, cols = (_kept(n, np.int64, (), MeshValidationError, "grid size") for n in (rows, cols))
     if rows < 2 or cols < 2:
         raise MeshValidationError(f"rows and cols must both be >= 2, got {rows} x {cols}")
     rng = np.random.default_rng(rng_seed)

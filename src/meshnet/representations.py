@@ -40,6 +40,7 @@ import re
 import numpy as np
 
 from .errors import FeatureTypeError
+from .mesh import _kept
 
 __all__ = [
     "MAX_IRREP_ORDER",
@@ -58,9 +59,9 @@ class FeatureType:
 
     Parameters
     ----------
-    orders : iterable of int
-        Component orders in any sequence, e.g. ``(0, 1, 2)``.  Order 0
-        contributes one dimension, order n >= 1 contributes two.
+    orders : sequence of int
+        Component orders in any sequence, each in ``[0, MAX_IRREP_ORDER]``, e.g. ``(0, 1, 2)``.
+        Order 0 contributes one dimension, order n >= 1 contributes two.
 
     Attributes
     ----------
@@ -76,13 +77,13 @@ class FeatureType:
     """
 
     def __init__(self, orders):
-        orders = tuple(int(n) for n in orders)
-        if not orders:
+        if not len(orders):  # before _kept: np.asarray(()) is float64
             raise FeatureTypeError("feature type needs at least one component")
-        for n in orders:
-            if n < 0 or n > MAX_IRREP_ORDER:
-                raise FeatureTypeError(f"irrep order {n} outside [0, {MAX_IRREP_ORDER}]")
-        self.orders = orders = tuple(sorted(orders))
+        orders = _kept(orders, np.int64, (None,), FeatureTypeError, "irrep orders")
+        outside = orders[(orders < 0) | (orders > MAX_IRREP_ORDER)]
+        if outside.size:
+            raise FeatureTypeError(f"irrep order {outside[0]} outside [0, {MAX_IRREP_ORDER}]")
+        self.orders = orders = tuple(sorted(orders.tolist()))
         self.component_dims = tuple(1 if n == 0 else 2 for n in orders)
         self.offsets = tuple(np.concatenate([[0], np.cumsum(self.component_dims)]).tolist())
         self.dim = self.offsets[-1]

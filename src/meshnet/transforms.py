@@ -39,7 +39,7 @@ CORE_FAMILIES = ("gauge", "rot_tr_scale", "perm")
 @dataclass(frozen=True)
 class AmbientTransform:
     """p -> scale * rotation @ p + translation, for finite parts (every check refuses NaN,
-    with a :class:`TransformError`); the rotation and translation are read-only copies."""
+    with a :class:`TransformError`); it keeps read-only copies and a float scale."""
 
     rotation: np.ndarray = None
     translation: np.ndarray = None
@@ -50,16 +50,16 @@ class AmbientTransform:
                   TransformError, "orthogonal rotation")
         x = _kept(np.zeros(3) if self.translation is None else self.translation, np.float64,
                   (3,), TransformError, "translation")
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "translation", x)
+        s = _kept(self.scale, np.float64, (), TransformError, "scale")
+        self.__dict__.update(rotation=R, translation=x, scale=s)  # past the frozen __setattr__
         if not np.abs(R.T @ R - np.eye(3)).max() <= 1e-10:
             raise TransformError("rotation must be 3x3 orthogonal and finite")
         if not np.linalg.det(R) > 0:
             raise TransformError("rotation must have determinant +1")
         if not np.isfinite(x).all():
             raise TransformError(f"translation must be 3 finite numbers, got {x!r}")
-        if not 0 < self.scale < np.inf:
-            raise TransformError(f"scale must be positive and finite, got {self.scale!r}")
+        if not 0 < s < np.inf:
+            raise TransformError(f"scale must be positive and finite, got {s!r}")
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return self.scale * points @ self.rotation.T + self.translation
@@ -126,13 +126,20 @@ class TransformSuite:
 def random_transform_suite(n_vertices: int, rng: np.random.Generator,
                            translation_range: float, scale_min: float,
                            scale_max: float) -> TransformSuite:
-    """Gauge angles uniform in (-pi, pi], uniform rotation, uniform box
-    translation, log-uniform scale, uniform permutation."""
-    gauge = rng.uniform(-np.pi, np.pi, n_vertices)
+    """Gauge angles uniform in (-pi, pi], uniform rotation, uniform box translation,
+    log-uniform scale, uniform permutation; :class:`TransformError` unless ``n_vertices >= 0``,
+    ``0 <= 2 translation_range < inf`` and ``0 < scale_min <= scale_max < inf``."""
+    V = _kept(n_vertices, np.int64, (), TransformError, "vertex count")
+    r, lo, hi = (_kept(v, np.float64, (), TransformError, what) for v, what in zip(
+        (translation_range, scale_min, scale_max), ("translation_range", "scale_min", "scale_max")))
+    if not (V >= 0 and 0 <= 2 * r < np.inf and 0 < lo <= hi < np.inf):
+        raise TransformError(f"a suite needs n_vertices >= 0, 0 <= 2 translation_range < inf and "
+                             f"0 < scale_min <= scale_max < inf, got {V}, {r}, {lo} and {hi}")
+    gauge = rng.uniform(-np.pi, np.pi, V)
     ambient = AmbientTransform(
         rotation=random_rotation(rng),
-        translation=rng.uniform(-translation_range, translation_range, 3),
-        scale=float(np.exp(rng.uniform(np.log(scale_min), np.log(scale_max)))),
+        translation=rng.uniform(-r, r, 3),
+        scale=np.exp(rng.uniform(np.log(lo), np.log(hi))),
     )
-    perm = Permutation(rng.permutation(n_vertices))
+    perm = Permutation(rng.permutation(V))
     return TransformSuite(gauge=gauge, ambient=ambient, perm=perm)

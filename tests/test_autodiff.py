@@ -397,6 +397,9 @@ class TestNll:
         # ended in a bare ValueError
         with pytest.raises(AutodiffError, match="2-D logits"):
             nll_loss(Tensor(np.zeros((2, 3, 1))), np.array([0, 1]))
+        # numpy's bare ValueError from the minimum of no targets
+        with pytest.raises(AutodiffError, match="empty batch"):
+            nll_loss(Tensor(np.zeros((0, 3))), np.zeros(0, int))
 
 
 class TestAdam:

@@ -28,6 +28,10 @@ epochs = 1
 @pytest.mark.parametrize("command, text, key", [
     ("gen-mesh", "[mesh]\ngenerator = grid_patch\nrows = 1\n", "[mesh] rows"),
     ("gen-mesh", "[mesh]\nsubdivisions = -1\n", "[mesh] subdivisions"),
+    ("gen-mesh", "[mesh]\ngenerator = cube\n", "[mesh] generator"),
+    ("eqgap", "[model]\nself_contribution = maybe\n", "[model] self_contribution"),
+    # a key before any section header
+    ("eqgap", "seed = 3\n", "cannot parse config"),
     ("eqgap", "[model]\nheads = 0\n", "[model] heads"),
     ("train", "[model]\ndropout = 1.0\n", "[model] dropout"),
     ("features", "[model]\nreltan_powers =\n", "[model] reltan_powers"),
@@ -248,6 +252,12 @@ def test_unwritable_out_is_a_json_error(tmp_path, capsys, command):
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "FileNotFoundError"
     assert "missing" in error["message"]
+
+
+def test_gen_mesh_without_out_is_a_json_error(capsys):
+    assert main(["gen-mesh"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "MeshNetError" and "needs --out" in error["message"]
 
 
 def test_time_is_not_a_subcommand(capsys):

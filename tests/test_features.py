@@ -136,6 +136,17 @@ class TestRelTan:
         with pytest.raises(NonFiniteFeatureError, match=re.escape(f"relative power {power}")):
             reltan_features(build_frames(mesh), (0.7, power))
 
+    @pytest.mark.parametrize("powers, error, match", [
+        # a bare ValueError from np.stack, and a bare TypeError
+        ((), FeatureTypeError, "at least one component"),
+        (("a",), FeatureTypeError, "reltan power must hold reals, got <U1"),
+        ((0.7, [0.5, 0.6]), FeatureTypeError, "reltan power must have shape"),
+        ((np.nan,), NonFiniteFeatureError, "relative power nan"),
+    ], ids=["no_power", "string_power", "list_power", "nan_power"])
+    def test_powers_that_are_not_reals_rejected(self, powers, error, match):
+        with pytest.raises(error, match=match):
+            reltan_features(build_frames(generate_icosphere(0)), powers)
+
     def test_coincident_vertices_rejected(self):
         mesh = line_mesh([0, 0, 0], [0, 0, 0], [2, 0, 0])
         with pytest.raises(ZeroDistanceError):

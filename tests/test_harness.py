@@ -13,7 +13,13 @@ import pytest
 from meshnet import harness
 from meshnet.autodiff import Tensor, nll_loss
 from meshnet.cli import main
-from meshnet.config import config_hash, default_config, model_spec_from_config, parse_config
+from meshnet.config import (
+    config_hash,
+    default_config,
+    load_config,
+    model_spec_from_config,
+    parse_config,
+)
 from meshnet.datasets import classification_shapes, load_file_dataset, segmentation_spheres
 from meshnet.errors import (
     CheckpointError,
@@ -549,6 +555,39 @@ def test_every_label_is_an_int_array(tmp_path):
             want = (s.mesh.n_vertices,) if dataset.task == "segmentation" else (1,)
             assert s.label.shape == want, dataset.task
     assert sorted(int(s.label[0]) for s in datasets[2].train + datasets[2].test) == [0, 0, 1, 1]
+
+
+@pytest.mark.parametrize("layout, task, match", [
+    (None, "segmentation", "does not exist"),
+    ({"a.off": 0}, "segmentation", "need 2 meshes in .*, found 1"),
+    ({"a.off": 0, "b.off": 1}, "segmentation", "must share a vertex count"),
+    ({"a.off": 0, "b.off": 0}, "classification", "no class subdirectories"),
+    ({"round/a.off": 0}, "classification", "need 2 meshes, found 1"),
+], ids=["missing_directory", "too_few_segmentation_meshes", "mixed_vertex_counts",
+        "no_class_subdirectories", "too_few_classification_meshes"])
+def test_file_dataset_refusals_name_the_directory_problem(tmp_path, layout, task, match):
+    root = tmp_path / "meshes"
+    for name, subdivisions in (layout or {}).items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        save_mesh(generate_icosphere(subdivisions), root / name)
+    with pytest.raises(ConfigError, match=match):
+        load_file_dataset(str(root), task, 1, 1)
+
+
+def test_boolean_words_and_a_missing_config_file(tmp_path):
+    for word, value in (("off", False), ("On", True), ("no", False), ("1", True)):
+        text = f"[model]\nself_contribution = {word}\n"
+        assert parse_config(text).model["self_contribution"] is value
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        load_config(tmp_path / "none.cfg")
+
+
+def test_config_mesh_from_the_grid_generator():
+    cfg = parse_config("[run]\nseed = 3\n[mesh]\ngenerator = grid_patch\nrows = 3\ncols = 4\n"
+                       "noise = 0.2\n")
+    got, want = harness.generate_config_mesh(cfg), generate_grid_patch(3, 4, 0.2, 3)
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.faces.tobytes() == want.faces.tobytes()
 
 
 @pytest.mark.parametrize("make", [

@@ -40,7 +40,13 @@ from meshnet.mesh import (
 from meshnet.model import ModelSpec
 from meshnet.representations import FeatureType
 from meshnet.tangent import EdgeGeometry, FrameField, build_frames, regauge
-from meshnet.transforms import AmbientTransform, Permutation, apply_permutation, random_rotation
+from meshnet.transforms import (
+    AmbientTransform,
+    Permutation,
+    apply_permutation,
+    random_rotation,
+    random_transform_suite,
+)
 
 from oracles import (
     neighbor_rings,
@@ -493,15 +499,84 @@ class TestValidation:
          "rotation must hold reals"),
         (lambda: AmbientTransform(translation=[0.0, [1.0], 2.0]), TransformError,
          "translation must be a rectangular array"),
+        # a caller's number is an array of shape (), read by the same helper.  The
+        # float and string vertex counts were kept as 2, the bool as 1
+        (lambda: Edges([1, 0], [0, 1], 2.7), MeshValidationError,
+         "vertex count must hold integers, got float64"),
+        (lambda: Edges([1, 0], [0, 1], "2"), MeshValidationError,
+         "vertex count must hold integers, got <U1"),
+        (lambda: Edges([1, 0], [0, 1], True), MeshValidationError,
+         "vertex count must hold integers, got bool"),
+        # ended in a bare ValueError from np.bincount
+        (lambda: Edges(np.zeros(0, int), np.zeros(0, int), -1), MeshValidationError,
+         "vertex count must be >= 0, got -1"),
+        # the string and the list ended in a bare TypeError; the bool was kept as the scale
+        (lambda: AmbientTransform(scale="2"), TransformError, "scale must hold reals, got <U1"),
+        (lambda: AmbientTransform(scale=[2.0]), TransformError,
+         re.escape("scale must have shape (), got (1,)")),
+        (lambda: AmbientTransform(scale=True), TransformError, "scale must hold reals, got bool"),
+        # built rho0+rho1, rho1 and rho1
+        (lambda: FeatureType([0.5, 1.7]), FeatureTypeError,
+         "irrep orders must hold integers, got float64"),
+        (lambda: FeatureType(["1"]), FeatureTypeError, "irrep orders must hold integers, got <U1"),
+        (lambda: FeatureType([True]), FeatureTypeError, "irrep orders must hold integers, got bool"),
+        # a bare TypeError twice, then ico1
+        (lambda: generate_icosphere(2.5), MeshValidationError,
+         "subdivisions must hold integers, got float64"),
+        (lambda: generate_icosphere("1"), MeshValidationError,
+         "subdivisions must hold integers, got <U1"),
+        (lambda: generate_icosphere(True), MeshValidationError,
+         "subdivisions must hold integers, got bool"),
+        # a bare TypeError
+        (lambda: generate_grid_patch(3.5, 3), MeshValidationError,
+         "grid size must hold integers, got float64"),
     ], ids=["float_faces", "float_edge_src", "float_edge_dst", "float_permutation",
             "bool_permutation", "two_dimensional_permutation", "ragged_faces", "string_vertices",
             "ragged_theta", "string_frames", "string_gauge_angles", "ragged_features",
-            "string_rotation", "ragged_translation"])
+            "string_rotation", "ragged_translation",
+            "float_edge_count", "string_edge_count", "bool_edge_count", "negative_edge_count",
+            "string_scale", "list_scale", "bool_scale", "float_orders", "string_orders",
+            "bool_orders", "float_subdivisions", "string_subdivisions", "bool_subdivisions",
+            "float_grid_size"])
     def test_arrays_of_the_wrong_kind_rejected(self, make, error, match):
-        # every constructor that keeps a caller's array refuses these alike, by its
-        # own named error
+        # every constructor that keeps a caller's array or number refuses these alike,
+        # by its own named error
         with pytest.raises(error, match=match):
             make()
+
+    def test_numbers_of_the_right_kind_read_as_python_scalars(self):
+        edges = Edges([1, 0], [0, 1], np.int64(2))
+        assert type(edges.n_vertices) is int and edges.n_vertices == 2
+        for scale in (2, np.int64(2), np.float64(2.0)):
+            t = AmbientTransform(scale=scale)
+            assert type(t.scale) is float and t.scale == 2.0
+        t = FeatureType(np.array([1, 0], dtype=np.int32))
+        assert t == FeatureType([0, 1]) and all(type(n) is int for n in t.orders)
+        assert generate_icosphere(np.int64(1)).vertices.tobytes() == \
+            generate_icosphere(1).vertices.tobytes()
+        assert generate_grid_patch(np.int64(3), np.uint8(4)).faces.tobytes() == \
+            generate_grid_patch(3, 4).faces.tobytes()
+
+    @pytest.mark.parametrize("numbers, match", [
+        # a bare TypeError from rng.uniform
+        ({"n_vertices": 2.5}, "vertex count must hold integers, got float64"),
+        ({"n_vertices": -1}, "got -1, 1.0, 0.5 and 2.0"),
+        # a RuntimeWarning from log, then a bare OverflowError
+        ({"scale_min": -1}, "got 4, 1.0, -1.0 and 2.0"),
+        ({"scale_min": 3.0}, "0 < scale_min <= scale_max < inf"),
+        ({"scale_max": np.inf}, "0 < scale_min <= scale_max < inf"),
+        ({"scale_max": "2"}, "scale_max must hold reals"),
+        # a bare OverflowError
+        ({"translation_range": np.nan}, "0 <= 2 translation_range < inf"),
+        ({"translation_range": 1e308}, "0 <= 2 translation_range < inf"),
+        ({"translation_range": -1.0}, "0 <= 2 translation_range < inf"),
+    ], ids=["float_vertex_count", "negative_vertex_count", "negative_scale_min",
+            "reversed_scales", "infinite_scale_max", "string_scale_max", "nan_translation_range",
+            "overflowing_translation_range", "negative_translation_range"])
+    def test_transform_suite_numbers_checked(self, numbers, match):
+        kwargs = {"n_vertices": 4, "translation_range": 1.0, "scale_min": 0.5, "scale_max": 2.0}
+        with pytest.raises(TransformError, match=re.escape(match)):
+            random_transform_suite(rng=np.random.default_rng(0), **{**kwargs, **numbers})
 
     def test_mesh_without_vertices_rejected(self):
         no_faces = np.zeros((0, 3), dtype=np.int64)

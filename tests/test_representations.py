@@ -43,6 +43,7 @@ class TestFeatureType:
 
     def test_algebra(self):
         assert FeatureType([1, 0]) == FeatureType([0, 1])
+        assert len({FeatureType((1, 0)), FeatureType((0, 1))}) == 1
         assert FeatureType([1, 0]).orders == (0, 1)
         assert FeatureType(FeatureType([0]).orders * 3) == FeatureType([0, 0, 0])
 
