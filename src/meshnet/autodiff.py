@@ -5,12 +5,13 @@ closure; ``backward()`` on a scalar root walks the graph once in reverse
 topological order.  The op set is exactly what the model records: ``+``,
 ``-`` and ``*`` with the Tensor on the left (numpy broadcasting), ``/`` and
 ``@`` between Tensors, negation, ``.T``, ``reshape(*shape)``,
-gather/scatter, segment sums, the per-edge phase rotation ``rotate_phase``,
-the order-by-order product ``commuting_matmul`` of a self kernel, the
-elementwise relu, exp, log, sqrt and sigmoid, sum and mean, concatenation;
-no higher-order derivatives.  A Tensor has no reflected operators and
-``__array_ufunc__ = None``, so ``2.0 * t`` and ``ndarray + t`` raise
-``TypeError`` rather than record, and so do ``t / 2.0`` and ``t @ ndarray``.
+gather/scatter, segment sums, the order-by-order product
+``commuting_matmul`` of a self kernel, the fused message and attention ops
+(below), the elementwise relu, exp, log, sqrt and sigmoid, sum and mean,
+concatenation; no higher-order derivatives.  A Tensor has no reflected
+operators and ``__array_ufunc__ = None``, so ``2.0 * t`` and ``ndarray + t``
+raise ``TypeError`` rather than record, and so do ``t / 2.0`` and
+``t @ ndarray``.
 
 Recording rule: every op computes its forward value once and returns it
 through ``_node``, which records the op (its Tensor operands, in order, and
@@ -25,12 +26,14 @@ results are bit-identical to it.  Its segment max is one 1-D
 ``np.maximum.at``: a max does not depend on order, and on one narrow column
 that is faster.  ``take_cols`` is no scatter: its adjoint fills a zero block.
 
-Per-edge rotations are phases: ``rotate_phase`` reads each order-n block of
-pair columns as complex128 and multiplies row e by ``exp(i n angle_e)``,
-from a ``Phases`` table that the caller keeps or that lives for the op.  Its
-adjoint is the same product with the conjugate phase.  A self kernel is
-applied in the same view: ``commuting_matmul`` multiplies each order's
-block by one matrix, real on the scalars and complex on the pairs.
+Per-edge rotations are phases: ``_turn`` multiplies each order-n block of
+pair columns, read as complex128, by ``exp(i n angle_e)`` in place, from a
+``Phases`` table that the geometry keeps.  The fused ops
+``transported_rows``, ``turned_product``, ``gathered_dot`` and
+``weighted_segment_sum`` keep only what their adjoints read; each runs the
+numpy operations of the generic chain it replaces, in order, bit for bit.
+A self kernel uses the same view: ``commuting_matmul`` multiplies each
+order's block by one matrix, real on the scalars and complex on the pairs.
 
 Allocator policy: importing this module (and so ``meshnet``) sets two
 process-wide glibc malloc thresholds, ``M_MMAP_THRESHOLD`` to 32 MiB and
@@ -59,7 +62,6 @@ __all__ = [
     "concat",
     "take_rows",
     "take_cols",
-    "rotate_phase",
     "commuting_matmul",
     "segment_sum",
     "segment_softmax",
@@ -407,26 +409,57 @@ def take_cols(x: Tensor, cols) -> Tensor:
     return _node(np.take(x.value, cols, axis=1), (x,), vjp)
 
 
-def rotate_phase(x: Tensor, angle, blocks) -> Tensor:
-    """Turn the 2-dimensional components of row e of ``x`` by ``n * angle[e]``.
+def _turn(v, phases, blocks, conj=False):
+    """``v`` turned in place: each order-n block of pairs of row e, read as complex128,
+    times its ``Phases`` entry ``exp(i n angle_e)``, or the conjugate."""
+    row = (-1,) + (1,) * (v.ndim - 1)
+    for n, lo, hi in blocks:
+        block = v[..., lo:hi].view(np.complex128)
+        block *= (phases[n].conj() if conj else phases[n]).reshape(row)
+    return v
 
-    Each ``(n, lo, hi)`` of ``blocks`` names the columns ``lo:hi`` of the last
-    axis that hold order-n pairs.  Read as complex128, a pair is ``x + iy``,
-    and row e of the block is multiplied by ``exp(i n angle[e])``.  The
-    rotation is orthogonal, so the adjoint is the product with the conjugate.
-    ``angle`` is the angles or their ``Phases``.
-    """
-    row = (-1,) + (1,) * (x.ndim - 1)
-    phases = angle if isinstance(angle, Phases) else Phases(angle)
 
-    def turn(v, conj):
-        out = v.copy()
-        for n, lo, hi in blocks:
-            block = out[..., lo:hi].view(np.complex128)
-            block *= (phases[n].conj() if conj else phases[n]).reshape(row)
-        return out
+def transported_rows(x: Tensor, plan: ScatterPlan, phases: Phases, blocks) -> Tensor:
+    """Rows ``plan.idx`` of ``x``, row e turned by its phase; the adjoint turns back and
+    scatter-adds."""
+    n = x.value.shape[0]
+    plan.check(n, "gather")
+    return _node(_turn(x.value[plan.idx], phases, blocks), (x,),
+                 lambda g: (plan.add(_turn(g.copy(), phases, blocks, True), n),))
 
-    return _node(turn(x.value, False), (x,), lambda g: (turn(g, True),))
+
+def turned_product(u: Tensor, w: Tensor, phases: Phases, blocks, shape) -> Tensor:
+    """``(u @ w.T).reshape(shape)``, row e turned by its phase (see ``_turn``)."""
+    def vjp(g):
+        g = _turn(g.copy(), phases, blocks, True).reshape(-1, w.value.shape[0])
+        return g @ w.value, (u.value.T @ g).T
+
+    return _node(_turn((u.value @ w.value.T).reshape(shape), phases, blocks), (u, w), vjp)
+
+
+def gathered_dot(k: Tensor, q: Tensor, plan: ScatterPlan, scale: float) -> Tensor:
+    """``scale`` times the dot of ``k[e, h]`` with ``q[plan.idx[e], h]`` over the last
+    axis; the adjoint gathers the rows of ``q`` again rather than keep them."""
+    n = q.value.shape[0]
+    plan.check(n, "gather")
+
+    def vjp(g):
+        g = np.expand_dims(g * scale, -1)
+        return g * q.value[plan.idx], plan.add(g * k.value, n)
+
+    return _node((k.value * q.value[plan.idx]).sum(axis=-1) * scale, (k, q), vjp)
+
+
+def weighted_segment_sum(v: Tensor, w: Tensor, plan: ScatterPlan, n_segments: int) -> Tensor:
+    """Rows of ``v``, each last-axis slice ``v[e, h]`` times ``w[e, h]``, summed into
+    segments ``plan.idx``; the weighted rows are not kept."""
+    w3 = w.value[..., None]
+
+    def vjp(g):
+        g = g[plan.idx]
+        return g * w3, _unbroadcast(g * v.value, w3.shape).reshape(w.value.shape)
+
+    return _node(plan.add(v.value * w3, n_segments), (v, w), vjp)
 
 
 def commuting_matmul(x: Tensor, w: Tensor, blocks, out_dim: int) -> Tensor:

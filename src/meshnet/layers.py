@@ -10,15 +10,16 @@ p along an edge with angle theta and transport angle g is
     rho_out(theta) K(0) rho_in(g - theta) f_q:
 
 one per-edge rotation of the gathered neighbor features, one dense matmul
-by ``K(0)`` for the whole mesh, and one per-edge rotation of the result.
-Both rotations are the phase op ``rotate_phase``: in the order-major layout
-of :class:`~meshnet.representations.FeatureType` each order-n block of
-pairs, read as complex numbers, is multiplied by ``exp(i n angle_e)``.
-The constraint leaves ``K(0)`` free, so every neighbor kernel's parameter
-is the dense matrix ``K(0)`` itself.
+by ``K(0)`` for the whole mesh, and one per-edge rotation of the result:
+the fused ops ``transported_rows`` and ``turned_product``.  In the
+order-major layout of :class:`~meshnet.representations.FeatureType` each
+order-n block of pairs, read as complex numbers, is multiplied by
+``exp(i n angle_e)``.  The constraint leaves ``K(0)`` free, so every
+neighbor kernel's parameter is the dense matrix ``K(0)`` itself.
 The gather by ``src`` and the scatter by ``dst`` read the plans of the
-mesh's ``Edges``, built once per mesh; both rotations read phase tables
-built once per geometry.
+mesh's ``Edges``, and both rotations phase tables of the geometry, each
+built once.  Attention's logits and weighted sum are fused ops too, so per
+edge the tape keeps only the transported input, the keys and the values.
 
 Equivariance ingredients:
 
@@ -52,12 +53,14 @@ from .autodiff import (
     Tensor,
     commuting_matmul,
     concat,
+    gathered_dot,
     parameter,
-    rotate_phase,
     segment_softmax,
     segment_sum,
     take_cols,
-    take_rows,
+    transported_rows,
+    turned_product,
+    weighted_segment_sum,
 )
 from .errors import ConfigError, EmptyNeighborhoodError, FeatureTypeError
 from .representations import FeatureType, init_neighbor_kernel
@@ -72,17 +75,6 @@ __all__ = [
 ]
 
 BIAS_MODES = ("scalar", "additive", "none")
-
-
-def _transported(x: Tensor, geom: EdgeGeometry, in_type: FeatureType) -> Tensor:
-    """Row e is ``rho_in(g_e - theta_e) x[src_e]``, the input of every ``K(0)``."""
-    return rotate_phase(take_rows(x, geom.edges.src_plan), geom.transport_phases,
-                        in_type.vector_blocks)
-
-
-def _from_edge(y: Tensor, geom: EdgeGeometry, out_type: FeatureType) -> Tensor:
-    """Row e is ``rho_out(theta_e) y_e``: a ``K(0)`` output back in p's frame."""
-    return rotate_phase(y, geom.theta_phases, out_type.vector_blocks)
 
 
 def _heads(t: FeatureType, heads: int):
@@ -177,8 +169,10 @@ class GemConvLayer:
 
     def forward(self, x: Tensor, geom: EdgeGeometry) -> Tensor:
         _check_input(self, x, geom)
-        u = _transported(x, geom, self.in_type)
-        msg = _from_edge(u @ self.neigh_kernel.T, geom, self.out_type)
+        u = transported_rows(x, geom.edges.src_plan, geom.transport_phases,
+                             self.in_type.vector_blocks)
+        msg = turned_product(u, self.neigh_kernel, geom.theta_phases,
+                             self.out_type.vector_blocks, (-1, self.out_type.dim))
         agg = segment_sum(msg, geom.edges.dst_plan, geom.edges.n_vertices)
         y = self.self_kernel(x) + agg
         return self.bias.apply(y)
@@ -242,18 +236,20 @@ class EmanAttentionLayer:
         own key and value are a segment entry ahead of the edges."""
         _check_input(self, x, geom, empty_ok=self.self_contribution)
         n, h, d, dv = geom.edges.n_vertices, self.heads, self.att_head.dim, self.out_head.dim
-        u = _transported(x, geom, self.in_type)
-        K = _from_edge((u @ self.key_kernel.T).reshape(-1, h, d), geom, self.att_head)
-        V = _from_edge((u @ self.value_kernel.T).reshape(-1, h, dv), geom, self.out_head)
+        u = transported_rows(x, geom.edges.src_plan, geom.transport_phases,
+                             self.in_type.vector_blocks)
+        K = turned_product(u, self.key_kernel, geom.theta_phases,
+                           self.att_head.vector_blocks, (-1, h, d))
+        V = turned_product(u, self.value_kernel, geom.theta_phases,
+                           self.out_head.vector_blocks, (-1, h, dv))
         Q = self.query_kernel(x).reshape(-1, h, d)
         size = geom.edges.degrees[:, None] + float(self.self_contribution)
         seg = geom.edges.self_plan if self.self_contribution else geom.edges.dst_plan
         if self.self_contribution:
             K = concat([self.self_key_kernel(x).reshape(-1, h, d), K])
             V = concat([self.self_value_kernel(x).reshape(-1, h, dv), V])
-        s = (K * take_rows(Q, seg)).sum(axis=2) * (1.0 / np.sqrt(d))
-        alpha = segment_softmax(s, seg, n)
-        out = segment_sum(V * alpha.reshape(-1, h, 1), seg, n).reshape(n, -1)
+        alpha = segment_softmax(gathered_dot(K, Q, seg, 1.0 / np.sqrt(d)), seg, n)
+        out = weighted_segment_sum(V, alpha, seg, n).reshape(n, -1)
         return out * size, alpha
 
     def forward(self, x: Tensor, geom: EdgeGeometry) -> Tensor:

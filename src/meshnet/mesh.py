@@ -66,7 +66,7 @@ def _frozen(*arrays):
 def _kept(value, dtype, shape, error, what):
     """A read-only C-ordered copy of ``value`` in ``dtype``, or a Python scalar for shape
     ``()``; ``error`` naming ``what`` unless it is a rectangular array of numbers (integers
-    for an integer ``dtype``) of ``shape``, where ``None`` matches any length."""
+    that fit, for an integer ``dtype``) of ``shape``, where ``None`` matches any length."""
     try:
         a = np.asarray(value)
     except ValueError:  # ragged
@@ -74,6 +74,8 @@ def _kept(value, dtype, shape, error, what):
     kinds, numbers = ("iu", "integers") if np.issubdtype(dtype, np.integer) else ("iuf", "reals")
     if a.dtype.kind not in kinds:
         raise error(f"{what} must hold {numbers}, got {a.dtype}")
+    if a.dtype.kind == "u" and kinds == "iu" and a.size and a.max() > np.iinfo(dtype).max:
+        raise error(f"{what} must fit in {np.dtype(dtype)}, got {a.max()}")
     if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
         raise error(f"{what} must have shape {str(shape).replace('None', 'any')}, got {a.shape}")
     return _frozen(np.array(a, dtype=dtype, order="C"))[0] if shape else a.astype(dtype).item()

@@ -7,16 +7,21 @@ import pytest
 
 from meshnet.autodiff import (
     Adam,
+    Phases,
+    ScatterPlan,
     Tensor,
     commuting_matmul,
     concat,
+    gathered_dot,
     nll_loss,
     parameter,
-    rotate_phase,
     segment_softmax,
     segment_sum,
     take_cols,
     take_rows,
+    transported_rows,
+    turned_product,
+    weighted_segment_sum,
 )
 from meshnet.config import default_config, model_spec_from_config, parse_config
 from meshnet.datasets import segmentation_spheres
@@ -244,13 +249,15 @@ class TestOperatorGradients:
 
 
 class TestRotatePairs:
-    """``rotate_phase`` turns the (x, y) pairs of every rho_n block."""
+    """``transported_rows`` and ``turned_product`` turn the (x, y) pairs of every
+    rho_n block of row e by ``n * angle_e``."""
 
     ftype = FeatureType.parse("rho0+2xrho1+rho2")
+    identity = ScatterPlan(np.arange(9))
 
     def setup_method(self):
         self.rng = np.random.default_rng(11)
-        self.angles = self.rng.uniform(-np.pi, np.pi, 9)
+        self.angles = Phases(self.rng.uniform(-np.pi, np.pi, 9))
 
     def test_gradient(self):
         rng = self.rng
@@ -258,7 +265,7 @@ class TestRotatePairs:
         w = rng.standard_normal((9, self.ftype.dim))
 
         def loss():
-            y = rotate_phase(x, self.angles, self.ftype.vector_blocks)
+            y = transported_rows(x, self.identity, self.angles, self.ftype.vector_blocks)
             return (y * y * w).sum()
 
         check_gradients(loss, [x], rng, samples=20)
@@ -268,31 +275,96 @@ class TestRotatePairs:
         rng = self.rng
         x = parameter(rng.standard_normal((9, self.ftype.dim)))
         g = rng.standard_normal((9, self.ftype.dim))
-        y = rotate_phase(x, self.angles, self.ftype.vector_blocks)
+        y = transported_rows(x, self.identity, self.angles, self.ftype.vector_blocks)
         (y * g).sum().backward()
-        for e, angle in enumerate(self.angles):
+        for e, angle in enumerate(self.angles.angle):
             R = rep_block_diag(self.ftype, angle)
             npt.assert_allclose(y.value[e], R @ x.value[e], rtol=0, atol=1e-15)
             npt.assert_allclose(x.grad[e], R.T @ g[e], rtol=0, atol=1e-15)
 
-
     def test_turns_every_slice_of_a_row(self):
-        # on (rows, heads, dim) the blocks index the last axis, and every
-        # head of row e turns by angle e
+        # turned_product on (rows, heads, dim): the blocks index the last axis,
+        # and every head of row e turns by angle e
         rng = self.rng
-        x = parameter(rng.standard_normal((9, 2, self.ftype.dim)))
-        y = rotate_phase(x, self.angles, self.ftype.vector_blocks).value
+        u = parameter(rng.standard_normal((9, 4)))
+        w = parameter(rng.standard_normal((2 * self.ftype.dim, 4)))
+        blocks, shape = self.ftype.vector_blocks, (-1, 2, self.ftype.dim)
+        y = turned_product(u, w, self.angles, blocks, shape).value
+        product = (u.value @ w.value.T).reshape(shape)
         for h in range(2):
-            npt.assert_array_equal(
-                y[:, h], rotate_phase(Tensor(x.value[:, h]), self.angles,
-                                      self.ftype.vector_blocks).value)
-        w = rng.standard_normal(x.shape)
+            npt.assert_array_equal(y[:, h], transported_rows(
+                Tensor(product[:, h]), self.identity, self.angles, blocks).value)
+        r = rng.standard_normal(y.shape)
 
         def loss():
-            y = rotate_phase(x, self.angles, self.ftype.vector_blocks)
-            return (y * y * w).sum()
+            y = turned_product(u, w, self.angles, blocks, shape)
+            return (y * y * r).sum()
 
-        check_gradients(loss, [x], rng, samples=20)
+        check_gradients(loss, [u, w], rng, samples=20)
+
+
+_PLAN, _PHASES = ScatterPlan([2, 0, 1, 1, 4, 0, 2]), Phases(np.arange(7.0))
+
+
+class TestFusedOps:
+    """Each fused op equals the chain of generic ops it stands for, bit for bit,
+    in its value and in every gradient."""
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(13)
+
+    def _same(self, fused, chain, operands):
+        runs = []
+        for op in (fused, chain):
+            params = [parameter(v) for v in operands]
+            y = op(*params)
+            (y * y).sum().backward()
+            runs.append([y.value.tobytes()] + [p.grad.tobytes() for p in params])
+        assert runs[0] == runs[1]
+
+    def test_transported_rows_is_a_gather_then_a_turn(self):
+        blocks, angles = ((1, 1, 3), (2, 3, 5)), Phases(self.rng.uniform(-np.pi, np.pi, 7))
+        self._same(lambda x: transported_rows(x, _PLAN, angles, blocks),
+                   lambda x: transported_rows(take_rows(x, _PLAN), ScatterPlan(np.arange(7)),
+                                              angles, blocks),
+                   [self.rng.standard_normal((5, 5))])
+
+    def test_gathered_dot(self):
+        self._same(lambda k, q: gathered_dot(k, q, _PLAN, 0.5),
+                   lambda k, q: (k * take_rows(q, _PLAN)).sum(axis=2) * 0.5,
+                   [self.rng.standard_normal((7, 2, 3)), self.rng.standard_normal((5, 2, 3))])
+
+    def test_weighted_segment_sum(self):
+        self._same(lambda v, a: weighted_segment_sum(v, a, _PLAN, 6),
+                   lambda v, a: segment_sum(v * a.reshape(-1, 2, 1), _PLAN, 6),
+                   [self.rng.standard_normal((7, 2, 3)), self.rng.standard_normal((7, 2))])
+
+    @pytest.mark.parametrize("op, shapes", [
+        (lambda x: transported_rows(x, _PLAN, _PHASES, ((1, 1, 5),)), [(5, 5)]),
+        (lambda u, w: turned_product(u, w, _PHASES, ((2, 1, 3),), (-1, 2, 3)),
+         [(7, 4), (6, 4)]),
+        (lambda k, q: gathered_dot(k, q, _PLAN, 0.5), [(7, 2, 3), (5, 2, 3)]),
+        (lambda v, a: weighted_segment_sum(v, a, _PLAN, 6), [(7, 2, 3), (7, 2)]),
+    ], ids=["transported_rows", "turned_product", "gathered_dot", "weighted_segment_sum"])
+    def test_gradient(self, op, shapes):
+        rng = self.rng
+        params = [parameter(rng.standard_normal(s)) for s in shapes]
+        r = rng.standard_normal(op(*params).shape)
+
+        def loss():
+            y = op(*params)
+            return (y * y * r).sum()
+
+        check_gradients(loss, params, rng, samples=12)
+
+    def test_out_of_range_gather_rejected(self):
+        # unchecked, numpy would raise a bare IndexError or wrap -1 to the last row
+        x = parameter(np.ones((4, 3)))
+        with pytest.raises(AutodiffError, match="gather index 4 is outside the 4 rows"):
+            transported_rows(x, ScatterPlan([0, 4]), Phases(np.zeros(2)), ((1, 1, 3),))
+        with pytest.raises(AutodiffError, match="gather index -1 is outside the 4 rows"):
+            gathered_dot(parameter(np.ones((2, 1, 3))), x.reshape(4, 1, 3), ScatterPlan([0, -1]),
+                         1.0)
 
 
 class TestScattersMatchAddAt:
@@ -626,7 +698,17 @@ RECORDING_CASES = [
     ("take_cols_gather", lambda a: take_cols(a, [2, 0]), [(4, 3)], True),
     ("take_cols_slice", lambda a: take_cols(a, slice(1, None)), [(4, 3)], True),
     ("take_rows_1d", lambda a: take_rows(a, [11, 0, 11, 5]), [(12,)], True),
-    ("rotate_phase", lambda a: rotate_phase(a, np.ones(4), ((1, 1, 3),)), [(4, 3)], True),
+    ("transported_rows", lambda a: transported_rows(a, ScatterPlan([3, 0, 0, 2]),
+                                                    Phases(np.ones(4)), ((1, 1, 3),)),
+     [(4, 3)], True),
+    ("turned_product", lambda u, w: turned_product(u, w, Phases(np.ones(4)), ((1, 1, 3),),
+                                                   (-1, 3)),
+     [(4, 2), (3, 2)], True),
+    ("gathered_dot", lambda k, q: gathered_dot(k, q, ScatterPlan([1, 0, 1, 1]), 0.5),
+     [(4, 2, 3), (2, 2, 3)], True),
+    ("weighted_segment_sum",
+     lambda v, w: weighted_segment_sum(v, w, ScatterPlan([1, 0, 1, 1]), 3),
+     [(4, 2, 3), (4, 2)], True),
     ("segment_sum", lambda a: segment_sum(a, [1, 0, 1, 1], 3), [(4, 3)], True),
     ("segment_softmax", lambda a: segment_softmax(a, [1, 0, 1, 1], 2), [(4,)], False),
     ("commuting_matmul", lambda a, w: commuting_matmul(a, w, _SHARED_BLOCKS, 7),

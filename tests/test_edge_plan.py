@@ -24,10 +24,10 @@ from meshnet.autodiff import (
     Tensor,
     nll_loss,
     parameter,
-    rotate_phase,
     segment_softmax,
     segment_sum,
     take_rows,
+    transported_rows,
 )
 from meshnet.datasets import segmentation_spheres
 from meshnet.errors import AutodiffError, MeshValidationError
@@ -330,11 +330,16 @@ def test_rotate_phase_from_phases_equals_raw_angles(ftype):
     rng = np.random.default_rng(ftype.dim)
     angles = rng.uniform(-np.pi, np.pi, 9)
     x0, w = rng.standard_normal((2, 9, 2, ftype.dim))
+    raw = x0.copy()
+    for n, lo, hi in ftype.vector_blocks:
+        block = raw[..., lo:hi].view(np.complex128)
+        block *= np.exp(1j * n * angles)[:, None, None]
     cached = Phases(angles)
     results = []
-    for angle in (angles, cached, cached):  # raw, filled on first use, reused
+    for angle in (Phases(angles), cached, cached):  # made for one op, filled on first use, reused
         x = parameter(x0)
-        y = rotate_phase(x, angle, ftype.vector_blocks)
+        y = transported_rows(x, ScatterPlan(np.arange(9)), angle, ftype.vector_blocks)
         (y * w).sum().backward()
         results.append((y.value.tobytes(), x.grad.tobytes()))
     assert results[0] == results[1] == results[2]
+    assert results[0][0] == raw.tobytes()

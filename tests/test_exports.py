@@ -55,7 +55,9 @@ MOVED_OR_DELETED = {
     "meshnet.representations": ("rho_matrix", "rep_block_diag"),
     "meshnet.features": ("reltan_scaling_statistics",),
     "meshnet.mesh": ("FaceGeometry",),
-    "meshnet.autodiff": ("take_pairs",),
+    # fused into the message and attention ops of the layers
+    "meshnet.autodiff": ("take_pairs", "rotate_phase"),
+    "meshnet.layers": ("_transported", "_from_edge"),
     # every harness pass is mesh_pipeline then one list forward
     "meshnet.harness": ("model_logits",),
 }

@@ -557,6 +557,26 @@ def test_every_label_is_an_int_array(tmp_path):
     assert sorted(int(s.label[0]) for s in datasets[2].train + datasets[2].test) == [0, 0, 1, 1]
 
 
+@pytest.mark.parametrize("make", [segmentation_spheres, classification_shapes],
+                         ids=["segmentation", "classification"])
+@pytest.mark.parametrize("counts, match", [
+    ((1.5, 0), "n_train must hold integers, got float64"),
+    ((0, "1"), "n_test must hold integers, got <U1"),
+    ((-2, 0), "n_train must be >= 0, got -2"),
+    ((1, -1), "n_test must be >= 0, got -1"),
+    ((True, 0), "n_train must hold integers, got bool"),
+], ids=["float_train", "string_test", "negative_train", "negative_test", "bool_train"])
+def test_generated_dataset_counts_checked(make, counts, match):
+    # a float count ended in a bare TypeError, and a negative one gave an empty dataset
+    with pytest.raises(ConfigError, match=re.escape(match)):
+        make(*counts, 0, 0.3, 0.05, 0)
+
+
+def test_generated_dataset_counts_of_any_integer_kind():
+    data = classification_shapes(np.uint8(2), np.int32(1), 0, 0.3, 0.05, 0)
+    assert (len(data.train), len(data.test)) == (2, 1)
+
+
 @pytest.mark.parametrize("layout, task, match", [
     (None, "segmentation", "does not exist"),
     ({"a.off": 0}, "segmentation", "need 2 meshes in .*, found 1"),

@@ -557,6 +557,21 @@ class TestValidation:
         assert generate_grid_patch(np.int64(3), np.uint8(4)).faces.tobytes() == \
             generate_grid_patch(3, 4).faces.tobytes()
 
+    @pytest.mark.parametrize("make, match", [
+        (lambda: generate_icosphere(np.uint64(2**64 - 1)),
+         "subdivisions must fit in int64, got 18446744073709551615"),
+        (lambda: Edges([0], [0], np.uint64(2**63)),
+         "vertex count must fit in int64, got 9223372036854775808"),
+        (lambda: Edges(np.array([0, 2**64 - 1], dtype=np.uint64), [0, 0], 3),
+         "edge src must fit in int64, got 18446744073709551615"),
+        (lambda: generate_grid_patch(3, np.uint64(2**64 - 2)),
+         "grid size must fit in int64, got 18446744073709551614"),
+    ], ids=["subdivisions", "edge_count", "edge_src", "grid_size"])
+    def test_unsigned_numbers_too_large_for_int64_rejected(self, make, match):
+        # cast unchecked, they wrapped to -1, -2**63 and -2: values the caller never passed
+        with pytest.raises(MeshValidationError, match=re.escape(match)):
+            make()
+
     @pytest.mark.parametrize("numbers, match", [
         # a bare TypeError from rng.uniform
         ({"n_vertices": 2.5}, "vertex count must hold integers, got float64"),
