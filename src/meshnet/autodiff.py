@@ -4,7 +4,7 @@ Minimal tape: every ``Tensor`` remembers its parents and a vector-Jacobian
 closure; ``backward()`` on a scalar root walks the graph once in reverse
 topological order.  The op set is exactly what the model records: ``+``,
 ``-`` and ``*`` with the Tensor on the left (numpy broadcasting), ``/`` and
-``@`` between Tensors, negation, ``.T``, ``reshape(*shape)``,
+``@`` between Tensors, negation, ``reshape(*shape)``,
 gather/scatter, segment sums, the order-by-order product
 ``commuting_matmul`` of a self kernel, the fused message and attention ops
 (below), the elementwise relu, exp, log, sqrt and sigmoid, sum and mean,
@@ -17,6 +17,10 @@ Recording rule: every op computes its forward value once and returns it
 through ``_node``, which records the op (its Tensor operands, in order, and
 the closure) only while recording is on and some operand requires a gradient.
 ``Model.forward`` records only with ``train=True``, so eval forwards keep no tape.
+Memory rule: ``Tensor.backward`` alone owns the tape's memory.  The arrays a VJP
+returns share no memory, except one array given to two parents (``+``): ``reshape``
+and ``concat`` return views of ``g``, ``sum`` a copy, and every other VJP fresh
+arrays.  So a VJP owns its ``g``, and the fused message adjoints turn it in place.
 
 Scatters (the adjoint of ``take_rows``, the forward of ``segment_sum``) go
 through a ``ScatterPlan``, kept by the caller or made for the op.  Sorted
@@ -54,7 +58,7 @@ import functools
 
 import numpy as np
 
-from .errors import AutodiffError
+from .errors import AutodiffError, _kept
 
 __all__ = [
     "Tensor",
@@ -112,10 +116,7 @@ class ScatterPlan:
     one's j-th.  Its least and greatest index, found once, check every use in O(1)."""
 
     def __init__(self, idx):
-        idx = np.asarray(idx)
-        if idx.dtype.kind not in "iu":
-            raise AutodiffError(f"an index must hold integers, got {idx.dtype}")
-        self.idx = idx.astype(np.int64, copy=False)
+        self.idx = _kept(idx, np.int64, (None,), AutodiffError, "an index")
         self._bounds = (self.idx.min(), self.idx.max()) if self.idx.size else (0, -1)
 
     def check(self, n, what):
@@ -174,6 +175,7 @@ def _val(x):
 
 
 _recording = contextvars.ContextVar("recording", default=True)
+_RELEASED = object()  # the VJP slot of a node that backward has walked
 
 
 @contextlib.contextmanager
@@ -195,7 +197,7 @@ def _node(value, parents, vjp):
 
 
 class Tensor:
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_vjp", "_spent")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_vjp")
     # numpy declines ``ndarray op Tensor``; with no reflected operator it is a TypeError
     __array_ufunc__ = None
 
@@ -205,7 +207,6 @@ class Tensor:
         self.grad = np.zeros_like(self.value) if requires_grad and vjp is None else None
         self._parents = parents
         self._vjp = vjp
-        self._spent = False
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -228,21 +229,19 @@ class Tensor:
         return f"Tensor(shape={self.value.shape}, grad={self.requires_grad})"
 
     def backward(self):
-        """Populate ``grad`` on every reachable parameter.
+        """Populate ``grad`` on every reachable parameter, and release the tape.
 
-        The root must be scalar and recorded; a second backward through the
-        same root is rejected (no double backward).  Every recorded node's
-        VJP returns one array per parent, so each node reached in reverse
-        topological order holds its gradient.
+        The root must be scalar and recorded.  Each parent's gradient array is
+        held by it alone (an array one VJP returns twice is copied for the second
+        parent), and later ones are summed in place.  A walked node drops its
+        parents and VJP, so each value dies after its last reader; a backward
+        that reaches such a node is refused before any VJP runs.  A parameter
+        used as its own root has no record to release, and accumulates again.
         """
         if self.value.size != 1:
             raise AutodiffError(f"backward needs a scalar root, got shape {self.shape}")
         if not self.requires_grad:
             raise AutodiffError("backward needs a recorded root: Model.forward(train=True)")
-        if self._spent:
-            raise AutodiffError("backward already ran through this root; "
-                                "higher-order gradients are not supported")
-        self._spent = True
         topo, seen = [], set()
         stack = [(self, False)]
         while stack:
@@ -252,25 +251,30 @@ class Tensor:
             if expanded:
                 seen.add(id(node))
                 topo.append(node)
+            elif node._vjp is _RELEASED:
+                raise AutodiffError("backward already ran through this graph (no double backward)")
             else:
                 stack.append((node, True))
                 for p in node._parents:
                     if id(p) not in seen and p.requires_grad:
                         stack.append((p, False))
         grads = {id(self): np.ones_like(self.value)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = grads.pop(id(node))
             if node._vjp is None:  # a leaf: its grad was allocated when it was built
                 node.grad += g
                 continue
+            given = set()
             for parent, pg in zip(node._parents, node._vjp(g)):
                 if not parent.requires_grad:
                     continue
-                # out of place: a VJP may hand one array to several parents
                 if id(parent) in grads:
-                    grads[id(parent)] = grads[id(parent)] + pg
+                    grads[id(parent)] += pg
                 else:
-                    grads[id(parent)] = pg
+                    grads[id(parent)] = pg.copy() if id(pg) in given else pg
+                    given.add(id(pg))
+            node._parents, node._vjp = (), _RELEASED
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -341,10 +345,6 @@ class Tensor:
     def reshape(self, *shape):
         a = self.value
         return _node(a.reshape(shape), (self,), lambda g: (g.reshape(a.shape),))
-
-    @property
-    def T(self):
-        return _node(self.value.T, (self,), lambda g: (g.T,))
 
     def sum(self, axis=None, keepdims=False):
         a = self.value
@@ -425,13 +425,13 @@ def transported_rows(x: Tensor, plan: ScatterPlan, phases: Phases, blocks) -> Te
     n = x.value.shape[0]
     plan.check(n, "gather")
     return _node(_turn(x.value[plan.idx], phases, blocks), (x,),
-                 lambda g: (plan.add(_turn(g.copy(), phases, blocks, True), n),))
+                 lambda g: (plan.add(_turn(g, phases, blocks, True), n),))
 
 
 def turned_product(u: Tensor, w: Tensor, phases: Phases, blocks, shape) -> Tensor:
     """``(u @ w.T).reshape(shape)``, row e turned by its phase (see ``_turn``)."""
     def vjp(g):
-        g = _turn(g.copy(), phases, blocks, True).reshape(-1, w.value.shape[0])
+        g = _turn(g, phases, blocks, True).reshape(-1, w.value.shape[0])
         return g @ w.value, (u.value.T @ g).T
 
     return _node(_turn((u.value @ w.value.T).reshape(shape), phases, blocks), (u, w), vjp)
@@ -538,9 +538,12 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adam with bias correction, at the usual ``_BETA1``, ``_BETA2`` and ``_EPS``."""
+    """Adam with bias correction, at the usual ``_BETA1``, ``_BETA2`` and ``_EPS``; the
+    learning rate ``lr`` is a real number in (0, inf), else an AutodiffError."""
 
     def __init__(self, params, lr):
+        if not 0 < (lr := _kept(lr, np.float64, (), AutodiffError, "lr")) < np.inf:
+            raise AutodiffError(f"lr must be in (0, inf), got {lr}")
         self.params = list(params)
         self.lr = lr
         self.step_count = 0

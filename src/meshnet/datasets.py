@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .mesh import Mesh, _kept, generate_grid_patch, generate_icosphere, load_mesh
+from .errors import ConfigError, _kept
+from .mesh import Mesh, generate_grid_patch, generate_icosphere, load_mesh
 
 __all__ = ["MeshSample", "Dataset", "segmentation_spheres",
            "classification_shapes", "eqgap_meshes", "load_file_dataset",
@@ -62,7 +62,7 @@ def _bumpy_sphere(base: Mesh, bump: np.ndarray, noise: float,
 
 
 def _count(n, what):
-    """A mesh count as an int; a ConfigError unless it is an integer >= 0."""
+    """A mesh count or a seed as an int; a ConfigError unless it is an integer >= 0."""
     if (n := _kept(n, np.int64, (), ConfigError, what)) < 0:
         raise ConfigError(f"{what} must be >= 0, got {n}")
     return n
@@ -73,7 +73,7 @@ def segmentation_spheres(n_train: int, n_test: int, subdivisions: int,
                          seed: int = 0) -> Dataset:
     n_train, n_test = _count(n_train, "n_train"), _count(n_test, "n_test")
     base = generate_icosphere(subdivisions)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed"))
     bump = bump_amplitude * rng.uniform(-1.0, 1.0, base.n_vertices)
     labels = np.arange(base.n_vertices)
 
@@ -88,7 +88,7 @@ def classification_shapes(n_train: int, n_test: int, subdivisions: int,
                           bump_amplitude: float, noise: float, seed: int) -> Dataset:
     n_train, n_test = _count(n_train, "n_train"), _count(n_test, "n_test")
     base = generate_icosphere(subdivisions)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed"))
 
     def sample(i):
         if i % 2 == 0:

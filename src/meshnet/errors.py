@@ -1,8 +1,14 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the one reader of a caller's arrays and numbers.
 
 Every error names the offending element (vertex, face, edge, config key)
 so failures on large meshes stay debuggable.
+
+A constructor keeps a caller's array as a read-only copy from ``_kept``, and a caller's
+number as a Python scalar from it; ``_kept`` refuses ragged, non-numeric, misshapen or float
+index input with the constructor's named error.  ``_frozen`` guards the package's own arrays.
 """
+
+import numpy as np
 
 
 class MeshNetError(Exception):
@@ -144,3 +150,33 @@ class TrainingDivergedError(MeshNetError):
         self.parameter = parameter
         where = f"; first non-finite parameter: {parameter}" if parameter else ""
         super().__init__(f"loss became non-finite ({loss}) at epoch {epoch}{where}")
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _kept(value, dtype, shape, error, what):
+    """A read-only C-ordered copy of ``value`` in ``dtype``, or a Python scalar for shape
+    ``()``; ``error`` naming ``what`` unless it is a rectangular array of numbers (integers
+    that fit, for an integer ``dtype``) of ``shape``, where ``None`` matches any length.
+    A read-only C-ordered array in ``dtype`` that owns its memory, as this returns, is
+    already immutable and comes back as is, so a plan shares its ``Edges``' indices."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged
+        raise error(f"{what} must be a rectangular array, got a ragged one") from None
+    kinds, numbers = ("iu", "integers") if np.issubdtype(dtype, np.integer) else ("iuf", "reals")
+    if a.dtype.kind not in kinds:
+        raise error(f"{what} must hold {numbers}, got {a.dtype}")
+    if a.dtype.kind == "u" and kinds == "iu" and a.size and a.max() > np.iinfo(dtype).max:
+        raise error(f"{what} must fit in {np.dtype(dtype)}, got {a.max()}")
+    if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
+        raise error(f"{what} must have shape {str(shape).replace('None', 'any')}, got {a.shape}")
+    if not shape:
+        return a.astype(dtype).item()
+    if a.dtype == dtype and a.base is None and a.flags.c_contiguous and not a.flags.writeable:
+        return a
+    return _frozen(np.array(a, dtype=dtype, order="C"))[0]

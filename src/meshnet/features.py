@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FeatureTypeError, FrameBindingError, NonFiniteFeatureError, ZeroDistanceError
-from .mesh import Mesh, _kept
+from .errors import (FeatureTypeError, FrameBindingError, NonFiniteFeatureError, ZeroDistanceError,
+                     _kept)
+from .mesh import Mesh
 from .representations import FeatureType
 from .tangent import FrameField
 

@@ -18,9 +18,7 @@ relabelling, so the path checks only the new vertex array and the size of
 the relabelling.  New positions share the source's ``Edges`` and its scatter
 plans; a relabelling gathers the rings into new ``Edges``, walking no face.
 
-A constructor keeps a caller's array as a read-only copy from ``_kept``, and a caller's
-number as a Python scalar from it; ``_kept`` refuses ragged, non-numeric, misshapen or float
-index input with the constructor's named error.  ``_frozen`` guards the package's own arrays.
+A constructor keeps a caller's array and number through ``errors._kept``.
 """
 
 from __future__ import annotations
@@ -43,6 +41,8 @@ from .errors import (
     NonManifoldError,
     NonManifoldVertexError,
     OrientationError,
+    _frozen,
+    _kept,
 )
 
 __all__ = [
@@ -55,30 +55,6 @@ __all__ = [
     "generate_icosphere",
     "generate_grid_patch",
 ]
-
-
-def _frozen(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-def _kept(value, dtype, shape, error, what):
-    """A read-only C-ordered copy of ``value`` in ``dtype``, or a Python scalar for shape
-    ``()``; ``error`` naming ``what`` unless it is a rectangular array of numbers (integers
-    that fit, for an integer ``dtype``) of ``shape``, where ``None`` matches any length."""
-    try:
-        a = np.asarray(value)
-    except ValueError:  # ragged
-        raise error(f"{what} must be a rectangular array, got a ragged one") from None
-    kinds, numbers = ("iu", "integers") if np.issubdtype(dtype, np.integer) else ("iuf", "reals")
-    if a.dtype.kind not in kinds:
-        raise error(f"{what} must hold {numbers}, got {a.dtype}")
-    if a.dtype.kind == "u" and kinds == "iu" and a.size and a.max() > np.iinfo(dtype).max:
-        raise error(f"{what} must fit in {np.dtype(dtype)}, got {a.max()}")
-    if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
-        raise error(f"{what} must have shape {str(shape).replace('None', 'any')}, got {a.shape}")
-    return _frozen(np.array(a, dtype=dtype, order="C"))[0] if shape else a.astype(dtype).item()
 
 
 class Edges:
@@ -568,11 +544,13 @@ def generate_grid_patch(rows: int, cols: int, height_noise_amplitude: float = 0.
     """Triangulated height field over a unit-spaced ``rows`` x ``cols`` grid.
 
     Heights are ``amplitude * U(-1, 1)`` per vertex, deterministic for a
-    fixed seed.  The patch has boundary vertices (open fans).
+    fixed seed, an integer >= 0.  The patch has boundary vertices (open fans).
     """
     rows, cols = (_kept(n, np.int64, (), MeshValidationError, "grid size") for n in (rows, cols))
     if rows < 2 or cols < 2:
         raise MeshValidationError(f"rows and cols must both be >= 2, got {rows} x {cols}")
+    if (rng_seed := _kept(rng_seed, np.int64, (), MeshValidationError, "seed")) < 0:
+        raise MeshValidationError(f"seed must be >= 0, got {rng_seed}")
     rng = np.random.default_rng(rng_seed)
     ii, jj = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
     z = height_noise_amplitude * rng.uniform(-1.0, 1.0, size=(rows, cols))

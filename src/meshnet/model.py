@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Tensor, _recording_as
-from .errors import ConfigError, FeatureTypeError, FrameBindingError
+from .errors import ConfigError, FeatureTypeError, FrameBindingError, _kept
 from .features import FAMILIES, RELTAN_POWERS, GeometricFeatureField, feature_type_for
 from .layers import (BIAS_MODES, DenseLayer, EmanAttentionLayer, GaugeNonlinearity,
                      GemConvLayer, _heads)
@@ -170,5 +170,8 @@ class Model:
 
 
 def build_model(spec: ModelSpec, seed: int = 0) -> Model:
-    """Construct a model with seed-deterministic initialization."""
+    """Construct a model with seed-deterministic initialization; the seed is an
+    integer >= 0, else a ConfigError."""
+    if (seed := _kept(seed, np.int64, (), ConfigError, "seed")) < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return Model(spec, np.random.default_rng(seed))

@@ -39,16 +39,25 @@ import re
 
 import numpy as np
 
-from .errors import FeatureTypeError
-from .mesh import _kept
+from .errors import FeatureTypeError, _kept
 
 __all__ = [
     "MAX_IRREP_ORDER",
+    "MAX_COMPONENTS",
     "FeatureType",
     "init_neighbor_kernel",
 ]
 
 MAX_IRREP_ORDER = 8
+# components of one feature type: 4096 pairs are 8192 columns, and a neighbour kernel
+# K(0) from and to that type holds 8192^2 float64s, 512 MiB
+MAX_COMPONENTS = 4096
+
+
+def _check_size(n_components):
+    if n_components > MAX_COMPONENTS:
+        raise FeatureTypeError(f"a feature type has at most {MAX_COMPONENTS} components, "
+                               f"got {n_components}")
 
 
 class FeatureType:
@@ -60,8 +69,9 @@ class FeatureType:
     Parameters
     ----------
     orders : sequence of int
-        Component orders in any sequence, each in ``[0, MAX_IRREP_ORDER]``, e.g. ``(0, 1, 2)``.
-        Order 0 contributes one dimension, order n >= 1 contributes two.
+        Component orders in any sequence, each in ``[0, MAX_IRREP_ORDER]``, e.g. ``(0, 1, 2)``,
+        at most ``MAX_COMPONENTS`` of them.  Order 0 contributes one dimension, order
+        n >= 1 contributes two.
 
     Attributes
     ----------
@@ -79,6 +89,7 @@ class FeatureType:
     def __init__(self, orders):
         if not len(orders):  # before _kept: np.asarray(()) is float64
             raise FeatureTypeError("feature type needs at least one component")
+        _check_size(len(orders))
         orders = _kept(orders, np.int64, (None,), FeatureTypeError, "irrep orders")
         outside = orders[(orders < 0) | (orders > MAX_IRREP_ORDER)]
         if outside.size:
@@ -146,10 +157,12 @@ class FeatureType:
                 if pos >= len(tokens) or tokens[pos] != ")":
                     raise FeatureTypeError(f"unbalanced parentheses in {text!r}")
                 pos += 1
+                _check_size(len(inner) * mult)
                 return inner * mult
             if tokens[pos].startswith("rho"):
                 n = int(tokens[pos][3:])
                 pos += 1
+                _check_size(mult)
                 return (n,) * mult
             raise FeatureTypeError(f"cannot parse feature type {text!r}")
 

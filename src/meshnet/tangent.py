@@ -37,8 +37,10 @@ from .errors import (
     MeshValidationError,
     TransformError,
     UndefinedLogMapError,
+    _frozen,
+    _kept,
 )
-from .mesh import Edges, Mesh, _frozen, _kept, vertex_normals
+from .mesh import Edges, Mesh, vertex_normals
 
 __all__ = [
     "FrameField",

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TransformError
-from .mesh import Mesh, _frozen, _kept
+from .errors import TransformError, _frozen, _kept
+from .mesh import Mesh
 
 __all__ = [
     "AmbientTransform",

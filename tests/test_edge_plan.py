@@ -124,6 +124,17 @@ def test_non_integer_index_rejected(idx):
             op(x, np.array(idx))
 
 
+def test_index_is_read_as_a_checked_copy():
+    # a uint64 index past int64 was cast to -1, a row the caller never named; and
+    # a later write to the caller's index got past the plan's bounds
+    with pytest.raises(AutodiffError, match="an index must fit in int64, got 18446744073709551615"):
+        take_rows(parameter(np.arange(3.0)), np.array([2**64 - 1], dtype=np.uint64))
+    idx = np.array([0, 2])
+    plan = ScatterPlan(idx)
+    idx[1] = 7
+    npt.assert_array_equal(take_rows(parameter(np.arange(3.0)), plan).value, [0.0, 2.0])
+
+
 def test_unsigned_index_is_taken_as_signed():
     # uint64 rows times columns plus a column made a float index in the max
     x = parameter(np.arange(6.0).reshape(2, 3))

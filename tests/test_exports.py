@@ -140,9 +140,9 @@ def test_deleted_members_and_parameters_stay_deleted():
         with pytest.raises(TypeError, match="rng"):
             layer(t, t)
     # the tape keeps the ops the model records: the Tensor on the left, no powers,
-    # .T for the one transpose, and reshape by separate sizes
+    # no transpose, and reshape by separate sizes; backward alone tells a walked root
     assert not [n for n in ("__radd__", "__rmul__", "__rsub__", "__rtruediv__", "__pow__",
-                            "transpose") if hasattr(Tensor, n)]
+                            "transpose", "T", "_spent") if hasattr(Tensor, n)]
     # a feature type is built from its orders: no sums or multiples of types
     assert not [n for n in ("__add__", "__mul__", "__rmul__")
                 if hasattr(meshnet.FeatureType, n)]

@@ -20,13 +20,19 @@ from meshnet.config import (
     model_spec_from_config,
     parse_config,
 )
-from meshnet.datasets import classification_shapes, load_file_dataset, segmentation_spheres
+from meshnet.datasets import (
+    classification_shapes,
+    eqgap_meshes,
+    load_file_dataset,
+    segmentation_spheres,
+)
 from meshnet.errors import (
     CheckpointError,
     ConfigError,
     EmptyNeighborhoodError,
     FeatureTypeError,
     FrameBindingError,
+    MeshValidationError,
     TrainingDivergedError,
     TransformError,
 )
@@ -575,6 +581,23 @@ def test_generated_dataset_counts_checked(make, counts, match):
 def test_generated_dataset_counts_of_any_integer_kind():
     data = classification_shapes(np.uint8(2), np.int32(1), 0, 0.3, 0.05, 0)
     assert (len(data.train), len(data.test)) == (2, 1)
+
+
+@pytest.mark.parametrize("make, error, match", [
+    (lambda: build_model(ModelSpec(), 1.5), ConfigError, "seed must hold integers, got float64"),
+    (lambda: build_model(ModelSpec(), -1), ConfigError, "seed must be >= 0, got -1"),
+    (lambda: eqgap_meshes(2, -1, 0), ConfigError, "seed must be >= 0, got -1"),
+    (lambda: classification_shapes(2, 0, 0, 0.3, 0.1, 2.5), ConfigError,
+     "seed must hold integers, got float64"),
+    (lambda: segmentation_spheres(1, 0, 0, seed="1"), ConfigError,
+     "seed must hold integers, got <U1"),
+    (lambda: generate_grid_patch(3, 3, 0.1, -2), MeshValidationError, "seed must be >= 0, got -2"),
+], ids=["float_model_seed", "negative_model_seed", "negative_eqgap_seed",
+        "float_classification_seed", "string_segmentation_seed", "negative_grid_seed"])
+def test_public_seeds_checked(make, error, match):
+    # each ended in a bare TypeError or ValueError from np.random.default_rng
+    with pytest.raises(error, match=re.escape(match)):
+        make()
 
 
 @pytest.mark.parametrize("layout, task, match", [

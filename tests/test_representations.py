@@ -5,7 +5,7 @@ import pytest
 from meshnet.autodiff import Tensor
 from meshnet.errors import FeatureTypeError
 from meshnet.layers import _SelfKernel
-from meshnet.representations import FeatureType, init_neighbor_kernel
+from meshnet.representations import MAX_COMPONENTS, FeatureType, init_neighbor_kernel
 
 from oracles import (
     BasisElement,
@@ -57,6 +57,16 @@ class TestFeatureType:
         for text in ("rho0+bogus", "(rho0", "+rho0", "rho0)"):
             with pytest.raises(FeatureTypeError):
                 FeatureType.parse(text)
+
+    def test_component_bound(self):
+        # 10^6 scalars took about 2 s and 92 MiB to build before the bound
+        assert FeatureType.parse(f"{MAX_COMPONENTS}xrho0").n_components == MAX_COMPONENTS
+        for text in ("1000000x(rho0)", "1000000xrho1", f"2x({MAX_COMPONENTS}xrho0)",
+                     f"{MAX_COMPONENTS}xrho0+rho1"):
+            with pytest.raises(FeatureTypeError, match=f"at most {MAX_COMPONENTS} components"):
+                FeatureType.parse(text)
+        with pytest.raises(FeatureTypeError, match=f"at most {MAX_COMPONENTS} components"):
+            FeatureType([0] * (MAX_COMPONENTS + 1))
 
 
 class TestRhoMatrix:
