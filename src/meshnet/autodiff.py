@@ -2,16 +2,15 @@
 
 Minimal tape: every ``Tensor`` remembers its parents and a vector-Jacobian
 closure; ``backward()`` on a scalar root walks the graph once in reverse
-topological order.  The op set is exactly what the model records: ``+``,
-``-`` and ``*`` with the Tensor on the left (numpy broadcasting), ``/`` and
-``@`` between Tensors, negation, ``reshape(*shape)``,
-gather/scatter, segment sums, the order-by-order product
-``commuting_matmul`` of a self kernel, the fused message and attention ops
-(below), the elementwise relu, exp, log, sqrt and sigmoid, sum and mean,
-concatenation; no higher-order derivatives.  A Tensor has no reflected
+topological order.  The op set is exactly what the model records: ``+`` and
+``*`` with the Tensor on the left (numpy broadcasting), ``reshape(*shape)``,
+the elementwise relu, sum and mean, concatenation, segment sums, the
+order-by-order product ``commuting_matmul`` of a self kernel, the fused
+message and attention ops (below), and one node per model op: the gate
+``gauge_gate``, ``segment_softmax``, ``nll_loss`` and the dense head's
+``affine``; no higher-order derivatives.  A Tensor has no reflected
 operators and ``__array_ufunc__ = None``, so ``2.0 * t`` and ``ndarray + t``
-raise ``TypeError`` rather than record, and so do ``t / 2.0`` and
-``t @ ndarray``.
+raise ``TypeError`` rather than record; it has no ``-``, ``/`` or ``@``.
 
 Recording rule: every op computes its forward value once and returns it
 through ``_node``, which records the op (its Tensor operands, in order, and
@@ -19,23 +18,27 @@ the closure) only while recording is on and some operand requires a gradient.
 ``Model.forward`` records only with ``train=True``, so eval forwards keep no tape.
 Memory rule: ``Tensor.backward`` alone owns the tape's memory.  The arrays a VJP
 returns share no memory, except one array given to two parents (``+``): ``reshape``
-and ``concat`` return views of ``g``, ``sum`` a copy, and every other VJP fresh
-arrays.  So a VJP owns its ``g``, and the fused message adjoints turn it in place.
+and ``concat`` return views of ``g``, ``sum`` a copy, ``nll_loss`` the
+exponentials it kept, turned into its gradient in place, and every other VJP
+fresh arrays.  So a VJP owns its ``g``, and the fused message adjoints turn it
+in place.
 
-Scatters (the adjoint of ``take_rows``, the forward of ``segment_sum``) go
-through a ``ScatterPlan``, kept by the caller or made for the op.  Sorted
-once, stably, it adds ``g[pos_j]`` to ``out[rows_j]`` in pass j, from zeros,
-so each row adds its entries in ascending k, as ``np.add.at`` does: the
-results are bit-identical to it.  Its segment max is one 1-D
-``np.maximum.at``: a max does not depend on order, and on one narrow column
-that is faster.  ``take_cols`` is no scatter: its adjoint fills a zero block.
+Scatters (the adjoints of the gathers, the forwards of ``segment_sum``,
+``weighted_segment_sum`` and ``segment_softmax``) go through a ``ScatterPlan``
+that the caller keeps.  Sorted once, stably, it adds ``g[pos_j]`` to
+``out[rows_j]`` in pass j, from zeros, so each row adds its entries in
+ascending k, as ``np.add.at`` does: the results are bit-identical to it.  Its
+segment max is one 1-D ``np.maximum.at``: a max does not depend on order, and
+on one narrow column that is faster.  Both refuse an array without one row per
+index.
 
 Per-edge rotations are phases: ``_turn`` multiplies each order-n block of
 pair columns, read as complex128, by ``exp(i n angle_e)`` in place, from a
 ``Phases`` table that the geometry keeps.  The fused ops
 ``transported_rows``, ``turned_product``, ``gathered_dot`` and
-``weighted_segment_sum`` keep only what their adjoints read; each runs the
-numpy operations of the generic chain it replaces, in order, bit for bit.
+``weighted_segment_sum``, and the model ops, keep only what their adjoints
+read; each runs the numpy operations of the generic chain it replaces, in
+order, and its adjoint rounds as the chain's did, bit for bit.
 A self kernel uses the same view: ``commuting_matmul`` multiplies each
 order's block by one matrix, real on the scalars and complex on the pairs.
 
@@ -64,12 +67,12 @@ __all__ = [
     "Tensor",
     "parameter",
     "concat",
-    "take_rows",
-    "take_cols",
     "commuting_matmul",
     "segment_sum",
     "segment_softmax",
     "nll_loss",
+    "affine",
+    "gauge_gate",
     "Adam",
 ]
 
@@ -119,8 +122,10 @@ class ScatterPlan:
         self.idx = _kept(idx, np.int64, (None,), AutodiffError, "an index")
         self._bounds = (self.idx.min(), self.idx.max()) if self.idx.size else (0, -1)
 
-    def check(self, n, what):
-        """Raise AutodiffError unless every index names one of ``n`` rows."""
+    def check(self, n, what, v=None):
+        """Raise AutodiffError unless each index names one of n rows (and v has one per index)."""
+        if v is not None and v.shape[:1] != self.idx.shape:
+            raise AutodiffError(f"a {what} by {self.idx.size} indices got shape {v.shape}")
         lo, hi = self._bounds
         if lo < 0 or hi >= n:
             raise AutodiffError(f"{what} index {lo if lo < 0 else hi} is outside "
@@ -139,7 +144,7 @@ class ScatterPlan:
 
     def add(self, g, n):
         """Row k of ``g`` summed into row ``idx[k]`` of an n-row zero array."""
-        self.check(n, "scatter")
+        self.check(n, "scatter", g)
         out = np.zeros((n,) + g.shape[1:])
         for rows, pos in self.passes:
             out[rows] += g[pos]
@@ -147,16 +152,12 @@ class ScatterPlan:
 
     def max(self, v, n):
         """Each column's max within each of n rows (``-inf`` where empty)."""
-        self.check(n, "scatter")
+        self.check(n, "scatter", v)
         c = int(np.prod(v.shape[1:]))
         flat = self.idx if c == 1 else (self.idx[:, None] * c + np.arange(c)).ravel()
         m = np.full(n * c, -np.inf)
         np.maximum.at(m, flat, v.reshape(-1))
         return m.reshape((n,) + v.shape[1:])
-
-
-def _plan(idx):
-    return idx if isinstance(idx, ScatterPlan) else ScatterPlan(idx)
 
 
 class Phases(dict):
@@ -283,37 +284,12 @@ class Tensor:
         return _node(self.value + _val(other), parents,
                      lambda g: tuple(_unbroadcast(g, p.value.shape) for p in parents))
 
-    def __neg__(self):
-        return _node(-self.value, (self,), lambda g: (-g,))
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Tensor) else -np.asarray(other))
-
     def __mul__(self, other):
         a, b = self.value, _val(other)
         parents = [p for p in (self, other) if isinstance(p, Tensor)]
 
-        def vjp(g):
-            out = [_unbroadcast(g * b, a.shape)]
-            if isinstance(other, Tensor):
-                out.append(_unbroadcast(g * a, b.shape))
-            return tuple(out)
-
-        return _node(a * b, parents, vjp)
-
-    def __truediv__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        a, b = self.value, other.value
-        return _node(a / b, (self, other),
-                     lambda g: (_unbroadcast(g / b, a.shape),
-                                _unbroadcast(-g * a / (b * b), b.shape)))
-
-    def __matmul__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        a, b = self.value, other.value
-        return _node(a @ b, (self, other), lambda g: (g @ b.T, a.T @ g))
+        return _node(a * b, parents, lambda g: tuple(
+            _unbroadcast(g * v, p.value.shape) for p, v in zip(parents, (b, a))))
 
     # -- elementwise ----------------------------------------------------------
 
@@ -321,24 +297,6 @@ class Tensor:
         a = self.value
         mask = (a > 0).astype(a.dtype)
         return _node(a * mask, (self,), lambda g: (g * mask,))
-
-    def exp(self):
-        out = np.exp(self.value)
-        return _node(out, (self,), lambda g: (g * out,))
-
-    def log(self):
-        a = self.value
-        return _node(np.log(a), (self,), lambda g: (g / a,))
-
-    def sqrt(self):
-        out = np.sqrt(self.value)
-        return _node(out, (self,), lambda g: (g * 0.5 / out,))
-
-    def sigmoid(self):
-        a = self.value
-        e = np.exp(-np.abs(a))
-        out = np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        return _node(out, (self,), lambda g: (g * out * (1.0 - out),))
 
     # -- shape ---------------------------------------------------------------
 
@@ -379,34 +337,6 @@ def concat(tensors, axis=0) -> Tensor:
 
     return _node(np.concatenate(vals, axis=axis),
                  (t for t in tensors if isinstance(t, Tensor)), vjp)
-
-
-def take_rows(x: Tensor, idx) -> Tensor:
-    """Gather along axis 0; adjoint scatter-adds."""
-    plan, n = _plan(idx), x.value.shape[0]
-    plan.check(n, "gather")
-    return _node(x.value[plan.idx], (x,), lambda g: (plan.add(g, n),))
-
-
-def take_cols(x: Tensor, cols) -> Tensor:
-    """Distinct columns of ``x`` (an index list or a slice), gathered with
-    ``np.take``.
-
-    ``np.take`` is C-ordered where ``x[:, idx]`` is not.  The adjoint writes
-    ``g`` into a zero block.  Only an index list is checked for repeats; a
-    slice has none.
-    """
-    checked = not isinstance(cols, slice)
-    cols = np.arange(x.value.shape[1])[cols]
-    if checked and np.unique(cols).size < cols.size:
-        raise AutodiffError("take_cols needs distinct columns")
-
-    def vjp(g):
-        gx = np.zeros_like(x.value)
-        gx[:, cols] = g
-        return (gx,)
-
-    return _node(np.take(x.value, cols, axis=1), (x,), vjp)
 
 
 def _turn(v, phases, blocks, conj=False):
@@ -462,12 +392,13 @@ def weighted_segment_sum(v: Tensor, w: Tensor, plan: ScatterPlan, n_segments: in
     return _node(plan.add(v.value * w3, n_segments), (v, w), vjp)
 
 
-def commuting_matmul(x: Tensor, w: Tensor, blocks, out_dim: int) -> Tensor:
+def commuting_matmul(x: Tensor, w: Tensor, blocks, out_dim: int, in_cols=None) -> Tensor:
     """``x`` times a matrix that commutes with every rotation, order by order.
 
     Each ``(n, lo, hi, out_lo, out_hi)`` of ``blocks`` maps the order-n
     columns ``lo:hi`` to the output columns ``out_lo:out_hi``; other output
-    columns are zero, and blocks may read the same input columns.  ``w``
+    columns are zero, and blocks may read the same input columns.  With
+    ``in_cols``, input column j is column ``in_cols[j]`` of ``x``.  ``w``
     holds each block's (m_out, m_in) matrix ``W_n`` in turn, row-major:
     reals for n = 0, pairs ``(a, b)`` read as ``a + ib`` for n >= 1.  On
     complex128 views of the pairs the block is ``X_n @ conj(W_n).T``
@@ -483,8 +414,8 @@ def commuting_matmul(x: Tensor, w: Tensor, blocks, out_dim: int) -> Tensor:
         t, m_in = (np.complex128, (hi - lo) // 2) if n else (np.float64, hi - lo)
         sw = slice(k, k + m_in * (out_hi - out_lo))
         k = sw.stop
-        parts.append((t, slice(lo, hi), slice(out_lo, out_hi), sw,
-                      w.value[sw].view(t).reshape(-1, m_in)))
+        parts.append((t, slice(lo, hi) if in_cols is None else in_cols[lo:hi],
+                      slice(out_lo, out_hi), sw, w.value[sw].view(t).reshape(-1, m_in)))
     y = np.zeros((x.value.shape[0], out_dim))
     for t, cin, cout, _sw, W in parts:
         y[:, cout] = (cols(x.value, cin, t) @ W.conj().T).view(np.float64)
@@ -500,22 +431,29 @@ def commuting_matmul(x: Tensor, w: Tensor, blocks, out_dim: int) -> Tensor:
     return _node(y, (x, w), vjp)
 
 
-def segment_sum(x: Tensor, segments, n_segments: int) -> Tensor:
-    """Sum rows of ``x`` into their segment; adjoint gathers."""
-    plan = _plan(segments)
+def segment_sum(x: Tensor, plan: ScatterPlan, n_segments: int) -> Tensor:
+    """Sum rows of ``x`` into their segment ``plan.idx``; adjoint gathers."""
     return _node(plan.add(x.value, n_segments), (x,), lambda g: (g[plan.idx],))
 
 
-def segment_softmax(logits: Tensor, segments, n_segments: int) -> Tensor:
-    """Softmax of each column within each segment, shifted by the segment max."""
-    plan = _plan(segments)
-    shift = plan.max(logits.value, n_segments)[plan.idx]  # gradient-transparent
-    e = (logits - shift).exp()
-    return e / take_rows(segment_sum(e, plan, n_segments), plan)
+def segment_softmax(logits: Tensor, plan: ScatterPlan, n_segments: int) -> Tensor:
+    """Softmax of each column within each segment ``plan.idx``, shifted by the segment
+    max; the node keeps the exponentials ``e`` and their segment sums ``s``, and its
+    adjoint is ``(g / s + scatter(-g e / s^2)) e``, the sums gathered again."""
+    e = np.exp(logits.value - plan.max(logits.value, n_segments)[plan.idx])
+    s = plan.add(e, n_segments)
+
+    def vjp(g):
+        si = s[plan.idx]
+        return ((g / si + plan.add(-g * e / (si * si), n_segments)[plan.idx]) * e,)
+
+    return _node(e / s[plan.idx], (logits,), vjp)
 
 
 def nll_loss(logits: Tensor, targets) -> Tensor:
-    """Mean negative log-likelihood of integer targets under 2-D logits' row softmax."""
+    """Mean negative log-likelihood of integer targets under 2-D logits' row softmax;
+    the node keeps the shifted exponentials ``e`` and their row sums ``s``, and its
+    adjoint turns ``e`` in place into ``(g / n / s) e``, less ``g / n`` at each target."""
     targets = np.asarray(targets)
     if logits.value.ndim != 2 or targets.dtype.kind not in "iu":
         raise AutodiffError(f"nll_loss needs 2-D logits and integer targets, got logits of "
@@ -527,11 +465,56 @@ def nll_loss(logits: Tensor, targets) -> Tensor:
         raise AutodiffError("nll_loss needs at least one row, got an empty batch")
     if targets.min() < 0 or targets.max() >= ncols:
         raise AutodiffError(f"target index out of range for {ncols} classes")
-    m = logits.value.max(axis=1)  # detached shift
-    z = logits - m[:, None]
-    lse = z.exp().sum(axis=1).log() + m
-    picked = take_rows(logits.reshape(-1), np.arange(nrows) * ncols + targets.astype(np.int64))
-    return (lse - picked).mean()
+    pick = (np.arange(nrows), targets.astype(np.int64))
+    m = logits.value.max(axis=1)
+    e = np.exp(logits.value - m[:, None])
+    s = e.sum(axis=1)
+    scale = 1.0 / nrows
+
+    def vjp(g):
+        g = g * scale
+        e[...] *= (g / s)[:, None]
+        e[pick] -= g
+        return (e,)
+
+    return _node((np.log(s) + m - logits.value[pick]).sum() * scale, (logits,), vjp)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b``; the adjoint reads ``x`` and ``w``, and keeps no output."""
+    y = x.value @ w.value
+    y += b.value
+    return _node(y, (x, w, b), lambda g: (g @ w.value.T, x.value.T @ g, g.sum(axis=0)))
+
+
+def gauge_gate(x: Tensor, c: Tensor, m: int, eps: float) -> Tensor:
+    """ReLU of the first ``m`` columns of ``x``; each pair f_j after them times
+    ``sigmoid(|f_j| + c_j) / (|f_j| + eps)``, ``|f_j| = sqrt(f_j . f_j + 1e-60)``.  As
+    in the chain it replaces, the pair gradient adds ``g gate``, then twice the norm's
+    term, and with scalars the two zero-padded parts are summed (-0.0 becomes 0.0)."""
+    xv = x.value
+    n, k = xv.shape[0], c.value.shape[0]
+    mask = (xv[:, :m] > 0).astype(np.float64)
+    vec = xv[:, m:].reshape(n, k, 2)
+    nrm = np.sqrt((vec * vec).sum(axis=2) + 1e-60)
+    a = nrm + c.value
+    ea = np.exp(-np.abs(a))
+    sig = np.where(a >= 0, 1.0 / (1.0 + ea), ea / (1.0 + ea))
+    d = nrm + eps
+    gate = (sig / d)[..., None]
+
+    def vjp(g):
+        gv = g[:, m:].reshape(n, k, 2)
+        g_gate = (gv * vec).sum(axis=2)
+        g_a = g_gate / d * sig * (1.0 - sig)
+        g_sq = ((-g_gate * sig / (d * d) + g_a) * 0.5 / nrm)[..., None] * vec
+        gx = np.concatenate([g[:, :m] * mask, (gv * gate + g_sq + g_sq).reshape(n, -1)], axis=1)
+        if m:
+            gx += 0.0
+        return gx, g_a.sum(axis=0)
+
+    out = np.concatenate([xv[:, :m] * mask, (vec * gate).reshape(n, -1)], axis=1)
+    return _node(out, (x, c), vjp)
 
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8

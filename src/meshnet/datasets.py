@@ -72,6 +72,8 @@ def segmentation_spheres(n_train: int, n_test: int, subdivisions: int,
                          bump_amplitude: float = 0.3, noise: float = 0.05,
                          seed: int = 0) -> Dataset:
     n_train, n_test = _count(n_train, "n_train"), _count(n_test, "n_test")
+    bump_amplitude, noise = (_kept(v, np.float64, (), ConfigError, what, finite=True)
+                             for v, what in ((bump_amplitude, "bump_amplitude"), (noise, "noise")))
     base = generate_icosphere(subdivisions)
     rng = np.random.default_rng(_count(seed, "seed"))
     bump = bump_amplitude * rng.uniform(-1.0, 1.0, base.n_vertices)
@@ -87,6 +89,8 @@ def segmentation_spheres(n_train: int, n_test: int, subdivisions: int,
 def classification_shapes(n_train: int, n_test: int, subdivisions: int,
                           bump_amplitude: float, noise: float, seed: int) -> Dataset:
     n_train, n_test = _count(n_train, "n_train"), _count(n_test, "n_test")
+    bump_amplitude, noise = (_kept(v, np.float64, (), ConfigError, what, finite=True)
+                             for v, what in ((bump_amplitude, "bump_amplitude"), (noise, "noise")))
     base = generate_icosphere(subdivisions)
     rng = np.random.default_rng(_count(seed, "seed"))
 

@@ -158,10 +158,11 @@ def _frozen(*arrays):
     return arrays
 
 
-def _kept(value, dtype, shape, error, what):
+def _kept(value, dtype, shape, error, what, finite=False):
     """A read-only C-ordered copy of ``value`` in ``dtype``, or a Python scalar for shape
     ``()``; ``error`` naming ``what`` unless it is a rectangular array of numbers (integers
-    that fit, for an integer ``dtype``) of ``shape``, where ``None`` matches any length.
+    that fit, for an integer ``dtype``; all finite, if ``finite``) of ``shape``, where
+    ``None`` matches any length.
     A read-only C-ordered array in ``dtype`` that owns its memory, as this returns, is
     already immutable and comes back as is, so a plan shares its ``Edges``' indices."""
     try:
@@ -175,6 +176,8 @@ def _kept(value, dtype, shape, error, what):
         raise error(f"{what} must fit in {np.dtype(dtype)}, got {a.max()}")
     if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
         raise error(f"{what} must have shape {str(shape).replace('None', 'any')}, got {a.shape}")
+    if finite and not np.isfinite(a).all():
+        raise error(f"{what} must be finite, got {a}")
     if not shape:
         return a.astype(dtype).item()
     if a.dtype == dtype and a.base is None and a.flags.c_contiguous and not a.flags.writeable:

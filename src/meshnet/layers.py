@@ -37,7 +37,9 @@ type gives head h the h-th of H equal chunks of every order block, and the
 attention layer lays its queries, keys and values out head-major: head h's
 columns are contiguous and order-major within the head.  A self kernel
 commutes with every rotation, so a per-head projection of a neighbor
-kernel's output is itself a neighbor kernel and adds nothing.
+kernel's output is itself a neighbor kernel and adds nothing.  With several
+heads, ``out_kernel`` mixes them by reading each order's input columns at
+their head-major positions, so the heads' output is never reordered.
 
 An ``additive`` bias mode (a plain vector added to all coordinates) is
 included solely as a non-equivariant negative control for the harness.
@@ -51,13 +53,14 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
+    affine,
     commuting_matmul,
     concat,
+    gauge_gate,
     gathered_dot,
     parameter,
     segment_softmax,
     segment_sum,
-    take_cols,
     transported_rows,
     turned_product,
     weighted_segment_sum,
@@ -96,10 +99,11 @@ class _SelfKernel:
     bounds of ``init_neighbor_kernel``.  Calling the kernel on features of
     ``in_type`` gives features of ``out_type``, laid out head-major for
     ``heads`` heads: head h's blocks, after head h - 1's, write its columns.
+    With ``in_cols``, it reads column j of ``in_type`` at input column ``in_cols[j]``.
     """
 
-    def __init__(self, in_type, out_type, rng, heads=1):
-        self.in_type, self.out_type = in_type, out_type
+    def __init__(self, in_type, out_type, rng, heads=1, in_cols=None):
+        self.in_type, self.out_type, self.in_cols = in_type, out_type, in_cols
         ins = {n: (lo, hi) for n, lo, hi in in_type.blocks}
         head = _heads(out_type, heads)[0]
         self.blocks = tuple((n, *ins[n], h * head.dim + lo, h * head.dim + hi)
@@ -111,7 +115,7 @@ class _SelfKernel:
         self.coeffs = parameter(rng.uniform(-s, s))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return commuting_matmul(x, self.coeffs, self.blocks, self.out_type.dim)
+        return commuting_matmul(x, self.coeffs, self.blocks, self.out_type.dim, self.in_cols)
 
 
 class _Bias:
@@ -200,8 +204,7 @@ class EmanAttentionLayer:
     come in that order.  A head's logit sums its own query-key columns,
     scaled by ``1/sqrt(att_type.dim / heads)``, and its weights scale its own
     value columns.  With several heads one self kernel, ``out_kernel``, mixes
-    their outputs, put back in the order of ``out_type`` by ``out_order``
-    (the inverse of ``out_cols``);
+    their outputs, reading the head-major columns in the order of ``out_type``;
     with one, the value kernel absorbs it.
     ``self_contribution`` adds each vertex's own key and value to its
     neighborhood (so the normalizer is ``N_p + 1``).  ``rng`` is required,
@@ -226,8 +229,8 @@ class EmanAttentionLayer:
             self.self_key_kernel = _SelfKernel(in_type, att, rng, heads)
             self.self_value_kernel = _SelfKernel(in_type, out_type, rng, heads)
         if heads > 1:
-            self.out_order = np.argsort(self.out_cols)
-            self.out_kernel = _SelfKernel(out_type, out_type, rng)
+            self.out_kernel = _SelfKernel(out_type, out_type, rng,
+                                          in_cols=np.argsort(self.out_cols))
         self.bias = _Bias(out_type, bias, rng)
 
     def _attend(self, x: Tensor, geom: EdgeGeometry):
@@ -255,7 +258,7 @@ class EmanAttentionLayer:
     def forward(self, x: Tensor, geom: EdgeGeometry) -> Tensor:
         out = self._attend(x, geom)[0]
         if self.heads > 1:
-            out = self.out_kernel(take_cols(out, self.out_order))
+            out = self.out_kernel(out)
         return self.bias.apply(out)
 
     def attention_coefficients(self, x: Tensor, geom: EdgeGeometry) -> np.ndarray:
@@ -294,15 +297,12 @@ class GaugeNonlinearity:
         self.c = parameter(np.ones(k)) if k else None
 
     def forward(self, x: Tensor) -> Tensor:
-        m = self.ftype.n_scalars
-        pieces = [take_cols(x, slice(m)).relu()] if m else []
-        if self.c is not None:
-            k = self.c.shape[0]
-            vec = take_cols(x, slice(m, None)).reshape(-1, k, 2)
-            nrm = ((vec * vec).sum(axis=2) + 1e-60).sqrt()
-            gate = (nrm + self.c).sigmoid() / (nrm + self.EPS)
-            pieces.append((vec * gate.reshape(-1, k, 1)).reshape(-1, 2 * k))
-        return pieces[0] if len(pieces) == 1 else concat(pieces, axis=1)
+        if x.shape[1:] != (self.ftype.dim,):
+            raise FeatureTypeError(f"nonlinearity expects features of type {self.ftype}, "
+                                   f"{self.ftype.dim} columns, got shape {x.shape}")
+        if self.c is None:
+            return x.relu()
+        return gauge_gate(x, self.c, self.ftype.n_scalars, self.EPS)
 
     def parameters(self):
         return [] if self.c is None else [("gate_offset", self.c)]
@@ -317,7 +317,7 @@ class DenseLayer:
         self.b = parameter(rng.uniform(-s, s, n_out))
 
     def forward(self, x: Tensor) -> Tensor:
-        return x @ self.W + self.b
+        return affine(x, self.W, self.b)
 
     def parameters(self):
         return [("W", self.W), ("b", self.b)]

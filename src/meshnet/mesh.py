@@ -543,17 +543,19 @@ def generate_grid_patch(rows: int, cols: int, height_noise_amplitude: float = 0.
                         rng_seed: int = 0) -> Mesh:
     """Triangulated height field over a unit-spaced ``rows`` x ``cols`` grid.
 
-    Heights are ``amplitude * U(-1, 1)`` per vertex, deterministic for a
-    fixed seed, an integer >= 0.  The patch has boundary vertices (open fans).
+    Heights are ``amplitude * U(-1, 1)`` per vertex (a finite amplitude), deterministic
+    for a fixed seed, an integer >= 0.  The patch has boundary vertices (open fans).
     """
     rows, cols = (_kept(n, np.int64, (), MeshValidationError, "grid size") for n in (rows, cols))
     if rows < 2 or cols < 2:
         raise MeshValidationError(f"rows and cols must both be >= 2, got {rows} x {cols}")
+    amplitude = _kept(height_noise_amplitude, np.float64, (), MeshValidationError,
+                      "height noise amplitude", finite=True)
     if (rng_seed := _kept(rng_seed, np.int64, (), MeshValidationError, "seed")) < 0:
         raise MeshValidationError(f"seed must be >= 0, got {rng_seed}")
     rng = np.random.default_rng(rng_seed)
     ii, jj = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-    z = height_noise_amplitude * rng.uniform(-1.0, 1.0, size=(rows, cols))
+    z = amplitude * rng.uniform(-1.0, 1.0, size=(rows, cols))
     verts = np.stack([jj.ravel().astype(float), ii.ravel().astype(float), z.ravel()], axis=1)
     a = (np.arange(rows - 1)[:, None] * cols + np.arange(cols - 1)).ravel()
     b, c, d = a + 1, a + cols, a + cols + 1

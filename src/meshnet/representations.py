@@ -130,6 +130,8 @@ class FeatureType:
     @classmethod
     def parse(cls, text: str) -> "FeatureType":
         """Parse strings like ``"16x(rho0+rho1+rho2)"`` or ``"rho0+rho1"``."""
+        if not isinstance(text, str):
+            raise FeatureTypeError(f"a feature type must be a string, got {text!r}")
         tokens = re.findall(r"\d+x|\(|\)|\+|rho\d+", text.replace(" ", ""))
         if "".join(tokens) != text.replace(" ", ""):
             raise FeatureTypeError(f"cannot parse feature type {text!r}")

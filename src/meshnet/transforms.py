@@ -80,13 +80,18 @@ class Permutation:
             raise TransformError(f"not a permutation of {f.size} indices")
         object.__setattr__(self, "inverse", inv)
 
+    def _rows(self, arr, order):
+        if (arr := np.asarray(arr)).shape[:1] != self.forward.shape:
+            raise TransformError(f"a permutation of {self.forward.size} rows got shape {arr.shape}")
+        return arr[order]
+
     def permute_rows(self, arr: np.ndarray) -> np.ndarray:
         """out[forward[i]] = arr[i]"""
-        return np.asarray(arr)[self.inverse]
+        return self._rows(arr, self.inverse)
 
     def unpermute_rows(self, arr: np.ndarray) -> np.ndarray:
         """out[i] = arr[forward[i]]"""
-        return np.asarray(arr)[self.forward]
+        return self._rows(arr, self.forward)
 
 
 def apply_ambient(mesh: Mesh, t: AmbientTransform) -> Mesh:

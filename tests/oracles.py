@@ -22,6 +22,9 @@ has no neighbors.
 array mesh generators are tested against.
 ``reference_parse_off`` reads an OFF file one token at a time, the
 reference for the block-at-once numpy reader of ``meshnet.mesh``.
+``segment_softmax_loop``, ``nll_loss_rows``, ``affine_rows`` and
+``gauge_gate_pairs`` compute the model ops of ``meshnet.autodiff`` one
+segment, row or pair at a time.
 
 The scalar tangent references -- ``wrap_angle``, ``tangent_projector``,
 ``log_map``, ``theta_angle`` and ``transport_angle`` -- compute one vertex or
@@ -383,6 +386,39 @@ def scatter_add(values, idx, n):
     """``np.add.at`` reference for the tape's scatters: row k into row idx[k]."""
     out = np.zeros((n,) + values.shape[1:])
     np.add.at(out, idx, values)
+    return out
+
+
+def segment_softmax_loop(values, idx, n):
+    """Softmax of each column within each of n segments, one segment at a time."""
+    out = np.zeros_like(values)
+    for s in range(n):
+        rows = np.flatnonzero(idx == s)
+        if rows.size:
+            e = np.exp(values[rows] - values[rows].max(axis=0))
+            out[rows] = e / e.sum(axis=0)
+    return out
+
+
+def nll_loss_rows(logits, targets):
+    """Mean negative log-likelihood, one row's softmax at a time."""
+    return -sum(np.log(_softmax(row)[t]) for row, t in zip(logits, targets)) / len(targets)
+
+
+def affine_rows(x, w, b):
+    """``x @ w + b`` one row at a time."""
+    return np.stack([row @ w + b for row in x])
+
+
+def gauge_gate_pairs(x, c, m, eps):
+    """ReLU on the first m columns; each pair f_j after them times
+    ``sigmoid(|f_j| + c_j) / (|f_j| + eps)``, one vertex and pair at a time."""
+    out = np.maximum(x, 0.0)
+    for v, row in enumerate(x):
+        for j, cj in enumerate(c):
+            f = row[m + 2 * j:m + 2 * j + 2]
+            r = np.hypot(*f)
+            out[v, m + 2 * j:m + 2 * j + 2] = f / (1.0 + np.exp(-(r + cj))) / (r + eps)
     return out
 
 

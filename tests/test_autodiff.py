@@ -12,15 +12,15 @@ from meshnet.autodiff import (
     Phases,
     ScatterPlan,
     Tensor,
+    affine,
     commuting_matmul,
     concat,
     gathered_dot,
+    gauge_gate,
     nll_loss,
     parameter,
     segment_softmax,
     segment_sum,
-    take_cols,
-    take_rows,
     transported_rows,
     turned_product,
     weighted_segment_sum,
@@ -34,7 +34,15 @@ from meshnet.mesh import generate_icosphere
 from meshnet.model import build_model
 from meshnet.representations import FeatureType
 from meshnet.tangent import build_frames
-from oracles import isolated_vertex_geometry, rep_block_diag, scatter_add
+from oracles import (
+    affine_rows,
+    gauge_gate_pairs,
+    isolated_vertex_geometry,
+    nll_loss_rows,
+    rep_block_diag,
+    scatter_add,
+    segment_softmax_loop,
+)
 
 
 def central_difference(make_loss, param, k, eps=1e-6):
@@ -75,7 +83,7 @@ class TestBackwardBasics:
         rng = np.random.default_rng(0)
         v = parameter(rng.standard_normal(6))
         c = rng.standard_normal(6)
-        seg = np.zeros(6, dtype=int)
+        seg = ScatterPlan(np.zeros(6, dtype=int))
         (segment_softmax(v, seg, 1) * c).sum().backward()
         npt.assert_allclose(v.grad.sum(), 0.0, atol=1e-12)
 
@@ -175,7 +183,7 @@ class TestOperatorGradients:
         b = parameter(rng.standard_normal(5))
 
         def loss():
-            h = (a * b + 1.5 - b * 0.5).sigmoid() + (a.sigmoid() * 0.3).exp()
+            h = (a * b + 1.5 + b * -0.5).relu() * a + (a * 0.3).relu()
             return (h * h).mean()
 
         check_gradients(loss, [a, b], rng)
@@ -184,46 +192,32 @@ class TestOperatorGradients:
         rng = self.rng
         a = parameter(rng.standard_normal((3, 4)))
         b = parameter(rng.standard_normal((4, 6)))
+        c = parameter(rng.standard_normal(6))
 
         def loss():
-            h = (a @ b).relu().sum(axis=1)
+            h = affine(a, b, c).relu().sum(axis=1)
             return (h * h).mean()
 
-        check_gradients(loss, [a, b], rng)
+        check_gradients(loss, [a, b, c], rng)
 
     def test_sigmoid_sqrt_log(self):
+        # the square root and sigmoid of the gate, then the log of the loss
         rng = self.rng
-        a = parameter(np.abs(rng.standard_normal((5, 2))) + 0.5)
-
-        def loss():
-            return (a.sqrt().log().sigmoid()).sum()
-
-        check_gradients(loss, [a], rng)
+        a = parameter(rng.standard_normal((5, 6)))
+        c = parameter(rng.standard_normal(2))
+        check_gradients(lambda: nll_loss(gauge_gate(a, c, 2, 1e-6), [0, 5, 2, 3, 1]),
+                        [a, c], rng)
 
     def test_gather_scatter(self):
+        # the gather of transported_rows with no pair to turn, then a scatter
         rng = self.rng
-        rows = rng.integers(0, 6, 10)
-        seg = np.sort(rng.integers(0, 4, 10))
-        # a permutation and a strict subset
-        for cols in ([2, 0, 1], [2, 0]):
-            x = parameter(rng.standard_normal((6, 3)))
-
-            def loss():
-                g = take_rows(x, rows)
-                g = segment_sum(take_cols(g, cols), seg, 4)
-                return (g * g).sum()
-
-            check_gradients(loss, [x], rng)
-
-    def test_take_rows_of_flattened(self):
-        # the pick of nll_loss: entry (k, cols[k]) of a flattened matrix
-        rng = self.rng
-        x = parameter(rng.standard_normal((5, 4)))
-        flat = np.arange(5) * 4 + rng.integers(0, 4, 5)
+        rows = ScatterPlan(rng.integers(0, 6, 10))
+        seg = ScatterPlan(np.sort(rng.integers(0, 4, 10)))
+        x = parameter(rng.standard_normal((6, 3)))
 
         def loss():
-            h = take_rows(x.reshape(-1), flat)
-            return (h * h).sum()
+            g = segment_sum(transported_rows(x, rows, Phases(np.zeros(10)), ()), seg, 4)
+            return (g * g).sum()
 
         check_gradients(loss, [x], rng)
 
@@ -232,19 +226,19 @@ class TestOperatorGradients:
         a = parameter(rng.standard_normal((3, 2)))
         b = parameter(rng.standard_normal((3, 4)))
 
-        # the transpose of the (3, 6) concatenation, as a gather of its entries
-        transposed = np.arange(18).reshape(3, 6).T.ravel()
+        # the transpose of the (3, 6) concatenation, as a scatter of its entries
+        transposed = ScatterPlan(np.arange(18).reshape(6, 3).T.ravel())
 
         def loss():
-            h = take_rows(concat([a, b], axis=1).reshape(-1), transposed).reshape(3, 6)
-            return (h * h).sum()
+            h = segment_sum(concat([a, b], axis=1).reshape(-1), transposed, 18).reshape(6, 3)
+            return (h * h * np.arange(3.0)).sum()
 
         check_gradients(loss, [a, b], rng)
 
     def test_segment_softmax(self):
         rng = self.rng
         s = parameter(rng.standard_normal(12))
-        seg = np.sort(rng.integers(0, 3, 12))
+        seg = ScatterPlan(np.sort(rng.integers(0, 3, 12)))
         w = rng.standard_normal(12)
 
         def loss():
@@ -256,7 +250,7 @@ class TestOperatorGradients:
         rng = self.rng
         s = Tensor(rng.standard_normal(30) * 10)
         seg = np.sort(rng.integers(0, 7, 30))
-        alpha = segment_softmax(s, seg, 7).value
+        alpha = segment_softmax(s, ScatterPlan(seg), 7).value
         sums = np.zeros(7)
         np.add.at(sums, seg, alpha)
         present = np.unique(seg)
@@ -267,7 +261,7 @@ class TestOperatorGradients:
         # column far above the other would underflow a shared shift
         rng = self.rng
         s = rng.standard_normal((30, 3)) + [0.0, 1000.0, -1000.0]
-        seg = rng.permutation(np.arange(30) % 7)
+        seg = ScatterPlan(rng.permutation(np.arange(30) % 7))
         alpha = segment_softmax(Tensor(s), seg, 7).value
         for j in range(3):
             npt.assert_array_equal(alpha[:, j], segment_softmax(Tensor(s[:, j]), seg, 7).value)
@@ -361,31 +355,36 @@ _PLAN, _PHASES = ScatterPlan([2, 0, 1, 1, 4, 0, 2]), Phases(np.arange(7.0))
 
 class TestFusedOps:
     """Each fused op equals the chain of generic ops it stands for, bit for bit,
-    in its value and in every gradient."""
+    in its value and in every gradient.  Where the chain gathered rows ``_PLAN.idx``
+    of an operand, the reference gathers them with numpy into a leaf of its own and
+    scatters that leaf's gradient back with ``np.add.at``."""
 
     def setup_method(self):
         self.rng = np.random.default_rng(13)
 
-    def _same(self, fused, chain, operands):
+    def _same(self, fused, chain, operands, gathered=()):
         runs = []
-        for op in (fused, chain):
-            params = [parameter(v) for v in operands]
+        for op, gather in ((fused, ()), (chain, gathered)):
+            params = [parameter(v[_PLAN.idx] if k in gather else v)
+                      for k, v in enumerate(operands)]
             y = op(*params)
             (y * y).sum().backward()
-            runs.append([y.value.tobytes()] + [p.grad.tobytes() for p in params])
+            grads = [scatter_add(p.grad, _PLAN.idx, v.shape[0]) if k in gather else p.grad
+                     for k, (p, v) in enumerate(zip(params, operands))]
+            runs.append([y.value.tobytes()] + [g.tobytes() for g in grads])
         assert runs[0] == runs[1]
 
     def test_transported_rows_is_a_gather_then_a_turn(self):
         blocks, angles = ((1, 1, 3), (2, 3, 5)), Phases(self.rng.uniform(-np.pi, np.pi, 7))
         self._same(lambda x: transported_rows(x, _PLAN, angles, blocks),
-                   lambda x: transported_rows(take_rows(x, _PLAN), ScatterPlan(np.arange(7)),
-                                              angles, blocks),
-                   [self.rng.standard_normal((5, 5))])
+                   lambda x: transported_rows(x, ScatterPlan(np.arange(7)), angles, blocks),
+                   [self.rng.standard_normal((5, 5))], gathered=(0,))
 
     def test_gathered_dot(self):
         self._same(lambda k, q: gathered_dot(k, q, _PLAN, 0.5),
-                   lambda k, q: (k * take_rows(q, _PLAN)).sum(axis=2) * 0.5,
-                   [self.rng.standard_normal((7, 2, 3)), self.rng.standard_normal((5, 2, 3))])
+                   lambda k, q: (k * q).sum(axis=2) * 0.5,
+                   [self.rng.standard_normal((7, 2, 3)), self.rng.standard_normal((5, 2, 3))],
+                   gathered=(1,))
 
     def test_weighted_segment_sum(self):
         self._same(lambda v, a: weighted_segment_sum(v, a, _PLAN, 6),
@@ -420,6 +419,49 @@ class TestFusedOps:
                          1.0)
 
 
+# (name, op, reference, operand shapes): the one-node ops of the model, with the
+# loops of tests/oracles.py; the gate's offsets are the second operand
+_SEGMENTS = np.array([2, 0, 2, 2, 4, 0, 2, 0])
+MODEL_OPS = [
+    ("gauge_gate", lambda x, c: gauge_gate(x, c, 2, 1e-6),
+     lambda x, c: gauge_gate_pairs(x, c, 2, 1e-6), [(6, 8), (3,)]),
+    ("gauge_gate_pairs", lambda x, c: gauge_gate(x, c, 0, 1e-6),
+     lambda x, c: gauge_gate_pairs(x, c, 0, 1e-6), [(6, 4), (2,)]),
+    ("segment_softmax", lambda s: segment_softmax(s, ScatterPlan(_SEGMENTS), 5),
+     lambda s: segment_softmax_loop(s, _SEGMENTS, 5), [(8,)]),
+    ("segment_softmax_columns", lambda s: segment_softmax(s * 10.0, ScatterPlan(_SEGMENTS), 5),
+     lambda s: segment_softmax_loop(s * 10.0, _SEGMENTS, 5), [(8, 3)]),
+    ("nll_loss", lambda a: nll_loss(a, [2, 0, 1, 1, 0]),
+     lambda a: nll_loss_rows(a, [2, 0, 1, 1, 0]), [(5, 3)]),
+    ("nll_loss_one_row", lambda a: nll_loss(a * 5.0, [1]),
+     lambda a: nll_loss_rows(a * 5.0, [1]), [(1, 4)]),
+    ("affine", affine, affine_rows, [(5, 3), (3, 4), (4,)]),
+]
+
+
+@pytest.mark.parametrize("name, op, reference, shapes", MODEL_OPS,
+                         ids=[c[0] for c in MODEL_OPS])
+class TestModelOps:
+    """Each op the model records as one node, against a loop, and its gradient."""
+
+    def test_matches_the_loop(self, name, op, reference, shapes):
+        rng = np.random.default_rng(21)
+        values = [rng.standard_normal(s) for s in shapes]
+        npt.assert_allclose(op(*map(Tensor, values)).value, reference(*values),
+                            rtol=0, atol=1e-12)
+
+    def test_gradient(self, name, op, reference, shapes):
+        rng = np.random.default_rng(22)
+        params = [parameter(rng.standard_normal(s)) for s in shapes]
+        r = rng.standard_normal(op(*params).shape)
+
+        def loss():
+            y = op(*params)
+            return (y * y * r).sum()
+
+        check_gradients(loss, params, rng, samples=12)
+
+
 class TestScattersMatchAddAt:
     """The plan scatters equal ``np.add.at`` bit for bit."""
 
@@ -437,50 +479,35 @@ class TestScattersMatchAddAt:
         self.columns = [(7,), (0,), (3, 4)]
 
     def test_take_rows_adjoint(self):
+        # the row gather, now transported_rows with no pair to turn: its adjoint
+        # scatters
         for idx, n in self.cases:
             for cols in ((),) + tuple(self.columns):
                 x = parameter(self.rng.standard_normal((n,) + cols))
                 g = self.rng.standard_normal((idx.size,) + cols)
-                (take_rows(x, idx) * g).sum().backward()
+                y = transported_rows(x, ScatterPlan(idx), Phases(np.zeros(idx.size)), ())
+                (y * g).sum().backward()
                 assert np.array_equal(x.grad, scatter_add(g, idx, n))
 
     def test_take_pairs_adjoint(self):
-        # the (row, column) pick of nll_loss: 200 picks from a 3 x 4 array
-        # through take_rows on the flattened array, negative indices
-        # included; every entry is picked several times
-        rows, cols = self.rng.integers(-3, 3, 200), self.rng.integers(-4, 4, 200)
-        x = parameter(self.rng.standard_normal((3, 4)))
-        g = self.rng.standard_normal(200)
-        flat = np.ravel_multi_index((rows, cols), (3, 4), mode="wrap")
-        (take_rows(x.reshape(-1), flat) * g).sum().backward()
-        want = np.zeros((3, 4))
-        np.add.at(want, (rows, cols), g)
-        assert np.array_equal(x.grad, want)
+        # the (row, column) pick of nll_loss, now inside its one node: the gradient
+        # is each row's softmax over n, less 1/n at its target, added with np.add.at
+        cols = self.rng.integers(0, 4, 200)
+        x = parameter(self.rng.standard_normal((200, 4)))
+        nll_loss(x, cols).backward()
+        e = np.exp(x.value)
+        want = e / e.sum(axis=1, keepdims=True) / 200
+        np.add.at(want, (np.arange(200), cols), -1.0 / 200)
+        npt.assert_allclose(x.grad, want, rtol=0, atol=1e-15)
 
     def test_segment_sum(self):
         for idx, n in self.cases:
             for cols in ((),) + tuple(self.columns):
                 values = self.rng.standard_normal((idx.size,) + cols)
-                out = segment_sum(Tensor(values), idx, n).value
+                out = segment_sum(Tensor(values), ScatterPlan(idx), n).value
                 assert out.shape == (n,) + cols
                 assert np.array_equal(out, scatter_add(values, idx, n))
                 assert not out[n - 1].any()
-
-
-class TestTakeColsIndices:
-    def test_result_is_a_c_ordered_copy(self):
-        x = parameter(np.arange(12.0).reshape(3, 4))
-        for cols in ([3, 1], [2], [0, 1, 2], slice(None, None, -2)):
-            y = take_cols(x, cols)
-            assert y.value.flags.c_contiguous
-            assert not np.shares_memory(y.value, x.value)
-            assert np.array_equal(y.value, x.value[:, cols])
-
-    def test_repeated_columns_rejected(self):
-        x = parameter(np.ones((3, 4)))
-        for cols in ([1, 1], [0, 2, 0], [3, -1]):
-            with pytest.raises(AutodiffError):
-                take_cols(x, cols)
 
 
 class TestNll:
@@ -589,14 +616,14 @@ class TestAdam:
 def test_deterministic_loss_trajectory():
     def run():
         rng = np.random.default_rng(7)
-        W = parameter(rng.standard_normal((6, 4)))
-        opt = Adam([W], lr=0.01)
+        W, b = parameter(rng.standard_normal((6, 4))), parameter(np.zeros(4))
+        opt = Adam([W, b], lr=0.01)
         X = rng.standard_normal((10, 6))
         y = rng.integers(0, 4, 10)
         losses = []
         for _ in range(15):
             opt.zero_grad()
-            loss = nll_loss(Tensor(X) @ W, y)
+            loss = nll_loss(affine(Tensor(X), W, b), y)
             loss.backward()
             opt.step()
             losses.append(loss.item())
@@ -742,27 +769,14 @@ RECORDING_CASES = [
     ("add", lambda a, b: a + b, [(4, 3), (4, 3)], True),
     ("add_broadcast", lambda a, b: a + b, [(4, 3), (3,)], True),
     ("add_array", lambda a: a + np.ones(3), [(4, 3)], True),
-    ("neg", lambda a: -a, [(4, 3)], True),
-    ("sub", lambda a, b: a - b, [(4, 3), (4, 3)], False),
     ("mul", lambda a, b: a * b, [(4, 3), (4, 3)], True),
     ("mul_array", lambda a: a * np.arange(3.0), [(4, 3)], True),
-    ("truediv", lambda a, b: a / (b * b + 1.0), [(4, 3), (4, 3)], False),
-    ("truediv_tensors", lambda a, b: a / b, [(4, 3), (4, 3)], True),
-    ("matmul", lambda a, b: a @ b, [(4, 3), (3, 2)], True),
     ("relu", lambda a: a.relu(), [(4, 3)], True),
-    ("exp", lambda a: a.exp(), [(4, 3)], True),
-    ("log", lambda a: (a * a + 1.0).log(), [(4, 3)], False),
-    ("sqrt", lambda a: (a * a + 1.0).sqrt(), [(4, 3)], False),
-    ("sigmoid", lambda a: a.sigmoid(), [(4, 3)], True),
     ("reshape", lambda a: a.reshape(3, 4), [(4, 3)], True),
     ("sum", lambda a: a.sum(), [(4, 3)], True),
     ("sum_axis", lambda a: a.sum(axis=0, keepdims=True), [(4, 3)], True),
     ("mean", lambda a: a.mean(axis=1), [(4, 3)], False),
     ("concat", lambda a, b: concat([a, np.ones((1, 3)), b]), [(4, 3), (2, 3)], True),
-    ("take_rows", lambda a: take_rows(a, [3, 0, 0, 2]), [(4, 3)], True),
-    ("take_cols_gather", lambda a: take_cols(a, [2, 0]), [(4, 3)], True),
-    ("take_cols_slice", lambda a: take_cols(a, slice(1, None)), [(4, 3)], True),
-    ("take_rows_1d", lambda a: take_rows(a, [11, 0, 11, 5]), [(12,)], True),
     ("transported_rows", lambda a: transported_rows(a, ScatterPlan([3, 0, 0, 2]),
                                                     Phases(np.ones(4)), ((1, 1, 3),)),
      [(4, 3)], True),
@@ -774,15 +788,19 @@ RECORDING_CASES = [
     ("weighted_segment_sum",
      lambda v, w: weighted_segment_sum(v, w, ScatterPlan([1, 0, 1, 1]), 3),
      [(4, 2, 3), (4, 2)], True),
-    ("segment_sum", lambda a: segment_sum(a, [1, 0, 1, 1], 3), [(4, 3)], True),
-    ("segment_softmax", lambda a: segment_softmax(a, [1, 0, 1, 1], 2), [(4,)], False),
+    ("segment_sum", lambda a: segment_sum(a, ScatterPlan([1, 0, 1, 1]), 3), [(4, 3)], True),
+    ("segment_softmax", lambda a: segment_softmax(a, ScatterPlan([1, 0, 1, 1]), 2), [(4,)],
+     True),
     ("commuting_matmul", lambda a, w: commuting_matmul(a, w, _SHARED_BLOCKS, 7),
      [(4, 6), (6,)], True),
     ("commuting_scalars", lambda a, w: commuting_matmul(a, w, ((0, 0, 3, 0, 2),), 2),
      [(4, 3), (6,)], True),
     ("commuting_disjoint", lambda a, w: commuting_matmul(a, w, (), 2), [(4, 3), (0,)],
      True),
-    ("nll_loss", lambda a: nll_loss(a, [2, 0, 1, 1]), [(4, 3)], False),
+    ("nll_loss", lambda a: nll_loss(a, [2, 0, 1, 1]), [(4, 3)], True),
+    ("affine", affine, [(4, 3), (3, 2), (2,)], True),
+    ("gauge_gate", lambda x, c: gauge_gate(x, c, 1, 1e-6), [(4, 5), (2,)], True),
+    ("gauge_gate_pairs", lambda x, c: gauge_gate(x, c, 0, 1e-6), [(4, 4), (2,)], True),
 ]
 
 

@@ -11,6 +11,7 @@ checked once, on construction, and every array is read-only.
 
 import functools
 import inspect
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -26,8 +27,8 @@ from meshnet.autodiff import (
     parameter,
     segment_softmax,
     segment_sum,
-    take_rows,
     transported_rows,
+    weighted_segment_sum,
 )
 from meshnet.datasets import segmentation_spheres
 from meshnet.errors import AutodiffError, MeshValidationError
@@ -59,6 +60,12 @@ def _built(geom):
             + [p for p in PHASES if p in vars(geom)])
 
 
+def _gather(x, idx):
+    """Rows ``idx`` of ``x``: ``transported_rows`` with no pair to turn."""
+    plan = idx if isinstance(idx, ScatterPlan) else ScatterPlan(idx)
+    return transported_rows(x, plan, Phases(np.zeros(plan.idx.size)), ())
+
+
 def _settings(n):
     return settings(max_examples=n, derandomize=True, deadline=None, database=None)
 
@@ -76,11 +83,10 @@ def test_plan_scatters_match_add_at_bytewise(data):
     want = scatter_add(values, idx, n)
     plan = ScatterPlan(idx)
     assert plan.add(values, n).tobytes() == want.tobytes()
-    for seg in (idx, plan):
-        assert segment_sum(Tensor(values), seg, n).value.tobytes() == want.tobytes()
-        x = parameter(np.zeros((n,) + cols))
-        (take_rows(x, seg) * values).sum().backward()
-        assert x.grad.tobytes() == want.tobytes()
+    assert segment_sum(Tensor(values), plan, n).value.tobytes() == want.tobytes()
+    x = parameter(np.zeros((n,) + cols))
+    (_gather(x, plan) * values).sum().backward()
+    assert x.grad.tobytes() == want.tobytes()
     top = np.full((n,) + cols, -np.inf)
     np.maximum.at(top, idx, values)
     assert plan.max(values, n).tobytes() == top.tobytes()
@@ -101,45 +107,57 @@ def test_negative_scatter_index_rejected():
     x = parameter(np.ones(3))
     for idx, bad in (([-1, 2], -1), ([0, 3], 3)):
         with pytest.raises(AutodiffError, match=f"gather index {bad} is outside the 3 rows"):
-            take_rows(x, idx)
+            _gather(x, idx)
         with pytest.raises(AutodiffError, match=f"scatter index {bad} is outside the 3 rows"):
-            segment_sum(parameter(np.ones((2, 1))), idx, 3)
+            segment_sum(parameter(np.ones((2, 1))), ScatterPlan(idx), 3)
         with pytest.raises(AutodiffError, match=f"scatter index {bad} is outside the 3 rows"):
-            segment_softmax(parameter(np.ones((2, 1))), idx, 3)
+            segment_softmax(parameter(np.ones((2, 1))), ScatterPlan(idx), 3)
     # a cached plan checks each use against that use's row count
     plan = ScatterPlan([0, 2])
-    take_rows(x, plan)
+    _gather(x, plan)
     with pytest.raises(AutodiffError, match="gather index 2 is outside the 2 rows 0..1"):
-        take_rows(parameter(np.ones(2)), plan)
+        _gather(parameter(np.ones(2)), plan)
+
+
+@pytest.mark.parametrize("op, shapes", [
+    (lambda x, plan: segment_sum(x[0], plan, 2), [(5, 2)]),
+    (lambda x, plan: weighted_segment_sum(x[0], x[1], plan, 2), [(5, 2, 3), (5, 2)]),
+    (lambda x, plan: segment_softmax(x[0], plan, 2), [(2,)]),
+], ids=["segment_sum", "weighted_segment_sum", "segment_softmax"])
+def test_scatter_of_misshapen_rows_rejected(op, shapes):
+    # five rows by three indices summed rows 0-2 and dropped rows 3-4; two
+    # logits by three indices ended in a bare ValueError
+    x = [parameter(np.ones(s)) for s in shapes]
+    with pytest.raises(AutodiffError, match=re.escape(
+            f"a scatter by 3 indices got shape {shapes[0]}")):
+        op(x, ScatterPlan([0, 1, 1]))
 
 
 @pytest.mark.parametrize("idx", [[0.5, 1.0], [0.0, 1.0], [True, False], ["0", "1"]])
 def test_non_integer_index_rejected(idx):
     # a float index ended in a bare IndexError in a gather and was taken as is
-    # by a scatter; a boolean one would mask
-    x = parameter(np.ones((2, 1)))
-    for op in (take_rows, lambda x, idx: segment_sum(x, idx, 2),
-               lambda x, idx: segment_softmax(x, idx, 2)):
-        with pytest.raises(AutodiffError, match="an index must hold integers"):
-            op(x, np.array(idx))
+    # by a scatter; a boolean one would mask.  Every gather and scatter reads
+    # its index through a plan
+    with pytest.raises(AutodiffError, match="an index must hold integers"):
+        ScatterPlan(np.array(idx))
 
 
 def test_index_is_read_as_a_checked_copy():
     # a uint64 index past int64 was cast to -1, a row the caller never named; and
     # a later write to the caller's index got past the plan's bounds
     with pytest.raises(AutodiffError, match="an index must fit in int64, got 18446744073709551615"):
-        take_rows(parameter(np.arange(3.0)), np.array([2**64 - 1], dtype=np.uint64))
+        ScatterPlan(np.array([2**64 - 1], dtype=np.uint64))
     idx = np.array([0, 2])
     plan = ScatterPlan(idx)
     idx[1] = 7
-    npt.assert_array_equal(take_rows(parameter(np.arange(3.0)), plan).value, [0.0, 2.0])
+    npt.assert_array_equal(_gather(parameter(np.arange(3.0)), plan).value, [0.0, 2.0])
 
 
 def test_unsigned_index_is_taken_as_signed():
     # uint64 rows times columns plus a column made a float index in the max
     x = parameter(np.arange(6.0).reshape(2, 3))
-    idx = np.array([0, 1, 1], dtype=np.uint64)
-    npt.assert_array_equal(segment_softmax(take_rows(x, idx), idx, 2).value[0], 1.0)
+    plan = ScatterPlan(np.array([0, 1, 1], dtype=np.uint64))
+    npt.assert_array_equal(segment_softmax(_gather(x, plan), plan, 2).value[0], 1.0)
 
 
 # -- hand-built edges and angles ---------------------------------------------------
@@ -283,9 +301,8 @@ def test_forward_backward_builds_each_part_once(builds, kind, self_contribution,
     assert set(_built(geom)) == parts | set(PHASES)
     for name, plan in plans.items():
         assert sum(p is plan for p in built) == 1, name
-    # a plan made for the op, one a step: the (row, column) pick of nll_loss
-    others = [p for p in built if not any(p is q for q in plans.values())]
-    assert len(others) == 2
+    # and no plan made for an op: nll_loss picks its targets with numpy
+    assert [p for p in built if not any(p is q for q in plans.values())] == []
     tables = [entry[1:] for entry in builds if entry[0] == "phases"]
     orders = sorted(n for n in set(HIDDEN.orders) if n)
     for table in (geom.theta_phases, geom.transport_phases):
@@ -313,12 +330,12 @@ def test_permuted_geometry_holds_its_own_plan(builds):
     relabelled = _step(model, permuted, frames_p, geom_p)
     assert [entry[1] for entry in builds if entry[0] == "edges"] == [mesh.edges, permuted.edges]
     assert all(geom.edges is mesh.edges for _m, _f, geom in runs)
-    # each plan's passes once per Edges; one plan more a step, nll_loss's pick
+    # each plan's passes once per Edges, and no other plan
     built = [entry[1] for entry in builds if entry[0] == "passes"]
     for edges in (mesh.edges, permuted.edges):
         for name in ("src_plan", "dst_plan"):
             assert sum(p is getattr(edges, name) for p in built) == 1, name
-    assert len(built) == 2 * 2 + 4
+    assert len(built) == 2 * 2
     for name in PLANS:
         assert getattr(geom_p.edges, name) is not getattr(mesh.edges, name), name
     for name in PHASES:

@@ -55,8 +55,9 @@ MOVED_OR_DELETED = {
     "meshnet.representations": ("rho_matrix", "rep_block_diag"),
     "meshnet.features": ("reltan_scaling_statistics",),
     "meshnet.mesh": ("FaceGeometry",),
-    # fused into the message and attention ops of the layers
-    "meshnet.autodiff": ("take_pairs", "rotate_phase"),
+    # fused into the message and attention ops of the layers, and into the one
+    # node of each model op: no gather or column pick of its own, no plan made for an op
+    "meshnet.autodiff": ("take_pairs", "rotate_phase", "take_rows", "take_cols", "_plan"),
     "meshnet.layers": ("_transported", "_from_edge"),
     # every harness pass is mesh_pipeline then one list forward
     "meshnet.harness": ("model_logits",),
@@ -140,9 +141,17 @@ def test_deleted_members_and_parameters_stay_deleted():
         with pytest.raises(TypeError, match="rng"):
             layer(t, t)
     # the tape keeps the ops the model records: the Tensor on the left, no powers,
-    # no transpose, and reshape by separate sizes; backward alone tells a walked root
+    # no transpose, and reshape by separate sizes; backward alone tells a walked root.
+    # The gate, softmax, loss and head are one node each, so no Tensor negates,
+    # subtracts, divides, multiplies matrices or takes an exp, log, sqrt or sigmoid
     assert not [n for n in ("__radd__", "__rmul__", "__rsub__", "__rtruediv__", "__pow__",
-                            "transpose", "T", "_spent") if hasattr(Tensor, n)]
+                            "transpose", "T", "_spent", "__neg__", "__sub__", "__truediv__",
+                            "__matmul__", "exp", "log", "sqrt", "sigmoid")
+                if hasattr(Tensor, n)]
+    # a multi-head out kernel reads the head-major columns through its input index
+    t2 = meshnet.FeatureType([0, 0, 1, 1])
+    layer = meshnet.EmanAttentionLayer(t2, t2, heads=2, rng=np.random.default_rng(0))
+    assert not hasattr(layer, "out_order")
     # a feature type is built from its orders: no sums or multiples of types
     assert not [n for n in ("__add__", "__mul__", "__rmul__")
                 if hasattr(meshnet.FeatureType, n)]
@@ -154,12 +163,16 @@ def test_deleted_members_and_parameters_stay_deleted():
             left + x
         with pytest.raises(TypeError):
             left * x
-    # the model divides and multiplies matrices between Tensors only
     t = Tensor(np.ones((4, 3)))
+    for right in (2.0, np.ones((4, 3)), t):
+        with pytest.raises(TypeError):
+            t / right
+        with pytest.raises(TypeError):
+            t - right
     with pytest.raises(TypeError):
-        t / 2.0
+        t @ Tensor(np.ones((3, 2)))
     with pytest.raises(TypeError):
-        t @ np.ones((3, 2))
+        -t
     with pytest.raises(TypeError):
         x.reshape((3, 1))
 

@@ -600,6 +600,35 @@ def test_public_seeds_checked(make, error, match):
         make()
 
 
+@pytest.mark.parametrize("make, error, match", [
+    (lambda: generate_grid_patch(3, 3, "x"), MeshValidationError,
+     "height noise amplitude must hold reals, got <U1"),
+    (lambda: generate_grid_patch(3, 3, [0.1]), MeshValidationError,
+     "height noise amplitude must have shape (), got (1,)"),
+    (lambda: generate_grid_patch(3, 3, np.nan), MeshValidationError,
+     "height noise amplitude must be finite, got nan"),
+    (lambda: segmentation_spheres(1, 0, 0, "x", 0.1, 0), ConfigError,
+     "bump_amplitude must hold reals, got <U1"),
+    (lambda: segmentation_spheres(1, 0, 0, np.inf, 0.1, 0), ConfigError,
+     "bump_amplitude must be finite, got inf"),
+    (lambda: segmentation_spheres(1, 0, 0, 0.3, [0.1], 0), ConfigError,
+     "noise must have shape (), got (1,)"),
+    (lambda: classification_shapes(2, 0, 0, 0.3, "x", 0), ConfigError,
+     "noise must hold reals, got <U1"),
+    (lambda: classification_shapes(2, 0, 0, [0.3], 0.1, 0), ConfigError,
+     "bump_amplitude must have shape (), got (1,)"),
+    (lambda: classification_shapes(2, 0, 0, 0.3, -np.inf, 0), ConfigError,
+     "noise must be finite, got -inf"),
+], ids=["string_grid", "list_grid", "nan_grid", "string_segmentation", "inf_segmentation",
+        "list_segmentation", "string_classification", "list_classification",
+        "inf_classification"])
+def test_public_amplitudes_checked(make, error, match):
+    # a string ended in a bare UFuncTypeError, a list in a bare ValueError, and an
+    # infinite amplitude in a RuntimeWarning or non-finite vertices
+    with pytest.raises(error, match=re.escape(match)):
+        make()
+
+
 @pytest.mark.parametrize("layout, task, match", [
     (None, "segmentation", "does not exist"),
     ({"a.off": 0}, "segmentation", "need 2 meshes in .*, found 1"),

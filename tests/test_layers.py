@@ -4,23 +4,29 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from meshnet.autodiff import Tensor, parameter
+from meshnet import layers as layers_module
+from meshnet.autodiff import Tensor, nll_loss, parameter
+from meshnet.config import default_config, model_spec_from_config
+from meshnet.datasets import segmentation_spheres
 from meshnet.errors import ConfigError, FeatureTypeError
-from meshnet.features import feature_type_for
+from meshnet.features import compute_features, feature_type_for
 from meshnet.layers import (
     BIAS_MODES,
     EdgeGeometry,
     EmanAttentionLayer,
+    GaugeNonlinearity,
     GemConvLayer,
     _SelfKernel,
 )
 from meshnet.mesh import generate_icosphere
+from meshnet.model import build_model
 from meshnet.representations import FeatureType, init_neighbor_kernel
 from meshnet.tangent import build_frames, regauge
 
 from oracles import (
     dense_eman_forward,
     dense_gem_forward,
+    gauge_gate_pairs,
     random_test_mesh,
     regauge_coords,
     rep_block_diag,
@@ -184,6 +190,72 @@ def test_tape_keeps_per_edge_only_the_input_keys_and_values(cls, options):
         want += [(n + e, hidden.dim)] * 2  # the keys and values with the self entries
     mib = sum(a.nbytes for a in buffers) / 2**20
     assert wide == sorted(want), f"{mib:.2f} MiB of per-edge tape"
+
+
+def test_training_step_records_one_node_per_model_op(monkeypatch):
+    # each nonlinearity, attention softmax, dense layer and the loss is one node on
+    # its inputs, and of the (V, target_dim) buffers the tape keeps only the logits
+    # and the loss's exponentials (generic chains kept four)
+    config = default_config()
+    data = segmentation_spheres(1, 0, 1, seed=3)
+    model = build_model(model_spec_from_config(config, target_dim=data.target_dim,
+                                               task=data.task), 3)
+    sample = data.train[0]
+    frames = build_frames(sample.mesh)
+    field = compute_features(config.model["features"], sample.mesh, frames,
+                             config.model["reltan_powers"])
+    calls = []
+
+    def recorded(op, operands):
+        def call(x, *args):
+            out = op(x, *args)
+            calls.append((out, (x,) + tuple(operands(*args))))
+            return out
+        return call
+
+    nonlinearities = [model.entry_nl] + [nl for block in model.blocks for nl in block[1::2]]
+    for nl in nonlinearities:
+        nl.forward = recorded(nl.forward, lambda nl=nl: (nl.c,))
+    for dense in (model.dense1, model.dense2):
+        dense.forward = recorded(dense.forward, lambda dense=dense: (dense.W, dense.b))
+    monkeypatch.setattr(layers_module, "segment_softmax",
+                        recorded(layers_module.segment_softmax, lambda plan, n: ()))
+    logits = model.forward(field, EdgeGeometry.from_frames(frames), train=True,
+                           rng=np.random.default_rng(0))
+    loss = nll_loss(logits, sample.label)
+    eman_layers = 2 + 2 * len(model.blocks)
+    assert len(calls) == len(nonlinearities) + 2 + eman_layers
+    for out, operands in calls + [(loss, (logits,))]:
+        assert len(out._parents) == len(operands)
+        assert all(p is q for p, q in zip(out._parents, operands))
+    shape = logits.shape
+    assert shape == (sample.mesh.n_vertices, data.target_dim)
+    assert len([a for a in _edge_row_buffers(loss, shape[0]) if a.shape == shape]) == 2
+
+
+@pytest.mark.parametrize("ftype", ["rho0+rho1", "3xrho0", "2xrho1+rho2", "2xrho0+rho1+rho3"])
+def test_gauge_nonlinearity_matches_the_loop(ftype):
+    # scalar-only, pair-only and mixed types, against a loop over the pairs
+    ftype = FeatureType.parse(ftype)
+    rng = np.random.default_rng(7)
+    nl = GaugeNonlinearity(ftype)
+    c = rng.standard_normal(0 if nl.c is None else nl.c.shape[0])
+    if nl.c is not None:
+        nl.c.value[:] = c
+    x = rng.standard_normal((6, ftype.dim))
+    npt.assert_allclose(nl.forward(Tensor(x)).value,
+                        gauge_gate_pairs(x, c, ftype.n_scalars, nl.EPS), rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("ftype, shape", [("rho0+rho1", (4, 5)), ("rho0+rho1", (3,)),
+                                          ("3xrho0", (4, 2))])
+def test_gauge_nonlinearity_needs_its_type(ftype, shape):
+    # a misshapen input ended in a bare ValueError from a reshape
+    ftype = FeatureType.parse(ftype)
+    with pytest.raises(FeatureTypeError, match=re.escape(
+            f"nonlinearity expects features of type {ftype}, {ftype.dim} columns, "
+            f"got shape {shape}")):
+        GaugeNonlinearity(ftype).forward(Tensor(np.ones(shape)))
 
 
 @pytest.mark.parametrize("cls, options", [(GemConvLayer, {}), (EmanAttentionLayer, {}),

@@ -470,6 +470,15 @@ class TestValidation:
         for a in (perm.forward, perm.inverse, ambient.rotation, ambient.translation):
             assert not a.flags.writeable
 
+    @pytest.mark.parametrize("rows", [5, 2, 0])
+    def test_permutation_needs_one_row_per_index(self, rows):
+        # five rows came back as three, and two ended in a bare IndexError
+        perm = Permutation([1, 0, 2])
+        for apply in (perm.permute_rows, perm.unpermute_rows):
+            with pytest.raises(TransformError, match=re.escape(
+                    f"a permutation of 3 rows got shape ({rows}, 2)")):
+                apply(np.ones((rows, 2)))
+
     @pytest.mark.parametrize("make, error, match", [
         # float indices were truncated: faces + 0.9 built the mesh of the faces
         (lambda: Mesh(np.eye(3), [[0.9, 1.9, 2.9]]), MeshValidationError,

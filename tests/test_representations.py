@@ -58,6 +58,12 @@ class TestFeatureType:
             with pytest.raises(FeatureTypeError):
                 FeatureType.parse(text)
 
+    def test_parse_needs_a_string(self):
+        # None ended in a bare AttributeError
+        for text in (None, 3, ["rho0"]):
+            with pytest.raises(FeatureTypeError, match="a feature type must be a string"):
+                FeatureType.parse(text)
+
     def test_component_bound(self):
         # 10^6 scalars took about 2 s and 92 MiB to build before the bound
         assert FeatureType.parse(f"{MAX_COMPONENTS}xrho0").n_components == MAX_COMPONENTS
