@@ -6,11 +6,14 @@ topological order.  The op set is exactly what the model records: ``+`` and
 ``*`` with the Tensor on the left (numpy broadcasting), ``reshape(*shape)``,
 the elementwise relu, sum and mean, concatenation, segment sums, the
 order-by-order product ``commuting_matmul`` of a self kernel, the fused
-message and attention ops (below), and one node per model op: the gate
-``gauge_gate``, ``segment_softmax``, ``nll_loss`` and the dense head's
-``affine``; no higher-order derivatives.  A Tensor has no reflected
-operators and ``__array_ufunc__ = None``, so ``2.0 * t`` and ``ndarray + t``
-raise ``TypeError`` rather than record; it has no ``-``, ``/`` or ``@``.
+message ops (below), and one node per model op: ``attention_weights``, the
+value sum ``weighted_segment_sum``, the gate ``gauge_gate``, ``nll_loss``
+and the dense head's ``affine``; no higher-order derivatives.  Tensor x
+Tensor ``*`` and ``sum`` serve the benchmark's per-layer probe, which runs
+``(y * y).sum().backward()`` on a layer's output.  A Tensor has no
+reflected operators and ``__array_ufunc__ = None``, so ``2.0 * t`` and
+``ndarray + t`` raise ``TypeError`` rather than record; it has no ``-``,
+``/`` or ``@``.
 
 Recording rule: every op computes its forward value once and returns it
 through ``_node``, which records the op (its Tensor operands, in order, and
@@ -24,7 +27,7 @@ fresh arrays.  So a VJP owns its ``g``, and the fused message adjoints turn it
 in place.
 
 Scatters (the adjoints of the gathers, the forwards of ``segment_sum``,
-``weighted_segment_sum`` and ``segment_softmax``) go through a ``ScatterPlan``
+``weighted_segment_sum`` and ``attention_weights``) go through a ``ScatterPlan``
 that the caller keeps.  Sorted once, stably, it adds ``g[pos_j]`` to
 ``out[rows_j]`` in pass j, from zeros, so each row adds its entries in
 ascending k, as ``np.add.at`` does: the results are bit-identical to it.  Its
@@ -35,10 +38,9 @@ index.
 Per-edge rotations are phases: ``_turn`` multiplies each order-n block of
 pair columns, read as complex128, by ``exp(i n angle_e)`` in place, from a
 ``Phases`` table that the geometry keeps.  The fused ops
-``transported_rows``, ``turned_product``, ``gathered_dot`` and
-``weighted_segment_sum``, and the model ops, keep only what their adjoints
-read; each runs the numpy operations of the generic chain it replaces, in
-order, and its adjoint rounds as the chain's did, bit for bit.
+``transported_rows`` and ``turned_product``, and the model ops, keep only what
+their adjoints read; each runs the numpy operations of the generic chain it
+replaces, in order, and its adjoint rounds as the chain's did, bit for bit.
 A self kernel uses the same view: ``commuting_matmul`` multiplies each
 order's block by one matrix, real on the scalars and complex on the pairs.
 
@@ -69,7 +71,6 @@ __all__ = [
     "concat",
     "commuting_matmul",
     "segment_sum",
-    "segment_softmax",
     "nll_loss",
     "affine",
     "gauge_gate",
@@ -367,29 +368,40 @@ def turned_product(u: Tensor, w: Tensor, phases: Phases, blocks, shape) -> Tenso
     return _node(_turn((u.value @ w.value.T).reshape(shape), phases, blocks), (u, w), vjp)
 
 
-def gathered_dot(k: Tensor, q: Tensor, plan: ScatterPlan, scale: float) -> Tensor:
-    """``scale`` times the dot of ``k[e, h]`` with ``q[plan.idx[e], h]`` over the last
-    axis; the adjoint gathers the rows of ``q`` again rather than keep them."""
+def attention_weights(k: Tensor, q: Tensor, plan: ScatterPlan, n_segments: int,
+                      scale: float) -> Tensor:
+    """Softmax within each segment ``plan.idx`` of ``scale`` times the dot of ``k[e, h]`` with
+    ``q[plan.idx[e], h]``, each column shifted by its segment max.  The node keeps the
+    exponentials ``e`` and their segment sums ``s``; the adjoint runs the softmax's,
+    ``(g / s + scatter(-g e / s^2)) e``, then the dot's, gathering ``s`` and ``q`` again."""
+    plan.check(n_segments, "scatter", k.value)
     n = q.value.shape[0]
     plan.check(n, "gather")
+    logits = (k.value * q.value[plan.idx]).sum(axis=-1) * scale
+    e = np.exp(logits - plan.max(logits, n_segments)[plan.idx])
+    s = plan.add(e, n_segments)
 
     def vjp(g):
+        si = s[plan.idx]
+        g = (g / si + plan.add(-g * e / (si * si), n_segments)[plan.idx]) * e
         g = np.expand_dims(g * scale, -1)
         return g * q.value[plan.idx], plan.add(g * k.value, n)
 
-    return _node((k.value * q.value[plan.idx]).sum(axis=-1) * scale, (k, q), vjp)
+    return _node(e / s[plan.idx], (k, q), vjp)
 
 
-def weighted_segment_sum(v: Tensor, w: Tensor, plan: ScatterPlan, n_segments: int) -> Tensor:
+def weighted_segment_sum(v: Tensor, w: Tensor, plan: ScatterPlan, size) -> Tensor:
     """Rows of ``v``, each last-axis slice ``v[e, h]`` times ``w[e, h]``, summed into
-    segments ``plan.idx``; the weighted rows are not kept."""
+    segments ``plan.idx``, one flat row per segment times its entry of the (n, 1) column
+    ``size``; the weighted rows and the unscaled sums are not kept."""
+    n = size.shape[0]
     w3 = w.value[..., None]
 
     def vjp(g):
-        g = g[plan.idx]
+        g = (g * size).reshape((n,) + v.value.shape[1:])[plan.idx]
         return g * w3, _unbroadcast(g * v.value, w3.shape).reshape(w.value.shape)
 
-    return _node(plan.add(v.value * w3, n_segments), (v, w), vjp)
+    return _node(plan.add(v.value * w3, n).reshape(n, -1) * size, (v, w), vjp)
 
 
 def commuting_matmul(x: Tensor, w: Tensor, blocks, out_dim: int, in_cols=None) -> Tensor:
@@ -436,20 +448,6 @@ def segment_sum(x: Tensor, plan: ScatterPlan, n_segments: int) -> Tensor:
     return _node(plan.add(x.value, n_segments), (x,), lambda g: (g[plan.idx],))
 
 
-def segment_softmax(logits: Tensor, plan: ScatterPlan, n_segments: int) -> Tensor:
-    """Softmax of each column within each segment ``plan.idx``, shifted by the segment
-    max; the node keeps the exponentials ``e`` and their segment sums ``s``, and its
-    adjoint is ``(g / s + scatter(-g e / s^2)) e``, the sums gathered again."""
-    e = np.exp(logits.value - plan.max(logits.value, n_segments)[plan.idx])
-    s = plan.add(e, n_segments)
-
-    def vjp(g):
-        si = s[plan.idx]
-        return ((g / si + plan.add(-g * e / (si * si), n_segments)[plan.idx]) * e,)
-
-    return _node(e / s[plan.idx], (logits,), vjp)
-
-
 def nll_loss(logits: Tensor, targets) -> Tensor:
     """Mean negative log-likelihood of integer targets under 2-D logits' row softmax;
     the node keeps the shifted exponentials ``e`` and their row sums ``s``, and its
@@ -489,21 +487,23 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def gauge_gate(x: Tensor, c: Tensor, m: int, eps: float) -> Tensor:
     """ReLU of the first ``m`` columns of ``x``; each pair f_j after them times
-    ``sigmoid(|f_j| + c_j) / (|f_j| + eps)``, ``|f_j| = sqrt(f_j . f_j + 1e-60)``.  As
-    in the chain it replaces, the pair gradient adds ``g gate``, then twice the norm's
-    term, and with scalars the two zero-padded parts are summed (-0.0 becomes 0.0)."""
+    ``sigmoid(|f_j| + c_j) / (|f_j| + eps)``, ``|f_j| = sqrt(f_j . f_j + 1e-60)``, kept with
+    the sigmoids.  As in the chain it replaced, the pair gradient adds ``g gate``, then twice
+    the norm's term, and with scalars the zero-padded parts are summed (-0.0 becomes 0.0)."""
     xv = x.value
     n, k = xv.shape[0], c.value.shape[0]
-    mask = (xv[:, :m] > 0).astype(np.float64)
     vec = xv[:, m:].reshape(n, k, 2)
     nrm = np.sqrt((vec * vec).sum(axis=2) + 1e-60)
     a = nrm + c.value
     ea = np.exp(-np.abs(a))
     sig = np.where(a >= 0, 1.0 / (1.0 + ea), ea / (1.0 + ea))
-    d = nrm + eps
-    gate = (sig / d)[..., None]
+
+    def parts():  # the scalars' ReLU mask, |f| + eps and the gate
+        d = nrm + eps
+        return (xv[:, :m] > 0).astype(np.float64), d, (sig / d)[..., None]
 
     def vjp(g):
+        mask, d, gate = parts()
         gv = g[:, m:].reshape(n, k, 2)
         g_gate = (gv * vec).sum(axis=2)
         g_a = g_gate / d * sig * (1.0 - sig)
@@ -513,6 +513,7 @@ def gauge_gate(x: Tensor, c: Tensor, m: int, eps: float) -> Tensor:
             gx += 0.0
         return gx, g_a.sum(axis=0)
 
+    mask, _d, gate = parts()
     out = np.concatenate([xv[:, :m] * mask, (vec * gate).reshape(n, -1)], axis=1)
     return _node(out, (x, c), vjp)
 

@@ -3,12 +3,13 @@
 Subcommands: ``gen-mesh``, ``features``, ``eqgap``, ``train`` and ``eval``.
 All take ``--config <path>`` (key=value file with [section] headers; omitted
 means all defaults) and ``--out <path>``; ``gen-mesh`` writes OFF or OBJ, as
-the extension of its ``--out`` says.  On failure -- a library error or
-a file that cannot be written -- a machine-readable error JSON is printed to
-stdout and the exit code is nonzero.  ``MESHNET_SEED`` overrides the
-configured seed.  ``train`` writes ``<out>.ckpt``, one ``.npz`` record of the
-named parameters, the format version and the config hash; ``eval`` reads the
-record named by ``--checkpoint`` and checks it against its own config.
+the extension of its ``--out`` says.  On failure -- a library error, a file
+that cannot be written, or memory that cannot be had -- a machine-readable
+error JSON is printed to stdout and the exit code is nonzero.
+``MESHNET_SEED`` overrides the configured seed.  ``train`` writes
+``<out>.ckpt``, one ``.npz`` record of the named parameters, the format
+version and the config hash; ``eval`` reads the record named by
+``--checkpoint`` and checks it against its own config.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def main(argv=None) -> int:
             _write_json(metrics, args.out)
         elif args.command == "eval":
             _write_json(evaluate(cfg, checkpoint=args.checkpoint), args.out)
-    except (MeshNetError, OSError) as exc:
+    except (MeshNetError, OSError, MemoryError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(error))
         if args.out and args.command != "gen-mesh":

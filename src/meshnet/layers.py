@@ -18,7 +18,7 @@ order-n block of pairs, read as complex numbers, is multiplied by
 neighbor kernel's parameter is the dense matrix ``K(0)`` itself.
 The gather by ``src`` and the scatter by ``dst`` read the plans of the
 mesh's ``Edges``, and both rotations phase tables of the geometry, each
-built once.  Attention's logits and weighted sum are fused ops too, so per
+built once.  Attention's weights and value sum are one node each, so per
 edge the tape keeps only the transported input, the keys and the values.
 
 Equivariance ingredients:
@@ -54,12 +54,11 @@ import numpy as np
 from .autodiff import (
     Tensor,
     affine,
+    attention_weights,
     commuting_matmul,
     concat,
     gauge_gate,
-    gathered_dot,
     parameter,
-    segment_softmax,
     segment_sum,
     transported_rows,
     turned_product,
@@ -251,9 +250,8 @@ class EmanAttentionLayer:
         if self.self_contribution:
             K = concat([self.self_key_kernel(x).reshape(-1, h, d), K])
             V = concat([self.self_value_kernel(x).reshape(-1, h, dv), V])
-        alpha = segment_softmax(gathered_dot(K, Q, seg, 1.0 / np.sqrt(d)), seg, n)
-        out = weighted_segment_sum(V, alpha, seg, n).reshape(n, -1)
-        return out * size, alpha
+        alpha = attention_weights(K, Q, seg, n, 1.0 / np.sqrt(d))
+        return weighted_segment_sum(V, alpha, seg, size), alpha
 
     def forward(self, x: Tensor, geom: EdgeGeometry) -> Tensor:
         out = self._attend(x, geom)[0]

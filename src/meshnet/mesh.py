@@ -54,6 +54,7 @@ __all__ = [
     "vertex_normals",
     "generate_icosphere",
     "generate_grid_patch",
+    "MAX_GENERATED_VERTICES",
 ]
 
 
@@ -507,15 +508,24 @@ _ICO_FACES = np.array(
 )
 
 
+# the vertices a generator may build, checked before it allocates: ico8's 655362 fit,
+# and one step more (2621442) is refused
+MAX_GENERATED_VERTICES = 1 << 20
+
+
 def generate_icosphere(subdivisions: int = 0) -> Mesh:
     """Unit icosphere: icosahedron plus midpoint subdivision.
 
     Every subdivision level replaces each face by four and projects new
-    vertices onto the unit sphere (V' = V + E, F' = 4F).
+    vertices onto the unit sphere (V' = V + E, F' = 4F), so V = 10 * 4^k + 2,
+    at most ``MAX_GENERATED_VERTICES``.
     """
     subdivisions = _kept(subdivisions, np.int64, (), MeshValidationError, "subdivisions")
     if subdivisions < 0:
         raise MeshValidationError(f"subdivisions must be >= 0, got {subdivisions}")
+    if 10 * 4 ** min(int(subdivisions), 32) + 2 > MAX_GENERATED_VERTICES:
+        raise MeshValidationError(f"{subdivisions} subdivisions make 10 * 4^{subdivisions} + 2 "
+                                  f"vertices, more than {MAX_GENERATED_VERTICES}")
     verts = _ICO_VERTICES / np.linalg.norm(_ICO_VERTICES, axis=1, keepdims=True)
     faces = _ICO_FACES.copy()
     for _ in range(subdivisions):
@@ -541,7 +551,8 @@ def _subdivide_midpoint(verts, faces):
 
 def generate_grid_patch(rows: int, cols: int, height_noise_amplitude: float = 0.0,
                         rng_seed: int = 0) -> Mesh:
-    """Triangulated height field over a unit-spaced ``rows`` x ``cols`` grid.
+    """Triangulated height field over a unit-spaced ``rows`` x ``cols`` grid, of at most
+    ``MAX_GENERATED_VERTICES`` vertices.
 
     Heights are ``amplitude * U(-1, 1)`` per vertex (a finite amplitude), deterministic
     for a fixed seed, an integer >= 0.  The patch has boundary vertices (open fans).
@@ -549,6 +560,9 @@ def generate_grid_patch(rows: int, cols: int, height_noise_amplitude: float = 0.
     rows, cols = (_kept(n, np.int64, (), MeshValidationError, "grid size") for n in (rows, cols))
     if rows < 2 or cols < 2:
         raise MeshValidationError(f"rows and cols must both be >= 2, got {rows} x {cols}")
+    if (n := int(rows) * int(cols)) > MAX_GENERATED_VERTICES:
+        raise MeshValidationError(f"a {rows} x {cols} grid has {n} vertices, "
+                                  f"more than {MAX_GENERATED_VERTICES}")
     amplitude = _kept(height_noise_amplitude, np.float64, (), MeshValidationError,
                       "height noise amplitude", finite=True)
     if (rng_seed := _kept(rng_seed, np.int64, (), MeshValidationError, "seed")) < 0:

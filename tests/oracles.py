@@ -22,9 +22,10 @@ has no neighbors.
 array mesh generators are tested against.
 ``reference_parse_off`` reads an OFF file one token at a time, the
 reference for the block-at-once numpy reader of ``meshnet.mesh``.
-``segment_softmax_loop``, ``nll_loss_rows``, ``affine_rows`` and
+``attention_weights_loop`` (one dot per edge and head, then
+``segment_softmax_loop``), ``nll_loss_rows``, ``affine_rows`` and
 ``gauge_gate_pairs`` compute the model ops of ``meshnet.autodiff`` one
-segment, row or pair at a time.
+edge, segment, row or pair at a time.
 
 The scalar tangent references -- ``wrap_angle``, ``tangent_projector``,
 ``log_map``, ``theta_angle`` and ``transport_angle`` -- compute one vertex or
@@ -398,6 +399,14 @@ def segment_softmax_loop(values, idx, n):
             e = np.exp(values[rows] - values[rows].max(axis=0))
             out[rows] = e / e.sum(axis=0)
     return out
+
+
+def attention_weights_loop(k, q, idx, n, scale):
+    """Per edge e and head h, ``scale`` times the dot of ``k[e, h]`` with ``q[idx[e], h]``,
+    then each head's softmax within each of n segments."""
+    logits = np.array([[scale * (k[e, h] @ q[i, h]) for h in range(k.shape[1])]
+                       for e, i in enumerate(idx)]).reshape(len(idx), k.shape[1])
+    return segment_softmax_loop(logits, idx, n)
 
 
 def nll_loss_rows(logits, targets):

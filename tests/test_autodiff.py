@@ -13,13 +13,12 @@ from meshnet.autodiff import (
     ScatterPlan,
     Tensor,
     affine,
+    attention_weights,
     commuting_matmul,
     concat,
-    gathered_dot,
     gauge_gate,
     nll_loss,
     parameter,
-    segment_softmax,
     segment_sum,
     transported_rows,
     turned_product,
@@ -29,19 +28,18 @@ from meshnet.config import default_config, model_spec_from_config, parse_config
 from meshnet.datasets import segmentation_spheres
 from meshnet.errors import AutodiffError, EmptyNeighborhoodError
 from meshnet.features import GeometricFeatureField, compute_features
-from meshnet.layers import EdgeGeometry
 from meshnet.mesh import generate_icosphere
 from meshnet.model import build_model
 from meshnet.representations import FeatureType
-from meshnet.tangent import build_frames
+from meshnet.tangent import EdgeGeometry, build_frames
 from oracles import (
     affine_rows,
+    attention_weights_loop,
     gauge_gate_pairs,
     isolated_vertex_geometry,
     nll_loss_rows,
     rep_block_diag,
     scatter_add,
-    segment_softmax_loop,
 )
 
 
@@ -79,13 +77,15 @@ class TestBackwardBasics:
         npt.assert_allclose(x.grad, 6.0)
 
     def test_softmax_shift_invariance_gradient(self):
-        # loss built on a softmax is flat along the all-ones direction
+        # loss built on a softmax is flat along the all-ones direction of the
+        # logits: with one query, the keys' gradients sum to zero
         rng = np.random.default_rng(0)
-        v = parameter(rng.standard_normal(6))
-        c = rng.standard_normal(6)
+        k = parameter(rng.standard_normal((6, 1, 3)))
+        c = rng.standard_normal((6, 1))
         seg = ScatterPlan(np.zeros(6, dtype=int))
-        (segment_softmax(v, seg, 1) * c).sum().backward()
-        npt.assert_allclose(v.grad.sum(), 0.0, atol=1e-12)
+        (attention_weights(k, Tensor(rng.standard_normal((1, 1, 3))), seg, 1, 0.5) * c
+         ).sum().backward()
+        npt.assert_allclose(k.grad.sum(axis=0), 0.0, atol=1e-12)
 
     def test_unreached_parameters_keep_zero_grad(self):
         a, b = parameter(2.0), parameter(5.0)
@@ -236,35 +236,42 @@ class TestOperatorGradients:
         check_gradients(loss, [a, b], rng)
 
     def test_segment_softmax(self):
+        # the attention weights' softmax within each segment, both operands' gradients
         rng = self.rng
-        s = parameter(rng.standard_normal(12))
+        k = parameter(rng.standard_normal((12, 1, 2)))
+        q = parameter(rng.standard_normal((3, 1, 2)))
         seg = ScatterPlan(np.sort(rng.integers(0, 3, 12)))
-        w = rng.standard_normal(12)
+        w = rng.standard_normal((12, 1))
 
         def loss():
-            return (segment_softmax(s, seg, 3) * w).sum()
+            return (attention_weights(k, q, seg, 3, 0.5) * w).sum()
 
-        check_gradients(loss, [s], rng)
+        check_gradients(loss, [k, q], rng)
 
     def test_segment_softmax_rows_sum_to_one(self):
         rng = self.rng
-        s = Tensor(rng.standard_normal(30) * 10)
         seg = np.sort(rng.integers(0, 7, 30))
-        alpha = segment_softmax(s, ScatterPlan(seg), 7).value
+        alpha = attention_weights(Tensor(rng.standard_normal((30, 1, 4)) * 10),
+                                  Tensor(rng.standard_normal((7, 1, 4))), ScatterPlan(seg),
+                                  7, 1.0).value[:, 0]
         sums = np.zeros(7)
         np.add.at(sums, seg, alpha)
         present = np.unique(seg)
         npt.assert_allclose(sums[present], 1.0, atol=1e-12)
 
     def test_segment_softmax_of_columns(self):
-        # each column is its own softmax, shifted by its own segment max: a
+        # each head's column is its own softmax, shifted by its own segment max: a
         # column far above the other would underflow a shared shift
         rng = self.rng
-        s = rng.standard_normal((30, 3)) + [0.0, 1000.0, -1000.0]
+        # logit s + offset of each head, as the dot of (s, 1) with (1, offset)
+        s = rng.standard_normal((30, 3))
+        k = np.stack([s, np.ones_like(s)], axis=-1)
+        q = np.broadcast_to([[1.0, 0.0], [1.0, 1000.0], [1.0, -1000.0]], (7, 3, 2))
         seg = ScatterPlan(rng.permutation(np.arange(30) % 7))
-        alpha = segment_softmax(Tensor(s), seg, 7).value
+        alpha = attention_weights(Tensor(k), Tensor(q), seg, 7, 1.0).value
         for j in range(3):
-            npt.assert_array_equal(alpha[:, j], segment_softmax(Tensor(s[:, j]), seg, 7).value)
+            npt.assert_array_equal(alpha[:, j], attention_weights(
+                Tensor(k[:, j:j + 1]), Tensor(q[:, j:j + 1]), seg, 7, 1.0).value[:, 0])
 
     def test_commuting_matmul(self):
         # 2xrho0+rho1+rho2 -> rho0+2xrho1+rho3: orders 0 and 1 are shared
@@ -351,6 +358,7 @@ class TestRotatePairs:
 
 
 _PLAN, _PHASES = ScatterPlan([2, 0, 1, 1, 4, 0, 2]), Phases(np.arange(7.0))
+_SIZE = np.array([[2.0], [2.0], [2.0], [0.0], [1.0], [0.0]])  # the segments' sizes
 
 
 class TestFusedOps:
@@ -380,24 +388,18 @@ class TestFusedOps:
                    lambda x: transported_rows(x, ScatterPlan(np.arange(7)), angles, blocks),
                    [self.rng.standard_normal((5, 5))], gathered=(0,))
 
-    def test_gathered_dot(self):
-        self._same(lambda k, q: gathered_dot(k, q, _PLAN, 0.5),
-                   lambda k, q: (k * q).sum(axis=2) * 0.5,
-                   [self.rng.standard_normal((7, 2, 3)), self.rng.standard_normal((5, 2, 3))],
-                   gathered=(1,))
-
     def test_weighted_segment_sum(self):
-        self._same(lambda v, a: weighted_segment_sum(v, a, _PLAN, 6),
-                   lambda v, a: segment_sum(v * a.reshape(-1, 2, 1), _PLAN, 6),
+        self._same(lambda v, a: weighted_segment_sum(v, a, _PLAN, _SIZE),
+                   lambda v, a: segment_sum(v * a.reshape(-1, 2, 1), _PLAN, 6).reshape(6, -1)
+                   * _SIZE,
                    [self.rng.standard_normal((7, 2, 3)), self.rng.standard_normal((7, 2))])
 
     @pytest.mark.parametrize("op, shapes", [
         (lambda x: transported_rows(x, _PLAN, _PHASES, ((1, 1, 5),)), [(5, 5)]),
         (lambda u, w: turned_product(u, w, _PHASES, ((2, 1, 3),), (-1, 2, 3)),
          [(7, 4), (6, 4)]),
-        (lambda k, q: gathered_dot(k, q, _PLAN, 0.5), [(7, 2, 3), (5, 2, 3)]),
-        (lambda v, a: weighted_segment_sum(v, a, _PLAN, 6), [(7, 2, 3), (7, 2)]),
-    ], ids=["transported_rows", "turned_product", "gathered_dot", "weighted_segment_sum"])
+        (lambda v, a: weighted_segment_sum(v, a, _PLAN, _SIZE), [(7, 2, 3), (7, 2)]),
+    ], ids=["transported_rows", "turned_product", "weighted_segment_sum"])
     def test_gradient(self, op, shapes):
         rng = self.rng
         params = [parameter(rng.standard_normal(s)) for s in shapes]
@@ -414,9 +416,9 @@ class TestFusedOps:
         x = parameter(np.ones((4, 3)))
         with pytest.raises(AutodiffError, match="gather index 4 is outside the 4 rows"):
             transported_rows(x, ScatterPlan([0, 4]), Phases(np.zeros(2)), ((1, 1, 3),))
-        with pytest.raises(AutodiffError, match="gather index -1 is outside the 4 rows"):
-            gathered_dot(parameter(np.ones((2, 1, 3))), x.reshape(4, 1, 3), ScatterPlan([0, -1]),
-                         1.0)
+        with pytest.raises(AutodiffError, match="gather index 4 is outside the 4 rows"):
+            attention_weights(parameter(np.ones((2, 1, 3))), x.reshape(4, 1, 3),
+                              ScatterPlan([0, 4]), 5, 1.0)
 
 
 # (name, op, reference, operand shapes): the one-node ops of the model, with the
@@ -427,10 +429,11 @@ MODEL_OPS = [
      lambda x, c: gauge_gate_pairs(x, c, 2, 1e-6), [(6, 8), (3,)]),
     ("gauge_gate_pairs", lambda x, c: gauge_gate(x, c, 0, 1e-6),
      lambda x, c: gauge_gate_pairs(x, c, 0, 1e-6), [(6, 4), (2,)]),
-    ("segment_softmax", lambda s: segment_softmax(s, ScatterPlan(_SEGMENTS), 5),
-     lambda s: segment_softmax_loop(s, _SEGMENTS, 5), [(8,)]),
-    ("segment_softmax_columns", lambda s: segment_softmax(s * 10.0, ScatterPlan(_SEGMENTS), 5),
-     lambda s: segment_softmax_loop(s * 10.0, _SEGMENTS, 5), [(8, 3)]),
+    ("attention_weights", lambda k, q: attention_weights(k, q, ScatterPlan(_SEGMENTS), 5, 0.5),
+     lambda k, q: attention_weights_loop(k, q, _SEGMENTS, 5, 0.5), [(8, 1, 3), (5, 1, 3)]),
+    ("attention_weights_heads",
+     lambda k, q: attention_weights(k, q, ScatterPlan(_SEGMENTS), 5, 10.0),
+     lambda k, q: attention_weights_loop(k, q, _SEGMENTS, 5, 10.0), [(8, 3, 2), (5, 3, 2)]),
     ("nll_loss", lambda a: nll_loss(a, [2, 0, 1, 1, 0]),
      lambda a: nll_loss_rows(a, [2, 0, 1, 1, 0]), [(5, 3)]),
     ("nll_loss_one_row", lambda a: nll_loss(a * 5.0, [1]),
@@ -783,14 +786,13 @@ RECORDING_CASES = [
     ("turned_product", lambda u, w: turned_product(u, w, Phases(np.ones(4)), ((1, 1, 3),),
                                                    (-1, 3)),
      [(4, 2), (3, 2)], True),
-    ("gathered_dot", lambda k, q: gathered_dot(k, q, ScatterPlan([1, 0, 1, 1]), 0.5),
+    ("attention_weights",
+     lambda k, q: attention_weights(k, q, ScatterPlan([1, 0, 1, 1]), 2, 0.5),
      [(4, 2, 3), (2, 2, 3)], True),
     ("weighted_segment_sum",
-     lambda v, w: weighted_segment_sum(v, w, ScatterPlan([1, 0, 1, 1]), 3),
+     lambda v, w: weighted_segment_sum(v, w, ScatterPlan([1, 0, 1, 1]), np.ones((3, 1))),
      [(4, 2, 3), (4, 2)], True),
     ("segment_sum", lambda a: segment_sum(a, ScatterPlan([1, 0, 1, 1]), 3), [(4, 3)], True),
-    ("segment_softmax", lambda a: segment_softmax(a, ScatterPlan([1, 0, 1, 1]), 2), [(4,)],
-     True),
     ("commuting_matmul", lambda a, w: commuting_matmul(a, w, _SHARED_BLOCKS, 7),
      [(4, 6), (6,)], True),
     ("commuting_scalars", lambda a, w: commuting_matmul(a, w, ((0, 0, 3, 0, 2),), 2),

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from meshnet import cli
 from meshnet.cli import main
 from meshnet.mesh import generate_icosphere, load_mesh
 from test_mesh import BAD_TOKENS, TETRA_OFF
@@ -252,6 +253,31 @@ def test_unwritable_out_is_a_json_error(tmp_path, capsys, command):
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "FileNotFoundError"
     assert "missing" in error["message"]
+
+
+def test_oversize_grid_is_a_json_error(tmp_path, capsys):
+    # the grid is refused before it is built, and no file is written
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("[mesh]\ngenerator = grid_patch\nrows = 1000000\ncols = 1000000\n")
+    out = tmp_path / "g.off"
+    assert main(["gen-mesh", "--config", str(cfg), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "MeshValidationError"
+    assert "1000000000000 vertices" in error["message"]
+    assert not out.exists()
+
+
+def test_memory_error_is_a_json_error(tmp_path, capsys, monkeypatch):
+    # an allocation numpy refuses (a dense head of 10^9 units) ended in a
+    # traceback and an empty stdout; here the report raises it without allocating
+    def unable(cfg):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+    monkeypatch.setattr(cli, "equivariance_gap", unable)
+    assert main(["eqgap", "--out", str(tmp_path / "gap.json")]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "MemoryError", "message": "Unable to allocate 7.45 GiB for an array"}
+    assert json.loads((tmp_path / "gap.json").read_text())["error"] == error
 
 
 def test_gen_mesh_without_out_is_a_json_error(capsys):

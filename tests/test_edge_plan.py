@@ -23,9 +23,9 @@ from meshnet.autodiff import (
     Phases,
     ScatterPlan,
     Tensor,
+    attention_weights,
     nll_loss,
     parameter,
-    segment_softmax,
     segment_sum,
     transported_rows,
     weighted_segment_sum,
@@ -111,7 +111,8 @@ def test_negative_scatter_index_rejected():
         with pytest.raises(AutodiffError, match=f"scatter index {bad} is outside the 3 rows"):
             segment_sum(parameter(np.ones((2, 1))), ScatterPlan(idx), 3)
         with pytest.raises(AutodiffError, match=f"scatter index {bad} is outside the 3 rows"):
-            segment_softmax(parameter(np.ones((2, 1))), ScatterPlan(idx), 3)
+            attention_weights(parameter(np.ones((2, 1, 1))), parameter(np.ones((3, 1, 1))),
+                              ScatterPlan(idx), 3, 1.0)
     # a cached plan checks each use against that use's row count
     plan = ScatterPlan([0, 2])
     _gather(x, plan)
@@ -121,12 +122,13 @@ def test_negative_scatter_index_rejected():
 
 @pytest.mark.parametrize("op, shapes", [
     (lambda x, plan: segment_sum(x[0], plan, 2), [(5, 2)]),
-    (lambda x, plan: weighted_segment_sum(x[0], x[1], plan, 2), [(5, 2, 3), (5, 2)]),
-    (lambda x, plan: segment_softmax(x[0], plan, 2), [(2,)]),
-], ids=["segment_sum", "weighted_segment_sum", "segment_softmax"])
+    (lambda x, plan: weighted_segment_sum(x[0], x[1], plan, np.ones((2, 1))),
+     [(5, 2, 3), (5, 2)]),
+    (lambda x, plan: attention_weights(x[0], x[1], plan, 2, 1.0), [(2, 1, 3), (2, 1, 3)]),
+], ids=["segment_sum", "weighted_segment_sum", "attention_weights"])
 def test_scatter_of_misshapen_rows_rejected(op, shapes):
     # five rows by three indices summed rows 0-2 and dropped rows 3-4; two
-    # logits by three indices ended in a bare ValueError
+    # keys by three indices ended in a bare ValueError, and one would broadcast
     x = [parameter(np.ones(s)) for s in shapes]
     with pytest.raises(AutodiffError, match=re.escape(
             f"a scatter by 3 indices got shape {shapes[0]}")):
@@ -157,7 +159,9 @@ def test_unsigned_index_is_taken_as_signed():
     # uint64 rows times columns plus a column made a float index in the max
     x = parameter(np.arange(6.0).reshape(2, 3))
     plan = ScatterPlan(np.array([0, 1, 1], dtype=np.uint64))
-    npt.assert_array_equal(segment_softmax(_gather(x, plan), plan, 2).value[0], 1.0)
+    k = _gather(x, plan).reshape(3, 3, 1)
+    npt.assert_array_equal(
+        attention_weights(k, parameter(np.ones((2, 3, 1))), plan, 2, 1.0).value[0], 1.0)
 
 
 # -- hand-built edges and angles ---------------------------------------------------

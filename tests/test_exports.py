@@ -56,8 +56,10 @@ MOVED_OR_DELETED = {
     "meshnet.features": ("reltan_scaling_statistics",),
     "meshnet.mesh": ("FaceGeometry",),
     # fused into the message and attention ops of the layers, and into the one
-    # node of each model op: no gather or column pick of its own, no plan made for an op
-    "meshnet.autodiff": ("take_pairs", "rotate_phase", "take_rows", "take_cols", "_plan"),
+    # node of each model op: no gather or column pick of its own, no plan made for an
+    # op, and attention's logits and softmax are the one node of its weights
+    "meshnet.autodiff": ("take_pairs", "rotate_phase", "take_rows", "take_cols", "_plan",
+                         "gathered_dot", "segment_softmax"),
     "meshnet.layers": ("_transported", "_from_edge"),
     # every harness pass is mesh_pipeline then one list forward
     "meshnet.harness": ("model_logits",),

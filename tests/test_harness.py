@@ -51,11 +51,11 @@ from meshnet.harness import (
     save_checkpoint,
     train,
 )
-from meshnet.layers import EdgeGeometry, EmanAttentionLayer, GemConvLayer
+from meshnet.layers import EmanAttentionLayer, GemConvLayer
 from meshnet.mesh import generate_grid_patch, generate_icosphere, save_mesh
 from meshnet.model import ModelSpec, build_model
 from meshnet.representations import FeatureType
-from meshnet.tangent import build_frames, regauge
+from meshnet.tangent import EdgeGeometry, build_frames, regauge
 from meshnet.transforms import apply_ambient, apply_permutation, random_transform_suite
 from oracles import isolated_vertex_geometry
 

@@ -193,9 +193,10 @@ def test_tape_keeps_per_edge_only_the_input_keys_and_values(cls, options):
 
 
 def test_training_step_records_one_node_per_model_op(monkeypatch):
-    # each nonlinearity, attention softmax, dense layer and the loss is one node on
-    # its inputs, and of the (V, target_dim) buffers the tape keeps only the logits
-    # and the loss's exponentials (generic chains kept four)
+    # each nonlinearity, attention's weights and value sum, dense layer and the loss
+    # is one node on its inputs: the weights on the keys and queries, the sum on the
+    # values and the weights.  Of the (V, target_dim) buffers the tape keeps only the
+    # logits and the loss's exponentials (generic chains kept four)
     config = default_config()
     data = segmentation_spheres(1, 0, 1, seed=3)
     model = build_model(model_spec_from_config(config, target_dim=data.target_dim,
@@ -204,12 +205,12 @@ def test_training_step_records_one_node_per_model_op(monkeypatch):
     frames = build_frames(sample.mesh)
     field = compute_features(config.model["features"], sample.mesh, frames,
                              config.model["reltan_powers"])
-    calls = []
+    calls, weights, sums = [], [], []
 
-    def recorded(op, operands):
+    def recorded(op, operands, log=calls):
         def call(x, *args):
             out = op(x, *args)
-            calls.append((out, (x,) + tuple(operands(*args))))
+            log.append((out, (x,) + tuple(operands(*args))))
             return out
         return call
 
@@ -218,16 +219,21 @@ def test_training_step_records_one_node_per_model_op(monkeypatch):
         nl.forward = recorded(nl.forward, lambda nl=nl: (nl.c,))
     for dense in (model.dense1, model.dense2):
         dense.forward = recorded(dense.forward, lambda dense=dense: (dense.W, dense.b))
-    monkeypatch.setattr(layers_module, "segment_softmax",
-                        recorded(layers_module.segment_softmax, lambda plan, n: ()))
+    monkeypatch.setattr(layers_module, "attention_weights", recorded(
+        layers_module.attention_weights, lambda q, plan, n, scale: (q,), weights))
+    monkeypatch.setattr(layers_module, "weighted_segment_sum", recorded(
+        layers_module.weighted_segment_sum, lambda w, plan, size: (w,), sums))
     logits = model.forward(field, EdgeGeometry.from_frames(frames), train=True,
                            rng=np.random.default_rng(0))
     loss = nll_loss(logits, sample.label)
     eman_layers = 2 + 2 * len(model.blocks)
-    assert len(calls) == len(nonlinearities) + 2 + eman_layers
-    for out, operands in calls + [(loss, (logits,))]:
+    assert len(calls) == len(nonlinearities) + 2
+    assert len(weights) == len(sums) == eman_layers
+    for out, operands in calls + weights + sums + [(loss, (logits,))]:
         assert len(out._parents) == len(operands)
         assert all(p is q for p, q in zip(out._parents, operands))
+    # each layer's value sum weighs its values by that layer's weights node
+    assert all(s[1][1] is w[0] for w, s in zip(weights, sums))
     shape = logits.shape
     assert shape == (sample.mesh.n_vertices, data.target_dim)
     assert len([a for a in _edge_row_buffers(loss, shape[0]) if a.shape == shape]) == 2

@@ -28,6 +28,7 @@ from meshnet.errors import (
 from meshnet.features import GeometricFeatureField
 from meshnet.harness import mesh_pipeline
 from meshnet.mesh import (
+    MAX_GENERATED_VERTICES,
     Edges,
     Mesh,
     face_geometry,
@@ -711,6 +712,19 @@ class TestGenerators:
             generate_icosphere(-1)
         with pytest.raises(MeshValidationError, match="rows and cols"):
             generate_grid_patch(1, 5)
+
+    def test_oversize_meshes_refused_before_they_are_built(self):
+        # unchecked, a 10^6 x 10^6 grid ended in numpy's MemoryError and ico9
+        # allocated gigabytes first; each first refused size is checked, not built
+        assert 10 * 4 ** 8 + 2 <= MAX_GENERATED_VERTICES < 10 * 4 ** 9 + 2
+        for k in (9, 2**62):
+            with pytest.raises(MeshValidationError, match=f"^{k} subdivisions make"):
+                generate_icosphere(k)
+        assert 17 * 61681 == MAX_GENERATED_VERTICES + 1
+        for rows, cols in ((17, 61681), (61681, 17), (2**40, 2**40)):
+            with pytest.raises(MeshValidationError, match=re.escape(
+                    f"a {rows} x {cols} grid has {rows * cols} vertices")):
+                generate_grid_patch(rows, cols)
 
 
 class TestInvariants:
