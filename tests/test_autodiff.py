@@ -40,6 +40,7 @@ from oracles import (
     nll_loss_rows,
     rep_block_diag,
     scatter_add,
+    segment_softmax_loop,
 )
 
 
@@ -388,6 +389,18 @@ class TestFusedOps:
                    lambda x: transported_rows(x, ScatterPlan(np.arange(7)), angles, blocks),
                    [self.rng.standard_normal((5, 5))], gathered=(0,))
 
+    def test_gathered_dot(self):
+        # attention_weights' dot of the keys with the queries gathered by _PLAN, through the
+        # softmax, against one dot per edge and head; query rows 3 (gathered by no edge) and
+        # 4 (by one edge alone in its segment, so of weight 1) get no gradient
+        k = parameter(self.rng.standard_normal((7, 2, 3)))
+        q = parameter(self.rng.standard_normal((5, 2, 3)))
+        y = attention_weights(k, q, _PLAN, 5, 0.5)
+        npt.assert_allclose(y.value, attention_weights_loop(k.value, q.value, _PLAN.idx, 5, 0.5),
+                            rtol=0, atol=1e-12)
+        (y * y).sum().backward()
+        assert not q.grad[3:].any() and q.grad[:3].all()
+
     def test_weighted_segment_sum(self):
         self._same(lambda v, a: weighted_segment_sum(v, a, _PLAN, _SIZE),
                    lambda v, a: segment_sum(v * a.reshape(-1, 2, 1), _PLAN, 6).reshape(6, -1)
@@ -398,8 +411,9 @@ class TestFusedOps:
         (lambda x: transported_rows(x, _PLAN, _PHASES, ((1, 1, 5),)), [(5, 5)]),
         (lambda u, w: turned_product(u, w, _PHASES, ((2, 1, 3),), (-1, 2, 3)),
          [(7, 4), (6, 4)]),
+        (lambda k, q: attention_weights(k, q, _PLAN, 5, 0.5), [(7, 2, 3), (5, 2, 3)]),
         (lambda v, a: weighted_segment_sum(v, a, _PLAN, _SIZE), [(7, 2, 3), (7, 2)]),
-    ], ids=["transported_rows", "turned_product", "weighted_segment_sum"])
+    ], ids=["transported_rows", "turned_product", "gathered_dot", "weighted_segment_sum"])
     def test_gradient(self, op, shapes):
         rng = self.rng
         params = [parameter(rng.standard_normal(s)) for s in shapes]
@@ -422,13 +436,18 @@ class TestFusedOps:
 
 
 # (name, op, reference, operand shapes): the one-node ops of the model, with the
-# loops of tests/oracles.py; the gate's offsets are the second operand
+# loops of tests/oracles.py; the gate's offsets are the second operand, and
+# segment_softmax is attention_weights of one-wide keys with a unit query
 _SEGMENTS = np.array([2, 0, 2, 2, 4, 0, 2, 0])
+_UNIT_QUERY = Tensor(np.ones((5, 1, 1)))
 MODEL_OPS = [
     ("gauge_gate", lambda x, c: gauge_gate(x, c, 2, 1e-6),
      lambda x, c: gauge_gate_pairs(x, c, 2, 1e-6), [(6, 8), (3,)]),
     ("gauge_gate_pairs", lambda x, c: gauge_gate(x, c, 0, 1e-6),
      lambda x, c: gauge_gate_pairs(x, c, 0, 1e-6), [(6, 4), (2,)]),
+    ("segment_softmax",
+     lambda s: attention_weights(s, _UNIT_QUERY, ScatterPlan(_SEGMENTS), 5, 1.0),
+     lambda s: segment_softmax_loop(s[..., 0], _SEGMENTS, 5), [(8, 1, 1)]),
     ("attention_weights", lambda k, q: attention_weights(k, q, ScatterPlan(_SEGMENTS), 5, 0.5),
      lambda k, q: attention_weights_loop(k, q, _SEGMENTS, 5, 0.5), [(8, 1, 3), (5, 1, 3)]),
     ("attention_weights_heads",
@@ -786,9 +805,13 @@ RECORDING_CASES = [
     ("turned_product", lambda u, w: turned_product(u, w, Phases(np.ones(4)), ((1, 1, 3),),
                                                    (-1, 3)),
      [(4, 2), (3, 2)], True),
-    ("attention_weights",
-     lambda k, q: attention_weights(k, q, ScatterPlan([1, 0, 1, 1]), 2, 0.5),
+    # attention_weights under the two ops it absorbed: the dot of the keys with the
+    # gathered queries, and with a constant unit query the segment softmax of the keys
+    ("gathered_dot", lambda k, q: attention_weights(k, q, ScatterPlan([1, 0, 1, 1]), 2, 0.5),
      [(4, 2, 3), (2, 2, 3)], True),
+    ("segment_softmax", lambda a: attention_weights(a, Tensor(np.ones((2, 1, 1))),
+                                                    ScatterPlan([1, 0, 1, 1]), 2, 1.0),
+     [(4, 1, 1)], False),
     ("weighted_segment_sum",
      lambda v, w: weighted_segment_sum(v, w, ScatterPlan([1, 0, 1, 1]), np.ones((3, 1))),
      [(4, 2, 3), (4, 2)], True),
