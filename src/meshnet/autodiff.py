@@ -368,22 +368,22 @@ def turned_product(u: Tensor, w: Tensor, phases: Phases, blocks, shape) -> Tenso
     return _node(_turn((u.value @ w.value.T).reshape(shape), phases, blocks), (u, w), vjp)
 
 
-def attention_weights(k: Tensor, q: Tensor, plan: ScatterPlan, n_segments: int,
-                      scale: float) -> Tensor:
+def attention_weights(k: Tensor, q: Tensor, plan: ScatterPlan, scale: float) -> Tensor:
     """Softmax within each segment ``plan.idx`` of ``scale`` times the dot of ``k[e, h]`` with
-    ``q[plan.idx[e], h]``, each column shifted by its segment max.  The node keeps the
-    exponentials ``e`` and their segment sums ``s``; the adjoint runs the softmax's,
-    ``(g / s + scatter(-g e / s^2)) e``, then the dot's, gathering ``s`` and ``q`` again."""
-    plan.check(n_segments, "scatter", k.value)
+    ``q[plan.idx[e]]``, a segment per row of ``q``, each column shifted by its segment max.
+    The node keeps the exponentials ``e`` and their segment sums ``s``; the adjoint runs the
+    softmax's, ``(g / s + scatter(-g e / s^2)) e``, then the dot's, gathering ``s`` and ``q``."""
+    if q.value.shape[1:] != k.value.shape[1:]:
+        raise AutodiffError(f"queries {q.value.shape} do not fit keys {k.value.shape}")
     n = q.value.shape[0]
-    plan.check(n, "gather")
+    plan.check(n, "gather", k.value)
     logits = (k.value * q.value[plan.idx]).sum(axis=-1) * scale
-    e = np.exp(logits - plan.max(logits, n_segments)[plan.idx])
-    s = plan.add(e, n_segments)
+    e = np.exp(logits - plan.max(logits, n)[plan.idx])
+    s = plan.add(e, n)
 
     def vjp(g):
         si = s[plan.idx]
-        g = (g / si + plan.add(-g * e / (si * si), n_segments)[plan.idx]) * e
+        g = (g / si + plan.add(-g * e / (si * si), n)[plan.idx]) * e
         g = np.expand_dims(g * scale, -1)
         return g * q.value[plan.idx], plan.add(g * k.value, n)
 
@@ -394,6 +394,8 @@ def weighted_segment_sum(v: Tensor, w: Tensor, plan: ScatterPlan, size) -> Tenso
     """Rows of ``v``, each last-axis slice ``v[e, h]`` times ``w[e, h]``, summed into
     segments ``plan.idx``, one flat row per segment times its entry of the (n, 1) column
     ``size``; the weighted rows and the unscaled sums are not kept."""
+    if w.value.shape != v.value.shape[:2]:
+        raise AutodiffError(f"weights {w.value.shape} do not fit values {v.value.shape}")
     n = size.shape[0]
     w3 = w.value[..., None]
 

@@ -237,7 +237,7 @@ class EmanAttentionLayer:
         weights, one column per head.  With self contribution each vertex's
         own key and value are a segment entry ahead of the edges."""
         _check_input(self, x, geom, empty_ok=self.self_contribution)
-        n, h, d, dv = geom.edges.n_vertices, self.heads, self.att_head.dim, self.out_head.dim
+        h, d, dv = self.heads, self.att_head.dim, self.out_head.dim
         u = transported_rows(x, geom.edges.src_plan, geom.transport_phases,
                              self.in_type.vector_blocks)
         K = turned_product(u, self.key_kernel, geom.theta_phases,
@@ -250,7 +250,7 @@ class EmanAttentionLayer:
         if self.self_contribution:
             K = concat([self.self_key_kernel(x).reshape(-1, h, d), K])
             V = concat([self.self_value_kernel(x).reshape(-1, h, dv), V])
-        alpha = attention_weights(K, Q, seg, n, 1.0 / np.sqrt(d))
+        alpha = attention_weights(K, Q, seg, 1.0 / np.sqrt(d))
         return weighted_segment_sum(V, alpha, seg, size), alpha
 
     def forward(self, x: Tensor, geom: EdgeGeometry) -> Tensor:

@@ -146,20 +146,20 @@ class Mesh:
         degenerate = np.flatnonzero((f == np.roll(f, 1, axis=1)).any(axis=1))
         if degenerate.size:
             raise DegenerateFaceError(int(degenerate[0]))
-        # Directed edges a->b, b->c, c->a.  Three faces on one undirected
-        # edge always repeat a direction, so the face count is checked first.
+        # Directed edges a->b, b->c, c->a; after a stable sort every equal key
+        # but the first in face order repeats.  Three faces on one undirected edge
+        # repeat a direction, so only then can a face count pass 2; it is checked first.
         i, j = f.ravel(), np.roll(f, -1, axis=1).ravel()
-        _, inverse, count = np.unique(np.minimum(i, j) * V + np.maximum(i, j),
-                                      return_inverse=True, return_counts=True)
-        shared = np.flatnonzero(count[inverse] > 2)
-        if shared.size:
-            e = shared[0]
-            raise NonManifoldError(sorted((i[e], j[e])), count[inverse[e]])
-        # after a stable sort every equal key but the first in face order repeats
         key = i * V + j
         order = np.argsort(key, kind="stable")
         repeated = order[1:][key[order[1:]] == key[order[:-1]]]
         if repeated.size:
+            _, inverse, count = np.unique(np.minimum(i, j) * V + np.maximum(i, j),
+                                          return_inverse=True, return_counts=True)
+            shared = np.flatnonzero(count[inverse] > 2)
+            if shared.size:
+                e = shared[0]
+                raise NonManifoldError(sorted((i[e], j[e])), count[inverse[e]])
             e = repeated.min()
             raise OrientationError((i[e], j[e]))
         return order
@@ -226,7 +226,8 @@ class Mesh:
                 f"with {V} vertices"
             )
         inverse = np.argsort(forward)
-        out.vertices, out.faces = _frozen(out.vertices[inverse], forward[self.faces])
+        out.vertices, out.faces = _frozen(np.take(out.vertices, inverse, axis=0),
+                                          forward[self.faces])
         old = self.edges.degrees
         degrees = old[inverse]
         shift = (np.cumsum(degrees) - degrees) - (np.cumsum(old) - old)[inverse]
@@ -247,10 +248,10 @@ def face_geometry(mesh: Mesh):
     DegenerateFaceError
         If a face has zero area, or its area or edge lengths overflow.
     """
-    v = mesh.vertices
-    f = mesh.faces
-    e1 = v[f[:, 1]] - v[f[:, 0]]
-    e2 = v[f[:, 2]] - v[f[:, 0]]
+    v, f = mesh.vertices, mesh.faces
+    v0 = np.take(v, f[:, 0], axis=0)
+    e1 = np.take(v, f[:, 1], axis=0) - v0
+    e2 = np.take(v, f[:, 2], axis=0) - v0
     with np.errstate(over="ignore", invalid="ignore"):
         cross = np.cross(e1, e2)
         norms = np.linalg.norm(cross, axis=1)
@@ -310,13 +311,13 @@ def _mesh_format(path):
     return fmt
 
 
-def _read_lines(path):
-    """Lines of a UTF-8 text file in any newline convention; a file that
-    cannot be read or decoded is a MeshParseError naming it."""
+def _read_text(path):
+    """A UTF-8 text file with every CR LF and lone CR read as a newline; a
+    file that cannot be read or decoded is a MeshParseError naming it."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        return io.StringIO(data.decode("utf-8"), newline=None)
+        return io.StringIO(data.decode("utf-8"), newline=None).read()
     except OSError as exc:
         raise MeshParseError(f"cannot read mesh file {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -332,6 +333,10 @@ def _parse_off(path):
     ``3 a b c`` line per face, and nothing after the last face.  ``#``
     starts a comment.
 
+    A file with no ``#`` and no blank or whitespace-only line is its records
+    as they stand, numbered from 1, with no per-line Python loop.  A line ends
+    at a newline (a CR LF or a lone CR is one), not at a form feed or U+0085.
+
     Each block of lines is read by one ``np.loadtxt``, kept if it raises no
     error or warning (numpy < 2 warns on reading ``2.5`` as an int) and
     gives one row of the right width per line.  Otherwise the block takes
@@ -339,18 +344,20 @@ def _parse_off(path):
     first bad line.  Tokens loadtxt rejects but Python takes (``1_0``,
     non-ASCII digits) go the slow way; the ones it takes, it reads alike.
     """
-    lines, numbers = [], []
-    for ln, line in enumerate(_read_lines(path), 1):
-        line = line.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-            numbers.append(ln)
+    text = _read_text(path)
+    lines = text.removesuffix("\n").split("\n")
+    numbers = range(1, len(lines) + 1)
+    if "#" in text or not all(map(str.strip, lines)):
+        all_lines, lines, numbers = lines, [], []
+        for ln, line in enumerate(all_lines, 1):
+            if line := line.split("#", 1)[0].strip():
+                lines.append(line)
+                numbers.append(ln)
     if not lines or lines[0].split()[0] != "OFF":
         raise MeshParseError(f"{path}: missing OFF header")
-    if lines[0] == "OFF":
-        del lines[0], numbers[0]
-    else:
-        lines[0] = lines[0][3:]
+    lines[0] = lines[0].strip()[3:]
+    if not lines[0]:
+        lines, numbers = lines[1:], numbers[1:]
     if not lines:
         raise MeshParseError(f"{path}: missing OFF counts line")
     nv, nf, _ne = _off_rows(path, lines[:1], numbers, "nv nf ne", int)[0].tolist()
@@ -424,7 +431,7 @@ def _parse_obj(path):
     """
     vertices = []
     faces, face_lines = [], []
-    for ln, line in enumerate(_read_lines(path), 1):
+    for ln, line in enumerate(_read_text(path).split("\n"), 1):
         parts = line.split()
         if not parts or parts[0].startswith("#"):
             continue
@@ -471,15 +478,14 @@ def save_mesh(mesh: Mesh, path):
     written with 17 significant digits).
     """
     path = str(path)
-    fmt = _mesh_format(path)
+    off = _mesh_format(path) == "off"
+    faces, v, f = (mesh.faces, "", "3") if off else (mesh.faces + 1, "v ", "f")
     with open(path, "w") as fh:
-        if fmt == "off":
+        if off:
             fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n")
-            np.savetxt(fh, mesh.vertices, fmt="%.17g")
-            np.savetxt(fh, mesh.faces, fmt="3 %d %d %d")
-        else:
-            np.savetxt(fh, mesh.vertices, fmt="v %.17g %.17g %.17g")
-            np.savetxt(fh, mesh.faces + 1, fmt="f %d %d %d")
+        # one format string and one % per block
+        for line, rows in ((v + "%.17g %.17g %.17g\n", mesh.vertices), (f + " %d %d %d\n", faces)):
+            fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

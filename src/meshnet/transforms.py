@@ -83,7 +83,7 @@ class Permutation:
     def _rows(self, arr, order):
         if (arr := np.asarray(arr)).shape[:1] != self.forward.shape:
             raise TransformError(f"a permutation of {self.forward.size} rows got shape {arr.shape}")
-        return arr[order]
+        return np.take(arr, order, axis=0)
 
     def permute_rows(self, arr: np.ndarray) -> np.ndarray:
         """out[forward[i]] = arr[i]"""

@@ -84,7 +84,7 @@ class TestBackwardBasics:
         k = parameter(rng.standard_normal((6, 1, 3)))
         c = rng.standard_normal((6, 1))
         seg = ScatterPlan(np.zeros(6, dtype=int))
-        (attention_weights(k, Tensor(rng.standard_normal((1, 1, 3))), seg, 1, 0.5) * c
+        (attention_weights(k, Tensor(rng.standard_normal((1, 1, 3))), seg, 0.5) * c
          ).sum().backward()
         npt.assert_allclose(k.grad.sum(axis=0), 0.0, atol=1e-12)
 
@@ -245,7 +245,7 @@ class TestOperatorGradients:
         w = rng.standard_normal((12, 1))
 
         def loss():
-            return (attention_weights(k, q, seg, 3, 0.5) * w).sum()
+            return (attention_weights(k, q, seg, 0.5) * w).sum()
 
         check_gradients(loss, [k, q], rng)
 
@@ -254,7 +254,7 @@ class TestOperatorGradients:
         seg = np.sort(rng.integers(0, 7, 30))
         alpha = attention_weights(Tensor(rng.standard_normal((30, 1, 4)) * 10),
                                   Tensor(rng.standard_normal((7, 1, 4))), ScatterPlan(seg),
-                                  7, 1.0).value[:, 0]
+                                  1.0).value[:, 0]
         sums = np.zeros(7)
         np.add.at(sums, seg, alpha)
         present = np.unique(seg)
@@ -269,10 +269,10 @@ class TestOperatorGradients:
         k = np.stack([s, np.ones_like(s)], axis=-1)
         q = np.broadcast_to([[1.0, 0.0], [1.0, 1000.0], [1.0, -1000.0]], (7, 3, 2))
         seg = ScatterPlan(rng.permutation(np.arange(30) % 7))
-        alpha = attention_weights(Tensor(k), Tensor(q), seg, 7, 1.0).value
+        alpha = attention_weights(Tensor(k), Tensor(q), seg, 1.0).value
         for j in range(3):
             npt.assert_array_equal(alpha[:, j], attention_weights(
-                Tensor(k[:, j:j + 1]), Tensor(q[:, j:j + 1]), seg, 7, 1.0).value[:, 0])
+                Tensor(k[:, j:j + 1]), Tensor(q[:, j:j + 1]), seg, 1.0).value[:, 0])
 
     def test_commuting_matmul(self):
         # 2xrho0+rho1+rho2 -> rho0+2xrho1+rho3: orders 0 and 1 are shared
@@ -395,7 +395,7 @@ class TestFusedOps:
         # 4 (by one edge alone in its segment, so of weight 1) get no gradient
         k = parameter(self.rng.standard_normal((7, 2, 3)))
         q = parameter(self.rng.standard_normal((5, 2, 3)))
-        y = attention_weights(k, q, _PLAN, 5, 0.5)
+        y = attention_weights(k, q, _PLAN, 0.5)
         npt.assert_allclose(y.value, attention_weights_loop(k.value, q.value, _PLAN.idx, 5, 0.5),
                             rtol=0, atol=1e-12)
         (y * y).sum().backward()
@@ -411,7 +411,7 @@ class TestFusedOps:
         (lambda x: transported_rows(x, _PLAN, _PHASES, ((1, 1, 5),)), [(5, 5)]),
         (lambda u, w: turned_product(u, w, _PHASES, ((2, 1, 3),), (-1, 2, 3)),
          [(7, 4), (6, 4)]),
-        (lambda k, q: attention_weights(k, q, _PLAN, 5, 0.5), [(7, 2, 3), (5, 2, 3)]),
+        (lambda k, q: attention_weights(k, q, _PLAN, 0.5), [(7, 2, 3), (5, 2, 3)]),
         (lambda v, a: weighted_segment_sum(v, a, _PLAN, _SIZE), [(7, 2, 3), (7, 2)]),
     ], ids=["transported_rows", "turned_product", "gathered_dot", "weighted_segment_sum"])
     def test_gradient(self, op, shapes):
@@ -432,7 +432,7 @@ class TestFusedOps:
             transported_rows(x, ScatterPlan([0, 4]), Phases(np.zeros(2)), ((1, 1, 3),))
         with pytest.raises(AutodiffError, match="gather index 4 is outside the 4 rows"):
             attention_weights(parameter(np.ones((2, 1, 3))), x.reshape(4, 1, 3),
-                              ScatterPlan([0, 4]), 5, 1.0)
+                              ScatterPlan([0, 4]), 1.0)
 
 
 # (name, op, reference, operand shapes): the one-node ops of the model, with the
@@ -446,12 +446,12 @@ MODEL_OPS = [
     ("gauge_gate_pairs", lambda x, c: gauge_gate(x, c, 0, 1e-6),
      lambda x, c: gauge_gate_pairs(x, c, 0, 1e-6), [(6, 4), (2,)]),
     ("segment_softmax",
-     lambda s: attention_weights(s, _UNIT_QUERY, ScatterPlan(_SEGMENTS), 5, 1.0),
+     lambda s: attention_weights(s, _UNIT_QUERY, ScatterPlan(_SEGMENTS), 1.0),
      lambda s: segment_softmax_loop(s[..., 0], _SEGMENTS, 5), [(8, 1, 1)]),
-    ("attention_weights", lambda k, q: attention_weights(k, q, ScatterPlan(_SEGMENTS), 5, 0.5),
+    ("attention_weights", lambda k, q: attention_weights(k, q, ScatterPlan(_SEGMENTS), 0.5),
      lambda k, q: attention_weights_loop(k, q, _SEGMENTS, 5, 0.5), [(8, 1, 3), (5, 1, 3)]),
     ("attention_weights_heads",
-     lambda k, q: attention_weights(k, q, ScatterPlan(_SEGMENTS), 5, 10.0),
+     lambda k, q: attention_weights(k, q, ScatterPlan(_SEGMENTS), 10.0),
      lambda k, q: attention_weights_loop(k, q, _SEGMENTS, 5, 10.0), [(8, 3, 2), (5, 3, 2)]),
     ("nll_loss", lambda a: nll_loss(a, [2, 0, 1, 1, 0]),
      lambda a: nll_loss_rows(a, [2, 0, 1, 1, 0]), [(5, 3)]),
@@ -807,10 +807,10 @@ RECORDING_CASES = [
      [(4, 2), (3, 2)], True),
     # attention_weights under the two ops it absorbed: the dot of the keys with the
     # gathered queries, and with a constant unit query the segment softmax of the keys
-    ("gathered_dot", lambda k, q: attention_weights(k, q, ScatterPlan([1, 0, 1, 1]), 2, 0.5),
+    ("gathered_dot", lambda k, q: attention_weights(k, q, ScatterPlan([1, 0, 1, 1]), 0.5),
      [(4, 2, 3), (2, 2, 3)], True),
     ("segment_softmax", lambda a: attention_weights(a, Tensor(np.ones((2, 1, 1))),
-                                                    ScatterPlan([1, 0, 1, 1]), 2, 1.0),
+                                                    ScatterPlan([1, 0, 1, 1]), 1.0),
      [(4, 1, 1)], False),
     ("weighted_segment_sum",
      lambda v, w: weighted_segment_sum(v, w, ScatterPlan([1, 0, 1, 1]), np.ones((3, 1))),

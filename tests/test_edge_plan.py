@@ -110,9 +110,10 @@ def test_negative_scatter_index_rejected():
             _gather(x, idx)
         with pytest.raises(AutodiffError, match=f"scatter index {bad} is outside the 3 rows"):
             segment_sum(parameter(np.ones((2, 1))), ScatterPlan(idx), 3)
-        with pytest.raises(AutodiffError, match=f"scatter index {bad} is outside the 3 rows"):
+        # the attention weights' segments are the query rows: one gather check covers both
+        with pytest.raises(AutodiffError, match=f"gather index {bad} is outside the 3 rows"):
             attention_weights(parameter(np.ones((2, 1, 1))), parameter(np.ones((3, 1, 1))),
-                              ScatterPlan(idx), 3, 1.0)
+                              ScatterPlan(idx), 1.0)
     # a cached plan checks each use against that use's row count
     plan = ScatterPlan([0, 2])
     _gather(x, plan)
@@ -120,19 +121,38 @@ def test_negative_scatter_index_rejected():
         _gather(parameter(np.ones(2)), plan)
 
 
-@pytest.mark.parametrize("op, shapes", [
-    (lambda x, plan: segment_sum(x[0], plan, 2), [(5, 2)]),
+@pytest.mark.parametrize("op, shapes, what", [
+    (lambda x, plan: segment_sum(x[0], plan, 2), [(5, 2)], "scatter"),
     (lambda x, plan: weighted_segment_sum(x[0], x[1], plan, np.ones((2, 1))),
-     [(5, 2, 3), (5, 2)]),
-    (lambda x, plan: attention_weights(x[0], x[1], plan, 2, 1.0), [(2, 1, 3), (2, 1, 3)]),
+     [(5, 2, 3), (5, 2)], "scatter"),
+    (lambda x, plan: attention_weights(x[0], x[1], plan, 1.0), [(2, 1, 3), (2, 1, 3)],
+     "gather"),
 ], ids=["segment_sum", "weighted_segment_sum", "attention_weights"])
-def test_scatter_of_misshapen_rows_rejected(op, shapes):
+def test_scatter_of_misshapen_rows_rejected(op, shapes, what):
     # five rows by three indices summed rows 0-2 and dropped rows 3-4; two
     # keys by three indices ended in a bare ValueError, and one would broadcast
     x = [parameter(np.ones(s)) for s in shapes]
     with pytest.raises(AutodiffError, match=re.escape(
-            f"a scatter by 3 indices got shape {shapes[0]}")):
+            f"a {what} by 3 indices got shape {shapes[0]}")):
         op(x, ScatterPlan([0, 1, 1]))
+
+
+@pytest.mark.parametrize("op, shapes, error", [
+    (lambda x, plan: weighted_segment_sum(x[0], x[1], plan, np.ones((3, 1))),
+     [(5, 2, 3), (1, 2)], "weights (1, 2) do not fit values (5, 2, 3)"),
+    (lambda x, plan: weighted_segment_sum(x[0], x[1], plan, np.ones((3, 1))),
+     [(5, 2, 3), (5, 1)], "weights (5, 1) do not fit values (5, 2, 3)"),
+    (lambda x, plan: attention_weights(x[0], x[1], plan, 1.0), [(5, 2, 3), (3, 1, 3)],
+     "queries (3, 1, 3) do not fit keys (5, 2, 3)"),
+    (lambda x, plan: attention_weights(x[0], x[1], plan, 1.0), [(5, 2, 3), (3, 2, 1)],
+     "queries (3, 2, 1) do not fit keys (5, 2, 3)"),
+], ids=["one_weight_row", "one_weight_head", "one_query_head", "one_query_column"])
+def test_operands_that_would_broadcast_rejected(op, shapes, error):
+    # a weight array of one row, or a query array of one head, was broadcast
+    # across the values' rows or the keys' heads: a (3, 6) sum came out
+    x = [parameter(np.ones(s)) for s in shapes]
+    with pytest.raises(AutodiffError, match=re.escape(error)):
+        op(x, ScatterPlan([0, 1, 1, 2, 2]))
 
 
 @pytest.mark.parametrize("idx", [[0.5, 1.0], [0.0, 1.0], [True, False], ["0", "1"]])
@@ -161,7 +181,7 @@ def test_unsigned_index_is_taken_as_signed():
     plan = ScatterPlan(np.array([0, 1, 1], dtype=np.uint64))
     k = _gather(x, plan).reshape(3, 3, 1)
     npt.assert_array_equal(
-        attention_weights(k, parameter(np.ones((2, 3, 1))), plan, 2, 1.0).value[0], 1.0)
+        attention_weights(k, parameter(np.ones((2, 3, 1))), plan, 1.0).value[0], 1.0)
 
 
 # -- hand-built edges and angles ---------------------------------------------------

@@ -220,7 +220,7 @@ def test_training_step_records_one_node_per_model_op(monkeypatch):
     for dense in (model.dense1, model.dense2):
         dense.forward = recorded(dense.forward, lambda dense=dense: (dense.W, dense.b))
     monkeypatch.setattr(layers_module, "attention_weights", recorded(
-        layers_module.attention_weights, lambda q, plan, n, scale: (q,), weights))
+        layers_module.attention_weights, lambda q, plan, scale: (q,), weights))
     monkeypatch.setattr(layers_module, "weighted_segment_sum", recorded(
         layers_module.weighted_segment_sum, lambda w, plan, size: (w,), sums))
     logits = model.forward(field, EdgeGeometry.from_frames(frames), train=True,

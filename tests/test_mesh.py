@@ -257,8 +257,23 @@ def _each_line(block, suffix):
     (TETRA_OFF.replace(" ", "\t"), None),
     (_each_line(TETRA_OFF, " # note"), None),
     (TETRA_OFF.replace("OFF\n", "OFF "), None),
+    # a plain file (no "#", no blank or whitespace-only line) skips the line loop;
+    # either way lines end at a newline alone, so a form feed or U+0085 joins two
+    (TETRA_OFF.replace("0 0 0\n", "0 0 0\f", 1),
+     "m.off: OFF counts on line 2 ask for 4 vertices and 4 faces, the file holds 7 lines "
+     "after them"),
+    (TETRA_OFF.replace("0 0 0\n", "0 0 0\x85", 1),
+     "m.off: OFF counts on line 2 ask for 4 vertices and 4 faces, the file holds 7 lines "
+     "after them"),
+    (TETRA_OFF.replace("0 0 0\n", "0 0 0\n \t\n", 1), None),
+    (TETRA_OFF.replace("OFF\n4 4 0\n", "OFF  \n4 4 0 \t\n"), None),
+    (TETRA_OFF.replace("OFF\n4 4 0\n", "OFF\t\n4 4 0\t\n"), None),
+    (TETRA_OFF.replace("OFF\n4 4 0\n", "OFF\t4 4 0  \n"), None),
 ], ids=["four_token_vertex_lines", "five_token_face_lines", "float_face_index",
-        "crlf", "tabs", "trailing_comments", "counts_on_the_keyword_line"])
+        "crlf", "tabs", "trailing_comments", "counts_on_the_keyword_line",
+        "form_feed_between_records", "next_line_between_records",
+        "whitespace_only_vertex_line", "spaces_after_keyword_and_counts",
+        "tabs_after_keyword_and_counts", "whitespace_after_counts_on_the_keyword_line"])
 def test_off_lines_read_as_reference(tmp_path, text, error):
     path = tmp_path / "m.off"
     path.write_bytes(text.encode("utf-8"))
@@ -281,6 +296,36 @@ def test_off_empty_blocks_read_without_warnings(tmp_path, text):
         _assert_off_reads_as_reference(path)
         vertices, faces = mesh_module._parse_off(path)
     assert faces.shape == (0, 3) and vertices.shape == (text.count("\n") - 2, 3)
+
+
+def test_saved_mesh_reads_alike_with_a_comment_or_a_blank_line(tmp_path):
+    # the saved file takes the plain path, the same text with a "#" line or a
+    # blank line the line loop: all three give the saved arrays bit for bit
+    sphere = generate_icosphere(3)
+    bumps = 1.0 + 0.2 * np.random.default_rng(5).uniform(-1.0, 1.0, sphere.n_vertices)
+    mesh = sphere.with_vertices(sphere.vertices * bumps[:, None])
+    save_mesh(mesh, tmp_path / "plain.off")
+    lines = (tmp_path / "plain.off").read_text().split("\n")
+    for name, extra in (("comment", ["# a comment"]), ("blank", [""])):
+        (tmp_path / f"{name}.off").write_text("\n".join(lines[:50] + extra + lines[50:]))
+    saved = _outcome(lambda _path: mesh, None)
+    for name in ("plain", "comment", "blank"):
+        assert _assert_off_reads_as_reference(tmp_path / f"{name}.off") == saved
+
+
+def test_save_writes_literal_records(tmp_path):
+    # one format string per block writes the bytes np.savetxt wrote
+    mesh = Mesh([[0, 0, 0], [0.1, 0, 0], [0, 1 / 3, 0], [0, 0, -2.5]],
+                [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
+    coords = ["0 0 0", "0.10000000000000001 0 0", "0 0.33333333333333331 0", "0 0 -2.5"]
+    save_mesh(mesh, tmp_path / "t.off")
+    save_mesh(mesh, tmp_path / "t.obj")
+    assert (tmp_path / "t.off").read_bytes() == (
+        "OFF\n4 4 0\n" + "".join(c + "\n" for c in coords)
+        + "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n").encode()
+    assert (tmp_path / "t.obj").read_bytes() == (
+        "".join(f"v {c}\n" for c in coords)
+        + "f 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n").encode()
 
 
 def test_load_off_without_vertices_rejected(tmp_path):
