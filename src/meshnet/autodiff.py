@@ -21,10 +21,10 @@ the closure) only while recording is on and some operand requires a gradient.
 ``Model.forward`` records only with ``train=True``, so eval forwards keep no tape.
 Memory rule: ``Tensor.backward`` alone owns the tape's memory.  The arrays a VJP
 returns share no memory, except one array given to two parents (``+``): ``reshape``
-and ``concat`` return views of ``g``, ``sum`` a copy, ``nll_loss`` the
-exponentials it kept, turned into its gradient in place, and every other VJP
-fresh arrays.  So a VJP owns its ``g``, and the fused message adjoints turn it
-in place.
+and ``concat`` return views of ``g``, ``sum`` a copy, ``gauge_gate`` its ``g``, the
+value gradient of ``weighted_segment_sum`` its gathered ``g``, ``nll_loss`` the
+exponentials it kept, each turned into the gradient in place, and every other VJP
+fresh arrays.  So a VJP owns its ``g`` and may write it.  Row gathers use ``np.take``.
 
 Scatters (the adjoints of the gathers, the forwards of ``segment_sum``,
 ``weighted_segment_sum`` and ``attention_weights``) go through a ``ScatterPlan``
@@ -143,12 +143,16 @@ class ScatterPlan:
         return tuple((slice(r.size) if (r := rows[k]).size and r[-1] == r.size - 1 else r,
                       order[k]) for k in np.split(by_rank, cuts))
 
+    def take(self, a):
+        """Rows ``idx`` of ``a``: the bits of ``a[idx]``, gathered by ``np.take``."""
+        return np.take(a, self.idx, axis=0)
+
     def add(self, g, n):
         """Row k of ``g`` summed into row ``idx[k]`` of an n-row zero array."""
         self.check(n, "scatter", g)
         out = np.zeros((n,) + g.shape[1:])
         for rows, pos in self.passes:
-            out[rows] += g[pos]
+            out[rows] += np.take(g, pos, axis=0)
         return out
 
     def max(self, v, n):
@@ -345,8 +349,8 @@ def _turn(v, phases, blocks, conj=False):
     times its ``Phases`` entry ``exp(i n angle_e)``, or the conjugate."""
     row = (-1,) + (1,) * (v.ndim - 1)
     for n, lo, hi in blocks:
-        block = v[..., lo:hi].view(np.complex128)
-        block *= (phases[n].conj() if conj else phases[n]).reshape(row)
+        block, phase = v[..., lo:hi].view(np.complex128), phases[n].reshape(row)
+        np.multiply(block, phase.conj() if conj else phase, out=block, order="F")
     return v
 
 
@@ -355,7 +359,7 @@ def transported_rows(x: Tensor, plan: ScatterPlan, phases: Phases, blocks) -> Te
     scatter-adds."""
     n = x.value.shape[0]
     plan.check(n, "gather")
-    return _node(_turn(x.value[plan.idx], phases, blocks), (x,),
+    return _node(_turn(plan.take(x.value), phases, blocks), (x,),
                  lambda g: (plan.add(_turn(g, phases, blocks, True), n),))
 
 
@@ -377,17 +381,17 @@ def attention_weights(k: Tensor, q: Tensor, plan: ScatterPlan, scale: float) -> 
         raise AutodiffError(f"queries {q.value.shape} do not fit keys {k.value.shape}")
     n = q.value.shape[0]
     plan.check(n, "gather", k.value)
-    logits = (k.value * q.value[plan.idx]).sum(axis=-1) * scale
-    e = np.exp(logits - plan.max(logits, n)[plan.idx])
+    logits = np.multiply(qk := plan.take(q.value), k.value, out=qk).sum(axis=-1) * scale
+    e = np.exp(logits - plan.take(plan.max(logits, n)))
     s = plan.add(e, n)
 
     def vjp(g):
-        si = s[plan.idx]
-        g = (g / si + plan.add(-g * e / (si * si), n)[plan.idx]) * e
+        si = plan.take(s)
+        g = (g / si + plan.take(plan.add(-g * e / (si * si), n))) * e
         g = np.expand_dims(g * scale, -1)
-        return g * q.value[plan.idx], plan.add(g * k.value, n)
+        return np.multiply(gk := plan.take(q.value), g, out=gk), plan.add(g * k.value, n)
 
-    return _node(e / s[plan.idx], (k, q), vjp)
+    return _node(e / plan.take(s), (k, q), vjp)
 
 
 def weighted_segment_sum(v: Tensor, w: Tensor, plan: ScatterPlan, size) -> Tensor:
@@ -400,8 +404,10 @@ def weighted_segment_sum(v: Tensor, w: Tensor, plan: ScatterPlan, size) -> Tenso
     w3 = w.value[..., None]
 
     def vjp(g):
-        g = (g * size).reshape((n,) + v.value.shape[1:])[plan.idx]
-        return g * w3, _unbroadcast(g * v.value, w3.shape).reshape(w.value.shape)
+        g *= size
+        g = plan.take(g.reshape((n,) + v.value.shape[1:]))
+        gw = _unbroadcast(g * v.value, w3.shape).reshape(w.value.shape)
+        return np.multiply(g, w3, out=g), gw
 
     return _node(plan.add(v.value * w3, n).reshape(n, -1) * size, (v, w), vjp)
 
@@ -447,7 +453,7 @@ def commuting_matmul(x: Tensor, w: Tensor, blocks, out_dim: int, in_cols=None) -
 
 def segment_sum(x: Tensor, plan: ScatterPlan, n_segments: int) -> Tensor:
     """Sum rows of ``x`` into their segment ``plan.idx``; adjoint gathers."""
-    return _node(plan.add(x.value, n_segments), (x,), lambda g: (g[plan.idx],))
+    return _node(plan.add(x.value, n_segments), (x,), lambda g: (plan.take(g),))
 
 
 def nll_loss(logits: Tensor, targets) -> Tensor:
@@ -488,35 +494,44 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def gauge_gate(x: Tensor, c: Tensor, m: int, eps: float) -> Tensor:
-    """ReLU of the first ``m`` columns of ``x``; each pair f_j after them times
-    ``sigmoid(|f_j| + c_j) / (|f_j| + eps)``, ``|f_j| = sqrt(f_j . f_j + 1e-60)``, kept with
-    the sigmoids.  As in the chain it replaced, the pair gradient adds ``g gate``, then twice
-    the norm's term, and with scalars the zero-padded parts are summed (-0.0 becomes 0.0)."""
-    xv = x.value
-    n, k = xv.shape[0], c.value.shape[0]
-    vec = xv[:, m:].reshape(n, k, 2)
-    nrm = np.sqrt((vec * vec).sum(axis=2) + 1e-60)
+    """ReLU of the first ``m`` columns of ``x``; each pair f_j after them, read as the strided
+    columns ``[m::2]`` and ``[m+1::2]``, times ``sigmoid(|f_j| + c_j) / (|f_j| + eps)``,
+    ``|f_j| = sqrt(f_j . f_j + 1e-60)``, kept with the sigmoids.  The adjoint writes into
+    ``g``: as in the chain it replaced, the pair gradient adds ``g gate``, then twice the
+    norm's term, and with scalars the zero-padded parts are summed (-0.0 becomes 0.0)."""
+    xv, cols = x.value, (np.s_[:, m::2], np.s_[:, m + 1::2])
+    if xv.ndim != 2 or xv.shape[1] != m + 2 * c.value.size:
+        raise AutodiffError(f"gate of {m} scalars and pairs {c.value.shape} got {xv.shape}")
+    pairs = [xv[j] for j in cols]
+    nrm = np.sqrt(pairs[0] * pairs[0] + pairs[1] * pairs[1] + 1e-60)
     a = nrm + c.value
     ea = np.exp(-np.abs(a))
     sig = np.where(a >= 0, 1.0 / (1.0 + ea), ea / (1.0 + ea))
 
     def parts():  # the scalars' ReLU mask, |f| + eps and the gate
         d = nrm + eps
-        return (xv[:, :m] > 0).astype(np.float64), d, (sig / d)[..., None]
+        return (xv[:, :m] > 0).astype(np.float64), d, sig / d
 
     def vjp(g):
         mask, d, gate = parts()
-        gv = g[:, m:].reshape(n, k, 2)
-        g_gate = (gv * vec).sum(axis=2)
+        gp = [g[j] for j in cols]
+        g_gate = gp[0] * pairs[0] + gp[1] * pairs[1]
         g_a = g_gate / d * sig * (1.0 - sig)
-        g_sq = ((-g_gate * sig / (d * d) + g_a) * 0.5 / nrm)[..., None] * vec
-        gx = np.concatenate([g[:, :m] * mask, (gv * gate + g_sq + g_sq).reshape(n, -1)], axis=1)
+        h = (-g_gate * sig / (d * d) + g_a) * 0.5 / nrm
+        g[:, :m] *= mask
+        for gj, xj in zip(gp, pairs):
+            g_sq = h * xj
+            gj *= gate
+            gj += g_sq
+            gj += g_sq
         if m:
-            gx += 0.0
-        return gx, g_a.sum(axis=0)
+            g += 0.0
+        return g, g_a.sum(axis=0)
 
     mask, _d, gate = parts()
-    out = np.concatenate([xv[:, :m] * mask, (vec * gate).reshape(n, -1)], axis=1)
+    out = np.empty_like(xv)
+    for j, f in zip((np.s_[:, :m],) + cols, (mask, gate, gate)):
+        np.multiply(xv[j], f, out=out[j])
     return _node(out, (x, c), vjp)
 
 
@@ -524,8 +539,8 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adam with bias correction, at the usual ``_BETA1``, ``_BETA2`` and ``_EPS``; the
-    learning rate ``lr`` is a real number in (0, inf), else an AutodiffError."""
+    """Adam with bias correction, at the usual ``_BETA1``, ``_BETA2`` and ``_EPS``, its moments
+    updated in place; the learning rate ``lr`` is a real in (0, inf), else an AutodiffError."""
 
     def __init__(self, params, lr):
         if not 0 < (lr := _kept(lr, np.float64, (), AutodiffError, "lr")) < np.inf:
@@ -542,10 +557,11 @@ class Adam:
 
     def step(self):
         self.step_count += 1
-        for i, p in enumerate(self.params):
-            g = p.grad
-            self.m[i] = _BETA1 * self.m[i] + (1 - _BETA1) * g
-            self.v[i] = _BETA2 * self.v[i] + (1 - _BETA2) * g * g
-            mhat = self.m[i] / (1 - _BETA1 ** self.step_count)
-            vhat = self.v[i] / (1 - _BETA2 ** self.step_count)
+        for p, m, v in zip(self.params, self.m, self.v):
+            m *= _BETA1
+            m += (1 - _BETA1) * p.grad
+            v *= _BETA2
+            v += (1 - _BETA2) * p.grad * p.grad
+            mhat = m / (1 - _BETA1 ** self.step_count)
+            vhat = v / (1 - _BETA2 ** self.step_count)
             p.value -= self.lr * mhat / (np.sqrt(vhat) + _EPS)

@@ -470,6 +470,10 @@ def _parse_obj(path):
     return np.array(vertices, dtype=np.float64), faces
 
 
+# the rows save_mesh formats at once: its memory stays bounded, and ico4's 5120 faces fit
+_SAVE_ROWS = 8192
+
+
 def save_mesh(mesh: Mesh, path):
     """Write vertices and faces to OFF or OBJ, as the extension of ``path``
     says; any other extension is a MeshParseError and writes nothing.
@@ -479,13 +483,17 @@ def save_mesh(mesh: Mesh, path):
     """
     path = str(path)
     off = _mesh_format(path) == "off"
-    faces, v, f = (mesh.faces, "", "3") if off else (mesh.faces + 1, "v ", "f")
+    v, f, first = ("", "3", None) if off else ("v ", "f", 1)
     with open(path, "w") as fh:
         if off:
             fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n")
-        # one format string and one % per block
-        for line, rows in ((v + "%.17g %.17g %.17g\n", mesh.vertices), (f + " %d %d %d\n", faces)):
-            fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
+        # one format string and one % per slice of _SAVE_ROWS rows; OBJ counts faces from 1
+        for line, rows, base in ((v + "%.17g %.17g %.17g\n", mesh.vertices, None),
+                                 (f + " %d %d %d\n", mesh.faces, first)):
+            for lo in range(0, len(rows), _SAVE_ROWS):
+                part = rows[lo:lo + _SAVE_ROWS]
+                part = part if base is None else part + base
+                fh.write((line * len(part)) % tuple(part.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,11 @@ reference for the block-at-once numpy reader of ``meshnet.mesh``.
 ``attention_weights_loop`` (one dot per edge and head, then
 ``segment_softmax_loop``), ``nll_loss_rows``, ``affine_rows`` and
 ``gauge_gate_pairs`` compute the model ops of ``meshnet.autodiff`` one
-edge, segment, row or pair at a time.
+edge, segment, row or pair at a time.  ``gauge_gate_chain``,
+``attention_weights_gathered``, ``weighted_segment_sum_gathered`` and
+``adam_rebinding`` are the previous formulas of the gate, the attention
+weights, the value sum and Adam, one fresh array per step, that the in-place
+forms must match bit for bit.
 
 The scalar tangent references -- ``wrap_angle``, ``tangent_projector``,
 ``log_map``, ``theta_angle`` and ``transport_angle`` -- compute one vertex or
@@ -429,6 +433,80 @@ def gauge_gate_pairs(x, c, m, eps):
             r = np.hypot(*f)
             out[v, m + 2 * j:m + 2 * j + 2] = f / (1.0 + np.exp(-(r + cj))) / (r + eps)
     return out
+
+
+# The previous formulas of the rewritten fused ops: each returns its value and its VJP on
+# plain arrays, with a fresh array at every step, gathers by fancy indexing, and the
+# segment max and scatters by ``np.maximum.at`` and ``np.add.at``.  The ops must match
+# them bit for bit.
+
+def gauge_gate_chain(x, c, m, eps):
+    """The gate with its pairs read through an (n, k, 2) reshape and its output and input
+    gradient concatenated."""
+    n, k = x.shape[0], c.shape[0]
+    vec = x[:, m:].reshape(n, k, 2)
+    nrm = np.sqrt((vec * vec).sum(axis=2) + 1e-60)
+    a = nrm + c
+    ea = np.exp(-np.abs(a))
+    sig = np.where(a >= 0, 1.0 / (1.0 + ea), ea / (1.0 + ea))
+    mask, d = (x[:, :m] > 0).astype(np.float64), nrm + eps
+    gate = (sig / d)[..., None]
+
+    def vjp(g):
+        gv = g[:, m:].reshape(n, k, 2)
+        g_gate = (gv * vec).sum(axis=2)
+        g_a = g_gate / d * sig * (1.0 - sig)
+        g_sq = ((-g_gate * sig / (d * d) + g_a) * 0.5 / nrm)[..., None] * vec
+        gx = np.concatenate([g[:, :m] * mask, (gv * gate + g_sq + g_sq).reshape(n, -1)], axis=1)
+        if m:
+            gx += 0.0
+        return gx, g_a.sum(axis=0)
+
+    return np.concatenate([x[:, :m] * mask, (vec * gate).reshape(n, -1)], axis=1), vjp
+
+
+def attention_weights_gathered(k, q, idx, n, scale):
+    """The attention weights with each gathered operand multiplied into a fresh array."""
+    logits = (k * q[idx]).sum(axis=-1) * scale
+    top = np.full((n,) + logits.shape[1:], -np.inf)
+    np.maximum.at(top, idx, logits)
+    e = np.exp(logits - top[idx])
+    s = scatter_add(e, idx, n)
+
+    def vjp(g):
+        si = s[idx]
+        g = (g / si + scatter_add(-g * e / (si * si), idx, n)[idx]) * e
+        g = np.expand_dims(g * scale, -1)
+        return g * q[idx], scatter_add(g * k, idx, n)
+
+    return e / s[idx], vjp
+
+
+def weighted_segment_sum_gathered(v, w, idx, size):
+    """The value sum with its gradient scaled, gathered and weighted into fresh arrays."""
+    n, w3 = size.shape[0], w[..., None]
+
+    def vjp(g):
+        g = (g * size).reshape((n,) + v.shape[1:])[idx]
+        return g * w3, (g * v).sum(axis=2)
+
+    return scatter_add(v * w3, idx, n).reshape(n, -1) * size, vjp
+
+
+def adam_rebinding(values, grads, lr):
+    """Adam over a sequence of gradient lists, its moments rebound to fresh arrays at every
+    step; returns the final values and moments."""
+    values = [np.array(p, dtype=np.float64) for p in values]
+    m = [np.zeros_like(p) for p in values]
+    v = [np.zeros_like(p) for p in values]
+    for t, step in enumerate(grads, start=1):
+        for i, g in enumerate(step):
+            m[i] = 0.9 * m[i] + (1 - 0.9) * g
+            v[i] = 0.999 * v[i] + (1 - 0.999) * g * g
+            mhat = m[i] / (1 - 0.9 ** t)
+            vhat = v[i] / (1 - 0.999 ** t)
+            values[i] -= lr * mhat / (np.sqrt(vhat) + 1e-8)
+    return values, m, v
 
 
 def neighbor_rings(mesh: Mesh):

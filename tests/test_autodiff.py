@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from meshnet import autodiff
 from meshnet.autodiff import (
     Adam,
     Phases,
@@ -25,7 +26,7 @@ from meshnet.autodiff import (
     weighted_segment_sum,
 )
 from meshnet.config import default_config, model_spec_from_config, parse_config
-from meshnet.datasets import segmentation_spheres
+from meshnet.datasets import dataset_from_config, segmentation_spheres
 from meshnet.errors import AutodiffError, EmptyNeighborhoodError
 from meshnet.features import GeometricFeatureField, compute_features
 from meshnet.mesh import generate_icosphere
@@ -33,14 +34,18 @@ from meshnet.model import build_model
 from meshnet.representations import FeatureType
 from meshnet.tangent import EdgeGeometry, build_frames
 from oracles import (
+    adam_rebinding,
     affine_rows,
+    attention_weights_gathered,
     attention_weights_loop,
+    gauge_gate_chain,
     gauge_gate_pairs,
     isolated_vertex_geometry,
     nll_loss_rows,
     rep_block_diag,
     scatter_add,
     segment_softmax_loop,
+    weighted_segment_sum_gathered,
 )
 
 
@@ -435,6 +440,93 @@ class TestFusedOps:
                               ScatterPlan([0, 4]), 1.0)
 
 
+def _bits(arrays):
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+class TestInPlaceOps:
+    """The ops that write into memory they own give the bits of their previous formulas
+    (tests/oracles.py), which made a fresh array at every step: the value, and the VJP of
+    a gradient that holds -0.0 entries, so the sign of every zero is compared too."""
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(38)
+
+    def _grad(self, shape):
+        g = self.rng.standard_normal(shape)
+        g.reshape(-1)[::5] = -0.0
+        return g
+
+    def _same(self, y, reference):
+        value, vjp = reference
+        g = self._grad(value.shape)
+        assert _bits([y.value]) == _bits([value])
+        assert _bits(y._vjp(g.copy())) == _bits(vjp(g.copy()))
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_gauge_gate(self, m):
+        # -0.0 and 0.0 scalars, a zero pair (its norm is 1e-30), and offsets of both
+        # signs, so the sigmoid takes both of its branches
+        x = self.rng.standard_normal((7, m + 6)) * 2.0
+        x[:3, :m] = [[-0.0], [0.0], [-1.0]]
+        x[1, m:m + 2] = 0.0
+        x[4, m + 2:m + 4] = [-0.0, 1e-200]
+        c = np.array([-1.5, 0.25, -0.75])
+        self._same(gauge_gate(parameter(x), parameter(c), m, 1e-6),
+                   gauge_gate_chain(x, c, m, 1e-6))
+
+    @pytest.mark.parametrize("shape, k", [((4, 7), 1), ((4, 8), 3), ((8,), 3)],
+                             ids=["one_offset_for_three_pairs", "odd_pair_columns", "one_row"])
+    def test_gauge_gate_of_misshapen_operands_rejected(self, shape, k):
+        # the strided pair views would broadcast one offset over three pairs, where the
+        # (n, k, 2) reshape refused it with a bare ValueError
+        with pytest.raises(AutodiffError, match=r"gate of 1 scalars and pairs \(\d,\) got"):
+            gauge_gate(parameter(np.ones(shape)), parameter(np.ones(k)), 1, 1e-6)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_attention_weights(self, heads):
+        k = self.rng.standard_normal((7, heads, 3))
+        q = self.rng.standard_normal((5, heads, 3))
+        k[2] = -0.0
+        self._same(attention_weights(parameter(k), parameter(q), _PLAN, 0.5),
+                   attention_weights_gathered(k, q, _PLAN.idx, 5, 0.5))
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_weighted_segment_sum(self, heads):
+        v = self.rng.standard_normal((7, heads, 3))
+        w = self.rng.standard_normal((7, heads))
+        w[3] = -0.0
+        self._same(weighted_segment_sum(parameter(v), parameter(w), _PLAN, _SIZE),
+                   weighted_segment_sum_gathered(v, w, _PLAN.idx, _SIZE))
+
+    def test_turn_in_column_order(self):
+        # the turn multiplies each block in place in column order: the bits of the
+        # block times its phases, on (rows, heads, dim) as on (rows, dim)
+        v = self.rng.standard_normal((7, 2, 5))
+        turned = autodiff._turn(v.copy(), _PHASES, ((1, 1, 3), (2, 3, 5)), conj=True)
+        for n, lo, hi in ((1, 1, 3), (2, 3, 5)):
+            want = v[..., lo:hi].view(np.complex128) * _PHASES[n].conj().reshape(-1, 1, 1)
+            assert turned[..., lo:hi].tobytes() == want.view(np.float64).tobytes()
+        assert turned[..., 0].tobytes() == v[..., 0].tobytes()
+
+    def test_adam_updates_its_moments_in_place(self):
+        shapes = [(3, 4), (5,)]
+        start = [self.rng.standard_normal(s) for s in shapes]
+        grads = [[self._grad(s) for s in shapes] for _ in range(5)]
+        grads[1][1][:] = 0.0
+        params = [parameter(p) for p in start]
+        opt = Adam(params, lr=0.01)
+        moments = opt.m + opt.v
+        for step in grads:
+            for p, g in zip(params, step):
+                p.grad[...] = g
+            opt.step()
+        assert all(a is b for a, b in zip(opt.m + opt.v, moments))
+        values, m, v = adam_rebinding(start, grads, 0.01)
+        assert _bits([p.value for p in params]) == _bits(values)
+        assert _bits(opt.m + opt.v) == _bits(m + v)
+
+
 # (name, op, reference, operand shapes): the one-node ops of the model, with the
 # loops of tests/oracles.py; the gate's offsets are the second operand, and
 # segment_softmax is attention_weights of one-wide keys with a unit query
@@ -746,6 +838,44 @@ def test_eval_forward_that_raises_restores_recording(model, hidden):
                                                                      sample.label)
     assert (_step_grads(net, field, geom, sample.label, raising_forward)
             == _step_grads(fresh, field, geom, sample.label))
+
+
+@pytest.mark.parametrize("model", [
+    "",
+    "[model]\nheads = 2\nself_contribution = true\n",
+    "[model]\nkind = gem\n",
+    "[run]\ntask = classification\n",
+], ids=["eman", "heads2_self", "gem", "classification"])
+def test_in_place_adjoints_are_alias_safe(monkeypatch, model):
+    # the fused adjoints write into the g they were given: a backward in which every
+    # VJP gets a private copy of its g must give every parameter gradient bit for bit
+    cfg = parse_config(model + "[data]\nsubdivisions = 1\ntrain_meshes = 2\ntest_meshes = 1\n")
+    data = dataset_from_config(cfg)
+    spec = model_spec_from_config(cfg, target_dim=data.target_dim, task=data.task)
+    sample = data.train[0]
+    frames = build_frames(sample.mesh)
+    geom = EdgeGeometry.from_frames(frames)
+    field = compute_features(cfg.model["features"], sample.mesh, frames,
+                             cfg.model["reltan_powers"])
+
+    def grads():
+        net = build_model(spec, seed=5)
+        logits = net.forward(field, geom, train=True, rng=np.random.default_rng(2))
+        nll_loss(logits, sample.label).backward()
+        return [t.grad.tobytes() for _n, t in net.parameters()]
+
+    given = grads()
+    node, copied = autodiff._node, []
+
+    def copying_node(value, parents, vjp):
+        def private(g):
+            copied.append(g.shape)
+            return vjp(g.copy())
+        return node(value, parents, private)
+
+    monkeypatch.setattr(autodiff, "_node", copying_node)
+    assert grads() == given
+    assert len(copied) > 20
 
 
 def _has_mallopt():
